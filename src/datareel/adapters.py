@@ -23,9 +23,18 @@ from .model import (
     ValidationReport,
     Violation,
     VisualizationSpec,
+    mark_type,
+    title_text,
     visualization_structure_violations,
 )
-from .timeline import Span, Timeline, WordTiming, validate_timings, value_at, visible_at
+from .timeline import (
+    KeyframeEvaluator,
+    Span,
+    Timeline,
+    WordTiming,
+    validate_timings,
+    value_at,  # noqa: F401  -- kept importable as datareel.adapters.value_at
+)
 
 
 class RendererRejectedSpec(AdapterError):
@@ -77,24 +86,6 @@ def _enc_field(encoding: dict, channel: str) -> str | None:
     return None
 
 
-def _mark_type(layer: dict) -> str | None:
-    mark = layer.get("mark")
-    if isinstance(mark, str):
-        return mark
-    if isinstance(mark, dict) and isinstance(mark.get("type"), str):
-        return mark["type"]
-    return None
-
-
-def _title_text(spec: dict) -> str | None:
-    title = spec.get("title")
-    if isinstance(title, str):
-        return title
-    if isinstance(title, dict) and isinstance(title.get("text"), str):
-        return title["text"]
-    return None
-
-
 class MockRenderer:
     """Deterministic structural renderer for Vega-Lite-shaped specs.
 
@@ -121,7 +112,7 @@ class MockRenderer:
         base_enc = base.get("encoding") if isinstance(base.get("encoding"), dict) else None
         if base_enc is None:
             raise RendererRejectedSpec("base layer has no encoding")
-        base_mark = _mark_type(base)
+        base_mark = mark_type(base)
         if base_mark not in self.SUPPORTED_MARKS:
             raise RendererRejectedSpec(f"unsupported mark type {base_mark!r}")
         datum_keys = set(base_data[0]) if isinstance(base_data[0], dict) else set()
@@ -140,7 +131,7 @@ class MockRenderer:
         y_lo, y_hi = self._numeric_domain(base_data, y_field)
 
         parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" height="360">']
-        title = _title_text(spec)
+        title = title_text(spec)
         if title is not None:
             parts.append(
                 f'<g data-role="title"><text x="320" y="24">{escape(title)}</text></g>'
@@ -175,7 +166,7 @@ class MockRenderer:
 
         for k, layer in enumerate(layers[1:], start=1):
             layer_enc = layer.get("encoding") if isinstance(layer.get("encoding"), dict) else {}
-            layer_mark = _mark_type(layer)
+            layer_mark = mark_type(layer)
             if layer_mark not in self.SUPPORTED_MARKS:
                 raise RendererRejectedSpec(
                     f"unsupported mark type {layer_mark!r} in layer {k}"
@@ -537,7 +528,14 @@ def synthesize_speech(narration: str, tts, out_path: str | Path,
 
 
 class MockSynth:
-    """Writes a frame-by-frame visibility manifest instead of rasterizing."""
+    """Writes a frame-by-frame visibility manifest instead of rasterizing.
+
+    The manifest holds round(duration * fps) frames. Frame i is at time i / fps
+    (stored rounded to 6 decimals). Its "visible" lists the ids visible at that
+    time, sorted by id. Its "opacity" maps only those visible ids whose opacity
+    is not 1.0, each value rounded to 4 decimals after that comparison. The
+    frames come from one forward sweep of the compiled timeline.
+    """
 
     def __init__(self, fps: int = 30):
         self.fps = fps
@@ -547,18 +545,13 @@ class MockSynth:
         if timeline.duration <= 0:
             raise SynthFailure("timeline has zero duration")
         frame_count = int(round(timeline.duration * self.fps))
-        ids = sorted(set(timeline.initial_visibility) | set(timeline.tracks))
-        frames = []
-        for f in range(frame_count):
-            t = f / self.fps
-            visible = [eid for eid in ids if visible_at(timeline, eid, t)]
-            opacity = {}
-            for eid in visible:
-                value = value_at(timeline, eid, "opacity", t)
-                if value != 1.0:
-                    opacity[eid] = round(value, 4)
-            frames.append({"index": f, "time": round(t, 6),
-                           "visible": visible, "opacity": opacity})
+        times = [f / self.fps for f in range(frame_count)]
+        sweep = KeyframeEvaluator(timeline).sweep(times)
+        frames = [
+            {"index": f, "time": round(t, 6), "visible": visible,
+             "opacity": {eid: round(value, 4) for eid, value in opacity.items()}}
+            for f, (t, (visible, opacity)) in enumerate(zip(times, sweep))
+        ]
         manifest = {
             "kind": "mock-video-manifest",
             "fps": self.fps,
@@ -627,15 +620,11 @@ def export_html(timeline: Timeline, svg_text: str, audio_ref: str,
     keyframe_blocks = []
     element_rules = []
     uses_wheel = False
-    for eid in sorted(set(timeline.tracks) | set(timeline.initial_visibility)):
-        kfs = timeline.tracks.get(eid, ())
-        by_prop: dict[str, list] = {}
-        for kf in kfs:
-            by_prop.setdefault(kf.property, []).append(kf)
+    evaluator = KeyframeEvaluator(timeline)
+    for eid in evaluator.ids:
         animations = []
         extra_style = ""
-        for prop in sorted(by_prop):
-            seq = by_prop[prop]
+        for prop, seq in evaluator.elements[eid].by_property.items():
             name = f"kf_{eid}_{prop}"
             first, last = seq[0].time, seq[-1].time
             duration = max(last - first, 0.001)

@@ -9,7 +9,7 @@ when the renderer accepts or rejects the spec.
 import json
 
 from .errors import PreconditionError
-from .ingest import DEFAULT_PROMPT_ROWS, load_template, render_table_text
+from .ingest import DEFAULT_PROMPT_ROWS, fill_template, render_table_text
 from .model import (
     AnalystOutput,
     DataDescription,
@@ -20,8 +20,10 @@ from .model import (
     ValidationReport,
     VisualizationSpec,
     Violation,
+    mark_type,
     parse_insight_type,
     parse_visualization_type,
+    title_text,
     visualization_structure_violations,
 )
 from .runtime import ChatSession, ContractViolation, SchemaError, extract_json, repair_loop
@@ -35,10 +37,8 @@ INSIGHT_COUNT_BAND = (1, 10)
 def build_analyst_prompt(description: DataDescription, table: DataTable,
                          max_rows: int | None = DEFAULT_PROMPT_ROWS) -> PromptText:
     """Fill the analyst template with the table description and rendered table."""
-    text = load_template("analyst")
-    text = text.replace("{{description}}", description.text)
-    text = text.replace("{{table}}", render_table_text(table, max_rows))
-    return PromptText(text=text, template_id="analyst")
+    return fill_template("analyst", description=description.text,
+                         table=render_table_text(table, max_rows))
 
 
 def _parse_insight(item, position: int) -> Insight:
@@ -87,15 +87,6 @@ def parse_analyst_response(raw: str, table: DataTable) -> AnalystOutput:
     )
 
 
-def _mark_type(layer: dict) -> str | None:
-    mark = layer.get("mark")
-    if isinstance(mark, str):
-        return mark
-    if isinstance(mark, dict) and isinstance(mark.get("type"), str):
-        return mark["type"]
-    return None
-
-
 def _iter_encodings(spec: dict):
     """Yield (path, encoding dict) for the top level and every layer."""
     if isinstance(spec.get("encoding"), dict):
@@ -112,15 +103,6 @@ def _layers(spec: dict) -> list[dict]:
     if isinstance(layers, list):
         return [l for l in layers if isinstance(l, dict)]
     return [spec]
-
-
-def _title_text(spec: dict) -> str | None:
-    title = spec.get("title")
-    if isinstance(title, str):
-        return title
-    if isinstance(title, dict) and isinstance(title.get("text"), str):
-        return title["text"]
-    return None
 
 
 def validate_visualization(spec: VisualizationSpec) -> ValidationReport:
@@ -149,20 +131,20 @@ def validate_visualization(spec: VisualizationSpec) -> ValidationReport:
             has_points = any(
                 isinstance(l.get("mark"), dict) and l["mark"].get("point")
                 for l in layers
-            ) or any(_mark_type(l) in ("point", "circle") for l in layers)
+            ) or any(mark_type(l) in ("point", "circle") for l in layers)
             if not has_points:
                 advisories.append(
                     Violation("line-points", "", "line chart should include data points")
                 )
         if spec.vis_type == "pie":
-            if not any(_mark_type(l) == "text" for l in layers):
+            if not any(mark_type(l) == "text" for l in layers):
                 advisories.append(
                     Violation(
                         "pie-label", "",
                         "pie chart should display percentages via a text layer",
                     )
                 )
-        title = _title_text(spec.spec)
+        title = title_text(spec.spec)
         if title is not None and len(title.split()) > MAX_TITLE_WORDS:
             advisories.append(
                 Violation(

@@ -8,7 +8,7 @@ narration segment must be a verbatim excerpt of the narration.
 
 import json
 
-from .ingest import DEFAULT_PROMPT_ROWS, load_template, render_table_text
+from .ingest import DEFAULT_PROMPT_ROWS, fill_template, render_table_text
 from .model import (
     AnimationCategory,
     AnimationDirective,
@@ -43,11 +43,8 @@ def build_designer_prompt(vis: VisualizationSpec, narration: str, table: DataTab
     """Fill the designer template with the spec, narration, and rendered table."""
     if not narration.strip():
         raise ValueError("narration must be non-empty")
-    text = load_template("designer")
-    text = text.replace("{{visualization}}", json.dumps(vis.spec))
-    text = text.replace("{{narration}}", narration)
-    text = text.replace("{{table}}", render_table_text(table, max_rows))
-    return PromptText(text=text, template_id="designer")
+    return fill_template("designer", visualization=json.dumps(vis.spec), narration=narration,
+                         table=render_table_text(table, max_rows))
 
 
 def _parse_indices(value, path: str, table: DataTable) -> tuple[int, ...]:

@@ -127,14 +127,30 @@ def load_template(template_id: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
+_PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
+
+
+def fill_template(template_id: str, **values: str) -> PromptText:
+    """Fill every {{name}} placeholder of a stored template in one pass.
+
+    Placeholders are read from the template, never from the filled text, so a
+    value that itself contains "{{table}}" is inserted verbatim. Raises
+    ValueError when the template has a placeholder no value is given for.
+    """
+    template = load_template(template_id)
+    missing = sorted(set(_PLACEHOLDER.findall(template)) - set(values))
+    if missing:
+        raise ValueError(f"template {template_id!r} has unfilled placeholders: {missing}")
+    text = _PLACEHOLDER.sub(lambda m: values[m.group(1)], template)
+    return PromptText(text=text, template_id=template_id)
+
+
 def build_description_prompt(table: DataTable, max_rows: int | None = DEFAULT_PROMPT_ROWS) -> PromptText:
     """Fill the table-description template with the rendered table and title."""
     if not table.title.strip():
         raise PreconditionError("table must carry a title")
-    text = load_template("description")
-    text = text.replace("{{table}}", render_table_text(table, max_rows))
-    text = text.replace("{{title}}", table.title)
-    return PromptText(text=text, template_id="description")
+    return fill_template("description", table=render_table_text(table, max_rows),
+                         title=table.title)
 
 
 def parse_description_response(raw: str) -> DataDescription:

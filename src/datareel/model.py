@@ -248,6 +248,26 @@ def visualization_structure_violations(spec) -> list[str]:
     return violations
 
 
+def mark_type(layer: dict) -> str | None:
+    """A layer's mark type, written as "bar" or as {"type": "bar", ...}."""
+    mark = layer.get("mark")
+    if isinstance(mark, str):
+        return mark
+    if isinstance(mark, dict) and isinstance(mark.get("type"), str):
+        return mark["type"]
+    return None
+
+
+def title_text(spec: dict) -> str | None:
+    """A spec's title, written as a string or as {"text": ..., ...}."""
+    title = spec.get("title")
+    if isinstance(title, str):
+        return title
+    if isinstance(title, dict) and isinstance(title.get("text"), str):
+        return title["text"]
+    return None
+
+
 @dataclass(frozen=True)
 class AnimationDirective:
     animation: str
@@ -302,13 +322,12 @@ class DesignerOutput:
     annotation_directives: tuple[AnnotationDirective, ...]
 
 
-_PLACEHOLDER_NAMES = ("table", "title", "description", "visualization", "narration")
 TEMPLATE_IDS = ("description", "analyst", "designer")
 
 
 @dataclass(frozen=True)
 class PromptText:
-    """A fully substituted prompt ready to send to a backend."""
+    """A prompt filled from a stored template (see ingest.fill_template), ready to send."""
 
     text: str
     template_id: str
@@ -316,9 +335,6 @@ class PromptText:
     def __post_init__(self):
         if self.template_id not in TEMPLATE_IDS:
             raise ValueError(f"unknown template id: {self.template_id!r}")
-        residual = [n for n in _PLACEHOLDER_NAMES if "{{" + n + "}}" in self.text]
-        if residual:
-            raise ValueError(f"prompt still contains placeholders: {residual}")
 
 
 @dataclass(frozen=True)

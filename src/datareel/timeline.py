@@ -8,6 +8,7 @@ tracks using a fixed recipe per animation name.
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ContractError, PreconditionError
@@ -413,36 +414,124 @@ def _ease(name: str, p: float) -> float:
     return p
 
 
+def _sample(track: tuple[Keyframe, ...], i: int, prop: str, t: float) -> float:
+    """Value of one time-sorted property track at t, where i keyframes are at or before t.
+
+    Before the first keyframe the property rests; from the last one on it holds;
+    in between it eases from the latest keyframe at or before t to the next one,
+    with the next one's easing.
+    """
+    if i == 0:
+        return REST_VALUES[prop]
+    if i == len(track):
+        return track[-1].value
+    left, right = track[i - 1], track[i]
+    p = (t - left.time) / (right.time - left.time)
+    return left.value + (right.value - left.value) * _ease(right.easing, p)
+
+
+# Properties that hide an element while any of them is at or below zero.
+VISIBILITY_PROPERTIES = ("opacity", "scale", "clip_fraction", "wheel_fraction")
+
+
+class ElementTracks:
+    """One element's keyframes split per property, in property-name order.
+
+    Each property keeps its keyframes in track order (time-sorted in a compiled
+    timeline) and their times beside them for searching.
+    """
+
+    def __init__(self, keyframes: tuple[Keyframe, ...], initially_visible: bool):
+        split: dict[str, list[Keyframe]] = {}
+        for kf in keyframes:
+            split.setdefault(kf.property, []).append(kf)
+        self.by_property = {prop: tuple(split[prop]) for prop in sorted(split)}
+        self.times = {prop: tuple(k.time for k in kfs) for prop, kfs in self.by_property.items()}
+        self.first = min(k.time for k in keyframes) if keyframes else None
+        self.initially_visible = initially_visible
+
+    def value(self, prop: str, t: float) -> float:
+        times = self.times.get(prop, ())
+        return _sample(self.by_property.get(prop, ()), bisect_right(times, t), prop, t)
+
+    def visible(self, t: float) -> bool:
+        if self.first is None or t < self.first:
+            return self.initially_visible
+        return not any(self.value(prop, t) <= 0.0 for prop in VISIBILITY_PROPERTIES)
+
+
+def _element_tracks(timeline: Timeline, element_id: str) -> ElementTracks:
+    initially = timeline.initial_visibility.get(element_id, "visible") == "visible"
+    return ElementTracks(timeline.tracks.get(element_id, ()), initially)
+
+
+class KeyframeEvaluator:
+    """A Timeline compiled once for sampling at many times.
+
+    `ids` lists every element with a track or an initial visibility, sorted.
+    """
+
+    def __init__(self, timeline: Timeline):
+        self.ids = tuple(sorted(set(timeline.initial_visibility) | set(timeline.tracks)))
+        self.elements = {eid: _element_tracks(timeline, eid) for eid in self.ids}
+
+    def sweep(self, times):
+        """Yield (visible ids, {visible id: opacity if not 1.0}) for each time.
+
+        times must not decrease (ValueError otherwise): every (element,
+        property) track keeps a cursor that only moves forward, so a frame
+        costs O(elements), not O(elements x keyframes). Equal to visible_at and
+        value_at at each time.
+        """
+        # Per element: its id, first keyframe time, initial visibility, and one
+        # [cursor, keyframes, times, property] per visibility property it animates.
+        state = []
+        for eid in self.ids:
+            el = self.elements[eid]
+            cursors = [[0, el.by_property[prop], el.times[prop], prop]
+                       for prop in VISIBILITY_PROPERTIES if prop in el.by_property]
+            first = math.inf if el.first is None else el.first
+            state.append((eid, first, el.initially_visible, cursors))
+        previous = -math.inf
+        for t in times:
+            if t < previous:
+                raise ValueError(f"sweep times decrease: {t} after {previous}")
+            previous = t
+            visible = []
+            opacity = {}
+            for eid, first, initially_visible, cursors in state:
+                if t < first:
+                    if initially_visible:
+                        visible.append(eid)
+                    continue
+                shown = True
+                alpha = 1.0
+                for cursor in cursors:
+                    i, track, track_times, prop = cursor
+                    n = len(track_times)
+                    while i < n and track_times[i] <= t:
+                        i += 1
+                    cursor[0] = i
+                    value = _sample(track, i, prop, t)
+                    if value <= 0.0:
+                        shown = False
+                    elif prop == "opacity":
+                        alpha = value
+                if shown:
+                    visible.append(eid)
+                    if alpha != 1.0:
+                        opacity[eid] = alpha
+            yield visible, opacity
+
+
 def value_at(timeline: Timeline, element_id: str, prop: str, t: float) -> float:
     """Evaluate one property track at time t (rest value outside the track)."""
-    kfs = [k for k in timeline.tracks.get(element_id, ()) if k.property == prop]
-    if not kfs:
-        return REST_VALUES[prop]
-    if t < kfs[0].time:
-        return REST_VALUES[prop]
-    if t >= kfs[-1].time:
-        return kfs[-1].value
-    for left, right in zip(kfs, kfs[1:]):
-        if left.time <= t < right.time:
-            span = right.time - left.time
-            p = (t - left.time) / span if span else 1.0
-            return left.value + (right.value - left.value) * _ease(right.easing, p)
-    return kfs[-1].value
+    return _element_tracks(timeline, element_id).value(prop, t)
 
 
 def visible_at(timeline: Timeline, element_id: str, t: float) -> bool:
     """Whether an element is visible at time t under the compiled timeline."""
-    initially = timeline.initial_visibility.get(element_id, "visible") == "visible"
-    kfs = timeline.tracks.get(element_id, ())
-    if not kfs:
-        return initially
-    first = min(k.time for k in kfs)
-    if t < first:
-        return initially
-    for prop in ("opacity", "scale", "clip_fraction", "wheel_fraction"):
-        if value_at(timeline, element_id, prop, t) <= 0.0:
-            return False
-    return True
+    return _element_tracks(timeline, element_id).visible(t)
 
 
 def timeline_invariant_violations(timeline: Timeline) -> list[str]:

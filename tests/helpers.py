@@ -141,3 +141,42 @@ def inject_elements(rng: random.Random, svg_text: str, count: int) -> tuple[str,
             pieces.append(f'<{tag} data-marker="{marker}" x="1" y="2"/>')
     pieces.append("</svg>")
     return "".join(pieces), markers
+
+
+REFERENCE_REST = {"opacity": 1.0, "scale": 1.0, "translate_x": 0.0, "translate_y": 0.0,
+                  "clip_fraction": 1.0, "wheel_fraction": 1.0}
+REFERENCE_EASE = {
+    "linear": lambda p: p,
+    "ease-in": lambda p: p * p,
+    "ease-out": lambda p: 1.0 - (1.0 - p) * (1.0 - p),
+    "ease-in-out": lambda p: 2 * p * p if p < 0.5 else 1.0 - 2 * (1.0 - p) * (1.0 - p),
+}
+
+
+def reference_value_at(timeline, element_id: str, prop: str, t: float) -> float:
+    """Keyframe value by a linear scan over the element's whole track.
+
+    Rest value before the first keyframe, the last value from the last one on,
+    and in between the first keyframe pair (left, right) with
+    left.time <= t < right.time, eased by the right keyframe's easing.
+    """
+    kfs = [k for k in timeline.tracks.get(element_id, ()) if k.property == prop]
+    if not kfs or t < kfs[0].time:
+        return REFERENCE_REST[prop]
+    if t >= kfs[-1].time:
+        return kfs[-1].value
+    for left, right in zip(kfs, kfs[1:]):
+        if left.time <= t < right.time:
+            p = (t - left.time) / (right.time - left.time)
+            return left.value + (right.value - left.value) * REFERENCE_EASE[right.easing](p)
+    raise AssertionError("unreachable for a time-sorted track")
+
+
+def reference_visible_at(timeline, element_id: str, t: float) -> bool:
+    """Initial visibility before an element's first keyframe; afterwards hidden
+    while opacity, scale, clip or wheel fraction is at or below zero."""
+    kfs = timeline.tracks.get(element_id, ())
+    if not kfs or t < min(k.time for k in kfs):
+        return timeline.initial_visibility.get(element_id, "visible") == "visible"
+    return all(reference_value_at(timeline, element_id, prop, t) > 0.0
+               for prop in ("opacity", "scale", "clip_fraction", "wheel_fraction"))

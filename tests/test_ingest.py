@@ -9,6 +9,7 @@ from datareel.ingest import (
     EmptyInput,
     RaggedRows,
     build_description_prompt,
+    fill_template,
     load_template,
     parse_csv,
     parse_description_response,
@@ -178,6 +179,32 @@ class TestDescriptionPrompt:
         table = DataTable(title="  ", columns=(("a", (1,)),), row_count=1)
         with pytest.raises(PreconditionError):
             build_description_prompt(table)
+
+
+class TestFillTemplate:
+    def test_rejects_unfilled_placeholders(self):
+        with pytest.raises(ValueError, match="table"):
+            fill_template("analyst", description="d")
+
+    def test_values_are_inserted_verbatim_in_one_pass(self):
+        prompt = fill_template("analyst", description="{{table}} and {{description}}",
+                               table="T{{description}}")
+        head, rest = load_template("analyst").split("{{description}}")
+        middle, tail = rest.split("{{table}}")
+        assert prompt.text == head + "{{table}} and {{description}}" + middle + (
+            "T{{description}}" + tail
+        )
+
+    def test_title_with_placeholder_text(self, stock_table):
+        table = DataTable(title="{{table}}", columns=stock_table.columns,
+                          row_count=stock_table.row_count)
+        prompt = build_description_prompt(table)
+        rendered = render_table_text(table, 100)
+        assert prompt.text.count(rendered) == 1
+        assert "The title of the data table is: {{table}}" in prompt.text
+        assert prompt.text.replace(rendered, "{{table}}", 1).replace(
+            "is: {{table}}", "is: {{title}}"
+        ) == load_template("description")
 
 
 class TestParseDescriptionResponse:

@@ -133,10 +133,6 @@ class TestVisualizationStructure:
 
 
 class TestPromptText:
-    def test_rejects_residual_placeholders(self):
-        with pytest.raises(ValueError):
-            PromptText(text="hello {{table}}", template_id="analyst")
-
     def test_rejects_unknown_template_id(self):
         with pytest.raises(ValueError):
             PromptText(text="hello", template_id="poet")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -144,6 +145,22 @@ class TestValidateProject:
         assert "artifact-hash" in codes
 
 
+class TestArtifactDigests:
+    """The mock synth and the HTML export write these exact bytes for the stock demo."""
+
+    @pytest.mark.parametrize("export, name, digest", [
+        ("video", "video_manifest.json",
+         "d1881b307caf22aa4dd4b670c7af1fff5aa5dce0bbe879c26c39db8854098563"),
+        ("html", "video.html",
+         "678b873badf1aaf166ec47877e82bd34aca5cbf831ebdc2b624a82cc39e2e7ef"),
+    ])
+    def test_stock_demo_artifact_digest(self, mock_project_config, export, name, digest):
+        config = mock_project_config(export=export)
+        run_pipeline(config)
+        data = (Path(config.output_dir) / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestCli:
     def _config_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -175,6 +192,17 @@ class TestCli:
         result = runner.invoke(main, ["validate", "--project", str(tmp_path / "proj")])
         assert result.exit_code == 0
         assert "all validators passed" in result.output
+
+    def test_title_with_placeholder_text_compiles(self, tmp_path, stock_csv_path):
+        runner = CliRunner()
+        config = self._config_file(tmp_path)
+        result = runner.invoke(main, [
+            "run", "--input", str(stock_csv_path), "--title", "{{table}}",
+            "--config", str(config),
+        ])
+        assert result.exit_code == 0, result.output
+        table = json.loads((tmp_path / "proj" / "table.json").read_text())
+        assert table["title"] == "{{table}}"
 
     def test_missing_input_exit_code_2(self, tmp_path):
         runner = CliRunner()

@@ -1,11 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datareel.binding import MarkEntry, MarkIndex
 from datareel.errors import PreconditionError
+from datareel.model import ANIMATIONS
 from datareel.timeline import (
+    EASINGS,
+    PROPERTIES,
     Keyframe,
+    KeyframeEvaluator,
     NoWordOverlap,
     PlacedAnnotation,
     PlacedDirective,
@@ -22,7 +28,13 @@ from datareel.timeline import (
     value_at,
     visible_at,
 )
-from helpers import WS_ALPHABET, brute_force_occurrences, random_text
+from helpers import (
+    WS_ALPHABET,
+    brute_force_occurrences,
+    random_text,
+    reference_value_at,
+    reference_visible_at,
+)
 
 
 def mock_timings(narration: str, spw: float = 0.3) -> list[WordTiming]:
@@ -334,3 +346,113 @@ class TestEvaluation:
         assert again.tracks == timeline.tracks
         assert again.initial_visibility == timeline.initial_visibility
         assert timeline_invariant_violations(again) == []
+
+
+# Keyframe and frame times share a quarter-second grid, so frames land exactly
+# on keyframes; arbitrary floats in between cover the interpolation.
+GRID = [i / 4 for i in range(41)]
+DURATION = GRID[-1]
+times_on_grid = st.sampled_from(GRID) | st.floats(0.0, DURATION)
+unit_values = st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.0, 1.0)
+signed_values = st.sampled_from([0.0, 1.0]) | st.floats(-50.0, 50.0)
+
+
+@st.composite
+def raw_timelines(draw):
+    """Timelines built directly: all properties and easings, equal keyframe
+    times within a track, untracked elements and hidden initial visibility."""
+    tracks = {}
+    for eid in draw(st.lists(st.sampled_from(["e0", "e1", "e2", "e3"]), unique=True)):
+        keyframes = []
+        for prop in draw(st.lists(st.sampled_from(PROPERTIES), unique=True)):
+            values = signed_values if prop in ("scale", "translate_x", "translate_y") \
+                else unit_values
+            for time in sorted(draw(st.lists(times_on_grid, min_size=1, max_size=5))):
+                keyframes.append(Keyframe(eid, time, prop, draw(values),
+                                          draw(st.sampled_from(EASINGS))))
+        keyframes.sort(key=lambda k: (k.time, k.property))
+        tracks[eid] = tuple(keyframes)
+    named = draw(st.lists(st.sampled_from(["e0", "e1", "u0", "u1"]), unique=True))
+    initial = {eid: draw(st.sampled_from(["visible", "hidden"])) for eid in named}
+    return Timeline(duration=DURATION, tracks=tracks, initial_visibility=initial)
+
+
+MARKS = ("m0", "m1", "m2", "m3")
+LEGEND = ("leg0",)
+ANNOTATIONS = ("a0", "a1")
+
+
+@st.composite
+def intervals(draw):
+    start, end = sorted(draw(st.lists(times_on_grid, min_size=2, max_size=2, unique=True)))
+    return start, end
+
+
+@st.composite
+def compiled_timelines(draw):
+    """compile_timeline outputs over random directives and annotation fades."""
+    directives = [
+        PlacedDirective(draw(st.sampled_from(ANIMATIONS)),
+                        frozenset(draw(st.lists(st.sampled_from(MARKS + LEGEND), min_size=1))),
+                        draw(intervals()))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    annotations = [
+        PlacedAnnotation(tuple(draw(st.lists(st.sampled_from(ANNOTATIONS), min_size=1,
+                                             unique=True))), draw(intervals()))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    index = _index(marks=MARKS, legend=LEGEND, axes=("ax",), annotations=ANNOTATIONS)
+    timeline, _ = compile_timeline(directives, annotations, index, DURATION)
+    return timeline
+
+
+def assert_sweep_matches_per_frame_evaluation(timeline, times):
+    evaluator = KeyframeEvaluator(timeline)
+    assert list(evaluator.ids) == sorted(set(timeline.tracks) | set(timeline.initial_visibility))
+    frames = list(evaluator.sweep(times))
+    assert len(frames) == len(times)
+    for t, (visible, opacity) in zip(times, frames):
+        assert visible == [eid for eid in evaluator.ids if visible_at(timeline, eid, t)]
+        expected = {eid: value_at(timeline, eid, "opacity", t) for eid in visible}
+        assert opacity == {eid: v for eid, v in expected.items() if v != 1.0}
+        for eid in evaluator.ids:
+            assert visible_at(timeline, eid, t) == reference_visible_at(timeline, eid, t)
+            for prop in PROPERTIES:
+                assert value_at(timeline, eid, prop, t) == reference_value_at(timeline, eid, prop, t)
+
+
+frame_times = st.one_of(
+    st.sampled_from([2, 4, 10]).map(lambda fps: [f / fps for f in range(int(DURATION * fps))]),
+    st.lists(times_on_grid, max_size=30).map(sorted),
+)
+
+
+class TestKeyframeEvaluator:
+    @settings(max_examples=100, deadline=None)
+    @given(raw_timelines(), frame_times)
+    def test_sweep_equals_per_frame_evaluation(self, timeline, times):
+        assert_sweep_matches_per_frame_evaluation(timeline, times)
+
+    @settings(max_examples=100, deadline=None)
+    @given(compiled_timelines(), frame_times)
+    def test_compiled_timelines_hold_invariants_and_sweep_agrees(self, timeline, times):
+        assert timeline_invariant_violations(timeline) == []
+        assert_sweep_matches_per_frame_evaluation(timeline, times)
+
+    def test_equal_keyframe_times_use_the_later_keyframe(self):
+        timeline = Timeline(duration=4.0, tracks={"x": (
+            Keyframe("x", 1.0, "opacity", 0.0),
+            Keyframe("x", 2.0, "opacity", 0.5),
+            Keyframe("x", 2.0, "opacity", 0.0),
+            Keyframe("x", 3.0, "opacity", 1.0),
+        )})
+        assert value_at(timeline, "x", "opacity", 2.0) == 0.0
+        assert value_at(timeline, "x", "opacity", 2.5) == 0.5
+        ((_, opacity),) = KeyframeEvaluator(timeline).sweep([2.5])
+        assert opacity == {"x": 0.5}
+
+    def test_sweep_rejects_decreasing_times(self):
+        timeline = Timeline(duration=4.0, tracks={}, initial_visibility={"x": "visible"})
+        with pytest.raises(ValueError):
+            list(KeyframeEvaluator(timeline).sweep([1.0, 0.5]))
