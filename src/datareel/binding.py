@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import ContractError, PreconditionError
-from .model import AnimationDirective, DataTable, ValidationReport, Violation
+from .model import (
+    AnimationDirective,
+    AnnotationDirective,
+    DataTable,
+    DesignerOutput,
+    ValidationReport,
+    Violation,
+)
 
 
 class XmlParseError(PreconditionError):
@@ -58,10 +65,6 @@ class SvgElement:
     attrs: dict[str, str]
     text: str
     children: tuple["SvgElement", ...] = ()
-
-    @property
-    def classes(self) -> tuple[str, ...]:
-        return tuple(self.attrs.get("class", "").split())
 
 
 @dataclass
@@ -197,17 +200,6 @@ class MarkIndex:
             for eid, entry in sorted(self.entries.items())
         }
 
-    @classmethod
-    def from_json(cls, value: dict) -> "MarkIndex":
-        return cls(entries={
-            eid: MarkEntry(
-                roles=frozenset(entry["roles"]),
-                data_rows=frozenset(entry["data_rows"]),
-                series_key=entry.get("series_key"),
-            )
-            for eid, entry in value.items()
-        })
-
 
 def _parse_data_rows(element: SvgElement, row_count: int | None) -> frozenset:
     raw = element.attrs["data-row"]
@@ -289,8 +281,8 @@ def resolve_targets(directive: AnimationDirective, index: MarkIndex) -> frozense
 
     Row indices take priority (machine-checkable); the free-text target adds
     structural keyword matches (axes, legend, title, all/chart) or, failing
-    those, series-key substring matches. The union of both routes is returned;
-    an empty result raises UnresolvedTarget.
+    those, the series whose keys the target names as whole words. The union
+    of both routes is returned; an empty result raises UnresolvedTarget.
     """
     result = set()
     if directive.index:
@@ -307,9 +299,14 @@ def resolve_targets(directive: AnimationDirective, index: MarkIndex) -> frozense
         keyword_hits |= index.mark_ids()
     if not keyword_hits:
         target_lower = directive.target.lower()
+        named: dict[str, bool] = {}
         for eid, entry in index.entries.items():
             if "mark" in entry.roles and entry.series_key:
-                if entry.series_key.lower() in target_lower:
+                key = entry.series_key.lower()
+                if key not in named:
+                    named[key] = re.search(
+                        rf"(?<!\w){re.escape(key)}(?!\w)", target_lower) is not None
+                if named[key]:
                     keyword_hits.add(eid)
     result |= keyword_hits
     if not result:
@@ -365,11 +362,12 @@ def match_annotation_directives(annotation_ids, directives, index: MarkIndex,
                                 ) -> tuple[dict[int, list[str]], ValidationReport]:
     """Greedily assign annotation elements to annotation directives.
 
-    Each element goes to the directive whose rows lie nearest, by data binding
-    when the element carries row metadata, else by geometric proximity to the
-    marks bound to the directive's rows. Unassignable elements attach to the
-    earliest directive. Returns assignments keyed by directive position plus
-    advisories for empty directives and unmatchable elements.
+    Each element goes to the directive whose rows lie nearest, by the rows the
+    index binds it to (with_annotations reads them from data-row), else by
+    geometric proximity to the marks bound to the directive's rows.
+    Unassignable elements attach to the earliest directive. Returns
+    assignments keyed by directive position plus advisories for empty
+    directives and unmatchable elements.
     """
     assignments: dict[int, list[str]] = {i: [] for i in range(len(directives))}
     advisories: list[Violation] = []
@@ -395,10 +393,6 @@ def match_annotation_directives(annotation_ids, directives, index: MarkIndex,
     for eid in annotation_ids:
         entry = index.entries.get(eid)
         rows = entry.data_rows if entry is not None else frozenset()
-        if not rows and svg is not None and eid in svg.by_id:
-            element = svg.by_id[eid]
-            if "data-row" in element.attrs:
-                rows = _parse_data_rows(element, None)
         best: tuple[float, int] | None = None
         if rows:
             for i, directive in enumerate(directives):
@@ -421,7 +415,12 @@ def match_annotation_directives(annotation_ids, directives, index: MarkIndex,
                     if best is None or distance < best[0]:
                         best = (distance, i)
         if best is None:
-            best = (math.inf, 0)  # unassignable: attach to the earliest directive
+            advisories.append(Violation(
+                "unmatched-annotation", eid,
+                "annotation element has no rows or position near any directive's rows; "
+                "attached to the earliest directive",
+            ))
+            best = (math.inf, 0)
         assignments[best[1]].append(eid)
 
     for i, directive in enumerate(directives):
@@ -431,3 +430,62 @@ def match_annotation_directives(annotation_ids, directives, index: MarkIndex,
                 f"no annotation elements matched directive for {directive.nar!r}",
             ))
     return assignments, ValidationReport(advisories=tuple(advisories))
+
+
+def annotated_index(base: SvgDoc, annotated: SvgDoc,
+                    table: DataTable | None) -> tuple[MarkIndex, list[str]]:
+    """Mark index of the annotated rendering, extended with its diffed annotations."""
+    annotation_ids = diff_annotations(base, annotated)
+    index = with_annotations(index_marks(annotated, table), annotated, annotation_ids)
+    return index, annotation_ids
+
+
+@dataclass
+class Bindings:
+    """Annotated-rendering elements bound to the designer's directives."""
+
+    index: MarkIndex
+    annotation_ids: list[str]
+    resolved_targets: list[tuple[AnimationDirective, frozenset]]
+    assignments: list[tuple[AnnotationDirective, list[str]]]
+    report: ValidationReport
+
+    def to_json(self) -> dict:
+        return {
+            "mark_index": self.index.to_json(),
+            "annotation_ids": self.annotation_ids,
+            "resolved_targets": [
+                {"animation": d.animation, "narration": d.narration, "target": d.target,
+                 "index": list(d.index), "ids": sorted(ids)}
+                for d, ids in self.resolved_targets
+            ],
+            "annotation_assignments": [
+                {"position": i, "nar": d.nar, "ids": sorted(ids)}
+                for i, (d, ids) in enumerate(self.assignments)
+            ],
+            "report": self.report.to_json(),
+        }
+
+
+def bind(base: SvgDoc, annotated: SvgDoc, table: DataTable | None,
+         designer_output: DesignerOutput) -> Bindings:
+    """Resolve animation targets and assign annotation elements to directives."""
+    index, annotation_ids = annotated_index(base, annotated, table)
+    advisories = tuple(
+        Violation("non-additive-change", eid,
+                  "diffed element sits inside the marks group; the annotated spec "
+                  "may have altered base marks instead of adding layers")
+        for eid in annotation_ids if "marks" in annotated.role_path(eid)
+    )
+    resolved = [(d, resolve_targets(d, index)) for d in designer_output.animation_directives]
+    directives = designer_output.annotation_directives
+    assignments, match_report = match_annotation_directives(
+        annotation_ids, directives, index, svg=annotated,
+    )
+    return Bindings(
+        index=index,
+        annotation_ids=annotation_ids,
+        resolved_targets=resolved,
+        assignments=[(d, assignments[i]) for i, d in enumerate(directives)],
+        report=ValidationReport(advisories=advisories).merged(match_report),
+    )

@@ -49,13 +49,9 @@ def run(input_csv, title, config_path, output_dir, mock, no_cache, export):
     """Run the full pipeline and write every stage artifact to the project dir."""
     try:
         config = ProjectConfig.from_file(
-            config_path, input_csv=input_csv, title=title,
-            output_dir=output_dir, export=export,
+            config_path, input_csv=input_csv, title=title, output_dir=output_dir,
+            export=export, mock_mode=mock, no_cache=no_cache or None,
         )
-        if mock is not None:
-            config.mock_mode = mock
-        if no_cache:
-            config.no_cache = True
         manifest = run_pipeline(config)
     except PipelineError as e:
         click.echo(f"error: {e}", err=True)

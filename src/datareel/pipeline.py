@@ -1,7 +1,8 @@
 """End-to-end pipeline orchestration with a persisted artifact manifest.
 
-Stage order is fixed: ingest, description, analyst, base render, designer,
-annotated render, binding, TTS, timeline, video. Every stage persists its
+STAGE_TABLE fixes the stage order: ingest, description, analyst, base render,
+designer, annotated render, binding, TTS, timeline, video. Each entry pairs a
+stage's run function with its inspect summary. Every stage persists its
 artifacts eagerly and the manifest is rewritten after each stage, so a failed
 run leaves a partial manifest plus the failure record behind for debugging.
 """
@@ -9,6 +10,7 @@ run leaves a partial manifest plus the failure record behind for debugging.
 import hashlib
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -22,11 +24,6 @@ from .model import (
     classify_animation,
 )
 from .runtime import BackendConfig, ChatSession, HttpChatBackend, MockChatBackend
-
-STAGES = (
-    "ingest", "description", "analyst", "base_render", "designer",
-    "annotated_render", "binding", "tts", "timeline", "video",
-)
 
 AGENT_STAGES = ("description", "analyst", "designer")
 
@@ -100,23 +97,9 @@ class ProjectConfig:
             raise PreconditionError("live mode requires a backend configuration")
 
     def to_json(self) -> dict:
-        payload = {
-            "input_csv": self.input_csv,
-            "output_dir": self.output_dir,
-            "title": self.title,
-            "mock_mode": self.mock_mode,
-            "transcripts": {k: str(v) for k, v in self.transcripts.items()},
-            "renderer_cmd": self.renderer_cmd,
-            "tts_cmd": self.tts_cmd,
-            "synth_cmd": self.synth_cmd,
-            "max_repair_attempts": self.max_repair_attempts,
-            "fps": self.fps,
-            "export": self.export,
-            "prompt_max_rows": self.prompt_max_rows,
-            "cache_dir": self.cache_dir,
-            "no_cache": self.no_cache,
-        }
-        if self.backend is not None:
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["transcripts"] = {k: str(v) for k, v in self.transcripts.items()}
+        if payload.pop("backend") is not None:
             payload["backend"] = vars(self.backend)
         return payload
 
@@ -139,9 +122,7 @@ class ProjectManifest:
         return {"config": self.config, "created_at": self.created_at, "stages": self.stages}
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        Path(path).write_text(_dump_json(self.to_json()), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "ProjectManifest":
@@ -187,10 +168,7 @@ class _Run:
         self.designer_output = None
         self.base_doc = None
         self.annotated_doc = None
-        self.mark_index = None
-        self.resolved_targets = []
-        self.annotation_assignments = {}
-        self.annotation_ids = []
+        self.bindings: binding.Bindings | None = None
         self.tts_result = None
         self.timeline: tl.Timeline | None = None
 
@@ -246,34 +224,31 @@ def run_pipeline(config: ProjectConfig) -> ProjectManifest:
     run = _Run(config)
     run.out.mkdir(parents=True, exist_ok=True)
 
-    steps = (
-        ("ingest", _stage_ingest),
-        ("description", _stage_description),
-        ("analyst", _stage_analyst),
-        ("base_render", _stage_base_render),
-        ("designer", _stage_designer),
-        ("annotated_render", _stage_annotated_render),
-        ("binding", _stage_binding),
-        ("tts", _stage_tts),
-        ("timeline", _stage_timeline),
-        ("video", _stage_video),
-    )
-    for name, fn in steps:
-        record = {"name": name, "status": "running", "started_at": _now(),
+    for stage in STAGE_TABLE:
+        record = {"name": stage.name, "status": "running", "started_at": _now(),
                   "finished_at": None, "artifacts": [], "error": None}
         run.manifest.stages.append(record)
         try:
-            fn(run, record)
+            stage.run(run, record)
         except Exception as e:
             record["status"] = "failed"
             record["error"] = f"{type(e).__name__}: {e}"
             record["finished_at"] = _now()
             run.manifest.save(run.out / "manifest.json")
-            raise StageError(name, e) from e
+            raise StageError(stage.name, e) from e
         record["status"] = "ok"
         record["finished_at"] = _now()
         run.manifest.save(run.out / "manifest.json")
     return run.manifest
+
+
+def _load_artifact(project_dir: Path, name: str):
+    path = project_dir / name
+    if not path.is_file():
+        return None
+    if name.endswith(".json"):
+        return json.loads(path.read_text(encoding="utf-8"))
+    return path.read_text(encoding="utf-8")
 
 
 def _stage_ingest(run: _Run, record: dict) -> None:
@@ -288,11 +263,20 @@ def _stage_ingest(run: _Run, record: dict) -> None:
     }))
 
 
+def _summarize_ingest(table: dict) -> list[str]:
+    names = ", ".join(col["name"] for col in table["columns"])
+    return [f"table: {table['title']!r}, {table['row_count']} rows, columns: {names}"]
+
+
 def _stage_description(run: _Run, record: dict) -> None:
     session = run.session_for("description")
     run.description = ingest.describe(session, run.table, run.config.prompt_max_rows)
     run.write_artifact(record, "description.json",
                        _dump_json({"Description": run.description.text}))
+
+
+def _summarize_description(payload: dict) -> list[str]:
+    return [f"description: {payload['Description']}"]
 
 
 def _stage_analyst(run: _Run, record: dict) -> None:
@@ -306,6 +290,15 @@ def _stage_analyst(run: _Run, record: dict) -> None:
     run.write_artifact(record, "analyst.json", _dump_json(analyst.analyst_output_to_json(output)))
     run.write_artifact(record, "analyst_validation.json", _dump_json(report.to_json()))
     run.write_artifact(record, "analyst_repair.json", _dump_json(repair.to_json()))
+
+
+def _summarize_analyst(payload: dict) -> list[str]:
+    return [
+        f"visualization type: {payload['Visualization_Type']}",
+        *(f"insight [{', '.join(item['type'])}]: {item['insight']}"
+          for item in payload["Insights"]),
+        f"narration: {payload['Narration']}",
+    ]
 
 
 def _stage_base_render(run: _Run, record: dict) -> None:
@@ -330,6 +323,27 @@ def _stage_designer(run: _Run, record: dict) -> None:
     run.write_artifact(record, "designer_repair.json", _dump_json(repair.to_json()))
 
 
+def _summarize_designer(payload: dict, bindings: dict | None) -> list[str]:
+    resolved = {(entry["animation"], entry["narration"]): entry["ids"]
+                for entry in (bindings or {}).get("resolved_targets", [])}
+    lines = ["animation directives:"]
+    for item in payload["Annotated_Narration_for_Animation"]:
+        category = classify_animation(item["animation"]).value
+        ids = resolved.get((item["animation"], item["narration"]))
+        target_part = f" -> {ids}" if ids is not None else ""
+        lines.append(
+            f"  {item['animation']} ({category}) on {item['target']!r} "
+            f"rows={item['index']} segment={item['narration']!r}{target_part}"
+        )
+    lines.append("annotation directives:")
+    for item in payload["Annotated_Narration_for_Annotation"]:
+        lines.append(
+            f"  {'/'.join(item['type'])} rows={item['index']} "
+            f"segment={item['nar']!r}: {item['description']}"
+        )
+    return lines
+
+
 def _stage_annotated_render(run: _Run, record: dict) -> None:
     spec = VisualizationSpec(
         spec=run.designer_output.annotated_visualization,
@@ -341,46 +355,19 @@ def _stage_annotated_render(run: _Run, record: dict) -> None:
 
 
 def _stage_binding(run: _Run, record: dict) -> None:
-    run.annotation_ids = binding.diff_annotations(run.base_doc, run.annotated_doc)
-    advisories = []
-    for eid in run.annotation_ids:
-        if "marks" in run.annotated_doc.role_path(eid):
-            advisories.append(Violation(
-                "non-additive-change", eid,
-                "diffed element sits inside the marks group; the annotated spec "
-                "may have altered base marks instead of adding layers",
-            ))
-    index = binding.index_marks(run.annotated_doc, run.table)
-    index = binding.with_annotations(index, run.annotated_doc, run.annotation_ids)
-    run.mark_index = index
+    run.bindings = binding.bind(run.base_doc, run.annotated_doc, run.table, run.designer_output)
+    run.write_artifact(record, "bindings.json", _dump_json(run.bindings.to_json()))
 
-    run.resolved_targets = []
-    for directive in run.designer_output.animation_directives:
-        ids = binding.resolve_targets(directive, index)
-        run.resolved_targets.append((directive, ids))
 
-    assignments, match_report = binding.match_annotation_directives(
-        run.annotation_ids, run.designer_output.annotation_directives, index,
-        svg=run.annotated_doc,
-    )
-    run.annotation_assignments = assignments
-    report = ValidationReport(advisories=tuple(advisories)).merged(match_report)
-    run.write_artifact(record, "bindings.json", _dump_json({
-        "mark_index": index.to_json(),
-        "annotation_ids": run.annotation_ids,
-        "resolved_targets": [
-            {"animation": d.animation, "narration": d.narration, "target": d.target,
-             "index": list(d.index), "ids": sorted(ids)}
-            for d, ids in run.resolved_targets
-        ],
-        "annotation_assignments": [
-            {"position": i,
-             "nar": run.designer_output.annotation_directives[i].nar,
-             "ids": sorted(ids)}
-            for i, ids in sorted(assignments.items())
-        ],
-        "report": report.to_json(),
-    }))
+def _summarize_binding(payload: dict) -> list[str]:
+    roles: dict[str, int] = {}
+    for entry in payload["mark_index"].values():
+        for role in entry["roles"]:
+            roles[role] = roles.get(role, 0) + 1
+    return [
+        "indexed elements: " + ", ".join(f"{r}={n}" for r, n in sorted(roles.items())),
+        f"annotation elements: {len(payload['annotation_ids'])}",
+    ]
 
 
 def _stage_tts(run: _Run, record: dict) -> None:
@@ -399,35 +386,43 @@ def _stage_tts(run: _Run, record: dict) -> None:
     }))
 
 
+def _summarize_tts(payload: dict) -> list[str]:
+    return [f"duration: {payload['duration']} s, {len(payload['words'])} timed words"]
+
+
 def _stage_timeline(run: _Run, record: dict) -> None:
     narration = run.analyst_output.narration
     timings = list(run.tts_result.timings)
 
-    placed_directives = []
-    for directive, ids in run.resolved_targets:
-        span = tl.locate_span(narration, directive.narration, 0)
-        (interval,) = tl.align_segments([span], timings)
-        placed_directives.append(tl.PlacedDirective(
-            animation=directive.animation, target_ids=ids,
-            interval=interval, label=f"{directive.animation} on {directive.target!r}",
-        ))
+    def interval_of(segment: str) -> tuple[float, float]:
+        (interval,) = tl.align_segments([tl.locate_span(narration, segment, 0)], timings)
+        return interval
 
-    placed_annotations = []
-    for i, directive in enumerate(run.designer_output.annotation_directives):
-        ids = run.annotation_assignments.get(i, [])
-        if not ids:
-            continue
-        span = tl.locate_span(narration, directive.nar, 0)
-        (interval,) = tl.align_segments([span], timings)
-        placed_annotations.append(tl.PlacedAnnotation(
-            element_ids=tuple(sorted(ids)), interval=interval, label=directive.nar,
-        ))
-
+    placed_directives = [
+        tl.PlacedDirective(animation=d.animation, target_ids=ids,
+                           interval=interval_of(d.narration),
+                           label=f"{d.animation} on {d.target!r}")
+        for d, ids in run.bindings.resolved_targets
+    ]
+    placed_annotations = [
+        tl.PlacedAnnotation(element_ids=tuple(sorted(ids)), interval=interval_of(d.nar),
+                            label=d.nar)
+        for d, ids in run.bindings.assignments if ids
+    ]
     run.timeline, report = tl.compile_timeline(
-        placed_directives, placed_annotations, run.mark_index, run.tts_result.duration,
+        placed_directives, placed_annotations, run.bindings.index, run.tts_result.duration,
     )
     run.write_artifact(record, "timeline.json", _dump_json(run.timeline.to_json()))
     run.write_artifact(record, "timeline_validation.json", _dump_json(report.to_json()))
+
+
+def _summarize_timeline(payload: dict) -> list[str]:
+    hidden = sum(1 for v in payload["initial_visibility"].values() if v == "hidden")
+    keyframes = sum(len(t["keyframes"]) for t in payload["tracks"])
+    return [
+        f"duration: {payload['duration']} s, {len(payload['tracks'])} tracks, "
+        f"{keyframes} keyframes, {hidden} initially hidden elements"
+    ]
 
 
 def _stage_video(run: _Run, record: dict) -> None:
@@ -447,30 +442,44 @@ def _stage_video(run: _Run, record: dict) -> None:
         run.write_artifact(record, "video.html", html)
 
 
-def _load_artifact(project_dir: Path, name: str):
-    path = project_dir / name
-    if not path.is_file():
-        return None
-    if name.endswith(".json"):
-        return json.loads(path.read_text(encoding="utf-8"))
-    return path.read_text(encoding="utf-8")
+def _summarize_video(payload: dict) -> list[str]:
+    return [f"mock video: {payload['frame_count']} frames at "
+            f"{payload['fps']} fps, {payload['duration']} s"]
 
 
-def _table_from_artifact(payload: dict) -> DataTable:
-    return DataTable(
-        title=payload["title"],
-        columns=tuple(
-            (col["name"], tuple(col["values"])) for col in payload["columns"]
-        ),
-        row_count=payload["row_count"],
-    )
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline step. `inspect` calls summary with the persisted artifacts
+    named in reads, when the first of them exists, and prints the lines."""
+
+    name: str
+    run: Callable[[_Run, dict], None]
+    summary: Callable[..., list[str]] | None = None
+    reads: tuple[str, ...] = ()
+
+
+STAGE_TABLE = (
+    Stage("ingest", _stage_ingest, _summarize_ingest, ("table.json",)),
+    Stage("description", _stage_description, _summarize_description, ("description.json",)),
+    Stage("analyst", _stage_analyst, _summarize_analyst, ("analyst.json",)),
+    Stage("base_render", _stage_base_render),
+    Stage("designer", _stage_designer, _summarize_designer,
+          ("designer.json", "bindings.json")),
+    Stage("annotated_render", _stage_annotated_render),
+    Stage("binding", _stage_binding, _summarize_binding, ("bindings.json",)),
+    Stage("tts", _stage_tts, _summarize_tts, ("word_timings.json",)),
+    Stage("timeline", _stage_timeline, _summarize_timeline, ("timeline.json",)),
+    Stage("video", _stage_video, _summarize_video, ("video_manifest.json",)),
+)
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
 
 
 def inspect_stage(project_dir: str | Path, stage_name: str) -> str:
     """Render a human-readable report for one persisted stage."""
     project_dir = Path(project_dir)
     manifest = ProjectManifest.load(project_dir / "manifest.json")
-    if stage_name not in STAGES:
+    stage = next((s for s in STAGE_TABLE if s.name == stage_name), None)
+    if stage is None:
         raise UnknownStage(stage_name)
     record = manifest.stage(stage_name)
     lines = [f"stage: {stage_name}"]
@@ -482,77 +491,21 @@ def inspect_stage(project_dir: str | Path, stage_name: str) -> str:
         lines.append(f"error: {record['error']}")
     for artifact in record.get("artifacts", []):
         lines.append(f"artifact: {artifact['path']} ({artifact['bytes']} bytes)")
-
-    if stage_name == "ingest":
-        table = _load_artifact(project_dir, "table.json")
-        if table:
-            names = ", ".join(col["name"] for col in table["columns"])
-            lines.append(f"table: {table['title']!r}, {table['row_count']} rows, "
-                         f"columns: {names}")
-    elif stage_name == "description":
-        payload = _load_artifact(project_dir, "description.json")
-        if payload:
-            lines.append(f"description: {payload['Description']}")
-    elif stage_name == "analyst":
-        payload = _load_artifact(project_dir, "analyst.json")
-        if payload:
-            lines.append(f"visualization type: {payload['Visualization_Type']}")
-            for item in payload["Insights"]:
-                lines.append(f"insight [{', '.join(item['type'])}]: {item['insight']}")
-            lines.append(f"narration: {payload['Narration']}")
-    elif stage_name == "designer":
-        payload = _load_artifact(project_dir, "designer.json")
-        bindings = _load_artifact(project_dir, "bindings.json")
-        resolved = {}
-        if bindings:
-            for entry in bindings.get("resolved_targets", []):
-                resolved[(entry["animation"], entry["narration"])] = entry["ids"]
-        if payload:
-            lines.append("animation directives:")
-            for item in payload["Annotated_Narration_for_Animation"]:
-                category = classify_animation(item["animation"]).value
-                ids = resolved.get((item["animation"], item["narration"]))
-                target_part = f" -> {ids}" if ids is not None else ""
-                lines.append(
-                    f"  {item['animation']} ({category}) on {item['target']!r} "
-                    f"rows={item['index']} segment={item['narration']!r}{target_part}"
-                )
-            lines.append("annotation directives:")
-            for item in payload["Annotated_Narration_for_Annotation"]:
-                lines.append(
-                    f"  {'/'.join(item['type'])} rows={item['index']} "
-                    f"segment={item['nar']!r}: {item['description']}"
-                )
-    elif stage_name == "binding":
-        payload = _load_artifact(project_dir, "bindings.json")
-        if payload:
-            roles: dict[str, int] = {}
-            for entry in payload["mark_index"].values():
-                for role in entry["roles"]:
-                    roles[role] = roles.get(role, 0) + 1
-            lines.append("indexed elements: "
-                         + ", ".join(f"{r}={n}" for r, n in sorted(roles.items())))
-            lines.append(f"annotation elements: {len(payload['annotation_ids'])}")
-    elif stage_name == "tts":
-        payload = _load_artifact(project_dir, "word_timings.json")
-        if payload:
-            lines.append(f"duration: {payload['duration']} s, "
-                         f"{len(payload['words'])} timed words")
-    elif stage_name == "timeline":
-        payload = _load_artifact(project_dir, "timeline.json")
-        if payload:
-            hidden = sum(1 for v in payload["initial_visibility"].values() if v == "hidden")
-            keyframes = sum(len(t["keyframes"]) for t in payload["tracks"])
-            lines.append(
-                f"duration: {payload['duration']} s, {len(payload['tracks'])} tracks, "
-                f"{keyframes} keyframes, {hidden} initially hidden elements"
-            )
-    elif stage_name == "video":
-        payload = _load_artifact(project_dir, "video_manifest.json")
-        if isinstance(payload, dict):
-            lines.append(f"mock video: {payload['frame_count']} frames at "
-                         f"{payload['fps']} fps, {payload['duration']} s")
+    if stage.summary is not None:
+        payloads = [_load_artifact(project_dir, name) for name in stage.reads]
+        if payloads[0]:
+            lines.extend(stage.summary(*payloads))
     return "\n".join(lines)
+
+
+def _table_from_artifact(payload: dict) -> DataTable:
+    return DataTable(
+        title=payload["title"],
+        columns=tuple(
+            (col["name"], tuple(col["values"])) for col in payload["columns"]
+        ),
+        row_count=payload["row_count"],
+    )
 
 
 def validate_project(project_dir: str | Path) -> ValidationReport:
@@ -593,11 +546,8 @@ def validate_project(project_dir: str | Path) -> ValidationReport:
         base_text = _load_artifact(project_dir, "base.svg")
         annotated_text = _load_artifact(project_dir, "annotated.svg")
         if base_text and annotated_text:
-            base_doc = binding.parse_svg(base_text)
-            annotated_doc = binding.parse_svg(annotated_text)
-            index = binding.with_annotations(
-                binding.index_marks(annotated_doc, table), annotated_doc,
-                binding.diff_annotations(base_doc, annotated_doc),
+            index, _ = binding.annotated_index(
+                binding.parse_svg(base_text), binding.parse_svg(annotated_text), table,
             )
             resolver = lambda d: binding.resolve_targets(d, index)
         report = designer.validate_animation_sequence(

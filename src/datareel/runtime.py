@@ -77,25 +77,22 @@ class TranscriptMismatch(AdapterError):
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Configuration for a chat-completion backend (live or mock)."""
+    """Configuration for the live chat-completion backend.
 
-    kind: str = "mock"
+    Mock runs need none: they replay the transcripts named in the project config.
+    """
+
     endpoint: str = ""
     model_name: str = "mock-model"
     temperature: float = 0.0
     timeout: float = 60.0
     api_key_env: str = ""
-    transcript_path: str = ""
     max_retries: int = 2
     retry_delay: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("live", "mock"):
-            raise PreconditionError(f"backend kind must be live or mock, got {self.kind!r}")
-        if self.kind == "live" and (not self.endpoint or not self.api_key_env):
+        if not self.endpoint or not self.api_key_env:
             raise PreconditionError("live backend requires endpoint and api_key_env")
-        if self.kind == "mock" and not self.transcript_path:
-            raise PreconditionError("mock backend requires transcript_path")
 
 
 def load_transcript(path: str | Path) -> list[dict]:
@@ -208,12 +205,6 @@ class HttpChatBackend:
             except (KeyError, IndexError, ValueError) as e:
                 raise BackendHTTPError(0, f"malformed completion response: {e}") from None
         raise last_error
-
-
-def backend_from_config(config: BackendConfig, cache_dir=None):
-    if config.kind == "mock":
-        return MockChatBackend.from_file(config.transcript_path)
-    return HttpChatBackend(config, cache_dir=cache_dir)
 
 
 @dataclass

@@ -629,7 +629,7 @@ def test_criterion_8_live_backend_smoke(tmp_path, stock_csv_path):
             title="Weekly Stock Prices of Four IT Companies",
             mock_mode=False,
             backend=BackendConfig(
-                kind="live", endpoint=LIVE_ENDPOINT, model_name=LIVE_MODEL,
+                endpoint=LIVE_ENDPOINT, model_name=LIVE_MODEL,
                 api_key_env=LIVE_KEY_ENV, temperature=0.0,
             ),
             export="both",

@@ -182,6 +182,24 @@ class TestResolveTargets:
         with pytest.raises(UnresolvedTarget):
             resolve_targets(_directive("the tall thing"), index)
 
+    @staticmethod
+    def _series_index(*keys):
+        marks = "".join(f'<path data-row="{i}" data-series="{key}"/>'
+                        for i, key in enumerate(keys))
+        doc = parse_svg(f'<svg><g data-role="marks">{marks}</g></svg>')
+        return index_marks(doc)
+
+    def test_series_key_matches_whole_words_only(self):
+        index = self._series_index("A", "B")
+        # "A" occurs inside "bars" but is not named in the target
+        ids = resolve_targets(_directive("the bars for B"), index)
+        assert {index.entries[eid].series_key for eid in ids} == {"B"}
+
+    def test_series_key_with_punctuation(self):
+        index = self._series_index("C++", "Go")
+        ids = resolve_targets(_directive("the C++ line"), index)
+        assert {index.entries[eid].series_key for eid in ids} == {"C++"}
+
 
 class TestDiffAnnotations:
     def test_identity(self):
@@ -290,3 +308,15 @@ class TestMatchAnnotationDirectives:
         directives = [self._annotation(()), self._annotation((0,))]
         assignments, _ = match_annotation_directives(["e3"], directives, index, svg)
         assert assignments[0] == ["e3"]
+
+    def test_unassignable_element_gets_advisory(self):
+        svg = parse_svg(
+            '<svg><g data-role="marks"><rect data-row="0" x="0" y="0"/></g>'
+            "<text>floating</text></svg>"
+        )
+        index = with_annotations(index_marks(svg), svg, ["e3"])
+        assignments, report = match_annotation_directives(
+            ["e3"], [self._annotation((0,))], index, svg,
+        )
+        assert assignments == {0: ["e3"]}
+        assert [(a.code, a.path) for a in report.advisories] == [("unmatched-annotation", "e3")]

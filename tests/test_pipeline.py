@@ -17,7 +17,7 @@ from datareel.pipeline import (
     validate_project,
 )
 from datareel.runtime import RepairExhausted
-from conftest import STOCK_COMPANIES, TRANSCRIPTS
+from conftest import GOLDEN_DIR, STOCK_COMPANIES, TRANSCRIPTS
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,40 @@ class TestRunPipeline:
             assert other.read_bytes() == path.read_bytes(), path.name
 
 
+def _inspect_golden() -> dict[str, str]:
+    """Sections of the golden file, keyed by stage: '===== name' then the report."""
+    text = (GOLDEN_DIR / "inspect_stock_demo.txt").read_text(encoding="utf-8")
+    sections = {}
+    for chunk in text.split("===== ")[1:]:
+        name, _, report = chunk.partition("\n")
+        sections[name] = report.rstrip("\n")
+    return sections
+
+
 class TestInspect:
+    def test_golden_covers_every_stage(self):
+        assert list(_inspect_golden()) == list(STAGES)
+
+    @pytest.mark.parametrize("stage_name", STAGES)
+    def test_stock_demo_report(self, completed_project, stage_name):
+        out, _ = completed_project
+        assert inspect_stage(out, stage_name) == _inspect_golden()[stage_name]
+
+    def test_failed_and_unexecuted_stages(self, mock_project_config, tmp_path):
+        bad = tmp_path / "bad_designer.json"
+        bad.write_text(json.dumps([{"reply": "no json"}]))
+        config = mock_project_config(
+            transcripts={**TRANSCRIPTS, "designer": str(bad)}, max_repair_attempts=1,
+        )
+        with pytest.raises(StageError):
+            run_pipeline(config)
+        out = Path(config.output_dir)
+        failed = inspect_stage(out, "designer").splitlines()
+        assert failed[:2] == ["stage: designer", "status: failed"]
+        assert failed[2].startswith("error: RepairExhausted: ")
+        assert len(failed) == 3
+        assert inspect_stage(out, "binding") == "stage: binding\nstatus: not executed"
+
     def test_designer_report(self, completed_project):
         out, _ = completed_project
         text = inspect_stage(out, "designer")
@@ -229,6 +262,32 @@ class TestCli:
             "run", "--input", str(stock_csv_path), "--config", str(config_path),
         ])
         assert result.exit_code == 3
+
+    def test_mode_and_cache_flags_override_config(self, tmp_path, stock_csv_path):
+        runner = CliRunner()
+        config = self._config_file(tmp_path)
+        args = ["run", "--input", str(stock_csv_path), "--config", str(config)]
+        result = runner.invoke(main, args + ["--no-mock"])
+        assert result.exit_code == 2
+        assert "live mode requires a backend configuration" in result.output
+        result = runner.invoke(main, args + ["--no-cache", "--export", "html"])
+        assert result.exit_code == 0, result.output
+        manifest = ProjectManifest.load(tmp_path / "proj" / "manifest.json")
+        assert manifest.config["no_cache"] is True
+        assert manifest.config["mock_mode"] is True
+
+    def test_backend_kind_key_rejected_exit_code_2(self, tmp_path, stock_csv_path):
+        config = self._config_file(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["backend"] = {"kind": "live", "endpoint": "http://localhost:1/v1",
+                          "api_key_env": "DATAREEL_API_KEY"}
+        config.write_text(json.dumps(raw))
+        result = CliRunner().invoke(main, [
+            "run", "--input", str(stock_csv_path), "--config", str(config),
+        ])
+        assert result.exit_code == 2
+        assert "invalid backend config" in result.output
+        assert not (tmp_path / "proj").exists()
 
     def test_unknown_stage_exit_code_2(self, tmp_path, stock_csv_path):
         runner = CliRunner()

@@ -112,11 +112,7 @@ class TestMockBackend:
 class TestBackendConfig:
     def test_live_requires_endpoint_and_key(self):
         with pytest.raises(PreconditionError):
-            BackendConfig(kind="live", endpoint="", api_key_env="")
-
-    def test_mock_requires_transcript(self):
-        with pytest.raises(PreconditionError):
-            BackendConfig(kind="mock", transcript_path="")
+            BackendConfig(endpoint="", api_key_env="")
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -159,7 +155,7 @@ def stub_server():
 
 def _live_config(endpoint, retries=2):
     return BackendConfig(
-        kind="live", endpoint=endpoint, api_key_env="DATAREEL_TEST_KEY",
+        endpoint=endpoint, api_key_env="DATAREEL_TEST_KEY",
         model_name="stub-model", max_retries=retries, retry_delay=0.0, timeout=5.0,
     )
 
