@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
-from .binding import NotSvg, UnboundMark, XmlParseError, index_marks, parse_svg
+from .binding import NotSvg, SvgDoc, UnboundMark, XmlParseError, index_marks, parse_svg
 from .errors import AdapterError, PreconditionError
 from .model import (
     ValidationReport,
@@ -224,8 +224,6 @@ class MockRenderer:
     def _match_rows(datum: dict, base_rows: list) -> list[int]:
         matches = []
         for i, row in enumerate(base_rows):
-            if not isinstance(row, dict):
-                continue
             shared = set(datum) & set(row)
             if shared and all(datum[k] == row[k] for k in shared):
                 matches.append(i)
@@ -233,6 +231,9 @@ class MockRenderer:
 
     def _layer_elements(self, layer: dict, mark: str, encoding: dict, data: list,
                         scales, base_rows: list | None) -> list[str]:
+        for i, datum in enumerate(data):
+            if not isinstance(datum, dict):
+                raise RendererRejectedSpec(f"datum {i} is not an object")
         x_order, y_lo, y_hi = scales
         x_field = _enc_field(encoding, "x")
         y_field = _enc_field(encoding, "y")
@@ -318,8 +319,6 @@ class MockRenderer:
                 )
         else:
             for i, datum in enumerate(data):
-                if not isinstance(datum, dict):
-                    raise RendererRejectedSpec(f"datum {i} is not an object")
                 x = self._x_pos(x_order, datum.get(x_field))
                 y = self._y_pos(y_lo, y_hi, datum.get(y_field))
                 attrs = row_attr(datum, i) + series_attr(datum)
@@ -383,8 +382,9 @@ class CommandRenderer:
         return result.stdout.decode("utf-8")
 
 
-def render_visualization(spec: VisualizationSpec, renderer) -> str:
-    """Render a spec and enforce the metadata contract on the output."""
+def render_visualization(spec: VisualizationSpec, renderer) -> tuple[str, SvgDoc]:
+    """Render a spec, enforce the metadata contract, and return the SVG text
+    with its parsed document."""
     problems = visualization_structure_violations(spec.spec)
     if problems:
         raise PreconditionError("spec is structurally invalid: " + "; ".join(problems))
@@ -397,7 +397,7 @@ def render_visualization(spec: VisualizationSpec, renderer) -> str:
         index_marks(doc)
     except UnboundMark as e:
         raise MetadataMissing(e.element_id) from None
-    return svg_text
+    return svg_text, doc
 
 
 @dataclass(frozen=True)

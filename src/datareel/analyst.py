@@ -26,7 +26,7 @@ from .model import (
     title_text,
     visualization_structure_violations,
 )
-from .runtime import ChatSession, ContractViolation, SchemaError, extract_json, repair_loop
+from .runtime import ChatSession, SchemaError, extract_json, repair_loop
 
 ANALYST_KEYS = ("Insights", "Visualization", "Visualization_Type", "Narration")
 
@@ -155,6 +155,19 @@ def validate_visualization(spec: VisualizationSpec) -> ValidationReport:
     return ValidationReport(violations=tuple(violations), advisories=tuple(advisories))
 
 
+def validate_analyst_output(output: AnalystOutput) -> ValidationReport:
+    """The analyst's acceptance rule: the spec checks plus the insight-count advisory."""
+    report = validate_visualization(output.visualization)
+    count = len(output.insights)
+    low, high = INSIGHT_COUNT_BAND
+    if not low <= count <= high:
+        report = report.merged(ValidationReport(advisories=(
+            Violation("insight-count", "Insights",
+                      f"{count} insights is outside the expected {low}..{high} band"),
+        )))
+    return report
+
+
 def run_analyst(session: ChatSession, description: DataDescription, table: DataTable,
                 max_attempts: int = 3,
                 max_rows: int | None = DEFAULT_PROMPT_ROWS,
@@ -162,29 +175,9 @@ def run_analyst(session: ChatSession, description: DataDescription, table: DataT
     """Run the analyst prompt through the repair loop until the reply validates."""
     if table.row_count == 0:
         raise PreconditionError("cannot analyze a table with no rows")
-    prompt = build_analyst_prompt(description, table, max_rows)
-
-    def parse_and_validate(raw: str):
-        try:
-            output = parse_analyst_response(raw, table)
-        except ContractViolation:
-            raise
-        except Exception as e:
-            raise ContractViolation([str(e)]) from e
-        report = validate_visualization(output.visualization)
-        count = len(output.insights)
-        low, high = INSIGHT_COUNT_BAND
-        if not low <= count <= high:
-            report = report.merged(ValidationReport(advisories=(
-                Violation("insight-count", "Insights",
-                          f"{count} insights is outside the expected {low}..{high} band"),
-            )))
-        if not report.passing:
-            raise ContractViolation([str(v) for v in report.violations])
-        return output, report
-
-    (output, report), repair = repair_loop(session, prompt, parse_and_validate, max_attempts)
-    return output, report, repair
+    return repair_loop(session, build_analyst_prompt(description, table, max_rows),
+                       lambda raw: parse_analyst_response(raw, table),
+                       validate_analyst_output, max_attempts)
 
 
 def analyst_output_to_json(output: AnalystOutput) -> dict:

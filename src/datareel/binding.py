@@ -432,14 +432,6 @@ def match_annotation_directives(annotation_ids, directives, index: MarkIndex,
     return assignments, ValidationReport(advisories=tuple(advisories))
 
 
-def annotated_index(base: SvgDoc, annotated: SvgDoc,
-                    table: DataTable | None) -> tuple[MarkIndex, list[str]]:
-    """Mark index of the annotated rendering, extended with its diffed annotations."""
-    annotation_ids = diff_annotations(base, annotated)
-    index = with_annotations(index_marks(annotated, table), annotated, annotation_ids)
-    return index, annotation_ids
-
-
 @dataclass
 class Bindings:
     """Annotated-rendering elements bound to the designer's directives."""
@@ -469,8 +461,13 @@ class Bindings:
 
 def bind(base: SvgDoc, annotated: SvgDoc, table: DataTable | None,
          designer_output: DesignerOutput) -> Bindings:
-    """Resolve animation targets and assign annotation elements to directives."""
-    index, annotation_ids = annotated_index(base, annotated, table)
+    """Resolve animation targets and assign annotation elements to directives.
+
+    Targets resolve against the annotated rendering's mark index, extended
+    with the elements the annotated spec added to the base rendering.
+    """
+    annotation_ids = diff_annotations(base, annotated)
+    index = with_annotations(index_marks(annotated, table), annotated, annotation_ids)
     advisories = tuple(
         Violation("non-additive-change", eid,
                   "diffed element sits inside the marks group; the annotated spec "

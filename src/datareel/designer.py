@@ -8,6 +8,7 @@ narration segment must be a verbatim excerpt of the narration.
 
 import json
 
+from .errors import ContractError
 from .ingest import DEFAULT_PROMPT_ROWS, fill_template, render_table_text
 from .model import (
     AnimationCategory,
@@ -25,7 +26,7 @@ from .model import (
     parse_annotation_type,
     visualization_structure_violations,
 )
-from .runtime import ChatSession, ContractViolation, SchemaError, extract_json, repair_loop
+from .runtime import ChatSession, SchemaError, extract_json, repair_loop
 from .timeline import SegmentNotFound, first_sentence_end, locate_span
 
 DESIGNER_KEYS = (
@@ -152,11 +153,11 @@ def validate_animation_sequence(directives, narration: str,
                                 resolver=None) -> ValidationReport:
     """Check the four legality rules over a directive list.
 
-    resolver maps a directive to a set of opaque target identities; two
-    directives act on the same elements when their sets intersect. Directives
-    whose segments cannot be located are reported and excluded from the
-    ordering rules. Targets with no entrance are visible from time zero, so
-    emphasizing them is always legal.
+    resolver maps a directive to a set of opaque target identities, or raises
+    a ContractError when it cannot; two directives act on the same elements
+    when their sets intersect. Directives whose segments cannot be located
+    are reported and excluded from the ordering rules. Targets with no
+    entrance are visible from time zero, so emphasizing them is always legal.
     """
     if resolver is None:
         resolver = default_target_resolver
@@ -175,7 +176,7 @@ def validate_animation_sequence(directives, narration: str,
             continue
         try:
             targets = resolver(d)
-        except Exception as e:
+        except ContractError as e:
             violations.append(Violation("unresolved-target", d.animation, str(e)))
             continue
         located.append((span, d, targets))
@@ -224,33 +225,27 @@ def validate_animation_sequence(directives, narration: str,
     return ValidationReport(violations=tuple(violations), advisories=tuple(advisories))
 
 
+def validate_designer_output(output: DesignerOutput, narration: str,
+                             resolver=None) -> ValidationReport:
+    """The designer's acceptance rule: annotated-spec structure plus animation legality."""
+    structural = tuple(
+        Violation("layer-rule" if "layer" in m else "structure", "Annotated_Visualization", m)
+        for m in visualization_structure_violations(output.annotated_visualization)
+    )
+    return ValidationReport(violations=structural).merged(
+        validate_animation_sequence(output.animation_directives, narration, resolver)
+    )
+
+
 def run_designer(session: ChatSession, vis: VisualizationSpec, narration: str,
                  table: DataTable, max_attempts: int = 3, resolver=None,
                  max_rows: int | None = DEFAULT_PROMPT_ROWS,
                  ) -> tuple[DesignerOutput, ValidationReport, RepairReport]:
     """Run the designer prompt through the repair loop until the reply validates."""
-    prompt = build_designer_prompt(vis, narration, table, max_rows)
-
-    def parse_and_validate(raw: str):
-        try:
-            output = parse_designer_response(raw, table)
-        except ContractViolation:
-            raise
-        except Exception as e:
-            raise ContractViolation([str(e)]) from e
-        structural = [
-            Violation("layer-rule" if "layer" in m else "structure", "Annotated_Visualization", m)
-            for m in visualization_structure_violations(output.annotated_visualization)
-        ]
-        report = ValidationReport(violations=tuple(structural)).merged(
-            validate_animation_sequence(output.animation_directives, narration, resolver)
-        )
-        if not report.passing:
-            raise ContractViolation([str(v) for v in report.violations])
-        return output, report
-
-    (output, report), repair = repair_loop(session, prompt, parse_and_validate, max_attempts)
-    return output, report, repair
+    return repair_loop(session, build_designer_prompt(vis, narration, table, max_rows),
+                       lambda raw: parse_designer_response(raw, table),
+                       lambda output: validate_designer_output(output, narration, resolver),
+                       max_attempts)
 
 
 def designer_output_to_json(output: DesignerOutput) -> dict:

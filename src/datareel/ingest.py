@@ -12,8 +12,8 @@ import re
 from importlib import resources
 
 from .errors import PreconditionError
-from .model import Cell, DataDescription, DataTable, PromptText
-from .runtime import ChatSession, SchemaError, complete, extract_json
+from .model import Cell, DataDescription, DataTable, PromptText, RepairReport, ValidationReport
+from .runtime import ChatSession, SchemaError, extract_json, repair_loop
 
 
 class EmptyInput(PreconditionError):
@@ -168,9 +168,9 @@ def parse_description_response(raw: str) -> DataDescription:
     return DataDescription(text=text)
 
 
-def describe(session: ChatSession, table: DataTable,
-             max_rows: int | None = DEFAULT_PROMPT_ROWS) -> DataDescription:
-    """Run the perception step: prompt the backend and parse the description."""
-    prompt = build_description_prompt(table, max_rows)
-    reply = complete(session, prompt.text)
-    return parse_description_response(reply)
+def describe(session: ChatSession, table: DataTable, max_attempts: int = 3,
+             max_rows: int | None = DEFAULT_PROMPT_ROWS,
+             ) -> tuple[DataDescription, ValidationReport, RepairReport]:
+    """Run the perception step through the repair loop; a parsed description is accepted."""
+    return repair_loop(session, build_description_prompt(table, max_rows),
+                       parse_description_response, lambda _: ValidationReport(), max_attempts)

@@ -18,6 +18,7 @@ from . import adapters, analyst, binding, designer, ingest, timeline as tl
 from .errors import PreconditionError, StageError
 from .model import (
     DataTable,
+    RepairReport,
     ValidationReport,
     Violation,
     VisualizationSpec,
@@ -268,11 +269,20 @@ def _summarize_ingest(table: dict) -> list[str]:
     return [f"table: {table['title']!r}, {table['row_count']} rows, columns: {names}"]
 
 
+def _write_agent_artifacts(run: _Run, record: dict, role: str, payload: dict,
+                           report: ValidationReport, repair: RepairReport) -> None:
+    run.write_artifact(record, f"{role}.json", _dump_json(payload))
+    run.write_artifact(record, f"{role}_validation.json", _dump_json(report.to_json()))
+    run.write_artifact(record, f"{role}_repair.json", _dump_json(repair.to_json()))
+
+
 def _stage_description(run: _Run, record: dict) -> None:
-    session = run.session_for("description")
-    run.description = ingest.describe(session, run.table, run.config.prompt_max_rows)
-    run.write_artifact(record, "description.json",
-                       _dump_json({"Description": run.description.text}))
+    run.description, report, repair = ingest.describe(
+        run.session_for("description"), run.table,
+        max_attempts=run.config.max_repair_attempts, max_rows=run.config.prompt_max_rows,
+    )
+    _write_agent_artifacts(run, record, "description", {"Description": run.description.text},
+                           report, repair)
 
 
 def _summarize_description(payload: dict) -> list[str]:
@@ -280,16 +290,12 @@ def _summarize_description(payload: dict) -> list[str]:
 
 
 def _stage_analyst(run: _Run, record: dict) -> None:
-    session = run.session_for("analyst")
-    output, report, repair = analyst.run_analyst(
-        session, run.description, run.table,
-        max_attempts=run.config.max_repair_attempts,
-        max_rows=run.config.prompt_max_rows,
+    run.analyst_output, report, repair = analyst.run_analyst(
+        run.session_for("analyst"), run.description, run.table,
+        max_attempts=run.config.max_repair_attempts, max_rows=run.config.prompt_max_rows,
     )
-    run.analyst_output = output
-    run.write_artifact(record, "analyst.json", _dump_json(analyst.analyst_output_to_json(output)))
-    run.write_artifact(record, "analyst_validation.json", _dump_json(report.to_json()))
-    run.write_artifact(record, "analyst_repair.json", _dump_json(repair.to_json()))
+    _write_agent_artifacts(run, record, "analyst",
+                           analyst.analyst_output_to_json(run.analyst_output), report, repair)
 
 
 def _summarize_analyst(payload: dict) -> list[str]:
@@ -302,34 +308,36 @@ def _summarize_analyst(payload: dict) -> list[str]:
 
 
 def _stage_base_render(run: _Run, record: dict) -> None:
-    svg_text = adapters.render_visualization(run.analyst_output.visualization, run.renderer())
+    svg_text, run.base_doc = adapters.render_visualization(
+        run.analyst_output.visualization, run.renderer())
     run.write_artifact(record, "base.svg", svg_text)
-    run.base_doc = binding.parse_svg(svg_text)
+
+
+def _designer_resolver(base_doc: binding.SvgDoc, table: DataTable | None):
+    """Directive targets resolved against the base rendering's marks."""
+    index = binding.index_marks(base_doc, table)
+    return lambda directive: binding.resolve_targets(directive, index)
 
 
 def _stage_designer(run: _Run, record: dict) -> None:
-    base_index = binding.index_marks(run.base_doc, run.table)
-    resolver = lambda directive: binding.resolve_targets(directive, base_index)
-    session = run.session_for("designer")
-    output, report, repair = designer.run_designer(
-        session, run.analyst_output.visualization, run.analyst_output.narration,
-        run.table, max_attempts=run.config.max_repair_attempts,
-        resolver=resolver, max_rows=run.config.prompt_max_rows,
+    run.designer_output, report, repair = designer.run_designer(
+        run.session_for("designer"), run.analyst_output.visualization,
+        run.analyst_output.narration, run.table,
+        max_attempts=run.config.max_repair_attempts,
+        resolver=_designer_resolver(run.base_doc, run.table),
+        max_rows=run.config.prompt_max_rows,
     )
-    run.designer_output = output
-    run.write_artifact(record, "designer.json",
-                       _dump_json(designer.designer_output_to_json(output)))
-    run.write_artifact(record, "designer_validation.json", _dump_json(report.to_json()))
-    run.write_artifact(record, "designer_repair.json", _dump_json(repair.to_json()))
+    _write_agent_artifacts(run, record, "designer",
+                           designer.designer_output_to_json(run.designer_output), report, repair)
 
 
 def _summarize_designer(payload: dict, bindings: dict | None) -> list[str]:
-    resolved = {(entry["animation"], entry["narration"]): entry["ids"]
-                for entry in (bindings or {}).get("resolved_targets", [])}
+    # bindings.json lists resolved targets in directive order
+    resolved = [entry["ids"] for entry in (bindings or {}).get("resolved_targets", [])]
     lines = ["animation directives:"]
-    for item in payload["Annotated_Narration_for_Animation"]:
+    for position, item in enumerate(payload["Annotated_Narration_for_Animation"]):
         category = classify_animation(item["animation"]).value
-        ids = resolved.get((item["animation"], item["narration"]))
+        ids = resolved[position] if position < len(resolved) else None
         target_part = f" -> {ids}" if ids is not None else ""
         lines.append(
             f"  {item['animation']} ({category}) on {item['target']!r} "
@@ -349,9 +357,8 @@ def _stage_annotated_render(run: _Run, record: dict) -> None:
         spec=run.designer_output.annotated_visualization,
         vis_type=run.analyst_output.visualization.vis_type,
     )
-    svg_text = adapters.render_visualization(spec, run.renderer())
+    svg_text, run.annotated_doc = adapters.render_visualization(spec, run.renderer())
     run.write_artifact(record, "annotated.svg", svg_text)
-    run.annotated_doc = binding.parse_svg(svg_text)
 
 
 def _stage_binding(run: _Run, record: dict) -> None:
@@ -521,40 +528,30 @@ def validate_project(project_dir: str | Path) -> ValidationReport:
     table_payload = _load_artifact(project_dir, "table.json")
     table = _table_from_artifact(table_payload) if table_payload else None
 
-    analyst_payload = _load_artifact(project_dir, "analyst.json")
-    analyst_output = None
-    if analyst_payload and table:
+    def reload(role: str, from_json):
+        payload = _load_artifact(project_dir, f"{role}.json")
+        if not (payload and table):
+            return None
         try:
-            analyst_output = analyst.analyst_output_from_json(analyst_payload, table)
+            return from_json(payload, table)
         except Exception as e:
-            violations.append(Violation("analyst-contract", "analyst.json", str(e)))
-        if analyst_output is not None:
-            report = analyst.validate_visualization(analyst_output.visualization)
-            violations.extend(report.violations)
-            advisories.extend(report.advisories)
+            violations.append(Violation(f"{role}-contract", f"{role}.json", str(e)))
+            return None
 
-    designer_payload = _load_artifact(project_dir, "designer.json")
-    designer_output = None
-    if designer_payload and table:
-        try:
-            designer_output = designer.designer_output_from_json(designer_payload, table)
-        except Exception as e:
-            violations.append(Violation("designer-contract", "designer.json", str(e)))
-
-    if designer_output is not None and analyst_output is not None:
-        resolver = None
-        base_text = _load_artifact(project_dir, "base.svg")
-        annotated_text = _load_artifact(project_dir, "annotated.svg")
-        if base_text and annotated_text:
-            index, _ = binding.annotated_index(
-                binding.parse_svg(base_text), binding.parse_svg(annotated_text), table,
-            )
-            resolver = lambda d: binding.resolve_targets(d, index)
-        report = designer.validate_animation_sequence(
-            designer_output.animation_directives, analyst_output.narration, resolver,
-        )
+    def add(report: ValidationReport) -> None:
         violations.extend(report.violations)
         advisories.extend(report.advisories)
+
+    analyst_output = reload("analyst", analyst.analyst_output_from_json)
+    if analyst_output is not None:
+        add(analyst.validate_analyst_output(analyst_output))
+    designer_output = reload("designer", designer.designer_output_from_json)
+    if designer_output is not None and analyst_output is not None:
+        base_text = _load_artifact(project_dir, "base.svg")
+        resolver = (_designer_resolver(binding.parse_svg(base_text), table)
+                    if base_text else None)
+        add(designer.validate_designer_output(designer_output, analyst_output.narration,
+                                              resolver))
 
     timings_payload = _load_artifact(project_dir, "word_timings.json")
     timeline_payload = _load_artifact(project_dir, "timeline.json")

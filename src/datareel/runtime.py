@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import AdapterError, ContractError, PreconditionError
-from .model import PromptText, RepairReport
+from .model import PromptText, RepairReport, ValidationReport
 
 
 class SchemaError(ContractError):
@@ -34,14 +34,6 @@ class MalformedJson(ContractError):
     def __init__(self, position: int):
         super().__init__(f"unparseable JSON starting at offset {position}")
         self.position = position
-
-
-class ContractViolation(ContractError):
-    """Raised by parse-and-validate callables inside the repair loop."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations) or "contract violation")
-        self.violations = list(violations)
 
 
 class RepairExhausted(ContractError):
@@ -302,31 +294,37 @@ def _repair_message(violations: list[str]) -> str:
     )
 
 
-def repair_loop(session: ChatSession, prompt: PromptText | str, parse_and_validate,
-                max_attempts: int = 3):
+def repair_loop(session: ChatSession, prompt: PromptText | str, parse, validate,
+                max_attempts: int = 3) -> tuple[object, ValidationReport, RepairReport]:
     """Run a validate-and-retry loop around one prompt.
 
-    parse_and_validate takes the raw assistant text and either returns the
-    validated value or raises ContractViolation with the violation messages.
-    On failure the violations are sent back verbatim and the backend gets
-    another try, up to max_attempts completions. Returns (value, RepairReport);
-    raises RepairExhausted when every attempt fails.
+    parse turns the raw assistant text into a value; whatever it raises
+    becomes the attempt's single violation. validate returns the value's
+    ValidationReport; its violations reject the reply, its advisories do
+    not. On rejection the violations are sent back verbatim and the backend
+    gets another try, up to max_attempts completions. Returns (value,
+    ValidationReport, RepairReport); raises RepairExhausted when every
+    attempt fails.
     """
     if max_attempts < 1:
         raise PreconditionError("max_attempts must be at least 1")
-    report = RepairReport()
+    repair = RepairReport()
     message = prompt.text if isinstance(prompt, PromptText) else prompt
     for attempt in range(1, max_attempts + 1):
         raw = complete(session, message)
-        report.attempts = attempt
+        repair.attempts = attempt
         try:
-            value = parse_and_validate(raw)
-        except ContractViolation as violation:
-            report.violations_per_attempt.append(violation.violations)
-            message = _repair_message(violation.violations)
-            continue
-        report.violations_per_attempt.append([])
-        report.final_status = "ok"
-        return value, report
-    report.final_status = "exhausted"
-    raise RepairExhausted(report)
+            value = parse(raw)
+        except Exception as e:
+            violations = [str(e)]
+        else:
+            report = validate(value)
+            if report.passing:
+                repair.violations_per_attempt.append([])
+                repair.final_status = "ok"
+                return value, report, repair
+            violations = [str(v) for v in report.violations]
+        repair.violations_per_attempt.append(violations)
+        message = _repair_message(violations)
+    repair.final_status = "exhausted"
+    raise RepairExhausted(repair)

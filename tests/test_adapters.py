@@ -150,11 +150,29 @@ class TestMockRendererDetails:
         assert len(legend) == 1
 
 
+    @pytest.mark.parametrize("mark", ["line", "arc", "pie", "bar"])
+    @pytest.mark.parametrize("position", ["base", "overlay"])
+    def test_non_object_datum_rejected(self, mark, position):
+        encoding = {"x": {"field": "a"}, "y": {"field": "b"}, "color": {"field": "a"}}
+        values = [{"a": 1, "b": 2}, 5]
+        if position == "base":
+            spec = {"mark": mark, "encoding": encoding, "data": {"values": values}}
+        else:
+            spec = {"data": {"values": [{"a": 1, "b": 2}, {"a": 2, "b": 3}]},
+                    "layer": [{"mark": "bar", "encoding": encoding},
+                              {"mark": mark, "encoding": encoding,
+                               "data": {"values": values}}]}
+        with pytest.raises(RendererRejectedSpec, match="datum 1 is not an object"):
+            MockRenderer().render(spec)
+
+
 class TestRenderVisualization:
     def test_happy_path(self):
         spec = VisualizationSpec(spec=_bar_spec(), vis_type="bar")
-        svg_text = render_visualization(spec, MockRenderer())
+        svg_text, doc = render_visualization(spec, MockRenderer())
         assert svg_text.startswith("<svg")
+        assert doc.to_text() == parse_svg(svg_text).to_text()
+        assert [el.id for el in doc.elements] == [el.id for el in parse_svg(svg_text).elements]
 
     def test_structurally_invalid_spec_is_precondition_error(self):
         spec = VisualizationSpec(spec={"data": {}}, vis_type="bar")

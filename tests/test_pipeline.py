@@ -12,6 +12,7 @@ from datareel.pipeline import (
     ManifestNotFound,
     ProjectManifest,
     UnknownStage,
+    _summarize_designer,
     inspect_stage,
     run_pipeline,
     validate_project,
@@ -75,6 +76,21 @@ class TestRunPipeline:
         assert statuses["base_render"] == "ok"
         assert statuses["designer"] == "failed"
         assert "RepairExhausted" in manifest.stage("designer")["error"]
+
+    def test_description_repaired_after_malformed_reply(self, mock_project_config, tmp_path):
+        script = json.loads(Path(TRANSCRIPTS["description"]).read_text())
+        malformed = {"match": script[0]["match"], "reply": '{"Summary": "prices"}'}
+        transcript = tmp_path / "description.json"
+        transcript.write_text(json.dumps([malformed, {"reply": script[0]["reply"]}]))
+        config = mock_project_config(transcripts={**TRANSCRIPTS, "description": str(transcript)})
+        manifest = run_pipeline(config)
+        assert all(s["status"] == "ok" for s in manifest.stages)
+        out = Path(config.output_dir)
+        repair = json.loads((out / "description_repair.json").read_text())
+        assert repair == {"attempts": 2, "final_status": "ok",
+                          "violations_per_attempt": [["Description: missing key"], []]}
+        description = json.loads((out / "description.json").read_text())
+        assert description["Description"].startswith("Daily closing stock prices")
 
     def test_case_study_shape(self, completed_project):
         out, _ = completed_project
@@ -140,6 +156,19 @@ class TestInspect:
         assert "Highlight-one-and-fade-others (emphasis)" in text
         assert "Axes-fade-in (entrance)" in text
 
+    def test_designer_summary_pairs_ids_by_position(self):
+        segment = "Both series rise."
+        directives = [{"animation": "Fade-in", "narration": segment, "target": t,
+                       "index": [], "explanation": ""} for t in ("A", "B")]
+        payload = {"Annotated_Narration_for_Animation": directives,
+                   "Annotated_Narration_for_Annotation": []}
+        bindings = {"resolved_targets": [dict(d, ids=[t.lower()]) for d, t in
+                                         zip(directives, ("A", "B"))]}
+        lines = _summarize_designer(payload, bindings)
+        assert lines[1].endswith("-> ['a']")
+        assert lines[2].endswith("-> ['b']")
+        assert _summarize_designer(payload, None)[1].endswith(f"segment={segment!r}")
+
     def test_timeline_report(self, completed_project):
         out, _ = completed_project
         text = inspect_stage(out, "timeline")
@@ -176,6 +205,50 @@ class TestValidateProject:
         assert not report.passing
         codes = {v.code for v in report.violations}
         assert "artifact-hash" in codes
+
+
+def _rewrite_artifact(project: Path, name: str, payload: dict) -> None:
+    """Replace a JSON artifact and re-hash its manifest entry, as a tool would."""
+    path = project / name
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    manifest = ProjectManifest.load(project / "manifest.json")
+    for record in manifest.stages:
+        for artifact in record["artifacts"]:
+            if artifact["path"] == name:
+                artifact["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+                artifact["bytes"] = path.stat().st_size
+    manifest.save(project / "manifest.json")
+
+
+class TestValidateRerunsRunChecks:
+    @pytest.fixture
+    def project_copy(self, completed_project, tmp_path):
+        import shutil
+
+        out, _ = completed_project
+        return Path(shutil.copytree(out, tmp_path / "copy"))
+
+    def test_insight_count_advisory(self, project_copy):
+        payload = json.loads((project_copy / "analyst.json").read_text())
+        payload["Insights"] = (payload["Insights"] * 11)[:11]
+        _rewrite_artifact(project_copy, "analyst.json", payload)
+        report = validate_project(project_copy)
+        assert report.passing
+        assert "insight-count" in {a.code for a in report.advisories}
+
+    def test_annotated_spec_layer_rule(self, project_copy):
+        payload = json.loads((project_copy / "designer.json").read_text())
+        assert "layer" in payload["Annotated_Visualization"]
+        payload["Annotated_Visualization"]["mark"] = "line"
+        _rewrite_artifact(project_copy, "designer.json", payload)
+        report = validate_project(project_copy)
+        assert [v.code for v in report.violations] == ["layer-rule"]
+
+    def test_targets_resolve_against_the_base_rendering(self, project_copy):
+        # run resolved targets on base.svg; an unreadable annotated.svg must not matter
+        (project_copy / "annotated.svg").write_text("not svg")
+        report = validate_project(project_copy)
+        assert [v.code for v in report.violations] == ["artifact-hash"]
 
 
 class TestArtifactDigests:
@@ -262,6 +335,26 @@ class TestCli:
             "run", "--input", str(stock_csv_path), "--config", str(config_path),
         ])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("attempts, exit_code", [(3, 4), (1, 3)])
+    def test_malformed_description_reply_exit_code(self, tmp_path, stock_csv_path,
+                                                   attempts, exit_code):
+        # one scripted reply: a retry exhausts the transcript (adapter failure, 4);
+        # with no retry allowed the reply is an unrepaired contract failure (3)
+        bad = tmp_path / "bad_description.json"
+        bad.write_text(json.dumps([{"reply": "no json"}]))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "output_dir": str(tmp_path / "proj"),
+            "mock_mode": True,
+            "transcripts": {**TRANSCRIPTS, "description": str(bad)},
+            "input_csv": "placeholder",
+            "max_repair_attempts": attempts,
+        }))
+        result = CliRunner().invoke(main, [
+            "run", "--input", str(stock_csv_path), "--config", str(config_path),
+        ])
+        assert result.exit_code == exit_code, result.output
 
     def test_mode_and_cache_flags_override_config(self, tmp_path, stock_csv_path):
         runner = CliRunner()

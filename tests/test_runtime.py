@@ -6,12 +6,11 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from datareel.errors import PreconditionError
-from datareel.model import PromptText
+from datareel.model import PromptText, ValidationReport, Violation
 from datareel.runtime import (
     BackendConfig,
     BackendHTTPError,
     ChatSession,
-    ContractViolation,
     HttpChatBackend,
     MalformedJson,
     MockChatBackend,
@@ -207,11 +206,14 @@ def _loop_prompt():
     return PromptText(text="please reply", template_id="analyst")
 
 
-def _json_validator(raw: str):
-    value = extract_json(raw)
-    if "needed" not in value:
-        raise ContractViolation(['missing key "needed"'])
-    return value
+def _needs_key(value) -> ValidationReport:
+    if "needed" in value:
+        return ValidationReport(advisories=(Violation("note", "", "accepted"),))
+    return ValidationReport(violations=(Violation("missing", "needed", "missing key"),))
+
+
+def _loop(session, max_attempts):
+    return repair_loop(session, _loop_prompt(), extract_json, _needs_key, max_attempts)
 
 
 class TestRepairLoop:
@@ -221,46 +223,62 @@ class TestRepairLoop:
             {"reply": '{"needed": 1}'},
         ])
         session = ChatSession(backend=backend)
-        value, report = repair_loop(session, _loop_prompt(), _json_validator, max_attempts=2)
+        value, report, repair = _loop(session, max_attempts=2)
         assert value == {"needed": 1}
-        assert report.attempts == 2
-        assert report.final_status == "ok"
-        assert report.violations_per_attempt == [['missing key "needed"'], []]
+        assert report.passing and [a.code for a in report.advisories] == ["note"]
+        assert repair.attempts == 2
+        assert repair.final_status == "ok"
+        assert repair.violations_per_attempt == [["[missing] at needed: missing key"], []]
+
+    def test_parse_error_becomes_the_attempts_violation(self):
+        backend = MockChatBackend([{"reply": "no json here"}, {"reply": '{"needed": 1}'}])
+        session = ChatSession(backend=backend)
+        value, _, repair = _loop(session, max_attempts=2)
+        assert value == {"needed": 1}
+        assert repair.violations_per_attempt == [
+            ["reply contains no JSON object or array"], [],
+        ]
 
     def test_valid_first_try(self):
         backend = MockChatBackend([{"reply": '{"needed": 1}'}])
         session = ChatSession(backend=backend)
-        value, report = repair_loop(session, _loop_prompt(), _json_validator, max_attempts=3)
-        assert report.attempts == 1
+        _, _, repair = _loop(session, max_attempts=3)
+        assert repair.attempts == 1
+        assert repair.violations_per_attempt == [[]]
         assert len(session.messages) == 2
 
     def test_exhausted_collects_all_violation_lists(self):
-        backend = MockChatBackend([{"reply": '{"a": 1}'}, {"reply": '{"b": 2}'}])
+        backend = MockChatBackend([{"reply": '{"a": 1}'}, {"reply": "{"}])
         session = ChatSession(backend=backend)
         with pytest.raises(RepairExhausted) as err:
-            repair_loop(session, _loop_prompt(), _json_validator, max_attempts=2)
+            _loop(session, max_attempts=2)
         assert err.value.report.attempts == 2
-        assert len(err.value.report.violations_per_attempt) == 2
+        assert err.value.report.violations_per_attempt == [
+            ["[missing] at needed: missing key"], ["unparseable JSON starting at offset 0"],
+        ]
         assert err.value.report.final_status == "exhausted"
+        assert err.value.last_violations == ["unparseable JSON starting at offset 0"]
 
     def test_never_exceeds_max_attempts_and_history_grows_2n(self):
         script = [{"reply": '{"x": 1}'} for _ in range(10)]
         backend = MockChatBackend(script)
         session = ChatSession(backend=backend)
         with pytest.raises(RepairExhausted):
-            repair_loop(session, _loop_prompt(), _json_validator, max_attempts=4)
+            _loop(session, max_attempts=4)
         assert backend.calls == 4
         assert len(session.messages) == 8
 
     def test_repair_message_quotes_violations(self):
         backend = MockChatBackend([{"reply": '{"a": 1}'}, {"reply": '{"needed": 1}'}])
         session = ChatSession(backend=backend)
-        repair_loop(session, _loop_prompt(), _json_validator, max_attempts=2)
+        _loop(session, max_attempts=2)
         follow_up = session.messages[2][1]
-        assert 'missing key "needed"' in follow_up
+        assert "- [missing] at needed: missing key" in follow_up
         assert "corrected JSON" in follow_up
 
     def test_zero_attempts_rejected(self):
-        session = ChatSession(backend=MockChatBackend([]))
-        with pytest.raises(PreconditionError):
-            repair_loop(session, _loop_prompt(), _json_validator, max_attempts=0)
+        backend = MockChatBackend([{"reply": '{"needed": 1}'}])
+        for max_attempts in (0, -1):
+            with pytest.raises(PreconditionError):
+                _loop(ChatSession(backend=backend), max_attempts=max_attempts)
+        assert backend.calls == 0

@@ -34,3 +34,22 @@ def test_traced_attribute_exists(owner_path, attr):
     if class_name:
         owner = getattr(owner, class_name)
     assert attr in owner.__dict__, f"{owner_path} has no attribute {attr!r}"
+
+
+def test_every_traced_layer_records_a_span(mock_project_config):
+    """A stock-demo compile plus validate must reach every layer the benchmark reports.
+
+    A layer whose patched attribute is no longer called would silently read 0.
+    """
+    from datareel import pipeline
+
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        config = mock_project_config(export="both")
+        pipeline.run_pipeline(config)
+        assert pipeline.validate_project(config.output_dir).passing
+    recorded = {span["name"] for span in tracer.spans}
+    assert sorted({layer for _, _, layer, _ in tracing.SPANS} - recorded) == []
+    counts = tracer.counts[tracer.compile_id]
+    assert counts["runtime.accepted"] == counts["runtime.completions"] == 3
