@@ -17,13 +17,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
-from .binding import NotSvg, SvgDoc, UnboundMark, XmlParseError, index_marks, parse_svg
+from .binding import NotSvg, Rendering, UnboundMark, XmlParseError, index_marks, parse_svg
 from .errors import AdapterError, PreconditionError
 from .model import (
+    DataTable,
     ValidationReport,
     Violation,
     VisualizationSpec,
     mark_type,
+    spec_layers,
     title_text,
     visualization_structure_violations,
 )
@@ -50,8 +52,8 @@ class RendererCrashed(AdapterError):
 
 
 class MetadataMissing(AdapterError):
-    def __init__(self, element_id: str):
-        super().__init__(f"rendered mark {element_id!r} lacks required data-row metadata")
+    def __init__(self, element_id: str, detail: str):
+        super().__init__(f"rendered mark {element_id!r} {detail}")
         self.element_id = element_id
 
 
@@ -102,8 +104,7 @@ class MockRenderer:
         problems = visualization_structure_violations(spec)
         if problems:
             raise RendererRejectedSpec("; ".join(problems))
-        layers = spec["layer"] if "layer" in spec else [spec]
-        layers = [l for l in layers if isinstance(l, dict)]
+        layers = spec_layers(spec)
         top_data = self._data_values(spec)
         base = layers[0]
         base_data = self._data_values(base) or top_data
@@ -150,7 +151,7 @@ class MockRenderer:
                 f"<text x=\"20\" y=\"180\">{escape(y_field or '')}</text></g>"
             )
         if series_field is not None:
-            series_values = self._distinct(base_data, series_field)
+            series_values = self._series_values(base_data, series_field)
             legend_items = "".join(
                 f'<text data-series={quoteattr(str(v))} x="612" y="{_fmt(60 + 18 * i)}">'
                 f"{escape(str(v))}</text>"
@@ -160,8 +161,8 @@ class MockRenderer:
 
         scales = (x_order, y_lo, y_hi)
         parts.append('<g data-role="marks">')
-        parts.extend(self._layer_elements(base, base_mark, base_enc, base_data,
-                                          scales, base_rows=None))
+        parts.extend(self._layer_elements(base_mark, base_enc, base_data, scales,
+                                          base_rows=None))
         parts.append("</g>")
 
         for k, layer in enumerate(layers[1:], start=1):
@@ -173,8 +174,8 @@ class MockRenderer:
                 )
             layer_data = self._data_values(layer) or base_data
             parts.append(f'<g data-role="overlay" data-layer="{k}">')
-            parts.extend(self._layer_elements(layer, layer_mark, layer_enc, layer_data,
-                                              scales, base_rows=base_data))
+            parts.extend(self._layer_elements(layer_mark, layer_enc, layer_data, scales,
+                                              base_rows=base_data))
             parts.append("</g>")
         parts.append("</svg>")
         return "".join(parts)
@@ -195,6 +196,11 @@ class MockRenderer:
             if isinstance(datum, dict) and field in datum and datum[field] not in seen:
                 seen.append(datum[field])
         return seen
+
+    @classmethod
+    def _series_values(cls, data: list, field: str | None) -> list:
+        """Distinct series values in first-seen order; null is no series."""
+        return [v for v in cls._distinct(data, field) if v is not None]
 
     @staticmethod
     def _numeric_domain(data: list, field: str | None) -> tuple[float, float]:
@@ -229,130 +235,91 @@ class MockRenderer:
                 matches.append(i)
         return matches
 
-    def _layer_elements(self, layer: dict, mark: str, encoding: dict, data: list,
-                        scales, base_rows: list | None) -> list[str]:
+    def _layer_elements(self, mark: str, encoding: dict, data: list, scales,
+                        base_rows: list | None) -> list[str]:
+        """One element per group of the layer's data: per series for line marks,
+        per series (else per datum) for arc and pie marks, per datum otherwise.
+
+        A group's data-row lists its own indices in the base layer and, in an
+        overlay, the base rows its data matches (omitted when none match).
+        A datum whose series value is missing or null has no series.
+        """
         for i, datum in enumerate(data):
             if not isinstance(datum, dict):
                 raise RendererRejectedSpec(f"datum {i} is not an object")
+        series_field = _enc_field(encoding, "color") or _enc_field(encoding, "detail")
+        series_values = self._series_values(data, series_field)
+
+        def series_of(datum: dict):
+            return datum.get(series_field) if series_field else None
+
+        by_series = mark == "line" or (mark in ("arc", "pie") and series_field)
+        groups: dict = {}
+        for i, datum in enumerate(data):
+            groups.setdefault(series_of(datum) if by_series else i, []).append((i, datum))
+
+        out = []
+        for n, members in enumerate(groups.values()):
+            if base_rows is None:
+                rows = [i for i, _ in members]
+            else:
+                rows = sorted({m for _, d in members for m in self._match_rows(d, base_rows)})
+            attrs = f' data-row="{";".join(str(r) for r in rows)}"' if rows else ""
+            series = series_of(members[0][1])
+            if series is not None:
+                attrs += f" data-series={quoteattr(str(series))}"
+            if mark in ("arc", "pie"):
+                color = PALETTE[n % len(PALETTE)]
+            elif series is not None:
+                color = PALETTE[series_values.index(series) % len(PALETTE)]
+            else:
+                color = PALETTE[0]
+            tag, geometry = self._shape(mark, encoding, [d for _, d in members],
+                                        (n, len(groups)), scales, color)
+            out.append(f"<{tag}{attrs}{geometry}")
+        return out
+
+    def _shape(self, mark: str, encoding: dict, members: list,
+               position: tuple[int, int], scales, color: str) -> tuple[str, str]:
+        """A group's element tag and everything after its data attributes."""
         x_order, y_lo, y_hi = scales
         x_field = _enc_field(encoding, "x")
         y_field = _enc_field(encoding, "y")
-        series_field = _enc_field(encoding, "color") or _enc_field(encoding, "detail")
-        text_field = _enc_field(encoding, "text")
-        series_values = self._distinct(data, series_field)
-
-        def row_attr(datum: dict, row: int | None) -> str:
-            if base_rows is None:
-                return f' data-row="{row}"'
-            matches = self._match_rows(datum, base_rows)
-            if matches:
-                return f' data-row="{";".join(str(m) for m in matches)}"'
-            return ""
-
-        def series_attr(datum: dict) -> str:
-            if series_field is not None and series_field in datum:
-                return f" data-series={quoteattr(str(datum[series_field]))}"
-            return ""
-
-        def color_for(datum: dict) -> str:
-            if series_field is not None and series_field in datum:
-                try:
-                    return PALETTE[series_values.index(datum[series_field]) % len(PALETTE)]
-                except ValueError:
-                    pass
-            return PALETTE[0]
-
-        out = []
-        if mark in ("line", "area"):
-            groups: dict = {}
-            for i, datum in enumerate(data):
-                key = datum.get(series_field) if series_field else None
-                groups.setdefault(key, []).append((i, datum))
-            for key, members in groups.items():
-                points = " L ".join(
-                    f"{_fmt(self._x_pos(x_order, d.get(x_field)))} "
-                    f"{_fmt(self._y_pos(y_lo, y_hi, d.get(y_field)))}"
-                    for _, d in members
-                )
-                color = (PALETTE[series_values.index(key) % len(PALETTE)]
-                         if key is not None and key in series_values else PALETTE[0])
-                if base_rows is None:
-                    rows = ";".join(str(i) for i, _ in members)
-                    row_part = f' data-row="{rows}"'
-                else:
-                    matched: list[int] = []
-                    for _, d in members:
-                        matched.extend(self._match_rows(d, base_rows))
-                    row_part = (f' data-row="{";".join(str(m) for m in sorted(set(matched)))}"'
-                                if matched else "")
-                series_part = f" data-series={quoteattr(str(key))}" if key is not None else ""
-                out.append(
-                    f'<path{row_part}{series_part} d="M {points}" fill="none" '
-                    f'stroke="{color}" stroke-width="2"/>'
-                )
-        elif mark in ("arc", "pie"):
-            groups = {}
-            for i, datum in enumerate(data):
-                key = datum.get(series_field) if series_field else i
-                groups.setdefault(key, []).append((i, datum))
-            total = len(groups) or 1
-            for n, (key, members) in enumerate(groups.items()):
-                a0 = 2 * math.pi * n / total
-                a1 = 2 * math.pi * (n + 1) / total
-                x0, y0 = 320 + 120 * math.cos(a0), 180 + 120 * math.sin(a0)
-                x1, y1 = 320 + 120 * math.cos(a1), 180 + 120 * math.sin(a1)
-                color = PALETTE[n % len(PALETTE)]
-                if base_rows is None:
-                    rows = ";".join(str(i) for i, _ in members)
-                    row_part = f' data-row="{rows}"'
-                else:
-                    matched = []
-                    for _, d in members:
-                        matched.extend(self._match_rows(d, base_rows))
-                    row_part = (f' data-row="{";".join(str(m) for m in sorted(set(matched)))}"'
-                                if matched else "")
-                series_part = (f" data-series={quoteattr(str(key))}"
-                               if series_field is not None else "")
-                out.append(
-                    f'<path{row_part}{series_part} d="M 320 180 L {_fmt(x0)} {_fmt(y0)} '
-                    f'A 120 120 0 0 1 {_fmt(x1)} {_fmt(y1)} Z" fill="{color}"/>'
-                )
-        else:
-            for i, datum in enumerate(data):
-                x = self._x_pos(x_order, datum.get(x_field))
-                y = self._y_pos(y_lo, y_hi, datum.get(y_field))
-                attrs = row_attr(datum, i) + series_attr(datum)
-                color = color_for(datum)
-                if mark == "bar":
-                    out.append(
-                        f'<rect{attrs} x="{_fmt(x - 10)}" y="{_fmt(y)}" width="20" '
-                        f'height="{_fmt(_PLOT_BOTTOM - y)}" fill="{color}"/>'
-                    )
-                elif mark in ("point", "circle", "scatter", "square"):
-                    out.append(f'<circle{attrs} cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" '
-                               f'fill="{color}"/>')
-                elif mark == "text":
-                    label = str(datum.get(text_field, "")) if text_field else ""
-                    out.append(
-                        f'<text{attrs} x="{_fmt(x)}" y="{_fmt(y - 8)}">{escape(label)}</text>'
-                    )
-                elif mark == "rule":
-                    if y_field is not None and x_field is None:
-                        out.append(
-                            f'<line{attrs} x1="{_fmt(_PLOT_LEFT)}" y1="{_fmt(y)}" '
-                            f'x2="{_fmt(_PLOT_RIGHT)}" y2="{_fmt(y)}" stroke="#333"/>'
-                        )
-                    else:
-                        out.append(
-                            f'<line{attrs} x1="{_fmt(x)}" y1="{_fmt(_PLOT_TOP)}" '
-                            f'x2="{_fmt(x)}" y2="{_fmt(_PLOT_BOTTOM)}" stroke="#333"/>'
-                        )
-                elif mark == "tick":
-                    out.append(
-                        f'<line{attrs} x1="{_fmt(x - 6)}" y1="{_fmt(y)}" '
-                        f'x2="{_fmt(x + 6)}" y2="{_fmt(y)}" stroke="#333"/>'
-                    )
-        return out
+        if mark == "line":
+            points = " L ".join(
+                f"{_fmt(self._x_pos(x_order, d.get(x_field)))} "
+                f"{_fmt(self._y_pos(y_lo, y_hi, d.get(y_field)))}"
+                for d in members
+            )
+            return "path", f' d="M {points}" fill="none" stroke="{color}" stroke-width="2"/>'
+        if mark in ("arc", "pie"):
+            n, total = position
+            a0 = 2 * math.pi * n / total
+            a1 = 2 * math.pi * (n + 1) / total
+            x0, y0 = 320 + 120 * math.cos(a0), 180 + 120 * math.sin(a0)
+            x1, y1 = 320 + 120 * math.cos(a1), 180 + 120 * math.sin(a1)
+            return "path", (f' d="M 320 180 L {_fmt(x0)} {_fmt(y0)} '
+                            f'A 120 120 0 0 1 {_fmt(x1)} {_fmt(y1)} Z" fill="{color}"/>')
+        (datum,) = members
+        x = self._x_pos(x_order, datum.get(x_field))
+        y = self._y_pos(y_lo, y_hi, datum.get(y_field))
+        if mark == "bar":
+            return "rect", (f' x="{_fmt(x - 10)}" y="{_fmt(y)}" width="20" '
+                            f'height="{_fmt(_PLOT_BOTTOM - y)}" fill="{color}"/>')
+        if mark == "text":
+            text_field = _enc_field(encoding, "text")
+            label = str(datum.get(text_field, "")) if text_field else ""
+            return "text", f' x="{_fmt(x)}" y="{_fmt(y - 8)}">{escape(label)}</text>'
+        if mark == "rule" and y_field is not None and x_field is None:
+            return "line", (f' x1="{_fmt(_PLOT_LEFT)}" y1="{_fmt(y)}" '
+                            f'x2="{_fmt(_PLOT_RIGHT)}" y2="{_fmt(y)}" stroke="#333"/>')
+        if mark == "rule":
+            return "line", (f' x1="{_fmt(x)}" y1="{_fmt(_PLOT_TOP)}" '
+                            f'x2="{_fmt(x)}" y2="{_fmt(_PLOT_BOTTOM)}" stroke="#333"/>')
+        if mark == "tick":
+            return "line", (f' x1="{_fmt(x - 6)}" y1="{_fmt(y)}" '
+                            f'x2="{_fmt(x + 6)}" y2="{_fmt(y)}" stroke="#333"/>')
+        return "circle", f' cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{color}"/>'
 
 
 class CommandRenderer:
@@ -382,22 +349,29 @@ class CommandRenderer:
         return result.stdout.decode("utf-8")
 
 
-def render_visualization(spec: VisualizationSpec, renderer) -> tuple[str, SvgDoc]:
-    """Render a spec, enforce the metadata contract, and return the SVG text
-    with its parsed document."""
-    problems = visualization_structure_violations(spec.spec)
-    if problems:
-        raise PreconditionError("spec is structurally invalid: " + "; ".join(problems))
-    svg_text = renderer.render(spec.spec)
+def read_rendering(svg_text: str, table: DataTable) -> Rendering:
+    """Parse a renderer's SVG and index its marks against the table.
+
+    Invalid SVG raises RendererCrashed; a mark with missing, malformed, or
+    out-of-table data-row metadata raises MetadataMissing.
+    """
     try:
         doc = parse_svg(svg_text)
     except (XmlParseError, NotSvg) as e:
         raise RendererCrashed(0, f"renderer emitted invalid SVG: {e}") from None
     try:
-        index_marks(doc)
+        index = index_marks(doc, table)
     except UnboundMark as e:
-        raise MetadataMissing(e.element_id) from None
-    return svg_text, doc
+        raise MetadataMissing(e.element_id, e.detail) from None
+    return Rendering(svg=svg_text, doc=doc, index=index)
+
+
+def render_visualization(spec: VisualizationSpec, renderer, table: DataTable) -> Rendering:
+    """Render a spec and read the result against the table (see read_rendering)."""
+    problems = visualization_structure_violations(spec.spec)
+    if problems:
+        raise PreconditionError("spec is structurally invalid: " + "; ".join(problems))
+    return read_rendering(renderer.render(spec.spec), table)
 
 
 @dataclass(frozen=True)

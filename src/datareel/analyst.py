@@ -23,8 +23,9 @@ from .model import (
     mark_type,
     parse_insight_type,
     parse_visualization_type,
+    spec_layers,
+    structure_violations,
     title_text,
-    visualization_structure_violations,
 )
 from .runtime import ChatSession, SchemaError, extract_json, repair_loop
 
@@ -98,23 +99,13 @@ def _iter_encodings(spec: dict):
                 yield f"layer[{i}].encoding", layer["encoding"]
 
 
-def _layers(spec: dict) -> list[dict]:
-    layers = spec.get("layer")
-    if isinstance(layers, list):
-        return [l for l in layers if isinstance(l, dict)]
-    return [spec]
-
-
 def validate_visualization(spec: VisualizationSpec) -> ValidationReport:
     """Report structural violations and presentation advisories for a spec.
 
     Never raises: violations are fatal to the repair loop, advisories are not.
     """
-    violations = []
+    violations = list(structure_violations(spec.spec, ""))
     advisories = []
-    for message in visualization_structure_violations(spec.spec):
-        code = "layer-rule" if "layer" in message else "structure"
-        violations.append(Violation(code, "", message))
     if isinstance(spec.spec, dict):
         for path, encoding in _iter_encodings(spec.spec):
             for channel, defn in encoding.items():
@@ -126,7 +117,7 @@ def validate_visualization(spec: VisualizationSpec) -> ValidationReport:
                             'the "index" column must not be visualized',
                         )
                     )
-        layers = _layers(spec.spec)
+        layers = spec_layers(spec.spec)
         if spec.vis_type == "line":
             has_points = any(
                 isinstance(l.get("mark"), dict) and l["mark"].get("point")

@@ -39,6 +39,7 @@ class UnboundMark(ContractError):
     def __init__(self, element_id: str, detail: str = "carries no data-row metadata"):
         super().__init__(f"mark element {element_id!r} {detail}")
         self.element_id = element_id
+        self.detail = detail
 
 
 class UnresolvedTarget(ContractError):
@@ -243,6 +244,16 @@ def index_marks(svg: SvgDoc, table: DataTable | None = None) -> MarkIndex:
                     series_key=mark.attrs.get("data-series"),
                 )
     return MarkIndex(entries=entries)
+
+
+@dataclass(frozen=True)
+class Rendering:
+    """One rendered chart: its SVG text, the parsed document, and the mark index
+    bound to the table."""
+
+    svg: str
+    doc: SvgDoc
+    index: MarkIndex
 
 
 def with_annotations(index: MarkIndex, svg: SvgDoc, annotation_ids) -> MarkIndex:
@@ -459,25 +470,24 @@ class Bindings:
         }
 
 
-def bind(base: SvgDoc, annotated: SvgDoc, table: DataTable | None,
-         designer_output: DesignerOutput) -> Bindings:
+def bind(base: Rendering, annotated: Rendering, designer_output: DesignerOutput) -> Bindings:
     """Resolve animation targets and assign annotation elements to directives.
 
     Targets resolve against the annotated rendering's mark index, extended
     with the elements the annotated spec added to the base rendering.
     """
-    annotation_ids = diff_annotations(base, annotated)
-    index = with_annotations(index_marks(annotated, table), annotated, annotation_ids)
+    annotation_ids = diff_annotations(base.doc, annotated.doc)
+    index = with_annotations(annotated.index, annotated.doc, annotation_ids)
     advisories = tuple(
         Violation("non-additive-change", eid,
                   "diffed element sits inside the marks group; the annotated spec "
                   "may have altered base marks instead of adding layers")
-        for eid in annotation_ids if "marks" in annotated.role_path(eid)
+        for eid in annotation_ids if "marks" in annotated.doc.role_path(eid)
     )
     resolved = [(d, resolve_targets(d, index)) for d in designer_output.animation_directives]
     directives = designer_output.annotation_directives
     assignments, match_report = match_annotation_directives(
-        annotation_ids, directives, index, svg=annotated,
+        annotation_ids, directives, index, svg=annotated.doc,
     )
     return Bindings(
         index=index,

@@ -24,7 +24,7 @@ from .model import (
     VisualizationSpec,
     classify_animation,
     parse_annotation_type,
-    visualization_structure_violations,
+    structure_violations,
 )
 from .runtime import ChatSession, SchemaError, extract_json, repair_loop
 from .timeline import SegmentNotFound, first_sentence_end, locate_span
@@ -227,14 +227,22 @@ def validate_animation_sequence(directives, narration: str,
 
 def validate_designer_output(output: DesignerOutput, narration: str,
                              resolver=None) -> ValidationReport:
-    """The designer's acceptance rule: annotated-spec structure plus animation legality."""
-    structural = tuple(
-        Violation("layer-rule" if "layer" in m else "structure", "Annotated_Visualization", m)
-        for m in visualization_structure_violations(output.annotated_visualization)
-    )
+    """The designer's acceptance rule: annotated-spec structure, animation legality,
+    and verbatim annotation segments."""
+    structural = structure_violations(output.annotated_visualization,
+                                      "Annotated_Visualization")
+    unlocatable = []
+    for i, d in enumerate(output.annotation_directives):
+        try:
+            locate_span(narration, d.nar, 0)
+        except SegmentNotFound:
+            unlocatable.append(Violation(
+                "segment-unlocatable", f"annotation[{i}]",
+                f"narration segment is not a verbatim excerpt: {d.nar!r}",
+            ))
     return ValidationReport(violations=structural).merged(
         validate_animation_sequence(output.animation_directives, narration, resolver)
-    )
+    ).merged(ValidationReport(violations=tuple(unlocatable)))
 
 
 def run_designer(session: ChatSession, vis: VisualizationSpec, narration: str,

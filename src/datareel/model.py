@@ -248,6 +248,21 @@ def visualization_structure_violations(spec) -> list[str]:
     return violations
 
 
+def structure_violations(spec, path: str) -> tuple["Violation", ...]:
+    """visualization_structure_violations as Violations at path, coded
+    "layer-rule" for the layer placement rule and "structure" otherwise."""
+    return tuple(Violation("layer-rule" if "layer" in message else "structure", path, message)
+                 for message in visualization_structure_violations(spec))
+
+
+def spec_layers(spec: dict) -> list[dict]:
+    """The layer objects of a spec in order: its "layer" list, else the spec itself."""
+    layers = spec.get("layer")
+    if isinstance(layers, list):
+        return [layer for layer in layers if isinstance(layer, dict)]
+    return [spec]
+
+
 def mark_type(layer: dict) -> str | None:
     """A layer's mark type, written as "bar" or as {"type": "bar", ...}."""
     mark = layer.get("mark")

@@ -167,8 +167,8 @@ class _Run:
         self.description = None
         self.analyst_output = None
         self.designer_output = None
-        self.base_doc = None
-        self.annotated_doc = None
+        self.base: binding.Rendering | None = None
+        self.annotated: binding.Rendering | None = None
         self.bindings: binding.Bindings | None = None
         self.tts_result = None
         self.timeline: tl.Timeline | None = None
@@ -308,15 +308,14 @@ def _summarize_analyst(payload: dict) -> list[str]:
 
 
 def _stage_base_render(run: _Run, record: dict) -> None:
-    svg_text, run.base_doc = adapters.render_visualization(
-        run.analyst_output.visualization, run.renderer())
-    run.write_artifact(record, "base.svg", svg_text)
+    run.base = adapters.render_visualization(
+        run.analyst_output.visualization, run.renderer(), run.table)
+    run.write_artifact(record, "base.svg", run.base.svg)
 
 
-def _designer_resolver(base_doc: binding.SvgDoc, table: DataTable | None):
+def _designer_resolver(base: binding.Rendering):
     """Directive targets resolved against the base rendering's marks."""
-    index = binding.index_marks(base_doc, table)
-    return lambda directive: binding.resolve_targets(directive, index)
+    return lambda directive: binding.resolve_targets(directive, base.index)
 
 
 def _stage_designer(run: _Run, record: dict) -> None:
@@ -324,7 +323,7 @@ def _stage_designer(run: _Run, record: dict) -> None:
         run.session_for("designer"), run.analyst_output.visualization,
         run.analyst_output.narration, run.table,
         max_attempts=run.config.max_repair_attempts,
-        resolver=_designer_resolver(run.base_doc, run.table),
+        resolver=_designer_resolver(run.base),
         max_rows=run.config.prompt_max_rows,
     )
     _write_agent_artifacts(run, record, "designer",
@@ -357,12 +356,12 @@ def _stage_annotated_render(run: _Run, record: dict) -> None:
         spec=run.designer_output.annotated_visualization,
         vis_type=run.analyst_output.visualization.vis_type,
     )
-    svg_text, run.annotated_doc = adapters.render_visualization(spec, run.renderer())
-    run.write_artifact(record, "annotated.svg", svg_text)
+    run.annotated = adapters.render_visualization(spec, run.renderer(), run.table)
+    run.write_artifact(record, "annotated.svg", run.annotated.svg)
 
 
 def _stage_binding(run: _Run, record: dict) -> None:
-    run.bindings = binding.bind(run.base_doc, run.annotated_doc, run.table, run.designer_output)
+    run.bindings = binding.bind(run.base, run.annotated, run.designer_output)
     run.write_artifact(record, "bindings.json", _dump_json(run.bindings.to_json()))
 
 
@@ -444,7 +443,7 @@ def _stage_video(run: _Run, record: dict) -> None:
         run.register(record, out_name)
     if run.config.export in ("html", "both"):
         html = adapters.export_html(
-            run.timeline, run.annotated_doc.to_text(), "narration.wav",
+            run.timeline, run.annotated.doc.to_text(), "narration.wav",
         )
         run.write_artifact(record, "video.html", html)
 
@@ -548,7 +547,7 @@ def validate_project(project_dir: str | Path) -> ValidationReport:
     designer_output = reload("designer", designer.designer_output_from_json)
     if designer_output is not None and analyst_output is not None:
         base_text = _load_artifact(project_dir, "base.svg")
-        resolver = (_designer_resolver(binding.parse_svg(base_text), table)
+        resolver = (_designer_resolver(adapters.read_rendering(base_text, table))
                     if base_text else None)
         add(designer.validate_designer_output(designer_output, analyst_output.narration,
                                               resolver))

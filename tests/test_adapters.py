@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import wave
@@ -13,6 +14,7 @@ from datareel.adapters import (
     MockRenderer,
     MockSynth,
     MockTts,
+    PALETTE,
     RendererCrashed,
     RendererRejectedSpec,
     SynthFailure,
@@ -24,6 +26,7 @@ from datareel.adapters import (
 )
 from datareel.binding import index_marks, parse_svg
 from datareel.errors import PreconditionError
+from datareel.ingest import parse_csv
 from datareel.model import VisualizationSpec
 from datareel.timeline import (
     Keyframe,
@@ -166,18 +169,83 @@ class TestMockRendererDetails:
             MockRenderer().render(spec)
 
 
+def _corpus_spec(mark: str, overlay: bool, series: bool) -> dict:
+    """A four-row chart drawing `mark` as the base layer, or as an overlay on bars.
+
+    Overlay data matches one base row, two base rows (shared "v"), and none.
+    """
+    encoding = {"x": {"field": "k"}, "y": {"field": "v"}, "text": {"field": "label"}}
+    values = [{"k": f"k{i}", "v": v, "label": f"t{i}"} for i, v in enumerate((3, 1, 3, 2))]
+    overlay_values = [{"k": "k1", "v": 1, "label": "t1"}, {"v": 3}, {"k": "k9", "v": 5}]
+    if series:
+        encoding["color"] = {"field": "s"}
+        for i, datum in enumerate(values):
+            datum["s"] = "AB"[i % 2]
+        for datum, s in zip(overlay_values, "BAB"):
+            datum["s"] = s
+    if not overlay:
+        return {"title": "Corpus", "mark": mark, "encoding": encoding,
+                "data": {"values": values}}
+    return {"title": "Corpus", "data": {"values": values},
+            "layer": [{"mark": "bar", "encoding": encoding},
+                      {"mark": mark, "encoding": encoding,
+                       "data": {"values": overlay_values}}]}
+
+
+class TestMarkEmitter:
+    def test_corpus_digest(self):
+        # every mark family, base and overlay, with and without a series field
+        svgs = [MockRenderer().render(_corpus_spec(mark, overlay, series))
+                for mark in MockRenderer.SUPPORTED_MARKS
+                for overlay in (False, True) for series in (True, False)]
+        digest = hashlib.sha256("\n".join(svgs).encode("utf-8")).hexdigest()
+        assert digest == "20e3b0ea81b07eda33aba774fe3b13fe3325040c03ff9208dd1cfe5c08d6ab33"
+
+    @pytest.mark.parametrize("mark", MockRenderer.SUPPORTED_MARKS)
+    def test_null_or_missing_series_is_no_series(self, mark):
+        values = [{"k": "k0", "v": 1, "s": "A"}, {"k": "k1", "v": 2, "s": None},
+                  {"k": "k2", "v": 3}, {"k": "k3", "v": 4, "s": "B"}]
+        spec = {"mark": mark, "data": {"values": values},
+                "encoding": {"x": {"field": "k"}, "y": {"field": "v"},
+                             "color": {"field": "s"}}}
+        svg_text = MockRenderer().render(spec)
+        doc = parse_svg(svg_text)
+        assert "None" not in svg_text
+        assert [el.attrs["data-series"] for el in doc.elements
+                if doc.role_path(el.id) == ("legend",)] == ["A", "B"]
+        index = index_marks(doc)
+        marks = [doc.by_id[eid] for eid in sorted(index.mark_ids(), key=lambda e: int(e[1:]))]
+        series = {tuple(sorted(index.entries[el.id].data_rows)): el.attrs.get("data-series")
+                  for el in marks}
+        if mark in ("line", "arc", "pie"):
+            assert series == {(0,): "A", (1, 2): None, (3,): "B"}
+        else:
+            assert series == {(0,): "A", (1,): None, (2,): None, (3,): "B"}
+        for position, el in enumerate(marks):
+            colors = {el.attrs.get("fill"), el.attrs.get("stroke")} - {None, "none", "#333"}
+            if mark in ("arc", "pie"):
+                assert colors == {PALETTE[position]}
+            elif colors:
+                assert colors == {PALETTE[{"A": 0, None: 0, "B": 1}[el.attrs.get("data-series")]]}
+
+
+BAR_TABLE = parse_csv("k,v\n" + "\n".join(f"k{i},{i + 1}" for i in range(3)), "bars")
+
+
 class TestRenderVisualization:
     def test_happy_path(self):
         spec = VisualizationSpec(spec=_bar_spec(), vis_type="bar")
-        svg_text, doc = render_visualization(spec, MockRenderer())
-        assert svg_text.startswith("<svg")
-        assert doc.to_text() == parse_svg(svg_text).to_text()
-        assert [el.id for el in doc.elements] == [el.id for el in parse_svg(svg_text).elements]
+        rendering = render_visualization(spec, MockRenderer(), BAR_TABLE)
+        assert rendering.svg.startswith("<svg")
+        reparsed = parse_svg(rendering.svg)
+        assert rendering.doc.to_text() == reparsed.to_text()
+        assert [el.id for el in rendering.doc.elements] == [el.id for el in reparsed.elements]
+        assert rendering.index == index_marks(reparsed, BAR_TABLE)
 
     def test_structurally_invalid_spec_is_precondition_error(self):
         spec = VisualizationSpec(spec={"data": {}}, vis_type="bar")
         with pytest.raises(PreconditionError):
-            render_visualization(spec, MockRenderer())
+            render_visualization(spec, MockRenderer(), BAR_TABLE)
 
     def test_metadata_missing_detected(self):
         class BadRenderer:
@@ -186,7 +254,7 @@ class TestRenderVisualization:
 
         spec = VisualizationSpec(spec=_bar_spec(), vis_type="bar")
         with pytest.raises(MetadataMissing) as err:
-            render_visualization(spec, BadRenderer())
+            render_visualization(spec, BadRenderer(), BAR_TABLE)
         assert "data-row" in str(err.value)
 
     def test_invalid_svg_output_is_adapter_error(self):
@@ -196,7 +264,7 @@ class TestRenderVisualization:
 
         spec = VisualizationSpec(spec=_bar_spec(), vis_type="bar")
         with pytest.raises(RendererCrashed):
-            render_visualization(spec, GarbageRenderer())
+            render_visualization(spec, GarbageRenderer(), BAR_TABLE)
 
     def test_command_renderer_rejection_propagates(self, command_renderer):
         spec = VisualizationSpec(
@@ -205,7 +273,7 @@ class TestRenderVisualization:
             vis_type="bar",
         )
         with pytest.raises(RendererRejectedSpec):
-            render_visualization(spec, command_renderer)
+            render_visualization(spec, command_renderer, BAR_TABLE)
 
 
 @pytest.fixture

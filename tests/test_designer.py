@@ -255,6 +255,23 @@ class TestRunDesigner:
         assert repair.attempts == 2
         assert output.animation_directives[0].narration == "Series A rises"
 
+    def test_unlocatable_annotation_segment_is_repaired(self, table):
+        def reply(nar):
+            return _reply(annotations=[{"type": ["text"], "description": "note",
+                                        "index": [0], "nar": nar}])
+
+        backend = MockChatBackend([{"reply": reply("This text was changed.")},
+                                   {"reply": reply("Series A rises")}])
+        output, report, repair = run_designer(
+            ChatSession(backend=backend), VIS, NARRATION, table, max_attempts=2
+        )
+        assert repair.attempts == 2
+        assert repair.violations_per_attempt[0] == [
+            "[segment-unlocatable] at annotation[0]: narration segment is not a verbatim "
+            "excerpt: 'This text was changed.'"
+        ]
+        assert output.annotation_directives[0].nar == "Series A rises"
+
     def test_layer_rule_violation_exhausts(self, table):
         bad_spec = {"layer": [{"mark": "line", "encoding": {}}], "mark": "line"}
         reply = _reply(spec=bad_spec)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from datareel.adapters import MetadataMissing
 from datareel.cli import main
 from datareel.errors import PreconditionError, StageError
 from datareel.pipeline import (
@@ -91,6 +92,21 @@ class TestRunPipeline:
                           "violations_per_attempt": [["Description: missing key"], []]}
         description = json.loads((out / "description.json").read_text())
         assert description["Description"].startswith("Daily closing stock prices")
+
+    def test_rows_outside_the_table_fail_at_base_render(self, mock_project_config, tmp_path):
+        script = json.loads(Path(TRANSCRIPTS["analyst"]).read_text())
+        reply = script[0]["reply"]
+        payload = json.loads(reply[reply.index("{"):reply.rindex("}") + 1])
+        values = payload["Visualization"]["data"]["values"]
+        values.append(dict(values[0]))  # a 21st datum for a 20-row table
+        transcript = tmp_path / "analyst.json"
+        transcript.write_text(json.dumps([{**script[0], "reply": json.dumps(payload)}]))
+        config = mock_project_config(transcripts={**TRANSCRIPTS, "analyst": str(transcript)})
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "base_render"
+        assert isinstance(err.value.cause, MetadataMissing)
+        assert "references rows outside the table ('0;1;2;3;4;20', 20 rows)" in str(err.value)
 
     def test_case_study_shape(self, completed_project):
         out, _ = completed_project
@@ -243,6 +259,14 @@ class TestValidateRerunsRunChecks:
         _rewrite_artifact(project_copy, "designer.json", payload)
         report = validate_project(project_copy)
         assert [v.code for v in report.violations] == ["layer-rule"]
+
+    def test_annotation_segment_must_be_verbatim(self, project_copy):
+        payload = json.loads((project_copy / "designer.json").read_text())
+        payload["Annotated_Narration_for_Annotation"][0]["nar"] = "Not in the narration."
+        _rewrite_artifact(project_copy, "designer.json", payload)
+        report = validate_project(project_copy)
+        assert [(v.code, v.path) for v in report.violations] == [
+            ("segment-unlocatable", "annotation[0]")]
 
     def test_targets_resolve_against_the_base_rendering(self, project_copy):
         # run resolved targets on base.svg; an unreadable annotated.svg must not matter

@@ -7,6 +7,7 @@ fail with a KeyError, so the hook table is checked here against the package.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,7 @@ def test_every_traced_layer_records_a_span(mock_project_config):
     """A stock-demo compile plus validate must reach every layer the benchmark reports.
 
     A layer whose patched attribute is no longer called would silently read 0.
+    The parse and index span counts pin that no rendering is read twice.
     """
     from datareel import pipeline
 
@@ -53,3 +55,7 @@ def test_every_traced_layer_records_a_span(mock_project_config):
     assert sorted({layer for _, _, layer, _ in tracing.SPANS} - recorded) == []
     counts = tracer.counts[tracer.compile_id]
     assert counts["runtime.accepted"] == counts["runtime.completions"] == 3
+    # each rendering is parsed and indexed once, `validate` reads base.svg once more,
+    # and binding extends the annotated index once
+    spans = Counter(span["name"] for span in tracer.spans)
+    assert (spans["binding.parse_svg"], spans["binding.index_marks"]) == (3, 4)
