@@ -88,6 +88,95 @@ def _enc_field(encoding: dict, channel: str) -> str | None:
     return None
 
 
+class _Ordinal:
+    """Distinct values in first-seen order, each with its position.
+
+    Two values are the same when a list's `in` says so: identical, or `==`.
+    Hashable values are looked up in a dict, which compares the same way;
+    unhashable ones (list or dict cells) by a scan over the unhashable values
+    seen so far.
+    """
+
+    def __init__(self, values=()):
+        self.values: list = []
+        self._positions: dict = {}
+        self._unhashable: list = []
+        for value in values:
+            self.add(value)
+
+    def position(self, value) -> int | None:
+        try:
+            return self._positions.get(value)
+        except TypeError:
+            return next((i for seen, i in self._unhashable
+                         if seen is value or seen == value), None)
+
+    def add(self, value) -> None:
+        if self.position(value) is not None:
+            return
+        try:
+            self._positions[value] = len(self.values)
+        except TypeError:
+            self._unhashable.append((value, len(self.values)))
+        self.values.append(value)
+
+
+def _dict_comparable(values: tuple) -> bool:
+    """Whether a dict lookup on these values agrees with `==`: plain JSON
+    scalars other than NaN, which a dict matches by identity."""
+    return all(type(v) in (str, int, bool, type(None)) or (type(v) is float and v == v)
+               for v in values)
+
+
+class _RowIndex:
+    """The base rows an overlay datum matches, found by dict lookups.
+
+    A row matches when it shares at least one key with the datum and is `==`
+    to it on every shared key. Rows are grouped by key set; per group and
+    shared-key tuple, a table maps the rows' values on those keys to their
+    indices. Values a dict cannot compare like `==` (see _dict_comparable)
+    are compared one row at a time.
+    """
+
+    def __init__(self, rows: list[dict]):
+        self._rows = rows
+        self._groups: dict = {}
+        for i, row in enumerate(rows):
+            self._groups.setdefault(frozenset(row), (tuple(row), []))[1].append(i)
+        self._tables: dict = {}
+
+    def _table(self, keyset: frozenset, shared: tuple, members: list[int]):
+        table = self._tables.get((keyset, shared))
+        if table is None:
+            by_values: dict = {}
+            compared: list[int] = []
+            for i in members:
+                values = tuple(self._rows[i][k] for k in shared)
+                if _dict_comparable(values):
+                    by_values.setdefault(values, []).append(i)
+                else:
+                    compared.append(i)
+            table = self._tables[(keyset, shared)] = (by_values, compared)
+        return table
+
+    def matches(self, datum: dict) -> list[int]:
+        """Indices of the rows the datum matches, in no particular order."""
+        out = []
+        for keyset, (keys, members) in self._groups.items():
+            shared = tuple(k for k in keys if k in datum)
+            if not shared:
+                continue
+            values = tuple(datum[k] for k in shared)
+            if _dict_comparable(values):
+                by_values, compared = self._table(keyset, shared, members)
+                out.extend(by_values.get(values, ()))
+            else:
+                compared = members
+            out.extend(i for i in compared
+                       if all(datum[k] == self._rows[i][k] for k in shared))
+        return out
+
+
 class MockRenderer:
     """Deterministic structural renderer for Vega-Lite-shaped specs.
 
@@ -130,6 +219,7 @@ class MockRenderer:
         series_field = _enc_field(base_enc, "color") or _enc_field(base_enc, "detail")
         x_order = self._distinct(base_data, x_field)
         y_lo, y_hi = self._numeric_domain(base_data, y_field)
+        legend = self._series_values(base_data, series_field)
 
         parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" height="360">']
         title = title_text(spec)
@@ -151,11 +241,10 @@ class MockRenderer:
                 f"<text x=\"20\" y=\"180\">{escape(y_field or '')}</text></g>"
             )
         if series_field is not None:
-            series_values = self._series_values(base_data, series_field)
             legend_items = "".join(
                 f'<text data-series={quoteattr(str(v))} x="612" y="{_fmt(60 + 18 * i)}">'
                 f"{escape(str(v))}</text>"
-                for i, v in enumerate(series_values)
+                for i, v in enumerate(legend)
             )
             parts.append(f'<g data-role="legend">{legend_items}</g>')
 
@@ -164,6 +253,8 @@ class MockRenderer:
         parts.extend(self._layer_elements(base_mark, base_enc, base_data, scales,
                                           base_rows=None))
         parts.append("</g>")
+
+        base_index = _RowIndex(base_data) if len(layers) > 1 else None
 
         for k, layer in enumerate(layers[1:], start=1):
             layer_enc = layer.get("encoding") if isinstance(layer.get("encoding"), dict) else {}
@@ -175,7 +266,7 @@ class MockRenderer:
             layer_data = self._data_values(layer) or base_data
             parts.append(f'<g data-role="overlay" data-layer="{k}">')
             parts.extend(self._layer_elements(layer_mark, layer_enc, layer_data, scales,
-                                              base_rows=base_data))
+                                              base_rows=base_index))
             parts.append("</g>")
         parts.append("</svg>")
         return "".join(parts)
@@ -188,19 +279,15 @@ class MockRenderer:
         return None
 
     @staticmethod
-    def _distinct(data: list, field: str | None) -> list:
+    def _distinct(data: list, field: str | None) -> _Ordinal:
         if field is None:
-            return []
-        seen = []
-        for datum in data:
-            if isinstance(datum, dict) and field in datum and datum[field] not in seen:
-                seen.append(datum[field])
-        return seen
+            return _Ordinal()
+        return _Ordinal(d[field] for d in data if isinstance(d, dict) and field in d)
 
     @classmethod
     def _series_values(cls, data: list, field: str | None) -> list:
         """Distinct series values in first-seen order; null is no series."""
-        return [v for v in cls._distinct(data, field) if v is not None]
+        return [v for v in cls._distinct(data, field).values if v is not None]
 
     @staticmethod
     def _numeric_domain(data: list, field: str | None) -> tuple[float, float]:
@@ -213,11 +300,12 @@ class MockRenderer:
             return 0.0, 1.0
         return min(values), max(values)
 
-    def _x_pos(self, x_order: list, value) -> float:
-        if value not in x_order or len(x_order) <= 1:
+    @staticmethod
+    def _x_pos(x_order: _Ordinal, value) -> float:
+        idx = x_order.position(value)
+        if idx is None or len(x_order.values) <= 1:
             return (_PLOT_LEFT + _PLOT_RIGHT) / 2
-        idx = x_order.index(value)
-        return _PLOT_LEFT + idx * (_PLOT_RIGHT - _PLOT_LEFT) / (len(x_order) - 1)
+        return _PLOT_LEFT + idx * (_PLOT_RIGHT - _PLOT_LEFT) / (len(x_order.values) - 1)
 
     @staticmethod
     def _y_pos(lo: float, hi: float, value) -> float:
@@ -226,17 +314,8 @@ class MockRenderer:
         frac = (float(value) - lo) / (hi - lo)
         return _PLOT_BOTTOM - frac * (_PLOT_BOTTOM - _PLOT_TOP)
 
-    @staticmethod
-    def _match_rows(datum: dict, base_rows: list) -> list[int]:
-        matches = []
-        for i, row in enumerate(base_rows):
-            shared = set(datum) & set(row)
-            if shared and all(datum[k] == row[k] for k in shared):
-                matches.append(i)
-        return matches
-
     def _layer_elements(self, mark: str, encoding: dict, data: list, scales,
-                        base_rows: list | None) -> list[str]:
+                        base_rows: _RowIndex | None) -> list[str]:
         """One element per group of the layer's data: per series for line marks,
         per series (else per datum) for arc and pie marks, per datum otherwise.
 
@@ -248,7 +327,7 @@ class MockRenderer:
             if not isinstance(datum, dict):
                 raise RendererRejectedSpec(f"datum {i} is not an object")
         series_field = _enc_field(encoding, "color") or _enc_field(encoding, "detail")
-        series_values = self._series_values(data, series_field)
+        series_order = _Ordinal(self._series_values(data, series_field))
 
         def series_of(datum: dict):
             return datum.get(series_field) if series_field else None
@@ -263,7 +342,7 @@ class MockRenderer:
             if base_rows is None:
                 rows = [i for i, _ in members]
             else:
-                rows = sorted({m for _, d in members for m in self._match_rows(d, base_rows)})
+                rows = sorted({m for _, d in members for m in base_rows.matches(d)})
             attrs = f' data-row="{";".join(str(r) for r in rows)}"' if rows else ""
             series = series_of(members[0][1])
             if series is not None:
@@ -271,7 +350,7 @@ class MockRenderer:
             if mark in ("arc", "pie"):
                 color = PALETTE[n % len(PALETTE)]
             elif series is not None:
-                color = PALETTE[series_values.index(series) % len(PALETTE)]
+                color = PALETTE[series_order.position(series) % len(PALETTE)]
             else:
                 color = PALETTE[0]
             tag, geometry = self._shape(mark, encoding, [d for _, d in members],

@@ -225,42 +225,18 @@ def complete(session: ChatSession, user_message: str) -> str:
     return reply
 
 
-def _scan_balanced(text: str, start: int) -> int | None:
-    """Return end offset (exclusive) of a balanced JSON value starting at start."""
-    pairs = {"{": "}", "[": "]"}
-    stack = [pairs[text[start]]]
-    in_string = False
-    escaped = False
-    i = start + 1
-    while i < len(text):
-        ch = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch in pairs:
-            stack.append(pairs[ch])
-        elif ch in ("}", "]"):
-            if ch != stack.pop():
-                return None
-            if not stack:
-                return i + 1
-        i += 1
-    return None
+_DECODER = json.JSONDecoder()
 
 
 def extract_json(raw: str):
-    """Extract the first syntactically complete JSON object or array from a reply.
+    """Extract the first JSON object or array in a reply that parses.
 
-    Tolerates Markdown code fences and leading/trailing prose; string escapes
-    are honored so braces inside strings never confuse the scan. Raises
-    NoJsonFound when the reply has no JSON at all, MalformedJson(position)
-    when opening delimiters never complete.
+    Tolerates Markdown code fences and leading/trailing prose: each `{` or `[`
+    in turn is handed to the C JSON scanner, which honours string escapes, so
+    braces inside strings never confuse it, and the first value that parses
+    is returned. A value nested past the interpreter's recursion limit does
+    not parse. Raises NoJsonFound when the reply has no `{` or `[` at all,
+    MalformedJson(position of the first one) when none of them parses.
     """
     if not raw or not raw.strip():
         raise NoJsonFound("reply is empty")
@@ -273,12 +249,10 @@ def extract_json(raw: str):
         start = min(candidates)
         if first_candidate is None:
             first_candidate = start
-        end = _scan_balanced(raw, start)
-        if end is not None:
-            try:
-                return json.loads(raw[start:end])
-            except ValueError:
-                pass
+        try:
+            return _DECODER.raw_decode(raw, start)[0]
+        except (ValueError, RecursionError):
+            pass
         i = start + 1
     if first_candidate is None:
         raise NoJsonFound("reply contains no JSON object or array")

@@ -180,3 +180,68 @@ def reference_visible_at(timeline, element_id: str, t: float) -> bool:
         return timeline.initial_visibility.get(element_id, "visible") == "visible"
     return all(reference_value_at(timeline, element_id, prop, t) > 0.0
                for prop in ("opacity", "scale", "clip_fraction", "wheel_fraction"))
+
+
+def reference_match_rows(datum: dict, base_rows: list[dict]) -> list[int]:
+    """The base rows an overlay datum matches, by comparing it with every row:
+    a row matches when it shares at least one key with the datum and every
+    shared key is `==`. Ascending."""
+    matches = []
+    for i, row in enumerate(base_rows):
+        shared = set(datum) & set(row)
+        if shared and all(datum[k] == row[k] for k in shared):
+            matches.append(i)
+    return matches
+
+
+def _reference_balanced_end(text: str, start: int) -> int | None:
+    """End offset (exclusive) of the bracket-balanced span starting at start,
+    by a character loop that tracks strings and escapes; None if unbalanced."""
+    pairs = {"{": "}", "[": "]"}
+    stack = [pairs[text[start]]]
+    in_string = False
+    escaped = False
+    for i in range(start + 1, len(text)):
+        ch = text[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in pairs:
+            stack.append(pairs[ch])
+        elif ch in ("}", "]"):
+            if ch != stack.pop():
+                return None
+            if not stack:
+                return i + 1
+    return None
+
+
+def reference_extract_json(raw: str):
+    """The first `{`/`[` whose balanced span parses with json.loads.
+
+    Raises the same NoJsonFound / MalformedJson(first candidate) as
+    datareel.runtime.extract_json.
+    """
+    import json
+
+    from datareel.runtime import MalformedJson, NoJsonFound
+
+    if not raw or not raw.strip():
+        raise NoJsonFound("reply is empty")
+    candidates = [i for i, ch in enumerate(raw) if ch in "{["]
+    for start in candidates:
+        end = _reference_balanced_end(raw, start)
+        if end is not None:
+            try:
+                return json.loads(raw[start:end])
+            except ValueError:
+                pass
+    if not candidates:
+        raise NoJsonFound("reply contains no JSON object or array")
+    raise MalformedJson(candidates[0])

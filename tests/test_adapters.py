@@ -4,6 +4,8 @@ import sys
 import wave
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from datareel.adapters import (
     CommandRenderer,
@@ -28,6 +30,7 @@ from datareel.binding import index_marks, parse_svg
 from datareel.errors import PreconditionError
 from datareel.ingest import parse_csv
 from datareel.model import VisualizationSpec
+from helpers import reference_match_rows
 from datareel.timeline import (
     Keyframe,
     PlacedDirective,
@@ -227,6 +230,41 @@ class TestMarkEmitter:
                 assert colors == {PALETTE[position]}
             elif colors:
                 assert colors == {PALETTE[{"A": 0, None: 0, "B": 1}[el.attrs.get("data-series")]]}
+
+
+# Cells that compare alike under `==` but not under identity (1, 1.0, True;
+# 0, -0.0, False), json.loads's one NaN object, a second NaN, and cells a
+# dict cannot hold (lists, objects).
+_cells = st.one_of(
+    st.sampled_from([0, 1, 2, 1.0, -0.0, 2.5, True, False, None, "", "1", "a",
+                     json.loads("NaN"), float("nan")]),
+    st.text(alphabet="ab", max_size=2),
+    st.lists(st.sampled_from([1, 1.0, "a"]), max_size=2),
+    st.dictionaries(st.sampled_from("xy"), st.sampled_from([1, True]), max_size=1),
+)
+_join_rows = st.dictionaries(st.sampled_from(["k", "v", "s"]), _cells, max_size=3)
+
+
+class TestOverlayJoin:
+    @given(st.lists(_join_rows, min_size=1, max_size=12), st.lists(_join_rows, min_size=1, max_size=6))
+    def test_overlay_data_rows_equal_the_linear_join(self, base_rows, overlay_rows):
+        spec = {"data": {"values": base_rows},
+                "layer": [{"mark": "point", "encoding": {}},
+                          {"mark": "point", "encoding": {}, "data": {"values": overlay_rows}}]}
+        overlay = parse_svg(MockRenderer().render(spec)).elements
+        rows = [el.attrs.get("data-row") for el in overlay if el.tag == "circle"][len(base_rows):]
+        expected = [reference_match_rows(d, base_rows) for d in overlay_rows]
+        assert rows == [";".join(map(str, m)) if m else None for m in expected]
+
+    def test_nan_cells_never_match(self):
+        nan = json.loads("NaN")
+        spec = {"data": {"values": [{"k": nan}, {"k": 1}]},
+                "layer": [{"mark": "point", "encoding": {}},
+                          {"mark": "point", "encoding": {},
+                           "data": {"values": [{"k": nan}, {"k": True}]}}]}
+        circles = [el for el in parse_svg(MockRenderer().render(spec)).elements
+                   if el.tag == "circle"]
+        assert [el.attrs.get("data-row") for el in circles] == ["0", "1", None, "1"]
 
 
 BAR_TABLE = parse_csv("k,v\n" + "\n".join(f"k{i},{i + 1}" for i in range(3)), "bars")

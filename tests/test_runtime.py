@@ -1,9 +1,12 @@
 import json
 import random
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from datareel.errors import PreconditionError
 from datareel.model import PromptText, ValidationReport, Violation
@@ -22,6 +25,7 @@ from datareel.runtime import (
     extract_json,
     repair_loop,
 )
+from helpers import reference_extract_json
 
 
 class TestExtractJson:
@@ -80,6 +84,58 @@ class TestExtractJson:
             if not isinstance(value, (dict, list)):
                 value = {"wrapped": value}
             assert extract_json(json.dumps(value)) == value
+
+
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10, 10**6),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.text(alphabet='ab{}[]",\\: \n', max_size=8)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(alphabet='k{"\\', max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_containers = _json_values.filter(lambda v: isinstance(v, (list, dict)))
+_reply_pieces = st.one_of(
+    st.sampled_from(["Sure!", "```json", "```", "\n", " ", "{", "[", "}", "]", '"',
+                     '\\"', ",", ":", "NaN", "oops {never", 'text "quoted {"']),
+    st.text(alphabet="abc {}[]\"\\:,\n", max_size=6),
+    _containers.map(json.dumps),
+    # a truncated value
+    st.tuples(_containers.map(json.dumps), st.integers(0, 60)).map(lambda t: t[0][:t[1]]),
+)
+
+
+def _outcome(extract, raw):
+    try:
+        return "value", repr(extract(raw))
+    except MalformedJson as e:
+        return "MalformedJson", e.position
+    except NoJsonFound:
+        return "NoJsonFound", None
+
+
+class TestExtractJsonEquivalence:
+    @given(st.lists(_reply_pieces, max_size=8).map("".join))
+    def test_equals_the_balanced_scan_reference(self, raw):
+        assert _outcome(extract_json, raw) == _outcome(reference_extract_json, raw)
+
+    def test_unclosed_nesting_fails_fast(self):
+        raw = "x " + '{"a": [' * 3000
+        started = time.perf_counter()
+        with pytest.raises(MalformedJson) as err:
+            extract_json(raw)
+        assert err.value.position == 2
+        assert time.perf_counter() - started < 2.0
+
+    def test_nesting_past_the_recursion_limit_does_not_parse(self):
+        # The outer candidates are too deep to parse; the first one shallow
+        # enough is returned, and it reaches up to the matching close.
+        value = extract_json("[" * 5000 + "]" * 5000)
+        depth = 0
+        while value != []:
+            (value,) = value
+            depth += 1
+        assert 0 < depth < 4999
 
 
 class TestMockBackend:
