@@ -251,7 +251,7 @@ class MockRenderer:
         scales = (x_order, y_lo, y_hi)
         parts.append('<g data-role="marks">')
         parts.extend(self._layer_elements(base_mark, base_enc, base_data, scales,
-                                          base_rows=None))
+                                          legend, base_rows=None))
         parts.append("</g>")
 
         base_index = _RowIndex(base_data) if len(layers) > 1 else None
@@ -266,7 +266,7 @@ class MockRenderer:
             layer_data = self._data_values(layer) or base_data
             parts.append(f'<g data-role="overlay" data-layer="{k}">')
             parts.extend(self._layer_elements(layer_mark, layer_enc, layer_data, scales,
-                                              base_rows=base_index))
+                                              legend, base_rows=base_index))
             parts.append("</g>")
         parts.append("</svg>")
         return "".join(parts)
@@ -315,19 +315,21 @@ class MockRenderer:
         return _PLOT_BOTTOM - frac * (_PLOT_BOTTOM - _PLOT_TOP)
 
     def _layer_elements(self, mark: str, encoding: dict, data: list, scales,
-                        base_rows: _RowIndex | None) -> list[str]:
+                        legend: list, base_rows: _RowIndex | None) -> list[str]:
         """One element per group of the layer's data: per series for line marks,
         per series (else per datum) for arc and pie marks, per datum otherwise.
 
         A group's data-row lists its own indices in the base layer and, in an
         overlay, the base rows its data matches (omitted when none match).
-        A datum whose series value is missing or null has no series.
+        A datum whose series value is missing or null has no series. A series
+        is coloured by its position in the legend; a series the legend lacks
+        comes after the legend's, in the layer's first-seen order.
         """
         for i, datum in enumerate(data):
             if not isinstance(datum, dict):
                 raise RendererRejectedSpec(f"datum {i} is not an object")
         series_field = _enc_field(encoding, "color") or _enc_field(encoding, "detail")
-        series_order = _Ordinal(self._series_values(data, series_field))
+        series_order = _Ordinal([*legend, *self._series_values(data, series_field)])
 
         def series_of(datum: dict):
             return datum.get(series_field) if series_field else None

@@ -202,7 +202,22 @@ class TestMarkEmitter:
                 for mark in MockRenderer.SUPPORTED_MARKS
                 for overlay in (False, True) for series in (True, False)]
         digest = hashlib.sha256("\n".join(svgs).encode("utf-8")).hexdigest()
-        assert digest == "20e3b0ea81b07eda33aba774fe3b13fe3325040c03ff9208dd1cfe5c08d6ab33"
+        assert digest == "db1823aa3ef510dbc2d19960020919e7fb110e2060419ca52ea0900975cb83be"
+
+    def test_overlay_series_take_the_legend_colours(self):
+        # the overlay data lists B before A; base bars and the legend put A first
+        doc = parse_svg(MockRenderer().render(_corpus_spec("line", True, True)))
+        overlay = [el for el in doc.elements if doc.role_path(el.id)[-1:] == ("overlay",)]
+        assert {el.attrs["data-series"]: el.attrs["stroke"] for el in overlay} == {
+            "A": PALETTE[0], "B": PALETTE[1]}
+
+    def test_overlay_series_missing_from_the_legend_come_after_it(self):
+        spec = _corpus_spec("point", True, True)
+        spec["layer"][1]["data"]["values"] = [{"v": 1, "s": "C"}, {"v": 2, "s": "B"}]
+        doc = parse_svg(MockRenderer().render(spec))
+        overlay = [el for el in doc.elements if doc.role_path(el.id)[-1:] == ("overlay",)]
+        assert [(el.attrs["data-series"], el.attrs["fill"]) for el in overlay] == [
+            ("C", PALETTE[2]), ("B", PALETTE[1])]
 
     @pytest.mark.parametrize("mark", MockRenderer.SUPPORTED_MARKS)
     def test_null_or_missing_series_is_no_series(self, mark):
