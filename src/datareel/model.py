@@ -218,41 +218,52 @@ class VisualizationSpec:
         parse_visualization_type(self.vis_type)
 
 
+def _structure_problems(spec) -> list[tuple[str, str]]:
+    """(code, message) for each structural rule a Vega-Lite spec breaks."""
+    if not isinstance(spec, dict):
+        return [("structure", "visualization spec must be a JSON object")]
+    problems = []
+    if "layer" in spec:
+        layers = spec["layer"]
+        if not isinstance(layers, list) or not layers:
+            problems.append(("layer-rule", '"layer" must be a non-empty list'))
+        else:
+            problems.extend(("structure", f'"layer" entry {i} must be a JSON object')
+                            for i, layer in enumerate(layers) if not isinstance(layer, dict))
+        for key in ("mark", "encoding"):
+            if key in spec:
+                problems.append((
+                    "layer-rule",
+                    f'layered spec must not carry a top-level "{key}" key; '
+                    'all "mark" and "encoding" keys belong inside "layer"',
+                ))
+    else:
+        missing = [key for key in ("mark", "encoding") if key not in spec]
+        if missing:
+            problems.append((
+                "layer-rule",
+                "spec without a \"layer\" list must carry top-level "
+                + " and ".join(f'"{k}"' for k in missing),
+            ))
+    return problems
+
+
 def visualization_structure_violations(spec) -> list[str]:
     """Check the structural rules a Vega-Lite spec must obey in this pipeline.
 
     Returns human-readable violation messages; empty means structurally valid.
     The spec must be a JSON object with either top-level "mark"+"encoding" or
-    a "layer" list, and when "layer" is present no "mark"/"encoding" may sit
-    beside it at the top level.
+    a non-empty "layer" list of objects, and when "layer" is present no
+    "mark"/"encoding" may sit beside it at the top level.
     """
-    if not isinstance(spec, dict):
-        return ["visualization spec must be a JSON object"]
-    violations = []
-    if "layer" in spec:
-        if not isinstance(spec["layer"], list) or not spec["layer"]:
-            violations.append('"layer" must be a non-empty list')
-        for key in ("mark", "encoding"):
-            if key in spec:
-                violations.append(
-                    f'layered spec must not carry a top-level "{key}" key; '
-                    'all "mark" and "encoding" keys belong inside "layer"'
-                )
-    else:
-        missing = [key for key in ("mark", "encoding") if key not in spec]
-        if missing:
-            violations.append(
-                "spec without a \"layer\" list must carry top-level "
-                + " and ".join(f'"{k}"' for k in missing)
-            )
-    return violations
+    return [message for _, message in _structure_problems(spec)]
 
 
 def structure_violations(spec, path: str) -> tuple["Violation", ...]:
     """visualization_structure_violations as Violations at path, coded
-    "layer-rule" for the layer placement rule and "structure" otherwise."""
-    return tuple(Violation("layer-rule" if "layer" in message else "structure", path, message)
-                 for message in visualization_structure_violations(spec))
+    "layer-rule" for the rules on where "layer", "mark" and "encoding" sit,
+    and "structure" for a spec or "layer" entry that is not an object."""
+    return tuple(Violation(code, path, message) for code, message in _structure_problems(spec))
 
 
 def spec_layers(spec: dict) -> list[dict]:

@@ -2,8 +2,9 @@
 
 Two backends ship here: a live HTTP adapter speaking the de-facto
 chat-completion JSON shape, and a deterministic mock that replays a scripted
-transcript. Live completions are cached on disk keyed by the model name and
-the full message history so repeated runs are cheap and reproducible.
+transcript. Live completions are cached on disk keyed by the endpoint and the
+full request body (model name, message history, temperature) so repeated
+runs are cheap and reproducible.
 """
 
 import hashlib
@@ -134,18 +135,29 @@ class HttpChatBackend:
         self.config = config
         self.cache_dir = Path(cache_dir) if cache_dir else None
 
-    def _cache_path(self, messages) -> Path | None:
+    def _body(self, messages) -> bytes:
+        return json.dumps(
+            {
+                "model": self.config.model_name,
+                "messages": [{"role": r, "content": c} for r, c in messages],
+                "temperature": self.config.temperature,
+            }
+        ).encode("utf-8")
+
+    def _cache_path(self, body: bytes) -> Path | None:
+        """The cache file of one request: keyed by everything sent, the
+        endpoint and the request body."""
         if self.cache_dir is None:
             return None
-        payload = json.dumps([self.config.model_name, messages], sort_keys=True)
-        key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        key = hashlib.sha256(self.config.endpoint.encode("utf-8") + b"\n" + body).hexdigest()
         return self.cache_dir / f"{key}.json"
 
     def send(self, messages: list[tuple[str, str]]) -> str:
-        cache_path = self._cache_path(messages)
+        body = self._body(messages)
+        cache_path = self._cache_path(body)
         if cache_path is not None and cache_path.exists():
             return json.loads(cache_path.read_text(encoding="utf-8"))["reply"]
-        reply = self._request(messages)
+        reply = self._request(body)
         if cache_path is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             tmp = cache_path.with_suffix(".tmp")
@@ -153,19 +165,12 @@ class HttpChatBackend:
             os.replace(tmp, cache_path)
         return reply
 
-    def _request(self, messages) -> str:
+    def _request(self, body: bytes) -> str:
         api_key = os.environ.get(self.config.api_key_env, "")
         if not api_key:
             raise PreconditionError(
                 f"environment variable {self.config.api_key_env} is not set"
             )
-        body = json.dumps(
-            {
-                "model": self.config.model_name,
-                "messages": [{"role": r, "content": c} for r, c in messages],
-                "temperature": self.config.temperature,
-            }
-        ).encode("utf-8")
         last_error: AdapterError | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt and self.config.retry_delay:

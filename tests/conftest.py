@@ -3,8 +3,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# `pytest --hypothesis-profile=deep` runs ten times the examples of a normal run.
+settings.register_profile("default", max_examples=100, deadline=None)
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 from datareel.ingest import parse_csv
 from datareel.pipeline import ProjectConfig

@@ -101,6 +101,11 @@ class TestRendererContract:
         with pytest.raises(RendererRejectedSpec):
             renderer.render(spec)
 
+    def test_non_object_layer_rejected(self, renderer):
+        spec = {"layer": [1], "data": {"values": [{"a": 1}]}}
+        with pytest.raises(RendererRejectedSpec, match='"layer" entry 0 must be a JSON object'):
+            renderer.render(spec)
+
     def test_output_is_deterministic(self, renderer):
         assert renderer.render(_bar_spec()) == renderer.render(_bar_spec())
 

@@ -22,6 +22,7 @@ from datareel.model import (
     classify_animation,
     parse_insight_type,
     parse_visualization_type,
+    structure_violations,
     visualization_structure_violations,
 )
 
@@ -126,6 +127,13 @@ class TestVisualizationStructure:
     def test_top_level_mark_beside_layer_fails(self):
         problems = visualization_structure_violations({"layer": [{}], "mark": "bar"})
         assert any("layer" in p for p in problems)
+
+    def test_non_object_layer_entry_is_a_structure_violation(self):
+        spec = {"layer": [{"mark": "bar"}, 1, None], "data": {}}
+        assert [(v.code, v.message) for v in structure_violations(spec, "")] == [
+            ("structure", '"layer" entry 1 must be a JSON object'),
+            ("structure", '"layer" entry 2 must be a JSON object'),
+        ]
 
     def test_missing_structure_fails(self):
         assert visualization_structure_violations({"data": {}})

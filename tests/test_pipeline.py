@@ -360,6 +360,29 @@ class TestCli:
         ])
         assert result.exit_code == 3
 
+    def test_non_object_layer_exit_code_3(self, tmp_path, stock_csv_path):
+        # every analyst reply layers a non-object: a contract failure, not a crash
+        reply = json.loads(Path(TRANSCRIPTS["analyst"]).read_text())[0]["reply"]
+        payload = json.loads(reply[reply.index("{"):reply.rindex("}") + 1])
+        visualization = payload["Visualization"]
+        for key in ("mark", "encoding"):
+            visualization.pop(key, None)
+        visualization["layer"] = [1]
+        bad = tmp_path / "bad_analyst.json"
+        bad.write_text(json.dumps([{"reply": json.dumps(payload)}] * 3))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "output_dir": str(tmp_path / "proj"),
+            "mock_mode": True,
+            "transcripts": {**TRANSCRIPTS, "analyst": str(bad)},
+            "input_csv": "placeholder",
+        }))
+        result = CliRunner().invoke(main, [
+            "run", "--input", str(stock_csv_path), "--config", str(config_path),
+        ])
+        assert result.exit_code == 3, result.output
+        assert '"layer" entry 0 must be a JSON object' in result.output
+
     @pytest.mark.parametrize("attempts, exit_code", [(3, 4), (1, 3)])
     def test_malformed_description_reply_exit_code(self, tmp_path, stock_csv_path,
                                                    attempts, exit_code):

@@ -201,17 +201,18 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     _StubHandler.calls = 0
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
     server.shutdown()
 
 
-def _live_config(endpoint, retries=2):
+def _live_config(endpoint, retries=2, temperature=0.0):
     return BackendConfig(
-        endpoint=endpoint, api_key_env="DATAREEL_TEST_KEY",
-        model_name="stub-model", max_retries=retries, retry_delay=0.0, timeout=5.0,
+        endpoint=endpoint, api_key_env="DATAREEL_TEST_KEY", model_name="stub-model",
+        temperature=temperature, max_retries=retries, retry_delay=0.0, timeout=5.0,
     )
 
 
@@ -257,6 +258,19 @@ class TestHttpBackend:
         assert backend.send([("user", "different")]) == "stub reply"
         assert _StubHandler.calls == 2
 
+
+    def test_disk_cache_is_keyed_by_the_whole_request(self, stub_server, monkeypatch, tmp_path):
+        monkeypatch.setenv("DATAREEL_TEST_KEY", "k")
+        _StubHandler.status_plan = [200]
+        cache = tmp_path / "cache"
+        for temperature in (0.0, 0.7, 0.7):
+            backend = HttpChatBackend(_live_config(stub_server, temperature=temperature),
+                                      cache_dir=cache)
+            assert backend.send([("user", "hello")]) == "stub reply"
+        assert _StubHandler.calls == 2
+        other_endpoint = stub_server.replace("/v1/chat", "/v2/chat")
+        HttpChatBackend(_live_config(other_endpoint), cache_dir=cache).send([("user", "hello")])
+        assert _StubHandler.calls == 3
 
 def _loop_prompt():
     return PromptText(text="please reply", template_id="analyst")

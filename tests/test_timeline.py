@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from datareel.binding import MarkEntry, MarkIndex
@@ -429,12 +429,10 @@ frame_times = st.one_of(
 
 
 class TestKeyframeEvaluator:
-    @settings(max_examples=100, deadline=None)
     @given(raw_timelines(), frame_times)
     def test_sweep_equals_per_frame_evaluation(self, timeline, times):
         assert_sweep_matches_per_frame_evaluation(timeline, times)
 
-    @settings(max_examples=100, deadline=None)
     @given(compiled_timelines(), frame_times)
     def test_compiled_timelines_hold_invariants_and_sweep_agrees(self, timeline, times):
         assert timeline_invariant_violations(timeline) == []
