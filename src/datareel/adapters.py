@@ -334,10 +334,16 @@ class MockRenderer:
         def series_of(datum: dict):
             return datum.get(series_field) if series_field else None
 
+        def group_of(i: int, datum: dict):
+            if not by_series:
+                return i
+            series = series_of(datum)
+            return None if series is None else series_order.position(series)
+
         by_series = mark == "line" or (mark in ("arc", "pie") and series_field)
         groups: dict = {}
         for i, datum in enumerate(data):
-            groups.setdefault(series_of(datum) if by_series else i, []).append((i, datum))
+            groups.setdefault(group_of(i, datum), []).append((i, datum))
 
         out = []
         for n, members in enumerate(groups.values()):

@@ -225,6 +225,21 @@ class TestMarkEmitter:
             ("C", PALETTE[2]), ("B", PALETTE[1])]
 
     @pytest.mark.parametrize("mark", MockRenderer.SUPPORTED_MARKS)
+    def test_list_and_object_series_cells_are_series(self, mark):
+        values = [{"k": "k0", "v": 1, "s": [1]}, {"k": "k1", "v": 2, "s": {"a": 1}},
+                  {"k": "k2", "v": 3, "s": [1.0]}]
+        spec = {"mark": mark, "data": {"values": values},
+                "encoding": {"x": {"field": "k"}, "y": {"field": "v"},
+                             "color": {"field": "s"}}}
+        doc = parse_svg(MockRenderer().render(spec))
+        index = index_marks(doc)
+        rows = sorted(tuple(sorted(index.entries[e].data_rows)) for e in index.mark_ids())
+        if mark in ("line", "arc", "pie"):
+            assert rows == [(0, 2), (1,)]
+        else:
+            assert rows == [(0,), (1,), (2,)]
+
+    @pytest.mark.parametrize("mark", MockRenderer.SUPPORTED_MARKS)
     def test_null_or_missing_series_is_no_series(self, mark):
         values = [{"k": "k0", "v": 1, "s": "A"}, {"k": "k1", "v": 2, "s": None},
                   {"k": "k2", "v": 3}, {"k": "k3", "v": 4, "s": "B"}]
