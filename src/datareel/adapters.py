@@ -102,7 +102,13 @@ class _Ordinal:
         self._positions: dict = {}
         self._unhashable: list = []
         for value in values:
-            self.add(value)
+            if self.position(value) is not None:
+                continue
+            try:
+                self._positions[value] = len(self.values)
+            except TypeError:
+                self._unhashable.append((value, len(self.values)))
+            self.values.append(value)
 
     def position(self, value) -> int | None:
         try:
@@ -110,15 +116,6 @@ class _Ordinal:
         except TypeError:
             return next((i for seen, i in self._unhashable
                          if seen is value or seen == value), None)
-
-    def add(self, value) -> None:
-        if self.position(value) is not None:
-            return
-        try:
-            self._positions[value] = len(self.values)
-        except TypeError:
-            self._unhashable.append((value, len(self.values)))
-        self.values.append(value)
 
 
 def _dict_comparable(values: tuple) -> bool:
@@ -254,8 +251,7 @@ class MockRenderer:
                                           legend, base_rows=None))
         parts.append("</g>")
 
-        base_index = _RowIndex(base_data) if len(layers) > 1 else None
-
+        base_index = _RowIndex(base_data)
         for k, layer in enumerate(layers[1:], start=1):
             layer_enc = layer.get("encoding") if isinstance(layer.get("encoding"), dict) else {}
             layer_mark = mark_type(layer)

@@ -135,15 +135,6 @@ class HttpChatBackend:
         self.config = config
         self.cache_dir = Path(cache_dir) if cache_dir else None
 
-    def _body(self, messages) -> bytes:
-        return json.dumps(
-            {
-                "model": self.config.model_name,
-                "messages": [{"role": r, "content": c} for r, c in messages],
-                "temperature": self.config.temperature,
-            }
-        ).encode("utf-8")
-
     def _cache_path(self, body: bytes) -> Path | None:
         """The cache file of one request: keyed by everything sent, the
         endpoint and the request body."""
@@ -153,7 +144,13 @@ class HttpChatBackend:
         return self.cache_dir / f"{key}.json"
 
     def send(self, messages: list[tuple[str, str]]) -> str:
-        body = self._body(messages)
+        body = json.dumps(
+            {
+                "model": self.config.model_name,
+                "messages": [{"role": r, "content": c} for r, c in messages],
+                "temperature": self.config.temperature,
+            }
+        ).encode("utf-8")
         cache_path = self._cache_path(body)
         if cache_path is not None and cache_path.exists():
             return json.loads(cache_path.read_text(encoding="utf-8"))["reply"]
