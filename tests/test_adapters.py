@@ -281,7 +281,8 @@ _join_rows = st.dictionaries(st.sampled_from(["k", "v", "s"]), _cells, max_size=
 
 
 class TestOverlayJoin:
-    @given(st.lists(_join_rows, min_size=1, max_size=12), st.lists(_join_rows, min_size=1, max_size=6))
+    @given(st.lists(_join_rows, min_size=1, max_size=12),
+           st.lists(_join_rows, min_size=1, max_size=6))
     def test_overlay_data_rows_equal_the_linear_join(self, base_rows, overlay_rows):
         spec = {"data": {"values": base_rows},
                 "layer": [{"mark": "point", "encoding": {}},

@@ -129,7 +129,7 @@ class TestExtractJsonEquivalence:
 
     def test_nesting_past_the_recursion_limit_does_not_parse(self):
         # The outer candidates are too deep to parse; the first one shallow
-        # enough is returned, and it reaches up to the matching close.
+        # enough is returned, not a RecursionError.
         value = extract_json("[" * 5000 + "]" * 5000)
         depth = 0
         while value != []:
