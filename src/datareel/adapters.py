@@ -24,6 +24,7 @@ from .model import (
     ValidationReport,
     Violation,
     VisualizationSpec,
+    dump_artifact,
     mark_type,
     spec_layers,
     title_text,
@@ -604,9 +605,14 @@ class MockSynth:
         frame_count = int(round(timeline.duration * self.fps))
         times = [f / self.fps for f in range(frame_count)]
         sweep = KeyframeEvaluator(timeline).sweep(times)
+        # Opacity -> its rounding. Elements fading together and held elements
+        # repeat a few values across a whole frame range.
+        rounded = {}
         frames = [
             {"index": f, "time": round(t, 6), "visible": visible,
-             "opacity": {eid: round(value, 4) for eid, value in opacity.items()}}
+             "opacity": {eid: rounded[value] if value in rounded
+                         else rounded.setdefault(value, round(value, 4))
+                         for eid, value in opacity.items()}}
             for f, (t, (visible, opacity)) in enumerate(zip(times, sweep))
         ]
         manifest = {
@@ -618,9 +624,7 @@ class MockSynth:
             "audio": Path(audio_path).name,
             "frames": frames,
         }
-        Path(out_path).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-        )
+        Path(out_path).write_text(dump_artifact(manifest), encoding="utf-8")
         return str(out_path)
 
 
@@ -636,9 +640,7 @@ class CommandSynth:
         if timeline.duration <= 0:
             raise SynthFailure("timeline has zero duration")
         timeline_path = Path(out_path).with_suffix(".timeline.json")
-        timeline_path.write_text(
-            json.dumps(timeline.to_json(), indent=2, sort_keys=True), encoding="utf-8"
-        )
+        timeline_path.write_text(dump_artifact(timeline.to_json()), encoding="utf-8")
         cmd = self.command + [str(timeline_path), str(svg_path), str(audio_path), str(out_path)]
         try:
             result = subprocess.run(cmd, capture_output=True, timeout=self.timeout)

@@ -10,6 +10,7 @@ false positives.
 import math
 import re
 import xml.etree.ElementTree as ET
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape, quoteattr
@@ -368,6 +369,16 @@ def _coords(element: SvgElement) -> tuple[float, float] | None:
     return None
 
 
+def _row_gap(sorted_rows: list[int], row: int) -> int:
+    """Distance from row to the nearest of sorted_rows (non-empty)."""
+    j = bisect_left(sorted_rows, row)
+    if j == len(sorted_rows):
+        return row - sorted_rows[-1]
+    if j == 0:
+        return sorted_rows[0] - row
+    return min(sorted_rows[j] - row, row - sorted_rows[j - 1])
+
+
 def match_annotation_directives(annotation_ids, directives, index: MarkIndex,
                                 svg: SvgDoc | None = None,
                                 ) -> tuple[dict[int, list[str]], ValidationReport]:
@@ -400,26 +411,29 @@ def match_annotation_directives(annotation_ids, directives, index: MarkIndex,
                 continue
             for row in entry.data_rows:
                 row_positions.setdefault(row, pos)
+    # Per directive: its rows as a set, sorted, and the positions of their marks.
+    targets = [(frozenset(d.index), sorted(set(d.index)),
+                [row_positions[r] for r in d.index if r in row_positions])
+               for d in directives]
 
     for eid in annotation_ids:
         entry = index.entries.get(eid)
         rows = entry.data_rows if entry is not None else frozenset()
         best: tuple[float, int] | None = None
         if rows:
-            for i, directive in enumerate(directives):
-                if not directive.index:
+            for i, (row_set, sorted_rows, _) in enumerate(targets):
+                if not sorted_rows:
                     continue
-                if rows & set(directive.index):
+                if not row_set.isdisjoint(rows):
                     distance = 0.0
                 else:
-                    distance = min(abs(a - b) for a in rows for b in directive.index)
+                    distance = min(_row_gap(sorted_rows, a) for a in rows)
                 if best is None or distance < best[0]:
                     best = (distance, i)
         elif svg is not None and eid in svg.by_id:
             pos = _coords(svg.by_id[eid])
             if pos is not None:
-                for i, directive in enumerate(directives):
-                    points = [row_positions[r] for r in directive.index if r in row_positions]
+                for i, (_, _, points) in enumerate(targets):
                     if not points:
                         continue
                     distance = min(math.dist(pos, p) for p in points)

@@ -6,6 +6,7 @@ trimming surrounding whitespace. All types here are immutable after
 construction and safe to share across threads.
 """
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -412,3 +413,34 @@ class RepairReport:
             "violations_per_attempt": self.violations_per_attempt,
             "final_status": self.final_status,
         }
+
+
+# Compact, key-sorted JSON through CPython's C encoder; `indent` would bypass it.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def dump_artifact(payload) -> str:
+    """The JSON text of one project artifact: the only artifact writer.
+
+    Keys are sorted and objects nest two spaces deep. A non-empty list whose
+    elements are all objects or lists (frames, tracks, bindings, word
+    timings) puts each element on its own line, encoded compact; other
+    lists and scalars are encoded compact inline. The text ends with a newline.
+    """
+    return _layout(payload, "") + "\n"
+
+
+def _layout(value, indent: str) -> str:
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{inner}{_key(k)}: {_layout(v, inner)}" for k, v in sorted(value.items()))
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value and all(
+            isinstance(v, (dict, list, tuple)) for v in value):
+        return "[\n" + ",\n".join(inner + _COMPACT.encode(v) for v in value) + f"\n{indent}]"
+    return _COMPACT.encode(value)
+
+
+def _key(key) -> str:
+    # Non-string keys become their JSON text, as json.dumps writes them.
+    return _COMPACT.encode(key if isinstance(key, str) else _COMPACT.encode(key))

@@ -23,6 +23,7 @@ from .model import (
     Violation,
     VisualizationSpec,
     classify_animation,
+    dump_artifact,
 )
 from .runtime import BackendConfig, ChatSession, HttpChatBackend, MockChatBackend
 
@@ -123,7 +124,7 @@ class ProjectManifest:
         return {"config": self.config, "created_at": self.created_at, "stages": self.stages}
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(_dump_json(self.to_json()), encoding="utf-8")
+        Path(path).write_text(dump_artifact(self.to_json()), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "ProjectManifest":
@@ -149,10 +150,6 @@ class ProjectManifest:
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class _Run:
@@ -256,7 +253,7 @@ def _stage_ingest(run: _Run, record: dict) -> None:
     raw = Path(run.config.input_csv).read_text(encoding="utf-8")
     title = run.config.title or Path(run.config.input_csv).stem
     run.table = ingest.parse_csv(raw, title)
-    run.write_artifact(record, "table.json", _dump_json({
+    run.write_artifact(record, "table.json", dump_artifact({
         "title": run.table.title,
         "row_count": run.table.row_count,
         "columns": [{"name": name, "values": list(values)}
@@ -271,9 +268,9 @@ def _summarize_ingest(table: dict) -> list[str]:
 
 def _write_agent_artifacts(run: _Run, record: dict, role: str, payload: dict,
                            report: ValidationReport, repair: RepairReport) -> None:
-    run.write_artifact(record, f"{role}.json", _dump_json(payload))
-    run.write_artifact(record, f"{role}_validation.json", _dump_json(report.to_json()))
-    run.write_artifact(record, f"{role}_repair.json", _dump_json(repair.to_json()))
+    run.write_artifact(record, f"{role}.json", dump_artifact(payload))
+    run.write_artifact(record, f"{role}_validation.json", dump_artifact(report.to_json()))
+    run.write_artifact(record, f"{role}_repair.json", dump_artifact(repair.to_json()))
 
 
 def _stage_description(run: _Run, record: dict) -> None:
@@ -362,7 +359,7 @@ def _stage_annotated_render(run: _Run, record: dict) -> None:
 
 def _stage_binding(run: _Run, record: dict) -> None:
     run.bindings = binding.bind(run.base, run.annotated, run.designer_output)
-    run.write_artifact(record, "bindings.json", _dump_json(run.bindings.to_json()))
+    run.write_artifact(record, "bindings.json", dump_artifact(run.bindings.to_json()))
 
 
 def _summarize_binding(payload: dict) -> list[str]:
@@ -381,7 +378,7 @@ def _stage_tts(run: _Run, record: dict) -> None:
     result, report = adapters.synthesize_speech(narration, run.tts(), run.out / "narration.wav")
     run.tts_result = result
     run.register(record, "narration.wav")
-    run.write_artifact(record, "word_timings.json", _dump_json({
+    run.write_artifact(record, "word_timings.json", dump_artifact({
         "duration": result.duration,
         "words": [
             {"word": t.word, "start": t.start, "end": t.end,
@@ -418,8 +415,8 @@ def _stage_timeline(run: _Run, record: dict) -> None:
     run.timeline, report = tl.compile_timeline(
         placed_directives, placed_annotations, run.bindings.index, run.tts_result.duration,
     )
-    run.write_artifact(record, "timeline.json", _dump_json(run.timeline.to_json()))
-    run.write_artifact(record, "timeline_validation.json", _dump_json(report.to_json()))
+    run.write_artifact(record, "timeline.json", dump_artifact(run.timeline.to_json()))
+    run.write_artifact(record, "timeline_validation.json", dump_artifact(report.to_json()))
 
 
 def _summarize_timeline(payload: dict) -> list[str]:

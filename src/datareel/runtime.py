@@ -126,8 +126,23 @@ class MockChatBackend:
         return entry["reply"]
 
 
+# The longest wait a Retry-After header can add between two attempts.
+RETRY_AFTER_CAP_S = 60
+
+
+def _retry_after(headers) -> int:
+    """Seconds an integer Retry-After header asks for, at most RETRY_AFTER_CAP_S;
+    0 when the header is absent or an HTTP date."""
+    value = (headers.get("Retry-After") or "").strip()
+    return min(int(value), RETRY_AFTER_CAP_S) if value.isascii() and value.isdecimal() else 0
+
+
 class HttpChatBackend:
-    """Adapter for an HTTP chat-completion endpoint with retries and a disk cache."""
+    """Adapter for an HTTP chat-completion endpoint with retries and a disk cache.
+
+    A retry waits retry_delay seconds, or longer when a retryable response
+    carries an integer Retry-After (honoured up to RETRY_AFTER_CAP_S).
+    """
 
     RETRYABLE = frozenset({429, 500, 502, 503, 504})
 
@@ -169,9 +184,11 @@ class HttpChatBackend:
                 f"environment variable {self.config.api_key_env} is not set"
             )
         last_error: AdapterError | None = None
+        delay = self.config.retry_delay
         for attempt in range(self.config.max_retries + 1):
-            if attempt and self.config.retry_delay:
-                time.sleep(self.config.retry_delay)
+            if attempt and delay:
+                time.sleep(delay)
+            delay = self.config.retry_delay
             request = urllib.request.Request(
                 self.config.endpoint,
                 data=body,
@@ -189,6 +206,7 @@ class HttpChatBackend:
                 last_error = BackendHTTPError(e.code, e.reason or "")
                 if e.code not in self.RETRYABLE:
                     raise last_error from None
+                delay = max(delay, _retry_after(e.headers))
             except TimeoutError:
                 last_error = BackendTimeout(f"no response within {self.config.timeout}s")
             except urllib.error.URLError as e:

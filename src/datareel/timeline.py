@@ -9,6 +9,7 @@ tracks using a fixed recipe per animation name.
 import math
 import re
 from bisect import bisect_right
+from itertools import compress
 from dataclasses import dataclass, field
 
 from .errors import ContractError, PreconditionError
@@ -482,46 +483,69 @@ class KeyframeEvaluator:
         property) track keeps a cursor that only moves forward, so a frame
         costs O(elements), not O(elements x keyframes). Equal to visible_at and
         value_at at each time.
+
+        Held segments are not re-sampled. A visibility property resting before
+        its first keyframe, or between two keyframes of equal value, keeps its
+        value until its next keyframe time. While all of an element's
+        visibility properties are held, its (shown, opacity) is reused until
+        the earliest of those times; before its first keyframe an element
+        keeps its initial visibility.
         """
-        # Per element: its id, first keyframe time, initial visibility, and one
-        # [cursor, keyframes, times, property] per visibility property it animates.
-        state = []
-        for eid in self.ids:
+        ids = self.ids
+        # Per element, by position in ids: the time its state must next be
+        # recomputed, whether it is shown, its opacity (1.0 while hidden), and
+        # one [cursor, keyframes, times, property, value, held until] per
+        # visibility property it animates.
+        held_until, shown, alpha, cursors = [], [], [], []
+        for eid in ids:
             el = self.elements[eid]
-            cursors = [[0, el.by_property[prop], el.times[prop], prop]
-                       for prop in VISIBILITY_PROPERTIES if prop in el.by_property]
-            first = math.inf if el.first is None else el.first
-            state.append((eid, first, el.initially_visible, cursors))
+            held_until.append(math.inf if el.first is None else el.first)
+            shown.append(el.initially_visible)
+            alpha.append(1.0)
+            cursors.append([[0, el.by_property[prop], el.times[prop], prop, 0.0, -math.inf]
+                            for prop in VISIBILITY_PROPERTIES if prop in el.by_property])
         previous = -math.inf
         for t in times:
             if t < previous:
                 raise ValueError(f"sweep times decrease: {t} after {previous}")
             previous = t
-            visible = []
-            opacity = {}
-            for eid, first, initially_visible, cursors in state:
-                if t < first:
-                    if initially_visible:
-                        visible.append(eid)
-                    continue
-                shown = True
-                alpha = 1.0
-                for cursor in cursors:
-                    i, track, track_times, prop = cursor
-                    n = len(track_times)
-                    while i < n and track_times[i] <= t:
-                        i += 1
-                    cursor[0] = i
-                    value = _sample(track, i, prop, t)
-                    if value <= 0.0:
-                        shown = False
-                    elif prop == "opacity":
-                        alpha = value
-                if shown:
-                    visible.append(eid)
-                    if alpha != 1.0:
-                        opacity[eid] = alpha
-            yield visible, opacity
+            for k in [k for k, until in enumerate(held_until) if t >= until]:
+                held_until[k], shown[k], alpha[k] = _advance(cursors[k], t)
+            yield list(compress(ids, shown)), {eid: a for eid, a in zip(ids, alpha) if a != 1.0}
+
+
+def _advance(cursors, t: float) -> tuple[float, bool, float]:
+    """Move one element's visibility cursors forward to t.
+
+    Returns (held until, shown, opacity if shown else 1.0). A cursor is
+    re-sampled only once t reaches its own held-until time: its next keyframe
+    time when it rests or sits between equal values, never after its last
+    keyframe, and at every time (-inf) inside any other segment.
+    """
+    shown = True
+    alpha = 1.0
+    held_until = math.inf
+    for cursor in cursors:
+        i, track, track_times, prop, value, until = cursor
+        if t >= until:
+            n = len(track_times)
+            while i < n and track_times[i] <= t:
+                i += 1
+            value = _sample(track, i, prop, t)
+            if i == n:
+                until = math.inf
+            elif i == 0 or track[i - 1].value == track[i].value:
+                until = track_times[i]
+            else:
+                until = -math.inf
+            cursor[0], cursor[4], cursor[5] = i, value, until
+        if value <= 0.0:
+            shown = False
+        elif prop == "opacity":
+            alpha = value
+        if until < held_until:
+            held_until = until
+    return held_until, shown, alpha if shown else 1.0
 
 
 def value_at(timeline: Timeline, element_id: str, prop: str, t: float) -> float:

@@ -245,3 +245,52 @@ def reference_extract_json(raw: str):
     if not candidates:
         raise NoJsonFound("reply contains no JSON object or array")
     raise MalformedJson(candidates[0])
+
+
+def reference_match_annotation_directives(annotation_ids, directives, index, svg=None):
+    """Annotation-to-directive assignment by comparing every pair of rows.
+
+    An element with rows goes to the directive with the smallest
+    min(|a - b|) over its rows a and the directive's rows b (0 on a shared
+    row); one without rows goes to the directive whose marks lie nearest its
+    position. Ties go to the lowest directive index; unassignable elements
+    attach to directive 0 with an advisory, and directives left empty get one.
+    Returns (assignments, advisories as (code, path) pairs).
+    """
+    import math
+
+    from datareel.binding import _coords
+
+    assignments = {i: [] for i in range(len(directives))}
+    advisories = []
+    if not directives:
+        if annotation_ids:
+            advisories.append(("unmatched-annotation", ""))
+        return assignments, advisories
+    row_positions = {}
+    for eid, entry in (index.entries.items() if svg is not None else ()):
+        pos = _coords(svg.by_id[eid]) if eid in svg.by_id else None
+        if "mark" in entry.roles and pos is not None:
+            for row in entry.data_rows:
+                row_positions.setdefault(row, pos)
+    for eid in annotation_ids:
+        entry = index.entries.get(eid)
+        rows = entry.data_rows if entry is not None else frozenset()
+        candidates = []
+        for i, directive in enumerate(directives):
+            if rows and directive.index:
+                candidates.append((min(abs(a - b) for a in rows for b in directive.index), i))
+            elif not rows and svg is not None and eid in svg.by_id:
+                pos = _coords(svg.by_id[eid])
+                points = [row_positions[r] for r in directive.index if r in row_positions]
+                if pos is not None and points:
+                    candidates.append((min(math.dist(pos, p) for p in points), i))
+        if candidates:
+            assignments[min(candidates)[1]].append(eid)
+        else:
+            advisories.append(("unmatched-annotation", eid))
+            assignments[0].append(eid)
+    for i in range(len(directives)):
+        if not assignments[i]:
+            advisories.append(("directive-without-elements", f"annotation[{i}]"))
+    return assignments, advisories

@@ -1,12 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from datareel.adapters import MockRenderer
 from datareel.binding import (
+    MarkEntry,
+    MarkIndex,
     NotSvg,
     UnboundMark,
     UnresolvedTarget,
+    SvgDoc,
+    SvgElement,
     XmlParseError,
     diff_annotations,
     index_marks,
@@ -17,7 +23,7 @@ from datareel.binding import (
 )
 from datareel.ingest import parse_csv
 from datareel.model import AnimationDirective, AnnotationDirective
-from helpers import random_svg
+from helpers import random_svg, reference_match_annotation_directives
 
 
 class TestParseSvg:
@@ -320,3 +326,48 @@ class TestMatchAnnotationDirectives:
         )
         assert assignments == {0: ["e3"]}
         assert [(a.code, a.path) for a in report.advisories] == [("unmatched-annotation", "e3")]
+
+
+# Few rows and a small integer grid, so shared rows and distance ties are common.
+match_rows = st.frozensets(st.integers(0, 12), max_size=3)
+match_coords = st.none() | st.tuples(st.integers(0, 20), st.integers(0, 20))
+
+
+@st.composite
+def match_inputs(draw):
+    """Marks and annotation elements with random rows and positions, some
+    annotations unindexed or without an SVG element, and random directives."""
+    entries, elements = {}, {}
+
+    def element(eid, tag):
+        xy = draw(match_coords)
+        attrs = {"x": str(xy[0]), "y": str(xy[1])} if xy else {}
+        elements[eid] = SvgElement(eid, tag, attrs, "")
+
+    for i in range(draw(st.integers(0, 6))):
+        entries[f"m{i}"] = MarkEntry(frozenset({"mark"}), draw(match_rows))
+        element(f"m{i}", "rect")
+    annotation_ids = [f"a{i}" for i in range(draw(st.integers(0, 6)))]
+    for eid in annotation_ids:
+        if draw(st.booleans()):
+            entries[eid] = MarkEntry(frozenset({"annotation"}), draw(match_rows))
+        if draw(st.booleans()):
+            element(eid, "text")
+    directives = [
+        AnnotationDirective(types=("text",), description="d",
+                            index=tuple(draw(st.lists(st.integers(0, 12), max_size=4))),
+                            nar="seg")
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    svg = SvgDoc(root=SvgElement("root", "svg", {}, ""), by_id=elements) \
+        if draw(st.booleans()) else None
+    return annotation_ids, directives, MarkIndex(entries), svg
+
+
+class TestMatchAgreesWithPairwiseReference:
+    @given(match_inputs())
+    def test_assignments_and_advisories_equal(self, inputs):
+        assignments, report = match_annotation_directives(*inputs)
+        expected, advisories = reference_match_annotation_directives(*inputs)
+        assert assignments == expected
+        assert [(a.code, a.path) for a in report.advisories] == advisories

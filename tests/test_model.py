@@ -1,7 +1,12 @@
+import ast
+import json
 import random
 import string
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from datareel.model import (
     ANIMATIONS,
@@ -20,6 +25,7 @@ from datareel.model import (
     UnknownInsightType,
     UnknownVisualizationType,
     classify_animation,
+    dump_artifact,
     parse_insight_type,
     parse_visualization_type,
     structure_violations,
@@ -144,3 +150,56 @@ class TestPromptText:
     def test_rejects_unknown_template_id(self):
         with pytest.raises(ValueError):
             PromptText(text="hello", template_id="poet")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+)
+
+
+class TestDumpArtifact:
+    @given(json_values)
+    def test_round_trip(self, value):
+        text = dump_artifact(value)
+        assert json.loads(text) == value
+        assert json.dumps(json.loads(text), sort_keys=True) == json.dumps(value, sort_keys=True)
+        assert text.endswith("\n")
+
+    def test_layout(self):
+        frames = [{"visible": ["b", "a"], "index": i, "opacity": {}} for i in range(3)]
+        text = dump_artifact({"fps": 30, "frames": frames, "empty": [], "meta": {"ids": [2, 1]}})
+        assert text == (
+            '{\n'
+            '  "empty": [],\n'
+            '  "fps": 30,\n'
+            '  "frames": [\n'
+            '    {"index":0,"opacity":{},"visible":["b","a"]},\n'
+            '    {"index":1,"opacity":{},"visible":["b","a"]},\n'
+            '    {"index":2,"opacity":{},"visible":["b","a"]}\n'
+            '  ],\n'
+            '  "meta": {\n'
+            '    "ids": [2,1]\n'
+            '  }\n'
+            '}\n'
+        )
+
+    def test_scalars_keep_json_dumps_text(self):
+        # An object of scalars is laid out as json.dumps(indent=2) lays it out.
+        value = {"nan": float("nan"), "inf": float("inf"), "third": 1 / 3, "word": "caf\u00e9",
+                 "none": None, "big": 10 ** 30}
+        assert dump_artifact(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_package_has_no_indented_json_dump(self):
+        # indent= sends json.dump(s) through the pure-Python encoder; artifacts
+        # go through dump_artifact instead.
+        package = Path(__file__).resolve().parent.parent / "src" / "datareel"
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("dump", "dumps")
+                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                        and any(k.arg == "indent" for k in node.keywords)):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []

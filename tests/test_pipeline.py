@@ -280,7 +280,7 @@ class TestArtifactDigests:
 
     @pytest.mark.parametrize("export, name, digest", [
         ("video", "video_manifest.json",
-         "d1881b307caf22aa4dd4b670c7af1fff5aa5dce0bbe879c26c39db8854098563"),
+         "2707be17fd689257bdacf636249ae4238bddde56a3e022100b6e4e83a0ffd6e8"),
         ("html", "video.html",
          "678b873badf1aaf166ec47877e82bd34aca5cbf831ebdc2b624a82cc39e2e7ef"),
     ])
@@ -289,6 +289,76 @@ class TestArtifactDigests:
         run_pipeline(config)
         data = (Path(config.output_dir) / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+# SHA-256 of each stock-demo JSON artifact's canonical form (sorted keys, no
+# whitespace), and of every other artifact's bytes. manifest.json holds
+# timestamps and is not pinned.
+DEMO_JSON_MEANING = {
+    "analyst.json":
+        "5c6935c96b54499519153a6e5cfb75b4e364ecb4a21e2023e20f0937f9419dc8",
+    "analyst_repair.json":
+        "41d37d5b6f739c1af0b94403db8e5ef9d9067c6e88de5764f94457bd77876c6a",
+    "analyst_validation.json":
+        "227d6506f3a5c7e9809176e44107537a410d137bff07f08fcb8957e15600b34b",
+    "bindings.json":
+        "5b36d6736327704a481bf6a443dc4e99c9b92ff1489b686c46c67c7166a2cb1c",
+    "description.json":
+        "e656fc77459b77e76d2bf9c7664f1342cb6efc8f51a2e5e32780e65d712db00f",
+    "description_repair.json":
+        "41d37d5b6f739c1af0b94403db8e5ef9d9067c6e88de5764f94457bd77876c6a",
+    "description_validation.json":
+        "227d6506f3a5c7e9809176e44107537a410d137bff07f08fcb8957e15600b34b",
+    "designer.json":
+        "3dbc0c20cab2b90912b23083587c50fd33fa7d5e0dfd7340cec3886f7891998a",
+    "designer_repair.json":
+        "41d37d5b6f739c1af0b94403db8e5ef9d9067c6e88de5764f94457bd77876c6a",
+    "designer_validation.json":
+        "227d6506f3a5c7e9809176e44107537a410d137bff07f08fcb8957e15600b34b",
+    "table.json":
+        "83458104526a300dd3c08edb864752ecaf6fff0863b2cda94b3bceaa638bf175",
+    "timeline.json":
+        "8f7f37ff77550e55802c030423b491cb4043bd253c693d8033b95c0a30d510a1",
+    "timeline_validation.json":
+        "227d6506f3a5c7e9809176e44107537a410d137bff07f08fcb8957e15600b34b",
+    "video_manifest.json":
+        "dac3afef26dc5d61fc4d651cc456da01c386f9d283c0bb4843a11af87d30fc21",
+    "word_timings.json":
+        "b2e30ad3d20dd159dacdae45fc88cc5acfbed74f965d6e2d0abd4b735e431f62",
+}
+DEMO_OTHER_BYTES = {
+    "annotated.svg":
+        "24c7bf14688e92af69b649dff41a501141037659dbe3f31589bc1220c5af2e50",
+    "base.svg":
+        "1066f30eff1bc868f82b8dc114addd2d25154e2062c22281b899cfd27b7d2bf0",
+    "narration.wav":
+        "7dbec24177131c6e94eebf9d38383aefde37a1d8392b4f185cd63c265917705b",
+    "video.html":
+        "678b873badf1aaf166ec47877e82bd34aca5cbf831ebdc2b624a82cc39e2e7ef",
+}
+
+
+class TestArtifactMeaning:
+    """What each stock-demo artifact says, independent of how its JSON is laid out."""
+
+    @pytest.fixture
+    def demo_dir(self, completed_project):
+        return completed_project[0]
+
+    @pytest.mark.parametrize("name", sorted(DEMO_JSON_MEANING))
+    def test_json_artifact_meaning(self, demo_dir, name):
+        value = json.loads((demo_dir / name).read_text(encoding="utf-8"))
+        canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == DEMO_JSON_MEANING[name]
+
+    @pytest.mark.parametrize("name", sorted(DEMO_OTHER_BYTES))
+    def test_other_artifact_bytes(self, demo_dir, name):
+        digest = hashlib.sha256((demo_dir / name).read_bytes()).hexdigest()
+        assert digest == DEMO_OTHER_BYTES[name]
+
+    def test_every_artifact_is_pinned(self, demo_dir):
+        names = {p.name for p in demo_dir.iterdir()} - {"manifest.json"}
+        assert names == set(DEMO_JSON_MEANING) | set(DEMO_OTHER_BYTES)
 
 
 class TestCli:

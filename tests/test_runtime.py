@@ -2,12 +2,14 @@ import json
 import random
 import threading
 import time
+import types
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from datareel import runtime
 from datareel.errors import PreconditionError
 from datareel.model import PromptText, ValidationReport, Violation
 from datareel.runtime import (
@@ -172,6 +174,7 @@ class TestBackendConfig:
 
 class _StubHandler(BaseHTTPRequestHandler):
     status_plan: list[int] = []
+    retry_after: str | None = None  # sent with every error response when set
     calls = 0
 
     def do_POST(self):
@@ -191,6 +194,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.wfile.write(body)
         else:
             self.send_response(status)
+            if cls.retry_after is not None:
+                self.send_header("Retry-After", cls.retry_after)
             self.send_header("Content-Length", "0")
             self.end_headers()
 
@@ -205,14 +210,15 @@ def stub_server():
                               daemon=True)
     thread.start()
     _StubHandler.calls = 0
+    _StubHandler.retry_after = None
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
     server.shutdown()
 
 
-def _live_config(endpoint, retries=2, temperature=0.0):
+def _live_config(endpoint, retries=2, temperature=0.0, retry_delay=0.0):
     return BackendConfig(
         endpoint=endpoint, api_key_env="DATAREEL_TEST_KEY", model_name="stub-model",
-        temperature=temperature, max_retries=retries, retry_delay=0.0, timeout=5.0,
+        temperature=temperature, max_retries=retries, retry_delay=retry_delay, timeout=5.0,
     )
 
 
@@ -231,6 +237,25 @@ class TestHttpBackend:
         backend = HttpChatBackend(_live_config(stub_server, retries=2))
         _StubHandler.status_plan = [429, 200]
         assert backend.send([("user", "hello")]) == "stub reply"
+
+    @pytest.mark.parametrize("retry_after, retry_delay, waits", [
+        (None, 0.5, [0.5, 0.5]),
+        ("3", 0.5, [3, 3]),
+        (" 2 ", 5.0, [5.0, 5.0]),
+        ("7200", 0.5, [60, 60]),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5, [0.5, 0.5]),
+        ("-1", 0.0, []),
+    ], ids=["absent", "seconds", "below-delay", "capped", "http-date", "negative"])
+    def test_retry_after_stretches_the_wait(self, stub_server, monkeypatch,
+                                            retry_after, retry_delay, waits):
+        monkeypatch.setenv("DATAREEL_TEST_KEY", "k")
+        sleeps = []
+        monkeypatch.setattr(runtime, "time", types.SimpleNamespace(sleep=sleeps.append))
+        backend = HttpChatBackend(_live_config(stub_server, retries=2, retry_delay=retry_delay))
+        _StubHandler.status_plan = [503, 429, 200]
+        _StubHandler.retry_after = retry_after
+        assert backend.send([("user", "hello")]) == "stub reply"
+        assert sleeps == waits
 
     def test_non_retryable_raises_immediately(self, stub_server, monkeypatch):
         monkeypatch.setenv("DATAREEL_TEST_KEY", "k")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from datareel import timeline as timeline_module
 from datareel.binding import MarkEntry, MarkIndex
 from datareel.errors import PreconditionError
 from datareel.model import ANIMATIONS
@@ -358,16 +359,15 @@ signed_values = st.sampled_from([0.0, 1.0]) | st.floats(-50.0, 50.0)
 
 
 @st.composite
-def raw_timelines(draw):
+def raw_timelines(draw, unit=unit_values, signed=signed_values, times=times_on_grid):
     """Timelines built directly: all properties and easings, equal keyframe
     times within a track, untracked elements and hidden initial visibility."""
     tracks = {}
     for eid in draw(st.lists(st.sampled_from(["e0", "e1", "e2", "e3"]), unique=True)):
         keyframes = []
         for prop in draw(st.lists(st.sampled_from(PROPERTIES), unique=True)):
-            values = signed_values if prop in ("scale", "translate_x", "translate_y") \
-                else unit_values
-            for time in sorted(draw(st.lists(times_on_grid, min_size=1, max_size=5))):
+            values = signed if prop in ("scale", "translate_x", "translate_y") else unit
+            for time in sorted(draw(st.lists(times, min_size=1, max_size=5))):
                 keyframes.append(Keyframe(eid, time, prop, draw(values),
                                           draw(st.sampled_from(EASINGS))))
         keyframes.sort(key=lambda k: (k.time, k.property))
@@ -375,6 +375,14 @@ def raw_timelines(draw):
     named = draw(st.lists(st.sampled_from(["e0", "e1", "u0", "u1"]), unique=True))
     initial = {eid: draw(st.sampled_from(["visible", "hidden"])) for eid in named}
     return Timeline(duration=DURATION, tracks=tracks, initial_visibility=initial)
+
+
+# Values from three levels make flat segments (equal neighbours) and repeated
+# values common; random floats almost never produce them. Keyframes sit on the
+# grid, so frames land on them too.
+held_values = st.sampled_from([0.0, 0.5, 1.0])
+held_timelines = raw_timelines(unit=held_values, signed=held_values,
+                               times=st.sampled_from(GRID))
 
 
 MARKS = ("m0", "m1", "m2", "m3")
@@ -426,6 +434,10 @@ frame_times = st.one_of(
     st.sampled_from([2, 4, 10]).map(lambda fps: [f / fps for f in range(int(DURATION * fps))]),
     st.lists(times_on_grid, max_size=30).map(sorted),
 )
+grid_frame_times = st.one_of(
+    st.sampled_from([2, 4, 8]).map(lambda fps: [f / fps for f in range(int(DURATION * fps))]),
+    st.lists(st.sampled_from(GRID), max_size=30).map(sorted),
+)
 
 
 class TestKeyframeEvaluator:
@@ -437,6 +449,28 @@ class TestKeyframeEvaluator:
     def test_compiled_timelines_hold_invariants_and_sweep_agrees(self, timeline, times):
         assert timeline_invariant_violations(timeline) == []
         assert_sweep_matches_per_frame_evaluation(timeline, times)
+
+    @given(held_timelines, grid_frame_times)
+    def test_sweep_over_held_segments_equals_per_frame_evaluation(self, timeline, times):
+        assert_sweep_matches_per_frame_evaluation(timeline, times)
+
+    def test_held_segments_are_not_resampled(self, monkeypatch):
+        timeline = Timeline(duration=10.0, tracks={"x": (
+            Keyframe("x", 1.0, "opacity", 0.0),
+            Keyframe("x", 2.0, "opacity", 0.5),
+            Keyframe("x", 8.0, "opacity", 0.5),
+            Keyframe("x", 9.0, "opacity", 1.0),
+        )})
+        calls = []
+        original = timeline_module._sample
+        monkeypatch.setattr(timeline_module, "_sample",
+                            lambda *args: calls.append(args[3]) or original(*args))
+        times = [f / 10 for f in range(100)]
+        frames = list(KeyframeEvaluator(timeline).sweep(times))
+        assert [opacity.get("x") for _, opacity in frames][20:80] == [0.5] * 60
+        # Sampled every frame of the two ramps, once entering the hold and once
+        # entering the final value; never before the first keyframe.
+        assert calls == [t for t in times if 1.0 <= t <= 2.0 or 8.0 <= t <= 9.0]
 
     def test_equal_keyframe_times_use_the_later_keyframe(self):
         timeline = Timeline(duration=4.0, tracks={"x": (
