@@ -592,7 +592,10 @@ class MockSynth:
     (stored rounded to 6 decimals). Its "visible" lists the ids visible at that
     time, sorted by id. Its "opacity" maps only those visible ids whose opacity
     is not 1.0, each value rounded to 4 decimals after that comparison. The
-    frames come from one forward sweep of the compiled timeline.
+    frames come from one change-point sweep of the compiled timeline
+    (KeyframeEvaluator.sweep): consecutive frames with no change share their
+    "visible" list and "opacity" map objects, each distinct opacity map is
+    rounded once, and the writer encodes each shared object once.
     """
 
     def __init__(self, fps: int = 30):
@@ -604,17 +607,20 @@ class MockSynth:
             raise SynthFailure("timeline has zero duration")
         frame_count = int(round(timeline.duration * self.fps))
         times = [f / self.fps for f in range(frame_count)]
-        sweep = KeyframeEvaluator(timeline).sweep(times)
-        # Opacity -> its rounding. Elements fading together and held elements
-        # repeat a few values across a whole frame range.
-        rounded = {}
-        frames = [
-            {"index": f, "time": round(t, 6), "visible": visible,
-             "opacity": {eid: rounded[value] if value in rounded
-                         else rounded.setdefault(value, round(value, 4))
-                         for eid, value in opacity.items()}}
-            for f, (t, (visible, opacity)) in enumerate(zip(times, sweep))
-        ]
+        frames = []
+        # The sweep yields a new opacity map only when one changes, so the
+        # rounded map is keyed on the identity of the last one. Elements
+        # fading together repeat a few values, each rounded once.
+        last = rounded = None
+        values = {}
+        for f, (t, (visible, opacity)) in enumerate(
+                zip(times, KeyframeEvaluator(timeline).sweep(times))):
+            if opacity is not last:
+                last, rounded = opacity, {
+                    eid: values[v] if v in values else values.setdefault(v, round(v, 4))
+                    for eid, v in opacity.items()}
+            frames.append({"index": f, "time": round(t, 6), "visible": visible,
+                           "opacity": rounded})
         manifest = {
             "kind": "mock-video-manifest",
             "fps": self.fps,

@@ -7,6 +7,7 @@ construction and safe to share across threads.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -426,6 +427,12 @@ def dump_artifact(payload) -> str:
     elements are all objects or lists (frames, tracks, bindings, word
     timings) puts each element on its own line, encoded compact; other
     lists and scalars are encoded compact inline. The text ends with a newline.
+
+    Within one such list of rows whose first row holds a list or object, a
+    list or object that is the same object as a member of more than one row
+    (or under two keys of one row) is encoded once and its text reused; the
+    bytes are those of encoding each occurrence. A row with no shared member
+    is encoded whole, as any other value.
     """
     return _layout(payload, "") + "\n"
 
@@ -437,7 +444,81 @@ def _layout(value, indent: str) -> str:
         return "{\n" + ",\n".join(items) + f"\n{indent}}}"
     if isinstance(value, (list, tuple)) and value and all(
             isinstance(v, (dict, list, tuple)) for v in value):
+        shared = _shared_members(value)
+        if shared:
+            return "[\n" + _shared_rows(value, shared, inner) + f"\n{indent}]"
         return "[\n" + ",\n".join(inner + _COMPACT.encode(v) for v in value) + f"\n{indent}]"
+    return _COMPACT.encode(value)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _members(row):
+    return row.values() if isinstance(row, dict) else row
+
+
+def _shared_members(rows) -> set[int]:
+    """ids of the lists and objects that are members of more than one row,
+    or twice members of one. Only rows whose first row holds a list or
+    object are searched, so rows of scalars cost what they did before."""
+    if not any(isinstance(m, _CONTAINERS) for m in _members(rows[0])):
+        return set()
+    seen, shared = set(), set()
+    for row in rows:
+        for member in _members(row):
+            if isinstance(member, _CONTAINERS):
+                (shared if id(member) in seen else seen).add(id(member))
+    return shared
+
+
+def _shared_rows(rows, shared: set[int], inner: str) -> str:
+    # Rows are joined from pieces, so a shared member's text is copied once,
+    # into the result, and not first into a string per row.
+    out: list[str] = []
+    texts: dict[int, str] = {}
+    # The keys of a row of objects -> (key, opening or comma, key text and
+    # colon) in key order; None when a key is not a string, which the encoder
+    # converts and sorts.
+    shapes: dict[tuple, list | None] = {}
+    sep = inner
+    for row in rows:
+        out.append(sep)
+        sep = ",\n" + inner
+        if isinstance(row, dict):
+            keys = tuple(row)
+            if keys not in shapes:
+                shapes[keys] = ([(k, ("," if n else "{") + _COMPACT.encode(k) + ":")
+                                 for n, k in enumerate(sorted(keys))]
+                                if all(isinstance(k, str) for k in keys) else None)
+            shape = shapes[keys]
+            items = shape and [(head, row[k]) for k, head in shape]
+            close = "}"
+        else:
+            items = [("," if n else "[", v) for n, v in enumerate(row)]
+            close = "]"
+        if not items or shared.isdisjoint(id(member) for _, member in items):
+            out.append(_COMPACT.encode(row))
+            continue
+        for head, member in items:
+            out.append(head)
+            if id(member) not in shared:
+                out.append(_member_text(member))
+            elif id(member) in texts:
+                out.append(texts[id(member)])
+            else:
+                out.append(texts.setdefault(id(member), _COMPACT.encode(member)))
+        out.append(close)
+    return "".join(out)
+
+
+def _member_text(value) -> str:
+    # Numbers as json writes them (int.__repr__, float.__repr__ when finite)
+    # without the encoder's per-call set-up; anything else through it.
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
     return _COMPACT.encode(value)
 
 

@@ -10,10 +10,12 @@ runs are cheap and reproducible.
 import hashlib
 import json
 import os
+import re
 import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from pathlib import Path
 
 from .errors import AdapterError, ContractError, PreconditionError
@@ -245,7 +247,18 @@ def complete(session: ChatSession, user_message: str) -> str:
     return reply
 
 
+# A reply value nested deeper than this does not parse. The limit is fixed
+# and well below the interpreter's recursion limit, so the C scanner never
+# reaches that limit and a reply's result does not depend on the caller's stack.
+MAX_REPLY_DEPTH = 200
+
 _DECODER = json.JSONDecoder()
+_OPENER = re.compile(r"[\[{]")
+# One token of a reply read from a candidate on: a string (running to the end
+# of the text when unterminated), an opening bracket or a closing one.
+_TOKEN = re.compile(r'"(?:[^"\\]++|\\.?)*+(?:"|\Z)|([\[{])|([\]}])', re.S)
+_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'[]{}"')
+_STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
 
 
 def extract_json(raw: str):
@@ -254,29 +267,78 @@ def extract_json(raw: str):
     Tolerates Markdown code fences and leading/trailing prose: each `{` or `[`
     in turn is handed to the C JSON scanner, which honours string escapes, so
     braces inside strings never confuse it, and the first value that parses
-    is returned. A value nested past the interpreter's recursion limit does
-    not parse. Raises NoJsonFound when the reply has no `{` or `[` at all,
-    MalformedJson(position of the first one) when none of them parses.
+    is returned. A value nested more than MAX_REPLY_DEPTH levels does not
+    parse; its nesting is measured before the scanner sees it, once for all
+    the candidates it holds. Raises NoJsonFound when the reply has no `{` or
+    `[` at all, MalformedJson(position of the first one) when none of them
+    parses.
     """
     if not raw or not raw.strip():
         raise NoJsonFound("reply is empty")
-    first_candidate = None
-    i = 0
-    while True:
-        candidates = [p for p in (raw.find("{", i), raw.find("[", i)) if p != -1]
-        if not candidates:
-            break
-        start = min(candidates)
-        if first_candidate is None:
-            first_candidate = start
-        try:
-            return _DECODER.raw_decode(raw, start)[0]
-        except (ValueError, RecursionError):
-            pass
-        i = start + 1
-    if first_candidate is None:
+    starts = (m.start() for m in _OPENER.finditer(raw))
+    first = next(starts, None)
+    if first is None:
         raise NoJsonFound("reply contains no JSON object or array")
-    raise MalformedJson(first_candidate)
+    fits = {first: True} if _plainly_shallow(raw, first) else {}
+    for start in chain((first,), starts):
+        if start not in fits:
+            fits.update(_nesting(raw, start))
+        if fits[start]:
+            try:
+                return _DECODER.raw_decode(raw, start)[0]
+            except ValueError:
+                pass
+    raise MalformedJson(first)
+
+
+def _plainly_shallow(raw: str, start: int) -> bool:
+    """True when the value opened at start surely nests at most
+    MAX_REPLY_DEPTH levels; False when this quick test cannot tell.
+
+    Once escapes are dropped, if every string after start is free of
+    brackets (each quote is next to its partner among the brackets and
+    quotes), every bracket is structure, and their running depth up to the
+    value's close is its nesting.
+    """
+    text = raw[start:].encode("utf-8", "surrogatepass")
+    if b"\\" in text:
+        text = text.replace(b"\\\\", b"").replace(b'\\"', b"")
+    structure = text.translate(None, _NOT_STRUCTURE)
+    if structure.count(b'"') != 2 * structure.count(b'""'):
+        return False
+    brackets = structure.translate(None, b'"')
+    if max(accumulate(map(_STEP.__getitem__, brackets))) <= MAX_REPLY_DEPTH:
+        return True
+    depths = list(accumulate(map(_STEP.__getitem__, brackets)))
+    end = depths.index(0) if 0 in depths else len(depths)
+    return max(depths[:end]) <= MAX_REPLY_DEPTH
+
+
+def _nesting(raw: str, start: int) -> dict[int, bool]:
+    """Whether each bracket opened on the token stream from start nests at
+    most MAX_REPLY_DEPTH levels, up to its closing bracket or the end of raw.
+
+    One pass over the tokens; a stack holds [position, levels so far] of
+    each open bracket, so an over-deep run is measured once, not once per
+    bracket in it.
+    """
+    fits: dict[int, bool] = {}
+    stack: list[list[int]] = []
+
+    def close():
+        position, levels = stack.pop()
+        fits[position] = levels <= MAX_REPLY_DEPTH
+        if stack and stack[-1][1] <= levels:
+            stack[-1][1] = levels + 1
+
+    for m in _TOKEN.finditer(raw, start):
+        if m.lastindex == 1:
+            stack.append([m.start(), 1])
+        elif m.lastindex == 2 and stack:
+            close()
+    while stack:
+        close()
+    return fits
 
 
 def _repair_message(violations: list[str]) -> str:

@@ -8,8 +8,8 @@ tracks using a fixed recipe per animation name.
 
 import math
 import re
-from bisect import bisect_right
-from itertools import compress
+from bisect import bisect_left, bisect_right
+from itertools import compress, repeat
 from dataclasses import dataclass, field
 
 from .errors import ContractError, PreconditionError
@@ -415,6 +415,18 @@ def _ease(name: str, p: float) -> float:
     return p
 
 
+def _segment(left: Keyframe, right: Keyframe, times) -> list[float]:
+    """Values at each of times of the segment easing from keyframe left to right.
+
+    Each time lies in [left.time, right.time); the easing is right's.
+    """
+    t0, v0 = left.time, left.value
+    span, delta, easing = right.time - t0, right.value - v0, right.easing
+    if easing == "linear":
+        return [v0 + delta * ((t - t0) / span) for t in times]
+    return [v0 + delta * _ease(easing, (t - t0) / span) for t in times]
+
+
 def _sample(track: tuple[Keyframe, ...], i: int, prop: str, t: float) -> float:
     """Value of one time-sorted property track at t, where i keyframes are at or before t.
 
@@ -426,13 +438,13 @@ def _sample(track: tuple[Keyframe, ...], i: int, prop: str, t: float) -> float:
         return REST_VALUES[prop]
     if i == len(track):
         return track[-1].value
-    left, right = track[i - 1], track[i]
-    p = (t - left.time) / (right.time - left.time)
-    return left.value + (right.value - left.value) * _ease(right.easing, p)
+    return _segment(track[i - 1], track[i], (t,))[0]
 
 
 # Properties that hide an element while any of them is at or below zero.
 VISIBILITY_PROPERTIES = ("opacity", "scale", "clip_fraction", "wheel_fraction")
+
+_HIDDEN = (False, 1.0)
 
 
 class ElementTracks:
@@ -460,6 +472,64 @@ class ElementTracks:
             return self.initially_visible
         return not any(self.value(prop, t) <= 0.0 for prop in VISIBILITY_PROPERTIES)
 
+    def visibility_key(self) -> tuple:
+        """What changes() depends on: two elements with equal keys change alike."""
+        return (self.initially_visible, self.first, tuple(
+            (prop, tuple((k.time, k.value, k.easing) for k in kfs))
+            for prop, kfs in self.by_property.items() if prop in VISIBILITY_PROPERTIES))
+
+    def changes(self, times):
+        """Yield (frame, (shown, opacity)) at each frame of sorted times where
+        this element's state differs from the frame before.
+
+        Before frame 0 the element has its initial visibility; opacity is 1.0
+        while hidden. The frames are cut wherever one of its visibility tracks
+        reaches a keyframe, and at its first keyframe. Inside a cut a property
+        at rest, held between equal keyframe values or past its last keyframe
+        is read once; a ramping one is evaluated at each frame by _segment.
+        """
+        if self.first is None:
+            return
+        tracks = [(prop, kfs, [bisect_left(times, t) for t in self.times[prop]])
+                  for prop, kfs in self.by_property.items() if prop in VISIBILITY_PROPERTIES]
+        cuts = sorted({bisect_left(times, self.first), len(times)}.union(
+            *(starts for *_, starts in tracks)))
+        state = (self.initially_visible, 1.0)
+        for start, end in zip(cuts, cuts[1:]):
+            hidden, alpha, ramps = False, 1.0, []
+            for prop, kfs, starts in tracks:
+                i = bisect_right(starts, start)
+                if 0 < i < len(kfs) and kfs[i - 1].value != kfs[i].value:
+                    ramps.append((prop, kfs[i - 1], kfs[i]))
+                    continue
+                value = kfs[i - 1].value if i else REST_VALUES[prop]
+                if value <= 0.0:
+                    hidden = True
+                elif prop == "opacity":
+                    alpha = value
+            if hidden or not ramps:
+                states = ((start, _HIDDEN if hidden else (True, alpha)),)
+            else:
+                states = zip(range(start, end), _ramp_states(ramps, alpha, times[start:end]))
+            for frame, new in states:
+                if new != state:
+                    state = new
+                    yield frame, new
+
+
+def _ramp_states(ramps, alpha: float, times) -> list[tuple[bool, float]]:
+    """(shown, opacity) at each of times while the given segments ramp; a
+    held opacity is alpha, and the other held properties show the element."""
+    alphas = repeat(alpha)
+    hidden = repeat(False)
+    for prop, left, right in ramps:
+        values = _segment(left, right, times)
+        if prop == "opacity":
+            alphas = values
+        else:
+            hidden = [h or v <= 0.0 for h, v in zip(hidden, values)]
+    return [_HIDDEN if h or a <= 0.0 else (True, a) for h, a in zip(hidden, alphas)]
+
 
 def _element_tracks(timeline: Timeline, element_id: str) -> ElementTracks:
     initially = timeline.initial_visibility.get(element_id, "visible") == "visible"
@@ -479,73 +549,68 @@ class KeyframeEvaluator:
     def sweep(self, times):
         """Yield (visible ids, {visible id: opacity if not 1.0}) for each time.
 
-        times must not decrease (ValueError otherwise): every (element,
-        property) track keeps a cursor that only moves forward, so a frame
-        costs O(elements), not O(elements x keyframes). Equal to visible_at and
-        value_at at each time.
+        times must not decrease (ValueError otherwise). Equal to visible_at
+        and value_at at each time.
 
-        Held segments are not re-sampled. A visibility property resting before
-        its first keyframe, or between two keyframes of equal value, keeps its
-        value until its next keyframe time. While all of an element's
-        visibility properties are held, its (shown, opacity) is reused until
-        the earliest of those times; before its first keyframe an element
-        keeps its initial visibility.
+        The work follows change points, not frames x elements. Each element's
+        frames are cut where one of its visibility tracks reaches a keyframe
+        (a bisection of each keyframe time), and at its first keyframe; before
+        that it keeps its initial visibility. Inside a cut a property at rest,
+        held between equal keyframe values or past its last keyframe is read
+        once, and only a ramping one is evaluated per frame. Only a change of
+        an element's (shown, opacity) is recorded, and a frame applies the
+        changes due at it.
+
+        A frame with no change yields the same list and dict objects as the
+        frame before, and a frame that changes only opacities keeps the
+        visible list. Callers must not mutate what is yielded.
         """
-        ids = self.ids
-        # Per element, by position in ids: the time its state must next be
-        # recomputed, whether it is shown, its opacity (1.0 while hidden), and
-        # one [cursor, keyframes, times, property, value, held until] per
-        # visibility property it animates.
-        held_until, shown, alpha, cursors = [], [], [], []
-        for eid in ids:
-            el = self.elements[eid]
-            held_until.append(math.inf if el.first is None else el.first)
-            shown.append(el.initially_visible)
-            alpha.append(1.0)
-            cursors.append([[0, el.by_property[prop], el.times[prop], prop, 0.0, -math.inf]
-                            for prop in VISIBILITY_PROPERTIES if prop in el.by_property])
-        previous = -math.inf
-        for t in times:
+        times = list(times)
+        for previous, t in zip(times, times[1:]):
             if t < previous:
                 raise ValueError(f"sweep times decrease: {t} after {previous}")
-            previous = t
-            for k in [k for k, until in enumerate(held_until) if t >= until]:
-                held_until[k], shown[k], alpha[k] = _advance(cursors[k], t)
-            yield list(compress(ids, shown)), {eid: a for eid, a in zip(ids, alpha) if a != 1.0}
+        ids = self.ids
+        shown = [self.elements[eid].initially_visible for eid in ids]
+        visible, opacity = list(compress(ids, shown)), {}
+        # Elements whose visibility state is computed from equal data change
+        # together, so each such group's changes are computed once.
+        groups: dict[tuple, list[int]] = {}
+        for k, eid in enumerate(ids):
+            groups.setdefault(self.elements[eid].visibility_key(), []).append(k)
+        # frame -> [(positions in ids, their ids, change stream, (shown,
+        # opacity))]: the next change of each group whose state still changes.
+        due: dict[int, list] = {}
 
+        def schedule(group, stream):
+            change = next(stream, None)
+            if change is not None:
+                due.setdefault(change[0], []).append((*group, stream, change[1]))
 
-def _advance(cursors, t: float) -> tuple[float, bool, float]:
-    """Move one element's visibility cursors forward to t.
-
-    Returns (held until, shown, opacity if shown else 1.0). A cursor is
-    re-sampled only once t reaches its own held-until time: its next keyframe
-    time when it rests or sits between equal values, never after its last
-    keyframe, and at every time (-inf) inside any other segment.
-    """
-    shown = True
-    alpha = 1.0
-    held_until = math.inf
-    for cursor in cursors:
-        i, track, track_times, prop, value, until = cursor
-        if t >= until:
-            n = len(track_times)
-            while i < n and track_times[i] <= t:
-                i += 1
-            value = _sample(track, i, prop, t)
-            if i == n:
-                until = math.inf
-            elif i == 0 or track[i - 1].value == track[i].value:
-                until = track_times[i]
-            else:
-                until = -math.inf
-            cursor[0], cursor[4], cursor[5] = i, value, until
-        if value <= 0.0:
-            shown = False
-        elif prop == "opacity":
-            alpha = value
-        if until < held_until:
-            held_until = until
-    return held_until, shown, alpha if shown else 1.0
+        for positions in groups.values():
+            schedule((positions, [ids[k] for k in positions]),
+                     self.elements[ids[positions[0]]].changes(times))
+        for frame in range(len(times)):
+            changes = due.pop(frame, None)
+            if changes:
+                moved, copied = False, False
+                for positions, members, stream, (now_shown, alpha) in changes:
+                    if now_shown != shown[positions[0]]:
+                        for k in positions:
+                            shown[k] = now_shown
+                        moved = True
+                    faded = now_shown and alpha != 1.0
+                    if faded or members[0] in opacity:
+                        if not copied:
+                            opacity, copied = dict(opacity), True
+                        if faded:
+                            opacity.update(zip(members, repeat(alpha)))
+                        else:
+                            for eid in members:
+                                del opacity[eid]
+                    schedule((positions, members), stream)
+                if moved:
+                    visible = list(compress(ids, shown))
+            yield visible, opacity
 
 
 def value_at(timeline: Timeline, element_id: str, prop: str, t: float) -> float:

@@ -194,11 +194,13 @@ def reference_match_rows(datum: dict, base_rows: list[dict]) -> list[int]:
     return matches
 
 
-def _reference_balanced_end(text: str, start: int) -> int | None:
-    """End offset (exclusive) of the bracket-balanced span starting at start,
-    by a character loop that tracks strings and escapes; None if unbalanced."""
+def _reference_balanced_span(text: str, start: int) -> tuple[int, int] | None:
+    """(end offset, nesting depth) of the bracket-balanced span starting at
+    start, by a character loop that tracks strings and escapes; None if
+    unbalanced."""
     pairs = {"{": "}", "[": "]"}
     stack = [pairs[text[start]]]
+    depth = 1
     in_string = False
     escaped = False
     for i in range(start + 1, len(text)):
@@ -214,32 +216,34 @@ def _reference_balanced_end(text: str, start: int) -> int | None:
             in_string = True
         elif ch in pairs:
             stack.append(pairs[ch])
+            depth = max(depth, len(stack))
         elif ch in ("}", "]"):
             if ch != stack.pop():
                 return None
             if not stack:
-                return i + 1
+                return i + 1, depth
     return None
 
 
 def reference_extract_json(raw: str):
-    """The first `{`/`[` whose balanced span parses with json.loads.
+    """The first `{`/`[` whose balanced span nests at most
+    runtime.MAX_REPLY_DEPTH levels and parses with json.loads.
 
     Raises the same NoJsonFound / MalformedJson(first candidate) as
     datareel.runtime.extract_json.
     """
     import json
 
-    from datareel.runtime import MalformedJson, NoJsonFound
+    from datareel.runtime import MAX_REPLY_DEPTH, MalformedJson, NoJsonFound
 
     if not raw or not raw.strip():
         raise NoJsonFound("reply is empty")
     candidates = [i for i, ch in enumerate(raw) if ch in "{["]
     for start in candidates:
-        end = _reference_balanced_end(raw, start)
-        if end is not None:
+        span = _reference_balanced_span(raw, start)
+        if span is not None and span[1] <= MAX_REPLY_DEPTH:
             try:
-                return json.loads(raw[start:end])
+                return json.loads(raw[start:span[0]])
             except ValueError:
                 pass
     if not candidates:

@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 import random
 import string
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from datareel import model
 from datareel.model import (
     ANIMATIONS,
     ANNOTATION_TYPES,
@@ -158,7 +160,62 @@ json_values = st.recursive(
 )
 
 
+small_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+small_containers = st.lists(small_values, max_size=3) | st.dictionaries(
+    st.text(max_size=3), small_values, max_size=3)
+
+
+@st.composite
+def rows_sharing_objects(draw):
+    """A payload whose row lists hold the same list and dict objects across
+    rows, under two keys of one row and nested inside other members."""
+    pool = draw(st.lists(small_containers, min_size=1, max_size=3))
+    shared = st.sampled_from(pool)
+    members = (shared | small_values | shared.map(lambda v: [v, v])
+               | st.builds(lambda k, v: {k: v}, st.text(max_size=2), shared))
+    rows = st.lists(st.dictionaries(st.text(max_size=3), members, max_size=4)
+                    | st.lists(members, max_size=4), min_size=1, max_size=6)
+    return {"rows": draw(rows), "more": draw(rows), "meta": draw(shared)}
+
+
 class TestDumpArtifact:
+    @given(rows_sharing_objects())
+    def test_shared_objects_write_as_unshared_ones(self, payload):
+        text = dump_artifact(payload)
+        assert text == dump_artifact(copy.deepcopy(payload))
+        # json.loads builds every list and dict afresh, so nothing is shared.
+        assert text == dump_artifact(json.loads(json.dumps(payload)))
+        assert json.loads(text) == payload
+
+    def test_shared_member_is_encoded_once(self, monkeypatch):
+        visible = ["b", "a"]
+        frames = [{"index": i, "time": i / 3, "visible": visible, "opacity": {}}
+                  for i in range(4)]
+        encoded = []
+
+        class Recording(json.JSONEncoder):
+            def encode(self, o):
+                encoded.append(o)
+                return super().encode(o)
+
+        monkeypatch.setattr(model, "_COMPACT", Recording(sort_keys=True, separators=(",", ":")))
+        text = dump_artifact({"frames": frames})
+        assert sum(o is visible for o in encoded) == 1
+        assert text == dump_artifact({"frames": json.loads(json.dumps(frames))})
+        assert '    {"index":1,"opacity":{},"time":0.3333333333333333,"visible":["b","a"]},\n' in text
+
+    def test_rows_with_non_string_keys_encode_whole(self):
+        shared = [1, 2]
+        rows = [{1: shared, 2: shared}, [shared, {"k": shared}], {2.5: None}]
+        fresh = [{1: [1, 2], 2: [1, 2]}, [[1, 2], {"k": [1, 2]}], {2.5: None}]
+        assert dump_artifact(rows) == dump_artifact(fresh) == (
+            '[\n  {"1":[1,2],"2":[1,2]},\n  [[1,2],{"k":[1,2]}],\n  {"2.5":null}\n]\n')
+
     @given(json_values)
     def test_round_trip(self, value):
         text = dump_artifact(value)

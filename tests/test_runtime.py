@@ -121,23 +121,52 @@ class TestExtractJsonEquivalence:
     def test_equals_the_balanced_scan_reference(self, raw):
         assert _outcome(extract_json, raw) == _outcome(reference_extract_json, raw)
 
+    @given(st.lists(_reply_pieces, max_size=8).map("".join))
+    def test_depth_limit_equals_the_balanced_scan_reference(self, raw):
+        # A limit of 2 levels puts the small generated replies on both sides of it.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runtime, "MAX_REPLY_DEPTH", 2)
+            assert _outcome(extract_json, raw) == _outcome(reference_extract_json, raw)
+
     def test_unclosed_nesting_fails_fast(self):
         raw = "x " + '{"a": [' * 3000
         started = time.perf_counter()
         with pytest.raises(MalformedJson) as err:
             extract_json(raw)
         assert err.value.position == 2
-        assert time.perf_counter() - started < 2.0
+        assert time.perf_counter() - started < 0.2
 
     def test_nesting_past_the_recursion_limit_does_not_parse(self):
-        # The outer candidates are too deep to parse; the first one shallow
-        # enough is returned, not a RecursionError.
+        # The outer candidates nest too deep; the first one within the limit
+        # is returned, not a RecursionError.
         value = extract_json("[" * 5000 + "]" * 5000)
-        depth = 0
+        depth = 1
         while value != []:
             (value,) = value
             depth += 1
-        assert 0 < depth < 4999
+        assert depth == runtime.MAX_REPLY_DEPTH
+
+    @pytest.mark.parametrize("text", ['"]"', r'"\"]\""', r'"\\", "]", "\\"'],
+                             ids=["bracket", "escaped-quotes", "escaped-backslashes"])
+    def test_brackets_inside_strings_do_not_hide_nesting(self, text):
+        value = extract_json(f"[{text}, " * 300 + "[]" + "]" * 300)
+        depth = 1
+        while value != []:
+            value = value[-1]
+            depth += 1
+        assert depth == runtime.MAX_REPLY_DEPTH
+
+    @pytest.mark.parametrize("raw", [
+        "[" * 5000 + "]" * 5000,
+        "x " + '{"a": [' * 3000,
+        '{"a": ' * 700 + "1" + "}" * 700,
+        '["]", ' * 400 + "[]" + "]" * 400,
+    ], ids=["closed-arrays", "unclosed-objects", "closed-objects", "brackets-in-strings"])
+    def test_result_does_not_depend_on_the_callers_stack(self, raw):
+        def nested(frames):
+            return _outcome(extract_json, raw) if frames == 0 else nested(frames - 1)
+
+        assert nested(300) == _outcome(extract_json, raw)
 
 
 class TestMockBackend:

@@ -1,10 +1,14 @@
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from datareel import timeline as timeline_module
+from datareel.adapters import MockSynth
 from datareel.binding import MarkEntry, MarkIndex
 from datareel.errors import PreconditionError
 from datareel.model import ANIMATIONS
@@ -440,6 +444,16 @@ grid_frame_times = st.one_of(
 )
 
 
+def _hold_between_ramps():
+    """Opacity ramps 0 -> 0.5 over [1, 2], holds 0.5 until 8, ramps to 1 by 9."""
+    return Timeline(duration=10.0, tracks={"x": (
+        Keyframe("x", 1.0, "opacity", 0.0),
+        Keyframe("x", 2.0, "opacity", 0.5),
+        Keyframe("x", 8.0, "opacity", 0.5),
+        Keyframe("x", 9.0, "opacity", 1.0),
+    )})
+
+
 class TestKeyframeEvaluator:
     @given(raw_timelines(), frame_times)
     def test_sweep_equals_per_frame_evaluation(self, timeline, times):
@@ -455,22 +469,48 @@ class TestKeyframeEvaluator:
         assert_sweep_matches_per_frame_evaluation(timeline, times)
 
     def test_held_segments_are_not_resampled(self, monkeypatch):
-        timeline = Timeline(duration=10.0, tracks={"x": (
-            Keyframe("x", 1.0, "opacity", 0.0),
-            Keyframe("x", 2.0, "opacity", 0.5),
-            Keyframe("x", 8.0, "opacity", 0.5),
-            Keyframe("x", 9.0, "opacity", 1.0),
-        )})
-        calls = []
-        original = timeline_module._sample
-        monkeypatch.setattr(timeline_module, "_sample",
-                            lambda *args: calls.append(args[3]) or original(*args))
+        timeline = _hold_between_ramps()
+        sampled = []
+        original = timeline_module._segment
+
+        def counting(left, right, times):
+            sampled.extend(times)
+            return original(left, right, times)
+
+        monkeypatch.setattr(timeline_module, "_segment", counting)
         times = [f / 10 for f in range(100)]
         frames = list(KeyframeEvaluator(timeline).sweep(times))
         assert [opacity.get("x") for _, opacity in frames][20:80] == [0.5] * 60
-        # Sampled every frame of the two ramps, once entering the hold and once
-        # entering the final value; never before the first keyframe.
-        assert calls == [t for t in times if 1.0 <= t <= 2.0 or 8.0 <= t <= 9.0]
+        # Sampled on every frame of the two ramps only: never before the first
+        # keyframe, in the hold between equal values or past the last keyframe.
+        assert sampled == [t for t in times if 1.0 <= t < 2.0 or 8.0 <= t < 9.0]
+
+    def test_frames_between_change_points_share_their_objects(self):
+        times = [f / 10 for f in range(100)]
+        frames = list(KeyframeEvaluator(_hold_between_ramps()).sweep(times))
+        # Hidden at opacity 0.0 on frame 10, shown from frame 11 on; the
+        # opacity changes on every ramp frame and stays at 0.5 over the hold.
+        visible_objects = {id(visible) for visible, _ in frames}
+        assert len(visible_objects) == 3
+        assert all(frames[f][0] is frames[11][0] for f in range(11, 100))
+        assert all(frames[f][1] is frames[20][1] for f in range(20, 80))
+        assert all(frames[f][1] is frames[90][1] == {} for f in range(90, 100))
+        assert frames[19][1] is not frames[20][1]
+
+    def test_elements_alike_but_for_one_detail_change_apart(self):
+        # Elements with equal visibility data share one change computation;
+        # an easing, an earlier first keyframe or the initial visibility
+        # sets an element apart.
+        def fade(eid, easing="linear"):
+            return (Keyframe(eid, 1.0, "opacity", 0.0, easing),
+                    Keyframe(eid, 3.0, "opacity", 1.0, easing))
+
+        timeline = Timeline(duration=4.0, tracks={
+            "same": fade("same"), "twin": fade("twin"),
+            "eased": fade("eased", "ease-in"), "hidden": fade("hidden"),
+            "early": (Keyframe("early", 0.5, "translate_x", 5.0),) + fade("early"),
+        }, initial_visibility={"hidden": "hidden", "early": "hidden"})
+        assert_sweep_matches_per_frame_evaluation(timeline, [f / 10 for f in range(40)])
 
     def test_equal_keyframe_times_use_the_later_keyframe(self):
         timeline = Timeline(duration=4.0, tracks={"x": (
@@ -488,3 +528,29 @@ class TestKeyframeEvaluator:
         timeline = Timeline(duration=4.0, tracks={}, initial_visibility={"x": "visible"})
         with pytest.raises(ValueError):
             list(KeyframeEvaluator(timeline).sweep([1.0, 0.5]))
+
+
+def reference_manifest_frames(timeline, fps):
+    """Frames by the MockSynth docstring, each evaluated on its own with the
+    linear-scan references: visible ids sorted, and the opacity of each
+    visible id that is not 1.0, rounded to 4 decimals after that comparison."""
+    ids = sorted(set(timeline.tracks) | set(timeline.initial_visibility))
+    frames = []
+    for f in range(int(round(timeline.duration * fps))):
+        t = f / fps
+        visible = [eid for eid in ids if reference_visible_at(timeline, eid, t)]
+        opacity = {eid: reference_value_at(timeline, eid, "opacity", t) for eid in visible}
+        frames.append({"index": f, "time": round(t, 6), "visible": visible,
+                       "opacity": {eid: round(v, 4) for eid, v in opacity.items() if v != 1.0}})
+    return frames
+
+
+class TestMockSynthManifest:
+    @given(compiled_timelines(), st.sampled_from([1, 3, 8]))
+    def test_frames_equal_the_per_frame_reference(self, timeline, fps):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "video.json"
+            MockSynth(fps=fps).synthesize(timeline, "chart.svg", "narration.wav", out)
+            manifest = json.loads(out.read_text(encoding="utf-8"))
+        assert manifest["frame_count"] == len(manifest["frames"])
+        assert manifest["frames"] == reference_manifest_frames(timeline, fps)
