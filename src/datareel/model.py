@@ -8,6 +8,7 @@ construction and safe to share across threads.
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -464,12 +465,11 @@ def _shared_members(rows) -> set[int]:
     object are searched, so rows of scalars cost what they did before."""
     if not any(isinstance(m, _CONTAINERS) for m in _members(rows[0])):
         return set()
-    seen, shared = set(), set()
-    for row in rows:
-        for member in _members(row):
-            if isinstance(member, _CONTAINERS):
-                (shared if id(member) in seen else seen).add(id(member))
-    return shared
+    ids = [id(m) for row in rows for m in (row.values() if isinstance(row, dict) else row)
+           if isinstance(m, _CONTAINERS)]
+    if len(set(ids)) == len(ids):
+        return set()
+    return {i for i, count in Counter(ids).items() if count > 1}
 
 
 def _shared_rows(rows, shared: set[int], inner: str) -> str:
