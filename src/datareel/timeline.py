@@ -558,8 +558,8 @@ class KeyframeEvaluator:
         that it keeps its initial visibility. Inside a cut a property at rest,
         held between equal keyframe values or past its last keyframe is read
         once, and only a ramping one is evaluated per frame. Only a change of
-        an element's (shown, opacity) is recorded, and a frame applies the
-        changes due at it.
+        an element's (shown, opacity) is recorded, once for all elements with
+        equal visibility data, and a frame applies the changes due at it.
 
         A frame with no change yields the same list and dict objects as the
         frame before, and a frame that changes only opacities keeps the
