@@ -674,37 +674,47 @@ _CSS_PROPS = {
 }
 
 
+def _css_track(prop: str, seq) -> tuple[str, str]:
+    """The @keyframes body and the animation timing of one property track."""
+    first, last = seq[0].time, seq[-1].time
+    duration = max(last - first, 0.001)
+    stops = []
+    for i, kf in enumerate(seq):
+        pct = (kf.time - first) / duration * 100
+        easing = seq[i + 1].easing if i + 1 < len(seq) else "linear"
+        stops.append(
+            f"  {pct:.4f}% {{ {_CSS_PROPS[prop](kf.value)}"
+            f" animation-timing-function: {easing}; }}"
+        )
+    return "\n".join(stops), f"{duration:g}s linear {first:g}s 1 normal both"
+
+
 def export_html(timeline: Timeline, svg_text: str, audio_ref: str,
                 out_path: str | Path | None = None) -> str:
     """Emit a self-contained HTML document animating the SVG along the timeline.
 
     Keyframe tracks become CSS @keyframes with matching delays and durations;
     animations stay paused until the play button starts them with the audio.
-    svg_text must carry the element ids the timeline refers to.
+    svg_text must carry the element ids the timeline refers to. The stops and
+    the timing of each distinct property track are formatted once; only the
+    kf_<id>_<property> name differs between the elements that share it.
     """
     keyframe_blocks = []
     element_rules = []
     uses_wheel = False
     evaluator = KeyframeEvaluator(timeline)
+    # id of a property track -> (its @keyframes body, its animation timing)
+    css: dict[int, tuple[str, str]] = {}
     for eid in evaluator.ids:
         animations = []
         extra_style = ""
         for prop, seq in evaluator.elements[eid].by_property.items():
+            if id(seq) not in css:
+                css[id(seq)] = _css_track(prop, seq)
+            body, timing = css[id(seq)]
             name = f"kf_{eid}_{prop}"
-            first, last = seq[0].time, seq[-1].time
-            duration = max(last - first, 0.001)
-            stops = []
-            for i, kf in enumerate(seq):
-                pct = (kf.time - first) / duration * 100
-                easing = seq[i + 1].easing if i + 1 < len(seq) else "linear"
-                stops.append(
-                    f"  {pct:.4f}% {{ {_CSS_PROPS[prop](kf.value)}"
-                    f" animation-timing-function: {easing}; }}"
-                )
-            keyframe_blocks.append(
-                f"@keyframes {name} {{\n" + "\n".join(stops) + "\n}"
-            )
-            animations.append(f"{name} {duration:g}s linear {first:g}s 1 normal both")
+            keyframe_blocks.append(f"@keyframes {name} {{\n{body}\n}}")
+            animations.append(f"{name} {timing}")
             if prop == "wheel_fraction":
                 uses_wheel = True
                 extra_style += (

@@ -551,23 +551,31 @@ def validate_project(project_dir: str | Path) -> ValidationReport:
 
     timings_payload = _load_artifact(project_dir, "word_timings.json")
     timeline_payload = _load_artifact(project_dir, "timeline.json")
+    timings = None
+    if timings_payload:
+        try:
+            timings = (timings_payload["duration"], [
+                tl.WordTiming(w["word"], w["start"], w["end"],
+                              tl.Span(w["char_start"], w["char_end"]))
+                for w in timings_payload["words"]
+            ])
+        except (KeyError, TypeError, ValueError) as e:
+            violations.append(Violation("tts-contract", "word_timings.json", repr(e)))
     if timeline_payload:
-        timeline = tl.Timeline.from_json(timeline_payload)
-        for problem in tl.timeline_invariant_violations(timeline):
-            violations.append(Violation("timeline-invariant", "timeline.json", problem))
-        if timings_payload and timeline.duration != timings_payload["duration"]:
-            violations.append(Violation(
-                "timeline-duration", "timeline.json",
-                f"timeline duration {timeline.duration} != audio duration "
-                f"{timings_payload['duration']}",
-            ))
-    if timings_payload and analyst_output is not None:
-        words = [
-            tl.WordTiming(w["word"], w["start"], w["end"],
-                          tl.Span(w["char_start"], w["char_end"]))
-            for w in timings_payload["words"]
-        ]
-        for problem in tl.validate_timings(analyst_output.narration, words):
+        try:
+            timeline = tl.Timeline.from_json(timeline_payload)
+        except (KeyError, TypeError, ValueError) as e:
+            violations.append(Violation("timeline-contract", "timeline.json", repr(e)))
+        else:
+            for problem in tl.timeline_invariant_violations(timeline):
+                violations.append(Violation("timeline-invariant", "timeline.json", problem))
+            if timings and timeline.duration != timings[0]:
+                violations.append(Violation(
+                    "timeline-duration", "timeline.json",
+                    f"timeline duration {timeline.duration} != audio duration {timings[0]}",
+                ))
+    if timings and analyst_output is not None:
+        for problem in tl.validate_timings(analyst_output.narration, timings[1]):
             violations.append(Violation("tts-contract", "word_timings.json", problem))
 
     return ValidationReport(violations=tuple(violations), advisories=tuple(advisories))

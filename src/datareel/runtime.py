@@ -254,10 +254,15 @@ MAX_REPLY_DEPTH = 200
 
 _DECODER = json.JSONDecoder()
 _OPENER = re.compile(r"[\[{]")
-# One token of a reply read from a candidate on: a string (running to the end
-# of the text when unterminated), an opening bracket or a closing one.
-_TOKEN = re.compile(r'"(?:[^"\\]++|\\.?)*+(?:"|\Z)|([\[{])|([\]}])', re.S)
+# A string of a reply, running to the end of the text when unterminated (a
+# lone trailing backslash included). The loop is unrolled, so each character
+# matches one way and a string never backtracks.
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)', re.S)
+# One token of a reply read from a candidate on: a string, an opening bracket
+# or a closing one.
+_TOKEN = re.compile(_STRING.pattern + r"|([\[{])|([\]}])", re.S)
 _NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'[]{}"')
+_NOT_BRACKET = bytes(b for b in range(256) if b not in b"[]{}")
 _STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
 
 
@@ -297,16 +302,17 @@ def _plainly_shallow(raw: str, start: int) -> bool:
 
     Once escapes are dropped, if every string after start is free of
     brackets (each quote is next to its partner among the brackets and
-    quotes), every bracket is structure, and their running depth up to the
-    value's close is its nesting.
+    quotes), every bracket is structure. Otherwise one regex pass drops the
+    strings, read as _TOKEN reads them, and every bracket left is structure.
+    Their running depth up to the value's close is its nesting.
     """
     text = raw[start:].encode("utf-8", "surrogatepass")
     if b"\\" in text:
         text = text.replace(b"\\\\", b"").replace(b'\\"', b"")
     structure = text.translate(None, _NOT_STRUCTURE)
     if structure.count(b'"') != 2 * structure.count(b'""'):
-        return False
-    brackets = structure.translate(None, b'"')
+        structure = _STRING.sub("", raw[start:]).encode("utf-8", "surrogatepass")
+    brackets = structure.translate(None, _NOT_BRACKET)
     if max(accumulate(map(_STEP.__getitem__, brackets))) <= MAX_REPLY_DEPTH:
         return True
     depths = list(accumulate(map(_STEP.__getitem__, brackets)))

@@ -6,11 +6,13 @@ mapped to seconds through word timings, and expanded into per-element keyframe
 tracks using a fixed recipe per animation name.
 """
 
+import marshal
 import math
 import re
 from bisect import bisect_left, bisect_right
 from itertools import compress, repeat
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import ContractError, PreconditionError
 from .model import (
@@ -90,13 +92,21 @@ def validate_timings(narration: str, timings: list[WordTiming]) -> list[str]:
 
 @dataclass(frozen=True)
 class Keyframe:
-    element_id: str
+    """One stop of a property track: the value at time, eased into from the
+    stop before.
+
+    A keyframe names no element. Timeline.tracks keys each track by the
+    element that holds it, and one keyframe, like one track, may serve many.
+    """
+
     time: float
     property: str
     value: float
     easing: str = "linear"
 
     def __post_init__(self):
+        if not (isinstance(self.time, (int, float)) and isinstance(self.value, (int, float))):
+            raise TypeError(f"keyframe time {self.time!r} or value {self.value!r} is not a number")
         if self.property not in PROPERTIES:
             raise ValueError(f"unknown property {self.property!r}")
         if self.easing not in EASINGS:
@@ -109,38 +119,62 @@ class Keyframe:
 
 @dataclass
 class Timeline:
-    """Per-element keyframe tracks and initial visibilities over the audio clock."""
+    """Per-element keyframe tracks and initial visibilities over the audio clock.
+
+    Elements with equal tracks may hold one shared tuple (compile_timeline and
+    from_json share them), so work keyed on a track's identity is done once
+    per distinct track. Tracks are never mutated.
+    """
 
     duration: float
     tracks: dict[str, tuple[Keyframe, ...]] = field(default_factory=dict)
     initial_visibility: dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> dict:
+        """The timeline.json payload. Elements holding one track object share
+        one list of keyframe rows, which dump_artifact encodes once."""
+        rows: dict[int, list[dict]] = {}
+        tracks = []
+        for eid in sorted(self.tracks):
+            track = self.tracks[eid]
+            if id(track) not in rows:
+                rows[id(track)] = [{"time": k.time, "property": k.property,
+                                    "value": k.value, "easing": k.easing} for k in track]
+            tracks.append({"element_id": eid, "keyframes": rows[id(track)]})
         return {
             "duration": self.duration,
             "initial_visibility": dict(sorted(self.initial_visibility.items())),
-            "tracks": [
-                {
-                    "element_id": eid,
-                    "keyframes": [
-                        {"time": k.time, "property": k.property,
-                         "value": k.value, "easing": k.easing}
-                        for k in self.tracks[eid]
-                    ],
-                }
-                for eid in sorted(self.tracks)
-            ],
+            "tracks": tracks,
         }
 
     @classmethod
     def from_json(cls, value: dict) -> "Timeline":
-        tracks = {
-            t["element_id"]: tuple(
-                Keyframe(t["element_id"], k["time"], k["property"], k["value"], k["easing"])
-                for k in t["keyframes"]
-            )
-            for t in value["tracks"]
-        }
+        """The inverse of to_json. Equal tracks become one tuple and equal rows
+        one Keyframe, so a reloaded timeline shares tracks as a compiled one.
+
+        Rows are matched on their marshal bytes, which keep each value's type
+        and exact bits: 1 and 1.0, or -0.0 and 0.0, never merge, so every
+        value stays as written. Raises KeyError, TypeError or ValueError on a
+        malformed payload.
+        """
+        stops: dict[bytes, Keyframe] = {}
+        shared: dict[bytes, tuple[Keyframe, ...]] = {}
+
+        def stop(row) -> Keyframe:
+            key = marshal.dumps(row, 2)
+            if key not in stops:
+                stops[key] = Keyframe(row["time"], row["property"], row["value"],
+                                      row["easing"])
+            return stops[key]
+
+        tracks = {}
+        for t in value["tracks"]:
+            key = marshal.dumps(t["keyframes"], 2)
+            if key not in shared:
+                shared[key] = tuple(map(stop, t["keyframes"]))
+            tracks[t["element_id"]] = shared[key]
+        if not isinstance(value["duration"], (int, float)):
+            raise TypeError(f"duration {value['duration']!r} is not a number")
         return cls(
             duration=value["duration"],
             tracks=tracks,
@@ -189,18 +223,18 @@ def align_segments(spans: list[Span], timings: list[WordTiming]) -> list[tuple[f
 
 @dataclass(frozen=True)
 class AnimationEffect:
-    """Keyframes produced for one directive plus its initial-visibility effect."""
+    """Ramps produced for one directive plus its initial-visibility effect.
 
-    keyframes: tuple[Keyframe, ...]
+    A ramp is (element ids, keyframes of one property): each of the ids gets
+    that same tuple of keyframes.
+    """
+
+    ramps: tuple[tuple[frozenset[str], tuple[Keyframe, ...]], ...]
     initially_hidden: frozenset[str]
 
 
 def _ramp(ids, prop, stops, easing="linear"):
-    out = []
-    for eid in sorted(ids):
-        for t, v in stops:
-            out.append(Keyframe(eid, t, prop, v, easing))
-    return out
+    return frozenset(ids), tuple(Keyframe(t, prop, v, easing) for t, v in stops)
 
 
 _LEGEND_FLY = {"Pie-wheel-in-and-legend-fly-in"}
@@ -210,7 +244,8 @@ LEGEND_VARIANTS = _LEGEND_FLY | _LEGEND_FADE
 
 def keyframes_for(animation: str, element_ids, interval: tuple[float, float], *,
                   legend_ids=frozenset(), other_ids=frozenset()) -> AnimationEffect:
-    """Expand one animation over an interval into keyframes.
+    """Expand one animation over an interval into ramps: one keyframe per stop,
+    shared by every element the ramp moves.
 
     Entrance animations leave their elements initially hidden and animate to
     the visible state; emphasis animations perturb and restore within the
@@ -224,55 +259,55 @@ def keyframes_for(animation: str, element_ids, interval: tuple[float, float], *,
         raise PreconditionError(f"interval [{t0},{t1}) is empty")
     length = t1 - t0
     ids = frozenset(element_ids)
-    keyframes: list[Keyframe] = []
+    ramps = []
     hidden: frozenset[str] = frozenset()
 
     if category is AnimationCategory.ENTRANCE:
         hidden = ids | frozenset(legend_ids)
         fade = [(t0, 0.0), (t1, 1.0)]
         if animation in ("Fade-in", "Axes-fade-in", "Scatter-fade-in"):
-            keyframes += _ramp(ids, "opacity", fade)
+            ramps.append(_ramp(ids, "opacity", fade))
         elif animation in ("Bar-grow-in", "Bar-grow-and-legend-fade-in"):
-            keyframes += _ramp(ids, "scale", fade, "ease-out")
+            ramps.append(_ramp(ids, "scale", fade, "ease-out"))
         elif animation in ("Line-wipe-in", "Line-wipe-and-legend-fade-in"):
-            keyframes += _ramp(ids, "clip_fraction", fade)
+            ramps.append(_ramp(ids, "clip_fraction", fade))
         elif animation in ("Pie-wheel-in", "Pie-wheel-in-and-legend-fly-in"):
-            keyframes += _ramp(ids, "wheel_fraction", fade)
+            ramps.append(_ramp(ids, "wheel_fraction", fade))
         elif animation == "Float-in":
-            keyframes += _ramp(ids, "translate_y", [(t0, 20.0), (t1, 0.0)])
-            keyframes += _ramp(ids, "opacity", fade)
+            ramps.append(_ramp(ids, "translate_y", [(t0, 20.0), (t1, 0.0)]))
+            ramps.append(_ramp(ids, "opacity", fade))
         elif animation == "Fly-in":
-            keyframes += _ramp(ids, "translate_x", [(t0, -40.0), (t1, 0.0)])
-            keyframes += _ramp(ids, "opacity", fade)
+            ramps.append(_ramp(ids, "translate_x", [(t0, -40.0), (t1, 0.0)]))
+            ramps.append(_ramp(ids, "opacity", fade))
         elif animation == "Zoom-in":
-            keyframes += _ramp(ids, "scale", [(t0, 0.5), (t1, 1.0)])
-            keyframes += _ramp(ids, "opacity", fade)
+            ramps.append(_ramp(ids, "scale", [(t0, 0.5), (t1, 1.0)]))
+            ramps.append(_ramp(ids, "opacity", fade))
         if animation in _LEGEND_FADE:
-            keyframes += _ramp(legend_ids, "opacity", fade)
+            ramps.append(_ramp(legend_ids, "opacity", fade))
         elif animation in _LEGEND_FLY:
-            keyframes += _ramp(legend_ids, "translate_x", [(t0, -40.0), (t1, 0.0)])
-            keyframes += _ramp(legend_ids, "opacity", fade)
+            ramps.append(_ramp(legend_ids, "translate_x", [(t0, -40.0), (t1, 0.0)]))
+            ramps.append(_ramp(legend_ids, "opacity", fade))
 
     elif category is AnimationCategory.EMPHASIS:
         if animation == "Bar-bounce":
             stops = [(t0, 1.0), (t0 + length / 4, 1.15), (t0 + length / 2, 1.0),
                      (t0 + 3 * length / 4, 1.15), (t1, 1.0)]
-            keyframes += _ramp(ids, "scale", stops, "ease-in-out")
+            ramps.append(_ramp(ids, "scale", stops, "ease-in-out"))
         elif animation == "Zoom-in-then-zoom-out":
             stops = [(t0, 1.0), (t0 + length / 2, 1.25), (t1, 1.0)]
-            keyframes += _ramp(ids, "scale", stops, "ease-in-out")
+            ramps.append(_ramp(ids, "scale", stops, "ease-in-out"))
         elif animation == "Shine-in-a-short-duration":
             stops = [(t0 + i * length / 6, 1.0 if i % 2 == 0 else 0.4) for i in range(7)]
-            keyframes += _ramp(ids, "opacity", stops)
+            ramps.append(_ramp(ids, "opacity", stops))
         elif animation == "Highlight-one-and-fade-others":
             delta = EMPHASIS_RAMP_FRACTION * length
             stops = [(t0, 1.0), (t0 + delta, 0.2), (t1 - delta, 0.2), (t1, 1.0)]
-            keyframes += _ramp(frozenset(other_ids) - ids, "opacity", stops)
+            ramps.append(_ramp(frozenset(other_ids) - ids, "opacity", stops))
 
     else:  # exit: Fade-out
-        keyframes += _ramp(ids, "opacity", [(t0, 1.0), (t1, 0.0)])
+        ramps.append(_ramp(ids, "opacity", [(t0, 1.0), (t1, 0.0)]))
 
-    return AnimationEffect(keyframes=tuple(keyframes), initially_hidden=hidden)
+    return AnimationEffect(ramps=tuple(ramps), initially_hidden=hidden)
 
 
 @dataclass(frozen=True)
@@ -304,33 +339,40 @@ def compile_timeline(placed_directives, placed_annotations, mark_index, duration
     hidden and fade in over [segment_start, segment_start + fade_in_duration]
     clamped to the segment. Overlapping keyframe groups on the same element
     and property resolve last-writer-wins with an advisory.
+
+    Keyframes carry no element id. Every element of one ramp shares one group
+    record, and elements that keep the same groups on every property share
+    one merged track tuple, which is merged once.
     """
     if duration <= 0:
         raise PreconditionError("duration must be positive")
     advisories: list[Violation] = []
+    # (element, property) -> the groups kept on that track, in arrival order.
     groups: dict[tuple[str, str], list[dict]] = {}
 
-    def add_group(keyframes: list[Keyframe], label: str):
-        by_track: dict[tuple[str, str], list[Keyframe]] = {}
-        for kf in keyframes:
-            if not 0.0 <= kf.time <= duration:
-                raise ValueError(f"keyframe time {kf.time} outside [0,{duration}]")
-            by_track.setdefault((kf.element_id, kf.property), []).append(kf)
-        for key, kfs in by_track.items():
-            kfs.sort(key=lambda k: k.time)
-            start, end = kfs[0].time, kfs[-1].time
-            kept = []
-            for g in groups.get(key, []):
-                if g["start"] < end and start < g["end"]:
-                    advisories.append(Violation(
-                        "track-overlap", key[0],
-                        f"{key[1]} keyframes from {g['label']!r} overlap {label!r}; "
-                        "later directive wins",
-                    ))
-                else:
-                    kept.append(g)
-            kept.append({"start": start, "end": end, "keyframes": kfs, "label": label})
-            groups[key] = kept
+    def add_group(ramps, label: str):
+        for ids, kfs in ramps:
+            if not ids:
+                continue
+            for kf in kfs:
+                if not 0.0 <= kf.time <= duration:
+                    raise ValueError(f"keyframe time {kf.time} outside [0,{duration}]")
+            kfs = sorted(kfs, key=attrgetter("time"))
+            start, end, prop = kfs[0].time, kfs[-1].time, kfs[0].property
+            record = {"start": start, "end": end, "keyframes": kfs, "label": label}
+            for eid in sorted(ids):
+                kept = []
+                for g in groups.get((eid, prop), []):
+                    if g["start"] < end and start < g["end"]:
+                        advisories.append(Violation(
+                            "track-overlap", eid,
+                            f"{prop} keyframes from {g['label']!r} overlap {label!r}; "
+                            "later directive wins",
+                        ))
+                    else:
+                        kept.append(g)
+                kept.append(record)
+                groups[(eid, prop)] = kept
 
     initial = {eid: "visible" for eid in mark_index.entries}
     for placed in placed_annotations:
@@ -361,34 +403,42 @@ def compile_timeline(placed_directives, placed_annotations, mark_index, duration
                 other_ids=frozenset(all_mark_ids) if category is AnimationCategory.EMPHASIS
                 else frozenset(),
             )
-            add_group(list(effect.keyframes), placed.label or placed.animation)
+            add_group(effect.ramps, placed.label or placed.animation)
             for eid in effect.initially_hidden:
                 initial[eid] = "hidden"
         else:
             start, end = placed.interval
             fade_end = start + min(fade_in_duration, end - start)
-            kfs = _ramp(placed.element_ids, "opacity", [(start, 0.0), (fade_end, 1.0)])
-            add_group(kfs, placed.label or "annotation fade-in")
+            ramp = _ramp(placed.element_ids, "opacity", [(start, 0.0), (fade_end, 1.0)])
+            add_group([ramp], placed.label or "annotation fade-in")
 
-    tracks: dict[str, list[Keyframe]] = {}
-    by_element: dict[str, list[tuple[str, dict]]] = {}
+    tracks: dict[str, tuple[Keyframe, ...]] = {}
+    by_element: dict[str, list[tuple[str, list[dict]]]] = {}
     for (eid, prop), bucket in groups.items():
         by_element.setdefault(eid, []).append((prop, bucket))
+    # An element's track follows from the groups it keeps on each property;
+    # a group record belongs to one property, so their ids in property order
+    # name that history.
+    merged_by_history: dict[tuple[int, ...], tuple[Keyframe, ...]] = {}
     for eid, prop_buckets in by_element.items():
-        merged_all: list[Keyframe] = []
-        for prop, bucket in sorted(prop_buckets, key=lambda pb: pb[0]):
-            merged: list[Keyframe] = []
-            for g in sorted(bucket, key=lambda g: (g["start"], g["end"])):
-                for kf in g["keyframes"]:
-                    if merged and kf.time == merged[-1].time:
-                        merged[-1] = kf
-                    elif merged and kf.time < merged[-1].time:
-                        continue
-                    else:
-                        merged.append(kf)
-            merged_all.extend(merged)
-        merged_all.sort(key=lambda k: (k.time, k.property))
-        tracks[eid] = merged_all
+        prop_buckets.sort(key=lambda pb: pb[0])
+        history = tuple(id(g) for _, bucket in prop_buckets for g in bucket)
+        if history not in merged_by_history:
+            merged_all: list[Keyframe] = []
+            for _, bucket in prop_buckets:
+                merged: list[Keyframe] = []
+                for g in sorted(bucket, key=lambda g: (g["start"], g["end"])):
+                    for kf in g["keyframes"]:
+                        if merged and kf.time == merged[-1].time:
+                            merged[-1] = kf
+                        elif merged and kf.time < merged[-1].time:
+                            continue
+                        else:
+                            merged.append(kf)
+                merged_all.extend(merged)
+            merged_all.sort(key=lambda k: (k.time, k.property))
+            merged_by_history[history] = tuple(merged_all)
+        tracks[eid] = merged_by_history[history]
 
     for eid, vis in initial.items():
         if vis == "hidden" and not tracks.get(eid):
@@ -399,7 +449,7 @@ def compile_timeline(placed_directives, placed_annotations, mark_index, duration
 
     timeline = Timeline(
         duration=duration,
-        tracks={eid: tuple(kfs) for eid, kfs in tracks.items()},
+        tracks=tracks,
         initial_visibility=initial,
     )
     return timeline, ValidationReport(advisories=tuple(advisories))
@@ -540,11 +590,20 @@ class KeyframeEvaluator:
     """A Timeline compiled once for sampling at many times.
 
     `ids` lists every element with a track or an initial visibility, sorted.
+    Elements holding the same track object and initial visibility share one
+    ElementTracks in `elements`.
     """
 
     def __init__(self, timeline: Timeline):
         self.ids = tuple(sorted(set(timeline.initial_visibility) | set(timeline.tracks)))
-        self.elements = {eid: _element_tracks(timeline, eid) for eid in self.ids}
+        shared: dict[tuple[int, bool], ElementTracks] = {}
+        self.elements = {}
+        for eid in self.ids:
+            track = timeline.tracks.get(eid, ())
+            initially = timeline.initial_visibility.get(eid, "visible") == "visible"
+            if (id(track), initially) not in shared:
+                shared[id(track), initially] = ElementTracks(track, initially)
+            self.elements[eid] = shared[id(track), initially]
 
     def sweep(self, times):
         """Yield (visible ids, {visible id: opacity if not 1.0}) for each time.
@@ -575,8 +634,12 @@ class KeyframeEvaluator:
         # Elements whose visibility state is computed from equal data change
         # together, so each such group's changes are computed once.
         groups: dict[tuple, list[int]] = {}
+        keys: dict[int, tuple] = {}
         for k, eid in enumerate(ids):
-            groups.setdefault(self.elements[eid].visibility_key(), []).append(k)
+            element = self.elements[eid]
+            if id(element) not in keys:
+                keys[id(element)] = element.visibility_key()
+            groups.setdefault(keys[id(element)], []).append(k)
         # frame -> [(positions in ids, their ids, change stream, (shown,
         # opacity))]: the next change of each group whose state still changes.
         due: dict[int, list] = {}
@@ -624,19 +687,34 @@ def visible_at(timeline: Timeline, element_id: str, t: float) -> bool:
 
 
 def timeline_invariant_violations(timeline: Timeline) -> list[str]:
-    """Check the structural invariants of a compiled timeline."""
+    """Check the structural invariants of a compiled timeline.
+
+    Each distinct track object is checked once; its problems are reported
+    for every element that holds it, in track order.
+    """
     problems = []
     if not math.isfinite(timeline.duration) or timeline.duration < 0:
         problems.append(f"invalid duration {timeline.duration}")
+    found: dict[int, list[str]] = {}
     for eid, kfs in timeline.tracks.items():
-        per_prop: dict[str, list[Keyframe]] = {}
-        for kf in kfs:
-            if not 0.0 <= kf.time <= timeline.duration:
-                problems.append(f"{eid}: keyframe time {kf.time} outside [0,{timeline.duration}]")
-            per_prop.setdefault(kf.property, []).append(kf)
-        for prop, seq in per_prop.items():
-            for a, b in zip(seq, seq[1:]):
-                if b.time <= a.time:
-                    problems.append(f"{eid}/{prop}: keyframes not strictly time-sorted")
-                    break
+        if id(kfs) not in found:
+            found[id(kfs)] = _track_problems(kfs, timeline.duration)
+        if found[id(kfs)]:
+            problems.extend(eid + problem for problem in found[id(kfs)])
+    return problems
+
+
+def _track_problems(kfs, duration: float) -> list[str]:
+    """The invariant problems of one track, each to follow an element id."""
+    problems = []
+    per_prop: dict[str, list[Keyframe]] = {}
+    for kf in kfs:
+        if not 0.0 <= kf.time <= duration:
+            problems.append(f": keyframe time {kf.time} outside [0,{duration}]")
+        per_prop.setdefault(kf.property, []).append(kf)
+    for prop, seq in per_prop.items():
+        for a, b in zip(seq, seq[1:]):
+            if b.time <= a.time:
+                problems.append(f"/{prop}: keyframes not strictly time-sorted")
+                break
     return problems

@@ -515,8 +515,8 @@ class TestExportHtml:
     def test_fade_track_becomes_css_animation(self):
         timeline = Timeline(
             duration=10.0,
-            tracks={"e1": (Keyframe("e1", 2.0, "opacity", 0.0),
-                           Keyframe("e1", 3.0, "opacity", 1.0))},
+            tracks={"e1": (Keyframe(2.0, "opacity", 0.0),
+                           Keyframe(3.0, "opacity", 1.0))},
             initial_visibility={"e1": "hidden"},
         )
         html = export_html(timeline, '<svg><rect id="e1"/></svg>', "a.wav")

@@ -268,6 +268,29 @@ class TestValidateRerunsRunChecks:
         assert [(v.code, v.path) for v in report.violations] == [
             ("segment-unlocatable", "annotation[0]")]
 
+    @pytest.mark.parametrize("name, code, edit, message", [
+        ("timeline.json", "timeline-contract",
+         lambda p: p["tracks"][0]["keyframes"][0].update(property="bogus"),
+         "unknown property 'bogus'"),
+        ("timeline.json", "timeline-contract",
+         lambda p: p["tracks"][0]["keyframes"][0].pop("easing"), "KeyError('easing')"),
+        ("timeline.json", "timeline-contract",
+         lambda p: p["tracks"][0]["keyframes"][0].update(time="soon"), "'soon'"),
+        ("timeline.json", "timeline-contract",
+         lambda p: p.update(duration="long"), "'long' is not a number"),
+        ("word_timings.json", "tts-contract",
+         lambda p: p["words"][0].pop("end"), "KeyError('end')"),
+    ], ids=["unknown-property", "no-easing", "text-time", "text-duration",
+            "word-without-end"])
+    def test_malformed_timeline_or_timings_is_a_violation(self, project_copy, name, code,
+                                                          edit, message):
+        payload = json.loads((project_copy / name).read_text())
+        edit(payload)
+        _rewrite_artifact(project_copy, name, payload)
+        report = validate_project(project_copy)
+        assert [(v.code, v.path) for v in report.violations] == [(code, name)]
+        assert message in report.violations[0].message
+
     def test_targets_resolve_against_the_base_rendering(self, project_copy):
         # run resolved targets on base.svg; an unreadable annotated.svg must not matter
         (project_copy / "annotated.svg").write_text("not svg")
@@ -361,6 +384,116 @@ class TestArtifactMeaning:
         assert names == set(DEMO_JSON_MEANING) | set(DEMO_OTHER_BYTES)
 
 
+def _grouped_bars_project(dest: Path) -> Path:
+    """Run a small grouped-bars project in mock mode and return its directory.
+
+    Six stores by three channels, text labels over seven bars, and a narration
+    of one overview and three sentences. Two sentences carry
+    Highlight-one-and-fade-others and one a Bar-bounce, so many marks hold
+    equal keyframe tracks; a Shine on the Ashford bars overlaps the second
+    dimming, which gives track-overlap advisories.
+    """
+    stores = ("Ashford", "Brookvale", "Carrow", "Dunmore", "Elmstead", "Farley")
+    channels = ("Online", "Retail", "Export")
+    rows = [{"store": s, "channel": c, "sales": float(100 + 37 * i + 11 * j)}
+            for j, c in enumerate(channels) for i, s in enumerate(stores)]
+    row_of = {(r["store"], r["channel"]): n for n, r in enumerate(rows)}
+    dest.mkdir(parents=True)
+    csv_path = dest / "table.csv"
+    csv_path.write_text("store,channel,sales\n" + "".join(
+        f"{r['store']},{r['channel']},{r['sales']}\n" for r in rows), encoding="utf-8")
+    overview = "This chart compares sales across six stores and three channels."
+    focus = (("Brookvale", "Retail"), ("Dunmore", "Online"), ("Farley", "Export"))
+    sentences = [f"At {s} the {c} channel sold {rows[row_of[(s, c)]]['sales']} units."
+                 for s, c in focus]
+    encoding = {"x": {"field": "store", "type": "nominal"}, "xOffset": {"field": "channel"},
+                "y": {"field": "sales", "type": "quantitative"},
+                "color": {"field": "channel", "type": "nominal"}}
+    spec = {"title": "Sales by Store and Channel", "data": {"values": rows}, "mark": "bar",
+            "encoding": encoding}
+    analyst = {
+        "Insights": [{"insight": "Farley sells the most through Export.",
+                      "type": ["Find Extremum"]},
+                     {"insight": "Sales rise from Ashford to Farley.", "type": ["Trend"]},
+                     {"insight": "Channels differ at every store.", "type": ["Comparison"]}],
+        "Visualization": spec, "Visualization_Type": "bar",
+        "Narration": " ".join([overview] + sentences),
+    }
+    overlay = [0, 3, 5, 8, 10, 13, 16]
+    labels = [dict(rows[i], label=f"{rows[i]['sales']} units") for i in overlay]
+    animations = [
+        {"animation": "Axes-fade-in", "narration": overview, "target": "the axes",
+         "index": [], "explanation": "Reveal the frame."},
+        {"animation": "Bar-grow-and-legend-fade-in", "narration": overview,
+         "target": "all bars and the legend", "index": [], "explanation": "Grow the bars."},
+        {"animation": "Highlight-one-and-fade-others", "narration": sentences[0],
+         "target": "the Brookvale bars", "explanation": "Point at Brookvale.",
+         "index": [row_of[("Brookvale", c)] for c in channels]},
+        {"animation": "Bar-bounce", "narration": sentences[1], "target": "one bar",
+         "index": [row_of[focus[1]]], "explanation": "Point at Dunmore."},
+        {"animation": "Highlight-one-and-fade-others", "narration": sentences[2],
+         "target": "the Farley bars", "explanation": "Point at Farley.",
+         "index": [row_of[("Farley", c)] for c in channels]},
+        {"animation": "Shine-in-a-short-duration", "narration": sentences[2],
+         "target": "the Ashford bars", "explanation": "Overlaps the dimming.",
+         "index": [row_of[("Ashford", c)] for c in channels]},
+    ]
+    designer = {
+        "Annotated_Visualization": {
+            "title": spec["title"], "data": {"values": rows},
+            "layer": [{"mark": "bar", "encoding": encoding},
+                      {"data": {"values": labels}, "mark": "text",
+                       "encoding": {"x": {"field": "store", "type": "nominal"},
+                                    "y": {"field": "sales", "type": "quantitative"},
+                                    "text": {"field": "label"}}}]},
+        "Annotated_Narration_for_Animation": animations,
+        "Annotated_Narration_for_Annotation": [
+            {"type": ["text"], "description": "Sales labels.", "index": overlay[k::3],
+             "nar": sentence} for k, sentence in enumerate(sentences)],
+    }
+    description = {"Description": "Yearly sales of six stores across three channels."}
+    scripts = {
+        "description": [{"match": "Give a short and consistent description",
+                         "reply": json.dumps(description)}],
+        "analyst": [{"match": "You are a data analyst.", "reply": json.dumps(analyst)}],
+        "designer": [{"match": "You are a data video designer.",
+                      "reply": json.dumps(designer)}],
+    }
+    transcripts = {}
+    for role, script in scripts.items():
+        transcripts[role] = str(dest / f"{role}_script.json")
+        Path(transcripts[role]).write_text(json.dumps(script), encoding="utf-8")
+    from datareel.pipeline import ProjectConfig
+
+    out = dest / "project"
+    run_pipeline(ProjectConfig(input_csv=str(csv_path), output_dir=str(out),
+                               title=spec["title"], mock_mode=True,
+                               transcripts=transcripts, export="html"))
+    return out
+
+
+class TestSharedTrackDigests:
+    """A project where many marks share keyframe tracks writes these exact bytes."""
+
+    @pytest.fixture(scope="class")
+    def project(self, tmp_path_factory):
+        return _grouped_bars_project(tmp_path_factory.mktemp("grouped") / "inputs")
+
+    def test_project_validates(self, project):
+        assert validate_project(project).passing
+
+    @pytest.mark.parametrize("name, digest", [
+        ("timeline.json",
+         "7daf66f72a7411e3467b9549216758629f76780c79e6ab0b56b6eec1fd744862"),
+        ("timeline_validation.json",
+         "670d6f4d671e00bd74a5d6535c15f142caa1ede9bd184a65810d67fc4d70f209"),
+        ("video.html",
+         "8fad212d9b86c170c4cec9b750fdc069ba95084fc57ecd2e993a09f41428b9ac"),
+    ])
+    def test_artifact_digest(self, project, name, digest):
+        assert hashlib.sha256((project / name).read_bytes()).hexdigest() == digest
+
+
 class TestCli:
     def _config_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -392,6 +525,17 @@ class TestCli:
         result = runner.invoke(main, ["validate", "--project", str(tmp_path / "proj")])
         assert result.exit_code == 0
         assert "all validators passed" in result.output
+
+    def test_validate_malformed_timeline_exit_code_3(self, completed_project, tmp_path):
+        import shutil
+
+        project = Path(shutil.copytree(completed_project[0], tmp_path / "copy"))
+        payload = json.loads((project / "timeline.json").read_text())
+        payload["tracks"][0]["keyframes"][0]["property"] = "bogus"
+        _rewrite_artifact(project, "timeline.json", payload)
+        result = CliRunner().invoke(main, ["validate", "--project", str(project)])
+        assert result.exit_code == 3, result.output
+        assert "violation [timeline-contract] at timeline.json" in result.output
 
     def test_title_with_placeholder_text_compiles(self, tmp_path, stock_csv_path):
         runner = CliRunner()

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import sys
 import threading
 import time
 import types
@@ -155,6 +157,25 @@ class TestExtractJsonEquivalence:
             value = value[-1]
             depth += 1
         assert depth == runtime.MAX_REPLY_DEPTH
+
+    def test_brackets_in_later_strings_skip_the_token_pass(self, monkeypatch):
+        rows = [{"store": f"Store [{i}]", "sales": i} for i in range(50)]
+        raw = "Here it is:\n```json\n" + json.dumps(
+            {"title": "Sales [2024]", "rows": rows, "note": "a \\\" ] { quote"}) + "\n```"
+
+        def forbidden(raw, start):
+            raise AssertionError("the token pass ran")
+
+        monkeypatch.setattr(runtime, "_nesting", forbidden)
+        assert extract_json(raw) == json.loads(raw[raw.index("{"):raw.rindex("}") + 1])
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="possessive quantifiers need 3.11")
+    @given(st.text(alphabet='ab"\\[]{}\n', max_size=16))
+    def test_tokens_equal_the_possessive_pattern(self, text):
+        # The token pattern once used possessive quantifiers, which need 3.11.
+        possessive = re.compile(r'"(?:[^"\\]++|\\.?)*+(?:"|\Z)|([\[{])|([\]}])', re.S)
+        assert ([(m.span(), m.lastindex) for m in runtime._TOKEN.finditer(text)]
+                == [(m.span(), m.lastindex) for m in possessive.finditer(text)])
 
     @pytest.mark.parametrize("raw", [
         "[" * 5000 + "]" * 5000,

@@ -11,7 +11,7 @@ from datareel import timeline as timeline_module
 from datareel.adapters import MockSynth
 from datareel.binding import MarkEntry, MarkIndex
 from datareel.errors import PreconditionError
-from datareel.model import ANIMATIONS
+from datareel.model import ANIMATIONS, dump_artifact
 from datareel.timeline import (
     EASINGS,
     PROPERTIES,
@@ -158,17 +158,29 @@ class TestAlignSegments:
         assert align_segments([Span(3, 7)], timings) == [(0.0, 0.6)]
 
 
+def _per_element(effect) -> dict[str, list[Keyframe]]:
+    """Each element's keyframes in an effect, ramp by ramp."""
+    per_element: dict[str, list[Keyframe]] = {}
+    for ids, keyframes in effect.ramps:
+        for eid in ids:
+            per_element.setdefault(eid, []).extend(keyframes)
+    return per_element
+
+
 class TestKeyframesFor:
     def test_fade_in(self):
         effect = keyframes_for("Fade-in", {"x"}, (2.0, 3.0))
-        assert [(k.time, k.property, k.value) for k in effect.keyframes] == [
-            (2.0, "opacity", 0.0), (3.0, "opacity", 1.0),
+        assert [(ids, [(k.time, k.property, k.value) for k in kfs])
+                for ids, kfs in effect.ramps] == [
+            ({"x"}, [(2.0, "opacity", 0.0), (3.0, "opacity", 1.0)]),
         ]
         assert effect.initially_hidden == frozenset({"x"})
 
     def test_fade_out(self):
         effect = keyframes_for("Fade-out", {"x"}, (5.0, 6.0))
-        assert [(k.time, k.value) for k in effect.keyframes] == [(5.0, 1.0), (6.0, 0.0)]
+        [(ids, kfs)] = effect.ramps
+        assert ids == {"x"}
+        assert [(k.time, k.value) for k in kfs] == [(5.0, 1.0), (6.0, 0.0)]
         assert effect.initially_hidden == frozenset()
 
     def test_highlight_one_and_fade_others(self):
@@ -177,33 +189,36 @@ class TestKeyframesFor:
             other_ids={"a", "b", "c", "target"},
         )
         delta = 0.15 * 2.0
-        per_element = {}
-        for k in effect.keyframes:
-            per_element.setdefault(k.element_id, []).append((k.time, k.value))
+        per_element = _per_element(effect)
         assert set(per_element) == {"a", "b", "c"}  # targets untouched
-        for stops in per_element.values():
-            assert stops == [(10.0, 1.0), (10.0 + delta, 0.2), (12.0 - delta, 0.2), (12.0, 1.0)]
+        for kfs in per_element.values():
+            assert [(k.time, k.value) for k in kfs] == [
+                (10.0, 1.0), (10.0 + delta, 0.2), (12.0 - delta, 0.2), (12.0, 1.0)]
+        # one ramp: every dimmed element gets the same keyframe objects
+        assert len(effect.ramps) == 1 and len(effect.ramps[0][1]) == 4
 
     def test_emphasis_restores_start_value(self):
         for name in ("Bar-bounce", "Zoom-in-then-zoom-out", "Shine-in-a-short-duration"):
             effect = keyframes_for(name, {"x"}, (1.0, 2.0))
-            assert effect.keyframes[0].value == effect.keyframes[-1].value
+            [(ids, kfs)] = effect.ramps
+            assert ids == {"x"}
+            assert kfs[0].value == kfs[-1].value
             assert effect.initially_hidden == frozenset()
 
     def test_line_wipe_with_legend(self):
         effect = keyframes_for(
             "Line-wipe-and-legend-fade-in", {"line1"}, (0.0, 1.0), legend_ids={"leg"},
         )
-        props = {(k.element_id, k.property) for k in effect.keyframes}
+        props = {(eid, k.property) for eid, kfs in _per_element(effect).items() for k in kfs}
         assert ("line1", "clip_fraction") in props
         assert ("leg", "opacity") in props
         assert effect.initially_hidden == frozenset({"line1", "leg"})
 
     def test_zoom_in_combines_scale_and_opacity(self):
         effect = keyframes_for("Zoom-in", {"x"}, (0.0, 1.0))
-        props = {k.property for k in effect.keyframes}
-        assert props == {"scale", "opacity"}
-        scale = [k for k in effect.keyframes if k.property == "scale"]
+        kfs = _per_element(effect)["x"]
+        assert {k.property for k in kfs} == {"scale", "opacity"}
+        scale = [k for k in kfs if k.property == "scale"]
         assert scale[0].value == 0.5 and scale[-1].value == 1.0
 
     def test_empty_interval_rejected(self):
@@ -325,7 +340,7 @@ class TestEvaluation:
     def test_interpolation_linear(self):
         timeline = Timeline(
             duration=10.0,
-            tracks={"x": (Keyframe("x", 2.0, "opacity", 0.0), Keyframe("x", 4.0, "opacity", 1.0))},
+            tracks={"x": (Keyframe(2.0, "opacity", 0.0), Keyframe(4.0, "opacity", 1.0))},
             initial_visibility={"x": "hidden"},
         )
         assert value_at(timeline, "x", "opacity", 3.0) == pytest.approx(0.5)
@@ -336,8 +351,8 @@ class TestEvaluation:
         timeline = Timeline(
             duration=10.0,
             tracks={"x": (
-                Keyframe("x", 0.0, "scale", 0.0, "ease-out"),
-                Keyframe("x", 1.0, "scale", 1.0, "ease-out"),
+                Keyframe(0.0, "scale", 0.0, "ease-out"),
+                Keyframe(1.0, "scale", 1.0, "ease-out"),
             )},
             initial_visibility={},
         )
@@ -372,7 +387,7 @@ def raw_timelines(draw, unit=unit_values, signed=signed_values, times=times_on_g
         for prop in draw(st.lists(st.sampled_from(PROPERTIES), unique=True)):
             values = signed if prop in ("scale", "translate_x", "translate_y") else unit
             for time in sorted(draw(st.lists(times, min_size=1, max_size=5))):
-                keyframes.append(Keyframe(eid, time, prop, draw(values),
+                keyframes.append(Keyframe(time, prop, draw(values),
                                           draw(st.sampled_from(EASINGS))))
         keyframes.sort(key=lambda k: (k.time, k.property))
         tracks[eid] = tuple(keyframes)
@@ -447,10 +462,10 @@ grid_frame_times = st.one_of(
 def _hold_between_ramps():
     """Opacity ramps 0 -> 0.5 over [1, 2], holds 0.5 until 8, ramps to 1 by 9."""
     return Timeline(duration=10.0, tracks={"x": (
-        Keyframe("x", 1.0, "opacity", 0.0),
-        Keyframe("x", 2.0, "opacity", 0.5),
-        Keyframe("x", 8.0, "opacity", 0.5),
-        Keyframe("x", 9.0, "opacity", 1.0),
+        Keyframe(1.0, "opacity", 0.0),
+        Keyframe(2.0, "opacity", 0.5),
+        Keyframe(8.0, "opacity", 0.5),
+        Keyframe(9.0, "opacity", 1.0),
     )})
 
 
@@ -501,23 +516,23 @@ class TestKeyframeEvaluator:
         # Elements with equal visibility data share one change computation;
         # an easing, an earlier first keyframe or the initial visibility
         # sets an element apart.
-        def fade(eid, easing="linear"):
-            return (Keyframe(eid, 1.0, "opacity", 0.0, easing),
-                    Keyframe(eid, 3.0, "opacity", 1.0, easing))
+        def fade(easing="linear"):
+            return (Keyframe(1.0, "opacity", 0.0, easing),
+                    Keyframe(3.0, "opacity", 1.0, easing))
 
         timeline = Timeline(duration=4.0, tracks={
-            "same": fade("same"), "twin": fade("twin"),
-            "eased": fade("eased", "ease-in"), "hidden": fade("hidden"),
-            "early": (Keyframe("early", 0.5, "translate_x", 5.0),) + fade("early"),
+            "same": fade(), "twin": fade(),
+            "eased": fade("ease-in"), "hidden": fade(),
+            "early": (Keyframe(0.5, "translate_x", 5.0),) + fade(),
         }, initial_visibility={"hidden": "hidden", "early": "hidden"})
         assert_sweep_matches_per_frame_evaluation(timeline, [f / 10 for f in range(40)])
 
     def test_equal_keyframe_times_use_the_later_keyframe(self):
         timeline = Timeline(duration=4.0, tracks={"x": (
-            Keyframe("x", 1.0, "opacity", 0.0),
-            Keyframe("x", 2.0, "opacity", 0.5),
-            Keyframe("x", 2.0, "opacity", 0.0),
-            Keyframe("x", 3.0, "opacity", 1.0),
+            Keyframe(1.0, "opacity", 0.0),
+            Keyframe(2.0, "opacity", 0.5),
+            Keyframe(2.0, "opacity", 0.0),
+            Keyframe(3.0, "opacity", 1.0),
         )})
         assert value_at(timeline, "x", "opacity", 2.0) == 0.0
         assert value_at(timeline, "x", "opacity", 2.5) == 0.5
@@ -554,3 +569,101 @@ class TestMockSynthManifest:
             manifest = json.loads(out.read_text(encoding="utf-8"))
         assert manifest["frame_count"] == len(manifest["frames"])
         assert manifest["frames"] == reference_manifest_frames(timeline, fps)
+
+
+def _dimming_timeline():
+    """m1..m3 are dimmed alike; m0 is the highlight target and also fades in."""
+    placed = [
+        PlacedDirective("Fade-in", frozenset({"m0"}), (0.0, 1.0)),
+        PlacedDirective("Highlight-one-and-fade-others", frozenset({"m0"}), (2.0, 4.0)),
+    ]
+    timeline, _ = compile_timeline(placed, [], _index(marks=MARKS), DURATION)
+    return timeline
+
+
+# Values whose JSON text differs although they compare equal: 0, 0.0 and
+# -0.0; 1 and 1.0.
+exact_values = st.sampled_from([0, 0.0, -0.0, 1, 1.0, 0.5])
+exact_times = st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5])
+
+
+class TestSharedTracks:
+    def test_elements_with_equal_tracks_hold_one_tuple(self):
+        tracks = _dimming_timeline().tracks
+        assert tracks["m1"] is tracks["m2"] is tracks["m3"]
+        assert tracks["m0"] is not tracks["m1"]
+        assert [(k.time, k.value) for k in tracks["m1"]] == [
+            (2.0, 1.0), (2.3, 0.2), (3.7, 0.2), (4.0, 1.0)]
+
+    def test_to_json_rows_share_one_keyframe_list(self):
+        rows = {t["element_id"]: t["keyframes"] for t in _dimming_timeline().to_json()["tracks"]}
+        assert rows["m1"] is rows["m2"] is rows["m3"]
+        assert rows["m0"] is not rows["m1"]
+
+    def test_from_json_interns_equal_tracks_and_stops(self):
+        def row(time, value):
+            return {"easing": "linear", "property": "opacity", "time": time, "value": value}
+
+        payload = json.loads(json.dumps({"duration": 5.0, "initial_visibility": {}, "tracks": [
+            {"element_id": "a", "keyframes": [row(1.0, 0.0), row(2.0, 1.0)]},
+            {"element_id": "b", "keyframes": [row(1.0, 0.0), row(2.0, 1.0)]},
+            {"element_id": "c", "keyframes": [row(1.0, 0.0), row(3.0, 1.0)]},
+        ]}))
+        tracks = Timeline.from_json(payload).tracks
+        assert tracks["a"] is tracks["b"]
+        assert tracks["c"] is not tracks["a"] and tracks["c"][0] is tracks["a"][0]
+
+    def test_from_json_keeps_values_that_only_compare_equal_apart(self):
+        text = dump_artifact({"duration": 5.0, "initial_visibility": {}, "tracks": [
+            {"element_id": eid, "keyframes": [
+                {"easing": "linear", "property": "translate_x", "time": 1.0, "value": value}]}
+            for eid, value in (("a", 0.0), ("b", -0.0), ("c", 1), ("d", 1.0))]})
+        tracks = Timeline.from_json(json.loads(text)).tracks
+        assert len({id(track) for track in tracks.values()}) == 4
+        assert [repr(tracks[eid][0].value) for eid in "abcd"] == ["0.0", "-0.0", "1", "1.0"]
+
+    @given(compiled_timelines())
+    def test_compiled_timelines_round_trip(self, timeline):
+        text = dump_artifact(timeline.to_json())
+        again = Timeline.from_json(json.loads(text))
+        assert again == timeline
+        assert dump_artifact(again.to_json()) == text
+
+    @given(raw_timelines(unit=exact_values, signed=exact_values, times=exact_times))
+    def test_round_trip_keeps_signed_zeros_and_integers(self, timeline):
+        text = dump_artifact(timeline.to_json())
+        again = Timeline.from_json(json.loads(text))
+        assert again == timeline
+        assert dump_artifact(again.to_json()) == text
+
+    def test_evaluator_shares_element_tracks_of_equal_tracks(self):
+        timeline = _dimming_timeline()
+        timeline.initial_visibility["m3"] = "hidden"
+        elements = KeyframeEvaluator(timeline).elements
+        assert elements["m1"] is elements["m2"]
+        assert elements["m3"] is not elements["m1"]  # same track, other visibility
+        assert elements["m0"] is not elements["m1"]
+
+    def test_html_formats_each_distinct_track_once(self, monkeypatch):
+        from datareel import adapters
+
+        formatted = []
+        css_track = adapters._css_track
+        monkeypatch.setattr(adapters, "_css_track",
+                            lambda prop, seq: formatted.append(prop) or css_track(prop, seq))
+        html = adapters.export_html(_dimming_timeline(), "<svg/>", "narration.wav")
+        assert sorted(formatted) == ["opacity", "opacity"]  # m0's track and the dimming
+        for eid in ("m1", "m2", "m3"):
+            assert f"@keyframes kf_{eid}_opacity {{" in html
+
+    def test_invariant_problems_of_a_shared_track_name_every_holder(self):
+        bad = (Keyframe(2.0, "opacity", 0.0), Keyframe(1.0, "opacity", 1.0),
+               Keyframe(9.0, "scale", 1.0))
+        timeline = Timeline(duration=5.0, tracks={
+            "b": bad, "a": bad, "ok": (Keyframe(1.0, "opacity", 0.0),)})
+        assert timeline_invariant_violations(timeline) == [
+            "b: keyframe time 9.0 outside [0,5.0]",
+            "b/opacity: keyframes not strictly time-sorted",
+            "a: keyframe time 9.0 outside [0,5.0]",
+            "a/opacity: keyframes not strictly time-sorted",
+        ]
