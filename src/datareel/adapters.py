@@ -689,52 +689,64 @@ def _css_track(prop: str, seq) -> tuple[str, str]:
     return "\n".join(stops), f"{duration:g}s linear {first:g}s 1 normal both"
 
 
-def export_html(timeline: Timeline, svg_text: str, audio_ref: str,
-                out_path: str | Path | None = None) -> str:
+_CSS_UNSAFE = re.compile(r"[^A-Za-z0-9_-]")
+
+
+def _css_id(eid: str) -> str:
+    """eid for the quotes of an [id="..."] selector: each character outside
+    [A-Za-z0-9_-] becomes a hex escape, so no id can end the string, the
+    rule or the <style> element."""
+    return _CSS_UNSAFE.sub(lambda m: f"\\{ord(m.group()):x} ", eid)
+
+
+def export_html(timeline: Timeline, svg_text: str, audio_ref: str) -> str:
     """Emit a self-contained HTML document animating the SVG along the timeline.
 
     Keyframe tracks become CSS @keyframes with matching delays and durations;
     animations stay paused until the play button starts them with the audio.
-    svg_text must carry the element ids the timeline refers to. The stops and
-    the timing of each distinct property track are formatted once; only the
-    kf_<id>_<property> name differs between the elements that share it.
+    svg_text must carry the element ids the timeline refers to.
+
+    The style is one pass over KeyframeEvaluator.groups. Each distinct
+    property track is one @keyframes kf_<n>, numbered in order of first use,
+    and each group one rule whose selector lists [id="..."] for each of its
+    ids (see _css_id). A group that starts hidden and has no track gets
+    opacity 0.
     """
     keyframe_blocks = []
-    element_rules = []
+    group_rules = []
     uses_wheel = False
-    evaluator = KeyframeEvaluator(timeline)
-    # id of a property track -> (its @keyframes body, its animation timing)
-    css: dict[int, tuple[str, str]] = {}
-    for eid in evaluator.ids:
+    # id of a property track -> its animation: "kf_<n> <timing>"
+    animation_of: dict[int, str] = {}
+    for element, members in KeyframeEvaluator(timeline).groups:
+        selector = ", ".join(f'[id="{_css_id(eid)}"]' for eid in members)
         animations = []
         extra_style = ""
-        for prop, seq in evaluator.elements[eid].by_property.items():
-            if id(seq) not in css:
-                css[id(seq)] = _css_track(prop, seq)
-            body, timing = css[id(seq)]
-            name = f"kf_{eid}_{prop}"
-            keyframe_blocks.append(f"@keyframes {name} {{\n{body}\n}}")
-            animations.append(f"{name} {timing}")
+        for prop, seq in element.by_property.items():
+            if id(seq) not in animation_of:
+                body, timing = _css_track(prop, seq)
+                name = f"kf_{len(animation_of)}"
+                keyframe_blocks.append(f"@keyframes {name} {{\n{body}\n}}")
+                animation_of[id(seq)] = f"{name} {timing}"
+            animations.append(animation_of[id(seq)])
             if prop == "wheel_fraction":
                 uses_wheel = True
                 extra_style += (
                     " mask-image: conic-gradient(#000 var(--wheel), transparent 0deg);"
                 )
-        hidden = timeline.initial_visibility.get(eid) == "hidden"
         if animations:
-            element_rules.append(
-                f"#{eid} {{ animation: {', '.join(animations)};"
+            group_rules.append(
+                f"{selector} {{ animation: {', '.join(animations)};"
                 f" animation-play-state: paused;{extra_style} }}"
             )
-        elif hidden:
-            element_rules.append(f"#{eid} {{ opacity: 0; }}")
+        elif not element.initially_visible:
+            group_rules.append(f"{selector} {{ opacity: 0; }}")
     playing_rule = "#stage.playing * { animation-play-state: running; }"
     wheel_property = (
         "@property --wheel { syntax: '<angle>'; inherits: false; initial-value: 0deg; }\n"
         if uses_wheel else ""
     )
-    style = wheel_property + "\n".join(keyframe_blocks + element_rules + [playing_rule])
-    html = f"""<!DOCTYPE html>
+    style = wheel_property + "\n".join(keyframe_blocks + group_rules + [playing_rule])
+    return f"""<!DOCTYPE html>
 <html>
 <head>
 <meta charset="utf-8">
@@ -758,6 +770,3 @@ document.getElementById("play").addEventListener("click", function () {{
 </body>
 </html>
 """
-    if out_path is not None:
-        Path(out_path).write_text(html, encoding="utf-8")
-    return html

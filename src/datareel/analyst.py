@@ -6,8 +6,6 @@ validation here is structural only; deep Vega-Lite validity is established
 when the renderer accepts or rejects the spec.
 """
 
-import json
-
 from .errors import PreconditionError
 from .ingest import DEFAULT_PROMPT_ROWS, fill_template, render_table_text
 from .model import (
@@ -61,31 +59,7 @@ def _parse_insight(item, position: int) -> Insight:
 
 def parse_analyst_response(raw: str, table: DataTable) -> AnalystOutput:
     """Parse the analyst's four-key reply into an AnalystOutput."""
-    value = extract_json(raw)
-    if not isinstance(value, dict):
-        raise SchemaError("", "reply is not a JSON object")
-    for key in ANALYST_KEYS:
-        if key not in value:
-            raise SchemaError(key, "missing key")
-    insights_raw = value["Insights"]
-    if not isinstance(insights_raw, list) or not insights_raw:
-        raise SchemaError("Insights", "must be a non-empty list")
-    insights = tuple(_parse_insight(item, i) for i, item in enumerate(insights_raw))
-    spec = value["Visualization"]
-    if not isinstance(spec, dict):
-        raise SchemaError("Visualization", "must be a JSON object")
-    vis_type_raw = value["Visualization_Type"]
-    if not isinstance(vis_type_raw, str):
-        raise SchemaError("Visualization_Type", "must be a string")
-    vis_type = parse_visualization_type(vis_type_raw)
-    narration = value["Narration"]
-    if not isinstance(narration, str) or not narration.strip():
-        raise SchemaError("Narration", "must be a non-empty string")
-    return AnalystOutput(
-        insights=insights,
-        visualization=VisualizationSpec(spec=spec, vis_type=vis_type),
-        narration=narration,
-    )
+    return analyst_output_from_json(extract_json(raw), table)
 
 
 def _iter_encodings(spec: dict):
@@ -183,6 +157,30 @@ def analyst_output_to_json(output: AnalystOutput) -> dict:
     }
 
 
-def analyst_output_from_json(value: dict, table: DataTable) -> AnalystOutput:
-    """Rebuild an AnalystOutput from a persisted analyst.json payload."""
-    return parse_analyst_response(json.dumps(value), table)
+def analyst_output_from_json(value, table: DataTable) -> AnalystOutput:
+    """Build an AnalystOutput from a parsed reply or a persisted analyst.json
+    payload; raises SchemaError where the value breaks the reply format."""
+    if not isinstance(value, dict):
+        raise SchemaError("", "reply is not a JSON object")
+    for key in ANALYST_KEYS:
+        if key not in value:
+            raise SchemaError(key, "missing key")
+    insights_raw = value["Insights"]
+    if not isinstance(insights_raw, list) or not insights_raw:
+        raise SchemaError("Insights", "must be a non-empty list")
+    insights = tuple(_parse_insight(item, i) for i, item in enumerate(insights_raw))
+    spec = value["Visualization"]
+    if not isinstance(spec, dict):
+        raise SchemaError("Visualization", "must be a JSON object")
+    vis_type_raw = value["Visualization_Type"]
+    if not isinstance(vis_type_raw, str):
+        raise SchemaError("Visualization_Type", "must be a string")
+    vis_type = parse_visualization_type(vis_type_raw)
+    narration = value["Narration"]
+    if not isinstance(narration, str) or not narration.strip():
+        raise SchemaError("Narration", "must be a non-empty string")
+    return AnalystOutput(
+        insights=insights,
+        visualization=VisualizationSpec(spec=spec, vis_type=vis_type),
+        narration=narration,
+    )

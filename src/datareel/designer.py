@@ -112,34 +112,7 @@ def _parse_annotation_item(item, position: int, table: DataTable) -> AnnotationD
 
 def parse_designer_response(raw: str, table: DataTable) -> DesignerOutput:
     """Parse the designer's three-key reply into a DesignerOutput."""
-    value = extract_json(raw)
-    if not isinstance(value, dict):
-        raise SchemaError("", "reply is not a JSON object")
-    for key in DESIGNER_KEYS:
-        if key not in value:
-            raise SchemaError(key, "missing key")
-    annotated = value["Annotated_Visualization"]
-    if not isinstance(annotated, dict):
-        raise SchemaError("Annotated_Visualization", "must be a JSON object")
-    animations_raw = value["Annotated_Narration_for_Animation"]
-    if not isinstance(animations_raw, list):
-        raise SchemaError("Annotated_Narration_for_Animation", "must be a list")
-    annotations_raw = value["Annotated_Narration_for_Annotation"]
-    if not isinstance(annotations_raw, list):
-        raise SchemaError("Annotated_Narration_for_Annotation", "must be a list")
-    animations = tuple(
-        _parse_animation_item(item, i, table) for i, item in enumerate(animations_raw)
-    )
-    annotations = tuple(
-        parsed
-        for i, item in enumerate(annotations_raw)
-        if (parsed := _parse_annotation_item(item, i, table)) is not None
-    )
-    return DesignerOutput(
-        annotated_visualization=annotated,
-        animation_directives=animations,
-        annotation_directives=annotations,
-    )
+    return designer_output_from_json(extract_json(raw), table)
 
 
 def default_target_resolver(directive: AnimationDirective) -> frozenset:
@@ -282,6 +255,33 @@ def designer_output_to_json(output: DesignerOutput) -> dict:
     }
 
 
-def designer_output_from_json(value: dict, table: DataTable) -> DesignerOutput:
-    """Rebuild a DesignerOutput from a persisted designer.json payload."""
-    return parse_designer_response(json.dumps(value), table)
+def designer_output_from_json(value, table: DataTable) -> DesignerOutput:
+    """Build a DesignerOutput from a parsed reply or a persisted designer.json
+    payload; raises SchemaError where the value breaks the reply format."""
+    if not isinstance(value, dict):
+        raise SchemaError("", "reply is not a JSON object")
+    for key in DESIGNER_KEYS:
+        if key not in value:
+            raise SchemaError(key, "missing key")
+    annotated = value["Annotated_Visualization"]
+    if not isinstance(annotated, dict):
+        raise SchemaError("Annotated_Visualization", "must be a JSON object")
+    animations_raw = value["Annotated_Narration_for_Animation"]
+    if not isinstance(animations_raw, list):
+        raise SchemaError("Annotated_Narration_for_Animation", "must be a list")
+    annotations_raw = value["Annotated_Narration_for_Annotation"]
+    if not isinstance(annotations_raw, list):
+        raise SchemaError("Annotated_Narration_for_Annotation", "must be a list")
+    animations = tuple(
+        _parse_animation_item(item, i, table) for i, item in enumerate(animations_raw)
+    )
+    annotations = tuple(
+        parsed
+        for i, item in enumerate(annotations_raw)
+        if (parsed := _parse_annotation_item(item, i, table)) is not None
+    )
+    return DesignerOutput(
+        annotated_visualization=annotated,
+        animation_directives=animations,
+        annotation_directives=annotations,
+    )

@@ -149,29 +149,21 @@ class Timeline:
 
     @classmethod
     def from_json(cls, value: dict) -> "Timeline":
-        """The inverse of to_json. Equal tracks become one tuple and equal rows
-        one Keyframe, so a reloaded timeline shares tracks as a compiled one.
+        """The inverse of to_json. Equal tracks become one tuple, so a reloaded
+        timeline shares tracks as a compiled one.
 
-        Rows are matched on their marshal bytes, which keep each value's type
-        and exact bits: 1 and 1.0, or -0.0 and 0.0, never merge, so every
-        value stays as written. Raises KeyError, TypeError or ValueError on a
-        malformed payload.
+        Tracks are matched on their rows' marshal bytes, which keep each
+        value's type and exact bits: 1 and 1.0, or -0.0 and 0.0, never merge,
+        so every value stays as written. Raises KeyError, TypeError or
+        ValueError on a malformed payload.
         """
-        stops: dict[bytes, Keyframe] = {}
         shared: dict[bytes, tuple[Keyframe, ...]] = {}
-
-        def stop(row) -> Keyframe:
-            key = marshal.dumps(row, 2)
-            if key not in stops:
-                stops[key] = Keyframe(row["time"], row["property"], row["value"],
-                                      row["easing"])
-            return stops[key]
-
         tracks = {}
         for t in value["tracks"]:
             key = marshal.dumps(t["keyframes"], 2)
             if key not in shared:
-                shared[key] = tuple(map(stop, t["keyframes"]))
+                shared[key] = tuple(Keyframe(row["time"], row["property"], row["value"],
+                                             row["easing"]) for row in t["keyframes"])
             tracks[t["element_id"]] = shared[key]
         if not isinstance(value["duration"], (int, float)):
             raise TypeError(f"duration {value['duration']!r} is not a number")
@@ -522,12 +514,6 @@ class ElementTracks:
             return self.initially_visible
         return not any(self.value(prop, t) <= 0.0 for prop in VISIBILITY_PROPERTIES)
 
-    def visibility_key(self) -> tuple:
-        """What changes() depends on: two elements with equal keys change alike."""
-        return (self.initially_visible, self.first, tuple(
-            (prop, tuple((k.time, k.value, k.easing) for k in kfs))
-            for prop, kfs in self.by_property.items() if prop in VISIBILITY_PROPERTIES))
-
     def changes(self, times):
         """Yield (frame, (shown, opacity)) at each frame of sorted times where
         this element's state differs from the frame before.
@@ -590,20 +576,21 @@ class KeyframeEvaluator:
     """A Timeline compiled once for sampling at many times.
 
     `ids` lists every element with a track or an initial visibility, sorted.
-    Elements holding the same track object and initial visibility share one
-    ElementTracks in `elements`.
+    `groups` states which of them share a track: one (ElementTracks, sorted
+    ids) pair per distinct track object and initial visibility, in the order
+    of each group's first id. sweep and the HTML export work once per group.
     """
 
     def __init__(self, timeline: Timeline):
         self.ids = tuple(sorted(set(timeline.initial_visibility) | set(timeline.tracks)))
-        shared: dict[tuple[int, bool], ElementTracks] = {}
-        self.elements = {}
+        groups: dict[tuple[int, bool], tuple[ElementTracks, list[str]]] = {}
         for eid in self.ids:
             track = timeline.tracks.get(eid, ())
             initially = timeline.initial_visibility.get(eid, "visible") == "visible"
-            if (id(track), initially) not in shared:
-                shared[id(track), initially] = ElementTracks(track, initially)
-            self.elements[eid] = shared[id(track), initially]
+            if (id(track), initially) not in groups:
+                groups[id(track), initially] = ElementTracks(track, initially), []
+            groups[id(track), initially][1].append(eid)
+        self.groups = tuple(groups.values())
 
     def sweep(self, times):
         """Yield (visible ids, {visible id: opacity if not 1.0}) for each time.
@@ -611,14 +598,14 @@ class KeyframeEvaluator:
         times must not decrease (ValueError otherwise). Equal to visible_at
         and value_at at each time.
 
-        The work follows change points, not frames x elements. Each element's
+        The work follows change points, not frames x elements. Each group's
         frames are cut where one of its visibility tracks reaches a keyframe
         (a bisection of each keyframe time), and at its first keyframe; before
         that it keeps its initial visibility. Inside a cut a property at rest,
         held between equal keyframe values or past its last keyframe is read
         once, and only a ramping one is evaluated per frame. Only a change of
-        an element's (shown, opacity) is recorded, once for all elements with
-        equal visibility data, and a frame applies the changes due at it.
+        a group's (shown, opacity) is recorded, once for all its ids, and a
+        frame applies the changes due at it.
 
         A frame with no change yields the same list and dict objects as the
         frame before, and a frame that changes only opacities keeps the
@@ -629,17 +616,8 @@ class KeyframeEvaluator:
             if t < previous:
                 raise ValueError(f"sweep times decrease: {t} after {previous}")
         ids = self.ids
-        shown = [self.elements[eid].initially_visible for eid in ids]
-        visible, opacity = list(compress(ids, shown)), {}
-        # Elements whose visibility state is computed from equal data change
-        # together, so each such group's changes are computed once.
-        groups: dict[tuple, list[int]] = {}
-        keys: dict[int, tuple] = {}
-        for k, eid in enumerate(ids):
-            element = self.elements[eid]
-            if id(element) not in keys:
-                keys[id(element)] = element.visibility_key()
-            groups.setdefault(keys[id(element)], []).append(k)
+        position = {eid: k for k, eid in enumerate(ids)}
+        shown = [True] * len(ids)
         # frame -> [(positions in ids, their ids, change stream, (shown,
         # opacity))]: the next change of each group whose state still changes.
         due: dict[int, list] = {}
@@ -649,9 +627,12 @@ class KeyframeEvaluator:
             if change is not None:
                 due.setdefault(change[0], []).append((*group, stream, change[1]))
 
-        for positions in groups.values():
-            schedule((positions, [ids[k] for k in positions]),
-                     self.elements[ids[positions[0]]].changes(times))
+        for element, members in self.groups:
+            positions = [position[eid] for eid in members]
+            for k in positions:
+                shown[k] = element.initially_visible
+            schedule((positions, members), element.changes(times))
+        visible, opacity = list(compress(ids, shown)), {}
         for frame in range(len(times)):
             changes = due.pop(frame, None)
             if changes:

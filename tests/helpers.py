@@ -298,3 +298,119 @@ def reference_match_annotation_directives(annotation_ids, directives, index, svg
         if not assignments[i]:
             advisories.append(("directive-without-elements", f"annotation[{i}]"))
     return assignments, advisories
+
+
+_REFERENCE_CSS_VALUE = {
+    "opacity": lambda v: f"opacity: {v:g};",
+    "scale": lambda v: f"transform: scale({v:g});",
+    "translate_x": lambda v: f"transform: translateX({v:g}px);",
+    "translate_y": lambda v: f"transform: translateY({v:g}px);",
+    "clip_fraction": lambda v: f"clip-path: inset(0 {100 * (1 - v):.2f}% 0 0);",
+    "wheel_fraction": lambda v: f"--wheel: {v * 360:.2f}deg;",
+}
+
+
+def reference_html_rules(timeline) -> dict:
+    """What the HTML export gives each element, formatted as when every
+    element had a rule and @keyframes of its own.
+
+    An id with a track maps to one (property, @keyframes body, animation
+    timing) per property, in name order. A body has one stop per keyframe at
+    its percentage of the property's span (at least 1 ms), with the next
+    keyframe's easing; the timing runs that span from the first keyframe.
+    An id that starts "hidden" with no track maps to "static hidden"; other
+    ids are absent.
+    """
+    rules = {}
+    for eid in sorted(set(timeline.tracks) | set(timeline.initial_visibility)):
+        track = timeline.tracks.get(eid, ())
+        if not track:
+            if timeline.initial_visibility.get(eid) == "hidden":
+                rules[eid] = "static hidden"
+            continue
+        rules[eid] = []
+        for prop in sorted({k.property for k in track}):
+            kfs = [k for k in track if k.property == prop]
+            first = kfs[0].time
+            span = max(kfs[-1].time - first, 0.001)
+            stops = [f"  {(k.time - first) / span * 100:.4f}% {{ "
+                     f"{_REFERENCE_CSS_VALUE[prop](k.value)} animation-timing-function: "
+                     f"{after.easing if after else 'linear'}; }}"
+                     for k, after in zip(kfs, kfs[1:] + [None])]
+            rules[eid].append((prop, "\n".join(stops),
+                               f"{span:g}s linear {first:g}s 1 normal both"))
+    return rules
+
+
+_CSS_PREFIXES = (("opacity:", "opacity"), ("transform: scale(", "scale"),
+                 ("transform: translateX(", "translate_x"),
+                 ("transform: translateY(", "translate_y"),
+                 ("clip-path:", "clip_fraction"), ("--wheel:", "wheel_fraction"))
+_WHEEL_PROPERTY = "@property --wheel { syntax: '<angle>'; inherits: false; initial-value: 0deg; }"
+_WHEEL_MASK = " mask-image: conic-gradient(#000 var(--wheel), transparent 0deg);"
+_PLAYING_RULE = "#stage.playing * { animation-play-state: running; }"
+
+
+def css_unescape(text: str) -> str:
+    """A CSS string's text: a backslash and 1-6 hex digits, with one space
+    after them, is that code point; a backslash before any other character
+    is that character."""
+    import re
+
+    return re.sub(r"\\([0-9a-fA-F]{1,6}) ?|\\(.)",
+                  lambda m: chr(int(m[1], 16)) if m[1] else m[2], text, flags=re.S)
+
+
+def parse_html_rules(html: str) -> dict:
+    """Read export_html's <style> back into reference_html_rules' terms.
+
+    The style must be, in order: the --wheel @property line exactly when a
+    wheel_fraction track is animated, the @keyframes blocks, one rule per
+    line whose selector lists [id="..."], and the playing rule. Each id of a
+    rule gets the rule's animations, each as (property read from the body,
+    @keyframes body, timing), or "static hidden" for a rule of opacity 0.
+    Any other text, or an id in two rules, fails an assertion.
+    """
+    import re
+
+    style = html.partition("<style>\n")[2].partition("\n</style>\n")[0]
+    assert "</" not in style
+    lines = style.split("\n")
+    uses_wheel = lines[0] == _WHEEL_PROPERTY
+    style = "\n".join(lines[uses_wheel:])
+    bodies = {}
+    block = re.compile(r"@keyframes (kf_\d+) \{\n((?:  [^\n]*\n)*  [^\n]*)\n\}\n")
+    pos = 0
+    while m := block.match(style, pos):
+        assert m[1] not in bodies
+        bodies[m[1]] = m[2]
+        pos = m.end()
+    *rules, playing = style[pos:].split("\n")
+    assert playing == _PLAYING_RULE
+    parsed = {}
+    wheels = 0
+    for rule in rules:
+        m = re.fullmatch(r'((?:\[id="[^"]*"\], )*\[id="[^"]*"\]) \{ (.*) \}', rule)
+        assert m, rule
+        if m[2] == "opacity: 0;":
+            value = "static hidden"
+        else:
+            a = re.fullmatch(r"animation: (.*); animation-play-state: paused;((?:"
+                             + re.escape(_WHEEL_MASK) + ")?)", m[2])
+            assert a, rule
+            value = []
+            for animation in a[1].split(", "):
+                name, timing = animation.split(" ", 1)
+                body = bodies[name]
+                declaration = body.split("% { ", 1)[1]
+                prop = next(p for prefix, p in _CSS_PREFIXES if declaration.startswith(prefix))
+                value.append((prop, body, timing))
+            wheel = [prop for prop, *_ in value].count("wheel_fraction")
+            assert a[2] == _WHEEL_MASK * wheel
+            wheels += wheel
+        for quoted in re.findall(r'\[id="([^"]*)"\]', m[1]):
+            eid = css_unescape(quoted)
+            assert eid not in parsed
+            parsed[eid] = value
+    assert uses_wheel == (wheels > 0)
+    return parsed

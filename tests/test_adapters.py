@@ -520,17 +520,40 @@ class TestExportHtml:
             initial_visibility={"e1": "hidden"},
         )
         html = export_html(timeline, '<svg><rect id="e1"/></svg>', "a.wav")
-        assert "@keyframes kf_e1_opacity" in html
+        assert "@keyframes kf_0 {" in html
         assert "0.0000% { opacity: 0;" in html
         assert "100.0000% { opacity: 1;" in html
-        assert "kf_e1_opacity 1s linear 2s 1 normal both" in html
+        assert '[id="e1"] { animation: kf_0 1s linear 2s 1 normal both;' in html
 
     def test_hidden_initial_without_tracks_gets_opacity_zero(self):
-        timeline = Timeline(duration=3.0, initial_visibility={"e1": "hidden"})
-        html = export_html(timeline, '<svg><rect id="e1"/></svg>', "a.wav")
-        assert "#e1 { opacity: 0; }" in html
+        timeline = Timeline(duration=3.0, initial_visibility={"e1": "hidden", "e2": "hidden"})
+        html = export_html(timeline, '<svg><rect id="e1"/><rect id="e2"/></svg>', "a.wav")
+        assert '[id="e1"], [id="e2"] { opacity: 0; }' in html
 
-    def test_writes_file_when_path_given(self, tmp_path):
-        timeline = Timeline(duration=1.0)
-        export_html(timeline, "<svg/>", "a.wav", tmp_path / "out.html")
-        assert (tmp_path / "out.html").read_text(encoding="utf-8").startswith("<!DOCTYPE html>")
+    def test_one_keyframes_per_distinct_property_track_and_one_rule_per_group(self):
+        fade = (Keyframe(1.0, "opacity", 0.0), Keyframe(1.0, "scale", 0.5),
+                Keyframe(2.0, "opacity", 1.0), Keyframe(2.0, "scale", 1.0))
+        dim = (Keyframe(3.0, "opacity", 1.0), Keyframe(4.0, "opacity", 0.2))
+        timeline = Timeline(duration=5.0, tracks={"a": fade, "b": dim, "c": fade, "d": dim},
+                            initial_visibility={"a": "hidden", "c": "hidden", "e": "hidden"})
+        html = export_html(timeline, "<svg/>", "a.wav")
+        # fade's opacity and scale, and dim's opacity
+        assert html.count("@keyframes ") == 3
+        rules = [line for line in html.splitlines() if line.startswith("[id=")]
+        assert [rule.split(" {")[0] for rule in rules] == [
+            '[id="a"], [id="c"]', '[id="b"], [id="d"]', '[id="e"]']
+        assert rules[0].startswith('[id="a"], [id="c"] { animation: kf_0 1s linear 1s'
+                                   ' 1 normal both, kf_1 1s linear 1s 1 normal both;')
+
+    def test_ids_are_escaped_in_selectors(self):
+        ids = ("1.bar", 'a"b', "x#y", "a}b", "</style>", "a b", "\u00e9")
+        timeline = Timeline(duration=3.0,
+                            tracks={eid: (Keyframe(1.0, "opacity", 0.0),) for eid in ids})
+        html = export_html(timeline, "<svg/>", "a.wav")
+        style = html[html.index("<style>") + len("<style>"):html.index("</style>")]
+        assert "</" not in style and '"b' not in style
+        assert '[id="1\\2e bar"]' in style
+        assert '[id="a\\22 b"]' in style
+        assert '[id="\\3c \\2f style\\3e "]' in style
+        assert '[id="\\e9 "]' in style
+        assert html.count("</style>") == 1

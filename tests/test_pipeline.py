@@ -305,7 +305,7 @@ class TestArtifactDigests:
         ("video", "video_manifest.json",
          "2707be17fd689257bdacf636249ae4238bddde56a3e022100b6e4e83a0ffd6e8"),
         ("html", "video.html",
-         "678b873badf1aaf166ec47877e82bd34aca5cbf831ebdc2b624a82cc39e2e7ef"),
+         "d0a7551205fc56b5bbee03545613f26fb1008d25f3527243a5291cb8f302f6fe"),
     ])
     def test_stock_demo_artifact_digest(self, mock_project_config, export, name, digest):
         config = mock_project_config(export=export)
@@ -357,7 +357,7 @@ DEMO_OTHER_BYTES = {
     "narration.wav":
         "7dbec24177131c6e94eebf9d38383aefde37a1d8392b4f185cd63c265917705b",
     "video.html":
-        "678b873badf1aaf166ec47877e82bd34aca5cbf831ebdc2b624a82cc39e2e7ef",
+        "d0a7551205fc56b5bbee03545613f26fb1008d25f3527243a5291cb8f302f6fe",
 }
 
 
@@ -488,7 +488,7 @@ class TestSharedTrackDigests:
         ("timeline_validation.json",
          "670d6f4d671e00bd74a5d6535c15f142caa1ede9bd184a65810d67fc4d70f209"),
         ("video.html",
-         "8fad212d9b86c170c4cec9b750fdc069ba95084fc57ecd2e993a09f41428b9ac"),
+         "e835af765f4c1d064ce5510e98126f9395681ffc09821d1e80e7f722c034060b"),
     ])
     def test_artifact_digest(self, project, name, digest):
         assert hashlib.sha256((project / name).read_bytes()).hexdigest() == digest

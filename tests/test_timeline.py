@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from datareel import timeline as timeline_module
-from datareel.adapters import MockSynth
+from datareel.adapters import MockSynth, export_html
 from datareel.binding import MarkEntry, MarkIndex
 from datareel.errors import PreconditionError
 from datareel.model import ANIMATIONS, dump_artifact
@@ -36,7 +36,9 @@ from datareel.timeline import (
 from helpers import (
     WS_ALPHABET,
     brute_force_occurrences,
+    parse_html_rules,
     random_text,
+    reference_html_rules,
     reference_value_at,
     reference_visible_at,
 )
@@ -571,6 +573,33 @@ class TestMockSynthManifest:
         assert manifest["frames"] == reference_manifest_frames(timeline, fps)
 
 
+# Ids that break a stylesheet or an HTML document when written raw. Generated
+# ids hold no NUL: XML allows none in an id, and CSS reads an escaped NUL as
+# U+FFFD.
+HOSTILE_IDS = ("1.bar", 'a"b', "x#y", "a}b", "</style>", " ", "\u00e9t\u00e9", "a\\b",
+               "\u65e5\u672c", "-", "0", "a\nb")
+hostile_names = st.lists(
+    st.sampled_from(HOSTILE_IDS) | st.text(st.characters(exclude_characters="\x00"), min_size=1),
+    min_size=8, max_size=8, unique=True)
+
+
+def _renamed(timeline, names):
+    """timeline with its ids, in sorted order, renamed to names; tracks stay shared."""
+    new = dict(zip(sorted(set(timeline.tracks) | set(timeline.initial_visibility)), names))
+    return Timeline(duration=timeline.duration,
+                    tracks={new[eid]: track for eid, track in timeline.tracks.items()},
+                    initial_visibility={new[eid]: v
+                                        for eid, v in timeline.initial_visibility.items()})
+
+
+class TestHtmlExport:
+    @given(compiled_timelines() | raw_timelines(), hostile_names)
+    def test_every_element_keeps_its_animations(self, timeline, names):
+        timeline = _renamed(timeline, names)
+        html = export_html(timeline, "<svg/>", "narration.wav")
+        assert parse_html_rules(html) == reference_html_rules(timeline)
+
+
 def _dimming_timeline():
     """m1..m3 are dimmed alike; m0 is the highlight target and also fades in."""
     placed = [
@@ -600,7 +629,7 @@ class TestSharedTracks:
         assert rows["m1"] is rows["m2"] is rows["m3"]
         assert rows["m0"] is not rows["m1"]
 
-    def test_from_json_interns_equal_tracks_and_stops(self):
+    def test_from_json_interns_equal_tracks(self):
         def row(time, value):
             return {"easing": "linear", "property": "opacity", "time": time, "value": value}
 
@@ -611,7 +640,7 @@ class TestSharedTracks:
         ]}))
         tracks = Timeline.from_json(payload).tracks
         assert tracks["a"] is tracks["b"]
-        assert tracks["c"] is not tracks["a"] and tracks["c"][0] is tracks["a"][0]
+        assert tracks["c"] is not tracks["a"]
 
     def test_from_json_keeps_values_that_only_compare_equal_apart(self):
         text = dump_artifact({"duration": 5.0, "initial_visibility": {}, "tracks": [
@@ -639,10 +668,11 @@ class TestSharedTracks:
     def test_evaluator_shares_element_tracks_of_equal_tracks(self):
         timeline = _dimming_timeline()
         timeline.initial_visibility["m3"] = "hidden"
-        elements = KeyframeEvaluator(timeline).elements
-        assert elements["m1"] is elements["m2"]
-        assert elements["m3"] is not elements["m1"]  # same track, other visibility
-        assert elements["m0"] is not elements["m1"]
+        groups = KeyframeEvaluator(timeline).groups
+        assert [members for _, members in groups] == [["m0"], ["m1", "m2"], ["m3"]]
+        # m3 holds m1's track with another visibility
+        assert groups[2][0].by_property == groups[1][0].by_property
+        assert [element.initially_visible for element, _ in groups] == [False, True, False]
 
     def test_html_formats_each_distinct_track_once(self, monkeypatch):
         from datareel import adapters
@@ -653,8 +683,8 @@ class TestSharedTracks:
                             lambda prop, seq: formatted.append(prop) or css_track(prop, seq))
         html = adapters.export_html(_dimming_timeline(), "<svg/>", "narration.wav")
         assert sorted(formatted) == ["opacity", "opacity"]  # m0's track and the dimming
-        for eid in ("m1", "m2", "m3"):
-            assert f"@keyframes kf_{eid}_opacity {{" in html
+        assert html.count("@keyframes") == 2
+        assert '[id="m1"], [id="m2"], [id="m3"] { animation: kf_1 ' in html
 
     def test_invariant_problems_of_a_shared_track_name_every_holder(self):
         bad = (Keyframe(2.0, "opacity", 0.0), Keyframe(1.0, "opacity", 1.0),
