@@ -15,9 +15,17 @@ import subprocess
 import wave
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
 
-from .binding import NotSvg, Rendering, UnboundMark, XmlParseError, index_marks, parse_svg
+from .binding import (
+    NotSvg,
+    Rendering,
+    UnboundMark,
+    XmlParseError,
+    escape,
+    index_marks,
+    parse_svg,
+    quoteattr,
+)
 from .errors import AdapterError, PreconditionError
 from .model import (
     DataTable,

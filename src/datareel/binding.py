@@ -13,7 +13,8 @@ import xml.etree.ElementTree as ET
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape, quoteattr
+from functools import cached_property
+from itertools import repeat
 
 from .errors import ContractError, PreconditionError
 from .model import (
@@ -59,14 +60,51 @@ GEOMETRY_ATTRS = frozenset({
     "d", "points", "transform", "width", "height", "dx", "dy", "viewBox",
 })
 
+# The characters xml.sax.saxutils.quoteattr replaces.
+_ATTR_SPECIAL = re.compile('[&<>"\n\r\t]')
+
+
+def escape(text: str) -> str:
+    """text with &, > and < written as entities, as xml.sax.saxutils.escape."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(value: str) -> str:
+    """value escaped and quoted as an XML attribute value, as
+    xml.sax.saxutils.quoteattr: newline, return and tab become character
+    references, and the value goes in single quotes when it holds a double
+    quote but no single one."""
+    if _ATTR_SPECIAL.search(value) is None:
+        return '"' + value + '"'
+    value = escape(value).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in value:
+        return '"' + value + '"'
+    if "'" not in value:
+        return "'" + value + "'"
+    return '"' + value.replace('"', "&quot;") + '"'
+
+
+def _attribute_text(attrs: dict[str, str]) -> str:
+    """' name="value"' for each attribute, each value as quoteattr writes it.
+    When no value needs escaping, the text is joined in one pass."""
+    if not attrs:
+        return ""
+    if _ATTR_SPECIAL.search("".join(attrs.values())) is None:
+        return ' ' + '" '.join(map('="'.join, attrs.items())) + '"'
+    return "".join(f" {k}={quoteattr(v)}" for k, v in attrs.items())
+
 
 @dataclass
 class SvgElement:
+    """One SVG element. text and tail are as written in the source (the diff
+    key strips text); attrs holds local attribute names."""
+
     id: str
     tag: str
     attrs: dict[str, str]
     text: str
     children: tuple["SvgElement", ...] = ()
+    tail: str = ""
 
 
 @dataclass
@@ -95,24 +133,30 @@ class SvgDoc:
         )
 
     def to_text(self) -> str:
-        """Serialize with every element id materialized, for export and styling."""
+        """Serialize with every element id materialized, for export and styling.
+
+        Each element writes its id first, then its other attributes, then
+        (on the root) xmlns; text and tail text are kept as written."""
         out: list[str] = []
 
         def emit(el: SvgElement):
-            attrs = {"id": el.id}
-            attrs.update((k, v) for k, v in el.attrs.items() if k != "id")
+            attrs = el.attrs
+            if "id" in attrs:
+                attrs = {k: v for k, v in attrs.items() if k != "id"}
             if el is self.root and self.namespace:
-                attrs["xmlns"] = self.namespace
-            parts = "".join(f" {k}={quoteattr(v)}" for k, v in attrs.items())
+                attrs = {**attrs, "xmlns": self.namespace}
+            head = f"<{el.tag} id={quoteattr(el.id)}{_attribute_text(attrs)}"
             if not el.children and not el.text:
-                out.append(f"<{el.tag}{parts}/>")
-                return
-            out.append(f"<{el.tag}{parts}>")
-            if el.text:
-                out.append(escape(el.text))
-            for child in el.children:
-                emit(child)
-            out.append(f"</{el.tag}>")
+                out.append(head + "/>")
+            else:
+                out.append(head + ">")
+                if el.text:
+                    out.append(escape(el.text))
+                for child in el.children:
+                    emit(child)
+                out.append(f"</{el.tag}>")
+            if el.tail:
+                out.append(escape(el.tail))
 
         emit(self.root)
         return "".join(out)
@@ -144,8 +188,9 @@ def parse_svg(raw: str) -> SvgDoc:
 
     doc = SvgDoc(root=None, namespace=namespace)  # root assigned below
     counter = 0
+    local_names: dict[str, str] = {}
 
-    def build(node) -> SvgElement:
+    def build(node, parent_id: str | None) -> SvgElement:
         nonlocal counter
         eid = node.get("id")
         if eid is None:
@@ -153,23 +198,24 @@ def parse_svg(raw: str) -> SvgDoc:
                 counter += 1
             eid = f"e{counter}"
             used_ids.add(eid)
-        attrs = {_local_name(k): v for k, v in node.attrib.items()}
+        # The ElementTree is dropped after parsing, so an element without
+        # namespaced attribute names keeps its attrib dict.
+        attrs = node.attrib
+        if "}" in "".join(attrs):
+            attrs = {_local_name(k): v for k, v in attrs.items()}
+        tag = local_names.get(node.tag)
+        if tag is None:
+            tag = local_names[node.tag] = _local_name(node.tag)
         element = SvgElement(
-            id=eid,
-            tag=_local_name(node.tag),
-            attrs=attrs,
-            text=(node.text or "").strip(),
+            id=eid, tag=tag, attrs=attrs, text=node.text or "", tail=node.tail or "",
         )
         doc.elements.append(element)
         doc.by_id[eid] = element
-        children = tuple(build(child) for child in node)
-        element.children = children
-        for child in children:
-            doc.parent[child.id] = eid
+        doc.parent[eid] = parent_id
+        element.children = tuple(map(build, node, repeat(eid)))
         return element
 
-    doc.root = build(root)
-    doc.parent.setdefault(doc.root.id, None)
+    doc.root = build(root, None)
     return doc
 
 
@@ -182,25 +228,55 @@ class MarkEntry:
 
 @dataclass
 class MarkIndex:
-    """Mapping from element ids to roles, bound data rows, and series keys."""
+    """Mapping from element ids to roles, bound data rows, and series keys.
+
+    entries is not changed after construction (with_annotations builds a
+    new index), so the lookups by role, row and series are built once, on
+    first use."""
 
     entries: dict[str, MarkEntry] = field(default_factory=dict)
 
+    @cached_property
+    def _lookup(self) -> tuple[dict, dict, dict]:
+        """(role -> ids, row -> mark ids, lowercased series key -> mark ids)."""
+        by_role: dict[str, list[str]] = {}
+        by_row: dict[int, list[str]] = {}
+        by_series: dict[str, list[str]] = {}
+        for eid, entry in self.entries.items():
+            for role in entry.roles:
+                by_role.setdefault(role, []).append(eid)
+            if "mark" in entry.roles:
+                for row in entry.data_rows:
+                    by_row.setdefault(row, []).append(eid)
+                if entry.series_key:
+                    by_series.setdefault(entry.series_key.lower(), []).append(eid)
+        return {r: frozenset(ids) for r, ids in by_role.items()}, by_row, by_series
+
     def ids_with_role(self, role: str) -> frozenset:
-        return frozenset(eid for eid, e in self.entries.items() if role in e.roles)
+        return self._lookup[0].get(role, frozenset())
 
     def mark_ids(self) -> frozenset:
         return self.ids_with_role("mark")
 
-    def to_json(self) -> dict:
-        return {
-            eid: {
+    def ids_of_rows(self, rows) -> set:
+        """Ids of the marks bound to any of rows."""
+        by_row = self._lookup[1]
+        return {eid for row in set(rows) for eid in by_row.get(row, ())}
+
+    def series_marks(self) -> dict[str, list[str]]:
+        """Lowercased series key -> ids of the marks of that series."""
+        return self._lookup[2]
+
+    def to_json(self) -> list[dict]:
+        return [
+            {
+                "id": eid,
                 "roles": sorted(entry.roles),
                 "data_rows": sorted(entry.data_rows),
                 "series_key": entry.series_key,
             }
             for eid, entry in sorted(self.entries.items())
-        }
+        ]
 
 
 def _parse_data_rows(element: SvgElement, row_count: int | None) -> frozenset:
@@ -296,12 +372,7 @@ def resolve_targets(directive: AnimationDirective, index: MarkIndex) -> frozense
     those, the series whose keys the target names as whole words. The union
     of both routes is returned; an empty result raises UnresolvedTarget.
     """
-    result = set()
-    if directive.index:
-        wanted = set(directive.index)
-        for eid, entry in index.entries.items():
-            if "mark" in entry.roles and entry.data_rows & wanted:
-                result.add(eid)
+    result = index.ids_of_rows(directive.index)
     words = set(re.findall(r"[a-z]+", directive.target.lower()))
     keyword_hits = set()
     for role, keywords in _STRUCTURE_KEYWORDS.items():
@@ -311,15 +382,9 @@ def resolve_targets(directive: AnimationDirective, index: MarkIndex) -> frozense
         keyword_hits |= index.mark_ids()
     if not keyword_hits:
         target_lower = directive.target.lower()
-        named: dict[str, bool] = {}
-        for eid, entry in index.entries.items():
-            if "mark" in entry.roles and entry.series_key:
-                key = entry.series_key.lower()
-                if key not in named:
-                    named[key] = re.search(
-                        rf"(?<!\w){re.escape(key)}(?!\w)", target_lower) is not None
-                if named[key]:
-                    keyword_hits.add(eid)
+        for key, ids in index.series_marks().items():
+            if re.search(rf"(?<!\w){re.escape(key)}(?!\w)", target_lower):
+                keyword_hits.update(ids)
     result |= keyword_hits
     if not result:
         raise UnresolvedTarget(directive)
@@ -331,7 +396,7 @@ def _diff_key(doc: SvgDoc, element: SvgElement):
         (k, v) for k, v in element.attrs.items()
         if k not in GEOMETRY_ATTRS and k != "id"
     )
-    return (element.tag, doc.role_path(element.id), attrs, element.text)
+    return (element.tag, doc.role_path(element.id), attrs, element.text.strip())
 
 
 def diff_annotations(base: SvgDoc, annotated: SvgDoc) -> list[str]:

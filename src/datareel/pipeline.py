@@ -197,18 +197,23 @@ class _Run:
             return adapters.CommandSynth(self.config.synth_cmd)
         return adapters.MockSynth(fps=self.config.fps)
 
-    def write_artifact(self, record: dict, filename: str, content: str) -> Path:
-        path = self.out / filename
-        path.write_text(content, encoding="utf-8")
-        self.register(record, filename)
-        return path
+    def write_artifact(self, record: dict, filename: str, content: str) -> None:
+        """Write content as UTF-8 and record the hash and size of those bytes."""
+        data = content.encode("utf-8")
+        (self.out / filename).write_bytes(data)
+        self._record(record, filename, data)
 
     def register(self, record: dict, filename: str) -> None:
-        path = self.out / filename
+        """Record a file an adapter wrote (video_manifest.json, narration.wav,
+        video.mp4)."""
+        self._record(record, filename, (self.out / filename).read_bytes())
+
+    @staticmethod
+    def _record(record: dict, filename: str, data: bytes) -> None:
         record["artifacts"].append({
             "path": filename,
-            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-            "bytes": path.stat().st_size,
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data),
         })
 
 
@@ -364,7 +369,7 @@ def _stage_binding(run: _Run, record: dict) -> None:
 
 def _summarize_binding(payload: dict) -> list[str]:
     roles: dict[str, int] = {}
-    for entry in payload["mark_index"].values():
+    for entry in payload["mark_index"]:
         for role in entry["roles"]:
             roles[role] = roles.get(role, 0) + 1
     return [

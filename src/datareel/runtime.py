@@ -12,8 +12,6 @@ import json
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
@@ -180,6 +178,11 @@ class HttpChatBackend:
         return reply
 
     def _request(self, body: bytes) -> str:
+        # Imported here: urllib.request loads http.client, email and ssl,
+        # which no mock run, validate or inspect needs.
+        import urllib.error
+        import urllib.request
+
         api_key = os.environ.get(self.config.api_key_env, "")
         if not api_key:
             raise PreconditionError(

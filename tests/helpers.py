@@ -414,3 +414,36 @@ def parse_html_rules(html: str) -> dict:
             parsed[eid] = value
     assert uses_wheel == (wheels > 0)
     return parsed
+
+
+def reference_resolve_targets(directive, index):
+    """Directive targets by scanning every index entry, as resolve_targets
+    did before it looked rows and series up: the marks bound to one of the
+    directive's rows, plus the elements of the roles the target names
+    (axis/axes, legend, title; all/chart for every mark) or, when it names
+    none, the marks whose series key it names as a whole word. None when
+    nothing resolves."""
+    import re
+
+    target = directive.target.lower()
+    words = set(re.findall(r"[a-z]+", target))
+    roles = {role for role, names in (("axis", {"axis", "axes"}), ("legend", {"legend"}),
+                                      ("title", {"title"}), ("mark", {"all", "chart"}))
+             if words & names}
+    entries = index.entries.items()
+    by_rows = {eid for eid, e in entries
+               if "mark" in e.roles and e.data_rows & set(directive.index)}
+    by_role = {eid for eid, e in entries if e.roles & roles}
+    named = {eid for eid, e in entries if "mark" in e.roles and e.series_key and re.search(
+        rf"(?<!\w){re.escape(e.series_key.lower())}(?!\w)", target)}
+    return frozenset(by_rows | (by_role or named)) or None
+
+
+def reference_mark_index_dict(index) -> dict:
+    """The mark index as bindings.json wrote it before it became a row list:
+    one {roles, data_rows, series_key} object per id."""
+    return {
+        eid: {"roles": sorted(entry.roles), "data_rows": sorted(entry.data_rows),
+              "series_key": entry.series_key}
+        for eid, entry in index.entries.items()
+    }

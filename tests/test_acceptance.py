@@ -549,8 +549,8 @@ def test_criterion_7_end_to_end_mock(tmp_path, stock_csv_path):
 
         bindings = json.loads((out / "bindings.json").read_text())
         series_to_id = {
-            entry["series_key"]: eid
-            for eid, entry in bindings["mark_index"].items()
+            entry["series_key"]: entry["id"]
+            for entry in bindings["mark_index"]
             if "mark" in entry["roles"]
         }
         assert set(series_to_id) == set(STOCK_COMPANIES)  # 4-series line chart

@@ -1,4 +1,6 @@
+import json
 import random
+from xml.sax import saxutils  # the reference for the local escaper only
 
 import pytest
 from hypothesis import given
@@ -15,15 +17,22 @@ from datareel.binding import (
     SvgElement,
     XmlParseError,
     diff_annotations,
+    escape,
     index_marks,
     match_annotation_directives,
     parse_svg,
+    quoteattr,
     resolve_targets,
     with_annotations,
 )
 from datareel.ingest import parse_csv
-from datareel.model import AnimationDirective, AnnotationDirective
-from helpers import random_svg, reference_match_annotation_directives
+from datareel.model import AnimationDirective, AnnotationDirective, dump_artifact
+from helpers import (
+    random_svg,
+    reference_mark_index_dict,
+    reference_match_annotation_directives,
+    reference_resolve_targets,
+)
 
 
 class TestParseSvg:
@@ -63,6 +72,81 @@ class TestParseSvg:
         assert [el.tag for el in again.elements] == [el.tag for el in doc.elements]
         assert 'data-row="0"' in text
         assert 'id="e2"' in text
+
+    def test_to_text_keeps_tail_text(self):
+        doc = parse_svg('<svg xmlns="http://www.w3.org/2000/svg">'
+                        '<text>Sales <tspan>2024</tspan> total</text></svg>')
+        assert doc.to_text() == ('<svg id="e0" xmlns="http://www.w3.org/2000/svg">'
+                                 '<text id="e1">Sales <tspan id="e2">2024</tspan> total</text>'
+                                 '</svg>')
+
+    def test_diff_key_strips_text(self):
+        base = parse_svg('<svg><g data-role="title"><text>Sales</text></g></svg>')
+        padded = parse_svg('<svg><g data-role="title"><text> Sales\n</text></g></svg>')
+        assert diff_annotations(base, padded) == []
+
+    def test_to_text_writes_id_first_and_xmlns_last(self):
+        doc = parse_svg('<svg xmlns="http://www.w3.org/2000/svg" width="5">'
+                        '<rect x="1" id="r" y="2"/></svg>')
+        assert doc.to_text() == ('<svg id="e0" width="5" xmlns="http://www.w3.org/2000/svg">'
+                                 '<rect id="r" x="1" y="2"/></svg>')
+
+
+# Hostile text: quotes of both kinds, markup characters, the end of a style
+# element, whitespace controls and non-ASCII, mixed with plain letters.
+HOSTILE_PIECES = ('"', "'", "&", "<", ">", "</style>", "]]>", "&amp;", "\n", "\t",
+                  " ", "a", "Z", "9", "é", "日", "😀")
+hostile_text = st.lists(st.sampled_from(HOSTILE_PIECES), max_size=6).map("".join)
+# Attribute values also keep a carriage return, which quoteattr writes as &#13;.
+hostile_value = st.lists(st.sampled_from(HOSTILE_PIECES + ("\r",)), max_size=6).map("".join)
+
+
+class TestXmlEscaper:
+    @given(st.text() | hostile_value)
+    def test_escape_equals_saxutils(self, text):
+        assert escape(text) == saxutils.escape(text)
+
+    @given(st.text() | hostile_value)
+    def test_quoteattr_equals_saxutils(self, text):
+        assert quoteattr(text) == saxutils.quoteattr(text)
+
+
+ATTR_NAMES = ("x", "fill", "class", "data-row", "data-series", "aria-label")
+
+
+@st.composite
+def svg_docs(draw):
+    """An SvgDoc built from elements whose ids, attribute values, text and
+    tail text are hostile strings; the root has no tail."""
+    ids = iter(draw(st.lists(hostile_value, min_size=10, max_size=10, unique=True)))
+    elements = []
+
+    def element(depth, tail):
+        el = SvgElement(
+            id=next(ids), tag="svg" if not elements else draw(st.sampled_from(("g", "text"))),
+            attrs=draw(st.dictionaries(st.sampled_from(ATTR_NAMES), hostile_value, max_size=3)),
+            text=draw(hostile_text), tail=tail,
+        )
+        elements.append(el)
+        if depth < 2:
+            el.children = tuple(element(depth + 1, draw(hostile_text))
+                                for _ in range(draw(st.integers(0, 3 - depth))))
+        return el
+
+    root = element(0, "")
+    namespace = draw(st.sampled_from(("", "http://www.w3.org/2000/svg")))
+    return SvgDoc(root=root, elements=elements, namespace=namespace)
+
+
+class TestToTextRoundTrip:
+    @given(svg_docs())
+    def test_parse_keeps_ids_attributes_text_and_tail(self, doc):
+        again = parse_svg(doc.to_text())
+        assert again.namespace == doc.namespace
+        assert [(el.id, el.tag, {k: v for k, v in el.attrs.items() if k != "id"},
+                 el.text, el.tail) for el in again.elements] == [
+            (el.id, el.tag, el.attrs, el.text, el.tail) for el in doc.elements]
+        assert all(el.attrs["id"] == el.id for el in again.elements)
 
 
 def _bar_spec(rows=3):
@@ -371,3 +455,77 @@ class TestMatchAgreesWithPairwiseReference:
         expected, advisories = reference_match_annotation_directives(*inputs)
         assert assignments == expected
         assert [(a.code, a.path) for a in report.advisories] == advisories
+
+
+# Series keys that differ in case, hold punctuation or contain one another.
+SERIES_KEYS = (None, "Alpha", "alpha beta", "Beta", "C++", "north-east", "east")
+TARGET_WORDS = ("the", "axes", "axis", "legend", "title", "all", "chart", "bars", "of",
+                "Alpha", "beta", "C++", "north-east", "East", "Gamma")
+
+
+@st.composite
+def resolve_inputs(draw):
+    entries = {}
+    for i in range(draw(st.integers(0, 12))):
+        roles = draw(st.frozensets(
+            st.sampled_from(("mark", "axis", "legend", "title", "annotation")),
+            min_size=1, max_size=2))
+        entries[f"m{i}"] = MarkEntry(roles, draw(st.frozensets(st.integers(0, 9), max_size=3)),
+                                     draw(st.sampled_from(SERIES_KEYS)))
+    target = " ".join(draw(st.lists(st.sampled_from(TARGET_WORDS), min_size=1, max_size=4)))
+    index = tuple(draw(st.lists(st.integers(0, 11), max_size=4)))
+    return _directive(target, index), MarkIndex(entries)
+
+
+class TestResolveAgreesWithScan:
+    @given(resolve_inputs())
+    def test_row_keyed_lookup_equals_scan(self, inputs):
+        directive, index = inputs
+        expected = reference_resolve_targets(directive, index)
+        if expected is None:
+            with pytest.raises(UnresolvedTarget):
+                resolve_targets(directive, index)
+        else:
+            assert resolve_targets(directive, index) == expected
+
+
+def _grouped_bars(categories, channels, overlay):
+    rows = [{"store": f"S{i}", "channel": f"C{j}", "sales": 10 + 7 * i + 3 * j}
+            for j in range(channels) for i in range(categories)]
+    encoding = {"x": {"field": "store"}, "xOffset": {"field": "channel"},
+                "y": {"field": "sales"}, "color": {"field": "channel"}}
+    labels = [dict(rows[i], label=f"{rows[i]['sales']} units") for i in overlay]
+    base = {"mark": "bar", "encoding": encoding, "data": {"values": rows}}
+    annotated = {"data": {"values": rows}, "layer": [
+        {"mark": "bar", "encoding": encoding},
+        {"data": {"values": labels}, "mark": "text",
+         "encoding": {"x": {"field": "store"}, "y": {"field": "sales"},
+                      "text": {"field": "label"}}}]}
+    return base, annotated
+
+
+@st.composite
+def workload_specs(draw):
+    """Base and annotated specs shaped as the benchmark workloads: a
+    four-series line chart with a rule overlay (stock-demo), or grouped bars
+    with text labels over some bars (synth-long, overlay-wide)."""
+    if draw(st.booleans()):
+        base = {**_line_spec(), "title": "T"}
+        return base, {"data": base["data"], "layer": [
+            {"mark": "line", "encoding": base["encoding"]},
+            {"mark": "rule", "encoding": {"y": {"field": "v"}}}]}
+    categories, channels = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    overlay = draw(st.lists(st.integers(0, categories * channels - 1), unique=True))
+    return _grouped_bars(categories, channels, sorted(overlay))
+
+
+class TestMarkIndexRows:
+    @given(workload_specs())
+    def test_rows_read_back_equal_the_dict_layout(self, specs):
+        renderer = MockRenderer()
+        base, annotated = (parse_svg(renderer.render(spec)) for spec in specs)
+        index = with_annotations(index_marks(annotated), annotated,
+                                 diff_annotations(base, annotated))
+        rows = json.loads(dump_artifact({"mark_index": index.to_json()}))["mark_index"]
+        assert [row["id"] for row in rows] == sorted(index.entries)
+        assert {row.pop("id"): row for row in rows} == reference_mark_index_dict(index)

@@ -116,7 +116,7 @@ class TestRunPipeline:
         bindings = json.loads((out / "bindings.json").read_text())
         series = {
             entry["series_key"]
-            for entry in bindings["mark_index"].values()
+            for entry in bindings["mark_index"]
             if "mark" in entry["roles"]
         }
         assert series == set(STOCK_COMPANIES)
@@ -325,7 +325,7 @@ DEMO_JSON_MEANING = {
     "analyst_validation.json":
         "227d6506f3a5c7e9809176e44107537a410d137bff07f08fcb8957e15600b34b",
     "bindings.json":
-        "5b36d6736327704a481bf6a443dc4e99c9b92ff1489b686c46c67c7166a2cb1c",
+        "22cb33c650ea19096a07b3a36070f4c54a56ce590fbeabea452db79af7cebec3",
     "description.json":
         "e656fc77459b77e76d2bf9c7664f1342cb6efc8f51a2e5e32780e65d712db00f",
     "description_repair.json":

@@ -1,11 +1,14 @@
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import time
 import types
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -427,3 +430,25 @@ class TestRepairLoop:
             with pytest.raises(PreconditionError):
                 _loop(ChatSession(backend=backend), max_attempts=max_attempts)
         assert backend.calls == 0
+
+
+HTTP_AND_SAX_MODULES = ("urllib.request", "urllib.error", "http.client", "email", "ssl",
+                        "xml.sax", "xml.sax.saxutils")
+
+
+def _loaded_modules(*imports: str) -> set:
+    """sys.modules of a fresh interpreter after the given imports."""
+    code = "".join(f"import {name}\n" for name in imports) + (
+        "import json, sys\nprint(json.dumps(sorted(sys.modules)))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def test_importing_the_cli_loads_no_http_stack_or_sax():
+    # Compared with a bare interpreter, whose .pth files may load some of these.
+    added = _loaded_modules("datareel.cli") - _loaded_modules()
+    assert not added & set(HTTP_AND_SAX_MODULES)
