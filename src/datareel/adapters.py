@@ -254,7 +254,7 @@ class MockRenderer:
             )
             parts.append(f'<g data-role="legend">{legend_items}</g>')
 
-        scales = (x_order, y_lo, y_hi)
+        scales = (x_order, self._x_positions(x_order), y_lo, y_hi)
         parts.append('<g data-role="marks">')
         parts.extend(self._layer_elements(base_mark, base_enc, base_data, scales,
                                           legend, base_rows=None))
@@ -306,11 +306,18 @@ class MockRenderer:
         return min(values), max(values)
 
     @staticmethod
-    def _x_pos(x_order: _Ordinal, value) -> float:
+    def _x_positions(x_order: _Ordinal) -> list[float]:
+        """The x position of each distinct x value, by its place in x_order."""
+        count = len(x_order.values)
+        if count <= 1:
+            return [(_PLOT_LEFT + _PLOT_RIGHT) / 2] * count
+        return [_PLOT_LEFT + idx * (_PLOT_RIGHT - _PLOT_LEFT) / (count - 1)
+                for idx in range(count)]
+
+    @staticmethod
+    def _x_pos(x_order: _Ordinal, x_at: list[float], value) -> float:
         idx = x_order.position(value)
-        if idx is None or len(x_order.values) <= 1:
-            return (_PLOT_LEFT + _PLOT_RIGHT) / 2
-        return _PLOT_LEFT + idx * (_PLOT_RIGHT - _PLOT_LEFT) / (len(x_order.values) - 1)
+        return (_PLOT_LEFT + _PLOT_RIGHT) / 2 if idx is None else x_at[idx]
 
     @staticmethod
     def _y_pos(lo: float, hi: float, value) -> float:
@@ -333,85 +340,79 @@ class MockRenderer:
         for i, datum in enumerate(data):
             if not isinstance(datum, dict):
                 raise RendererRejectedSpec(f"datum {i} is not an object")
+        x_order, x_at, y_lo, y_hi = scales
+        x_field = _enc_field(encoding, "x")
+        y_field = _enc_field(encoding, "y")
+        text_field = _enc_field(encoding, "text")
         series_field = _enc_field(encoding, "color") or _enc_field(encoding, "detail")
         series_order = _Ordinal([*legend, *self._series_values(data, series_field)])
+        colors = [PALETTE[k % len(PALETTE)] for k in range(len(series_order.values))]
 
-        def series_of(datum: dict):
-            return datum.get(series_field) if series_field else None
-
-        def group_of(i: int, datum: dict):
-            if not by_series:
-                return i
-            series = series_of(datum)
-            return None if series is None else series_order.position(series)
-
-        by_series = mark == "line" or (mark in ("arc", "pie") and series_field)
-        groups: dict = {}
-        for i, datum in enumerate(data):
-            groups.setdefault(group_of(i, datum), []).append((i, datum))
+        if mark == "line" or (mark in ("arc", "pie") and series_field):
+            by_series: dict = {}
+            for i, datum in enumerate(data):
+                series = datum.get(series_field) if series_field else None
+                key = None if series is None else series_order.position(series)
+                by_series.setdefault(key, []).append(i)
+            groups = list(by_series.values())
+        else:
+            groups = [[i] for i in range(len(data))]
 
         out = []
-        for n, members in enumerate(groups.values()):
+        for n, members in enumerate(groups):
+            datum = data[members[0]]
             if base_rows is None:
-                rows = [i for i, _ in members]
+                rows = members
             else:
-                rows = sorted({m for _, d in members for m in base_rows.matches(d)})
-            attrs = f' data-row="{";".join(str(r) for r in rows)}"' if rows else ""
-            series = series_of(members[0][1])
+                rows = sorted({m for i in members for m in base_rows.matches(data[i])})
+            attrs = f' data-row="{";".join(map(str, rows))}"' if rows else ""
+            series = datum.get(series_field) if series_field else None
             if series is not None:
                 attrs += f" data-series={quoteattr(str(series))}"
             if mark in ("arc", "pie"):
                 color = PALETTE[n % len(PALETTE)]
             elif series is not None:
-                color = PALETTE[series_order.position(series) % len(PALETTE)]
+                color = colors[series_order.position(series)]
             else:
                 color = PALETTE[0]
-            tag, geometry = self._shape(mark, encoding, [d for _, d in members],
-                                        (n, len(groups)), scales, color)
-            out.append(f"<{tag}{attrs}{geometry}")
-        return out
 
-    def _shape(self, mark: str, encoding: dict, members: list,
-               position: tuple[int, int], scales, color: str) -> tuple[str, str]:
-        """A group's element tag and everything after its data attributes."""
-        x_order, y_lo, y_hi = scales
-        x_field = _enc_field(encoding, "x")
-        y_field = _enc_field(encoding, "y")
-        if mark == "line":
-            points = " L ".join(
-                f"{_fmt(self._x_pos(x_order, d.get(x_field)))} "
-                f"{_fmt(self._y_pos(y_lo, y_hi, d.get(y_field)))}"
-                for d in members
-            )
-            return "path", f' d="M {points}" fill="none" stroke="{color}" stroke-width="2"/>'
-        if mark in ("arc", "pie"):
-            n, total = position
-            a0 = 2 * math.pi * n / total
-            a1 = 2 * math.pi * (n + 1) / total
-            x0, y0 = 320 + 120 * math.cos(a0), 180 + 120 * math.sin(a0)
-            x1, y1 = 320 + 120 * math.cos(a1), 180 + 120 * math.sin(a1)
-            return "path", (f' d="M 320 180 L {_fmt(x0)} {_fmt(y0)} '
-                            f'A 120 120 0 0 1 {_fmt(x1)} {_fmt(y1)} Z" fill="{color}"/>')
-        (datum,) = members
-        x = self._x_pos(x_order, datum.get(x_field))
-        y = self._y_pos(y_lo, y_hi, datum.get(y_field))
-        if mark == "bar":
-            return "rect", (f' x="{_fmt(x - 10)}" y="{_fmt(y)}" width="20" '
-                            f'height="{_fmt(_PLOT_BOTTOM - y)}" fill="{color}"/>')
-        if mark == "text":
-            text_field = _enc_field(encoding, "text")
-            label = str(datum.get(text_field, "")) if text_field else ""
-            return "text", f' x="{_fmt(x)}" y="{_fmt(y - 8)}">{escape(label)}</text>'
-        if mark == "rule" and y_field is not None and x_field is None:
-            return "line", (f' x1="{_fmt(_PLOT_LEFT)}" y1="{_fmt(y)}" '
-                            f'x2="{_fmt(_PLOT_RIGHT)}" y2="{_fmt(y)}" stroke="#333"/>')
-        if mark == "rule":
-            return "line", (f' x1="{_fmt(x)}" y1="{_fmt(_PLOT_TOP)}" '
-                            f'x2="{_fmt(x)}" y2="{_fmt(_PLOT_BOTTOM)}" stroke="#333"/>')
-        if mark == "tick":
-            return "line", (f' x1="{_fmt(x - 6)}" y1="{_fmt(y)}" '
-                            f'x2="{_fmt(x + 6)}" y2="{_fmt(y)}" stroke="#333"/>')
-        return "circle", f' cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{color}"/>'
+            if mark == "line":
+                points = " L ".join(
+                    f"{_fmt(self._x_pos(x_order, x_at, data[i].get(x_field)))} "
+                    f"{_fmt(self._y_pos(y_lo, y_hi, data[i].get(y_field)))}"
+                    for i in members
+                )
+                out.append(f'<path{attrs} d="M {points}" fill="none" stroke="{color}" '
+                           'stroke-width="2"/>')
+                continue
+            if mark in ("arc", "pie"):
+                a0 = 2 * math.pi * n / len(groups)
+                a1 = 2 * math.pi * (n + 1) / len(groups)
+                x0, y0 = 320 + 120 * math.cos(a0), 180 + 120 * math.sin(a0)
+                x1, y1 = 320 + 120 * math.cos(a1), 180 + 120 * math.sin(a1)
+                out.append(f'<path{attrs} d="M 320 180 L {_fmt(x0)} {_fmt(y0)} '
+                           f'A 120 120 0 0 1 {_fmt(x1)} {_fmt(y1)} Z" fill="{color}"/>')
+                continue
+            x = self._x_pos(x_order, x_at, datum.get(x_field))
+            y = self._y_pos(y_lo, y_hi, datum.get(y_field))
+            if mark == "bar":
+                out.append(f'<rect{attrs} x="{_fmt(x - 10)}" y="{_fmt(y)}" width="20" '
+                           f'height="{_fmt(_PLOT_BOTTOM - y)}" fill="{color}"/>')
+            elif mark == "text":
+                label = str(datum.get(text_field, "")) if text_field else ""
+                out.append(f'<text{attrs} x="{_fmt(x)}" y="{_fmt(y - 8)}">{escape(label)}</text>')
+            elif mark == "rule" and y_field is not None and x_field is None:
+                out.append(f'<line{attrs} x1="{_fmt(_PLOT_LEFT)}" y1="{_fmt(y)}" '
+                           f'x2="{_fmt(_PLOT_RIGHT)}" y2="{_fmt(y)}" stroke="#333"/>')
+            elif mark == "rule":
+                out.append(f'<line{attrs} x1="{_fmt(x)}" y1="{_fmt(_PLOT_TOP)}" '
+                           f'x2="{_fmt(x)}" y2="{_fmt(_PLOT_BOTTOM)}" stroke="#333"/>')
+            elif mark == "tick":
+                out.append(f'<line{attrs} x1="{_fmt(x - 6)}" y1="{_fmt(y)}" '
+                           f'x2="{_fmt(x + 6)}" y2="{_fmt(y)}" stroke="#333"/>')
+            else:
+                out.append(f'<circle{attrs} cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{color}"/>')
+        return out
 
 
 class CommandRenderer:

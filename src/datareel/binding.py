@@ -14,7 +14,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 from .errors import ContractError, PreconditionError
 from .model import (
@@ -109,28 +108,19 @@ class SvgElement:
 
 @dataclass
 class SvgDoc:
-    """Parsed SVG tree with unique element ids in stable document order."""
+    """Parsed SVG tree with unique element ids in stable document order.
+
+    role_paths maps each element id to the data-role values of its
+    ancestors, root first."""
 
     root: SvgElement
     elements: list[SvgElement] = field(default_factory=list)
     by_id: dict[str, SvgElement] = field(default_factory=dict)
-    parent: dict[str, str | None] = field(default_factory=dict)
+    role_paths: dict[str, tuple[str, ...]] = field(default_factory=dict)
     namespace: str = ""
 
-    def ancestors(self, element_id: str) -> list[SvgElement]:
-        """Ancestors of an element ordered root-first."""
-        chain = []
-        current = self.parent.get(element_id)
-        while current is not None:
-            chain.append(self.by_id[current])
-            current = self.parent.get(current)
-        chain.reverse()
-        return chain
-
     def role_path(self, element_id: str) -> tuple[str, ...]:
-        return tuple(
-            a.attrs["data-role"] for a in self.ancestors(element_id) if "data-role" in a.attrs
-        )
+        return self.role_paths[element_id]
 
     def to_text(self) -> str:
         """Serialize with every element id materialized, for export and styling.
@@ -138,27 +128,29 @@ class SvgDoc:
         Each element writes its id first, then its other attributes, then
         (on the root) xmlns; text and tail text are kept as written."""
         out: list[str] = []
-
-        def emit(el: SvgElement):
+        # Elements still to write, and the closing tags (with tail text) of
+        # the open ones; the next item to write is last.
+        pending: list[SvgElement | str] = [self.root]
+        while pending:
+            el = pending.pop()
+            if type(el) is str:
+                out.append(el)
+                continue
             attrs = el.attrs
             if "id" in attrs:
                 attrs = {k: v for k, v in attrs.items() if k != "id"}
             if el is self.root and self.namespace:
                 attrs = {**attrs, "xmlns": self.namespace}
             head = f"<{el.tag} id={quoteattr(el.id)}{_attribute_text(attrs)}"
+            tail = escape(el.tail) if el.tail else ""
             if not el.children and not el.text:
-                out.append(head + "/>")
-            else:
-                out.append(head + ">")
-                if el.text:
-                    out.append(escape(el.text))
-                for child in el.children:
-                    emit(child)
-                out.append(f"</{el.tag}>")
-            if el.tail:
-                out.append(escape(el.tail))
-
-        emit(self.root)
+                out.append(head + "/>" + tail)
+                continue
+            out.append(head + ">")
+            if el.text:
+                out.append(escape(el.text))
+            pending.append(f"</{el.tag}>{tail}")
+            pending.extend(reversed(el.children))
         return "".join(out)
 
 
@@ -167,7 +159,9 @@ def _local_name(tag: str) -> str:
 
 
 def parse_svg(raw: str) -> SvgDoc:
-    """Parse SVG text, synthesizing ids "e0","e1",... for id-less elements."""
+    """Parse SVG text, synthesizing ids "e0","e1",... for id-less elements.
+
+    The tree is walked without recursion, so it may nest to any depth."""
     try:
         root = ET.fromstring(raw)
     except ET.ParseError as e:
@@ -186,12 +180,25 @@ def parse_svg(raw: str) -> SvgDoc:
                 raise PreconditionError(f"duplicate element id {explicit!r}")
             used_ids.add(explicit)
 
-    doc = SvgDoc(root=None, namespace=namespace)  # root assigned below
+    elements: list[SvgElement] = []
+    by_id: dict[str, SvgElement] = {}
+    role_paths: dict[str, tuple[str, ...]] = {}
     counter = 0
     local_names: dict[str, str] = {}
-
-    def build(node, parent_id: str | None) -> SvgElement:
-        nonlocal counter
+    top: list[SvgElement] = []
+    # Per open element: its remaining child nodes, its element (None above
+    # the root), its children's role path and the children built so far.
+    # Elements are built in document order, so synthesized ids count up in
+    # that order.
+    stack = [(iter((root,)), None, (), top)]
+    while stack:
+        nodes, parent, path, built = stack[-1]
+        node = next(nodes, None)
+        if node is None:
+            if parent is not None:
+                parent.children = tuple(built)
+            stack.pop()
+            continue
         eid = node.get("id")
         if eid is None:
             while f"e{counter}" in used_ids:
@@ -209,14 +216,15 @@ def parse_svg(raw: str) -> SvgDoc:
         element = SvgElement(
             id=eid, tag=tag, attrs=attrs, text=node.text or "", tail=node.tail or "",
         )
-        doc.elements.append(element)
-        doc.by_id[eid] = element
-        doc.parent[eid] = parent_id
-        element.children = tuple(map(build, node, repeat(eid)))
-        return element
-
-    doc.root = build(root, None)
-    return doc
+        elements.append(element)
+        by_id[eid] = element
+        role_paths[eid] = path
+        built.append(element)
+        if len(node):
+            role = attrs.get("data-role")
+            stack.append((iter(node), element, path if role is None else (*path, role), []))
+    return SvgDoc(root=top[0], elements=elements, by_id=by_id, role_paths=role_paths,
+                  namespace=namespace)
 
 
 @dataclass(frozen=True)
@@ -284,12 +292,12 @@ def _parse_data_rows(element: SvgElement, row_count: int | None) -> frozenset:
     if raw == "":
         return frozenset()
     try:
-        rows = frozenset(int(part) for part in raw.split(";"))
+        rows = frozenset(map(int, raw.split(";")))
     except ValueError:
         raise UnboundMark(element.id, f"carries malformed data-row {raw!r}") from None
-    if any(r < 0 for r in rows):
+    if min(rows) < 0:
         raise UnboundMark(element.id, f"carries negative data-row {raw!r}")
-    if row_count is not None and any(r >= row_count for r in rows):
+    if row_count is not None and max(rows) >= row_count:
         raise UnboundMark(
             element.id, f"references rows outside the table ({raw!r}, {row_count} rows)"
         )
@@ -297,9 +305,12 @@ def _parse_data_rows(element: SvgElement, row_count: int | None) -> frozenset:
 
 
 def _mark_elements(group: SvgElement):
-    for child in group.children:
+    """The non-<g> descendants of group, in document order, through nested <g>s."""
+    pending = list(reversed(group.children))
+    while pending:
+        child = pending.pop()
         if child.tag == "g":
-            yield from _mark_elements(child)
+            pending.extend(reversed(child.children))
         else:
             yield child
 

@@ -7,10 +7,10 @@ construction and safe to share across threads.
 """
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .errors import ContractError
 
@@ -417,7 +417,7 @@ class RepairReport:
         }
 
 
-# Compact, key-sorted JSON through CPython's C encoder; `indent` would bypass it.
+# Compact, key-sorted JSON; `indent` would bypass CPython's C encoder.
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -434,22 +434,38 @@ def dump_artifact(payload) -> str:
     (or under two keys of one row) is encoded once and its text reused; the
     bytes are those of encoding each occurrence. A row with no shared member
     is encoded whole, as any other value.
+
+    Values that json cannot encode raise what json.dumps raises.
     """
-    return _layout(payload, "") + "\n"
+    return _layout(payload, "", _encoder()) + "\n"
 
 
-def _layout(value, indent: str) -> str:
+def _encoder():
+    """A function that encodes one value as _COMPACT.encode does.
+
+    JSONEncoder.encode sets up a C encoder on every call; one is set up here
+    per artifact instead. Its circular-reference markers are its own, so a
+    failed encode leaves nothing behind for the next artifact."""
+    if c_make_encoder is None:
+        return _COMPACT.encode
+    encode = c_make_encoder({}, _COMPACT.default, encode_basestring_ascii, None,
+                            ":", ",", True, False, True)
+    return lambda value: "".join(encode(value, 0))
+
+
+def _layout(value, indent: str, encode) -> str:
     inner = indent + "  "
     if isinstance(value, dict) and value:
-        items = (f"{inner}{_key(k)}: {_layout(v, inner)}" for k, v in sorted(value.items()))
+        items = (f"{inner}{_key(k, encode)}: {_layout(v, inner, encode)}"
+                 for k, v in sorted(value.items()))
         return "{\n" + ",\n".join(items) + f"\n{indent}}}"
     if isinstance(value, (list, tuple)) and value and all(
             isinstance(v, (dict, list, tuple)) for v in value):
         shared = _shared_members(value)
         if shared:
-            return "[\n" + _shared_rows(value, shared, inner) + f"\n{indent}]"
-        return "[\n" + ",\n".join(inner + _COMPACT.encode(v) for v in value) + f"\n{indent}]"
-    return _COMPACT.encode(value)
+            return "[\n" + _shared_rows(value, shared, inner, encode) + f"\n{indent}]"
+        return "[\n" + inner + f",\n{inner}".join(map(encode, value)) + f"\n{indent}]"
+    return encode(value)
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -472,7 +488,7 @@ def _shared_members(rows) -> set[int]:
     return {i for i, count in Counter(ids).items() if count > 1}
 
 
-def _shared_rows(rows, shared: set[int], inner: str) -> str:
+def _shared_rows(rows, shared: set[int], inner: str, encode) -> str:
     # Rows are joined from pieces, so a shared member's text is copied once,
     # into the result, and not first into a string per row.
     out: list[str] = []
@@ -488,7 +504,7 @@ def _shared_rows(rows, shared: set[int], inner: str) -> str:
         if isinstance(row, dict):
             keys = tuple(row)
             if keys not in shapes:
-                shapes[keys] = ([(k, ("," if n else "{") + _COMPACT.encode(k) + ":")
+                shapes[keys] = ([(k, ("," if n else "{") + encode(k) + ":")
                                  for n, k in enumerate(sorted(keys))]
                                 if all(isinstance(k, str) for k in keys) else None)
             shape = shapes[keys]
@@ -498,30 +514,20 @@ def _shared_rows(rows, shared: set[int], inner: str) -> str:
             items = [("," if n else "[", v) for n, v in enumerate(row)]
             close = "]"
         if not items or shared.isdisjoint(id(member) for _, member in items):
-            out.append(_COMPACT.encode(row))
+            out.append(encode(row))
             continue
         for head, member in items:
             out.append(head)
             if id(member) not in shared:
-                out.append(_member_text(member))
+                out.append(encode(member))
             elif id(member) in texts:
                 out.append(texts[id(member)])
             else:
-                out.append(texts.setdefault(id(member), _COMPACT.encode(member)))
+                out.append(texts.setdefault(id(member), encode(member)))
         out.append(close)
     return "".join(out)
 
 
-def _member_text(value) -> str:
-    # Numbers as json writes them (int.__repr__, float.__repr__ when finite)
-    # without the encoder's per-call set-up; anything else through it.
-    if type(value) is int:
-        return int.__repr__(value)
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    return _COMPACT.encode(value)
-
-
-def _key(key) -> str:
+def _key(key, encode) -> str:
     # Non-string keys become their JSON text, as json.dumps writes them.
-    return _COMPACT.encode(key if isinstance(key, str) else _COMPACT.encode(key))
+    return encode(key if isinstance(key, str) else encode(key))

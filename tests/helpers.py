@@ -6,7 +6,9 @@ brute-force all-position scanner, and the SVG generator builds documents from
 primitives.
 """
 
+import json
 import random
+import xml.etree.ElementTree as ET
 
 WS_ALPHABET = " \t\n"
 
@@ -119,6 +121,22 @@ def random_svg(rng: random.Random, depth: int = 0) -> str:
 
     body = "".join(element(depth) for _ in range(rng.randint(3, 10)))
     return f'<svg xmlns="http://www.w3.org/2000/svg">{body}</svg>'
+
+
+def reference_role_paths(svg_text: str) -> list[tuple[str, ...]]:
+    """Per element in document order, the data-role values of its ancestors,
+    root first, found by walking up an ElementTree parent map."""
+    root = ET.fromstring(svg_text)
+    parent = {child: node for node in root.iter() for child in node}
+    paths = []
+    for node in root.iter():
+        roles = []
+        while node in parent:
+            node = parent[node]
+            if node.get("data-role") is not None:
+                roles.append(node.get("data-role"))
+        paths.append(tuple(reversed(roles)))
+    return paths
 
 
 def inject_elements(rng: random.Random, svg_text: str, count: int) -> tuple[str, list[str]]:
@@ -447,3 +465,26 @@ def reference_mark_index_dict(index) -> dict:
               "series_key": entry.series_key}
         for eid, entry in index.entries.items()
     }
+
+
+def reference_dump_artifact(payload) -> str:
+    """dump_artifact's layout with every row, key and inline value encoded by
+    a json.JSONEncoder call of its own: objects nest two spaces deep with
+    sorted keys, and a non-empty list of lists and objects has one row a line."""
+
+    def encode(value) -> str:
+        return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode(value)
+
+    def layout(value, indent: str) -> str:
+        inner = indent + "  "
+        if isinstance(value, dict) and value:
+            # A key as json writes it in an object: '{' + key + ':0}'.
+            lines = [f"{inner}{encode({k: 0})[1:-3]}: {layout(value[k], inner)}"
+                     for k in sorted(value)]
+            return "{\n" + ",\n".join(lines) + "\n" + indent + "}"
+        if isinstance(value, (list, tuple)) and value and all(
+                isinstance(v, (dict, list, tuple)) for v in value):
+            return "[\n" + ",\n".join(inner + encode(v) for v in value) + "\n" + indent + "]"
+        return encode(value)
+
+    return layout(payload, "") + "\n"

@@ -22,6 +22,7 @@ from datareel.adapters import (
     SynthFailure,
     TtsFailure,
     export_html,
+    read_rendering,
     render_visualization,
     synthesize_speech,
     synthesize_video,
@@ -315,6 +316,16 @@ class TestRenderVisualization:
         assert rendering.doc.to_text() == reparsed.to_text()
         assert [el.id for el in rendering.doc.elements] == [el.id for el in reparsed.elements]
         assert rendering.index == index_marks(reparsed, BAR_TABLE)
+
+    def test_deeply_nested_rendering_is_read(self):
+        # A renderer's SVG may nest to any depth, far past the recursion limit.
+        depth = 5000
+        rendering = read_rendering(
+            '<svg><g data-role="marks">' + "<g>" * depth + '<rect data-row="1"/>'
+            + "</g>" * depth + "</g></svg>", BAR_TABLE)
+        rect = rendering.doc.elements[-1]
+        assert rendering.index.ids_of_rows([1]) == {rect.id}
+        assert rendering.doc.role_path(rect.id) == ("marks",)
 
     def test_structurally_invalid_spec_is_precondition_error(self):
         spec = VisualizationSpec(spec={"data": {}}, vis_type="bar")

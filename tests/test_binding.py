@@ -29,6 +29,7 @@ from datareel.ingest import parse_csv
 from datareel.model import AnimationDirective, AnnotationDirective, dump_artifact
 from helpers import (
     random_svg,
+    reference_role_paths,
     reference_mark_index_dict,
     reference_match_annotation_directives,
     reference_resolve_targets,
@@ -289,6 +290,42 @@ class TestResolveTargets:
         index = self._series_index("C++", "Go")
         ids = resolve_targets(_directive("the C++ line"), index)
         assert {index.entries[eid].series_key for eid in ids} == {"C++"}
+
+
+# Far past the interpreter's default recursion limit of 1000.
+DEEP = 5000
+
+
+class TestDeepNesting:
+    """A renderer's SVG may nest to any depth."""
+
+    def test_parse_index_and_to_text_at_depth(self):
+        text = ('<svg><g data-role="marks">' + "<g>" * DEEP + '<rect data-row="0"/>'
+                + "</g>" * DEEP + "</g></svg>")
+        doc = parse_svg(text)
+        assert len(doc.elements) == DEEP + 3
+        rect = doc.elements[-1]
+        assert (rect.tag, doc.role_path(rect.id)) == ("rect", ("marks",))
+        assert index_marks(doc).entries == {
+            rect.id: MarkEntry(frozenset({"mark"}), frozenset({0}))}
+        again = parse_svg(doc.to_text())
+        assert [(el.id, el.tag, el.attrs.get("data-row")) for el in again.elements] == [
+            (el.id, el.tag, el.attrs.get("data-row")) for el in doc.elements]
+
+
+class TestRolePath:
+    def test_equals_a_walk_up_the_tree(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            text = random_svg(rng)
+            doc = parse_svg(text)
+            assert [doc.role_path(el.id) for el in doc.elements] == reference_role_paths(text)
+
+    def test_namespaced_role_attribute(self):
+        doc = parse_svg('<svg xmlns:d="urn:d"><g d:data-role="marks"><g data-role="axis">'
+                        "<rect/></g></g></svg>")
+        assert [doc.role_path(el.id) for el in doc.elements] == [
+            (), (), ("marks",), ("marks", "axis")]
 
 
 class TestDiffAnnotations:

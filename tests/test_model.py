@@ -33,6 +33,7 @@ from datareel.model import (
     structure_violations,
     visualization_structure_violations,
 )
+from helpers import reference_dump_artifact
 
 
 class TestVocabularies:
@@ -160,6 +161,27 @@ json_values = st.recursive(
 )
 
 
+# Every scalar json writes (NaN, infinities, -0.0, big ints, non-ASCII text)
+# and objects keyed by strings, by numbers and bools, or by one null or NaN.
+artifact_scalars = (st.none() | st.booleans() | st.integers() | st.integers(2 ** 64, 2 ** 200)
+                    | st.floats() | st.sampled_from([-0.0, float("inf"), float("-inf")])
+                    | st.text() | st.text(st.characters(min_codepoint=0x80)))
+
+
+def _artifact_objects(children):
+    return (st.dictionaries(st.text(), children, max_size=4)
+            | st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.booleans(),
+                              children, max_size=4)
+            | st.dictionaries(st.none() | st.just(float("nan")), children, max_size=1))
+
+
+artifact_values = st.recursive(
+    artifact_scalars,
+    lambda children: st.lists(children, max_size=4) | _artifact_objects(children),
+    max_leaves=20,
+)
+
+
 small_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
     lambda children: st.lists(children, max_size=3)
@@ -197,17 +219,41 @@ class TestDumpArtifact:
         frames = [{"index": i, "time": i / 3, "visible": visible, "opacity": {}}
                   for i in range(4)]
         encoded = []
+        make_encoder = model._encoder
 
-        class Recording(json.JSONEncoder):
-            def encode(self, o):
+        def recording_encoder():
+            encode = make_encoder()
+
+            def record(o):
                 encoded.append(o)
-                return super().encode(o)
+                return encode(o)
+            return record
 
-        monkeypatch.setattr(model, "_COMPACT", Recording(sort_keys=True, separators=(",", ":")))
+        monkeypatch.setattr(model, "_encoder", recording_encoder)
         text = dump_artifact({"frames": frames})
         assert sum(o is visible for o in encoded) == 1
         assert text == dump_artifact({"frames": json.loads(json.dumps(frames))})
         assert '    {"index":1,"opacity":{},"time":0.3333333333333333,"visible":["b","a"]},\n' in text
+
+    @given(artifact_values)
+    def test_equals_one_encoder_call_per_row(self, value):
+        assert dump_artifact(value) == reference_dump_artifact(value)
+
+    @pytest.mark.parametrize("kind", ["set", "circular-list"])
+    def test_unencodable_value_raises_as_json_dumps(self, kind):
+        inner = [] if kind == "circular-list" else [{1}]
+        if kind == "circular-list":
+            inner.append(inner)
+        payload = {"rows": [[inner], {"ok": 1}]}
+        with pytest.raises(Exception) as expected:
+            json.dumps(payload, default=model._COMPACT.default)
+        with pytest.raises(type(expected.value)) as raised:
+            dump_artifact(payload)
+        assert str(raised.value) == str(expected.value)
+        # The same objects, now encodable, write as json writes them: the
+        # failed call left no circular-reference marker behind.
+        inner[:] = [1]
+        assert dump_artifact(payload) == reference_dump_artifact(payload)
 
     def test_rows_with_non_string_keys_encode_whole(self):
         shared = [1, 2]

@@ -1,5 +1,8 @@
+import gc
 import hashlib
+import importlib.util
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -223,10 +226,12 @@ class TestValidateProject:
         assert "artifact-hash" in codes
 
 
-def _rewrite_artifact(project: Path, name: str, payload: dict) -> None:
-    """Replace a JSON artifact and re-hash its manifest entry, as a tool would."""
+def _rewrite_artifact(project: Path, name: str, payload: dict | str) -> None:
+    """Replace an artifact, given as a JSON payload or as text, and re-hash its
+    manifest entry, as a tool would."""
     path = project / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(payload if isinstance(payload, str)
+                    else json.dumps(payload, indent=2, sort_keys=True) + "\n")
     manifest = ProjectManifest.load(project / "manifest.json")
     for record in manifest.stages:
         for artifact in record["artifacts"]:
@@ -290,6 +295,19 @@ class TestValidateRerunsRunChecks:
         report = validate_project(project_copy)
         assert [(v.code, v.path) for v in report.violations] == [(code, name)]
         assert message in report.violations[0].message
+
+    def test_deeply_nested_base_rendering(self, project_copy):
+        # A renderer's SVG may nest to any depth: here the marks sit 5,000
+        # plain groups down, far past the interpreter's recursion limit.
+        before = validate_project(project_copy)
+        text = (project_copy / "base.svg").read_text()
+        head = text.index('<g data-role="marks">') + len('<g data-role="marks">')
+        tail = text.rindex("</g></svg>")
+        _rewrite_artifact(project_copy, "base.svg",
+                          text[:head] + "<g>" * 5000 + text[head:tail] + "</g>" * 5000 + text[tail:])
+        report = validate_project(project_copy)
+        assert report.passing
+        assert report.to_json() == before.to_json()
 
     def test_targets_resolve_against_the_base_rendering(self, project_copy):
         # run resolved targets on base.svg; an unreadable annotated.svg must not matter
@@ -492,6 +510,59 @@ class TestSharedTrackDigests:
     ])
     def test_artifact_digest(self, project, name, digest):
         assert hashlib.sha256((project / name).read_bytes()).hexdigest() == digest
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@contextmanager
+def _collector(enabled: bool):
+    """Automatic cyclic garbage collection on or off for the block."""
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+class TestCyclicCollector:
+    """run_pipeline pauses automatic cyclic collection, so it must leave no
+    reference cycles behind and must hand the collector back as it found it."""
+
+    @pytest.mark.parametrize("workload", ["stock-demo", "synth-long", "overlay-wide"])
+    def test_compile_and_validate_leave_no_cycles(self, tmp_path, workload):
+        inputs = _perfbench_workloads().generate(
+            workload, 1, tmp_path / "inputs", Path(__file__).resolve().parent.parent)
+        from datareel.pipeline import ProjectConfig
+
+        config = ProjectConfig.from_file(inputs.config, output_dir=str(tmp_path / "project"))
+        with _collector(False):
+            gc.collect()
+            run_pipeline(config)
+            assert gc.collect() == 0
+            assert validate_project(config.output_dir).passing
+            assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_setting_restored(self, mock_project_config, enabled):
+        with _collector(enabled):
+            run_pipeline(mock_project_config(export="html"))
+            assert gc.isenabled() is enabled
+
+    def test_setting_restored_after_stage_error(self, mock_project_config, tmp_path):
+        bad = tmp_path / "bad_designer.json"
+        bad.write_text(json.dumps([{"reply": "{}"}] * 3))
+        config = mock_project_config(transcripts={**TRANSCRIPTS, "designer": str(bad)})
+        with _collector(True):
+            with pytest.raises(StageError):
+                run_pipeline(config)
+            assert gc.isenabled()
 
 
 class TestCli:
