@@ -11,7 +11,6 @@ pixels.
 import json
 import math
 import re
-import subprocess
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -423,6 +422,10 @@ class CommandRenderer:
         self.timeout = timeout
 
     def render(self, spec: dict) -> str:
+        # subprocess is imported by the three command adapters only: no mock
+        # run, validate or inspect starts a process.
+        import subprocess
+
         try:
             result = subprocess.run(
                 self.command,
@@ -469,6 +472,8 @@ def render_visualization(spec: VisualizationSpec, renderer, table: DataTable) ->
 
 @dataclass(frozen=True)
 class TtsResult:
+    """The narration audio file, its word timings and its duration in seconds."""
+
     audio_path: str
     timings: tuple[WordTiming, ...]
     duration: float
@@ -528,6 +533,8 @@ class CommandTts:
         self.timeout = timeout
 
     def synthesize(self, narration: str, out_path: str | Path) -> TtsResult:
+        import subprocess  # see CommandRenderer.render
+
         tokens = _tokenize(narration)
         if not tokens:
             raise EmptyNarration("narration has no words")
@@ -652,6 +659,8 @@ class CommandSynth:
 
     def synthesize(self, timeline: Timeline, svg_path: str | Path,
                    audio_path: str | Path, out_path: str | Path) -> str:
+        import subprocess  # see CommandRenderer.render
+
         if timeline.duration <= 0:
             raise SynthFailure("timeline has zero duration")
         timeline_path = Path(out_path).with_suffix(".timeline.json")

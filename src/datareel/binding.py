@@ -229,6 +229,8 @@ def parse_svg(raw: str) -> SvgDoc:
 
 @dataclass(frozen=True)
 class MarkEntry:
+    """One SVG element's roles, bound data rows and series key."""
+
     roles: frozenset
     data_rows: frozenset
     series_key: str | None = None

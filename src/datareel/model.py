@@ -193,6 +193,8 @@ class DataDescription:
 
 @dataclass(frozen=True)
 class Insight:
+    """One analyst insight and its insight types."""
+
     insight: str
     types: tuple[str, ...]
 
@@ -299,6 +301,8 @@ def title_text(spec: dict) -> str | None:
 
 @dataclass(frozen=True)
 class AnimationDirective:
+    """A designer animation on a target, cued by a narration segment."""
+
     animation: str
     narration: str
     target: str
@@ -317,6 +321,8 @@ class AnimationDirective:
 
 @dataclass(frozen=True)
 class AnnotationDirective:
+    """A designer annotation on data rows, cued by a narration segment."""
+
     types: tuple[str, ...]
     description: str
     index: tuple[int, ...]
@@ -333,6 +339,8 @@ class AnnotationDirective:
 
 @dataclass(frozen=True)
 class AnalystOutput:
+    """The analyst's insights, visualization spec and narration."""
+
     insights: tuple[Insight, ...]
     visualization: VisualizationSpec
     narration: str
@@ -346,6 +354,8 @@ class AnalystOutput:
 
 @dataclass(frozen=True)
 class DesignerOutput:
+    """The designer's annotated spec and its animation and annotation directives."""
+
     annotated_visualization: dict
     animation_directives: tuple[AnimationDirective, ...]
     annotation_directives: tuple[AnnotationDirective, ...]
@@ -368,6 +378,8 @@ class PromptText:
 
 @dataclass(frozen=True)
 class Violation:
+    """One validator finding: a code, the artifact path and a message."""
+
     code: str
     path: str
     message: str
@@ -437,7 +449,7 @@ def dump_artifact(payload) -> str:
 
     Values that json cannot encode raise what json.dumps raises.
     """
-    return _layout(payload, "", _encoder()) + "\n"
+    return _layout(payload, "", _encoder(), set()) + "\n"
 
 
 def _encoder():
@@ -453,12 +465,20 @@ def _encoder():
     return lambda value: "".join(encode(value, 0))
 
 
-def _layout(value, indent: str, encode) -> str:
+def _layout(value, indent: str, encode, path: set[int]) -> str:
+    # path: the ids of the objects being laid out around this value. Only
+    # objects recurse here; everything else reaches the encoder, whose own
+    # markers catch a cycle.
     inner = indent + "  "
     if isinstance(value, dict) and value:
-        items = (f"{inner}{_key(k, encode)}: {_layout(v, inner, encode)}"
-                 for k, v in sorted(value.items()))
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+        if id(value) in path:
+            raise ValueError("Circular reference detected")
+        path.add(id(value))
+        # One expression, so the joined items are freed before the last copy.
+        text = "{\n" + ",\n".join(f"{inner}{_key(k, encode)}: {_layout(v, inner, encode, path)}"
+                                   for k, v in sorted(value.items())) + f"\n{indent}}}"
+        path.remove(id(value))
+        return text
     if isinstance(value, (list, tuple)) and value and all(
             isinstance(v, (dict, list, tuple)) for v in value):
         shared = _shared_members(value)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import time
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -218,22 +219,33 @@ class _Run:
         })
 
 
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause automatic cyclic garbage collection; set it back as the caller had it.
+
+    The stages and the validators leave no reference cycles behind, so the
+    collector would only walk the objects they build."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def run_pipeline(config: ProjectConfig) -> ProjectManifest:
     """Execute every stage in order, persisting artifacts and the manifest.
 
     Stops at the first unrecoverable error, wrapping it with the stage name;
     the partial manifest (including the failure record) is persisted first.
-
-    The stages leave no reference cycles behind, so automatic cyclic garbage
-    collection is paused while they run and set back as the caller had it.
+    Automatic cyclic garbage collection is paused while the stages run.
     """
     config.validate()
     run = _Run(config)
     run.out.mkdir(parents=True, exist_ok=True)
 
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with _cyclic_gc_paused():
         for stage in STAGE_TABLE:
             record = {"name": stage.name, "status": "running", "started_at": _now(),
                       "finished_at": None, "artifacts": [], "error": None}
@@ -249,9 +261,6 @@ def run_pipeline(config: ProjectConfig) -> ProjectManifest:
             record["status"] = "ok"
             record["finished_at"] = _now()
             run.manifest.save(run.out / "manifest.json")
-    finally:
-        if collecting:
-            gc.enable()
     return run.manifest
 
 
@@ -527,8 +536,14 @@ def _table_from_artifact(payload: dict) -> DataTable:
 
 
 def validate_project(project_dir: str | Path) -> ValidationReport:
-    """Re-run all validators against the persisted artifacts of a project."""
-    project_dir = Path(project_dir)
+    """Re-run all validators against the persisted artifacts of a project.
+
+    Automatic cyclic garbage collection is paused while they run."""
+    with _cyclic_gc_paused():
+        return _validate_project(Path(project_dir))
+
+
+def _validate_project(project_dir: Path) -> ValidationReport:
     manifest = ProjectManifest.load(project_dir / "manifest.json")
     violations: list[Violation] = []
     advisories: list[Violation] = []

@@ -66,6 +66,8 @@ class Span:
 
 @dataclass(frozen=True)
 class WordTiming:
+    """One narration word, its audio start and end and its character span."""
+
     word: str
     start: float
     end: float

@@ -255,6 +255,26 @@ class TestDumpArtifact:
         inner[:] = [1]
         assert dump_artifact(payload) == reference_dump_artifact(payload)
 
+    @pytest.mark.parametrize("shape", ["itself", "grandchild", "row"])
+    def test_self_containing_object_raises_as_json_dumps(self, shape):
+        payload = {}
+        if shape == "itself":
+            payload["d"] = payload
+        elif shape == "grandchild":
+            payload["meta"] = {"up": payload}
+        else:
+            payload["rows"] = [{"up": payload}]
+        with pytest.raises(Exception) as expected:
+            json.dumps(payload)
+        with pytest.raises(type(expected.value)) as raised:
+            dump_artifact(payload)
+        assert str(raised.value) == str(expected.value) == "Circular reference detected"
+
+    def test_object_under_two_keys_is_no_cycle(self):
+        shared = {"a": {"b": 1}}
+        payload = {"p": shared, "q": shared}
+        assert dump_artifact(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     def test_rows_with_non_string_keys_encode_whole(self):
         shared = [1, 2]
         rows = [{1: shared, 2: shared}, [shared, {"k": shared}], {2.5: None}]

@@ -6,10 +6,9 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from datareel.adapters import MetadataMissing
-from datareel.cli import main
+from datareel.cli import _parser, main
 from datareel.errors import PreconditionError, StageError
 from datareel.pipeline import (
     STAGES,
@@ -532,8 +531,9 @@ def _collector(enabled: bool):
 
 
 class TestCyclicCollector:
-    """run_pipeline pauses automatic cyclic collection, so it must leave no
-    reference cycles behind and must hand the collector back as it found it."""
+    """run_pipeline and validate_project pause automatic cyclic collection, so
+    they must leave no reference cycles behind and must hand the collector
+    back as they found it."""
 
     @pytest.mark.parametrize("workload", ["stock-demo", "synth-long", "overlay-wide"])
     def test_compile_and_validate_leave_no_cycles(self, tmp_path, workload):
@@ -552,7 +552,17 @@ class TestCyclicCollector:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_setting_restored(self, mock_project_config, enabled):
         with _collector(enabled):
-            run_pipeline(mock_project_config(export="html"))
+            config = mock_project_config(export="html")
+            run_pipeline(config)
+            assert gc.isenabled() is enabled
+            assert validate_project(config.output_dir).passing
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_setting_restored_after_validate_error(self, tmp_path, enabled):
+        with _collector(enabled):
+            with pytest.raises(ManifestNotFound):
+                validate_project(tmp_path / "absent")
             assert gc.isenabled() is enabled
 
     def test_setting_restored_after_stage_error(self, mock_project_config, tmp_path):
@@ -563,6 +573,13 @@ class TestCyclicCollector:
             with pytest.raises(StageError):
                 run_pipeline(config)
             assert gc.isenabled()
+
+
+def _cli(capsys, *args: str) -> tuple[int, str]:
+    """The exit code of `datareel <args>` and what it wrote, stdout then stderr."""
+    code = main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out + captured.err
 
 
 class TestCli:
@@ -576,58 +593,53 @@ class TestCli:
         }))
         return path
 
-    def test_run_inspect_validate(self, tmp_path, stock_csv_path):
-        runner = CliRunner()
+    def test_run_inspect_validate(self, tmp_path, stock_csv_path, capsys):
         config = self._config_file(tmp_path)
-        result = runner.invoke(main, [
-            "run", "--input", str(stock_csv_path),
+        code, output = _cli(
+            capsys, "run", "--input", str(stock_csv_path),
             "--title", "Weekly Stock Prices of Four IT Companies",
             "--config", str(config), "--export", "both",
-        ])
-        assert result.exit_code == 0, result.output
-        assert "video: ok" in result.output
+        )
+        assert code == 0, output
+        assert "video: ok" in output
 
-        result = runner.invoke(main, [
-            "inspect", "--project", str(tmp_path / "proj"), "--stage", "analyst",
-        ])
-        assert result.exit_code == 0
-        assert "visualization type: line" in result.output
+        code, output = _cli(
+            capsys, "inspect", "--project", str(tmp_path / "proj"), "--stage", "analyst")
+        assert code == 0
+        assert "visualization type: line" in output
 
-        result = runner.invoke(main, ["validate", "--project", str(tmp_path / "proj")])
-        assert result.exit_code == 0
-        assert "all validators passed" in result.output
+        code, output = _cli(capsys, "validate", "--project", str(tmp_path / "proj"))
+        assert code == 0
+        assert "all validators passed" in output
 
-    def test_validate_malformed_timeline_exit_code_3(self, completed_project, tmp_path):
+    def test_validate_malformed_timeline_exit_code_3(self, completed_project, tmp_path, capsys):
         import shutil
 
         project = Path(shutil.copytree(completed_project[0], tmp_path / "copy"))
         payload = json.loads((project / "timeline.json").read_text())
         payload["tracks"][0]["keyframes"][0]["property"] = "bogus"
         _rewrite_artifact(project, "timeline.json", payload)
-        result = CliRunner().invoke(main, ["validate", "--project", str(project)])
-        assert result.exit_code == 3, result.output
-        assert "violation [timeline-contract] at timeline.json" in result.output
+        code, output = _cli(capsys, "validate", "--project", str(project))
+        assert code == 3, output
+        assert "violation [timeline-contract] at timeline.json" in output
 
-    def test_title_with_placeholder_text_compiles(self, tmp_path, stock_csv_path):
-        runner = CliRunner()
+    def test_title_with_placeholder_text_compiles(self, tmp_path, stock_csv_path, capsys):
         config = self._config_file(tmp_path)
-        result = runner.invoke(main, [
-            "run", "--input", str(stock_csv_path), "--title", "{{table}}",
+        code, output = _cli(
+            capsys, "run", "--input", str(stock_csv_path), "--title", "{{table}}",
             "--config", str(config),
-        ])
-        assert result.exit_code == 0, result.output
+        )
+        assert code == 0, output
         table = json.loads((tmp_path / "proj" / "table.json").read_text())
         assert table["title"] == "{{table}}"
 
-    def test_missing_input_exit_code_2(self, tmp_path):
-        runner = CliRunner()
+    def test_missing_input_exit_code_2(self, tmp_path, capsys):
         config = self._config_file(tmp_path)
-        result = runner.invoke(main, [
-            "run", "--input", str(tmp_path / "absent.csv"), "--config", str(config),
-        ])
-        assert result.exit_code == 2
+        code, _ = _cli(
+            capsys, "run", "--input", str(tmp_path / "absent.csv"), "--config", str(config))
+        assert code == 2
 
-    def test_contract_failure_exit_code_3(self, tmp_path, stock_csv_path):
+    def test_contract_failure_exit_code_3(self, tmp_path, stock_csv_path, capsys):
         bad = tmp_path / "bad_analyst.json"
         bad.write_text(json.dumps(
             [{"reply": "no json"}, {"reply": "still none"}, {"reply": "nope"}]
@@ -639,13 +651,11 @@ class TestCli:
             "transcripts": {**TRANSCRIPTS, "analyst": str(bad)},
             "input_csv": "placeholder",
         }))
-        runner = CliRunner()
-        result = runner.invoke(main, [
-            "run", "--input", str(stock_csv_path), "--config", str(config_path),
-        ])
-        assert result.exit_code == 3
+        code, _ = _cli(
+            capsys, "run", "--input", str(stock_csv_path), "--config", str(config_path))
+        assert code == 3
 
-    def test_non_object_layer_exit_code_3(self, tmp_path, stock_csv_path):
+    def test_non_object_layer_exit_code_3(self, tmp_path, stock_csv_path, capsys):
         # every analyst reply layers a non-object: a contract failure, not a crash
         reply = json.loads(Path(TRANSCRIPTS["analyst"]).read_text())[0]["reply"]
         payload = json.loads(reply[reply.index("{"):reply.rindex("}") + 1])
@@ -662,14 +672,13 @@ class TestCli:
             "transcripts": {**TRANSCRIPTS, "analyst": str(bad)},
             "input_csv": "placeholder",
         }))
-        result = CliRunner().invoke(main, [
-            "run", "--input", str(stock_csv_path), "--config", str(config_path),
-        ])
-        assert result.exit_code == 3, result.output
-        assert '"layer" entry 0 must be a JSON object' in result.output
+        code, output = _cli(
+            capsys, "run", "--input", str(stock_csv_path), "--config", str(config_path))
+        assert code == 3, output
+        assert '"layer" entry 0 must be a JSON object' in output
 
     @pytest.mark.parametrize("attempts, exit_code", [(3, 4), (1, 3)])
-    def test_malformed_description_reply_exit_code(self, tmp_path, stock_csv_path,
+    def test_malformed_description_reply_exit_code(self, tmp_path, stock_csv_path, capsys,
                                                    attempts, exit_code):
         # one scripted reply: a retry exhausts the transcript (adapter failure, 4);
         # with no retry allowed the reply is an unrepaired contract failure (3)
@@ -683,44 +692,58 @@ class TestCli:
             "input_csv": "placeholder",
             "max_repair_attempts": attempts,
         }))
-        result = CliRunner().invoke(main, [
-            "run", "--input", str(stock_csv_path), "--config", str(config_path),
-        ])
-        assert result.exit_code == exit_code, result.output
+        code, output = _cli(
+            capsys, "run", "--input", str(stock_csv_path), "--config", str(config_path))
+        assert code == exit_code, output
 
-    def test_mode_and_cache_flags_override_config(self, tmp_path, stock_csv_path):
-        runner = CliRunner()
+    def test_mode_and_cache_flags_override_config(self, tmp_path, stock_csv_path, capsys):
         config = self._config_file(tmp_path)
         args = ["run", "--input", str(stock_csv_path), "--config", str(config)]
-        result = runner.invoke(main, args + ["--no-mock"])
-        assert result.exit_code == 2
-        assert "live mode requires a backend configuration" in result.output
-        result = runner.invoke(main, args + ["--no-cache", "--export", "html"])
-        assert result.exit_code == 0, result.output
+        code, output = _cli(capsys, *args, "--no-mock")
+        assert code == 2
+        assert "live mode requires a backend configuration" in output
+        code, output = _cli(capsys, *args, "--no-cache", "--export", "html")
+        assert code == 0, output
         manifest = ProjectManifest.load(tmp_path / "proj" / "manifest.json")
         assert manifest.config["no_cache"] is True
         assert manifest.config["mock_mode"] is True
 
-    def test_backend_kind_key_rejected_exit_code_2(self, tmp_path, stock_csv_path):
+    def test_backend_kind_key_rejected_exit_code_2(self, tmp_path, stock_csv_path, capsys):
         config = self._config_file(tmp_path)
         raw = json.loads(config.read_text())
         raw["backend"] = {"kind": "live", "endpoint": "http://localhost:1/v1",
                           "api_key_env": "DATAREEL_API_KEY"}
         config.write_text(json.dumps(raw))
-        result = CliRunner().invoke(main, [
-            "run", "--input", str(stock_csv_path), "--config", str(config),
-        ])
-        assert result.exit_code == 2
-        assert "invalid backend config" in result.output
+        code, output = _cli(
+            capsys, "run", "--input", str(stock_csv_path), "--config", str(config))
+        assert code == 2
+        assert "invalid backend config" in output
         assert not (tmp_path / "proj").exists()
 
-    def test_unknown_stage_exit_code_2(self, tmp_path, stock_csv_path):
-        runner = CliRunner()
+    def test_unknown_stage_exit_code_2(self, tmp_path, stock_csv_path, capsys):
         config = self._config_file(tmp_path)
-        runner.invoke(main, [
-            "run", "--input", str(stock_csv_path), "--config", str(config),
-        ])
-        result = runner.invoke(main, [
-            "inspect", "--project", str(tmp_path / "proj"), "--stage", "bogus",
-        ])
-        assert result.exit_code == 2
+        _cli(capsys, "run", "--input", str(stock_csv_path), "--config", str(config))
+        code, _ = _cli(
+            capsys, "inspect", "--project", str(tmp_path / "proj"), "--stage", "bogus")
+        assert code == 2
+
+    def test_help_exits_0_and_lists_the_commands(self, capsys):
+        code, output = _cli(capsys, "--help")
+        assert code == 0
+        for command in ("run", "inspect", "validate"):
+            assert command in output
+        code, output = _cli(capsys, "validate", "--help")
+        assert code == 0
+        assert "--project" in output
+
+    @pytest.mark.parametrize("args", [(), ("run", "--config", "config.json"), ("bogus",)])
+    def test_usage_error_exit_code_2(self, capsys, args):
+        code, output = _cli(capsys, *args)
+        assert code == 2
+        assert output.startswith("usage: datareel")
+
+    @pytest.mark.parametrize("flag, mock", [("--mock", True), ("--no-mock", False), (None, None)])
+    def test_mock_flag_parses(self, flag, mock):
+        # absent, the flag leaves mock_mode to the config file
+        args = ["run", "--input", "in.csv", "--config", "config.json"]
+        assert _parser().parse_args(args + [flag] if flag else args).mock is mock

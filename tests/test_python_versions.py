@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# Every module but cli, which needs click; another interpreter may lack it.
+# Every module; the package has no runtime dependency another interpreter may lack.
 MODULES = ["datareel"] + sorted(
     f"datareel.{path.stem}" for path in (SRC / "datareel").glob("*.py")
-    if path.stem not in ("__init__", "cli"))
+    if path.stem != "__init__")
 
 
 def _interpreter(version: str) -> str | None:

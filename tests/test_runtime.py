@@ -452,3 +452,5 @@ def test_importing_the_cli_loads_no_http_stack_or_sax():
     # Compared with a bare interpreter, whose .pth files may load some of these.
     added = _loaded_modules("datareel.cli") - _loaded_modules()
     assert not added & set(HTTP_AND_SAX_MODULES)
+    # argparse, not click; subprocess only once a command adapter runs
+    assert not added & {"click", "subprocess"}
