@@ -29,11 +29,13 @@ from .errors import AdapterError, PreconditionError
 from .model import (
     DataTable,
     ValidationReport,
+    ValueMemo,
     Violation,
     VisualizationSpec,
     dump_artifact,
     mark_type,
     spec_layers,
+    stream_artifact,
     title_text,
     visualization_structure_violations,
 )
@@ -607,11 +609,14 @@ class MockSynth:
     The manifest holds round(duration * fps) frames. Frame i is at time i / fps
     (stored rounded to 6 decimals). Its "visible" lists the ids visible at that
     time, sorted by id. Its "opacity" maps only those visible ids whose opacity
-    is not 1.0, each value rounded to 4 decimals after that comparison. The
-    frames come from one change-point sweep of the compiled timeline
-    (KeyframeEvaluator.sweep): consecutive frames with no change share their
-    "visible" list and "opacity" map objects, each distinct opacity map is
-    rounded once, and the writer encodes each shared object once.
+    is not 1.0, each value rounded to 4 decimals after that comparison.
+
+    The frames come from one change-point sweep of the compiled timeline
+    (KeyframeEvaluator.sweep) and go to the file as the sweep yields them;
+    no list of frames or whole text is built. Consecutive frames with no
+    change share their "visible" list and "opacity" map, which the writer
+    encodes once. The text goes to a temporary file beside out_path, which
+    replaces out_path only when the whole manifest is written.
     """
 
     def __init__(self, fps: int = 30):
@@ -623,20 +628,6 @@ class MockSynth:
             raise SynthFailure("timeline has zero duration")
         frame_count = int(round(timeline.duration * self.fps))
         times = [f / self.fps for f in range(frame_count)]
-        frames = []
-        # The sweep yields a new opacity map only when one changes, so the
-        # rounded map is keyed on the identity of the last one. Elements
-        # fading together repeat a few values, each rounded once.
-        last = rounded = None
-        values = {}
-        for f, (t, (visible, opacity)) in enumerate(
-                zip(times, KeyframeEvaluator(timeline).sweep(times))):
-            if opacity is not last:
-                last, rounded = opacity, {
-                    eid: values[v] if v in values else values.setdefault(v, round(v, 4))
-                    for eid, v in opacity.items()}
-            frames.append({"index": f, "time": round(t, 6), "visible": visible,
-                           "opacity": rounded})
         manifest = {
             "kind": "mock-video-manifest",
             "fps": self.fps,
@@ -644,10 +635,30 @@ class MockSynth:
             "frame_count": frame_count,
             "svg": Path(svg_path).name,
             "audio": Path(audio_path).name,
-            "frames": frames,
+            "frames": _frames(times, KeyframeEvaluator(timeline).sweep(times)),
         }
-        Path(out_path).write_text(dump_artifact(manifest), encoding="utf-8")
+        out_path = Path(out_path)
+        partial = out_path.with_name(out_path.name + ".partial")
+        try:
+            with partial.open("w", encoding="utf-8") as file:
+                stream_artifact(manifest, file)
+            partial.replace(out_path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
         return str(out_path)
+
+
+def _frames(times, sweep):
+    """The manifest's frame rows, one per time, as the sweep yields them."""
+    # Elements fading together share a value, rounded once per map.
+    rounded = ValueMemo(lambda v: round(v, 4))
+    last = opacity = None
+    for f, (t, (visible, alpha)) in enumerate(zip(times, sweep)):
+        if alpha is not last:
+            rounded.clear()
+            last, opacity = alpha, dict(zip(alpha, map(rounded.__getitem__, alpha.values())))
+        yield {"index": f, "time": round(t, 6), "visible": visible, "opacity": opacity}
 
 
 class CommandSynth:

@@ -6,10 +6,12 @@ trimming surrounding whitespace. All types here are immutable after
 construction and safe to share across threads.
 """
 
+import io
 import json
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .errors import ContractError
@@ -431,123 +433,230 @@ class RepairReport:
 
 # Compact, key-sorted JSON; `indent` would bypass CPython's C encoder.
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# A row member object of at least this many string keys and scalar values is
+# joined from memoized texts; a smaller one costs less as one encoder call.
+_JOINED = 8
 
 
 def dump_artifact(payload) -> str:
-    """The JSON text of one project artifact: the only artifact writer.
+    """The JSON text of one project artifact, as stream_artifact writes it."""
+    text = io.StringIO()
+    stream_artifact(payload, text)
+    return text.getvalue()
+
+
+def stream_artifact(payload, file) -> None:
+    """Write one project artifact's JSON text to an open text file, piece by
+    piece: the only artifact writer.
 
     Keys are sorted and objects nest two spaces deep. A non-empty list whose
     elements are all objects or lists (frames, tracks, bindings, word
-    timings) puts each element on its own line, encoded compact; other
-    lists and scalars are encoded compact inline. The text ends with a newline.
+    timings) puts each element, a row, on its own line, encoded compact;
+    other lists and scalars are encoded compact inline. The text ends with a
+    newline. An iterator stands for a list of rows, each an object or a list,
+    and is written as it yields them (`[]` when it yields none).
 
-    Within one such list of rows whose first row holds a list or object, a
-    list or object that is the same object as a member of more than one row
-    (or under two keys of one row) is encoded once and its text reused; the
-    bytes are those of encoding each occurrence. A row with no shared member
-    is encoded whole, as any other value.
+    The bytes are those of encoding each value on its own; only work is shared:
+    - an object of string keys and scalar values is one encoder call, with
+      the layout's separators when it is laid out;
+    - object rows from an iterator, and those of a list in which a list or
+      object is a member of two rows, are filled into one template per key
+      shape, and a member that is the same object as one of an earlier row
+      (of the row before, for an iterator) reuses its text; other rows are
+      one encoder call each;
+    - in a member object of at least _JOINED string keys and scalar values,
+      each key's text and each string's or non-integral float's text is
+      encoded once per artifact.
 
     Values that json cannot encode raise what json.dumps raises.
     """
-    return _layout(payload, "", _encoder(), set()) + "\n"
+    _Writer(file.write).value(payload, "")
+    file.write("\n")
 
 
-def _encoder():
-    """A function that encodes one value as _COMPACT.encode does.
+def _encoder(item_separator: str = ",", key_separator: str = ":"):
+    """A function that encodes one value as _COMPACT.encode does, with these
+    separators.
 
     JSONEncoder.encode sets up a C encoder on every call; one is set up here
     per artifact instead. Its circular-reference markers are its own, so a
     failed encode leaves nothing behind for the next artifact."""
     if c_make_encoder is None:
-        return _COMPACT.encode
+        return json.JSONEncoder(sort_keys=True,
+                                separators=(item_separator, key_separator)).encode
     encode = c_make_encoder({}, _COMPACT.default, encode_basestring_ascii, None,
-                            ":", ",", True, False, True)
+                            key_separator, item_separator, True, False, True)
     return lambda value: "".join(encode(value, 0))
 
 
-def _layout(value, indent: str, encode, path: set[int]) -> str:
-    # path: the ids of the objects being laid out around this value. Only
-    # objects recurse here; everything else reaches the encoder, whose own
-    # markers catch a cycle.
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        if id(value) in path:
-            raise ValueError("Circular reference detected")
-        path.add(id(value))
-        # One expression, so the joined items are freed before the last copy.
-        text = "{\n" + ",\n".join(f"{inner}{_key(k, encode)}: {_layout(v, inner, encode, path)}"
-                                   for k, v in sorted(value.items())) + f"\n{indent}}}"
-        path.remove(id(value))
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_WORDS.get(text, text)
+
+
+# The text of a scalar of these types, without an encoder call.
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text}
+
+
+def _scalar_object(value: dict) -> bool:
+    return (set(map(type, value)) == {str}
+            and set(map(type, value.values())) <= _SCALARS)
+
+
+class ValueMemo(dict):
+    """fn(value) for scalars, kept by value where equal values are alike.
+
+    A result is kept only for a string or a non-integral float: 1 == 1.0 ==
+    True and 0.0 == -0.0 compare equal but write (and round) apart, and NaN
+    equals nothing, so any other value is passed to fn each time."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, value):
+        result = self.fn(value)
+        if type(value) is str or (type(value) is float and value == value
+                                  and not value.is_integer()):
+            self[value] = result
+        return result
+
+
+class _KeyTexts(dict):
+    # A string key -> its text after a comma, as in a compact object.
+    def __missing__(self, key: str) -> str:
+        text = self[key] = "," + encode_basestring_ascii(key) + ":"
         return text
-    if isinstance(value, (list, tuple)) and value and all(
-            isinstance(v, (dict, list, tuple)) for v in value):
-        shared = _shared_members(value)
-        if shared:
-            return "[\n" + _shared_rows(value, shared, inner, encode) + f"\n{indent}]"
-        return "[\n" + inner + f",\n{inner}".join(map(encode, value)) + f"\n{indent}]"
-    return encode(value)
 
 
-_CONTAINERS = (dict, list, tuple)
+class _Writer:
+    """The layout of one artifact, written piece by piece to write."""
+
+    def __init__(self, write):
+        self.write = write
+        self.encode = encode = _encoder()
+        self.indented: dict[str, object] = {}  # indent -> its scalar-object encoder
+        self.keys = _KeyTexts()
+        self.values = ValueMemo(lambda v: _SCALAR_TEXT.get(type(v), encode)(v))
+        # The ids of the objects being laid out around the current value. Only
+        # objects recurse here; everything else reaches the encoder, whose own
+        # markers catch a cycle.
+        self.path: set[int] = set()
+
+    def value(self, value, indent: str) -> None:
+        if isinstance(value, dict) and value:
+            self.object(value, indent)
+        elif isinstance(value, (list, tuple)) and value and all(
+                isinstance(v, _CONTAINERS) for v in value):
+            self.rows(value, indent)
+        elif isinstance(value, Iterator):
+            self.rows(value, indent)
+        else:
+            self.write(self.encode(value))
+
+    def object(self, value: dict, indent: str) -> None:
+        inner = indent + "  "
+        if _scalar_object(value):
+            encode = self.indented.get(inner)
+            if encode is None:
+                encode = self.indented[inner] = _encoder(",\n" + inner, ": ")
+            self.write("{\n" + inner + encode(value)[1:-1] + "\n" + indent + "}")
+            return
+        if id(value) in self.path:
+            raise ValueError("Circular reference detected")
+        self.path.add(id(value))
+        head = "{\n"
+        for key in sorted(value):
+            # Non-string keys become their JSON text, as json.dumps writes them.
+            self.write(head + inner + self.encode(key if isinstance(key, str)
+                                                  else self.encode(key)) + ": ")
+            self.value(value[key], inner)
+            head = ",\n"
+        self.write("\n" + indent + "}")
+        self.path.remove(id(value))
+
+    def rows(self, rows, indent: str) -> None:
+        write, encode = self.write, self.encode
+        inner = indent + "  "
+        if isinstance(rows, (list, tuple)) and not _shares_members(rows):
+            write("[\n" + inner + f",\n{inner}".join(map(encode, rows)) + f"\n{indent}]")
+            return
+        templates: dict[tuple, tuple | None] = {}  # a row's keys -> _template(row)
+        # id(member) -> (member, text). A list holds every row, so its members'
+        # texts are kept; an iterator's old rows are gone, so only the last
+        # row's are.
+        texts: dict[int, tuple] = {}
+        keep = isinstance(rows, (list, tuple))
+        head = "[\n" + inner
+        for row in rows:
+            template = None
+            if isinstance(row, dict):
+                keys = tuple(row)
+                if keys not in templates:
+                    templates[keys] = _template(row)
+                template = templates[keys]
+            elif not isinstance(row, (list, tuple)):
+                raise TypeError(f"a row must be an object or a list, not {type(row).__name__}")
+            if template is None:
+                write(head + encode(row))
+                head = ",\n" + inner
+                continue
+            keys, form = template
+            seen = texts if keep else {}
+            values = []
+            for key in keys:
+                member = row[key]
+                scalar = _SCALAR_TEXT.get(type(member))
+                if scalar is not None:
+                    values.append(scalar(member))
+                    continue
+                known = texts.get(id(member))
+                if known is None or known[0] is not member:
+                    known = (member, self.member(member))
+                seen[id(member)] = known
+                values.append(known[1])
+            write(head + form % tuple(values))
+            texts = seen
+            head = ",\n" + inner
+        write("[]" if head[0] == "[" else "\n" + indent + "]")
+
+    def member(self, value) -> str:
+        """The compact text of a row member that is not a string or a number."""
+        if type(value) is dict and len(value) >= _JOINED and _scalar_object(value):
+            keys = sorted(value)
+            text = "".join(chain.from_iterable(zip(
+                map(self.keys.__getitem__, keys),
+                map(self.values.__getitem__, map(value.__getitem__, keys)))))
+            return "{" + text[1:] + "}"
+        return self.encode(value)
 
 
 def _members(row):
     return row.values() if isinstance(row, dict) else row
 
 
-def _shared_members(rows) -> set[int]:
-    """ids of the lists and objects that are members of more than one row,
-    or twice members of one. Only rows whose first row holds a list or
-    object are searched, so rows of scalars cost what they did before."""
+def _shares_members(rows) -> bool:
+    """Whether a list or object is a member of two of rows, or twice of one.
+    Only rows whose first row holds a list or object are searched, so rows of
+    scalars cost what they did before."""
     if not any(isinstance(m, _CONTAINERS) for m in _members(rows[0])):
-        return set()
+        return False
     ids = [id(m) for row in rows for m in (row.values() if isinstance(row, dict) else row)
            if isinstance(m, _CONTAINERS)]
-    if len(set(ids)) == len(ids):
-        return set()
-    return {i for i, count in Counter(ids).items() if count > 1}
+    return len(set(ids)) < len(ids)
 
 
-def _shared_rows(rows, shared: set[int], inner: str, encode) -> str:
-    # Rows are joined from pieces, so a shared member's text is copied once,
-    # into the result, and not first into a string per row.
-    out: list[str] = []
-    texts: dict[int, str] = {}
-    # The keys of a row of objects -> (key, opening or comma, key text and
-    # colon) in key order; None when a key is not a string, which the encoder
-    # converts and sorts.
-    shapes: dict[tuple, list | None] = {}
-    sep = inner
-    for row in rows:
-        out.append(sep)
-        sep = ",\n" + inner
-        if isinstance(row, dict):
-            keys = tuple(row)
-            if keys not in shapes:
-                shapes[keys] = ([(k, ("," if n else "{") + encode(k) + ":")
-                                 for n, k in enumerate(sorted(keys))]
-                                if all(isinstance(k, str) for k in keys) else None)
-            shape = shapes[keys]
-            items = shape and [(head, row[k]) for k, head in shape]
-            close = "}"
-        else:
-            items = [("," if n else "[", v) for n, v in enumerate(row)]
-            close = "]"
-        if not items or shared.isdisjoint(id(member) for _, member in items):
-            out.append(encode(row))
-            continue
-        for head, member in items:
-            out.append(head)
-            if id(member) not in shared:
-                out.append(encode(member))
-            elif id(member) in texts:
-                out.append(texts[id(member)])
-            else:
-                out.append(texts.setdefault(id(member), encode(member)))
-        out.append(close)
-    return "".join(out)
-
-
-def _key(key, encode) -> str:
-    # Non-string keys become their JSON text, as json.dumps writes them.
-    return encode(key if isinstance(key, str) else encode(key))
+def _template(row: dict) -> tuple | None:
+    """The keys of row in order and the %-format of its text from its
+    members' texts; None, for a row encoded whole, when a key is not a
+    string (the encoder converts and sorts those) or no member is a list
+    or object."""
+    if not all(isinstance(k, str) for k in row) or not any(
+            isinstance(m, _CONTAINERS) for m in row.values()):
+        return None
+    keys = sorted(row)
+    form = ",".join(encode_basestring_ascii(k).replace("%", "%%") + ":%s" for k in keys)
+    return keys, "{" + form + "}"

@@ -134,7 +134,9 @@ class Timeline:
 
     def to_json(self) -> dict:
         """The timeline.json payload. Elements holding one track object share
-        one list of keyframe rows, which dump_artifact encodes once."""
+        one list of keyframe rows, which the artifact writer encodes once and
+        reuses for every element's row; initial_visibility, an object of
+        strings, is one encoder call."""
         rows: dict[int, list[dict]] = {}
         tracks = []
         for eid in sorted(self.tracks):
@@ -524,7 +526,8 @@ class ElementTracks:
         while hidden. The frames are cut wherever one of its visibility tracks
         reaches a keyframe, and at its first keyframe. Inside a cut a property
         at rest, held between equal keyframe values or past its last keyframe
-        is read once; a ramping one is evaluated at each frame by _segment.
+        is read once; a ramping one is evaluated at each frame by _segment,
+        a chunk of frames at a time (_ramp_frames).
         """
         if self.first is None:
             return
@@ -548,11 +551,24 @@ class ElementTracks:
             if hidden or not ramps:
                 states = ((start, _HIDDEN if hidden else (True, alpha)),)
             else:
-                states = zip(range(start, end), _ramp_states(ramps, alpha, times[start:end]))
+                states = _ramp_frames(ramps, alpha, times, start, end)
             for frame, new in states:
                 if new != state:
                     state = new
                     yield frame, new
+
+
+# Ramp frames evaluated at once: enough to share the evaluation's set-up,
+# few enough that a sweep over many concurrent ramps holds little of them.
+_RAMP_CHUNK = 32
+
+
+def _ramp_frames(ramps, alpha: float, times, start: int, end: int):
+    """(frame, (shown, opacity)) for frames start to end - 1 of a ramp,
+    evaluated _RAMP_CHUNK frames at a time."""
+    for lo in range(start, end, _RAMP_CHUNK):
+        hi = min(lo + _RAMP_CHUNK, end)
+        yield from zip(range(lo, hi), _ramp_states(ramps, alpha, times[lo:hi]))
 
 
 def _ramp_states(ramps, alpha: float, times) -> list[tuple[bool, float]]:

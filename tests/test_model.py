@@ -205,6 +205,33 @@ def rows_sharing_objects(draw):
     return {"rows": draw(rows), "more": draw(rows), "meta": draw(shared)}
 
 
+# Objects of scalars whose values compare equal across objects but write
+# apart (0.0 and -0.0; 1, 1.0 and True; NaN), with keys that need escaping,
+# large enough for the writer's memoized-text path.
+scalar_objects = st.dictionaries(
+    st.text(max_size=3) | st.sampled_from(['a"b', "a\\b", "\n", "</style>", "%s", "\u00e9t\u00e9"]),
+    artifact_scalars | st.sampled_from([0.0, -0.0, 1, 1.0, True, 0.5, float("nan")]),
+    max_size=2 * model._JOINED)
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """Every value the writer's encoders are called with, in call order."""
+    values = []
+    make_encoder = model._encoder
+
+    def recording_encoder(*separators):
+        encode = make_encoder(*separators)
+
+        def record(o):
+            values.append(o)
+            return encode(o)
+        return record
+
+    monkeypatch.setattr(model, "_encoder", recording_encoder)
+    return values
+
+
 class TestDumpArtifact:
     @given(rows_sharing_objects())
     def test_shared_objects_write_as_unshared_ones(self, payload):
@@ -214,30 +241,66 @@ class TestDumpArtifact:
         assert text == dump_artifact(json.loads(json.dumps(payload)))
         assert json.loads(text) == payload
 
-    def test_shared_member_is_encoded_once(self, monkeypatch):
+    def test_shared_member_is_encoded_once(self, encoded):
         visible = ["b", "a"]
         frames = [{"index": i, "time": i / 3, "visible": visible, "opacity": {}}
                   for i in range(4)]
-        encoded = []
-        make_encoder = model._encoder
-
-        def recording_encoder():
-            encode = make_encoder()
-
-            def record(o):
-                encoded.append(o)
-                return encode(o)
-            return record
-
-        monkeypatch.setattr(model, "_encoder", recording_encoder)
         text = dump_artifact({"frames": frames})
         assert sum(o is visible for o in encoded) == 1
         assert text == dump_artifact({"frames": json.loads(json.dumps(frames))})
         assert '    {"index":1,"opacity":{},"time":0.3333333333333333,"visible":["b","a"]},\n' in text
 
+    def test_members_shared_apart_are_encoded_once(self, encoded):
+        # timeline.json's shape: elements in id order, equal tracks shared.
+        a = [{"easing": "linear", "property": "opacity", "time": 1.0, "value": 0.0}]
+        b = [{"easing": "ease-in", "property": "opacity", "time": 2.0, "value": -0.0}]
+        rows = [{"element_id": eid, "keyframes": track}
+                for eid, track in (("a", a), ("b", b), ("c", a), ("d", b), ("e", a))]
+        text = dump_artifact({"tracks": rows})
+        assert sum(o is a for o in encoded) == sum(o is b for o in encoded) == 1
+        assert text == reference_dump_artifact({"tracks": rows})
+
     @given(artifact_values)
     def test_equals_one_encoder_call_per_row(self, value):
         assert dump_artifact(value) == reference_dump_artifact(value)
+
+    @given(rows_sharing_objects())
+    def test_rows_from_an_iterator_write_as_the_list(self, payload):
+        streamed = dict(payload, rows=iter(payload["rows"]), more=(r for r in payload["more"]))
+        assert dump_artifact(streamed) == dump_artifact(payload) == reference_dump_artifact(payload)
+
+    def test_iterator_of_no_rows_is_an_empty_list(self):
+        assert dump_artifact({"rows": iter(()), "n": 1}) == '{\n  "n": 1,\n  "rows": []\n}\n'
+
+    def test_iterator_rows_must_be_objects_or_lists(self):
+        with pytest.raises(TypeError, match="a row must be an object or a list"):
+            dump_artifact({"rows": iter([{"a": [1]}, 2])})
+
+    @given(scalar_objects)
+    def test_object_of_scalars_is_laid_out_as_json_dumps(self, value):
+        for payload in (value, {"outer": value, "n": 1}, {"a": {"b": value}}):
+            assert dump_artifact(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @given(st.lists(scalar_objects, min_size=1, max_size=4))
+    def test_row_members_of_scalars_write_as_encoded_alone(self, objects):
+        # Each object is a member of two rows apart, in a list and from an
+        # iterator, so the key and value texts are reused across objects.
+        rows = [{"o": o, "n": [n]} for n, o in enumerate(objects + objects)]
+        payload = {"rows": rows, "streamed": iter(rows)}
+        assert dump_artifact(payload) == reference_dump_artifact({"rows": rows, "streamed": rows})
+
+    @pytest.mark.parametrize("value", [{1: "a", 2: 0.5}, {2.5: None, -1.0: 1.0},
+                                       {True: 1, False: 0.0}, {None: -0.0}])
+    def test_objects_with_non_string_keys_keep_the_old_path(self, value):
+        assert not model._scalar_object(value)
+        assert dump_artifact(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        big = dict.fromkeys(range(model._JOINED), 0.25)
+        rows = [{"o": value, "n": [1]}, {"o": big, "n": [2]}, {"o": value, "n": [3]}]
+        assert dump_artifact(rows) == reference_dump_artifact(rows)
+
+    def test_keys_with_percent_signs_fill_the_template(self):
+        rows = [{"%s": [1], "a%%b": "%d", "%": {"%": "%s"}}, {"%s": [2], "a%%b": "x", "%": {}}]
+        assert dump_artifact({"rows": rows}) == reference_dump_artifact({"rows": rows})
 
     @pytest.mark.parametrize("kind", ["set", "circular-list"])
     def test_unencodable_value_raises_as_json_dumps(self, kind):

@@ -1,6 +1,7 @@
 import json
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from helpers import (
     brute_force_occurrences,
     parse_html_rules,
     random_text,
+    reference_dump_artifact,
     reference_html_rules,
     reference_value_at,
     reference_visible_at,
@@ -547,32 +549,6 @@ class TestKeyframeEvaluator:
             list(KeyframeEvaluator(timeline).sweep([1.0, 0.5]))
 
 
-def reference_manifest_frames(timeline, fps):
-    """Frames by the MockSynth docstring, each evaluated on its own with the
-    linear-scan references: visible ids sorted, and the opacity of each
-    visible id that is not 1.0, rounded to 4 decimals after that comparison."""
-    ids = sorted(set(timeline.tracks) | set(timeline.initial_visibility))
-    frames = []
-    for f in range(int(round(timeline.duration * fps))):
-        t = f / fps
-        visible = [eid for eid in ids if reference_visible_at(timeline, eid, t)]
-        opacity = {eid: reference_value_at(timeline, eid, "opacity", t) for eid in visible}
-        frames.append({"index": f, "time": round(t, 6), "visible": visible,
-                       "opacity": {eid: round(v, 4) for eid, v in opacity.items() if v != 1.0}})
-    return frames
-
-
-class TestMockSynthManifest:
-    @given(compiled_timelines(), st.sampled_from([1, 3, 8]))
-    def test_frames_equal_the_per_frame_reference(self, timeline, fps):
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / "video.json"
-            MockSynth(fps=fps).synthesize(timeline, "chart.svg", "narration.wav", out)
-            manifest = json.loads(out.read_text(encoding="utf-8"))
-        assert manifest["frame_count"] == len(manifest["frames"])
-        assert manifest["frames"] == reference_manifest_frames(timeline, fps)
-
-
 # Ids that break a stylesheet or an HTML document when written raw. Generated
 # ids hold no NUL: XML allows none in an id, and CSS reads an escaped NUL as
 # U+FFFD.
@@ -590,6 +566,91 @@ def _renamed(timeline, names):
                     tracks={new[eid]: track for eid, track in timeline.tracks.items()},
                     initial_visibility={new[eid]: v
                                         for eid, v in timeline.initial_visibility.items()})
+
+
+def reference_manifest_frames(timeline, fps):
+    """Frames by the MockSynth docstring, each evaluated on its own with the
+    linear-scan references: visible ids sorted, and the opacity of each
+    visible id that is not 1.0, rounded to 4 decimals after that comparison."""
+    ids = sorted(set(timeline.tracks) | set(timeline.initial_visibility))
+    frames = []
+    for f in range(int(round(timeline.duration * fps))):
+        t = f / fps
+        visible = [eid for eid in ids if reference_visible_at(timeline, eid, t)]
+        opacity = {eid: reference_value_at(timeline, eid, "opacity", t) for eid in visible}
+        frames.append({"index": f, "time": round(t, 6), "visible": visible,
+                       "opacity": {eid: round(v, 4) for eid, v in opacity.items() if v != 1.0}})
+    return frames
+
+
+def reference_manifest(timeline, fps):
+    """The whole manifest by the MockSynth docstring, frames materialized."""
+    frames = reference_manifest_frames(timeline, fps)
+    return {"kind": "mock-video-manifest", "fps": fps, "duration": timeline.duration,
+            "frame_count": len(frames), "svg": "chart.svg", "audio": "narration.wav",
+            "frames": frames}
+
+
+def synthesized_text(timeline, fps, directory) -> str:
+    out = Path(directory) / "video.json"
+    MockSynth(fps=fps).synthesize(timeline, "chart.svg", "narration.wav", out)
+    return out.read_text(encoding="utf-8")
+
+
+class TestMockSynthManifest:
+    @given(compiled_timelines(), st.sampled_from([1, 3, 8]))
+    def test_frames_equal_the_per_frame_reference(self, timeline, fps):
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = json.loads(synthesized_text(timeline, fps, tmp))
+        assert manifest["frame_count"] == len(manifest["frames"])
+        assert manifest["frames"] == reference_manifest_frames(timeline, fps)
+
+    @given(compiled_timelines() | raw_timelines(), hostile_names, st.sampled_from([1, 3, 8]))
+    def test_text_equals_the_materialized_reference(self, timeline, names, fps):
+        timeline = _renamed(timeline, names)
+        with tempfile.TemporaryDirectory() as tmp:
+            text = synthesized_text(timeline, fps, tmp)
+        expected = reference_manifest(timeline, fps)
+        assert text == reference_dump_artifact(expected) == dump_artifact(expected)
+
+    @pytest.mark.parametrize("fps", [1, 3, 8])
+    def test_no_frame_still_writes_an_empty_list(self, fps, tmp_path):
+        timeline = Timeline(duration=0.05, tracks={"a": (Keyframe(0.0, "opacity", 0.5),)})
+        text = synthesized_text(timeline, fps, tmp_path)
+        assert '  "frame_count": 0,\n  "frames": [],\n' in text
+        assert text == reference_dump_artifact(reference_manifest(timeline, fps))
+
+    def test_streams_the_frames(self, tmp_path):
+        # 120 staggered eight-second fades over 40 s at 30 fps: 1200 frames,
+        # most with a new opacity map. Built whole, the frames and the text
+        # take several times the file's size.
+        timeline = Timeline(duration=40.0, tracks={
+            f"m{i:03}": (Keyframe(i / 4, "opacity", 0.1), Keyframe(i / 4 + 8.0, "opacity", 0.9))
+            for i in range(120)})
+        out = tmp_path / "video.json"
+        tracemalloc.start()
+        try:
+            MockSynth(fps=30).synthesize(timeline, "chart.svg", "narration.wav", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = out.stat().st_size
+        assert written > 1_000_000
+        assert peak < written / 2
+
+    def test_failed_sweep_leaves_no_file(self, tmp_path, monkeypatch):
+        sweep = KeyframeEvaluator.sweep
+
+        def failing(self, times):
+            for n, frame in enumerate(sweep(self, times)):
+                if n == 5:
+                    raise RuntimeError("sweep failed")
+                yield frame
+
+        monkeypatch.setattr(KeyframeEvaluator, "sweep", failing)
+        with pytest.raises(RuntimeError, match="sweep failed"):
+            synthesized_text(_dimming_timeline(), 3, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHtmlExport:
