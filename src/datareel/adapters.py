@@ -13,6 +13,8 @@ import math
 import re
 import wave
 from dataclasses import dataclass
+from itertools import compress
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .binding import (
@@ -29,10 +31,10 @@ from .errors import AdapterError, PreconditionError
 from .model import (
     DataTable,
     ValidationReport,
-    ValueMemo,
     Violation,
     VisualizationSpec,
     dump_artifact,
+    float_text,
     mark_type,
     spec_layers,
     stream_artifact,
@@ -551,28 +553,28 @@ class CommandTts:
         if result.returncode != 0:
             raise TtsFailure(result.stderr.decode("utf-8", errors="replace").strip()
                              or f"exit code {result.returncode}")
+        if not Path(out_path).is_file():
+            raise TtsFailure(f"TTS command wrote no audio file at {out_path}")
         try:
             reply = json.loads(result.stdout.decode("utf-8"))
             audio_path = reply["audio_path"]
             duration = float(reply["duration"])
+            if not 0 < duration < math.inf:
+                raise TtsFailure(f"TTS reported a duration of {duration} s")
             raw_timings = reply.get("timings") or []
-        except (ValueError, KeyError, TypeError) as e:
-            raise TtsFailure(f"malformed TTS reply: {e}") from None
-        if raw_timings:
-            if len(raw_timings) != len(tokens):
+            if raw_timings and len(raw_timings) != len(tokens):
                 raise TtsFailure(
                     f"TTS returned {len(raw_timings)} timings for {len(tokens)} words"
                 )
+            # WordTiming rejects a time that is negative, not finite or out of order.
             timings = tuple(
                 WordTiming(word=word, start=float(s), end=float(e), char_span=Span(cs, ce))
                 for (word, cs, ce), (_, s, e) in zip(tokens, raw_timings)
-            )
-            estimated = False
-        else:
-            timings = tuple(_estimate_timings(tokens, duration))
-            estimated = True
-        return TtsResult(audio_path=audio_path, timings=timings,
-                         duration=duration, estimated_timings=estimated)
+            ) or tuple(_estimate_timings(tokens, duration))
+        except (ValueError, KeyError, TypeError) as e:
+            raise TtsFailure(f"malformed TTS reply: {e}") from None
+        return TtsResult(audio_path=audio_path, timings=timings, duration=duration,
+                         estimated_timings=not raw_timings)
 
 
 def _estimate_timings(tokens: list[tuple[str, int, int]], duration: float):
@@ -611,12 +613,13 @@ class MockSynth:
     time, sorted by id. Its "opacity" maps only those visible ids whose opacity
     is not 1.0, each value rounded to 4 decimals after that comparison.
 
-    The frames come from one change-point sweep of the compiled timeline
-    (KeyframeEvaluator.sweep) and go to the file as the sweep yields them;
-    no list of frames or whole text is built. Consecutive frames with no
-    change share their "visible" list and "opacity" map, which the writer
-    encodes once. The text goes to a temporary file beside out_path, which
-    replaces out_path only when the whole manifest is written.
+    Each frame's line is written from the evaluator's change points
+    (KeyframeEvaluator.changes): only the positions of the groups that change
+    at a frame are updated, each id's text is encoded once, and the
+    "visible" and "opacity" texts are joined again only when a shown flag or
+    an opacity entry changes. No list of frames or whole text is built. The
+    text goes to a temporary file beside out_path, which replaces out_path
+    only when the whole manifest is written.
     """
 
     def __init__(self, fps: int = 30):
@@ -635,7 +638,7 @@ class MockSynth:
             "frame_count": frame_count,
             "svg": Path(svg_path).name,
             "audio": Path(audio_path).name,
-            "frames": _frames(times, KeyframeEvaluator(timeline).sweep(times)),
+            "frames": _frames(times, KeyframeEvaluator(timeline)),
         }
         out_path = Path(out_path)
         partial = out_path.with_name(out_path.name + ".partial")
@@ -649,16 +652,34 @@ class MockSynth:
         return str(out_path)
 
 
-def _frames(times, sweep):
-    """The manifest's frame rows, one per time, as the sweep yields them."""
-    # Elements fading together share a value, rounded once per map.
-    rounded = ValueMemo(lambda v: round(v, 4))
-    last = opacity = None
-    for f, (t, (visible, alpha)) in enumerate(zip(times, sweep)):
-        if alpha is not last:
-            rounded.clear()
-            last, opacity = alpha, dict(zip(alpha, map(rounded.__getitem__, alpha.values())))
-        yield {"index": f, "time": round(t, 6), "visible": visible, "opacity": opacity}
+_FRAME = '{"index":%d,"opacity":{%s},"time":%s,"visible":[%s]}'
+
+
+def _frames(times, evaluator: KeyframeEvaluator):
+    """The manifest's frame rows as their compact JSON text, one per time."""
+    keys = [encode_basestring_ascii(eid) for eid in evaluator.ids]
+    shown = [False] * len(keys)
+    # Per position: '"id":opacity' while shown at an opacity other than 1.0.
+    entries = [""] * len(keys)
+    visible = opacity = ""
+    for f, (t, changes) in enumerate(zip(times, evaluator.changes(times))):
+        moved = faded = False
+        for positions, _, (now_shown, alpha) in changes:
+            first = positions[0]
+            if now_shown != shown[first]:
+                for k in positions:
+                    shown[k] = now_shown
+                moved = True
+            value = ":" + float_text(round(alpha, 4)) if now_shown and alpha != 1.0 else ""
+            if entries[first] != (value and keys[first] + value):
+                for k in positions:
+                    entries[k] = value and keys[k] + value
+                faded = True
+        if moved:
+            visible = ",".join(compress(keys, shown))
+        if faded:
+            opacity = ",".join(filter(None, entries))
+        yield _FRAME % (f, opacity, float_text(round(t, 6)), visible)
 
 
 class CommandSynth:
@@ -684,6 +705,8 @@ class CommandSynth:
         if result.returncode != 0:
             raise SynthFailure(result.stderr.decode("utf-8", errors="replace").strip()
                                or f"exit code {result.returncode}")
+        if not Path(out_path).is_file():
+            raise SynthFailure(f"synthesizer wrote no file at {out_path}")
         return str(out_path)
 
 

@@ -11,7 +11,6 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .errors import ContractError
@@ -436,9 +435,6 @@ _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _CONTAINERS = (dict, list, tuple)
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# A row member object of at least this many string keys and scalar values is
-# joined from memoized texts; a smaller one costs less as one encoder call.
-_JOINED = 8
 
 
 def dump_artifact(payload) -> str:
@@ -455,21 +451,18 @@ def stream_artifact(payload, file) -> None:
     Keys are sorted and objects nest two spaces deep. A non-empty list whose
     elements are all objects or lists (frames, tracks, bindings, word
     timings) puts each element, a row, on its own line, encoded compact;
-    other lists and scalars are encoded compact inline. The text ends with a
-    newline. An iterator stands for a list of rows, each an object or a list,
-    and is written as it yields them (`[]` when it yields none).
+    other lists and scalars are encoded compact inline. An iterator stands
+    for a list of rows given as their compact JSON text, written one a line
+    as it yields them (`[]` when it yields none); any other row is a
+    TypeError. The text ends with a newline.
 
     The bytes are those of encoding each value on its own; only work is shared:
     - an object of string keys and scalar values is one encoder call, with
       the layout's separators when it is laid out;
-    - object rows from an iterator, and those of a list in which a list or
-      object is a member of two rows, are filled into one template per key
-      shape, and a member that is the same object as one of an earlier row
-      (of the row before, for an iterator) reuses its text; other rows are
-      one encoder call each;
-    - in a member object of at least _JOINED string keys and scalar values,
-      each key's text and each string's or non-integral float's text is
-      encoded once per artifact.
+    - the object rows of a list in which a list or object is a member of two
+      rows are filled into one template per key shape, and a member that is
+      the same object as one of an earlier row reuses its text; other rows
+      are one encoder call each.
 
     Values that json cannot encode raise what json.dumps raises.
     """
@@ -492,13 +485,14 @@ def _encoder(item_separator: str = ",", key_separator: str = ":"):
     return lambda value: "".join(encode(value, 0))
 
 
-def _float_text(value: float) -> str:
+def float_text(value: float) -> str:
+    """The JSON text of a float, as the artifact writer writes it."""
     text = float.__repr__(value)
     return _FLOAT_WORDS.get(text, text)
 
 
 # The text of a scalar of these types, without an encoder call.
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text}
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: float_text}
 
 
 def _scalar_object(value: dict) -> bool:
@@ -506,41 +500,13 @@ def _scalar_object(value: dict) -> bool:
             and set(map(type, value.values())) <= _SCALARS)
 
 
-class ValueMemo(dict):
-    """fn(value) for scalars, kept by value where equal values are alike.
-
-    A result is kept only for a string or a non-integral float: 1 == 1.0 ==
-    True and 0.0 == -0.0 compare equal but write (and round) apart, and NaN
-    equals nothing, so any other value is passed to fn each time."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, value):
-        result = self.fn(value)
-        if type(value) is str or (type(value) is float and value == value
-                                  and not value.is_integer()):
-            self[value] = result
-        return result
-
-
-class _KeyTexts(dict):
-    # A string key -> its text after a comma, as in a compact object.
-    def __missing__(self, key: str) -> str:
-        text = self[key] = "," + encode_basestring_ascii(key) + ":"
-        return text
-
-
 class _Writer:
     """The layout of one artifact, written piece by piece to write."""
 
     def __init__(self, write):
         self.write = write
-        self.encode = encode = _encoder()
+        self.encode = _encoder()
         self.indented: dict[str, object] = {}  # indent -> its scalar-object encoder
-        self.keys = _KeyTexts()
-        self.values = ValueMemo(lambda v: _SCALAR_TEXT.get(type(v), encode)(v))
         # The ids of the objects being laid out around the current value. Only
         # objects recurse here; everything else reaches the encoder, whose own
         # markers catch a cycle.
@@ -553,7 +519,7 @@ class _Writer:
                 isinstance(v, _CONTAINERS) for v in value):
             self.rows(value, indent)
         elif isinstance(value, Iterator):
-            self.rows(value, indent)
+            self.texts(value, indent)
         else:
             self.write(self.encode(value))
 
@@ -578,18 +544,27 @@ class _Writer:
         self.write("\n" + indent + "}")
         self.path.remove(id(value))
 
+    def texts(self, rows, indent: str) -> None:
+        """Rows an iterator yields as their JSON text, one a line."""
+        write = self.write
+        inner = indent + "  "
+        head = "[\n" + inner
+        for row in rows:
+            if not isinstance(row, str):
+                raise TypeError(f"an iterator row must be its JSON text, not {type(row).__name__}")
+            write(head + row)
+            head = ",\n" + inner
+        write("[]" if head[0] == "[" else "\n" + indent + "]")
+
     def rows(self, rows, indent: str) -> None:
         write, encode = self.write, self.encode
         inner = indent + "  "
-        if isinstance(rows, (list, tuple)) and not _shares_members(rows):
+        if not _shares_members(rows):
             write("[\n" + inner + f",\n{inner}".join(map(encode, rows)) + f"\n{indent}]")
             return
         templates: dict[tuple, tuple | None] = {}  # a row's keys -> _template(row)
-        # id(member) -> (member, text). A list holds every row, so its members'
-        # texts are kept; an iterator's old rows are gone, so only the last
-        # row's are.
-        texts: dict[int, tuple] = {}
-        keep = isinstance(rows, (list, tuple))
+        # id(member) -> its text. The list holds every row, so no id is reused.
+        texts: dict[int, str] = {}
         head = "[\n" + inner
         for row in rows:
             template = None
@@ -598,40 +573,22 @@ class _Writer:
                 if keys not in templates:
                     templates[keys] = _template(row)
                 template = templates[keys]
-            elif not isinstance(row, (list, tuple)):
-                raise TypeError(f"a row must be an object or a list, not {type(row).__name__}")
             if template is None:
                 write(head + encode(row))
-                head = ",\n" + inner
-                continue
-            keys, form = template
-            seen = texts if keep else {}
-            values = []
-            for key in keys:
-                member = row[key]
-                scalar = _SCALAR_TEXT.get(type(member))
-                if scalar is not None:
-                    values.append(scalar(member))
-                    continue
-                known = texts.get(id(member))
-                if known is None or known[0] is not member:
-                    known = (member, self.member(member))
-                seen[id(member)] = known
-                values.append(known[1])
-            write(head + form % tuple(values))
-            texts = seen
+            else:
+                keys, form = template
+                values = []
+                for key in keys:
+                    member = row[key]
+                    scalar = _SCALAR_TEXT.get(type(member))
+                    if scalar is not None:
+                        text = scalar(member)
+                    elif (text := texts.get(id(member))) is None:
+                        text = texts[id(member)] = encode(member)
+                    values.append(text)
+                write(head + form % tuple(values))
             head = ",\n" + inner
-        write("[]" if head[0] == "[" else "\n" + indent + "]")
-
-    def member(self, value) -> str:
-        """The compact text of a row member that is not a string or a number."""
-        if type(value) is dict and len(value) >= _JOINED and _scalar_object(value):
-            keys = sorted(value)
-            text = "".join(chain.from_iterable(zip(
-                map(self.keys.__getitem__, keys),
-                map(self.values.__getitem__, map(value.__getitem__, keys)))))
-            return "{" + text[1:] + "}"
-        return self.encode(value)
+        write("\n" + indent + "]")
 
 
 def _members(row):
@@ -644,18 +601,15 @@ def _shares_members(rows) -> bool:
     scalars cost what they did before."""
     if not any(isinstance(m, _CONTAINERS) for m in _members(rows[0])):
         return False
-    ids = [id(m) for row in rows for m in (row.values() if isinstance(row, dict) else row)
-           if isinstance(m, _CONTAINERS)]
+    ids = [id(m) for row in rows for m in _members(row) if isinstance(m, _CONTAINERS)]
     return len(set(ids)) < len(ids)
 
 
 def _template(row: dict) -> tuple | None:
     """The keys of row in order and the %-format of its text from its
     members' texts; None, for a row encoded whole, when a key is not a
-    string (the encoder converts and sorts those) or no member is a list
-    or object."""
-    if not all(isinstance(k, str) for k in row) or not any(
-            isinstance(m, _CONTAINERS) for m in row.values()):
+    string (the encoder converts and sorts those)."""
+    if not all(isinstance(k, str) for k in row):
         return None
     keys = sorted(row)
     form = ",".join(encode_basestring_ascii(k).replace("%", "%%") + ":%s" for k in keys)

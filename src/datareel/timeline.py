@@ -10,7 +10,7 @@ import marshal
 import math
 import re
 from bisect import bisect_left, bisect_right
-from itertools import compress, repeat
+from itertools import repeat
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -74,7 +74,7 @@ class WordTiming:
     char_span: Span
 
     def __post_init__(self):
-        if self.start < 0 or self.end <= self.start:
+        if not 0 <= self.start < self.end < math.inf:
             raise ValueError(f"invalid word timing [{self.start},{self.end})")
 
 
@@ -519,23 +519,25 @@ class ElementTracks:
         return not any(self.value(prop, t) <= 0.0 for prop in VISIBILITY_PROPERTIES)
 
     def changes(self, times):
-        """Yield (frame, (shown, opacity)) at each frame of sorted times where
-        this element's state differs from the frame before.
+        """Yield (frame, (shown, opacity)) at frame 0 of sorted times and at
+        each later frame where this element's state differs from the frame
+        before.
 
-        Before frame 0 the element has its initial visibility; opacity is 1.0
-        while hidden. The frames are cut wherever one of its visibility tracks
-        reaches a keyframe, and at its first keyframe. Inside a cut a property
-        at rest, held between equal keyframe values or past its last keyframe
-        is read once; a ramping one is evaluated at each frame by _segment,
-        a chunk of frames at a time (_ramp_frames).
+        Before its first keyframe the element has its initial visibility;
+        opacity is 1.0 while hidden. The frames are cut wherever one of its
+        visibility tracks reaches a keyframe, and at its first keyframe.
+        Inside a cut a property at rest, held between equal keyframe values
+        or past its last keyframe is read once; a ramping one is evaluated
+        at each frame by _segment, a chunk of frames at a time (_ramp_frames).
         """
-        if self.first is None:
-            return
+        begin = len(times) if self.first is None else bisect_left(times, self.first)
+        state = None
+        if begin:
+            state = (self.initially_visible, 1.0)
+            yield 0, state
         tracks = [(prop, kfs, [bisect_left(times, t) for t in self.times[prop]])
                   for prop, kfs in self.by_property.items() if prop in VISIBILITY_PROPERTIES]
-        cuts = sorted({bisect_left(times, self.first), len(times)}.union(
-            *(starts for *_, starts in tracks)))
-        state = (self.initially_visible, 1.0)
+        cuts = sorted({begin, len(times)}.union(*(starts for *_, starts in tracks)))
         for start, end in zip(cuts, cuts[1:]):
             hidden, alpha, ramps = False, 1.0, []
             for prop, kfs, starts in tracks:
@@ -596,7 +598,7 @@ class KeyframeEvaluator:
     `ids` lists every element with a track or an initial visibility, sorted.
     `groups` states which of them share a track: one (ElementTracks, sorted
     ids) pair per distinct track object and initial visibility, in the order
-    of each group's first id. sweep and the HTML export work once per group.
+    of each group's first id. changes and the HTML export work once per group.
     """
 
     def __init__(self, timeline: Timeline):
@@ -610,69 +612,40 @@ class KeyframeEvaluator:
             groups[id(track), initially][1].append(eid)
         self.groups = tuple(groups.values())
 
-    def sweep(self, times):
-        """Yield (visible ids, {visible id: opacity if not 1.0}) for each time.
+    def changes(self, times):
+        """Yield, for each of times, the groups whose (shown, opacity) changes
+        there: a list of (positions in ids, ids, (shown, opacity)), one entry
+        per group. The first time's list holds every group. Opacity is 1.0
+        while hidden.
 
-        times must not decrease (ValueError otherwise). Equal to visible_at
-        and value_at at each time.
+        times must not decrease (ValueError otherwise). Applied in order, the
+        changes give visible_at and value_at(..., "opacity", ...) at each time.
 
-        The work follows change points, not frames x elements. Each group's
-        frames are cut where one of its visibility tracks reaches a keyframe
-        (a bisection of each keyframe time), and at its first keyframe; before
-        that it keeps its initial visibility. Inside a cut a property at rest,
-        held between equal keyframe values or past its last keyframe is read
-        once, and only a ramping one is evaluated per frame. Only a change of
-        a group's (shown, opacity) is recorded, once for all its ids, and a
-        frame applies the changes due at it.
-
-        A frame with no change yields the same list and dict objects as the
-        frame before, and a frame that changes only opacities keeps the
-        visible list. Callers must not mutate what is yielded.
+        The work follows change points, not frames x elements: each group's
+        changes come from ElementTracks.changes, once for all its ids, and
+        each time takes the changes due at it.
         """
         times = list(times)
         for previous, t in zip(times, times[1:]):
             if t < previous:
-                raise ValueError(f"sweep times decrease: {t} after {previous}")
-        ids = self.ids
-        position = {eid: k for k, eid in enumerate(ids)}
-        shown = [True] * len(ids)
+                raise ValueError(f"times decrease: {t} after {previous}")
+        position = {eid: k for k, eid in enumerate(self.ids)}
         # frame -> [(positions in ids, their ids, change stream, (shown,
         # opacity))]: the next change of each group whose state still changes.
         due: dict[int, list] = {}
 
-        def schedule(group, stream):
+        def schedule(positions, members, stream):
             change = next(stream, None)
             if change is not None:
-                due.setdefault(change[0], []).append((*group, stream, change[1]))
+                due.setdefault(change[0], []).append((positions, members, stream, change[1]))
 
         for element, members in self.groups:
-            positions = [position[eid] for eid in members]
-            for k in positions:
-                shown[k] = element.initially_visible
-            schedule((positions, members), element.changes(times))
-        visible, opacity = list(compress(ids, shown)), {}
+            schedule([position[eid] for eid in members], members, element.changes(times))
         for frame in range(len(times)):
-            changes = due.pop(frame, None)
-            if changes:
-                moved, copied = False, False
-                for positions, members, stream, (now_shown, alpha) in changes:
-                    if now_shown != shown[positions[0]]:
-                        for k in positions:
-                            shown[k] = now_shown
-                        moved = True
-                    faded = now_shown and alpha != 1.0
-                    if faded or members[0] in opacity:
-                        if not copied:
-                            opacity, copied = dict(opacity), True
-                        if faded:
-                            opacity.update(zip(members, repeat(alpha)))
-                        else:
-                            for eid in members:
-                                del opacity[eid]
-                    schedule((positions, members), stream)
-                if moved:
-                    visible = list(compress(ids, shown))
-            yield visible, opacity
+            changes = due.pop(frame, ())
+            for positions, members, stream, _ in changes:
+                schedule(positions, members, stream)
+            yield [(positions, members, state) for positions, members, _, state in changes]
 
 
 def value_at(timeline: Timeline, element_id: str, prop: str, t: float) -> float:

@@ -200,6 +200,20 @@ def reference_visible_at(timeline, element_id: str, t: float) -> bool:
                for prop in ("opacity", "scale", "clip_fraction", "wheel_fraction"))
 
 
+def expand_changes(evaluator, times) -> list[tuple[list, dict]]:
+    """KeyframeEvaluator.changes(times) applied in order: for each time, the
+    visible ids in id order and {visible id: opacity} for each opacity other
+    than 1.0."""
+    state = {}
+    frames = []
+    for changes in evaluator.changes(times):
+        for _, ids, change in changes:
+            state.update(dict.fromkeys(ids, change))
+        visible = [eid for eid in evaluator.ids if state[eid][0]]
+        frames.append((visible, {eid: state[eid][1] for eid in visible if state[eid][1] != 1.0}))
+    return frames
+
+
 def reference_match_rows(datum: dict, base_rows: list[dict]) -> list[int]:
     """The base rows an overlay datum matches, by comparing it with every row:
     a row matches when it shares at least one key with the datum and every

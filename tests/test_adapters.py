@@ -451,6 +451,62 @@ class TestCommandTtsFallback:
             synthesize_speech("hello", tts, tmp_path / "a.wav")
 
 
+def _stub_tts(tmp_path, reply: str, write_audio: bool = True) -> CommandTts:
+    """A TTS command that writes one second of silence unless told not to,
+    and prints reply, with $AUDIO replaced by the requested path."""
+    script = tmp_path / "tts_stub.py"
+    script.write_text(
+        "import json, sys, wave\n"
+        "req = json.load(sys.stdin)\n"
+        + ("with wave.open(req['audio_path'], 'wb') as w:\n"
+           "    w.setnchannels(1); w.setsampwidth(2); w.setframerate(8000)\n"
+           "    w.writeframes(b'\\x00\\x00' * 8000)\n" if write_audio else "")
+        + f"sys.stdout.write({reply!r}.replace('$AUDIO', json.dumps(req['audio_path'])))\n",
+        encoding="utf-8",
+    )
+    return CommandTts([sys.executable, str(script)])
+
+
+class TestCommandTtsReply:
+    # json.loads reads NaN and Infinity, and float() parses them from strings.
+    @pytest.mark.parametrize("duration", ["NaN", "Infinity", "-Infinity", "-1", "0",
+                                          '"NaN"', '"inf"'])
+    def test_duration_must_be_finite_and_positive(self, tmp_path, duration):
+        tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": %s}' % duration)
+        with pytest.raises(TtsFailure, match="duration"):
+            synthesize_speech("alpha beta", tts, tmp_path / "a.wav")
+
+    @pytest.mark.parametrize("start, end", [("NaN", "0.5"), ("0.0", "Infinity"),
+                                            ('"nan"', "0.5")])
+    def test_word_timings_must_be_finite(self, tmp_path, start, end):
+        tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": 1.0, "timings": '
+                                  '[["alpha", %s, %s], ["beta", 0.5, 1.0]]}' % (start, end))
+        with pytest.raises(TtsFailure, match="invalid word timing"):
+            synthesize_speech("alpha beta", tts, tmp_path / "a.wav")
+
+    @pytest.mark.parametrize("timings", ['[["alpha", -1, 0.5], ["beta", 0.5, 1.0]]',
+                                         '[["alpha", 0.5, 0.5], ["beta", 0.5, 1.0]]',
+                                         '[["alpha", 0.0], ["beta", 0.5, 1.0]]',
+                                         '[["alpha", 0.0, [1]], ["beta", 0.5, 1.0]]'])
+    def test_malformed_word_timings_are_tts_failures(self, tmp_path, timings):
+        tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": 1.0, "timings": %s}'
+                        % timings)
+        with pytest.raises(TtsFailure):
+            synthesize_speech("alpha beta", tts, tmp_path / "a.wav")
+
+    def test_estimated_timings_must_be_finite(self, tmp_path):
+        # Finite, but the estimate of the first word's end overflows.
+        tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": 1e308}')
+        with pytest.raises(TtsFailure, match="invalid word timing"):
+            synthesize_speech("alpha beta", tts, tmp_path / "a.wav")
+
+    def test_no_audio_file_is_tts_failure(self, tmp_path):
+        tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": 1.0}', write_audio=False)
+        with pytest.raises(TtsFailure, match="no audio file"):
+            synthesize_speech("alpha beta", tts, tmp_path / "a.wav")
+        assert not (tmp_path / "a.wav").exists()
+
+
 def _six_second_timeline():
     placed = [
         PlacedDirective("Fade-in", frozenset({"m0"}), (2.0, 3.0)),
@@ -513,6 +569,13 @@ class TestCommandSynth:
         with pytest.raises(SynthFailure) as err:
             synth.synthesize(_six_second_timeline(), "x.svg", "a.wav", tmp_path / "v.mp4")
         assert "boom" in str(err.value)
+
+    def test_no_output_file_is_synth_failure(self, tmp_path):
+        script = tmp_path / "synth_silent.py"
+        script.write_text("import sys\n", encoding="utf-8")
+        synth = CommandSynth([sys.executable, str(script)])
+        with pytest.raises(SynthFailure, match="no file"):
+            synth.synthesize(_six_second_timeline(), "x.svg", "a.wav", tmp_path / "v.mp4")
 
 
 class TestExportHtml:

@@ -37,6 +37,7 @@ from datareel.timeline import (
 from helpers import (
     WS_ALPHABET,
     brute_force_occurrences,
+    expand_changes,
     parse_html_rules,
     random_text,
     reference_dump_artifact,
@@ -441,7 +442,7 @@ def compiled_timelines(draw):
 def assert_sweep_matches_per_frame_evaluation(timeline, times):
     evaluator = KeyframeEvaluator(timeline)
     assert list(evaluator.ids) == sorted(set(timeline.tracks) | set(timeline.initial_visibility))
-    frames = list(evaluator.sweep(times))
+    frames = expand_changes(evaluator, times)
     assert len(frames) == len(times)
     for t, (visible, opacity) in zip(times, frames):
         assert visible == [eid for eid in evaluator.ids if visible_at(timeline, eid, t)]
@@ -498,23 +499,23 @@ class TestKeyframeEvaluator:
 
         monkeypatch.setattr(timeline_module, "_segment", counting)
         times = [f / 10 for f in range(100)]
-        frames = list(KeyframeEvaluator(timeline).sweep(times))
+        frames = expand_changes(KeyframeEvaluator(timeline), times)
         assert [opacity.get("x") for _, opacity in frames][20:80] == [0.5] * 60
         # Sampled on every frame of the two ramps only: never before the first
         # keyframe, in the hold between equal values or past the last keyframe.
         assert sampled == [t for t in times if 1.0 <= t < 2.0 or 8.0 <= t < 9.0]
 
-    def test_frames_between_change_points_share_their_objects(self):
+    def test_changes_are_reported_once_per_group_and_change_point(self):
         times = [f / 10 for f in range(100)]
-        frames = list(KeyframeEvaluator(_hold_between_ramps()).sweep(times))
-        # Hidden at opacity 0.0 on frame 10, shown from frame 11 on; the
-        # opacity changes on every ramp frame and stays at 0.5 over the hold.
-        visible_objects = {id(visible) for visible, _ in frames}
-        assert len(visible_objects) == 3
-        assert all(frames[f][0] is frames[11][0] for f in range(11, 100))
-        assert all(frames[f][1] is frames[20][1] for f in range(20, 80))
-        assert all(frames[f][1] is frames[90][1] == {} for f in range(90, 100))
-        assert frames[19][1] is not frames[20][1]
+        timeline = _hold_between_ramps()
+        timeline.tracks["y"] = timeline.tracks["x"]
+        changes = list(KeyframeEvaluator(timeline).changes(times))
+        assert changes[0] == [([0, 1], ["x", "y"], (True, 1.0))]
+        # Hidden at opacity 0.0 on frame 10; the opacity changes on every
+        # ramp frame and stays at 0.5 over the hold.
+        changed = [f for f, due in enumerate(changes) if due]
+        assert changed == [0] + list(range(10, 21)) + list(range(81, 91))
+        assert all(len(due) <= 1 for due in changes)
 
     def test_elements_alike_but_for_one_detail_change_apart(self):
         # Elements with equal visibility data share one change computation;
@@ -540,13 +541,13 @@ class TestKeyframeEvaluator:
         )})
         assert value_at(timeline, "x", "opacity", 2.0) == 0.0
         assert value_at(timeline, "x", "opacity", 2.5) == 0.5
-        ((_, opacity),) = KeyframeEvaluator(timeline).sweep([2.5])
+        ((_, opacity),) = expand_changes(KeyframeEvaluator(timeline), [2.5])
         assert opacity == {"x": 0.5}
 
     def test_sweep_rejects_decreasing_times(self):
         timeline = Timeline(duration=4.0, tracks={}, initial_visibility={"x": "visible"})
         with pytest.raises(ValueError):
-            list(KeyframeEvaluator(timeline).sweep([1.0, 0.5]))
+            list(KeyframeEvaluator(timeline).changes([1.0, 0.5]))
 
 
 # Ids that break a stylesheet or an HTML document when written raw. Generated
@@ -639,15 +640,15 @@ class TestMockSynthManifest:
         assert peak < written / 2
 
     def test_failed_sweep_leaves_no_file(self, tmp_path, monkeypatch):
-        sweep = KeyframeEvaluator.sweep
+        changes = KeyframeEvaluator.changes
 
         def failing(self, times):
-            for n, frame in enumerate(sweep(self, times)):
+            for n, due in enumerate(changes(self, times)):
                 if n == 5:
                     raise RuntimeError("sweep failed")
-                yield frame
+                yield due
 
-        monkeypatch.setattr(KeyframeEvaluator, "sweep", failing)
+        monkeypatch.setattr(KeyframeEvaluator, "changes", failing)
         with pytest.raises(RuntimeError, match="sweep failed"):
             synthesized_text(_dimming_timeline(), 3, tmp_path)
         assert list(tmp_path.iterdir()) == []
