@@ -1,10 +1,11 @@
 """End-to-end pipeline orchestration with a persisted artifact manifest.
 
 STAGE_TABLE fixes the stage order: ingest, description, analyst, base render,
-designer, annotated render, binding, TTS, timeline, video. Each entry pairs a
-stage's run function with its inspect summary. Every stage persists its
-artifacts eagerly and the manifest is rewritten after each stage, so a failed
-run leaves a partial manifest plus the failure record behind for debugging.
+designer, annotated render, binding, TTS, timeline, video. `run` calls each
+entry's run function, `inspect` its summary and `validate` its check; `run` and
+`validate` keep stage outputs in one map keyed by stage name. Each stage writes
+its artifacts and the manifest as it ends, so a failed run leaves a partial
+manifest plus the failure record behind for debugging.
 """
 
 import gc
@@ -17,10 +18,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import adapters, analyst, binding, designer, ingest, timeline as tl
-from .errors import PreconditionError, StageError
+from .errors import PipelineError, PreconditionError, StageError
 from .model import (
     DataTable,
-    RepairReport,
     ValidationReport,
     Violation,
     VisualizationSpec,
@@ -132,8 +132,11 @@ class ProjectManifest:
     def load(cls, path: str | Path) -> "ProjectManifest":
         if not Path(path).is_file():
             raise ManifestNotFound(f"manifest not found: {path}")
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(config=raw["config"], created_at=raw["created_at"], stages=raw["stages"])
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            return cls(config=raw["config"], created_at=raw["created_at"], stages=raw["stages"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise PreconditionError(f"unreadable manifest {path}: {e!r}") from None
 
     def verify(self, project_dir: str | Path) -> list[str]:
         """Check that every listed artifact exists and matches its hash."""
@@ -162,15 +165,9 @@ class _Run:
         self.out = Path(config.output_dir)
         self.manifest = ProjectManifest(config=config.to_json(), created_at=_now())
         self.live_backend = None
-        self.table: DataTable | None = None
-        self.description = None
-        self.analyst_output = None
-        self.designer_output = None
-        self.base: binding.Rendering | None = None
-        self.annotated: binding.Rendering | None = None
-        self.bindings: binding.Bindings | None = None
-        self.tts_result = None
-        self.timeline: tl.Timeline | None = None
+        self.outputs: dict = {}  # stage name -> what its run function returned
+        self.agent_limits = {"max_attempts": config.max_repair_attempts,
+                             "max_rows": config.prompt_max_rows}
 
     def session_for(self, stage_name: str) -> ChatSession:
         if self.config.mock_mode:
@@ -251,38 +248,46 @@ def run_pipeline(config: ProjectConfig) -> ProjectManifest:
                       "finished_at": None, "artifacts": [], "error": None}
             run.manifest.stages.append(record)
             try:
-                stage.run(run, record)
+                run.outputs[stage.name] = stage.run(run, record)
+                record["status"] = "ok"
             except Exception as e:
                 record["status"] = "failed"
                 record["error"] = f"{type(e).__name__}: {e}"
+                raise StageError(stage.name, e) from e
+            finally:
                 record["finished_at"] = _now()
                 run.manifest.save(run.out / "manifest.json")
-                raise StageError(stage.name, e) from e
-            record["status"] = "ok"
-            record["finished_at"] = _now()
-            run.manifest.save(run.out / "manifest.json")
     return run.manifest
 
 
 def _load_artifact(project_dir: Path, name: str):
+    """A persisted artifact: parsed JSON for a .json file, else its text; None if absent."""
     path = project_dir / name
     if not path.is_file():
         return None
-    if name.endswith(".json"):
-        return json.loads(path.read_text(encoding="utf-8"))
-    return path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    return json.loads(text) if name.endswith(".json") else text
 
 
-def _stage_ingest(run: _Run, record: dict) -> None:
+# What loading a hostile artifact, or summarizing or checking its payload, raises.
+_UNREADABLE = (PipelineError, AttributeError, KeyError, RecursionError, TypeError, ValueError)
+
+
+def _stage_ingest(run: _Run, record: dict) -> DataTable:
     raw = Path(run.config.input_csv).read_text(encoding="utf-8")
     title = run.config.title or Path(run.config.input_csv).stem
-    run.table = ingest.parse_csv(raw, title)
+    table = ingest.parse_csv(raw, title)
     run.write_artifact(record, "table.json", dump_artifact({
-        "title": run.table.title,
-        "row_count": run.table.row_count,
-        "columns": [{"name": name, "values": list(values)}
-                    for name, values in run.table.columns],
+        "title": table.title,
+        "row_count": table.row_count,
+        "columns": [{"name": name, "values": list(values)} for name, values in table.columns],
     }))
+    return table
+
+
+def _check_ingest(payload, outputs):
+    columns = tuple((col["name"], tuple(col["values"])) for col in payload["columns"])
+    return DataTable(payload["title"], columns, payload["row_count"]), ValidationReport()
 
 
 def _summarize_ingest(table: dict) -> list[str]:
@@ -290,33 +295,35 @@ def _summarize_ingest(table: dict) -> list[str]:
     return [f"table: {table['title']!r}, {table['row_count']} rows, columns: {names}"]
 
 
-def _write_agent_artifacts(run: _Run, record: dict, role: str, payload: dict,
-                           report: ValidationReport, repair: RepairReport) -> None:
-    run.write_artifact(record, f"{role}.json", dump_artifact(payload))
+def _agent_output(run: _Run, record: dict, role: str, result: tuple, to_json):
+    """Write an agent's reply, validation and repair artifacts; return the reply."""
+    output, report, repair = result
+    run.write_artifact(record, f"{role}.json", dump_artifact(to_json(output)))
     run.write_artifact(record, f"{role}_validation.json", dump_artifact(report.to_json()))
     run.write_artifact(record, f"{role}_repair.json", dump_artifact(repair.to_json()))
+    return output
 
 
-def _stage_description(run: _Run, record: dict) -> None:
-    run.description, report, repair = ingest.describe(
-        run.session_for("description"), run.table,
-        max_attempts=run.config.max_repair_attempts, max_rows=run.config.prompt_max_rows,
-    )
-    _write_agent_artifacts(run, record, "description", {"Description": run.description.text},
-                           report, repair)
+def _stage_description(run: _Run, record: dict):
+    result = ingest.describe(run.session_for("description"), run.outputs["ingest"],
+                             **run.agent_limits)
+    return _agent_output(run, record, "description", result,
+                         lambda description: {"Description": description.text})
 
 
 def _summarize_description(payload: dict) -> list[str]:
     return [f"description: {payload['Description']}"]
 
 
-def _stage_analyst(run: _Run, record: dict) -> None:
-    run.analyst_output, report, repair = analyst.run_analyst(
-        run.session_for("analyst"), run.description, run.table,
-        max_attempts=run.config.max_repair_attempts, max_rows=run.config.prompt_max_rows,
-    )
-    _write_agent_artifacts(run, record, "analyst",
-                           analyst.analyst_output_to_json(run.analyst_output), report, repair)
+def _stage_analyst(run: _Run, record: dict):
+    result = analyst.run_analyst(run.session_for("analyst"), run.outputs["description"],
+                                 run.outputs["ingest"], **run.agent_limits)
+    return _agent_output(run, record, "analyst", result, analyst.analyst_output_to_json)
+
+
+def _check_analyst(payload, outputs):
+    output = analyst.analyst_output_from_json(payload, outputs["ingest"])
+    return output, analyst.validate_analyst_output(output)
 
 
 def _summarize_analyst(payload: dict) -> list[str]:
@@ -328,10 +335,15 @@ def _summarize_analyst(payload: dict) -> list[str]:
     ]
 
 
-def _stage_base_render(run: _Run, record: dict) -> None:
-    run.base = adapters.render_visualization(
-        run.analyst_output.visualization, run.renderer(), run.table)
-    run.write_artifact(record, "base.svg", run.base.svg)
+def _stage_base_render(run: _Run, record: dict) -> binding.Rendering:
+    base = adapters.render_visualization(
+        run.outputs["analyst"].visualization, run.renderer(), run.outputs["ingest"])
+    run.write_artifact(record, "base.svg", base.svg)
+    return base
+
+
+def _check_base_render(svg, outputs):
+    return adapters.read_rendering(svg, outputs["ingest"]), ValidationReport()
 
 
 def _designer_resolver(base: binding.Rendering):
@@ -339,16 +351,18 @@ def _designer_resolver(base: binding.Rendering):
     return lambda directive: binding.resolve_targets(directive, base.index)
 
 
-def _stage_designer(run: _Run, record: dict) -> None:
-    run.designer_output, report, repair = designer.run_designer(
-        run.session_for("designer"), run.analyst_output.visualization,
-        run.analyst_output.narration, run.table,
-        max_attempts=run.config.max_repair_attempts,
-        resolver=_designer_resolver(run.base),
-        max_rows=run.config.prompt_max_rows,
-    )
-    _write_agent_artifacts(run, record, "designer",
-                           designer.designer_output_to_json(run.designer_output), report, repair)
+def _stage_designer(run: _Run, record: dict):
+    vis, narration = run.outputs["analyst"].visualization, run.outputs["analyst"].narration
+    result = designer.run_designer(
+        run.session_for("designer"), vis, narration, run.outputs["ingest"],
+        resolver=_designer_resolver(run.outputs["base_render"]), **run.agent_limits)
+    return _agent_output(run, record, "designer", result, designer.designer_output_to_json)
+
+
+def _check_designer(payload, outputs):
+    output = designer.designer_output_from_json(payload, outputs["ingest"])
+    return output, designer.validate_designer_output(
+        output, outputs["analyst"].narration, _designer_resolver(outputs["base_render"]))
 
 
 def _summarize_designer(payload: dict, bindings: dict | None) -> list[str]:
@@ -372,18 +386,21 @@ def _summarize_designer(payload: dict, bindings: dict | None) -> list[str]:
     return lines
 
 
-def _stage_annotated_render(run: _Run, record: dict) -> None:
+def _stage_annotated_render(run: _Run, record: dict) -> binding.Rendering:
     spec = VisualizationSpec(
-        spec=run.designer_output.annotated_visualization,
-        vis_type=run.analyst_output.visualization.vis_type,
+        spec=run.outputs["designer"].annotated_visualization,
+        vis_type=run.outputs["analyst"].visualization.vis_type,
     )
-    run.annotated = adapters.render_visualization(spec, run.renderer(), run.table)
-    run.write_artifact(record, "annotated.svg", run.annotated.svg)
+    annotated = adapters.render_visualization(spec, run.renderer(), run.outputs["ingest"])
+    run.write_artifact(record, "annotated.svg", annotated.svg)
+    return annotated
 
 
-def _stage_binding(run: _Run, record: dict) -> None:
-    run.bindings = binding.bind(run.base, run.annotated, run.designer_output)
-    run.write_artifact(record, "bindings.json", dump_artifact(run.bindings.to_json()))
+def _stage_binding(run: _Run, record: dict) -> binding.Bindings:
+    bindings = binding.bind(run.outputs["base_render"], run.outputs["annotated_render"],
+                            run.outputs["designer"])
+    run.write_artifact(record, "bindings.json", dump_artifact(bindings.to_json()))
+    return bindings
 
 
 def _summarize_binding(payload: dict) -> list[str]:
@@ -397,10 +414,9 @@ def _summarize_binding(payload: dict) -> list[str]:
     ]
 
 
-def _stage_tts(run: _Run, record: dict) -> None:
-    narration = run.analyst_output.narration
+def _stage_tts(run: _Run, record: dict) -> adapters.TtsResult:
+    narration = run.outputs["analyst"].narration
     result, report = adapters.synthesize_speech(narration, run.tts(), run.out / "narration.wav")
-    run.tts_result = result
     run.register(record, "narration.wav")
     run.write_artifact(record, "word_timings.json", dump_artifact({
         "duration": result.duration,
@@ -411,15 +427,25 @@ def _stage_tts(run: _Run, record: dict) -> None:
         ],
         "advisories": [vars(a) for a in report.advisories],
     }))
+    return result
+
+
+def _check_tts(payload, outputs):
+    timings = tuple(tl.WordTiming(w["word"], w["start"], w["end"],
+                                  tl.Span(w["char_start"], w["char_end"]))
+                    for w in payload["words"])
+    problems = tl.validate_timings(outputs["analyst"].narration, timings)
+    return adapters.TtsResult("narration.wav", timings, payload["duration"]), ValidationReport(
+        violations=tuple(Violation("tts-contract", "word_timings.json", p) for p in problems))
 
 
 def _summarize_tts(payload: dict) -> list[str]:
     return [f"duration: {payload['duration']} s, {len(payload['words'])} timed words"]
 
 
-def _stage_timeline(run: _Run, record: dict) -> None:
-    narration = run.analyst_output.narration
-    timings = list(run.tts_result.timings)
+def _stage_timeline(run: _Run, record: dict) -> tl.Timeline:
+    narration, bindings = run.outputs["analyst"].narration, run.outputs["binding"]
+    timings = run.outputs["tts"].timings
 
     def interval_of(segment: str) -> tuple[float, float]:
         (interval,) = tl.align_segments([tl.locate_span(narration, segment, 0)], timings)
@@ -429,18 +455,29 @@ def _stage_timeline(run: _Run, record: dict) -> None:
         tl.PlacedDirective(animation=d.animation, target_ids=ids,
                            interval=interval_of(d.narration),
                            label=f"{d.animation} on {d.target!r}")
-        for d, ids in run.bindings.resolved_targets
+        for d, ids in bindings.resolved_targets
     ]
     placed_annotations = [
         tl.PlacedAnnotation(element_ids=tuple(sorted(ids)), interval=interval_of(d.nar),
                             label=d.nar)
-        for d, ids in run.bindings.assignments if ids
+        for d, ids in bindings.assignments if ids
     ]
-    run.timeline, report = tl.compile_timeline(
-        placed_directives, placed_annotations, run.bindings.index, run.tts_result.duration,
+    timeline, report = tl.compile_timeline(
+        placed_directives, placed_annotations, bindings.index, run.outputs["tts"].duration,
     )
-    run.write_artifact(record, "timeline.json", dump_artifact(run.timeline.to_json()))
+    run.write_artifact(record, "timeline.json", dump_artifact(timeline.to_json()))
     run.write_artifact(record, "timeline_validation.json", dump_artifact(report.to_json()))
+    return timeline
+
+
+def _check_timeline(payload, outputs):
+    timeline, audio = tl.Timeline.from_json(payload), outputs["tts"].duration
+    violations = [Violation("timeline-invariant", "timeline.json", problem)
+                  for problem in tl.timeline_invariant_violations(timeline)]
+    if timeline.duration != audio:
+        message = f"timeline duration {timeline.duration} != audio duration {audio}"
+        violations.append(Violation("timeline-duration", "timeline.json", message))
+    return timeline, ValidationReport(violations=tuple(violations))
 
 
 def _summarize_timeline(payload: dict) -> list[str]:
@@ -453,18 +490,19 @@ def _summarize_timeline(payload: dict) -> list[str]:
 
 
 def _stage_video(run: _Run, record: dict) -> None:
+    timeline = run.outputs["timeline"]
     if run.config.export in ("video", "both"):
         synth = run.synth()
         out_name = ("video_manifest.json" if isinstance(synth, adapters.MockSynth)
                     else "video.mp4")
         adapters.synthesize_video(
-            run.timeline, run.out / "annotated.svg", run.out / "narration.wav",
+            timeline, run.out / "annotated.svg", run.out / "narration.wav",
             synth, run.out / out_name,
         )
         run.register(record, out_name)
     if run.config.export in ("html", "both"):
         html = adapters.export_html(
-            run.timeline, run.annotated.doc.to_text(), "narration.wav",
+            timeline, run.outputs["annotated_render"].doc.to_text(), "narration.wav",
         )
         run.write_artifact(record, "video.html", html)
 
@@ -476,26 +514,29 @@ def _summarize_video(payload: dict) -> list[str]:
 
 @dataclass(frozen=True)
 class Stage:
-    """One pipeline step. `inspect` calls summary with the persisted artifacts
-    named in reads, when the first of them exists, and prints the lines."""
+    """One pipeline step: run returns its output. When the first artifact named
+    in reads exists, `inspect` prints summary's lines for the loaded artifacts,
+    and `validate` calls check with the first one and the earlier outputs;
+    check returns the stage's output, as run built it, and a ValidationReport."""
 
     name: str
-    run: Callable[[_Run, dict], None]
+    run: Callable[[_Run, dict], object]
     summary: Callable[..., list[str]] | None = None
     reads: tuple[str, ...] = ()
+    check: Callable[[object, dict], tuple[object, ValidationReport]] | None = None
 
 
 STAGE_TABLE = (
-    Stage("ingest", _stage_ingest, _summarize_ingest, ("table.json",)),
+    Stage("ingest", _stage_ingest, _summarize_ingest, ("table.json",), _check_ingest),
     Stage("description", _stage_description, _summarize_description, ("description.json",)),
-    Stage("analyst", _stage_analyst, _summarize_analyst, ("analyst.json",)),
-    Stage("base_render", _stage_base_render),
+    Stage("analyst", _stage_analyst, _summarize_analyst, ("analyst.json",), _check_analyst),
+    Stage("base_render", _stage_base_render, None, ("base.svg",), _check_base_render),
     Stage("designer", _stage_designer, _summarize_designer,
-          ("designer.json", "bindings.json")),
+          ("designer.json", "bindings.json"), _check_designer),
     Stage("annotated_render", _stage_annotated_render),
     Stage("binding", _stage_binding, _summarize_binding, ("bindings.json",)),
-    Stage("tts", _stage_tts, _summarize_tts, ("word_timings.json",)),
-    Stage("timeline", _stage_timeline, _summarize_timeline, ("timeline.json",)),
+    Stage("tts", _stage_tts, _summarize_tts, ("word_timings.json",), _check_tts),
+    Stage("timeline", _stage_timeline, _summarize_timeline, ("timeline.json",), _check_timeline),
     Stage("video", _stage_video, _summarize_video, ("video_manifest.json",)),
 )
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
@@ -518,94 +559,52 @@ def inspect_stage(project_dir: str | Path, stage_name: str) -> str:
         lines.append(f"error: {record['error']}")
     for artifact in record.get("artifacts", []):
         lines.append(f"artifact: {artifact['path']} ({artifact['bytes']} bytes)")
-    if stage.summary is not None:
-        payloads = [_load_artifact(project_dir, name) for name in stage.reads]
-        if payloads[0]:
+    if stage.summary is not None and (project_dir / stage.reads[0]).is_file():
+        payloads = []
+        try:
+            for name in stage.reads:
+                payloads.append(_load_artifact(project_dir, name))
+            name = stage.reads[0]  # a summary that fails names the stage's own artifact
             lines.extend(stage.summary(*payloads))
+        except _UNREADABLE as e:
+            lines.append(f"unreadable: {name}: {e!r}")
     return "\n".join(lines)
 
 
-def _table_from_artifact(payload: dict) -> DataTable:
-    return DataTable(
-        title=payload["title"],
-        columns=tuple(
-            (col["name"], tuple(col["values"])) for col in payload["columns"]
-        ),
-        row_count=payload["row_count"],
-    )
+class _MissingInput(Exception):
+    """A check read the output of an earlier stage that validate did not load."""
+
+
+class _Outputs(dict):
+    def __missing__(self, name: str):
+        raise _MissingInput(name)
 
 
 def validate_project(project_dir: str | Path) -> ValidationReport:
-    """Re-run all validators against the persisted artifacts of a project.
+    """Check the manifest hashes, then run each stage's check in stage order.
 
-    Automatic cyclic garbage collection is paused while they run."""
-    with _cyclic_gc_paused():
+    A stage is skipped when its artifact is absent or its check needs an earlier
+    output that did not load; an artifact that does not load is one
+    `<stage>-contract` violation. Cyclic garbage collection is paused meanwhile."""
+    with _cyclic_gc_paused():  # what the checks build is freed in the helper, while paused
         return _validate_project(Path(project_dir))
 
 
 def _validate_project(project_dir: Path) -> ValidationReport:
     manifest = ProjectManifest.load(project_dir / "manifest.json")
-    violations: list[Violation] = []
-    advisories: list[Violation] = []
-
-    for problem in manifest.verify(project_dir):
-        violations.append(Violation("artifact-hash", "", problem))
-
-    table_payload = _load_artifact(project_dir, "table.json")
-    table = _table_from_artifact(table_payload) if table_payload else None
-
-    def reload(role: str, from_json):
-        payload = _load_artifact(project_dir, f"{role}.json")
-        if not (payload and table):
-            return None
+    report = ValidationReport(violations=tuple(
+        Violation("artifact-hash", "", problem) for problem in manifest.verify(project_dir)))
+    outputs = _Outputs()
+    for stage in STAGE_TABLE:
+        if stage.check is None or not (project_dir / stage.reads[0]).is_file():
+            continue
         try:
-            return from_json(payload, table)
-        except Exception as e:
-            violations.append(Violation(f"{role}-contract", f"{role}.json", str(e)))
-            return None
-
-    def add(report: ValidationReport) -> None:
-        violations.extend(report.violations)
-        advisories.extend(report.advisories)
-
-    analyst_output = reload("analyst", analyst.analyst_output_from_json)
-    if analyst_output is not None:
-        add(analyst.validate_analyst_output(analyst_output))
-    designer_output = reload("designer", designer.designer_output_from_json)
-    if designer_output is not None and analyst_output is not None:
-        base_text = _load_artifact(project_dir, "base.svg")
-        resolver = (_designer_resolver(adapters.read_rendering(base_text, table))
-                    if base_text else None)
-        add(designer.validate_designer_output(designer_output, analyst_output.narration,
-                                              resolver))
-
-    timings_payload = _load_artifact(project_dir, "word_timings.json")
-    timeline_payload = _load_artifact(project_dir, "timeline.json")
-    timings = None
-    if timings_payload:
-        try:
-            timings = (timings_payload["duration"], [
-                tl.WordTiming(w["word"], w["start"], w["end"],
-                              tl.Span(w["char_start"], w["char_end"]))
-                for w in timings_payload["words"]
-            ])
-        except (KeyError, TypeError, ValueError) as e:
-            violations.append(Violation("tts-contract", "word_timings.json", repr(e)))
-    if timeline_payload:
-        try:
-            timeline = tl.Timeline.from_json(timeline_payload)
-        except (KeyError, TypeError, ValueError) as e:
-            violations.append(Violation("timeline-contract", "timeline.json", repr(e)))
-        else:
-            for problem in tl.timeline_invariant_violations(timeline):
-                violations.append(Violation("timeline-invariant", "timeline.json", problem))
-            if timings and timeline.duration != timings[0]:
-                violations.append(Violation(
-                    "timeline-duration", "timeline.json",
-                    f"timeline duration {timeline.duration} != audio duration {timings[0]}",
-                ))
-    if timings and analyst_output is not None:
-        for problem in tl.validate_timings(analyst_output.narration, timings[1]):
-            violations.append(Violation("tts-contract", "word_timings.json", problem))
-
-    return ValidationReport(violations=tuple(violations), advisories=tuple(advisories))
+            outputs[stage.name], found = stage.check(
+                _load_artifact(project_dir, stage.reads[0]), outputs)
+        except _MissingInput:
+            continue
+        except _UNREADABLE as e:
+            found = ValidationReport(violations=(
+                Violation(f"{stage.name}-contract", stage.reads[0], repr(e)),))
+        report = report.merged(found)
+    return report

@@ -665,7 +665,7 @@ def timeline_invariant_violations(timeline: Timeline) -> list[str]:
     for every element that holds it, in track order.
     """
     problems = []
-    if not math.isfinite(timeline.duration) or timeline.duration < 0:
+    if not 0 <= timeline.duration < math.inf:  # compares an int of any size
         problems.append(f"invalid duration {timeline.duration}")
     found: dict[int, list[str]] = {}
     for eid, kfs in timeline.tracks.items():

@@ -6,11 +6,14 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from datareel.adapters import MetadataMissing
 from datareel.cli import _parser, main
 from datareel.errors import PreconditionError, StageError
 from datareel.pipeline import (
+    STAGE_TABLE,
     STAGES,
     ManifestNotFound,
     ProjectManifest,
@@ -193,6 +196,29 @@ class TestInspect:
         assert "duration: 14.7 s" in text
         assert "initially hidden" in text
 
+    @pytest.mark.parametrize("stage_name, name, content, reason", [
+        ("analyst", "analyst.json", "not json", "JSONDecodeError("),
+        ("ingest", "table.json", "{}", "KeyError('columns')"),
+        ("video", "video_manifest.json", "[]", "TypeError("),
+        ("designer", "designer.json", '{"Annotated_Narration_for_Animation": 1}',
+         "TypeError("),
+        ("designer", "bindings.json", "not json", "JSONDecodeError("),
+        ("timeline", "timeline.json", '{"initial_visibility": []}', "AttributeError("),
+    ], ids=["not-json", "empty-table", "video-manifest-list", "designer-int",
+            "bindings-not-json", "visibility-list"])
+    def test_unreadable_artifact_is_reported(self, completed_project, tmp_path, capsys,
+                                             stage_name, name, content, reason):
+        import shutil
+
+        project = Path(shutil.copytree(completed_project[0], tmp_path / "copy"))
+        (project / name).write_text(content)
+        code, output = _cli(capsys, "inspect", "--project", str(project), "--stage", stage_name)
+        assert code == 0, output
+        *report, unreadable = output.splitlines()
+        assert report == [line for line in _inspect_golden()[stage_name].splitlines()
+                          if line.startswith(("stage:", "status:", "artifact:"))]
+        assert unreadable.startswith(f"unreadable: {name}: {reason}")
+
     def test_unknown_stage(self, completed_project):
         out, _ = completed_project
         with pytest.raises(UnknownStage):
@@ -284,12 +310,29 @@ class TestValidateRerunsRunChecks:
          lambda p: p.update(duration="long"), "'long' is not a number"),
         ("word_timings.json", "tts-contract",
          lambda p: p["words"][0].pop("end"), "KeyError('end')"),
+        # a whole artifact replaced: a falsy payload is not an absent one
+        ("table.json", "ingest-contract", {}, "KeyError('columns')"),
+        ("designer.json", "designer-contract", [], "reply is not a JSON object"),
+        ("word_timings.json", "tts-contract", [], "TypeError("),
+        ("table.json", "ingest-contract", "not json", "JSONDecodeError("),
+        ("analyst.json", "analyst-contract", "not json", "JSONDecodeError("),
+        ("timeline.json", "timeline-contract", "not json", "JSONDecodeError("),
+        ("base.svg", "base_render-contract", "not svg", "invalid SVG"),
+        ("timeline.json", "timeline-duration", lambda p: p.update(duration=10**400),
+         "!= audio duration"),
+        ("timeline.json", "timeline-contract", "[" * 100_000 + "]" * 100_000,
+         "RecursionError("),
     ], ids=["unknown-property", "no-easing", "text-time", "text-duration",
-            "word-without-end"])
+            "word-without-end", "empty-table", "designer-list", "timings-list",
+            "table-not-json", "analyst-not-json", "timeline-not-json", "base-not-svg",
+            "huge-duration", "deeply-nested"])
     def test_malformed_timeline_or_timings_is_a_violation(self, project_copy, name, code,
                                                           edit, message):
-        payload = json.loads((project_copy / name).read_text())
-        edit(payload)
+        if callable(edit):
+            payload = json.loads((project_copy / name).read_text())
+            edit(payload)
+        else:
+            payload = edit  # the artifact's whole new content
         _rewrite_artifact(project_copy, name, payload)
         report = validate_project(project_copy)
         assert [(v.code, v.path) for v in report.violations] == [(code, name)]
@@ -313,6 +356,56 @@ class TestValidateRerunsRunChecks:
         (project_copy / "annotated.svg").write_text("not svg")
         report = validate_project(project_copy)
         assert [v.code for v in report.violations] == ["artifact-hash"]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=3)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def hostile_edits(draw, payload):
+    """payload with the whole of it, or one value at a drawn path inside it,
+    replaced by an arbitrary JSON value."""
+    if isinstance(payload, dict) and payload and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(payload)))
+        return {**payload, key: draw(hostile_edits(payload[key]))}
+    if isinstance(payload, list) and payload and draw(st.booleans()):
+        position = draw(st.integers(0, len(payload) - 1))
+        return [*payload[:position], draw(hostile_edits(payload[position])),
+                *payload[position + 1:]]
+    return draw(json_values)
+
+
+class TestHostileArtifacts:
+    @pytest.fixture(scope="class")
+    def project(self, completed_project, tmp_path_factory):
+        import shutil
+
+        return Path(shutil.copytree(completed_project[0],
+                                    tmp_path_factory.mktemp("hostile") / "copy"))
+
+    @given(data=st.data())
+    def test_validate_and_inspect_never_crash(self, project, data):
+        manifest = ProjectManifest.load(project / "manifest.json")
+        name = data.draw(st.sampled_from(sorted(
+            artifact["path"] for record in manifest.stages for artifact in record["artifacts"]
+            if artifact["path"].endswith(".json"))))
+        original = (project / name).read_bytes()
+        manifest_text = (project / "manifest.json").read_text()
+        _rewrite_artifact(project, name, data.draw(hostile_edits(json.loads(original))))
+        try:
+            assert main(["validate", "--project", str(project)]) in (0, 3)
+            for stage in STAGE_TABLE:
+                if name in stage.reads:
+                    assert main(["inspect", "--project", str(project),
+                                 "--stage", stage.name]) == 0
+        finally:
+            (project / name).write_bytes(original)
+            (project / "manifest.json").write_text(manifest_text)
 
 
 class TestArtifactDigests:
@@ -549,6 +642,26 @@ class TestCyclicCollector:
             assert validate_project(config.output_dir).passing
             assert gc.collect() == 0
 
+    def test_validate_frees_its_objects_while_paused(self, tmp_path):
+        # Were the overlay-wide checks' objects still alive when the collector
+        # resumes, the next allocation would start a collection over all of them.
+        inputs = _perfbench_workloads().generate(
+            "overlay-wide", 1, tmp_path / "inputs", Path(__file__).resolve().parent.parent)
+        from datareel.pipeline import ProjectConfig
+
+        config = ProjectConfig.from_file(inputs.config, output_dir=str(tmp_path / "project"))
+        run_pipeline(config)
+        collections = []
+        gc.callbacks.append(lambda phase, info: collections.append(info["generation"]))
+        try:
+            with _collector(True):
+                gc.collect()
+                collections.clear()
+                assert validate_project(config.output_dir).passing
+        finally:
+            gc.callbacks.pop()
+        assert collections == []
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_setting_restored(self, mock_project_config, enabled):
         with _collector(enabled):
@@ -719,6 +832,20 @@ class TestCli:
         assert code == 2
         assert "invalid backend config" in output
         assert not (tmp_path / "proj").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "inspect"])
+    @pytest.mark.parametrize("content", ["not json", "{}", "[]", '{"config": {}}'],
+                             ids=["not-json", "empty-object", "list", "no-stages"])
+    def test_unreadable_manifest_exit_code_2(self, completed_project, tmp_path, capsys,
+                                             command, content):
+        import shutil
+
+        project = Path(shutil.copytree(completed_project[0], tmp_path / "copy"))
+        (project / "manifest.json").write_text(content)
+        args = ["--stage", "ingest"] if command == "inspect" else []
+        code, output = _cli(capsys, command, "--project", str(project), *args)
+        assert code == 2, output
+        assert output.startswith("error: unreadable manifest ")
 
     def test_unknown_stage_exit_code_2(self, tmp_path, stock_csv_path, capsys):
         config = self._config_file(tmp_path)

@@ -59,3 +59,19 @@ def test_every_traced_layer_records_a_span(mock_project_config):
     # and binding extends the annotated index once
     spans = Counter(span["name"] for span in tracer.spans)
     assert (spans["binding.parse_svg"], spans["binding.index_marks"]) == (3, 4)
+
+
+def test_validate_spans(mock_project_config):
+    """A validate-only call reaches each check through the patched names and
+    reads each artifact once, so its span counts on the stock demo are fixed."""
+    from datareel import pipeline
+
+    config = mock_project_config(export="both")
+    pipeline.run_pipeline(config)
+    tracer = _tracing_module().Tracer()
+    with tracer.installed():
+        assert pipeline.validate_project(config.output_dir).passing
+    assert Counter(span["name"] for span in tracer.spans) == {
+        "pipeline.validate": 1, "analyst.run": 2, "designer.run": 2,
+        "binding.resolve": 6, "binding.parse_svg": 1, "binding.index_marks": 1,
+    }
