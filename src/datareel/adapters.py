@@ -523,13 +523,18 @@ class MockTts:
         return TtsResult(audio_path=str(out_path), timings=timings, duration=duration)
 
 
+# How far past the last word's end a TTS tool's reported duration may reach.
+MAX_TRAILING_SILENCE_S = 10.0
+
+
 class CommandTts:
     """Runs an external TTS command.
 
     stdin: {"text": narration, "audio_path": requested output}
     stdout: {"audio_path": ..., "duration": seconds, "timings": [[word, start, end], ...]}
     When the tool returns no timings they are estimated by proportional
-    character weighting over the reported duration.
+    character weighting over the reported duration. With timings, the
+    duration may end at most MAX_TRAILING_SILENCE_S after the last word.
     """
 
     def __init__(self, command: list[str], timeout: float = 120.0):
@@ -571,6 +576,10 @@ class CommandTts:
                 WordTiming(word=word, start=float(s), end=float(e), char_span=Span(cs, ce))
                 for (word, cs, ce), (_, s, e) in zip(tokens, raw_timings)
             ) or tuple(_estimate_timings(tokens, duration))
+            if duration > timings[-1].end + MAX_TRAILING_SILENCE_S:
+                raise TtsFailure(
+                    f"TTS reported a duration of {duration} s, more than "
+                    f"{MAX_TRAILING_SILENCE_S:g} s past the last word's end at {timings[-1].end} s")
         except (ValueError, KeyError, TypeError) as e:
             raise TtsFailure(f"malformed TTS reply: {e}") from None
         return TtsResult(audio_path=audio_path, timings=timings, duration=duration,

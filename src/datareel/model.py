@@ -457,6 +457,8 @@ def stream_artifact(payload, file) -> None:
     TypeError. The text ends with a newline.
 
     The bytes are those of encoding each value on its own; only work is shared:
+    - a laid-out key, and a string, integer or float outside a row, is
+      written from its own text, without an encoder call;
     - an object of string keys and scalar values is one encoder call, with
       the layout's separators when it is laid out;
     - the object rows of a list in which a list or object is a member of two
@@ -468,6 +470,12 @@ def stream_artifact(payload, file) -> None:
     """
     _Writer(file.write).value(payload, "")
     file.write("\n")
+
+
+def row_text(row) -> str:
+    """The compact JSON text the writer gives a row; the form in which an
+    iterator in a payload yields its rows."""
+    return _COMPACT.encode(row)
 
 
 def _encoder(item_separator: str = ",", key_separator: str = ":"):
@@ -513,7 +521,10 @@ class _Writer:
         self.path: set[int] = set()
 
     def value(self, value, indent: str) -> None:
-        if isinstance(value, dict) and value:
+        scalar = _SCALAR_TEXT.get(type(value))
+        if scalar is not None:
+            self.write(scalar(value))
+        elif isinstance(value, dict) and value:
             self.object(value, indent)
         elif isinstance(value, (list, tuple)) and value and all(
                 isinstance(v, _CONTAINERS) for v in value):
@@ -537,8 +548,8 @@ class _Writer:
         head = "{\n"
         for key in sorted(value):
             # Non-string keys become their JSON text, as json.dumps writes them.
-            self.write(head + inner + self.encode(key if isinstance(key, str)
-                                                  else self.encode(key)) + ": ")
+            self.write(head + inner + encode_basestring_ascii(
+                key if isinstance(key, str) else self.encode(key)) + ": ")
             self.value(value[key], inner)
             head = ",\n"
         self.write("\n" + indent + "}")

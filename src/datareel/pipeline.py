@@ -11,10 +11,12 @@ manifest plus the failure record behind for debugging.
 import gc
 import hashlib
 import json
+import os
 import time
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from . import adapters, analyst, binding, designer, ingest, timeline as tl
@@ -26,6 +28,7 @@ from .model import (
     VisualizationSpec,
     classify_animation,
     dump_artifact,
+    row_text,
 )
 from .runtime import BackendConfig, ChatSession, HttpChatBackend, MockChatBackend
 
@@ -126,7 +129,8 @@ class ProjectManifest:
         return {"config": self.config, "created_at": self.created_at, "stages": self.stages}
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(dump_artifact(self.to_json()), encoding="utf-8")
+        with closing(_ManifestFile(path)) as file:
+            file.write(self)
 
     @classmethod
     def load(cls, path: str | Path) -> "ProjectManifest":
@@ -140,17 +144,55 @@ class ProjectManifest:
 
     def verify(self, project_dir: str | Path) -> list[str]:
         """Check that every listed artifact exists and matches its hash."""
-        problems = []
+        problems = (read()[1] for _, read in self.listed_artifacts(project_dir))
+        return [problem for problem in problems if problem]
+
+    def listed_artifacts(self, project_dir: str | Path):
+        """Each listed artifact in manifest order: its path, and a function
+        that reads the file once and returns its bytes in a one-item list
+        (None for a missing file) and the hash problem found (None if none)."""
+        project_dir = Path(project_dir)
         for record in self.stages:
             for artifact in record.get("artifacts", []):
-                path = Path(project_dir) / artifact["path"]
-                if not path.is_file():
-                    problems.append(f"{record['name']}: missing artifact {artifact['path']}")
-                    continue
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                if digest != artifact["sha256"]:
-                    problems.append(f"{record['name']}: hash mismatch for {artifact['path']}")
-        return problems
+                yield artifact["path"], partial(
+                    _read_listed, project_dir / artifact["path"], record, artifact)
+
+
+def _read_listed(path: Path, record: dict, artifact: dict) -> tuple[list | None, str | None]:
+    if not path.is_file():
+        return None, f"{record['name']}: missing artifact {artifact['path']}"
+    content = [path.read_bytes()]
+    if hashlib.sha256(content[0]).hexdigest() != artifact["sha256"]:
+        return content, f"{record['name']}: hash mismatch for {artifact['path']}"
+    return content, None
+
+
+class _ManifestFile:
+    """manifest.json, created by the first write and rewritten in place by
+    each later one: the text goes to offset 0 and the file is cut to its
+    length, so it is never truncated to zero on the way."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self._file = None
+        self._rows: list[str] = []  # the text of each stage record written so far
+
+    def write(self, manifest: ProjectManifest) -> None:
+        """Write manifest over the file. A stage record is encoded the first
+        time it is written, so it must be final by then, as it is when a run
+        writes the manifest after each stage."""
+        self._rows.extend(map(row_text, manifest.stages[len(self._rows):]))
+        payload = {**manifest.to_json(), "stages": iter(self._rows)}
+        data = dump_artifact(payload).encode("utf-8")
+        if self._file is None:
+            self._file = open(os.open(self.path, os.O_RDWR | os.O_CREAT, 0o666), "r+b")
+        self._file.seek(0)
+        self._file.write(data)
+        self._file.truncate()  # flushes, then cuts the file at the end of data
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
 
 
 def _now() -> str:
@@ -239,10 +281,14 @@ def run_pipeline(config: ProjectConfig) -> ProjectManifest:
     Automatic cyclic garbage collection is paused while the stages run.
     """
     config.validate()
+    with _cyclic_gc_paused():  # what the stages build is freed in the helper, while paused
+        return _run_pipeline(config)
+
+
+def _run_pipeline(config: ProjectConfig) -> ProjectManifest:
     run = _Run(config)
     run.out.mkdir(parents=True, exist_ok=True)
-
-    with _cyclic_gc_paused():
+    with closing(_ManifestFile(run.out / "manifest.json")) as manifest_file:
         for stage in STAGE_TABLE:
             record = {"name": stage.name, "status": "running", "started_at": _now(),
                       "finished_at": None, "artifacts": [], "error": None}
@@ -256,16 +302,23 @@ def run_pipeline(config: ProjectConfig) -> ProjectManifest:
                 raise StageError(stage.name, e) from e
             finally:
                 record["finished_at"] = _now()
-                run.manifest.save(run.out / "manifest.json")
+                manifest_file.write(run.manifest)
     return run.manifest
 
 
 def _load_artifact(project_dir: Path, name: str):
-    """A persisted artifact: parsed JSON for a .json file, else its text; None if absent."""
+    """A persisted artifact as _parse_artifact reads it; None if absent."""
     path = project_dir / name
-    if not path.is_file():
-        return None
-    text = path.read_text(encoding="utf-8")
+    return _parse_artifact(name, [path.read_bytes()]) if path.is_file() else None
+
+
+def _parse_artifact(name: str, content: list):
+    """An artifact's bytes, popped from content and released once decoded as
+    read_text(encoding="utf-8") decodes them, with universal newlines; parsed
+    JSON for a .json file, else the text."""
+    text = content.pop().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return json.loads(text) if name.endswith(".json") else text
 
 
@@ -564,7 +617,8 @@ def inspect_stage(project_dir: str | Path, stage_name: str) -> str:
         try:
             for name in stage.reads:
                 payloads.append(_load_artifact(project_dir, name))
-            name = stage.reads[0]  # a summary that fails names the stage's own artifact
+            # a summary that fails names every artifact it read
+            name = ", ".join(n for n in stage.reads if (project_dir / n).is_file())
             lines.extend(stage.summary(*payloads))
         except _UNREADABLE as e:
             lines.append(f"unreadable: {name}: {e!r}")
@@ -581,9 +635,11 @@ class _Outputs(dict):
 
 
 def validate_project(project_dir: str | Path) -> ValidationReport:
-    """Check the manifest hashes, then run each stage's check in stage order.
+    """Check the manifest hashes and run each stage's check in stage order.
 
-    A stage is skipped when its artifact is absent or its check needs an earlier
+    Each listed artifact is read once: a checked one is hashed from the bytes
+    its check decodes, the others before the checks run. Hash violations come
+    first, in manifest order. A stage is skipped when its artifact is absent or its check needs an earlier
     output that did not load; an artifact that does not load is one
     `<stage>-contract` violation. Cyclic garbage collection is paused meanwhile."""
     with _cyclic_gc_paused():  # what the checks build is freed in the helper, while paused
@@ -592,19 +648,41 @@ def validate_project(project_dir: str | Path) -> ValidationReport:
 
 def _validate_project(project_dir: Path) -> ValidationReport:
     manifest = ProjectManifest.load(project_dir / "manifest.json")
-    report = ValidationReport(violations=tuple(
-        Violation("artifact-hash", "", problem) for problem in manifest.verify(project_dir)))
+    checked = {stage.reads[0] for stage in STAGE_TABLE if stage.check is not None}
+    problems = []  # (manifest position, hash problem or None)
+    # A checked artifact is hashed when its check reads it; the others now,
+    # while no check output is held, so one artifact's bytes at most are.
+    deferred = {}
+    for position, (path, read) in enumerate(manifest.listed_artifacts(project_dir)):
+        if path in checked and path not in deferred:
+            deferred[path] = position, read
+        else:
+            problems.append((position, read()[1]))
     outputs = _Outputs()
+    found = []
     for stage in STAGE_TABLE:
-        if stage.check is None or not (project_dir / stage.reads[0]).is_file():
+        if stage.check is None:
+            continue
+        name = stage.reads[0]
+        if name in deferred:
+            position, read = deferred.pop(name)
+            content, problem = read()
+            problems.append((position, problem))
+        else:  # not listed: read from its path
+            path = project_dir / name
+            content = [path.read_bytes()] if path.is_file() else None
+        if content is None:
             continue
         try:
-            outputs[stage.name], found = stage.check(
-                _load_artifact(project_dir, stage.reads[0]), outputs)
+            outputs[stage.name], report = stage.check(_parse_artifact(name, content), outputs)
         except _MissingInput:
             continue
         except _UNREADABLE as e:
-            found = ValidationReport(violations=(
-                Violation(f"{stage.name}-contract", stage.reads[0], repr(e)),))
-        report = report.merged(found)
+            report = ValidationReport(violations=(
+                Violation(f"{stage.name}-contract", name, repr(e)),))
+        found.append(report)
+    report = ValidationReport(violations=tuple(
+        Violation("artifact-hash", "", problem) for _, problem in sorted(problems) if problem))
+    for stage_report in found:
+        report = report.merged(stage_report)
     return report

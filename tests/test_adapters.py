@@ -12,6 +12,7 @@ from datareel.adapters import (
     CommandSynth,
     CommandTts,
     EmptyNarration,
+    MAX_TRAILING_SILENCE_S,
     MetadataMissing,
     MockRenderer,
     MockSynth,
@@ -499,6 +500,19 @@ class TestCommandTtsReply:
         tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": 1e308}')
         with pytest.raises(TtsFailure, match="invalid word timing"):
             synthesize_speech("alpha beta", tts, tmp_path / "a.wav")
+
+    @pytest.mark.parametrize("past_end, accepted", [
+        (0.0, True), (MAX_TRAILING_SILENCE_S, True), (MAX_TRAILING_SILENCE_S + 0.5, False),
+        (1e9, False), (1e308, False)])
+    def test_duration_ends_near_the_last_word(self, tmp_path, past_end, accepted):
+        tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": %r, "timings": '
+                                  '[["alpha", 0.0, 0.5], ["beta", 0.5, 1.0]]}' % (1.0 + past_end))
+        if accepted:
+            assert synthesize_speech("alpha beta", tts, tmp_path / "a.wav")[0].duration == \
+                1.0 + past_end
+        else:
+            with pytest.raises(TtsFailure, match="past the last word's end at 1.0 s"):
+                synthesize_speech("alpha beta", tts, tmp_path / "a.wav")
 
     def test_no_audio_file_is_tts_failure(self, tmp_path):
         tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": 1.0}', write_audio=False)

@@ -1,7 +1,10 @@
+import dataclasses
 import gc
 import hashlib
 import importlib.util
 import json
+import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -9,9 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from datareel import pipeline
 from datareel.adapters import MetadataMissing
 from datareel.cli import _parser, main
 from datareel.errors import PreconditionError, StageError
+from datareel.model import dump_artifact
 from datareel.pipeline import (
     STAGE_TABLE,
     STAGES,
@@ -23,7 +28,7 @@ from datareel.pipeline import (
     run_pipeline,
     validate_project,
 )
-from datareel.runtime import RepairExhausted
+from datareel.runtime import HttpChatBackend, RepairExhausted
 from conftest import GOLDEN_DIR, STOCK_COMPANIES, TRANSCRIPTS
 
 
@@ -196,16 +201,20 @@ class TestInspect:
         assert "duration: 14.7 s" in text
         assert "initially hidden" in text
 
+    # An artifact that does not load is named alone; a summary that fails
+    # names every artifact it read.
     @pytest.mark.parametrize("stage_name, name, content, reason", [
-        ("analyst", "analyst.json", "not json", "JSONDecodeError("),
-        ("ingest", "table.json", "{}", "KeyError('columns')"),
-        ("video", "video_manifest.json", "[]", "TypeError("),
+        ("analyst", "analyst.json", "not json", "analyst.json: JSONDecodeError("),
+        ("ingest", "table.json", "{}", "table.json: KeyError('columns')"),
+        ("video", "video_manifest.json", "[]", "video_manifest.json: TypeError("),
         ("designer", "designer.json", '{"Annotated_Narration_for_Animation": 1}',
-         "TypeError("),
-        ("designer", "bindings.json", "not json", "JSONDecodeError("),
-        ("timeline", "timeline.json", '{"initial_visibility": []}', "AttributeError("),
+         "designer.json, bindings.json: TypeError("),
+        ("designer", "bindings.json", "not json", "bindings.json: JSONDecodeError("),
+        ("designer", "bindings.json", "true", "designer.json, bindings.json: AttributeError("),
+        ("timeline", "timeline.json", '{"initial_visibility": []}',
+         "timeline.json: AttributeError("),
     ], ids=["not-json", "empty-table", "video-manifest-list", "designer-int",
-            "bindings-not-json", "visibility-list"])
+            "bindings-not-json", "bindings-true", "visibility-list"])
     def test_unreadable_artifact_is_reported(self, completed_project, tmp_path, capsys,
                                              stage_name, name, content, reason):
         import shutil
@@ -217,7 +226,7 @@ class TestInspect:
         *report, unreadable = output.splitlines()
         assert report == [line for line in _inspect_golden()[stage_name].splitlines()
                           if line.startswith(("stage:", "status:", "artifact:"))]
-        assert unreadable.startswith(f"unreadable: {name}: {reason}")
+        assert unreadable.startswith(f"unreadable: {reason}")
 
     def test_unknown_stage(self, completed_project):
         out, _ = completed_project
@@ -251,12 +260,133 @@ class TestValidateProject:
         assert "artifact-hash" in codes
 
 
-def _rewrite_artifact(project: Path, name: str, payload: dict | str) -> None:
-    """Replace an artifact, given as a JSON payload or as text, and re-hash its
-    manifest entry, as a tool would."""
+def _with_stage_run(stage_name: str | None, wrap):
+    """STAGE_TABLE with the named stage's run function (every stage's, for
+    None) replaced by wrap(stage)."""
+    return tuple(dataclasses.replace(stage, run=wrap(stage))
+                 if stage_name in (None, stage.name) else stage for stage in STAGE_TABLE)
+
+
+class TestManifestRewrite:
+    """run_pipeline rewrites manifest.json in place after every stage."""
+
+    def test_manifest_on_disk_after_each_stage(self, mock_project_config, monkeypatch):
+        config = mock_project_config()
+        path = Path(config.output_dir) / "manifest.json"
+        started = []
+
+        def wrap(stage):
+            def run(run, record):
+                # what the earlier stages left: created by the first save, then rewritten
+                earlier = ProjectManifest(run.manifest.config, run.manifest.created_at,
+                                          run.manifest.stages[:-1])
+                if earlier.stages:
+                    assert path.read_bytes() == dump_artifact(earlier.to_json()).encode()
+                else:
+                    assert not path.exists()
+                started.append(stage.name)
+                return stage.run(run, record)
+            return run
+
+        monkeypatch.setattr(pipeline, "STAGE_TABLE", _with_stage_run(None, wrap))
+        manifest = run_pipeline(config)
+        assert started == list(STAGES)
+        assert path.read_bytes() == dump_artifact(manifest.to_json()).encode()
+
+    def test_failing_stage_leaves_its_record(self, mock_project_config, monkeypatch):
+        def wrap(stage):
+            def run(run, record):
+                raise RuntimeError("boom")
+            return run
+
+        monkeypatch.setattr(pipeline, "STAGE_TABLE", _with_stage_run("binding", wrap))
+        config = mock_project_config()
+        with pytest.raises(StageError):
+            run_pipeline(config)
+        path = Path(config.output_dir) / "manifest.json"
+        manifest = ProjectManifest.load(path)
+        assert [s["name"] for s in manifest.stages] == list(STAGES[:STAGES.index("binding") + 1])
+        assert manifest.stages[-1]["status"] == "failed"
+        assert manifest.stages[-1]["error"] == "RuntimeError: boom"
+        assert manifest.stages[-1]["finished_at"] is not None
+        assert path.read_bytes() == dump_artifact(manifest.to_json()).encode()
+
+    def test_rerun_over_a_longer_manifest(self, mock_project_config):
+        run_pipeline(mock_project_config(export="both"))
+        config = mock_project_config(export="html")
+        path = Path(config.output_dir) / "manifest.json"
+        longer = path.read_bytes()
+        manifest = run_pipeline(config)
+        assert path.read_bytes() == dump_artifact(manifest.to_json()).encode()
+        assert len(path.read_bytes()) < len(longer)
+        ProjectManifest().save(path)
+        assert path.read_bytes() == dump_artifact(ProjectManifest().to_json()).encode()
+
+
+class TestValidateReadsOnce:
+    """validate hashes each listed artifact and checks it from one read."""
+
+    @pytest.fixture
+    def project_copy(self, completed_project, tmp_path):
+        import shutil
+
+        return Path(shutil.copytree(completed_project[0], tmp_path / "copy"))
+
+    @pytest.mark.parametrize("missing", [None, "description.json", "designer.json"])
+    def test_each_listed_artifact_is_read_once(self, project_copy, monkeypatch, missing):
+        manifest = ProjectManifest.load(project_copy / "manifest.json")
+        listed = [a["path"] for record in manifest.stages for a in record["artifacts"]]
+        if missing:
+            (project_copy / missing).unlink()
+            listed.remove(missing)
+        opened = Counter()
+        path_open = Path.open
+
+        def counting_open(path, *args, **kwargs):
+            opened[path.name] += 1
+            return path_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        report = validate_project(project_copy)
+        assert opened == Counter(listed + ["manifest.json"])
+        assert [v.message for v in report.violations] == (
+            [f"{missing.removesuffix('.json')}: missing artifact {missing}"] if missing else [])
+
+    # Each artifact is decoded as read_text(encoding="utf-8") decodes it: a
+    # newline of either form reads as "\n" and a byte that is not UTF-8 fails.
+    @pytest.mark.parametrize("name, code, edit", [
+        ("analyst.json", "analyst-contract", lambda data: data.replace(b"\n", b"\r\n")),
+        ("analyst.json", "analyst-contract",
+         lambda data: data.replace(b"\n", b"\r\n") + b"\r\n}"),
+        ("timeline.json", "timeline-contract", lambda data: data.replace(b"\n", b"\r") + b"x"),
+        ("base.svg", "base_render-contract", lambda data: data.replace(b">", b">\r\n")),
+        ("table.json", "ingest-contract", lambda data: data.replace(b'"title"', b'"\xfftitle"')),
+        ("word_timings.json", "tts-contract", lambda data: data[:-2] + b"\xe2\x82"),
+    ], ids=["crlf", "crlf-extra-data", "cr-extra-data", "svg-crlf", "not-utf-8",
+            "cut-utf-8"])
+    def test_decoded_as_text(self, project_copy, name, code, edit):
+        path = project_copy / name
+        _rewrite_artifact(project_copy, name, edit(path.read_bytes()))
+        try:
+            text = path.read_text(encoding="utf-8")
+            if name.endswith(".json"):
+                json.loads(text)
+            expected = []
+        except ValueError as e:
+            expected = [(code, name, repr(e))]
+        report = validate_project(project_copy)
+        assert [(v.code, v.path, v.message) for v in report.violations] == expected
+
+
+def _rewrite_artifact(project: Path, name: str, payload: dict | str | bytes) -> None:
+    """Replace an artifact, given as a JSON payload, as text or as bytes, and
+    re-hash its manifest entry, as a tool would."""
     path = project / name
-    path.write_text(payload if isinstance(payload, str)
-                    else json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload if isinstance(payload, str)
+                        else json.dumps(payload, indent=2, sort_keys=True) + "\n")
     manifest = ProjectManifest.load(project / "manifest.json")
     for record in manifest.stages:
         for artifact in record["artifacts"]:
@@ -662,6 +792,33 @@ class TestCyclicCollector:
             gc.callbacks.pop()
         assert collections == []
 
+    def test_run_frees_its_objects_while_paused(self, tmp_path):
+        # Were the overlay-wide stage outputs still alive when the collector
+        # resumes, the next allocation would start a collection over all of them.
+        inputs = _perfbench_workloads().generate(
+            "overlay-wide", 1, tmp_path / "inputs", Path(__file__).resolve().parent.parent)
+        from datareel.pipeline import ProjectConfig
+
+        # An object freed onto one of the interpreter's free lists does not
+        # lower the allocation count that starts a collection, and a full
+        # collection empties those lists. So two compiles first fill them, as
+        # earlier compiles in a process would have, and only the young
+        # generations are collected before the compile that is watched.
+        for warm_up in ("first", "second"):
+            run_pipeline(ProjectConfig.from_file(inputs.config,
+                                                 output_dir=str(tmp_path / warm_up)))
+        config = ProjectConfig.from_file(inputs.config, output_dir=str(tmp_path / "project"))
+        collections = []
+        gc.callbacks.append(lambda phase, info: collections.append(info["generation"]))
+        try:
+            with _collector(True):
+                gc.collect(1)
+                collections.clear()
+                run_pipeline(config)
+        finally:
+            gc.callbacks.pop()
+        assert collections == []
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_setting_restored(self, mock_project_config, enabled):
         with _collector(enabled):
@@ -832,6 +989,44 @@ class TestCli:
         assert code == 2
         assert "invalid backend config" in output
         assert not (tmp_path / "proj").exists()
+
+    @pytest.mark.parametrize("export, duration", [("video", 1e308), ("html", 1e9)],
+                             ids=["overflowing", "huge"])
+    def test_tts_duration_far_past_the_last_word_exit_code_4(
+            self, tmp_path, stock_csv_path, capsys, monkeypatch, export, duration):
+        # At 1e308 s the mock synth's frame count overflowed; at 1e9 s the
+        # synth would build 3e10 frame times, and HTML export accepted it.
+        tts = tmp_path / "tts.py"
+        tts.write_text(
+            "import json, sys\n"
+            "request = json.load(sys.stdin)\n"
+            "open(request['audio_path'], 'wb').close()\n"
+            "words = request['text'].split()\n"
+            "timings = [[w, i * 0.3, (i + 1) * 0.3] for i, w in enumerate(words)]\n"
+            f"json.dump({{'audio_path': request['audio_path'], 'duration': {duration!r},\n"
+            "           'timings': timings}, sys.stdout)\n", encoding="utf-8")
+        # Live mode, to run tts_cmd; the scripted replies stand in for the endpoint.
+        replies = {entry["match"]: entry["reply"] for path in TRANSCRIPTS.values()
+                   for entry in json.loads(Path(path).read_text(encoding="utf-8"))}
+
+        def scripted(backend, body):
+            prompt = json.loads(body)["messages"][-1]["content"]
+            return next(reply for match, reply in replies.items() if match in prompt)
+
+        monkeypatch.setattr(HttpChatBackend, "_request", scripted)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "output_dir": str(tmp_path / "proj"), "input_csv": "placeholder",
+            "mock_mode": False, "no_cache": True, "export": export,
+            "backend": {"endpoint": "http://127.0.0.1:9/v1", "api_key_env": "UNUSED"},
+            "tts_cmd": [sys.executable, str(tts)],
+        }))
+        code, output = _cli(
+            capsys, "run", "--input", str(stock_csv_path), "--config", str(config_path))
+        assert code == 4, output
+        assert "past the last word's end" in output
+        assert ProjectManifest.load(tmp_path / "proj" / "manifest.json").stages[-1][
+            "name"] == "tts"
 
     @pytest.mark.parametrize("command", ["validate", "inspect"])
     @pytest.mark.parametrize("content", ["not json", "{}", "[]", '{"config": {}}'],
