@@ -523,7 +523,8 @@ class MockTts:
         return TtsResult(audio_path=str(out_path), timings=timings, duration=duration)
 
 
-# How far past the last word's end a TTS tool's reported duration may reach.
+# How far past the last word's end a TTS tool's reported duration may reach,
+# and how long each narration word may take on average.
 MAX_TRAILING_SILENCE_S = 10.0
 
 
@@ -533,8 +534,10 @@ class CommandTts:
     stdin: {"text": narration, "audio_path": requested output}
     stdout: {"audio_path": ..., "duration": seconds, "timings": [[word, start, end], ...]}
     When the tool returns no timings they are estimated by proportional
-    character weighting over the reported duration. With timings, the
-    duration may end at most MAX_TRAILING_SILENCE_S after the last word.
+    character weighting over the reported duration. The last word, reported
+    or estimated, may end at most MAX_TRAILING_SILENCE_S seconds per
+    narration word in, and the duration at most MAX_TRAILING_SILENCE_S after
+    it.
     """
 
     def __init__(self, command: list[str], timeout: float = 120.0):
@@ -576,6 +579,10 @@ class CommandTts:
                 WordTiming(word=word, start=float(s), end=float(e), char_span=Span(cs, ce))
                 for (word, cs, ce), (_, s, e) in zip(tokens, raw_timings)
             ) or tuple(_estimate_timings(tokens, duration))
+            if timings[-1].end > MAX_TRAILING_SILENCE_S * len(tokens):
+                raise TtsFailure(
+                    f"TTS words end at {timings[-1].end} s, more than "
+                    f"{MAX_TRAILING_SILENCE_S:g} s for each of {len(tokens)} words")
             if duration > timings[-1].end + MAX_TRAILING_SILENCE_S:
                 raise TtsFailure(
                     f"TTS reported a duration of {duration} s, more than "

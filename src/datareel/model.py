@@ -16,6 +16,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from .errors import ContractError
 
 Cell = str | int | float | None
+_CELL_TYPES = frozenset({str, int, float, type(None)})
 
 
 class UnknownInsightType(ContractError):
@@ -151,7 +152,13 @@ class DataTable:
     row_count: int
 
     def __post_init__(self):
+        if not isinstance(self.title, str):
+            raise TypeError(f"table title {self.title!r} is not a string")
+        if type(self.row_count) is not int:
+            raise TypeError(f"row count {self.row_count!r} is not an integer")
         names = [name for name, _ in self.columns]
+        if not all(isinstance(name, str) for name in names):
+            raise TypeError(f"column names {names!r} are not all strings")
         if len(set(names)) != len(names):
             raise ValueError("column names must be unique")
         if any(not name for name in names):
@@ -161,6 +168,9 @@ class DataTable:
                 raise ValueError(
                     f"column {name!r} has {len(values)} values, expected {self.row_count}"
                 )
+            if not set(map(type, values)) <= _CELL_TYPES:
+                raise TypeError(f"column {name!r} holds a cell that is not a string, "
+                                "number or null")
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -461,10 +471,7 @@ def stream_artifact(payload, file) -> None:
       written from its own text, without an encoder call;
     - an object of string keys and scalar values is one encoder call, with
       the layout's separators when it is laid out;
-    - the object rows of a list in which a list or object is a member of two
-      rows are filled into one template per key shape, and a member that is
-      the same object as one of an earlier row reuses its text; other rows
-      are one encoder call each.
+    - a row is one encoder call.
 
     Values that json cannot encode raise what json.dumps raises.
     """
@@ -568,60 +575,5 @@ class _Writer:
         write("[]" if head[0] == "[" else "\n" + indent + "]")
 
     def rows(self, rows, indent: str) -> None:
-        write, encode = self.write, self.encode
         inner = indent + "  "
-        if not _shares_members(rows):
-            write("[\n" + inner + f",\n{inner}".join(map(encode, rows)) + f"\n{indent}]")
-            return
-        templates: dict[tuple, tuple | None] = {}  # a row's keys -> _template(row)
-        # id(member) -> its text. The list holds every row, so no id is reused.
-        texts: dict[int, str] = {}
-        head = "[\n" + inner
-        for row in rows:
-            template = None
-            if isinstance(row, dict):
-                keys = tuple(row)
-                if keys not in templates:
-                    templates[keys] = _template(row)
-                template = templates[keys]
-            if template is None:
-                write(head + encode(row))
-            else:
-                keys, form = template
-                values = []
-                for key in keys:
-                    member = row[key]
-                    scalar = _SCALAR_TEXT.get(type(member))
-                    if scalar is not None:
-                        text = scalar(member)
-                    elif (text := texts.get(id(member))) is None:
-                        text = texts[id(member)] = encode(member)
-                    values.append(text)
-                write(head + form % tuple(values))
-            head = ",\n" + inner
-        write("\n" + indent + "]")
-
-
-def _members(row):
-    return row.values() if isinstance(row, dict) else row
-
-
-def _shares_members(rows) -> bool:
-    """Whether a list or object is a member of two of rows, or twice of one.
-    Only rows whose first row holds a list or object are searched, so rows of
-    scalars cost what they did before."""
-    if not any(isinstance(m, _CONTAINERS) for m in _members(rows[0])):
-        return False
-    ids = [id(m) for row in rows for m in _members(row) if isinstance(m, _CONTAINERS)]
-    return len(set(ids)) < len(ids)
-
-
-def _template(row: dict) -> tuple | None:
-    """The keys of row in order and the %-format of its text from its
-    members' texts; None, for a row encoded whole, when a key is not a
-    string (the encoder converts and sorts those)."""
-    if not all(isinstance(k, str) for k in row):
-        return None
-    keys = sorted(row)
-    form = ",".join(encode_basestring_ascii(k).replace("%", "%%") + ":%s" for k in keys)
-    return keys, "{" + form + "}"
+        self.write("[\n" + inner + f",\n{inner}".join(map(self.encode, rows)) + f"\n{indent}]")

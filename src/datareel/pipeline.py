@@ -138,9 +138,12 @@ class ProjectManifest:
             raise ManifestNotFound(f"manifest not found: {path}")
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-            return cls(config=raw["config"], created_at=raw["created_at"], stages=raw["stages"])
+            manifest = cls(config=raw["config"], created_at=raw["created_at"],
+                           stages=raw["stages"])
+            _check_stage_records(manifest.stages)
         except (KeyError, TypeError, ValueError) as e:
             raise PreconditionError(f"unreadable manifest {path}: {e!r}") from None
+        return manifest
 
     def verify(self, project_dir: str | Path) -> list[str]:
         """Check that every listed artifact exists and matches its hash."""
@@ -156,6 +159,27 @@ class ProjectManifest:
             for artifact in record.get("artifacts", []):
                 yield artifact["path"], partial(
                     _read_listed, project_dir / artifact["path"], record, artifact)
+
+
+def _check_stage_records(stages) -> None:
+    """Raise ValueError unless stages holds what verify, listed_artifacts and
+    inspect_stage read: records with a string name and status, a string or
+    null error if any, and a list of artifacts if any, each with a string
+    path and sha256 and an integer size in bytes."""
+    if type(stages) is not list:
+        raise ValueError("stages is not a list")
+    for position, record in enumerate(stages):
+        if not (type(record) is dict and _fields_of(record, name=str, status=str)
+                and type(record.get("error")) in (str, type(None))
+                and type(artifacts := record.get("artifacts", [])) is list
+                and all(type(artifact) is dict
+                        and _fields_of(artifact, path=str, sha256=str, bytes=int)
+                        for artifact in artifacts)):
+            raise ValueError(f"malformed stage record at position {position}")
+
+
+def _fields_of(value: dict, **types) -> bool:
+    return all(type(value.get(key)) is kind for key, kind in types.items())
 
 
 def _read_listed(path: Path, record: dict, artifact: dict) -> tuple[list | None, str | None]:

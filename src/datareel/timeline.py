@@ -12,6 +12,7 @@ import re
 from bisect import bisect_left, bisect_right
 from itertools import repeat
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from .errors import ContractError, PreconditionError
@@ -20,6 +21,7 @@ from .model import (
     ValidationReport,
     Violation,
     classify_animation,
+    row_text,
 )
 
 PROPERTIES = ("opacity", "scale", "translate_x", "translate_y", "clip_fraction", "wheel_fraction")
@@ -133,49 +135,58 @@ class Timeline:
     initial_visibility: dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        """The timeline.json payload. Elements holding one track object share
-        one list of keyframe rows, which the artifact writer encodes once and
-        reuses for every element's row; initial_visibility, an object of
-        strings, is one encoder call."""
-        rows: dict[int, list[dict]] = {}
-        tracks = []
-        for eid in sorted(self.tracks):
-            track = self.tracks[eid]
-            if id(track) not in rows:
-                rows[id(track)] = [{"time": k.time, "property": k.property,
-                                    "value": k.value, "easing": k.easing} for k in track]
-            tracks.append({"element_id": eid, "keyframes": rows[id(track)]})
+        """The timeline.json payload. Its tracks are an iterator of row texts
+        (see model.stream_artifact), one {"element_id", "keyframes"} row per
+        element in id order; the keyframes text of each distinct track object
+        is encoded once, for every element that holds it."""
         return {
             "duration": self.duration,
             "initial_visibility": dict(sorted(self.initial_visibility.items())),
-            "tracks": tracks,
+            "tracks": self._track_rows(),
         }
+
+    def _track_rows(self):
+        texts: dict[int, str] = {}  # id(track) -> its keyframes text
+        for eid in sorted(self.tracks):
+            track = self.tracks[eid]
+            if (text := texts.get(id(track))) is None:
+                text = texts[id(track)] = row_text([
+                    {"time": k.time, "property": k.property, "value": k.value,
+                     "easing": k.easing} for k in track])
+            yield '{"element_id":' + encode_basestring_ascii(eid) + ',"keyframes":' + text + "}"
 
     @classmethod
     def from_json(cls, value: dict) -> "Timeline":
-        """The inverse of to_json. Equal tracks become one tuple, so a reloaded
-        timeline shares tracks as a compiled one.
+        """The inverse of to_json, read from the parsed text. Equal tracks
+        become one tuple, so a reloaded timeline shares tracks as a compiled
+        one.
 
         Tracks are matched on their rows' marshal bytes, which keep each
         value's type and exact bits: 1 and 1.0, or -0.0 and 0.0, never merge,
-        so every value stays as written. Raises KeyError, TypeError or
+        so every value stays as written. The bytes also mark objects a row
+        shares, which json.loads builds alike for equal rows; other sharing
+        can only keep equal tracks apart. Raises KeyError, TypeError or
         ValueError on a malformed payload.
         """
         shared: dict[bytes, tuple[Keyframe, ...]] = {}
         tracks = {}
         for t in value["tracks"]:
-            key = marshal.dumps(t["keyframes"], 2)
+            eid, rows = t["element_id"], t["keyframes"]
+            if not isinstance(eid, str):
+                raise TypeError(f"element id {eid!r} is not a string")
+            key = marshal.dumps(rows)
             if key not in shared:
                 shared[key] = tuple(Keyframe(row["time"], row["property"], row["value"],
-                                             row["easing"]) for row in t["keyframes"])
-            tracks[t["element_id"]] = shared[key]
+                                             row["easing"]) for row in rows)
+            tracks[eid] = shared[key]
         if not isinstance(value["duration"], (int, float)):
             raise TypeError(f"duration {value['duration']!r} is not a number")
-        return cls(
-            duration=value["duration"],
-            tracks=tracks,
-            initial_visibility=dict(value["initial_visibility"]),
-        )
+        initial = dict(value["initial_visibility"])
+        for eid, visibility in initial.items():
+            if visibility != "visible" and visibility != "hidden":
+                raise ValueError(f"initial visibility {visibility!r} of {eid!r} "
+                                 "is neither 'visible' nor 'hidden'")
+        return cls(duration=value["duration"], tracks=tracks, initial_visibility=initial)
 
 
 def locate_span(narration: str, segment: str, cursor: int = 0) -> Span:

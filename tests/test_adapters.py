@@ -514,6 +514,24 @@ class TestCommandTtsReply:
             with pytest.raises(TtsFailure, match="past the last word's end at 1.0 s"):
                 synthesize_speech("alpha beta", tts, tmp_path / "a.wav")
 
+    @pytest.mark.parametrize("last_end, accepted", [
+        (2 * MAX_TRAILING_SILENCE_S, True), (2 * MAX_TRAILING_SILENCE_S + 0.5, False),
+        (1e9, False)])
+    def test_words_end_within_the_limit_per_word(self, tmp_path, last_end, accepted):
+        tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": %r, "timings": '
+                                  '[["alpha", 0.0, 0.5], ["beta", 0.5, %r]]}' % (last_end, last_end))
+        if accepted:
+            assert tts.synthesize("alpha beta", tmp_path / "a.wav").timings[-1].end == last_end
+        else:
+            with pytest.raises(TtsFailure, match="more than 10 s for each of 2 words"):
+                tts.synthesize("alpha beta", tmp_path / "a.wav")
+
+    def test_estimated_words_end_within_the_limit_per_word(self, tmp_path):
+        # Without timings the words are spread over the whole duration.
+        tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": 1e307}')
+        with pytest.raises(TtsFailure, match="words end at 1e[+]307 s, more than 10 s"):
+            tts.synthesize("alpha beta", tmp_path / "a.wav")
+
     def test_no_audio_file_is_tts_failure(self, tmp_path):
         tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": 1.0}', write_audio=False)
         with pytest.raises(TtsFailure, match="no audio file"):

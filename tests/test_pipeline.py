@@ -452,10 +452,27 @@ class TestValidateRerunsRunChecks:
          "!= audio duration"),
         ("timeline.json", "timeline-contract", "[" * 100_000 + "]" * 100_000,
          "RecursionError("),
+        # values of the wrong type
+        ("table.json", "ingest-contract", lambda p: p["columns"][0].update(name=5),
+         "column names [5, "),
+        ("table.json", "ingest-contract", lambda p: p.update(row_count=float(p["row_count"])),
+         "row count 20.0 is not an integer"),
+        ("table.json", "ingest-contract", lambda p: p.update(title=[1]),
+         "table title [1] is not a string"),
+        ("table.json", "ingest-contract", lambda p: p["columns"][1]["values"].__setitem__(3, [1]),
+         "holds a cell that is not a string, number or null"),
+        ("table.json", "ingest-contract",
+         lambda p: p["columns"][1]["values"].__setitem__(3, {"a": 1}),
+         "holds a cell that is not a string, number or null"),
+        ("timeline.json", "timeline-contract", lambda p: p["tracks"][0].update(element_id=5),
+         "element id 5 is not a string"),
+        ("timeline.json", "timeline-contract", lambda p: p["initial_visibility"].update(nosuch=5),
+         "initial visibility 5 of 'nosuch' is neither"),
     ], ids=["unknown-property", "no-easing", "text-time", "text-duration",
             "word-without-end", "empty-table", "designer-list", "timings-list",
             "table-not-json", "analyst-not-json", "timeline-not-json", "base-not-svg",
-            "huge-duration", "deeply-nested"])
+            "huge-duration", "deeply-nested", "column-name-int", "row-count-float",
+            "title-list", "cell-list", "cell-object", "element-id-int", "visibility-int"])
     def test_malformed_timeline_or_timings_is_a_violation(self, project_copy, name, code,
                                                           edit, message):
         if callable(edit):
@@ -1029,13 +1046,25 @@ class TestCli:
             "name"] == "tts"
 
     @pytest.mark.parametrize("command", ["validate", "inspect"])
-    @pytest.mark.parametrize("content", ["not json", "{}", "[]", '{"config": {}}'],
-                             ids=["not-json", "empty-object", "list", "no-stages"])
+    @pytest.mark.parametrize("content", [
+        "not json", "{}", "[]", '{"config": {}}',
+        # an edit of the stage records
+        lambda stages: stages[0]["artifacts"][0].pop("sha256"),
+        lambda stages: stages.__setitem__(0, 5),
+        lambda stages: stages[-1].update(artifacts={}),
+        lambda stages: stages[-1]["artifacts"][0].update(bytes="12"),
+        lambda stages: stages[3].pop("status"),
+    ], ids=["not-json", "empty-object", "list", "no-stages", "artifact-without-sha256",
+            "record-int", "artifacts-object", "bytes-text", "no-status"])
     def test_unreadable_manifest_exit_code_2(self, completed_project, tmp_path, capsys,
                                              command, content):
         import shutil
 
         project = Path(shutil.copytree(completed_project[0], tmp_path / "copy"))
+        if callable(content):
+            manifest = json.loads((project / "manifest.json").read_text())
+            content(manifest["stages"])
+            content = json.dumps(manifest)
         (project / "manifest.json").write_text(content)
         args = ["--stage", "ingest"] if command == "inspect" else []
         code, output = _cli(capsys, command, "--project", str(project), *args)

@@ -366,7 +366,7 @@ class TestEvaluation:
     def test_round_trip_serialization(self):
         placed = [PlacedDirective("Fade-in", frozenset({"m0"}), (1.0, 2.0))]
         timeline, _ = compile_timeline(placed, [], _index(), 6.0)
-        again = Timeline.from_json(timeline.to_json())
+        again = Timeline.from_json(json.loads(dump_artifact(timeline.to_json())))
         assert again.duration == timeline.duration
         assert again.tracks == timeline.tracks
         assert again.initial_visibility == timeline.initial_visibility
@@ -686,10 +686,16 @@ class TestSharedTracks:
         assert [(k.time, k.value) for k in tracks["m1"]] == [
             (2.0, 1.0), (2.3, 0.2), (3.7, 0.2), (4.0, 1.0)]
 
-    def test_to_json_rows_share_one_keyframe_list(self):
-        rows = {t["element_id"]: t["keyframes"] for t in _dimming_timeline().to_json()["tracks"]}
-        assert rows["m1"] is rows["m2"] is rows["m3"]
-        assert rows["m0"] is not rows["m1"]
+    def test_to_json_encodes_each_distinct_track_once(self, monkeypatch):
+        encoded = []
+        row_text = timeline_module.row_text
+        monkeypatch.setattr(timeline_module, "row_text",
+                            lambda rows: encoded.append(rows) or row_text(rows))
+        timeline = _dimming_timeline()
+        rows = [json.loads(row) for row in timeline.to_json()["tracks"]]
+        assert [row["element_id"] for row in rows] == ["m0", "m1", "m2", "m3"]
+        assert len(encoded) == 2  # m0's track and the dimming
+        assert rows[1]["keyframes"] == rows[2]["keyframes"] == rows[3]["keyframes"]
 
     def test_from_json_interns_equal_tracks(self):
         def row(time, value):
@@ -759,3 +765,59 @@ class TestSharedTracks:
             "a: keyframe time 9.0 outside [0,5.0]",
             "a/opacity: keyframes not strictly time-sorted",
         ]
+
+
+@st.composite
+def shared_timelines(draw):
+    """Timelines over HOSTILE_IDS whose elements hold a few drawn tracks: as
+    one shared tuple, as equal tuples apart, as a twin whose numbers compare
+    equal but may differ in type or sign, or as a track of their own. Times
+    and values mix ints, floats and signed zeros."""
+    def track():
+        return tuple(Keyframe(draw(exact_times), draw(st.sampled_from(PROPERTIES)),
+                              draw(exact_values), draw(st.sampled_from(EASINGS)))
+                     for _ in range(draw(st.integers(0, 3))))
+
+    def twin(held):
+        """held with each number drawn again among the numbers equal to it."""
+        def equal(x):
+            return draw(st.sampled_from([y for y in (0, 0.0, -0.0, 1, 1.0) if y == x] or [x]))
+        return tuple(Keyframe(equal(k.time), k.property, equal(k.value), k.easing) for k in held)
+
+    pool = [track() for _ in range(draw(st.integers(1, 3)))]
+    tracks = {}
+    for eid in draw(st.lists(st.sampled_from(HOSTILE_IDS), unique=True, max_size=8)):
+        held = draw(st.sampled_from(pool))
+        tracks[eid] = draw(st.sampled_from([held, tuple(list(held)), twin(held), track()]))
+    initial = draw(st.dictionaries(st.sampled_from(HOSTILE_IDS),
+                                   st.sampled_from(["visible", "hidden"]), max_size=4))
+    return Timeline(duration=DURATION, tracks=tracks, initial_visibility=initial)
+
+
+def _exact(track):
+    """A track's keyframes with each number's type and text, so 1 and 1.0, or
+    0.0 and -0.0, differ."""
+    return tuple((type(k.time), repr(k.time), k.property, type(k.value), repr(k.value), k.easing)
+                 for k in track)
+
+
+class TestTimelineText:
+    @given(shared_timelines())
+    def test_text_reloads_merging_exactly_the_equal_tracks(self, timeline):
+        text = dump_artifact(timeline.to_json())
+        assert text == reference_dump_artifact({
+            "duration": timeline.duration,
+            "initial_visibility": dict(sorted(timeline.initial_visibility.items())),
+            "tracks": [{"element_id": eid, "keyframes": [
+                {"time": k.time, "property": k.property, "value": k.value, "easing": k.easing}
+                for k in timeline.tracks[eid]]} for eid in sorted(timeline.tracks)],
+        })
+        again = Timeline.from_json(json.loads(text))
+        assert again.tracks.keys() == timeline.tracks.keys()
+        for a in timeline.tracks:
+            assert _exact(again.tracks[a]) == _exact(timeline.tracks[a])
+            for b in timeline.tracks:
+                assert (again.tracks[a] is again.tracks[b]) == (
+                    _exact(timeline.tracks[a]) == _exact(timeline.tracks[b]))
+        assert dump_artifact(again.to_json()) == text
+
