@@ -421,9 +421,10 @@ class MockRenderer:
 class CommandRenderer:
     """Runs an external renderer command: spec JSON on stdin, SVG on stdout."""
 
-    def __init__(self, command: list[str], timeout: float = 60.0):
+    timeout = 60.0
+
+    def __init__(self, command: list[str]):
         self.command = list(command)
-        self.timeout = timeout
 
     def render(self, spec: dict) -> str:
         # subprocess is imported by the three command adapters only: no mock
@@ -488,27 +489,28 @@ def _tokenize(narration: str) -> list[tuple[str, int, int]]:
     return [(m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", narration)]
 
 
-def _write_silent_wav(path: str | Path, duration: float, sample_rate: int = 8000) -> None:
-    frames = int(round(duration * sample_rate))
+MOCK_SECONDS_PER_WORD = 0.3
+MOCK_SAMPLE_RATE = 8000
+
+
+def _write_silent_wav(path: str | Path, duration: float) -> None:
+    frames = int(round(duration * MOCK_SAMPLE_RATE))
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
-        w.setframerate(sample_rate)
+        w.setframerate(MOCK_SAMPLE_RATE)
         w.writeframes(b"\x00\x00" * frames)
 
 
 class MockTts:
-    """Fixed-rate speech: 0.3 s per whitespace token, contiguous, silent audio."""
-
-    def __init__(self, seconds_per_word: float = 0.3, sample_rate: int = 8000):
-        self.seconds_per_word = seconds_per_word
-        self.sample_rate = sample_rate
+    """Fixed-rate speech: MOCK_SECONDS_PER_WORD per whitespace token,
+    contiguous, with silent MOCK_SAMPLE_RATE audio."""
 
     def synthesize(self, narration: str, out_path: str | Path) -> TtsResult:
         tokens = _tokenize(narration)
         if not tokens:
             raise EmptyNarration("narration has no words")
-        spw = self.seconds_per_word
+        spw = MOCK_SECONDS_PER_WORD
         timings = tuple(
             WordTiming(
                 word=word,
@@ -519,7 +521,7 @@ class MockTts:
             for i, (word, start, end) in enumerate(tokens)
         )
         duration = round(len(tokens) * spw, 9)
-        _write_silent_wav(out_path, duration, self.sample_rate)
+        _write_silent_wav(out_path, duration)
         return TtsResult(audio_path=str(out_path), timings=timings, duration=duration)
 
 
@@ -540,9 +542,10 @@ class CommandTts:
     it.
     """
 
-    def __init__(self, command: list[str], timeout: float = 120.0):
+    timeout = 120.0
+
+    def __init__(self, command: list[str]):
         self.command = list(command)
-        self.timeout = timeout
 
     def synthesize(self, narration: str, out_path: str | Path) -> TtsResult:
         import subprocess  # see CommandRenderer.render
@@ -701,9 +704,10 @@ def _frames(times, evaluator: KeyframeEvaluator):
 class CommandSynth:
     """Runs an external synthesizer: timeline.json, SVG, and audio paths as arguments."""
 
-    def __init__(self, command: list[str], timeout: float = 600.0):
+    timeout = 600.0
+
+    def __init__(self, command: list[str]):
         self.command = list(command)
-        self.timeout = timeout
 
     def synthesize(self, timeline: Timeline, svg_path: str | Path,
                    audio_path: str | Path, out_path: str | Path) -> str:
@@ -774,28 +778,23 @@ def export_html(timeline: Timeline, svg_text: str, audio_ref: str) -> str:
     animations stay paused until the play button starts them with the audio.
     svg_text must carry the element ids the timeline refers to.
 
-    The style is one pass over KeyframeEvaluator.groups. Each distinct
-    property track is one @keyframes kf_<n>, numbered in order of first use,
-    and each group one rule whose selector lists [id="..."] for each of its
-    ids (see _css_id). A group that starts hidden and has no track gets
-    opacity 0.
+    The style is one pass over KeyframeEvaluator.groups. Each property track
+    of a group is one @keyframes kf_<n>, numbered in order, and each group one
+    rule whose selector lists [id="..."] for each of its ids (see _css_id). A
+    group that starts hidden and has no track gets opacity 0.
     """
     keyframe_blocks = []
     group_rules = []
     uses_wheel = False
-    # id of a property track -> its animation: "kf_<n> <timing>"
-    animation_of: dict[int, str] = {}
     for element, members in KeyframeEvaluator(timeline).groups:
         selector = ", ".join(f'[id="{_css_id(eid)}"]' for eid in members)
         animations = []
         extra_style = ""
         for prop, seq in element.by_property.items():
-            if id(seq) not in animation_of:
-                body, timing = _css_track(prop, seq)
-                name = f"kf_{len(animation_of)}"
-                keyframe_blocks.append(f"@keyframes {name} {{\n{body}\n}}")
-                animation_of[id(seq)] = f"{name} {timing}"
-            animations.append(animation_of[id(seq)])
+            body, timing = _css_track(prop, seq)
+            name = f"kf_{len(keyframe_blocks)}"
+            keyframe_blocks.append(f"@keyframes {name} {{\n{body}\n}}")
+            animations.append(f"{name} {timing}")
             if prop == "wheel_fraction":
                 uses_wheel = True
                 extra_style += (

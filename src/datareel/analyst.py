@@ -13,7 +13,6 @@ from .model import (
     DataDescription,
     DataTable,
     Insight,
-    PromptText,
     RepairReport,
     ValidationReport,
     VisualizationSpec,
@@ -34,7 +33,7 @@ INSIGHT_COUNT_BAND = (1, 10)
 
 
 def build_analyst_prompt(description: DataDescription, table: DataTable,
-                         max_rows: int | None = DEFAULT_PROMPT_ROWS) -> PromptText:
+                         max_rows: int | None = DEFAULT_PROMPT_ROWS) -> str:
     """Fill the analyst template with the table description and rendered table."""
     return fill_template("analyst", description=description.text,
                          table=render_table_text(table, max_rows))

@@ -17,7 +17,6 @@ from .model import (
     DataTable,
     DesignerOutput,
     IndexOutOfRange,
-    PromptText,
     RepairReport,
     ValidationReport,
     Violation,
@@ -40,7 +39,7 @@ ANNOTATION_ITEM_KEYS = ("type", "description", "index", "nar")
 
 
 def build_designer_prompt(vis: VisualizationSpec, narration: str, table: DataTable,
-                          max_rows: int | None = DEFAULT_PROMPT_ROWS) -> PromptText:
+                          max_rows: int | None = DEFAULT_PROMPT_ROWS) -> str:
     """Fill the designer template with the spec, narration, and rendered table."""
     if not narration.strip():
         raise ValueError("narration must be non-empty")

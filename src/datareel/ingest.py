@@ -12,7 +12,7 @@ import re
 from importlib import resources
 
 from .errors import PreconditionError
-from .model import Cell, DataDescription, DataTable, PromptText, RepairReport, ValidationReport
+from .model import Cell, DataDescription, DataTable, RepairReport, ValidationReport
 from .runtime import ChatSession, SchemaError, extract_json, repair_loop
 
 
@@ -86,20 +86,10 @@ def parse_csv(raw: str, title: str) -> DataTable:
 
 
 def format_cell(cell: Cell) -> str:
-    """Render a cell for prompts and CSV output (shortest round-trip form)."""
+    """Render a cell for prompts (shortest round-trip form)."""
     if cell is None:
         return ""
     return str(cell)
-
-
-def serialize_csv(table: DataTable) -> str:
-    """Write a table back out as RFC-4180 CSV; inverse of parse_csv on typed tables."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.column_names)
-    for row in table.rows():
-        writer.writerow([format_cell(row[name]) for name in table.column_names])
-    return buf.getvalue()
 
 
 def render_table_text(table: DataTable, max_rows: int | None = None) -> str:
@@ -130,7 +120,7 @@ def load_template(template_id: str) -> str:
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 
 
-def fill_template(template_id: str, **values: str) -> PromptText:
+def fill_template(template_id: str, **values: str) -> str:
     """Fill every {{name}} placeholder of a stored template in one pass.
 
     Placeholders are read from the template, never from the filled text, so a
@@ -141,11 +131,10 @@ def fill_template(template_id: str, **values: str) -> PromptText:
     missing = sorted(set(_PLACEHOLDER.findall(template)) - set(values))
     if missing:
         raise ValueError(f"template {template_id!r} has unfilled placeholders: {missing}")
-    text = _PLACEHOLDER.sub(lambda m: values[m.group(1)], template)
-    return PromptText(text=text, template_id=template_id)
+    return _PLACEHOLDER.sub(lambda m: values[m.group(1)], template)
 
 
-def build_description_prompt(table: DataTable, max_rows: int | None = DEFAULT_PROMPT_ROWS) -> PromptText:
+def build_description_prompt(table: DataTable, max_rows: int | None = DEFAULT_PROMPT_ROWS) -> str:
     """Fill the table-description template with the rendered table and title."""
     if not table.title.strip():
         raise PreconditionError("table must carry a title")

@@ -176,19 +176,10 @@ class DataTable:
     def column_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.columns)
 
-    def column(self, name: str) -> tuple[Cell, ...]:
-        for cname, values in self.columns:
-            if cname == name:
-                return values
-        raise KeyError(name)
-
     def row(self, index: int) -> dict[str, Cell]:
         if not 0 <= index < self.row_count:
             raise IndexOutOfRange(index, self.row_count)
         return {name: values[index] for name, values in self.columns}
-
-    def rows(self) -> list[dict[str, Cell]]:
-        return [self.row(i) for i in range(self.row_count)]
 
 
 @dataclass(frozen=True)
@@ -370,21 +361,6 @@ class DesignerOutput:
     annotated_visualization: dict
     animation_directives: tuple[AnimationDirective, ...]
     annotation_directives: tuple[AnnotationDirective, ...]
-
-
-TEMPLATE_IDS = ("description", "analyst", "designer")
-
-
-@dataclass(frozen=True)
-class PromptText:
-    """A prompt filled from a stored template (see ingest.fill_template), ready to send."""
-
-    text: str
-    template_id: str
-
-    def __post_init__(self):
-        if self.template_id not in TEMPLATE_IDS:
-            raise ValueError(f"unknown template id: {self.template_id!r}")
 
 
 @dataclass(frozen=True)

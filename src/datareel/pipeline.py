@@ -18,6 +18,7 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
+from typing import get_args
 
 from . import adapters, analyst, binding, designer, ingest, timeline as tl
 from .errors import PipelineError, PreconditionError, StageError
@@ -46,7 +47,10 @@ class ManifestNotFound(PreconditionError):
 
 @dataclass
 class ProjectConfig:
-    """Everything one pipeline run needs: inputs, backends, tools, and knobs."""
+    """Everything one pipeline run needs: inputs, backends, tools, and knobs.
+
+    The fields are the config file's keys, annotated with the types README's
+    schema gives them; validate checks each value against its annotation."""
 
     input_csv: str
     output_dir: str
@@ -66,15 +70,23 @@ class ProjectConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "ProjectConfig":
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
+        try:
+            with open(path, encoding="utf-8") as f:
+                raw = json.load(f)
+        except (OSError, ValueError) as e:
+            raise PreconditionError(f"unreadable config file {path}: {e}") from None
+        if not isinstance(raw, dict):
+            raise PreconditionError(f"config file {path} does not hold a JSON object")
         backend = raw.pop("backend", None)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
             raise PreconditionError(f"unknown config keys: {', '.join(unknown)}")
         raw.update({k: v for k, v in overrides.items() if v is not None})
-        config = cls(**raw)
+        try:
+            config = cls(**raw)
+        except TypeError as e:  # a required key is missing
+            raise PreconditionError(f"invalid config: {e}") from None
         if backend is not None:
             try:
                 config.backend = BackendConfig(**backend)
@@ -83,6 +95,14 @@ class ProjectConfig:
         return config
 
     def validate(self) -> None:
+        """Raise PreconditionError unless the config can run. Each value has a
+        type its annotation allows (a bool is not an int), and a list or
+        object value holds strings."""
+        for f in fields(self):
+            value, allowed = getattr(self, f.name), get_args(f.type) or (f.type,)
+            items = value.values() if type(value) is dict else value if type(value) is list else ()
+            if type(value) not in allowed or not all(type(item) is str for item in items):
+                raise PreconditionError(f"config key {f.name!r} has the wrong type: {value!r}")
         if not Path(self.input_csv).is_file():
             raise PreconditionError(f"input file not found: {self.input_csv}")
         if self.export not in ("video", "html", "both"):
@@ -145,11 +165,6 @@ class ProjectManifest:
             raise PreconditionError(f"unreadable manifest {path}: {e!r}") from None
         return manifest
 
-    def verify(self, project_dir: str | Path) -> list[str]:
-        """Check that every listed artifact exists and matches its hash."""
-        problems = (read()[1] for _, read in self.listed_artifacts(project_dir))
-        return [problem for problem in problems if problem]
-
     def listed_artifacts(self, project_dir: str | Path):
         """Each listed artifact in manifest order: its path, and a function
         that reads the file once and returns its bytes in a one-item list
@@ -162,7 +177,7 @@ class ProjectManifest:
 
 
 def _check_stage_records(stages) -> None:
-    """Raise ValueError unless stages holds what verify, listed_artifacts and
+    """Raise ValueError unless stages holds what listed_artifacts and
     inspect_stage read: records with a string name and status, a string or
     null error if any, and a list of artifacts if any, each with a string
     path and sha256 and an integer size in bytes."""
@@ -363,8 +378,12 @@ def _stage_ingest(run: _Run, record: dict) -> DataTable:
 
 
 def _check_ingest(payload, outputs):
-    columns = tuple((col["name"], tuple(col["values"])) for col in payload["columns"])
-    return DataTable(payload["title"], columns, payload["row_count"]), ValidationReport()
+    columns = []
+    for col in payload["columns"]:
+        if not isinstance(col["values"], list):
+            raise TypeError(f"values of column {col['name']!r} are not a list")
+        columns.append((col["name"], tuple(col["values"])))
+    return DataTable(payload["title"], tuple(columns), payload["row_count"]), ValidationReport()
 
 
 def _summarize_ingest(table: dict) -> list[str]:

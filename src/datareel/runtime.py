@@ -17,7 +17,7 @@ from itertools import accumulate, chain
 from pathlib import Path
 
 from .errors import AdapterError, ContractError, PreconditionError
-from .model import PromptText, RepairReport, ValidationReport
+from .model import RepairReport, ValidationReport
 
 
 class SchemaError(ContractError):
@@ -359,7 +359,7 @@ def _repair_message(violations: list[str]) -> str:
     )
 
 
-def repair_loop(session: ChatSession, prompt: PromptText | str, parse, validate,
+def repair_loop(session: ChatSession, prompt: str, parse, validate,
                 max_attempts: int = 3) -> tuple[object, ValidationReport, RepairReport]:
     """Run a validate-and-retry loop around one prompt.
 
@@ -374,7 +374,7 @@ def repair_loop(session: ChatSession, prompt: PromptText | str, parse, validate,
     if max_attempts < 1:
         raise PreconditionError("max_attempts must be at least 1")
     repair = RepairReport()
-    message = prompt.text if isinstance(prompt, PromptText) else prompt
+    message = prompt
     for attempt in range(1, max_attempts + 1):
         raw = complete(session, message)
         repair.attempts = attempt

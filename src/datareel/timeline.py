@@ -181,7 +181,9 @@ class Timeline:
             tracks[eid] = shared[key]
         if not isinstance(value["duration"], (int, float)):
             raise TypeError(f"duration {value['duration']!r} is not a number")
-        initial = dict(value["initial_visibility"])
+        initial = value["initial_visibility"]
+        if not isinstance(initial, dict):
+            raise TypeError(f"initial visibility is a {type(initial).__name__}, not an object")
         for eid, visibility in initial.items():
             if visibility != "visible" and visibility != "hidden":
                 raise ValueError(f"initial visibility {visibility!r} of {eid!r} "
@@ -337,13 +339,12 @@ class PlacedAnnotation:
 
 
 def compile_timeline(placed_directives, placed_annotations, mark_index, duration: float,
-                     fade_in_duration: float = ANNOTATION_FADE_IN,
                      ) -> tuple[Timeline, ValidationReport]:
     """Compile directives and annotation fades into a validated Timeline.
 
     Directives are processed in narration order. Elements with an entrance
     start hidden; everything else starts visible. Annotation elements start
-    hidden and fade in over [segment_start, segment_start + fade_in_duration]
+    hidden and fade in over [segment_start, segment_start + ANNOTATION_FADE_IN]
     clamped to the segment. Overlapping keyframe groups on the same element
     and property resolve last-writer-wins with an advisory.
 
@@ -415,7 +416,7 @@ def compile_timeline(placed_directives, placed_annotations, mark_index, duration
                 initial[eid] = "hidden"
         else:
             start, end = placed.interval
-            fade_end = start + min(fade_in_duration, end - start)
+            fade_end = start + min(ANNOTATION_FADE_IN, end - start)
             ramp = _ramp(placed.element_ids, "opacity", [(start, 0.0), (fade_end, 1.0)])
             add_group([ramp], placed.label or "annotation fade-in")
 
@@ -484,20 +485,6 @@ def _segment(left: Keyframe, right: Keyframe, times) -> list[float]:
     return [v0 + delta * _ease(easing, (t - t0) / span) for t in times]
 
 
-def _sample(track: tuple[Keyframe, ...], i: int, prop: str, t: float) -> float:
-    """Value of one time-sorted property track at t, where i keyframes are at or before t.
-
-    Before the first keyframe the property rests; from the last one on it holds;
-    in between it eases from the latest keyframe at or before t to the next one,
-    with the next one's easing.
-    """
-    if i == 0:
-        return REST_VALUES[prop]
-    if i == len(track):
-        return track[-1].value
-    return _segment(track[i - 1], track[i], (t,))[0]
-
-
 # Properties that hide an element while any of them is at or below zero.
 VISIBILITY_PROPERTIES = ("opacity", "scale", "clip_fraction", "wheel_fraction")
 
@@ -519,15 +506,6 @@ class ElementTracks:
         self.times = {prop: tuple(k.time for k in kfs) for prop, kfs in self.by_property.items()}
         self.first = min(k.time for k in keyframes) if keyframes else None
         self.initially_visible = initially_visible
-
-    def value(self, prop: str, t: float) -> float:
-        times = self.times.get(prop, ())
-        return _sample(self.by_property.get(prop, ()), bisect_right(times, t), prop, t)
-
-    def visible(self, t: float) -> bool:
-        if self.first is None or t < self.first:
-            return self.initially_visible
-        return not any(self.value(prop, t) <= 0.0 for prop in VISIBILITY_PROPERTIES)
 
     def changes(self, times):
         """Yield (frame, (shown, opacity)) at frame 0 of sorted times and at
@@ -598,11 +576,6 @@ def _ramp_states(ramps, alpha: float, times) -> list[tuple[bool, float]]:
     return [_HIDDEN if h or a <= 0.0 else (True, a) for h, a in zip(hidden, alphas)]
 
 
-def _element_tracks(timeline: Timeline, element_id: str) -> ElementTracks:
-    initially = timeline.initial_visibility.get(element_id, "visible") == "visible"
-    return ElementTracks(timeline.tracks.get(element_id, ()), initially)
-
-
 class KeyframeEvaluator:
     """A Timeline compiled once for sampling at many times.
 
@@ -630,7 +603,10 @@ class KeyframeEvaluator:
         while hidden.
 
         times must not decrease (ValueError otherwise). Applied in order, the
-        changes give visible_at and value_at(..., "opacity", ...) at each time.
+        changes give each element's state at each time: before its first
+        keyframe its initial visibility; from then on hidden while any of
+        VISIBILITY_PROPERTIES is at or below zero, else shown at
+        value_at(..., "opacity", ...).
 
         The work follows change points, not frames x elements: each group's
         changes come from ElementTracks.changes, once for all its ids, and
@@ -660,13 +636,13 @@ class KeyframeEvaluator:
 
 
 def value_at(timeline: Timeline, element_id: str, prop: str, t: float) -> float:
-    """Evaluate one property track at time t (rest value outside the track)."""
-    return _element_tracks(timeline, element_id).value(prop, t)
-
-
-def visible_at(timeline: Timeline, element_id: str, t: float) -> bool:
-    """Whether an element is visible at time t under the compiled timeline."""
-    return _element_tracks(timeline, element_id).visible(t)
+    """One property's value at time t: at rest before its first keyframe, held
+    from its last, and eased in between (see _segment)."""
+    kfs = [k for k in timeline.tracks.get(element_id, ()) if k.property == prop]
+    i = bisect_right([k.time for k in kfs], t)
+    if i == 0:
+        return REST_VALUES[prop]
+    return kfs[-1].value if i == len(kfs) else _segment(kfs[i - 1], kfs[i], (t,))[0]
 
 
 def timeline_invariant_violations(timeline: Timeline) -> list[str]:

@@ -36,11 +36,16 @@ from datareel.timeline import (
     compile_timeline,
     locate_span,
     timeline_invariant_violations,
-    value_at,
-    visible_at,
 )
 from conftest import GOLDEN_DIR, STOCK_COMPANIES, TRANSCRIPTS
-from helpers import brute_force_occurrences, inject_elements, random_svg, random_text
+from helpers import (
+    brute_force_occurrences,
+    inject_elements,
+    random_svg,
+    random_text,
+    reference_value_at,
+    reference_visible_at,
+)
 
 
 @contextmanager
@@ -77,11 +82,11 @@ def test_criterion_1_prompt_fidelity(stock_table):
         )
         assert "Give a short and consistent description" in build_description_prompt(
             stock_table
-        ).text
-        assert build_analyst_prompt(description, stock_table).text.startswith(
+        )
+        assert build_analyst_prompt(description, stock_table).startswith(
             "You are a data analyst."
         )
-        assert build_designer_prompt(vis, "Some narration.", stock_table).text.startswith(
+        assert build_designer_prompt(vis, "Some narration.", stock_table).startswith(
             "You are a data video designer."
         )
 
@@ -504,7 +509,7 @@ def test_criterion_6_timeline_invariants():
                     end = directive.interval[1]
                     probe = min(end + 0.01, duration)
                     for eid in directive.target_ids:
-                        assert not visible_at(timeline, eid, probe)
+                        assert not reference_visible_at(timeline, eid, probe)
                 elif directive.animation in EMPHASIS_ANIMATIONS:
                     start, end = directive.interval
                     if directive.animation == "Highlight-one-and-fade-others":
@@ -515,15 +520,14 @@ def test_criterion_6_timeline_invariants():
                     else:
                         affected, prop = directive.target_ids, "scale"
                     for eid in affected:
-                        assert value_at(timeline, eid, prop, start) == value_at(
-                            timeline, eid, prop, end
-                        )
+                        assert reference_value_at(timeline, eid, prop, start) == (
+                            reference_value_at(timeline, eid, prop, end))
                 else:  # entrance
                     start = directive.interval[0]
                     for eid in directive.target_ids:
                         assert timeline.initial_visibility[eid] == "hidden"
                         if start > 0:
-                            assert not visible_at(timeline, eid, start - 0.01)
+                            assert not reference_visible_at(timeline, eid, start - 0.01)
 
 
 # --- 7. end-to-end mock reproduction ----------------------------------------

@@ -46,13 +46,13 @@ def small_table():
 class TestPrompt:
     def test_reblanked_prompt_matches_stored_template(self, small_table):
         prompt = build_analyst_prompt(DESCRIPTION, small_table)
-        reblanked = prompt.text.replace(
+        reblanked = prompt.replace(
             render_table_text(small_table, 100), "{{table}}"
         ).replace(DESCRIPTION.text, "{{description}}")
         assert reblanked == load_template("analyst")
 
     def test_anchor_lines(self, small_table):
-        text = build_analyst_prompt(DESCRIPTION, small_table).text
+        text = build_analyst_prompt(DESCRIPTION, small_table)
         assert text.startswith("You are a data analyst. You have a data table at hand.")
         assert "Task 1: Please list the top insights you can gather" in text
         assert (

@@ -65,7 +65,7 @@ class TestPrompt:
     def test_reblanked_prompt_matches_stored_template(self, table):
         prompt = build_designer_prompt(VIS, NARRATION, table)
         reblanked = (
-            prompt.text
+            prompt
             .replace(json.dumps(VIS.spec), "{{visualization}}")
             .replace(render_table_text(table, 100), "{{table}}")
             .replace(NARRATION, "{{narration}}")
@@ -73,7 +73,7 @@ class TestPrompt:
         assert reblanked == load_template("designer")
 
     def test_anchor_lines(self, table):
-        text = build_designer_prompt(VIS, NARRATION, table).text
+        text = build_designer_prompt(VIS, NARRATION, table)
         assert text.startswith("You are a data video designer.")
         assert "Insert animations inside the narration text where you feel they are needed" in text
         assert "Narration text cannot be modified." in text

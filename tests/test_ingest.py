@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import pytest
@@ -14,7 +16,6 @@ from datareel.ingest import (
     parse_csv,
     parse_description_response,
     render_table_text,
-    serialize_csv,
 )
 from datareel.model import DataTable
 from datareel.runtime import SchemaError
@@ -48,9 +49,8 @@ class TestParseCsv:
 
     def test_integer_and_null_typing(self):
         table = parse_csv("n,s,empty\n42,007x,\n-3,txt,", "t")
-        assert table.column("n") == (42, -3)
-        assert table.column("s") == ("007x", "txt")
-        assert table.column("empty") == (None, None)
+        assert dict(table.columns) == {"n": (42, -3), "s": ("007x", "txt"),
+                                       "empty": (None, None)}
 
     # Quoting corpus checked against an independent RFC-4180 state machine.
     QUOTING_CORPUS = [
@@ -114,7 +114,12 @@ class TestRoundTrip:
                         values.append("t" + "".join(rng.choice(letters) for _ in range(4)))
                 columns.append((name, tuple(values)))
             table = DataTable(title="rt", columns=tuple(columns), row_count=n_rows)
-            assert parse_csv(serialize_csv(table), "rt") == table
+            text = io.StringIO()
+            writer = csv.writer(text, lineterminator="\n")
+            writer.writerow(names)
+            writer.writerows(["" if cell is None else str(cell) for cell in row]
+                             for row in zip(*(values for _, values in columns)))
+            assert parse_csv(text.getvalue(), "rt") == table
 
 
 class TestRenderTableText:
@@ -159,21 +164,21 @@ class TestRenderTableText:
 class TestDescriptionPrompt:
     def test_reblanked_prompt_matches_stored_template(self, stock_table):
         prompt = build_description_prompt(stock_table)
-        reblanked = prompt.text.replace(
+        reblanked = prompt.replace(
             render_table_text(stock_table, 100), "{{table}}"
         ).replace(stock_table.title, "{{title}}")
         assert reblanked == load_template("description")
 
     def test_anchor_lines(self, stock_table):
         prompt = build_description_prompt(stock_table)
-        assert prompt.text.startswith(
+        assert prompt.startswith(
             "Give a short and consistent description of the following data table and columns:"
         )
         assert (
             "The title of the data table is: Weekly Stock Prices of Four IT Companies"
-            in prompt.text
+            in prompt
         )
-        assert '"Description": [A]' in prompt.text
+        assert '"Description": [A]' in prompt
 
     def test_requires_title(self):
         table = DataTable(title="  ", columns=(("a", (1,)),), row_count=1)
@@ -191,7 +196,7 @@ class TestFillTemplate:
                                table="T{{description}}")
         head, rest = load_template("analyst").split("{{description}}")
         middle, tail = rest.split("{{table}}")
-        assert prompt.text == head + "{{table}} and {{description}}" + middle + (
+        assert prompt == head + "{{table}} and {{description}}" + middle + (
             "T{{description}}" + tail
         )
 
@@ -200,9 +205,9 @@ class TestFillTemplate:
                           row_count=stock_table.row_count)
         prompt = build_description_prompt(table)
         rendered = render_table_text(table, 100)
-        assert prompt.text.count(rendered) == 1
-        assert "The title of the data table is: {{table}}" in prompt.text
-        assert prompt.text.replace(rendered, "{{table}}", 1).replace(
+        assert prompt.count(rendered) == 1
+        assert "The title of the data table is: {{table}}" in prompt
+        assert prompt.replace(rendered, "{{table}}", 1).replace(
             "is: {{table}}", "is: {{title}}"
         ) == load_template("description")
 

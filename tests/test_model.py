@@ -22,7 +22,6 @@ from datareel.model import (
     AnnotationDirective,
     DataTable,
     Insight,
-    PromptText,
     UnknownAnimation,
     UnknownInsightType,
     UnknownVisualizationType,
@@ -147,12 +146,6 @@ class TestVisualizationStructure:
     def test_missing_structure_fails(self):
         assert visualization_structure_violations({"data": {}})
         assert visualization_structure_violations([1, 2])
-
-
-class TestPromptText:
-    def test_rejects_unknown_template_id(self):
-        with pytest.raises(ValueError):
-            PromptText(text="hello", template_id="poet")
 
 
 json_values = st.recursive(

@@ -56,8 +56,8 @@ class TestRunPipeline:
         assert all(s["status"] == "ok" for s in manifest.stages)
 
     def test_all_artifacts_hashed_and_present(self, completed_project):
-        out, manifest = completed_project
-        assert manifest.verify(out) == []
+        out, _ = completed_project
+        assert validate_project(out).passing
 
     def test_missing_input_fails_before_any_stage(self, mock_project_config, tmp_path):
         config = mock_project_config(input_csv=str(tmp_path / "nope.csv"))
@@ -468,11 +468,18 @@ class TestValidateRerunsRunChecks:
          "element id 5 is not a string"),
         ("timeline.json", "timeline-contract", lambda p: p["initial_visibility"].update(nosuch=5),
          "initial visibility 5 of 'nosuch' is neither"),
+        # a string of as many characters as the table has rows is no list of cells
+        ("table.json", "ingest-contract", lambda p: p["columns"][0].update(values="x" * 20),
+         "values of column 'date' are not a list"),
+        ("timeline.json", "timeline-contract",
+         lambda p: p.update(initial_visibility=list(map(list, p["initial_visibility"].items()))),
+         "initial visibility is a list, not an object"),
     ], ids=["unknown-property", "no-easing", "text-time", "text-duration",
             "word-without-end", "empty-table", "designer-list", "timings-list",
             "table-not-json", "analyst-not-json", "timeline-not-json", "base-not-svg",
             "huge-duration", "deeply-nested", "column-name-int", "row-count-float",
-            "title-list", "cell-list", "cell-object", "element-id-int", "visibility-int"])
+            "title-list", "cell-list", "cell-object", "element-id-int", "visibility-int",
+            "values-text", "visibility-pairs"])
     def test_malformed_timeline_or_timings_is_a_violation(self, project_copy, name, code,
                                                           edit, message):
         if callable(edit):
@@ -994,6 +1001,36 @@ class TestCli:
         manifest = ProjectManifest.load(tmp_path / "proj" / "manifest.json")
         assert manifest.config["no_cache"] is True
         assert manifest.config["mock_mode"] is True
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "unreadable config file"),
+        ("{bad", "unreadable config file"),
+        ("[]", "does not hold a JSON object"),
+        (lambda c: c.pop("output_dir"), "missing 1 required positional argument: 'output_dir'"),
+        (lambda c: c.update(fps="30"), "config key 'fps' has the wrong type: '30'"),
+        (lambda c: c.update(fps=True), "config key 'fps' has the wrong type: True"),
+        (lambda c: c.update(max_repair_attempts="3"), "'max_repair_attempts' has the wrong type"),
+        (lambda c: c.update(prompt_max_rows="x"), "'prompt_max_rows' has the wrong type"),
+        (lambda c: c.update(title=5), "config key 'title' has the wrong type: 5"),
+        (lambda c: c.update(renderer_cmd=["render", 5]), "'renderer_cmd' has the wrong type"),
+        (lambda c: c["transcripts"].update(analyst=5), "'transcripts' has the wrong type"),
+    ], ids=["missing-file", "not-json", "list", "no-output-dir", "fps-text", "fps-bool",
+            "attempts-text", "rows-text", "title-int", "command-int", "transcript-int"])
+    def test_bad_config_exit_code_2(self, tmp_path, stock_csv_path, capsys, content, message):
+        config = self._config_file(tmp_path)
+        if content is None:
+            config.unlink()
+        elif callable(content):
+            raw = json.loads(config.read_text())
+            content(raw)
+            config.write_text(json.dumps(raw))
+        else:
+            config.write_text(content)
+        code, output = _cli(
+            capsys, "run", "--input", str(stock_csv_path), "--config", str(config))
+        assert code == 2, output
+        assert message in output
+        assert not (tmp_path / "proj").exists()
 
     def test_backend_kind_key_rejected_exit_code_2(self, tmp_path, stock_csv_path, capsys):
         config = self._config_file(tmp_path)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from datareel import runtime
 from datareel.errors import PreconditionError
-from datareel.model import PromptText, ValidationReport, Violation
+from datareel.model import ValidationReport, Violation
 from datareel.runtime import (
     BackendConfig,
     BackendHTTPError,
@@ -350,10 +350,6 @@ class TestHttpBackend:
         HttpChatBackend(_live_config(other_endpoint), cache_dir=cache).send([("user", "hello")])
         assert _StubHandler.calls == 3
 
-def _loop_prompt():
-    return PromptText(text="please reply", template_id="analyst")
-
-
 def _needs_key(value) -> ValidationReport:
     if "needed" in value:
         return ValidationReport(advisories=(Violation("note", "", "accepted"),))
@@ -361,7 +357,7 @@ def _needs_key(value) -> ValidationReport:
 
 
 def _loop(session, max_attempts):
-    return repair_loop(session, _loop_prompt(), extract_json, _needs_key, max_attempts)
+    return repair_loop(session, "please reply", extract_json, _needs_key, max_attempts)
 
 
 class TestRepairLoop:

