@@ -15,6 +15,7 @@ import wave
 from dataclasses import dataclass
 from itertools import compress
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from .binding import (
@@ -114,11 +115,13 @@ class _Ordinal:
         self._positions: dict = {}
         self._unhashable: list = []
         for value in values:
-            if self.position(value) is not None:
-                continue
             try:
+                if value in self._positions:
+                    continue
                 self._positions[value] = len(self.values)
             except TypeError:
+                if self.position(value) is not None:
+                    continue
                 self._unhashable.append((value, len(self.values)))
             self.values.append(value)
 
@@ -133,15 +136,17 @@ class _Ordinal:
 def _dict_comparable(values: tuple) -> bool:
     """Whether a dict lookup on these values agrees with `==`: plain JSON
     scalars other than NaN, which a dict matches by identity."""
-    return all(type(v) in (str, int, bool, type(None)) or (type(v) is float and v == v)
-               for v in values)
+    for v in values:
+        if type(v) not in (str, int, bool, type(None)) and (type(v) is not float or v != v):
+            return False
+    return True
 
 
 class _RowIndex:
     """The base rows an overlay datum matches, found by dict lookups.
 
     A row matches when it shares at least one key with the datum and is `==`
-    to it on every shared key. Rows are grouped by key set; per group and
+    to it on every shared key. Rows are grouped by their keys; per group and
     shared-key tuple, a table maps the rows' values on those keys to their
     indices. Values a dict cannot compare like `==` (see _dict_comparable)
     are compared one row at a time.
@@ -150,39 +155,46 @@ class _RowIndex:
     def __init__(self, rows: list[dict]):
         self._rows = rows
         self._groups: dict = {}
-        for i, row in enumerate(rows):
-            self._groups.setdefault(frozenset(row), (tuple(row), []))[1].append(i)
+        for i, keys in enumerate(map(tuple, rows)):
+            self._groups.setdefault(keys, []).append(i)
         self._tables: dict = {}
+        self._plans: dict = {}  # datum key set -> per group: shared keys, getter, table
 
-    def _table(self, keyset: frozenset, shared: tuple, members: list[int]):
-        table = self._tables.get((keyset, shared))
-        if table is None:
-            by_values: dict = {}
-            compared: list[int] = []
-            for i in members:
-                values = tuple(self._rows[i][k] for k in shared)
-                if _dict_comparable(values):
-                    by_values.setdefault(values, []).append(i)
-                else:
-                    compared.append(i)
-            table = self._tables[(keyset, shared)] = (by_values, compared)
-        return table
+    def _plan(self, datum_keys: frozenset) -> list[tuple]:
+        plan = []
+        for keys, members in self._groups.items():
+            shared = tuple([k for k in keys if k in datum_keys])
+            if not shared:
+                continue
+            # itemgetter of one key returns the value, not a 1-tuple
+            getter = itemgetter(*shared) if len(shared) > 1 else \
+                (lambda datum, key=shared[0]: (datum[key],))
+            if (keys, shared) not in self._tables:
+                by_values, compared = self._tables[keys, shared] = {}, []
+                for i in members:
+                    values = getter(self._rows[i])
+                    if _dict_comparable(values):
+                        by_values.setdefault(values, []).append(i)
+                    else:
+                        compared.append(i)
+            plan.append((shared, getter, members, *self._tables[keys, shared]))
+        return plan
 
     def matches(self, datum: dict) -> list[int]:
         """Indices of the rows the datum matches, in no particular order."""
+        datum_keys = frozenset(datum)
+        if datum_keys not in self._plans:
+            self._plans[datum_keys] = self._plan(datum_keys)
         out = []
-        for keyset, (keys, members) in self._groups.items():
-            shared = tuple(k for k in keys if k in datum)
-            if not shared:
-                continue
-            values = tuple(datum[k] for k in shared)
+        for shared, getter, members, by_values, compared in self._plans[datum_keys]:
+            values = getter(datum)
             if _dict_comparable(values):
-                by_values, compared = self._table(keyset, shared, members)
                 out.extend(by_values.get(values, ()))
             else:
                 compared = members
-            out.extend(i for i in compared
-                       if all(datum[k] == self._rows[i][k] for k in shared))
+            if compared:
+                out.extend(i for i in compared
+                           if all(datum[k] == self._rows[i][k] for k in shared))
         return out
 
 
@@ -263,7 +275,7 @@ class MockRenderer:
                                           legend, base_rows=None))
         parts.append("</g>")
 
-        base_index = _RowIndex(base_data)
+        base_index = _RowIndex(base_data) if len(layers) > 1 else None
         for k, layer in enumerate(layers[1:], start=1):
             layer_enc = layer.get("encoding") if isinstance(layer.get("encoding"), dict) else {}
             layer_mark = mark_type(layer)
@@ -318,11 +330,6 @@ class MockRenderer:
                 for idx in range(count)]
 
     @staticmethod
-    def _x_pos(x_order: _Ordinal, x_at: list[float], value) -> float:
-        idx = x_order.position(value)
-        return (_PLOT_LEFT + _PLOT_RIGHT) / 2 if idx is None else x_at[idx]
-
-    @staticmethod
     def _y_pos(lo: float, hi: float, value) -> float:
         if not isinstance(value, (int, float)) or isinstance(value, bool) or hi == lo:
             return (_PLOT_TOP + _PLOT_BOTTOM) / 2
@@ -350,6 +357,11 @@ class MockRenderer:
         series_field = _enc_field(encoding, "color") or _enc_field(encoding, "detail")
         series_order = _Ordinal([*legend, *self._series_values(data, series_field)])
         colors = [PALETTE[k % len(PALETTE)] for k in range(len(series_order.values))]
+        # Per x position (None: mid-plot), the texts of x plus the mark's offsets.
+        offsets = {"bar": (-10,), "tick": (-6, 6)}.get(mark, (0,))
+        x_texts = {i: [_fmt(x + d) for d in offsets]
+                   for i, x in [*enumerate(x_at), (None, (_PLOT_LEFT + _PLOT_RIGHT) / 2)]}
+        series_attrs: dict[str, str] = {}  # str(series) -> its data-series attribute
 
         if mark == "line" or (mark in ("arc", "pie") and series_field):
             by_series: dict = {}
@@ -371,7 +383,10 @@ class MockRenderer:
             attrs = f' data-row="{";".join(map(str, rows))}"' if rows else ""
             series = datum.get(series_field) if series_field else None
             if series is not None:
-                attrs += f" data-series={quoteattr(str(series))}"
+                text = str(series)  # 1, 1.0 and True are one dict key but three texts
+                if text not in series_attrs:
+                    series_attrs[text] = f" data-series={quoteattr(text)}"
+                attrs += series_attrs[text]
             if mark in ("arc", "pie"):
                 color = PALETTE[n % len(PALETTE)]
             elif series is not None:
@@ -381,7 +396,7 @@ class MockRenderer:
 
             if mark == "line":
                 points = " L ".join(
-                    f"{_fmt(self._x_pos(x_order, x_at, data[i].get(x_field)))} "
+                    f"{x_texts[x_order.position(data[i].get(x_field))][0]} "
                     f"{_fmt(self._y_pos(y_lo, y_hi, data[i].get(y_field)))}"
                     for i in members
                 )
@@ -396,25 +411,25 @@ class MockRenderer:
                 out.append(f'<path{attrs} d="M 320 180 L {_fmt(x0)} {_fmt(y0)} '
                            f'A 120 120 0 0 1 {_fmt(x1)} {_fmt(y1)} Z" fill="{color}"/>')
                 continue
-            x = self._x_pos(x_order, x_at, datum.get(x_field))
+            x = x_texts[x_order.position(datum.get(x_field))]
             y = self._y_pos(y_lo, y_hi, datum.get(y_field))
             if mark == "bar":
-                out.append(f'<rect{attrs} x="{_fmt(x - 10)}" y="{_fmt(y)}" width="20" '
+                out.append(f'<rect{attrs} x="{x[0]}" y="{_fmt(y)}" width="20" '
                            f'height="{_fmt(_PLOT_BOTTOM - y)}" fill="{color}"/>')
             elif mark == "text":
                 label = str(datum.get(text_field, "")) if text_field else ""
-                out.append(f'<text{attrs} x="{_fmt(x)}" y="{_fmt(y - 8)}">{escape(label)}</text>')
+                out.append(f'<text{attrs} x="{x[0]}" y="{_fmt(y - 8)}">{escape(label)}</text>')
             elif mark == "rule" and y_field is not None and x_field is None:
                 out.append(f'<line{attrs} x1="{_fmt(_PLOT_LEFT)}" y1="{_fmt(y)}" '
                            f'x2="{_fmt(_PLOT_RIGHT)}" y2="{_fmt(y)}" stroke="#333"/>')
             elif mark == "rule":
-                out.append(f'<line{attrs} x1="{_fmt(x)}" y1="{_fmt(_PLOT_TOP)}" '
-                           f'x2="{_fmt(x)}" y2="{_fmt(_PLOT_BOTTOM)}" stroke="#333"/>')
+                out.append(f'<line{attrs} x1="{x[0]}" y1="{_fmt(_PLOT_TOP)}" '
+                           f'x2="{x[0]}" y2="{_fmt(_PLOT_BOTTOM)}" stroke="#333"/>')
             elif mark == "tick":
-                out.append(f'<line{attrs} x1="{_fmt(x - 6)}" y1="{_fmt(y)}" '
-                           f'x2="{_fmt(x + 6)}" y2="{_fmt(y)}" stroke="#333"/>')
+                out.append(f'<line{attrs} x1="{x[0]}" y1="{_fmt(y)}" '
+                           f'x2="{x[1]}" y2="{_fmt(y)}" stroke="#333"/>')
             else:
-                out.append(f'<circle{attrs} cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{color}"/>')
+                out.append(f'<circle{attrs} cx="{x[0]}" cy="{_fmt(y)}" r="4" fill="{color}"/>')
         return out
 
 

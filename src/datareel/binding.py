@@ -14,6 +14,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count, filterfalse
+from operator import itemgetter
 
 from .errors import ContractError, PreconditionError
 from .model import (
@@ -119,9 +121,6 @@ class SvgDoc:
     role_paths: dict[str, tuple[str, ...]] = field(default_factory=dict)
     namespace: str = ""
 
-    def role_path(self, element_id: str) -> tuple[str, ...]:
-        return self.role_paths[element_id]
-
     def to_text(self) -> str:
         """Serialize with every element id materialized, for export and styling.
 
@@ -172,57 +171,56 @@ def parse_svg(raw: str) -> SvgDoc:
     if root.tag.startswith("{"):
         namespace = root.tag[1:].rsplit("}", 1)[0]
 
-    used_ids = set()
+    # Only a prefixed attribute name (xml: or a prefix xmlns: declares) has a
+    # namespace; an entity reference may write either prefix.
+    prefixed = "xml:" in raw or "xmlns:" in raw or "&" in raw
+    explicit_ids = set()
     for node in root.iter():
         explicit = node.get("id")
         if explicit is not None:
-            if explicit in used_ids:
+            if explicit in explicit_ids:
                 raise PreconditionError(f"duplicate element id {explicit!r}")
-            used_ids.add(explicit)
+            explicit_ids.add(explicit)
 
     elements: list[SvgElement] = []
     by_id: dict[str, SvgElement] = {}
     role_paths: dict[str, tuple[str, ...]] = {}
-    counter = 0
+    synthesized = filterfalse(explicit_ids.__contains__, map("e{}".format, count()))
     local_names: dict[str, str] = {}
     top: list[SvgElement] = []
     # Per open element: its remaining child nodes, its element (None above
     # the root), its children's role path and the children built so far.
     # Elements are built in document order, so synthesized ids count up in
-    # that order.
+    # that order: the for loop runs through an element's children until one
+    # has children of its own, which is opened next.
     stack = [(iter((root,)), None, (), top)]
     while stack:
         nodes, parent, path, built = stack[-1]
-        node = next(nodes, None)
-        if node is None:
+        for node in nodes:
+            eid = node.get("id")
+            if eid is None:
+                eid = next(synthesized)
+            # The ElementTree is dropped after parsing, so an element without
+            # namespaced attribute names keeps its attrib dict.
+            attrs = node.attrib
+            if prefixed and "}" in "".join(attrs):
+                attrs = {_local_name(k): v for k, v in attrs.items()}
+            tag = local_names.get(node.tag)
+            if tag is None:
+                tag = local_names[node.tag] = _local_name(node.tag)
+            element = SvgElement(eid, tag, attrs, node.text or "", (), node.tail or "")
+            elements.append(element)
+            by_id[eid] = element
+            role_paths[eid] = path
+            built.append(element)
+            if len(node):
+                role = attrs.get("data-role")
+                stack.append((iter(node), element, path if role is None else (*path, role), []))
+                break
+        else:
             if parent is not None:
                 parent.children = tuple(built)
             stack.pop()
-            continue
-        eid = node.get("id")
-        if eid is None:
-            while f"e{counter}" in used_ids:
-                counter += 1
-            eid = f"e{counter}"
-            used_ids.add(eid)
-        # The ElementTree is dropped after parsing, so an element without
-        # namespaced attribute names keeps its attrib dict.
-        attrs = node.attrib
-        if "}" in "".join(attrs):
-            attrs = {_local_name(k): v for k, v in attrs.items()}
-        tag = local_names.get(node.tag)
-        if tag is None:
-            tag = local_names[node.tag] = _local_name(node.tag)
-        element = SvgElement(
-            id=eid, tag=tag, attrs=attrs, text=node.text or "", tail=node.tail or "",
-        )
-        elements.append(element)
-        by_id[eid] = element
-        role_paths[eid] = path
-        built.append(element)
-        if len(node):
-            role = attrs.get("data-role")
-            stack.append((iter(node), element, path if role is None else (*path, role), []))
     return SvgDoc(root=top[0], elements=elements, by_id=by_id, role_paths=role_paths,
                   namespace=namespace)
 
@@ -320,19 +318,18 @@ def _mark_elements(group: SvgElement):
 def index_marks(svg: SvgDoc, table: DataTable | None = None) -> MarkIndex:
     """Build the mark index from renderer role markers and per-datum metadata."""
     entries: dict[str, MarkEntry] = {}
+    row_count = table.row_count if table else None
+    mark_roles = frozenset({"mark"})
     for element in svg.elements:
         role = element.attrs.get("data-role")
         if role in ("axis", "legend", "title"):
-            entries[element.id] = MarkEntry(roles=frozenset({role}), data_rows=frozenset())
+            entries[element.id] = MarkEntry(frozenset({role}), frozenset())
         elif role == "marks":
             for mark in _mark_elements(element):
                 if "data-row" not in mark.attrs:
                     raise UnboundMark(mark.id)
-                entries[mark.id] = MarkEntry(
-                    roles=frozenset({"mark"}),
-                    data_rows=_parse_data_rows(mark, table.row_count if table else None),
-                    series_key=mark.attrs.get("data-series"),
-                )
+                entries[mark.id] = MarkEntry(mark_roles, _parse_data_rows(mark, row_count),
+                                             mark.attrs.get("data-series"))
     return MarkIndex(entries=entries)
 
 
@@ -404,12 +401,20 @@ def resolve_targets(directive: AnimationDirective, index: MarkIndex) -> frozense
     return frozenset(result)
 
 
-def _diff_key(doc: SvgDoc, element: SvgElement):
-    attrs = frozenset(
-        (k, v) for k, v in element.attrs.items()
-        if k not in GEOMETRY_ATTRS and k != "id"
-    )
-    return (element.tag, doc.role_path(element.id), attrs, element.text.strip())
+_NOT_KEYED = GEOMETRY_ATTRS | {"id"}
+
+
+def _diff_key(doc: SvgDoc, element: SvgElement, keyed_names: dict):
+    """keyed_names maps each attribute name tuple seen to its sorted keyed
+    names and a getter of their values, so elements of one kind share them."""
+    attrs = element.attrs
+    names = keyed_names.get(tuple(attrs))
+    if names is None:
+        keyed = tuple(sorted(attrs.keys() - _NOT_KEYED))
+        names = keyed_names[tuple(attrs)] = (keyed, itemgetter(*keyed) if keyed else
+                                               (lambda _: ()))
+    return (element.tag, doc.role_paths[element.id], names[0], names[1](attrs),
+            element.text.strip())
 
 
 def diff_annotations(base: SvgDoc, annotated: SvgDoc) -> list[str]:
@@ -421,15 +426,16 @@ def diff_annotations(base: SvgDoc, annotated: SvgDoc) -> list[str]:
     Container <g> elements are structural and never reported; their contents
     are diffed individually.
     """
+    keyed_names: dict = {}
     base_keys = Counter(
-        _diff_key(base, el) for el in base.elements
+        _diff_key(base, el, keyed_names) for el in base.elements
         if el is not base.root and el.tag != "g"
     )
     extras = []
     for element in annotated.elements:
         if element is annotated.root or element.tag == "g":
             continue
-        key = _diff_key(annotated, element)
+        key = _diff_key(annotated, element, keyed_names)
         if base_keys[key] > 0:
             base_keys[key] -= 1
         else:
@@ -480,7 +486,9 @@ def match_annotation_directives(annotation_ids, directives, index: MarkIndex,
         return assignments, ValidationReport(advisories=tuple(advisories))
 
     row_positions: dict[int, tuple[float, float]] = {}
-    if svg is not None:
+    # Only an annotation element without rows is placed by its position.
+    if svg is not None and not all(eid in index.entries and index.entries[eid].data_rows
+                                   for eid in annotation_ids):
         for eid, entry in index.entries.items():
             if "mark" not in entry.roles:
                 continue
@@ -574,7 +582,7 @@ def bind(base: Rendering, annotated: Rendering, designer_output: DesignerOutput)
         Violation("non-additive-change", eid,
                   "diffed element sits inside the marks group; the annotated spec "
                   "may have altered base marks instead of adding layers")
-        for eid in annotation_ids if "marks" in annotated.doc.role_path(eid)
+        for eid in annotation_ids if "marks" in annotated.doc.role_paths[eid]
     )
     resolved = [(d, resolve_targets(d, index)) for d in designer_output.animation_directives]
     directives = designer_output.annotation_directives

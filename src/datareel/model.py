@@ -174,7 +174,7 @@ class DataTable:
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.columns)
+        return tuple([name for name, _ in self.columns])
 
     def row(self, index: int) -> dict[str, Cell]:
         if not 0 <= index < self.row_count:

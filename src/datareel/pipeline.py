@@ -95,14 +95,18 @@ class ProjectConfig:
         return config
 
     def validate(self) -> None:
-        """Raise PreconditionError unless the config can run. Each value has a
-        type its annotation allows (a bool is not an int), and a list or
-        object value holds strings."""
-        for f in fields(self):
-            value, allowed = getattr(self, f.name), get_args(f.type) or (f.type,)
+        """Raise PreconditionError unless the config can run. Each value, the
+        backend's too, has a type its annotation allows (a bool is not an int,
+        an int is a float), and a list or object value holds strings."""
+        keys = [(f.name, self, f) for f in fields(self)]
+        if self.backend is not None:
+            keys += [(f"backend.{f.name}", self.backend, f) for f in fields(self.backend)]
+        for name, owner, f in keys:
+            value, allowed = getattr(owner, f.name), get_args(f.type) or (f.type,)
+            allowed += (int,) if float in allowed else ()
             items = value.values() if type(value) is dict else value if type(value) is list else ()
             if type(value) not in allowed or not all(type(item) is str for item in items):
-                raise PreconditionError(f"config key {f.name!r} has the wrong type: {value!r}")
+                raise PreconditionError(f"config key {name!r} has the wrong type: {value!r}")
         if not Path(self.input_csv).is_file():
             raise PreconditionError(f"input file not found: {self.input_csv}")
         if self.export not in ("video", "html", "both"):

@@ -90,8 +90,11 @@ class BackendConfig:
 
 def load_transcript(path: str | Path) -> list[dict]:
     """Load a scripted transcript: an ordered list of {match?, reply} objects."""
-    with open(path, encoding="utf-8") as f:
-        entries = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            entries = json.load(f)
+    except (OSError, ValueError) as e:
+        raise PreconditionError(f"unreadable transcript {path}: {e}") from None
     if not isinstance(entries, list):
         raise PreconditionError(f"transcript {path} must be a JSON list")
     for i, entry in enumerate(entries):

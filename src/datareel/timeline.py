@@ -430,7 +430,7 @@ def compile_timeline(placed_directives, placed_annotations, mark_index, duration
     merged_by_history: dict[tuple[int, ...], tuple[Keyframe, ...]] = {}
     for eid, prop_buckets in by_element.items():
         prop_buckets.sort(key=lambda pb: pb[0])
-        history = tuple(id(g) for _, bucket in prop_buckets for g in bucket)
+        history = tuple([id(g) for _, bucket in prop_buckets for g in bucket])
         if history not in merged_by_history:
             merged_all: list[Keyframe] = []
             for _, bucket in prop_buckets:

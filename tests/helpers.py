@@ -139,6 +139,21 @@ def reference_role_paths(svg_text: str) -> list[tuple[str, ...]]:
     return paths
 
 
+def reference_ids(svg_text: str) -> list[str]:
+    """Per element in document order, its own id, else the first of e0, e1,
+    ... that neither an element's own id nor an earlier element takes."""
+    nodes = list(ET.fromstring(svg_text).iter())
+    taken = {node.get("id") for node in nodes} - {None}
+    ids = []
+    for node in nodes:
+        eid = node.get("id")
+        if eid is None:
+            eid = next(f"e{k}" for k in range(len(taken) + 1) if f"e{k}" not in taken)
+            taken.add(eid)
+        ids.append(eid)
+    return ids
+
+
 def inject_elements(rng: random.Random, svg_text: str, count: int) -> tuple[str, list[str]]:
     """Insert uniquely-marked content elements at random top-level positions.
 

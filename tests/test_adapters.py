@@ -214,7 +214,7 @@ class TestMarkEmitter:
     def test_overlay_series_take_the_legend_colours(self):
         # the overlay data lists B before A; base bars and the legend put A first
         doc = parse_svg(MockRenderer().render(_corpus_spec("line", True, True)))
-        overlay = [el for el in doc.elements if doc.role_path(el.id)[-1:] == ("overlay",)]
+        overlay = [el for el in doc.elements if doc.role_paths[el.id][-1:] == ("overlay",)]
         assert {el.attrs["data-series"]: el.attrs["stroke"] for el in overlay} == {
             "A": PALETTE[0], "B": PALETTE[1]}
 
@@ -222,9 +222,26 @@ class TestMarkEmitter:
         spec = _corpus_spec("point", True, True)
         spec["layer"][1]["data"]["values"] = [{"v": 1, "s": "C"}, {"v": 2, "s": "B"}]
         doc = parse_svg(MockRenderer().render(spec))
-        overlay = [el for el in doc.elements if doc.role_path(el.id)[-1:] == ("overlay",)]
+        overlay = [el for el in doc.elements if doc.role_paths[el.id][-1:] == ("overlay",)]
         assert [(el.attrs["data-series"], el.attrs["fill"]) for el in overlay] == [
             ("C", PALETTE[2]), ("B", PALETTE[1])]
+
+    @pytest.mark.parametrize("position", ["base", "overlay"])
+    def test_equal_series_values_share_a_colour_but_keep_their_text(self, position):
+        # 1, 1.0 and True are one dict key, so one series and one legend
+        # position; each still writes its own text
+        values = [{"k": f"k{i}", "v": i + 1, "s": s} for i, s in enumerate([1, 1.0, True, "1"])]
+        encoding = {"x": {"field": "k"}, "y": {"field": "v"}, "color": {"field": "s"}}
+        spec = {"mark": "bar", "encoding": encoding, "data": {"values": values}}
+        if position == "overlay":
+            spec = {"data": {"values": [{"k": "k0", "v": 1, "s": 1}]},
+                    "layer": [{"mark": "bar", "encoding": encoding},
+                              {"mark": "bar", "encoding": encoding,
+                               "data": {"values": values}}]}
+        doc = parse_svg(MockRenderer().render(spec))
+        bars = [el for el in doc.elements if el.tag == "rect"][-4:]
+        assert [el.attrs["data-series"] for el in bars] == ["1", "1.0", "True", "1"]
+        assert [el.attrs["fill"] for el in bars] == [PALETTE[0]] * 3 + [PALETTE[1]]
 
     @pytest.mark.parametrize("mark", MockRenderer.SUPPORTED_MARKS)
     def test_list_and_object_series_cells_are_series(self, mark):
@@ -252,7 +269,7 @@ class TestMarkEmitter:
         doc = parse_svg(svg_text)
         assert "None" not in svg_text
         assert [el.attrs["data-series"] for el in doc.elements
-                if doc.role_path(el.id) == ("legend",)] == ["A", "B"]
+                if doc.role_paths[el.id] == ("legend",)] == ["A", "B"]
         index = index_marks(doc)
         marks = [doc.by_id[eid] for eid in sorted(index.mark_ids(), key=lambda e: int(e[1:]))]
         series = {tuple(sorted(index.entries[el.id].data_rows)): el.attrs.get("data-series")
@@ -326,7 +343,7 @@ class TestRenderVisualization:
             + "</g>" * depth + "</g></svg>", BAR_TABLE)
         rect = rendering.doc.elements[-1]
         assert rendering.index.ids_of_rows([1]) == {rect.id}
-        assert rendering.doc.role_path(rect.id) == ("marks",)
+        assert rendering.doc.role_paths[rect.id] == ("marks",)
 
     def test_structurally_invalid_spec_is_precondition_error(self):
         spec = VisualizationSpec(spec={"data": {}}, vis_type="bar")

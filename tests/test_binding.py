@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from xml.sax import saxutils  # the reference for the local escaper only
 
 import pytest
@@ -29,6 +30,7 @@ from datareel.ingest import parse_csv
 from datareel.model import AnimationDirective, AnnotationDirective, dump_artifact
 from helpers import (
     random_svg,
+    reference_ids,
     reference_role_paths,
     reference_mark_index_dict,
     reference_match_annotation_directives,
@@ -305,7 +307,7 @@ class TestDeepNesting:
         doc = parse_svg(text)
         assert len(doc.elements) == DEEP + 3
         rect = doc.elements[-1]
-        assert (rect.tag, doc.role_path(rect.id)) == ("rect", ("marks",))
+        assert (rect.tag, doc.role_paths[rect.id]) == ("rect", ("marks",))
         assert index_marks(doc).entries == {
             rect.id: MarkEntry(frozenset({"mark"}), frozenset({0}))}
         again = parse_svg(doc.to_text())
@@ -319,13 +321,47 @@ class TestRolePath:
         for _ in range(30):
             text = random_svg(rng)
             doc = parse_svg(text)
-            assert [doc.role_path(el.id) for el in doc.elements] == reference_role_paths(text)
+            assert [doc.role_paths[el.id] for el in doc.elements] == reference_role_paths(text)
 
     def test_namespaced_role_attribute(self):
         doc = parse_svg('<svg xmlns:d="urn:d"><g d:data-role="marks"><g data-role="axis">'
                         "<rect/></g></g></svg>")
-        assert [doc.role_path(el.id) for el in doc.elements] == [
+        assert [doc.role_paths[el.id] for el in doc.elements] == [
             (), (), ("marks",), ("marks", "axis")]
+
+
+# Attributes spliced into random start tags: explicit ids that synthesized
+# ids must skip, and namespaced names (xml: is declared by XML itself).
+SPLICED_ATTRS = (' id="e0"', ' id="e1"', ' id="e2"', ' id="e3"', ' xml:space="preserve"',
+                 ' xlink:href="#e1"')
+
+
+@st.composite
+def svg_with_spliced_attrs(draw):
+    """A random_svg document with SPLICED_ATTRS spliced into random start tags."""
+    text = random_svg(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    starts = [m.end() for m in re.finditer(r"<(?:svg|g|rect|circle|text|line|path)\b", text)]
+    spliced = draw(st.lists(st.sampled_from(SPLICED_ATTRS), unique=True, max_size=len(starts)))
+    for place, attr in sorted(zip(draw(st.permutations(starts)), spliced), reverse=True):
+        text = text[:place] + attr + text[place:]
+    if "xlink:" in text:
+        text = text.replace("<svg", '<svg xmlns:xlink="http://www.w3.org/1999/xlink"', 1)
+    return text
+
+
+class TestParseSvgAgreesWithReferenceWalks:
+    @given(svg_with_spliced_attrs())
+    def test_ids_role_paths_and_local_attribute_names(self, text):
+        doc = parse_svg(text)
+        assert [el.id for el in doc.elements] == reference_ids(text)
+        assert [doc.role_paths[el.id] for el in doc.elements] == reference_role_paths(text)
+        assert not [name for el in doc.elements for name in el.attrs if "}" in name]
+
+    def test_entity_that_writes_a_prefixed_attribute(self):
+        # the entity's text spells xml: with a character reference
+        doc = parse_svg("<!DOCTYPE svg [<!ENTITY r \"<rect &#120;ml:space='preserve'/>\">]>"
+                        "<svg>&r;</svg>")
+        assert doc.elements[1].attrs == {"space": "preserve"}
 
 
 class TestDiffAnnotations:
@@ -470,8 +506,12 @@ def match_inputs(draw):
         element(f"m{i}", "rect")
     annotation_ids = [f"a{i}" for i in range(draw(st.integers(0, 6)))]
     for eid in annotation_ids:
-        if draw(st.booleans()):
-            entries[eid] = MarkEntry(frozenset({"annotation"}), draw(match_rows))
+        # With rows, indexed without rows, or unindexed: the last two are
+        # placed by position, from row positions built only for them.
+        rows = draw(st.sampled_from(("rows", "no rows", "unindexed")))
+        if rows != "unindexed":
+            entries[eid] = MarkEntry(frozenset({"annotation"}),
+                                     draw(match_rows) if rows == "rows" else frozenset())
         if draw(st.booleans()):
             element(eid, "text")
     directives = [

@@ -1044,6 +1044,48 @@ class TestCli:
         assert "invalid backend config" in output
         assert not (tmp_path / "proj").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_retries", "2"), ("timeout", "60"), ("temperature", True),
+    ], ids=["retries-text", "timeout-text", "temperature-bool"])
+    def test_backend_value_of_wrong_type_exit_code_2(self, tmp_path, stock_csv_path, capsys,
+                                                     monkeypatch, key, value):
+        monkeypatch.setenv("DATAREEL_API_KEY", "unused")  # so a run would reach the backend
+        config = self._config_file(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["mock_mode"] = False
+        raw["backend"] = {"endpoint": "http://localhost:1/v1",
+                          "api_key_env": "DATAREEL_API_KEY", key: value}
+        config.write_text(json.dumps(raw))
+        code, output = _cli(
+            capsys, "run", "--input", str(stock_csv_path), "--config", str(config))
+        assert code == 2, output
+        assert f"config key 'backend.{key}' has the wrong type: {value!r}" in output
+        assert not (tmp_path / "proj").exists()
+
+    def test_backend_float_takes_an_int(self, tmp_path, stock_csv_path, capsys):
+        config = self._config_file(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["backend"] = {"endpoint": "http://localhost:1/v1",
+                          "api_key_env": "DATAREEL_API_KEY", "temperature": 0, "timeout": 5}
+        config.write_text(json.dumps(raw))
+        code, output = _cli(
+            capsys, "run", "--input", str(stock_csv_path), "--config", str(config))
+        assert code == 0, output
+
+    @pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe["], ids=["not-json", "not-utf8"])
+    def test_unreadable_transcript_exit_code_2(self, tmp_path, stock_csv_path, capsys,
+                                               content):
+        bad = tmp_path / "analyst.json"
+        bad.write_bytes(content)
+        config = self._config_file(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["transcripts"] = {**TRANSCRIPTS, "analyst": str(bad)}
+        config.write_text(json.dumps(raw))
+        code, output = _cli(
+            capsys, "run", "--input", str(stock_csv_path), "--config", str(config))
+        assert code == 2, output
+        assert f"unreadable transcript {bad}" in output
+
     @pytest.mark.parametrize("export, duration", [("video", 1e308), ("html", 1e9)],
                              ids=["overflowing", "huge"])
     def test_tts_duration_far_past_the_last_word_exit_code_4(
