@@ -49,6 +49,7 @@ from .timeline import (
     WordTiming,
     validate_timings,
     value_at,  # noqa: F401  -- kept importable as datareel.adapters.value_at
+    word_tokens,
 )
 
 
@@ -500,10 +501,6 @@ class TtsResult:
     estimated_timings: bool = False
 
 
-def _tokenize(narration: str) -> list[tuple[str, int, int]]:
-    return [(m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", narration)]
-
-
 MOCK_SECONDS_PER_WORD = 0.3
 MOCK_SAMPLE_RATE = 8000
 
@@ -522,7 +519,7 @@ class MockTts:
     contiguous, with silent MOCK_SAMPLE_RATE audio."""
 
     def synthesize(self, narration: str, out_path: str | Path) -> TtsResult:
-        tokens = _tokenize(narration)
+        tokens = word_tokens(narration)
         if not tokens:
             raise EmptyNarration("narration has no words")
         spw = MOCK_SECONDS_PER_WORD
@@ -565,7 +562,7 @@ class CommandTts:
     def synthesize(self, narration: str, out_path: str | Path) -> TtsResult:
         import subprocess  # see CommandRenderer.render
 
-        tokens = _tokenize(narration)
+        tokens = word_tokens(narration)
         if not tokens:
             raise EmptyNarration("narration has no words")
         payload = json.dumps({"text": narration, "audio_path": str(out_path)})

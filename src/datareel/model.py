@@ -9,14 +9,16 @@ construction and safe to share across threads.
 import io
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints, is_typeddict
 
 from .errors import ContractError
 
 Cell = str | int | float | None
-_CELL_TYPES = frozenset({str, int, float, type(None)})
 
 
 class UnknownInsightType(ContractError):
@@ -152,13 +154,7 @@ class DataTable:
     row_count: int
 
     def __post_init__(self):
-        if not isinstance(self.title, str):
-            raise TypeError(f"table title {self.title!r} is not a string")
-        if type(self.row_count) is not int:
-            raise TypeError(f"row count {self.row_count!r} is not an integer")
         names = [name for name, _ in self.columns]
-        if not all(isinstance(name, str) for name in names):
-            raise TypeError(f"column names {names!r} are not all strings")
         if len(set(names)) != len(names):
             raise ValueError("column names must be unique")
         if any(not name for name in names):
@@ -168,9 +164,6 @@ class DataTable:
                 raise ValueError(
                     f"column {name!r} has {len(values)} values, expected {self.row_count}"
                 )
-            if not set(map(type, values)) <= _CELL_TYPES:
-                raise TypeError(f"column {name!r} holds a cell that is not a string, "
-                                "number or null")
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -414,6 +407,117 @@ class RepairReport:
             "violations_per_attempt": self.violations_per_attempt,
             "final_status": self.final_status,
         }
+
+
+class JsonTypeError(TypeError):
+    """A parsed JSON value that read_typed cannot read. The message names the
+    value's JSON path: `words[0].char_start: 1.0 is not an integer`."""
+
+
+class _Mismatch(Exception):
+    def __init__(self, problem: str):
+        self.problem, self.path = problem, []  # the path's keys, innermost first
+
+
+# The JSON values that each type an annotation may name takes.
+_KINDS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+          type(None): "null", list: "a list", dict: "an object"}
+
+
+def read_typed(cls, value, *path):
+    """cls, a dataclass, a TypedDict or another annotation, read from a parsed
+    JSON value. An annotation takes: str; int, not a bool; float, an int too;
+    bool; list or dict, holding anything; T | None; list[T]; dict[str, T];
+    Literal[...] of strings; a dataclass or TypedDict, as an object with no
+    key but its fields' and every field that has no default. Raises
+    JsonTypeError naming the path of the value at fault, after path's keys."""
+    try:
+        return _plan(cls)[0](value)
+    except _Mismatch as e:
+        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in (*path, *e.path[::-1]))
+        where = where.removeprefix(".")
+        raise JsonTypeError(f"{where}: {e.problem}" if where else e.problem) from None
+
+
+@cache
+def _plan(tp):
+    """(read, kinds, values) for annotation tp. read(value) is what value
+    reads as, or raises _Mismatch. A value whose type is in kinds, and which
+    is in values where that is not None, reads as itself."""
+    origin, args = get_origin(tp), get_args(tp)
+    members = args if origin in (Union, UnionType) else (tp,)
+    if set(members) <= _KINDS.keys():
+        kinds = frozenset(members) | ({int} if float in members else set())
+        names = [_KINDS[m] for m in members if m is not int or float not in members]
+        return _leaf(kinds, None, " or ".join(filter(None, [", ".join(names[:-1]), names[-1]])))
+    if origin is Literal:
+        return _leaf(frozenset({str}), frozenset(args), "one of " + ", ".join(map(repr, args)))
+    if type(None) in members:
+        read = _plan(members[members[0] is type(None)])[0]
+        return (lambda value: None if value is None else read(value)), frozenset({type(None)}), None
+    if origin is list or origin is dict:
+        return _container(origin, *_plan(args[-1])), frozenset(), None
+    if is_dataclass(tp) or is_typeddict(tp):
+        return _object(tp), frozenset(), None
+    raise TypeError(f"read_typed cannot read {tp!r}")
+
+
+def _leaf(kinds: frozenset, values: frozenset | None, expected: str):
+    def read(value):
+        if type(value) in kinds and (values is None or value in values):
+            return value
+        raise _Mismatch(f"{value!r} is not {expected}")
+    return read, kinds, values
+
+
+def _container(kind: type, read_item, kinds: frozenset, values: frozenset | None):
+    def read(value):
+        if type(value) is not kind:
+            raise _Mismatch(f"{value!r} is not {_KINDS[kind]}")
+        items = value if kind is list else value.values()
+        if kinds and set(map(type, items)) <= kinds and (values is None or set(items) <= values):
+            return value  # scalars, checked in one pass
+        built = []
+        for key, item in enumerate(value) if kind is list else value.items():
+            try:
+                built.append(read_item(item))
+            except _Mismatch as e:
+                e.path.append(key)
+                raise
+        return built if kind is list else dict(zip(value, built))
+    return read
+
+
+def _object(cls):
+    hints = get_type_hints(cls)
+    if is_typeddict(cls):
+        order, required, build = list(hints), cls.__required_keys__, None
+    else:
+        order, build = [f.name for f in fields(cls) if f.init], cls
+        required = {f.name for f in fields(cls)
+                    if f.init and f.default is MISSING and f.default_factory is MISSING}
+    names, plans = frozenset(order), {name: _plan(hints[name]) for name in order}
+    # The types whose values read as themselves in each field, a Literal's none.
+    kinds = {name: plan[1] if plan[2] is None else frozenset() for name, plan in plans.items()}
+
+    def read(value):
+        if type(value) is not dict:
+            raise _Mismatch(f"{value!r} is not an object")
+        if value.keys() != names and not required <= value.keys() <= names:
+            unknown, missing = sorted(value.keys() - names), sorted(required - set(value))
+            raise _Mismatch(f"unknown key {', '.join(map(repr, unknown))}" if unknown
+                            else f"missing key {', '.join(map(repr, missing))}")
+        read_as = {}  # the fields that read as another value
+        for name, item in value.items():
+            if type(item) not in kinds[name]:
+                try:
+                    read_as[name] = plans[name][0](item)
+                except _Mismatch as e:
+                    e.path.append(name)
+                    raise
+        given = value | read_as if read_as else value
+        return given if build is None else build(**given)
+    return read
 
 
 # Compact, key-sorted JSON; `indent` would bypass CPython's C encoder.

@@ -18,17 +18,20 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import get_args
+from typing import Literal, TypedDict
 
 from . import adapters, analyst, binding, designer, ingest, timeline as tl
 from .errors import PipelineError, PreconditionError, StageError
 from .model import (
+    Cell,
     DataTable,
+    JsonTypeError,
     ValidationReport,
     Violation,
     VisualizationSpec,
     classify_animation,
     dump_artifact,
+    read_typed,
     row_text,
 )
 from .runtime import BackendConfig, ChatSession, HttpChatBackend, MockChatBackend
@@ -50,20 +53,21 @@ class ProjectConfig:
     """Everything one pipeline run needs: inputs, backends, tools, and knobs.
 
     The fields are the config file's keys, annotated with the types README's
-    schema gives them; validate checks each value against its annotation."""
+    schema gives them; from_file and validate read the values by them
+    (model.read_typed)."""
 
     input_csv: str
     output_dir: str
     title: str | None = None
     mock_mode: bool = True
-    transcripts: dict = field(default_factory=dict)
+    transcripts: dict[str, str] = field(default_factory=dict)
     backend: BackendConfig | None = None
-    renderer_cmd: list | None = None
-    tts_cmd: list | None = None
-    synth_cmd: list | None = None
+    renderer_cmd: list[str] | None = None
+    tts_cmd: list[str] | None = None
+    synth_cmd: list[str] | None = None
     max_repair_attempts: int = 3
     fps: int = 30
-    export: str = "video"
+    export: Literal["video", "html", "both"] = "video"
     prompt_max_rows: int = 100
     cache_dir: str | None = None
     no_cache: bool = False
@@ -77,40 +81,21 @@ class ProjectConfig:
             raise PreconditionError(f"unreadable config file {path}: {e}") from None
         if not isinstance(raw, dict):
             raise PreconditionError(f"config file {path} does not hold a JSON object")
-        backend = raw.pop("backend", None)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise PreconditionError(f"unknown config keys: {', '.join(unknown)}")
         raw.update({k: v for k, v in overrides.items() if v is not None})
         try:
-            config = cls(**raw)
-        except TypeError as e:  # a required key is missing
-            raise PreconditionError(f"invalid config: {e}") from None
-        if backend is not None:
-            try:
-                config.backend = BackendConfig(**backend)
-            except TypeError as e:
-                raise PreconditionError(f"invalid backend config: {e}") from None
-        return config
+            return read_typed(cls, raw)
+        except JsonTypeError as e:
+            raise PreconditionError(f"invalid config {path}: {e}") from None
 
     def validate(self) -> None:
-        """Raise PreconditionError unless the config can run. Each value, the
-        backend's too, has a type its annotation allows (a bool is not an int,
-        an int is a float), and a list or object value holds strings."""
-        keys = [(f.name, self, f) for f in fields(self)]
-        if self.backend is not None:
-            keys += [(f"backend.{f.name}", self.backend, f) for f in fields(self.backend)]
-        for name, owner, f in keys:
-            value, allowed = getattr(owner, f.name), get_args(f.type) or (f.type,)
-            allowed += (int,) if float in allowed else ()
-            items = value.values() if type(value) is dict else value if type(value) is list else ()
-            if type(value) not in allowed or not all(type(item) is str for item in items):
-                raise PreconditionError(f"config key {name!r} has the wrong type: {value!r}")
+        """Raise PreconditionError unless the config can run, a config built
+        in Python being read as from_file reads a file."""
+        try:
+            read_typed(ProjectConfig, self.to_json())
+        except JsonTypeError as e:
+            raise PreconditionError(f"invalid config: {e}") from None
         if not Path(self.input_csv).is_file():
             raise PreconditionError(f"input file not found: {self.input_csv}")
-        if self.export not in ("video", "html", "both"):
-            raise PreconditionError(f"export must be video, html, or both; got {self.export!r}")
         if self.fps < 1:
             raise PreconditionError("fps must be at least 1")
         if self.mock_mode:
@@ -163,8 +148,7 @@ class ProjectManifest:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
             manifest = cls(config=raw["config"], created_at=raw["created_at"],
-                           stages=raw["stages"])
-            _check_stage_records(manifest.stages)
+                           stages=read_typed(list[StageRecord], raw["stages"], "stages"))
         except (KeyError, TypeError, ValueError) as e:
             raise PreconditionError(f"unreadable manifest {path}: {e!r}") from None
         return manifest
@@ -180,25 +164,24 @@ class ProjectManifest:
                     _read_listed, project_dir / artifact["path"], record, artifact)
 
 
-def _check_stage_records(stages) -> None:
-    """Raise ValueError unless stages holds what listed_artifacts and
-    inspect_stage read: records with a string name and status, a string or
-    null error if any, and a list of artifacts if any, each with a string
-    path and sha256 and an integer size in bytes."""
-    if type(stages) is not list:
-        raise ValueError("stages is not a list")
-    for position, record in enumerate(stages):
-        if not (type(record) is dict and _fields_of(record, name=str, status=str)
-                and type(record.get("error")) in (str, type(None))
-                and type(artifacts := record.get("artifacts", [])) is list
-                and all(type(artifact) is dict
-                        and _fields_of(artifact, path=str, sha256=str, bytes=int)
-                        for artifact in artifacts)):
-            raise ValueError(f"malformed stage record at position {position}")
+class ArtifactEntry(TypedDict):
+    """One artifact of a stage: its path in the project, and the SHA-256 and
+    size of its bytes."""
+
+    path: str
+    sha256: str
+    bytes: int
 
 
-def _fields_of(value: dict, **types) -> bool:
-    return all(type(value.get(key)) is kind for key, kind in types.items())
+class StageRecord(TypedDict):
+    """One stage's record in the manifest, as run writes it."""
+
+    name: str
+    status: str
+    started_at: str
+    finished_at: str | None
+    artifacts: list[ArtifactEntry]
+    error: str | None
 
 
 def _read_listed(path: Path, record: dict, artifact: dict) -> tuple[list | None, str | None]:
@@ -381,13 +364,21 @@ def _stage_ingest(run: _Run, record: dict) -> DataTable:
     return table
 
 
+class _Column(TypedDict):
+    name: str
+    values: list[Cell]
+
+
+class _TableJson(TypedDict):
+    title: str
+    row_count: int
+    columns: list[_Column]
+
+
 def _check_ingest(payload, outputs):
-    columns = []
-    for col in payload["columns"]:
-        if not isinstance(col["values"], list):
-            raise TypeError(f"values of column {col['name']!r} are not a list")
-        columns.append((col["name"], tuple(col["values"])))
-    return DataTable(payload["title"], tuple(columns), payload["row_count"]), ValidationReport()
+    table = read_typed(_TableJson, payload)
+    columns = tuple([(column["name"], tuple(column["values"])) for column in table["columns"]])
+    return DataTable(table["title"], columns, table["row_count"]), ValidationReport()
 
 
 def _summarize_ingest(table: dict) -> list[str]:
@@ -530,10 +521,25 @@ def _stage_tts(run: _Run, record: dict) -> adapters.TtsResult:
     return result
 
 
+class _TimedWord(TypedDict):
+    word: str
+    start: float
+    end: float
+    char_start: int
+    char_end: int
+
+
+class _WordTimingsJson(TypedDict):
+    duration: float
+    words: list[_TimedWord]
+    advisories: list[Violation]
+
+
 def _check_tts(payload, outputs):
-    timings = tuple(tl.WordTiming(w["word"], w["start"], w["end"],
-                                  tl.Span(w["char_start"], w["char_end"]))
-                    for w in payload["words"])
+    payload = read_typed(_WordTimingsJson, payload)
+    timings = tuple([tl.WordTiming(w["word"], w["start"], w["end"],
+                                   tl.Span(w["char_start"], w["char_end"]))
+                     for w in payload["words"]])
     problems = tl.validate_timings(outputs["analyst"].narration, timings)
     return adapters.TtsResult("narration.wav", timings, payload["duration"]), ValidationReport(
         violations=tuple(Violation("tts-contract", "word_timings.json", p) for p in problems))

@@ -14,6 +14,7 @@ from itertools import repeat
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
+from typing import Literal, TypedDict
 
 from .errors import ContractError, PreconditionError
 from .model import (
@@ -21,6 +22,7 @@ from .model import (
     ValidationReport,
     Violation,
     classify_animation,
+    read_typed,
     row_text,
 )
 
@@ -80,17 +82,27 @@ class WordTiming:
             raise ValueError(f"invalid word timing [{self.start},{self.end})")
 
 
+def word_tokens(narration: str) -> list[tuple[str, int, int]]:
+    """The narration's whitespace-split tokens, each with its start and end offsets."""
+    return [(m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", narration)]
+
+
 def validate_timings(narration: str, timings: list[WordTiming]) -> list[str]:
-    """Check the word-timing contract; returns violation messages."""
+    """Check the word-timing contract: the timed words are the narration's
+    whitespace-split tokens, each spanning its token's characters, and no
+    word starts before the one before it ends. Returns violation messages."""
     problems = []
-    tokens = narration.split()
-    if [t.word for t in timings] != tokens:
+    tokens = word_tokens(narration)
+    if [t.word for t in timings] != [word for word, _, _ in tokens]:
         problems.append("timed words do not equal the narration's whitespace-split tokens")
+    else:
+        for t, (word, start, end) in zip(timings, tokens):
+            if t.char_span.start_char != start or t.char_span.end_char != end:
+                problems.append(f"char span [{t.char_span.start_char},{t.char_span.end_char}) "
+                                f"of {word!r} is not its token's [{start},{end})")
     for prev, cur in zip(timings, timings[1:]):
         if cur.start < prev.end:
             problems.append(f"timings overlap at {cur.word!r}")
-        if cur.char_span.start_char < prev.char_span.end_char:
-            problems.append(f"char spans overlap at {cur.word!r}")
     return problems
 
 
@@ -106,11 +118,9 @@ class Keyframe:
     time: float
     property: str
     value: float
-    easing: str = "linear"
+    easing: str
 
     def __post_init__(self):
-        if not (isinstance(self.time, (int, float)) and isinstance(self.value, (int, float))):
-            raise TypeError(f"keyframe time {self.time!r} or value {self.value!r} is not a number")
         if self.property not in PROPERTIES:
             raise ValueError(f"unknown property {self.property!r}")
         if self.easing not in EASINGS:
@@ -156,39 +166,41 @@ class Timeline:
             yield '{"element_id":' + encode_basestring_ascii(eid) + ',"keyframes":' + text + "}"
 
     @classmethod
-    def from_json(cls, value: dict) -> "Timeline":
-        """The inverse of to_json, read from the parsed text. Equal tracks
-        become one tuple, so a reloaded timeline shares tracks as a compiled
-        one.
+    def from_json(cls, value) -> "Timeline":
+        """The inverse of to_json, read from the parsed text by
+        model.read_typed. Equal tracks become one tuple, so a reloaded
+        timeline shares tracks as a compiled one, and each distinct track's
+        keyframes are read once.
 
         Tracks are matched on their rows' marshal bytes, which keep each
         value's type and exact bits: 1 and 1.0, or -0.0 and 0.0, never merge,
         so every value stays as written. The bytes also mark objects a row
         shares, which json.loads builds alike for equal rows; other sharing
-        can only keep equal tracks apart. Raises KeyError, TypeError or
-        ValueError on a malformed payload.
+        can only keep equal tracks apart. Raises JsonTypeError or ValueError
+        on a malformed payload.
         """
+        payload = read_typed(_TimelineJson, value)
         shared: dict[bytes, tuple[Keyframe, ...]] = {}
         tracks = {}
-        for t in value["tracks"]:
-            eid, rows = t["element_id"], t["keyframes"]
-            if not isinstance(eid, str):
-                raise TypeError(f"element id {eid!r} is not a string")
+        for position, row in enumerate(payload["tracks"]):
+            rows = row["keyframes"]
             key = marshal.dumps(rows)
             if key not in shared:
-                shared[key] = tuple(Keyframe(row["time"], row["property"], row["value"],
-                                             row["easing"]) for row in rows)
-            tracks[eid] = shared[key]
-        if not isinstance(value["duration"], (int, float)):
-            raise TypeError(f"duration {value['duration']!r} is not a number")
-        initial = value["initial_visibility"]
-        if not isinstance(initial, dict):
-            raise TypeError(f"initial visibility is a {type(initial).__name__}, not an object")
-        for eid, visibility in initial.items():
-            if visibility != "visible" and visibility != "hidden":
-                raise ValueError(f"initial visibility {visibility!r} of {eid!r} "
-                                 "is neither 'visible' nor 'hidden'")
-        return cls(duration=value["duration"], tracks=tracks, initial_visibility=initial)
+                shared[key] = tuple(read_typed(list[Keyframe], rows,
+                                               "tracks", position, "keyframes"))
+            tracks[row["element_id"]] = shared[key]
+        return cls(payload["duration"], tracks, payload["initial_visibility"])
+
+
+class _TrackRow(TypedDict):
+    element_id: str
+    keyframes: list  # read as Keyframes by from_json, once per distinct track
+
+
+class _TimelineJson(TypedDict):
+    duration: float
+    initial_visibility: dict[str, Literal["visible", "hidden"]]
+    tracks: list[_TrackRow]
 
 
 def locate_span(narration: str, segment: str, cursor: int = 0) -> Span:

@@ -638,8 +638,8 @@ class TestExportHtml:
     def test_fade_track_becomes_css_animation(self):
         timeline = Timeline(
             duration=10.0,
-            tracks={"e1": (Keyframe(2.0, "opacity", 0.0),
-                           Keyframe(3.0, "opacity", 1.0))},
+            tracks={"e1": (Keyframe(2.0, "opacity", 0.0, "linear"),
+                           Keyframe(3.0, "opacity", 1.0, "linear"))},
             initial_visibility={"e1": "hidden"},
         )
         html = export_html(timeline, '<svg><rect id="e1"/></svg>', "a.wav")
@@ -654,9 +654,9 @@ class TestExportHtml:
         assert '[id="e1"], [id="e2"] { opacity: 0; }' in html
 
     def test_one_keyframes_per_distinct_property_track_and_one_rule_per_group(self):
-        fade = (Keyframe(1.0, "opacity", 0.0), Keyframe(1.0, "scale", 0.5),
-                Keyframe(2.0, "opacity", 1.0), Keyframe(2.0, "scale", 1.0))
-        dim = (Keyframe(3.0, "opacity", 1.0), Keyframe(4.0, "opacity", 0.2))
+        fade = (Keyframe(1.0, "opacity", 0.0, "linear"), Keyframe(1.0, "scale", 0.5, "linear"),
+                Keyframe(2.0, "opacity", 1.0, "linear"), Keyframe(2.0, "scale", 1.0, "linear"))
+        dim = (Keyframe(3.0, "opacity", 1.0, "linear"), Keyframe(4.0, "opacity", 0.2, "linear"))
         timeline = Timeline(duration=5.0, tracks={"a": fade, "b": dim, "c": fade, "d": dim},
                             initial_visibility={"a": "hidden", "c": "hidden", "e": "hidden"})
         html = export_html(timeline, "<svg/>", "a.wav")
@@ -671,7 +671,7 @@ class TestExportHtml:
     def test_ids_are_escaped_in_selectors(self):
         ids = ("1.bar", 'a"b', "x#y", "a}b", "</style>", "a b", "\u00e9")
         timeline = Timeline(duration=3.0,
-                            tracks={eid: (Keyframe(1.0, "opacity", 0.0),) for eid in ids})
+                            tracks={eid: (Keyframe(1.0, "opacity", 0.0, "linear"),) for eid in ids})
         html = export_html(timeline, "<svg/>", "a.wav")
         style = html[html.index("<style>") + len("<style>"):html.index("</style>")]
         assert "</" not in style and '"b' not in style

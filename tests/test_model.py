@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from datareel import model
+from datareel import model, pipeline
 from datareel.model import (
     ANIMATIONS,
     ANNOTATION_TYPES,
@@ -22,6 +22,7 @@ from datareel.model import (
     AnnotationDirective,
     DataTable,
     Insight,
+    JsonTypeError,
     UnknownAnimation,
     UnknownInsightType,
     UnknownVisualizationType,
@@ -29,9 +30,11 @@ from datareel.model import (
     dump_artifact,
     parse_insight_type,
     parse_visualization_type,
+    read_typed,
     structure_violations,
     visualization_structure_violations,
 )
+from datareel.timeline import Timeline
 from helpers import reference_dump_artifact
 
 
@@ -334,3 +337,90 @@ class TestDumpArtifact:
                         and any(k.arg == "indent" for k in node.keywords)):
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
+
+
+# One valid value of each type read through model.read_typed, how to read it,
+# and the keys of its leaves that also take null. Float fields hold floats, so
+# an int may stand in only where one does.
+_TYPED_SAMPLES = {
+    "config": (lambda value: read_typed(pipeline.ProjectConfig, value), {
+        "input_csv": "in.csv", "output_dir": "out", "title": "T", "mock_mode": True,
+        "transcripts": {"analyst": "a.json", "designer": "d.json"},
+        "backend": {"endpoint": "http://x/v1", "model_name": "m", "temperature": 0.5,
+                    "timeout": 60.0, "api_key_env": "KEY", "max_retries": 2,
+                    "retry_delay": 0.5},
+        "renderer_cmd": ["render", "-q"], "tts_cmd": ["tts"], "synth_cmd": ["synth"],
+        "max_repair_attempts": 3, "fps": 30, "export": "both", "prompt_max_rows": 100,
+        "cache_dir": "cache", "no_cache": False}, {"title", "cache_dir"}),
+    "stage record": (lambda value: read_typed(pipeline.StageRecord, value), {
+        "name": "tts", "status": "ok", "started_at": "2024-01-01T00:00:00Z",
+        "finished_at": "2024-01-01T00:00:01Z", "error": "none",
+        "artifacts": [{"path": "narration.wav", "sha256": "ab", "bytes": 44},
+                      {"path": "word_timings.json", "sha256": "cd", "bytes": 120}]},
+        {"finished_at", "error"}),
+    "table": (lambda value: read_typed(pipeline._TableJson, value), {
+        "title": "t", "row_count": 3,
+        "columns": [{"name": "a", "values": [1, 2.5, None]},
+                    {"name": "b", "values": ["x", "y", "z"]}]}, set()),
+    "word timings": (lambda value: read_typed(pipeline._WordTimingsJson, value), {
+        "duration": 0.9,
+        "words": [{"word": w, "start": 0.3 * i, "end": 0.3 * i + 0.3,
+                   "char_start": 3 * i, "char_end": 3 * i + 2}
+                  for i, w in enumerate(["ab", "cd", "ef"])],
+        "advisories": [{"code": "tts-timings-estimated", "path": "", "message": "m"}]},
+        set()),
+    "timeline": (Timeline.from_json, {
+        "duration": 4.0, "initial_visibility": {"e1": "hidden", "e2": "visible"},
+        "tracks": [
+            {"element_id": element_id, "keyframes": [
+                {"time": 1.0, "property": "opacity", "value": 0.0, "easing": "linear"},
+                {"time": 2.0, "property": "opacity", "value": 1.0, "easing": "ease-out"}]}
+            for element_id in ("e1", "e2")]}, set()),
+}
+
+# Table cells take any scalar but a bool.
+_CELL = {str, int, float, type(None)}
+
+_JSON_TYPES = {
+    type(None): st.none(), bool: st.booleans(), int: st.integers(),
+    float: st.floats(allow_nan=False), str: st.text(max_size=4),
+    list: st.lists(st.integers(), max_size=2),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+def _leaves(value, path=()):
+    """(path, value) of each scalar in a JSON value, the path as its keys."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, (*path, key))
+    elif isinstance(value, list):
+        for position, item in enumerate(value):
+            yield from _leaves(item, (*path, position))
+    else:
+        yield path, value
+
+
+def _path_text(path) -> str:
+    return "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path).removeprefix(".")
+
+
+class TestReadTyped:
+    @given(data=st.data())
+    def test_a_leaf_of_another_type_is_named_by_its_path(self, data):
+        read, valid, nullable = _TYPED_SAMPLES[data.draw(st.sampled_from(sorted(_TYPED_SAMPLES)))]
+        read(copy.deepcopy(valid))
+        path, leaf = data.draw(st.sampled_from(list(_leaves(valid))))
+        taken = ({type(leaf)} | ({int} if type(leaf) is float else set())
+                 | ({type(None)} if path[-1] in nullable else set())
+                 | (_CELL if "values" in path else set()))
+        replacement = data.draw(st.sampled_from(
+            [kind for kind in _JSON_TYPES if kind not in taken]).flatmap(_JSON_TYPES.get))
+        value = copy.deepcopy(valid)
+        owner = value
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = replacement
+        with pytest.raises(JsonTypeError) as caught:
+            read(value)
+        assert str(caught.value).startswith(f"{_path_text(path)}: {replacement!r} is not ")

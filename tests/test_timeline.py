@@ -344,7 +344,8 @@ class TestEvaluation:
     def test_interpolation_linear(self):
         timeline = Timeline(
             duration=10.0,
-            tracks={"x": (Keyframe(2.0, "opacity", 0.0), Keyframe(4.0, "opacity", 1.0))},
+            tracks={"x": (Keyframe(2.0, "opacity", 0.0, "linear"),
+                          Keyframe(4.0, "opacity", 1.0, "linear"))},
             initial_visibility={"x": "hidden"},
         )
         assert reference_value_at(timeline, "x", "opacity", 3.0) == pytest.approx(0.5)
@@ -466,10 +467,10 @@ grid_frame_times = st.one_of(
 def _hold_between_ramps():
     """Opacity ramps 0 -> 0.5 over [1, 2], holds 0.5 until 8, ramps to 1 by 9."""
     return Timeline(duration=10.0, tracks={"x": (
-        Keyframe(1.0, "opacity", 0.0),
-        Keyframe(2.0, "opacity", 0.5),
-        Keyframe(8.0, "opacity", 0.5),
-        Keyframe(9.0, "opacity", 1.0),
+        Keyframe(1.0, "opacity", 0.0, "linear"),
+        Keyframe(2.0, "opacity", 0.5, "linear"),
+        Keyframe(8.0, "opacity", 0.5, "linear"),
+        Keyframe(9.0, "opacity", 1.0, "linear"),
     )})
 
 
@@ -527,16 +528,16 @@ class TestKeyframeEvaluator:
         timeline = Timeline(duration=4.0, tracks={
             "same": fade(), "twin": fade(),
             "eased": fade("ease-in"), "hidden": fade(),
-            "early": (Keyframe(0.5, "translate_x", 5.0),) + fade(),
+            "early": (Keyframe(0.5, "translate_x", 5.0, "linear"),) + fade(),
         }, initial_visibility={"hidden": "hidden", "early": "hidden"})
         assert_sweep_matches_per_frame_evaluation(timeline, [f / 10 for f in range(40)])
 
     def test_equal_keyframe_times_use_the_later_keyframe(self):
         timeline = Timeline(duration=4.0, tracks={"x": (
-            Keyframe(1.0, "opacity", 0.0),
-            Keyframe(2.0, "opacity", 0.5),
-            Keyframe(2.0, "opacity", 0.0),
-            Keyframe(3.0, "opacity", 1.0),
+            Keyframe(1.0, "opacity", 0.0, "linear"),
+            Keyframe(2.0, "opacity", 0.5, "linear"),
+            Keyframe(2.0, "opacity", 0.0, "linear"),
+            Keyframe(3.0, "opacity", 1.0, "linear"),
         )})
         assert reference_value_at(timeline, "x", "opacity", 2.0) == 0.0
         assert reference_value_at(timeline, "x", "opacity", 2.5) == 0.5
@@ -615,7 +616,7 @@ class TestMockSynthManifest:
 
     @pytest.mark.parametrize("fps", [1, 3, 8])
     def test_no_frame_still_writes_an_empty_list(self, fps, tmp_path):
-        timeline = Timeline(duration=0.05, tracks={"a": (Keyframe(0.0, "opacity", 0.5),)})
+        timeline = Timeline(duration=0.05, tracks={"a": (Keyframe(0.0, "opacity", 0.5, "linear"),)})
         text = synthesized_text(timeline, fps, tmp_path)
         assert '  "frame_count": 0,\n  "frames": [],\n' in text
         assert text == reference_dump_artifact(reference_manifest(timeline, fps))
@@ -625,7 +626,8 @@ class TestMockSynthManifest:
         # most with a new opacity map. Built whole, the frames and the text
         # take several times the file's size.
         timeline = Timeline(duration=40.0, tracks={
-            f"m{i:03}": (Keyframe(i / 4, "opacity", 0.1), Keyframe(i / 4 + 8.0, "opacity", 0.9))
+            f"m{i:03}": (Keyframe(i / 4, "opacity", 0.1, "linear"),
+                         Keyframe(i / 4 + 8.0, "opacity", 0.9, "linear"))
             for i in range(120)})
         out = tmp_path / "video.json"
         tracemalloc.start()
@@ -754,10 +756,10 @@ class TestSharedTracks:
         assert '[id="m1"], [id="m2"], [id="m3"] { animation: kf_1 ' in html
 
     def test_invariant_problems_of_a_shared_track_name_every_holder(self):
-        bad = (Keyframe(2.0, "opacity", 0.0), Keyframe(1.0, "opacity", 1.0),
-               Keyframe(9.0, "scale", 1.0))
+        bad = (Keyframe(2.0, "opacity", 0.0, "linear"), Keyframe(1.0, "opacity", 1.0, "linear"),
+               Keyframe(9.0, "scale", 1.0, "linear"))
         timeline = Timeline(duration=5.0, tracks={
-            "b": bad, "a": bad, "ok": (Keyframe(1.0, "opacity", 0.0),)})
+            "b": bad, "a": bad, "ok": (Keyframe(1.0, "opacity", 0.0, "linear"),)})
         assert timeline_invariant_violations(timeline) == [
             "b: keyframe time 9.0 outside [0,5.0]",
             "b/opacity: keyframes not strictly time-sorted",
