@@ -6,6 +6,8 @@ validation here is structural only; deep Vega-Lite validity is established
 when the renderer accepts or rejects the spec.
 """
 
+from typing import TypedDict
+
 from .errors import PreconditionError
 from .ingest import DEFAULT_PROMPT_ROWS, fill_template, render_table_text
 from .model import (
@@ -17,16 +19,16 @@ from .model import (
     ValidationReport,
     VisualizationSpec,
     Violation,
+    build_read,
     mark_type,
     parse_insight_type,
     parse_visualization_type,
+    read_typed,
     spec_layers,
     structure_violations,
     title_text,
 )
-from .runtime import ChatSession, SchemaError, extract_json, repair_loop
-
-ANALYST_KEYS = ("Insights", "Visualization", "Visualization_Type", "Narration")
+from .runtime import ChatSession, extract_json, repair_loop
 
 MAX_TITLE_WORDS = 10
 INSIGHT_COUNT_BAND = (1, 10)
@@ -39,26 +41,9 @@ def build_analyst_prompt(description: DataDescription, table: DataTable,
                          table=render_table_text(table, max_rows))
 
 
-def _parse_insight(item, position: int) -> Insight:
-    path = f"Insights[{position}]"
-    if not isinstance(item, dict):
-        raise SchemaError(path, "insight entry must be an object")
-    if "insight" not in item:
-        raise SchemaError(f"{path}.insight", "missing key")
-    text = item["insight"]
-    if not isinstance(text, str) or not text.strip():
-        raise SchemaError(f"{path}.insight", "must be a non-empty string")
-    if "type" not in item:
-        raise SchemaError(f"{path}.type", "missing key")
-    types = item["type"]
-    if not isinstance(types, list) or not types:
-        raise SchemaError(f"{path}.type", "must be a non-empty list of insight types")
-    return Insight(insight=text, types=tuple(parse_insight_type(t) for t in types))
-
-
-def parse_analyst_response(raw: str, table: DataTable) -> AnalystOutput:
+def parse_analyst_response(raw: str) -> AnalystOutput:
     """Parse the analyst's four-key reply into an AnalystOutput."""
-    return analyst_output_from_json(extract_json(raw), table)
+    return analyst_output_from_json(extract_json(raw))
 
 
 def _iter_encodings(spec: dict):
@@ -140,8 +125,22 @@ def run_analyst(session: ChatSession, description: DataDescription, table: DataT
     if table.row_count == 0:
         raise PreconditionError("cannot analyze a table with no rows")
     return repair_loop(session, build_analyst_prompt(description, table, max_rows),
-                       lambda raw: parse_analyst_response(raw, table),
+                       parse_analyst_response,
                        validate_analyst_output, max_attempts)
+
+
+class InsightJson(TypedDict):
+    insight: str
+    type: list[str]
+
+
+class AnalystJson(TypedDict):
+    """The analyst reply format, as analyst_output_to_json writes it."""
+
+    Insights: list[InsightJson]
+    Visualization: dict
+    Visualization_Type: str
+    Narration: str
 
 
 def analyst_output_to_json(output: AnalystOutput) -> dict:
@@ -156,30 +155,15 @@ def analyst_output_to_json(output: AnalystOutput) -> dict:
     }
 
 
-def analyst_output_from_json(value, table: DataTable) -> AnalystOutput:
+def analyst_output_from_json(value) -> AnalystOutput:
     """Build an AnalystOutput from a parsed reply or a persisted analyst.json
-    payload; raises SchemaError where the value breaks the reply format."""
-    if not isinstance(value, dict):
-        raise SchemaError("", "reply is not a JSON object")
-    for key in ANALYST_KEYS:
-        if key not in value:
-            raise SchemaError(key, "missing key")
-    insights_raw = value["Insights"]
-    if not isinstance(insights_raw, list) or not insights_raw:
-        raise SchemaError("Insights", "must be a non-empty list")
-    insights = tuple(_parse_insight(item, i) for i, item in enumerate(insights_raw))
-    spec = value["Visualization"]
-    if not isinstance(spec, dict):
-        raise SchemaError("Visualization", "must be a JSON object")
-    vis_type_raw = value["Visualization_Type"]
-    if not isinstance(vis_type_raw, str):
-        raise SchemaError("Visualization_Type", "must be a string")
-    vis_type = parse_visualization_type(vis_type_raw)
-    narration = value["Narration"]
-    if not isinstance(narration, str) or not narration.strip():
-        raise SchemaError("Narration", "must be a non-empty string")
-    return AnalystOutput(
-        insights=insights,
-        visualization=VisualizationSpec(spec=spec, vis_type=vis_type),
-        narration=narration,
-    )
+    payload; raises JsonTypeError where the value breaks the reply format."""
+    reply = read_typed(AnalystJson, value, ignore_extra_keys=True)
+    insights = tuple([
+        build_read(Insight, "Insights", position, insight=item["insight"],
+                   types=tuple(map(parse_insight_type, item["type"])))
+        for position, item in enumerate(reply["Insights"])])
+    visualization = VisualizationSpec(reply["Visualization"],
+                                      parse_visualization_type(reply["Visualization_Type"]))
+    return build_read(AnalystOutput, insights=insights, visualization=visualization,
+                      narration=reply["Narration"])

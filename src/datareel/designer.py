@@ -7,6 +7,7 @@ narration segment must be a verbatim excerpt of the narration.
 """
 
 import json
+from typing import TypedDict
 
 from .errors import ContractError
 from .ingest import DEFAULT_PROMPT_ROWS, fill_template, render_table_text
@@ -21,21 +22,14 @@ from .model import (
     ValidationReport,
     Violation,
     VisualizationSpec,
+    build_read,
     classify_animation,
     parse_annotation_type,
+    read_typed,
     structure_violations,
 )
-from .runtime import ChatSession, SchemaError, extract_json, repair_loop
+from .runtime import ChatSession, extract_json, repair_loop
 from .timeline import SegmentNotFound, first_sentence_end, locate_span
-
-DESIGNER_KEYS = (
-    "Annotated_Visualization",
-    "Annotated_Narration_for_Animation",
-    "Annotated_Narration_for_Annotation",
-)
-
-ANIMATION_ITEM_KEYS = ("animation", "narration", "target", "index", "explanation")
-ANNOTATION_ITEM_KEYS = ("type", "description", "index", "nar")
 
 
 def build_designer_prompt(vis: VisualizationSpec, narration: str, table: DataTable,
@@ -45,68 +39,6 @@ def build_designer_prompt(vis: VisualizationSpec, narration: str, table: DataTab
         raise ValueError("narration must be non-empty")
     return fill_template("designer", visualization=json.dumps(vis.spec), narration=narration,
                          table=render_table_text(table, max_rows))
-
-
-def _parse_indices(value, path: str, table: DataTable) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise SchemaError(path, "must be a list of row indices")
-    out = []
-    for item in value:
-        if type(item) is not int or item < 0:
-            raise SchemaError(path, f"row index must be a non-negative integer, got {item!r}")
-        if item >= table.row_count:
-            raise IndexOutOfRange(item, table.row_count)
-        out.append(item)
-    return tuple(out)
-
-
-def _parse_animation_item(item, position: int, table: DataTable) -> AnimationDirective:
-    path = f"Annotated_Narration_for_Animation[{position}]"
-    if not isinstance(item, dict):
-        raise SchemaError(path, "animation entry must be an object")
-    for key in ANIMATION_ITEM_KEYS:
-        if key not in item:
-            raise SchemaError(f"{path}.{key}", "missing key")
-    if not isinstance(item["animation"], str):
-        raise SchemaError(f"{path}.animation", "must be a string")
-    classify_animation(item["animation"])
-    if not isinstance(item["narration"], str) or not item["narration"].strip():
-        raise SchemaError(f"{path}.narration", "must be a non-empty string")
-    if not isinstance(item["target"], str):
-        raise SchemaError(f"{path}.target", "must be a string")
-    if not isinstance(item["explanation"], str):
-        raise SchemaError(f"{path}.explanation", "must be a string")
-    return AnimationDirective(
-        animation=item["animation"].strip(),
-        narration=item["narration"],
-        target=item["target"],
-        index=_parse_indices(item["index"], f"{path}.index", table),
-        explanation=item["explanation"],
-    )
-
-
-def _parse_annotation_item(item, position: int, table: DataTable) -> AnnotationDirective | None:
-    path = f"Annotated_Narration_for_Annotation[{position}]"
-    if not isinstance(item, dict):
-        raise SchemaError(path, "annotation entry must be an object")
-    if item.get("type") == []:
-        return None  # empty-typed items are dropped per the output contract
-    for key in ANNOTATION_ITEM_KEYS:
-        if key not in item:
-            raise SchemaError(f"{path}.{key}", "missing key")
-    types = item["type"]
-    if not isinstance(types, list):
-        raise SchemaError(f"{path}.type", "must be a list of annotation types")
-    if not isinstance(item["description"], str):
-        raise SchemaError(f"{path}.description", "must be a string")
-    if not isinstance(item["nar"], str) or not item["nar"].strip():
-        raise SchemaError(f"{path}.nar", "must be a non-empty string")
-    return AnnotationDirective(
-        types=tuple(parse_annotation_type(t) for t in types),
-        description=item["description"],
-        index=_parse_indices(item["index"], f"{path}.index", table),
-        nar=item["nar"],
-    )
 
 
 def parse_designer_response(raw: str, table: DataTable) -> DesignerOutput:
@@ -228,6 +160,33 @@ def run_designer(session: ChatSession, vis: VisualizationSpec, narration: str,
                        max_attempts)
 
 
+class AnimationJson(TypedDict):
+    animation: str
+    narration: str
+    target: str
+    index: list[int]
+    explanation: str
+
+
+class AnnotationJson(TypedDict):
+    type: list[str]
+    description: str
+    index: list[int]
+    nar: str
+
+
+class DesignerJson(TypedDict):
+    """The designer reply format, as designer_output_to_json writes it."""
+
+    Annotated_Visualization: dict
+    Annotated_Narration_for_Animation: list[AnimationJson]
+    Annotated_Narration_for_Annotation: list[AnnotationJson]
+
+
+# What an annotation item with an empty type list reads as, before it is dropped.
+_DROPPED = {"type": [], "description": "", "index": [], "nar": ""}
+
+
 def designer_output_to_json(output: DesignerOutput) -> dict:
     """Serialize a DesignerOutput mirroring the designer reply format exactly."""
     return {
@@ -254,33 +213,35 @@ def designer_output_to_json(output: DesignerOutput) -> dict:
     }
 
 
+def _rows(index: list[int], table: DataTable) -> tuple[int, ...]:
+    for row in index:
+        if not 0 <= row < table.row_count:
+            raise IndexOutOfRange(row, table.row_count)
+    return tuple(index)
+
+
 def designer_output_from_json(value, table: DataTable) -> DesignerOutput:
     """Build a DesignerOutput from a parsed reply or a persisted designer.json
-    payload; raises SchemaError where the value breaks the reply format."""
-    if not isinstance(value, dict):
-        raise SchemaError("", "reply is not a JSON object")
-    for key in DESIGNER_KEYS:
-        if key not in value:
-            raise SchemaError(key, "missing key")
-    annotated = value["Annotated_Visualization"]
-    if not isinstance(annotated, dict):
-        raise SchemaError("Annotated_Visualization", "must be a JSON object")
-    animations_raw = value["Annotated_Narration_for_Animation"]
-    if not isinstance(animations_raw, list):
-        raise SchemaError("Annotated_Narration_for_Animation", "must be a list")
-    annotations_raw = value["Annotated_Narration_for_Annotation"]
-    if not isinstance(annotations_raw, list):
-        raise SchemaError("Annotated_Narration_for_Annotation", "must be a list")
-    animations = tuple(
-        _parse_animation_item(item, i, table) for i, item in enumerate(animations_raw)
-    )
-    annotations = tuple(
-        parsed
-        for i, item in enumerate(annotations_raw)
-        if (parsed := _parse_annotation_item(item, i, table)) is not None
-    )
+    payload; raises JsonTypeError where the value breaks the reply format and
+    IndexOutOfRange for a row outside table. An annotation item whose type
+    list is empty is dropped, whatever else it holds."""
+    key = "Annotated_Narration_for_Annotation"
+    if isinstance(value, dict) and isinstance(value.get(key), list):
+        value = {**value, key: [_DROPPED if isinstance(item, dict) and item.get("type") == []
+                                else item for item in value[key]]}
+    reply = read_typed(DesignerJson, value, ignore_extra_keys=True)
     return DesignerOutput(
-        annotated_visualization=annotated,
-        animation_directives=animations,
-        annotation_directives=annotations,
+        annotated_visualization=reply["Annotated_Visualization"],
+        animation_directives=tuple([
+            build_read(AnimationDirective, "Annotated_Narration_for_Animation", position,
+                       animation=item["animation"].strip(), narration=item["narration"],
+                       target=item["target"], index=_rows(item["index"], table),
+                       explanation=item["explanation"])
+            for position, item in enumerate(reply["Annotated_Narration_for_Animation"])]),
+        annotation_directives=tuple([
+            build_read(AnnotationDirective, "Annotated_Narration_for_Annotation", position,
+                       types=tuple(map(parse_annotation_type, item["type"])),
+                       description=item["description"], index=_rows(item["index"], table),
+                       nar=item["nar"])
+            for position, item in enumerate(reply[key]) if item["type"]]),
     )

@@ -10,10 +10,19 @@ import csv
 import io
 import re
 from importlib import resources
+from typing import TypedDict
 
 from .errors import PreconditionError
-from .model import Cell, DataDescription, DataTable, RepairReport, ValidationReport
-from .runtime import ChatSession, SchemaError, extract_json, repair_loop
+from .model import (
+    Cell,
+    DataDescription,
+    DataTable,
+    RepairReport,
+    ValidationReport,
+    build_read,
+    read_typed,
+)
+from .runtime import ChatSession, extract_json, repair_loop
 
 
 class EmptyInput(PreconditionError):
@@ -30,11 +39,6 @@ class DuplicateColumn(PreconditionError):
     def __init__(self, name: str):
         super().__init__(f"duplicate column name: {name!r}")
         self.name = name
-
-
-class EmptyDescription(SchemaError):
-    def __init__(self):
-        super().__init__("Description", "description text is empty")
 
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
@@ -142,19 +146,27 @@ def build_description_prompt(table: DataTable, max_rows: int | None = DEFAULT_PR
                          title=table.title)
 
 
+class DescriptionJson(TypedDict):
+    """The description reply format, as description_to_json writes it."""
+
+    Description: str
+
+
+def description_to_json(description: DataDescription) -> dict:
+    return {"Description": description.text}
+
+
+def description_from_json(value) -> DataDescription:
+    """Build a DataDescription from a parsed reply or a persisted
+    description.json payload; raises JsonTypeError where the value breaks
+    the reply format."""
+    reply = read_typed(DescriptionJson, value, ignore_extra_keys=True)
+    return build_read(DataDescription, text=reply["Description"])
+
+
 def parse_description_response(raw: str) -> DataDescription:
     """Extract the "Description" string from an agent reply."""
-    value = extract_json(raw)
-    if not isinstance(value, dict):
-        raise SchemaError("", "reply is not a JSON object")
-    if "Description" not in value:
-        raise SchemaError("Description", "missing key")
-    text = value["Description"]
-    if not isinstance(text, str):
-        raise SchemaError("Description", f"expected a string, got {type(text).__name__}")
-    if not text.strip():
-        raise EmptyDescription()
-    return DataDescription(text=text)
+    return description_from_json(extract_json(raw))
 
 
 def describe(session: ChatSession, table: DataTable, max_attempts: int = 3,

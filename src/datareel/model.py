@@ -119,26 +119,18 @@ def classify_animation(name: str) -> AnimationCategory:
         raise UnknownAnimation(name) from None
 
 
-def parse_insight_type(name: str) -> str:
-    """Exact-match lookup into the 13-name insight vocabulary."""
-    key = name.strip() if isinstance(name, str) else name
-    if key not in INSIGHT_TYPES:
-        raise UnknownInsightType(name)
-    return key
+def _vocabulary(names: tuple[str, ...], unknown: type[ContractError]):
+    """Exact-match lookup of a name, trimmed, into names; else raises unknown(name)."""
+    def lookup(name: str) -> str:
+        if name.strip() not in names:
+            raise unknown(name)
+        return name.strip()
+    return lookup
 
 
-def parse_visualization_type(name: str) -> str:
-    key = name.strip() if isinstance(name, str) else name
-    if key not in VISUALIZATION_TYPES:
-        raise UnknownVisualizationType(name)
-    return key
-
-
-def parse_annotation_type(name: str) -> str:
-    key = name.strip() if isinstance(name, str) else name
-    if key not in ANNOTATION_TYPES:
-        raise UnknownAnnotationType(name)
-    return key
+parse_insight_type = _vocabulary(INSIGHT_TYPES, UnknownInsightType)
+parse_visualization_type = _vocabulary(VISUALIZATION_TYPES, UnknownVisualizationType)
+parse_annotation_type = _vocabulary(ANNOTATION_TYPES, UnknownAnnotationType)
 
 
 @dataclass(frozen=True)
@@ -409,9 +401,10 @@ class RepairReport:
         }
 
 
-class JsonTypeError(TypeError):
-    """A parsed JSON value that read_typed cannot read. The message names the
-    value's JSON path: `words[0].char_start: 1.0 is not an integer`."""
+class JsonTypeError(ContractError, TypeError):
+    """A parsed JSON value that breaks its format: a contract error, and a
+    TypeError to the readers that catch one. The message names the value's
+    JSON path: `words[0].char_start: 1.0 is not an integer`."""
 
 
 class _Mismatch(Exception):
@@ -424,26 +417,41 @@ _KINDS = {str: "a string", int: "an integer", float: "a number", bool: "a boolea
           type(None): "null", list: "a list", dict: "an object"}
 
 
-def read_typed(cls, value, *path):
+def _at(path, problem: str) -> str:
+    """problem, after the JSON path of path's keys when there are any."""
+    where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path).removeprefix(".")
+    return f"{where}: {problem}" if where else problem
+
+
+def read_typed(cls, value, *path, ignore_extra_keys: bool = False):
     """cls, a dataclass, a TypedDict or another annotation, read from a parsed
     JSON value. An annotation takes: str; int, not a bool; float, an int too;
     bool; list or dict, holding anything; T | None; list[T]; dict[str, T];
-    Literal[...] of strings; a dataclass or TypedDict, as an object with no
-    key but its fields' and every field that has no default. Raises
+    Literal[...] of strings; a dataclass or TypedDict, as an object with
+    every field that has no default and no other key, or, with
+    ignore_extra_keys, other keys left unread at every level. Raises
     JsonTypeError naming the path of the value at fault, after path's keys."""
     try:
-        return _plan(cls)[0](value)
+        return _plan(cls, ignore_extra_keys)[0](value)
     except _Mismatch as e:
-        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in (*path, *e.path[::-1]))
-        where = where.removeprefix(".")
-        raise JsonTypeError(f"{where}: {e.problem}" if where else e.problem) from None
+        raise JsonTypeError(_at((*path, *e.path[::-1]), e.problem)) from None
+
+
+def build_read(cls, *path, **fields):
+    """cls(**fields), built from a value read at path's keys; raises a
+    ValueError from its checks as a JsonTypeError naming that path."""
+    try:
+        return cls(**fields)
+    except ValueError as e:
+        raise JsonTypeError(_at(path, str(e))) from None
 
 
 @cache
-def _plan(tp):
-    """(read, kinds, values) for annotation tp. read(value) is what value
-    reads as, or raises _Mismatch. A value whose type is in kinds, and which
-    is in values where that is not None, reads as itself."""
+def _plan(tp, extra: bool):
+    """(read, kinds, values) for annotation tp, an object's extra keys left
+    out when extra is true. read(value) is what value reads as, or raises
+    _Mismatch. A value whose type is in kinds, and which is in values where
+    that is not None, reads as itself."""
     origin, args = get_origin(tp), get_args(tp)
     members = args if origin in (Union, UnionType) else (tp,)
     if set(members) <= _KINDS.keys():
@@ -453,12 +461,12 @@ def _plan(tp):
     if origin is Literal:
         return _leaf(frozenset({str}), frozenset(args), "one of " + ", ".join(map(repr, args)))
     if type(None) in members:
-        read = _plan(members[members[0] is type(None)])[0]
+        read = _plan(members[members[0] is type(None)], extra)[0]
         return (lambda value: None if value is None else read(value)), frozenset({type(None)}), None
     if origin is list or origin is dict:
-        return _container(origin, *_plan(args[-1])), frozenset(), None
+        return _container(origin, *_plan(args[-1], extra)), frozenset(), None
     if is_dataclass(tp) or is_typeddict(tp):
-        return _object(tp), frozenset(), None
+        return _object(tp, extra), frozenset(), None
     raise TypeError(f"read_typed cannot read {tp!r}")
 
 
@@ -488,7 +496,7 @@ def _container(kind: type, read_item, kinds: frozenset, values: frozenset | None
     return read
 
 
-def _object(cls):
+def _object(cls, extra: bool):
     hints = get_type_hints(cls)
     if is_typeddict(cls):
         order, required, build = list(hints), cls.__required_keys__, None
@@ -496,17 +504,20 @@ def _object(cls):
         order, build = [f.name for f in fields(cls) if f.init], cls
         required = {f.name for f in fields(cls)
                     if f.init and f.default is MISSING and f.default_factory is MISSING}
-    names, plans = frozenset(order), {name: _plan(hints[name]) for name in order}
+    names, plans = frozenset(order), {name: _plan(hints[name], extra) for name in order}
     # The types whose values read as themselves in each field, a Literal's none.
     kinds = {name: plan[1] if plan[2] is None else frozenset() for name, plan in plans.items()}
 
     def read(value):
         if type(value) is not dict:
             raise _Mismatch(f"{value!r} is not an object")
-        if value.keys() != names and not required <= value.keys() <= names:
-            unknown, missing = sorted(value.keys() - names), sorted(required - set(value))
-            raise _Mismatch(f"unknown key {', '.join(map(repr, unknown))}" if unknown
-                            else f"missing key {', '.join(map(repr, missing))}")
+        if value.keys() != names:
+            if extra:
+                value = {name: item for name, item in value.items() if name in names}
+            if not required <= value.keys() <= names:
+                unknown, missing = sorted(value.keys() - names), sorted(required - set(value))
+                raise _Mismatch(f"unknown key {', '.join(map(repr, unknown))}" if unknown
+                                else f"missing key {', '.join(map(repr, missing))}")
         read_as = {}  # the fields that read as another value
         for name, item in value.items():
             if type(item) not in kinds[name]:

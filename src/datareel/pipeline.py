@@ -381,7 +381,8 @@ def _check_ingest(payload, outputs):
     return DataTable(table["title"], columns, table["row_count"]), ValidationReport()
 
 
-def _summarize_ingest(table: dict) -> list[str]:
+def _summarize_ingest(payload) -> list[str]:
+    table = read_typed(_TableJson, payload)
     names = ", ".join(col["name"] for col in table["columns"])
     return [f"table: {table['title']!r}, {table['row_count']} rows, columns: {names}"]
 
@@ -398,12 +399,15 @@ def _agent_output(run: _Run, record: dict, role: str, result: tuple, to_json):
 def _stage_description(run: _Run, record: dict):
     result = ingest.describe(run.session_for("description"), run.outputs["ingest"],
                              **run.agent_limits)
-    return _agent_output(run, record, "description", result,
-                         lambda description: {"Description": description.text})
+    return _agent_output(run, record, "description", result, ingest.description_to_json)
 
 
-def _summarize_description(payload: dict) -> list[str]:
-    return [f"description: {payload['Description']}"]
+def _check_description(payload, outputs):
+    return ingest.description_from_json(payload), ValidationReport()
+
+
+def _summarize_description(payload) -> list[str]:
+    return [f"description: {ingest.description_from_json(payload).text}"]
 
 
 def _stage_analyst(run: _Run, record: dict):
@@ -413,16 +417,16 @@ def _stage_analyst(run: _Run, record: dict):
 
 
 def _check_analyst(payload, outputs):
-    output = analyst.analyst_output_from_json(payload, outputs["ingest"])
+    output = analyst.analyst_output_from_json(payload)
     return output, analyst.validate_analyst_output(output)
 
 
-def _summarize_analyst(payload: dict) -> list[str]:
+def _summarize_analyst(payload) -> list[str]:
+    output = analyst.analyst_output_from_json(payload)
     return [
-        f"visualization type: {payload['Visualization_Type']}",
-        *(f"insight [{', '.join(item['type'])}]: {item['insight']}"
-          for item in payload["Insights"]),
-        f"narration: {payload['Narration']}",
+        f"visualization type: {output.visualization.vis_type}",
+        *(f"insight [{', '.join(item.types)}]: {item.insight}" for item in output.insights),
+        f"narration: {output.narration}",
     ]
 
 
@@ -456,7 +460,8 @@ def _check_designer(payload, outputs):
         output, outputs["analyst"].narration, _designer_resolver(outputs["base_render"]))
 
 
-def _summarize_designer(payload: dict, bindings: dict | None) -> list[str]:
+def _summarize_designer(payload, bindings: dict | None) -> list[str]:
+    payload = read_typed(designer.DesignerJson, payload, ignore_extra_keys=True)
     # bindings.json lists resolved targets in directive order
     resolved = [entry["ids"] for entry in (bindings or {}).get("resolved_targets", [])]
     lines = ["animation directives:"]
@@ -545,7 +550,8 @@ def _check_tts(payload, outputs):
         violations=tuple(Violation("tts-contract", "word_timings.json", p) for p in problems))
 
 
-def _summarize_tts(payload: dict) -> list[str]:
+def _summarize_tts(payload) -> list[str]:
+    payload = read_typed(_WordTimingsJson, payload)
     return [f"duration: {payload['duration']} s, {len(payload['words'])} timed words"]
 
 
@@ -586,11 +592,12 @@ def _check_timeline(payload, outputs):
     return timeline, ValidationReport(violations=tuple(violations))
 
 
-def _summarize_timeline(payload: dict) -> list[str]:
-    hidden = sum(1 for v in payload["initial_visibility"].values() if v == "hidden")
-    keyframes = sum(len(t["keyframes"]) for t in payload["tracks"])
+def _summarize_timeline(payload) -> list[str]:
+    timeline = tl.Timeline.from_json(payload)
+    hidden = sum(1 for v in timeline.initial_visibility.values() if v == "hidden")
+    keyframes = sum(map(len, timeline.tracks.values()))
     return [
-        f"duration: {payload['duration']} s, {len(payload['tracks'])} tracks, "
+        f"duration: {timeline.duration} s, {len(timeline.tracks)} tracks, "
         f"{keyframes} keyframes, {hidden} initially hidden elements"
     ]
 
@@ -634,7 +641,8 @@ class Stage:
 
 STAGE_TABLE = (
     Stage("ingest", _stage_ingest, _summarize_ingest, ("table.json",), _check_ingest),
-    Stage("description", _stage_description, _summarize_description, ("description.json",)),
+    Stage("description", _stage_description, _summarize_description, ("description.json",),
+          _check_description),
     Stage("analyst", _stage_analyst, _summarize_analyst, ("analyst.json",), _check_analyst),
     Stage("base_render", _stage_base_render, None, ("base.svg",), _check_base_render),
     Stage("designer", _stage_designer, _summarize_designer,
@@ -674,7 +682,8 @@ def inspect_stage(project_dir: str | Path, stage_name: str) -> str:
             name = ", ".join(n for n in stage.reads if (project_dir / n).is_file())
             lines.extend(stage.summary(*payloads))
         except _UNREADABLE as e:
-            lines.append(f"unreadable: {name}: {e!r}")
+            # the program's own errors are worded for the reader; others show their type
+            lines.append(f"unreadable: {name}: {e if isinstance(e, PipelineError) else repr(e)}")
     return "\n".join(lines)
 
 

@@ -20,13 +20,6 @@ from .errors import AdapterError, ContractError, PreconditionError
 from .model import RepairReport, ValidationReport
 
 
-class SchemaError(ContractError):
-    def __init__(self, path: str, message: str):
-        where = f"{path}: " if path else ""
-        super().__init__(f"{where}{message}")
-        self.path = path
-
-
 class NoJsonFound(ContractError):
     pass
 

@@ -20,13 +20,14 @@ from datareel.model import (
     EMPHASIS_ANIMATIONS,
     AnimationDirective,
     IndexOutOfRange,
+    JsonTypeError,
     UnknownAnimation,
     UnknownAnnotationType,
     UnknownInsightType,
     UnknownVisualizationType,
 )
 from datareel.pipeline import ProjectConfig, run_pipeline, validate_project
-from datareel.runtime import SchemaError, extract_json
+from datareel.runtime import extract_json
 from datareel.timeline import (
     PlacedAnnotation,
     PlacedDirective,
@@ -131,7 +132,7 @@ def test_criterion_2_contract_parsing():
     with criterion(2, "contract parsing", 5.0):
         table = parse_csv("d,v\n1,2\n3,4", "t")
         describe = parse_description_response
-        analyze = lambda raw: parse_analyst_response(raw, table)
+        analyze = parse_analyst_response
         design = lambda raw: parse_designer_response(raw, table)
 
         fixtures = [
@@ -139,34 +140,34 @@ def test_criterion_2_contract_parsing():
             (describe, '{"Description": "Two rows of numbers."}', None),
             (describe, '```json\n{"Description": "fenced"}\n```', None),
             (describe, 'Sure! {"Description": "prose wrapped"} Hope that helps.', None),
-            (describe, '{"description": "wrong case"}', SchemaError),
-            (describe, '{"Summary": "wrong key"}', SchemaError),
-            (describe, '{"Description": 42}', SchemaError),
-            (describe, '{"Description": "  "}', SchemaError),
+            (describe, '{"description": "wrong case"}', JsonTypeError),
+            (describe, '{"Summary": "wrong key"}', JsonTypeError),
+            (describe, '{"Description": 42}', JsonTypeError),
+            (describe, '{"Description": "  "}', JsonTypeError),
             (describe, 'no json at all', ContractError),
             # analyst replies
             (analyze, _analyst_reply(), None),
             (analyze, "```json\n" + _analyst_reply() + "\n```", None),
             (analyze, "Here are my findings. " + _analyst_reply() + " Done.", None),
-            (analyze, _analyst_reply(Insights=_DROP), SchemaError),
-            (analyze, _analyst_reply(Visualization=_DROP), SchemaError),
-            (analyze, _analyst_reply(Visualization_Type=_DROP), SchemaError),
-            (analyze, _analyst_reply(Narration=_DROP), SchemaError),
+            (analyze, _analyst_reply(Insights=_DROP), JsonTypeError),
+            (analyze, _analyst_reply(Visualization=_DROP), JsonTypeError),
+            (analyze, _analyst_reply(Visualization_Type=_DROP), JsonTypeError),
+            (analyze, _analyst_reply(Narration=_DROP), JsonTypeError),
             (analyze, _analyst_reply(Visualization_Type="heatmap"), UnknownVisualizationType),
             (analyze, _analyst_reply(
                 Insights=[{"insight": "x", "type": ["Correlation"]}]), UnknownInsightType),
-            (analyze, _analyst_reply(Insights=[]), SchemaError),
-            (analyze, _analyst_reply(Insights=[{"insight": "x", "type": []}]), SchemaError),
-            (analyze, _analyst_reply(Insights={"not": "a list"}), SchemaError),
-            (analyze, _analyst_reply(Narration=""), SchemaError),
-            (analyze, _analyst_reply(Visualization="not an object"), SchemaError),
+            (analyze, _analyst_reply(Insights=[]), JsonTypeError),
+            (analyze, _analyst_reply(Insights=[{"insight": "x", "type": []}]), JsonTypeError),
+            (analyze, _analyst_reply(Insights={"not": "a list"}), JsonTypeError),
+            (analyze, _analyst_reply(Narration=""), JsonTypeError),
+            (analyze, _analyst_reply(Visualization="not an object"), JsonTypeError),
             # designer replies
             (design, _designer_reply(), None),
             (design, "```json\n" + _designer_reply() + "\n```", None),
             (design, "Of course. " + _designer_reply(), None),
-            (design, _designer_reply(Annotated_Visualization=_DROP), SchemaError),
-            (design, _designer_reply(Annotated_Narration_for_Animation=_DROP), SchemaError),
-            (design, _designer_reply(Annotated_Narration_for_Annotation=_DROP), SchemaError),
+            (design, _designer_reply(Annotated_Visualization=_DROP), JsonTypeError),
+            (design, _designer_reply(Annotated_Narration_for_Animation=_DROP), JsonTypeError),
+            (design, _designer_reply(Annotated_Narration_for_Annotation=_DROP), JsonTypeError),
             (design, _designer_reply(Annotated_Narration_for_Animation=[{
                 "animation": "Slide-in", "narration": "x", "target": "t",
                 "index": [], "explanation": "e"}]), UnknownAnimation),
@@ -182,7 +183,7 @@ def test_criterion_2_contract_parsing():
                 "index": [99], "explanation": "e"}]), IndexOutOfRange),
             (design, _designer_reply(Annotated_Narration_for_Animation=[{
                 "animation": "Fade-in", "narration": "x", "target": "t",
-                "index": [0]}]), SchemaError),
+                "index": [0]}]), JsonTypeError),
         ]
         assert len(fixtures) >= 30
         for parser, raw, expected in fixtures:

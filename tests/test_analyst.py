@@ -14,11 +14,12 @@ from datareel.ingest import load_template, parse_csv, render_table_text
 from datareel.model import (
     DataDescription,
     DataTable,
+    JsonTypeError,
     UnknownInsightType,
     UnknownVisualizationType,
     VisualizationSpec,
 )
-from datareel.runtime import ChatSession, MockChatBackend, RepairExhausted, SchemaError
+from datareel.runtime import ChatSession, MockChatBackend, RepairExhausted
 
 DESCRIPTION = DataDescription(text="Closing stock prices for four IT companies.")
 
@@ -64,42 +65,43 @@ class TestPrompt:
 
 
 class TestParse:
-    def test_minimal_valid(self, small_table):
-        output = parse_analyst_response(_minimal_reply(), small_table)
+    def test_minimal_valid(self):
+        output = parse_analyst_response(_minimal_reply())
         assert output.insights[0].types == ("Trend",)
         assert output.visualization.vis_type == "line"
         assert output.narration == "Prices rise steadily."
 
-    def test_missing_narration(self, small_table):
+    def test_missing_narration(self):
         reply = json.loads(_minimal_reply())
         del reply["Narration"]
-        with pytest.raises(SchemaError) as err:
-            parse_analyst_response(json.dumps(reply), small_table)
+        with pytest.raises(JsonTypeError) as err:
+            parse_analyst_response(json.dumps(reply))
         assert "Narration" in str(err.value)
 
-    def test_unknown_visualization_type(self, small_table):
+    def test_unknown_visualization_type(self):
         with pytest.raises(UnknownVisualizationType):
-            parse_analyst_response(_minimal_reply(Visualization_Type="heatmap"), small_table)
+            parse_analyst_response(_minimal_reply(Visualization_Type="heatmap"))
 
-    def test_unknown_insight_type(self, small_table):
+    def test_unknown_insight_type(self):
         reply = _minimal_reply(
             Insights=[{"insight": "x", "type": ["Correlation"]}]
         )
         with pytest.raises(UnknownInsightType):
-            parse_analyst_response(reply, small_table)
+            parse_analyst_response(reply)
 
-    def test_empty_insights(self, small_table):
-        with pytest.raises(SchemaError):
-            parse_analyst_response(_minimal_reply(Insights=[]), small_table)
+    def test_empty_insights(self):
+        with pytest.raises(JsonTypeError):
+            parse_analyst_response(_minimal_reply(Insights=[]))
 
-    def test_empty_type_list(self, small_table):
+    def test_empty_type_list(self):
         reply = _minimal_reply(Insights=[{"insight": "x", "type": []}])
-        with pytest.raises(SchemaError):
-            parse_analyst_response(reply, small_table)
+        with pytest.raises(JsonTypeError) as err:
+            parse_analyst_response(reply)
+        assert str(err.value) == "Insights[0]: insight must carry at least one type"
 
-    def test_fenced_reply(self, small_table):
+    def test_fenced_reply(self):
         output = parse_analyst_response(
-            "Here you go:\n```json\n" + _minimal_reply() + "\n```", small_table
+            "Here you go:\n```json\n" + _minimal_reply() + "\n```"
         )
         assert output.narration == "Prices rise steadily."
 
@@ -195,8 +197,8 @@ class TestRunAnalyst:
         for insight in output.insights:
             assert all(t in INSIGHT_TYPES for t in insight.types)
 
-    def test_serialization_mirrors_reply_keys(self, small_table):
-        output = parse_analyst_response(_minimal_reply(), small_table)
+    def test_serialization_mirrors_reply_keys(self):
+        output = parse_analyst_response(_minimal_reply())
         payload = analyst_output_to_json(output)
         assert list(payload) == ["Insights", "Visualization", "Visualization_Type", "Narration"]
         assert list(payload["Insights"][0]) == ["insight", "type"]

@@ -13,11 +13,12 @@ from datareel.ingest import load_template, parse_csv, render_table_text
 from datareel.model import (
     AnimationDirective,
     IndexOutOfRange,
+    JsonTypeError,
     UnknownAnimation,
     UnknownAnnotationType,
     VisualizationSpec,
 )
-from datareel.runtime import ChatSession, MockChatBackend, RepairExhausted, SchemaError
+from datareel.runtime import ChatSession, MockChatBackend, RepairExhausted
 
 NARRATION = (
     "The chart shows three series over a week. "
@@ -114,20 +115,28 @@ class TestParse:
 
     def test_negative_index(self, table):
         reply = _reply(animations=[_directive("Fade-in", "Series A", index=(-1,))])
-        with pytest.raises(SchemaError):
+        with pytest.raises(IndexOutOfRange):
             parse_designer_response(reply, table)
 
     def test_missing_key(self, table):
         payload = json.loads(_reply())
         del payload["Annotated_Visualization"]
-        with pytest.raises(SchemaError):
+        with pytest.raises(JsonTypeError):
             parse_designer_response(json.dumps(payload), table)
 
     def test_missing_explanation_key(self, table):
         item = _directive("Fade-in", "Series A")
         del item["explanation"]
-        with pytest.raises(SchemaError):
+        with pytest.raises(JsonTypeError):
             parse_designer_response(_reply(animations=[item]), table)
+
+    def test_item_rule_is_reported_at_the_item_path(self, table):
+        # what the built directive rejects is named by the reply item it came from
+        reply = _reply(animations=[_directive("Fade-in", "Series A"), _directive("Fade-in", " ")])
+        with pytest.raises(JsonTypeError) as err:
+            parse_designer_response(reply, table)
+        assert str(err.value) == (
+            "Annotated_Narration_for_Animation[1]: narration segment must be non-empty")
 
     def test_serialization_mirrors_reply_keys(self, table):
         output = parse_designer_response(_reply(), table)

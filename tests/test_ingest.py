@@ -7,7 +7,6 @@ import pytest
 from datareel.errors import PreconditionError
 from datareel.ingest import (
     DuplicateColumn,
-    EmptyDescription,
     EmptyInput,
     RaggedRows,
     build_description_prompt,
@@ -17,8 +16,7 @@ from datareel.ingest import (
     parse_description_response,
     render_table_text,
 )
-from datareel.model import DataTable
-from datareel.runtime import SchemaError
+from datareel.model import DataTable, JsonTypeError
 from helpers import reference_csv_parse
 
 
@@ -220,16 +218,16 @@ class TestParseDescriptionResponse:
         assert out.text == "Daily closing prices of four IT stocks."
 
     def test_key_case_mismatch(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(JsonTypeError):
             parse_description_response('{"description": "..."}')
 
     def test_code_fenced(self):
         assert parse_description_response('```json\n{"Description": "x"}\n```').text == "x"
 
     def test_empty_description(self):
-        with pytest.raises(EmptyDescription):
+        with pytest.raises(JsonTypeError):
             parse_description_response('{"Description": "   "}')
 
     def test_non_string_value(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(JsonTypeError):
             parse_description_response('{"Description": 42}')

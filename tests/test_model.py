@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from datareel import model, pipeline
+from datareel import analyst, designer, ingest, model, pipeline
 from datareel.model import (
     ANIMATIONS,
     ANNOTATION_TYPES,
@@ -376,7 +376,35 @@ _TYPED_SAMPLES = {
                 {"time": 1.0, "property": "opacity", "value": 0.0, "easing": "linear"},
                 {"time": 2.0, "property": "opacity", "value": 1.0, "easing": "ease-out"}]}
             for element_id in ("e1", "e2")]}, set()),
+    # The agent replies; a Vega-Lite spec takes any object, so it holds no leaf.
+    "description reply": (ingest.description_from_json, {"Description": "d"}, set()),
+    "analyst reply": (analyst.analyst_output_from_json, {
+        "Insights": [{"insight": "i", "type": ["Trend", "Sort"]},
+                     {"insight": "j", "type": ["Cluster"]}],
+        "Visualization": {}, "Visualization_Type": "bar", "Narration": "n"}, set()),
+    "designer reply": (lambda value: designer.designer_output_from_json(value, _REPLY_TABLE), {
+        "Annotated_Visualization": {},
+        "Annotated_Narration_for_Animation": [
+            {"animation": "Fade-in", "narration": "n", "target": "t", "index": [0, 2],
+             "explanation": "e"}],
+        "Annotated_Narration_for_Annotation": [
+            {"type": ["text", "circle"], "description": "d", "index": [1], "nar": "n"}]},
+        set()),
 }
+
+# The table the designer reply sample's rows index.
+_REPLY_TABLE = DataTable("t", (("a", (1, 2, 3)),), 3)
+
+# The objects of each reply sample that its format names: every level at
+# which a key outside the format is ignored.
+_REPLY_OBJECTS = [
+    ("description reply", ()),
+    ("analyst reply", ()),
+    ("analyst reply", ("Insights", 1)),
+    ("designer reply", ()),
+    ("designer reply", ("Annotated_Narration_for_Animation", 0)),
+    ("designer reply", ("Annotated_Narration_for_Annotation", 0)),
+]
 
 # Table cells take any scalar but a bool.
 _CELL = {str, int, float, type(None)}
@@ -424,3 +452,13 @@ class TestReadTyped:
         with pytest.raises(JsonTypeError) as caught:
             read(value)
         assert str(caught.value).startswith(f"{_path_text(path)}: {replacement!r} is not ")
+
+    @pytest.mark.parametrize("sample, path", _REPLY_OBJECTS)
+    def test_a_reply_key_outside_the_format_is_ignored(self, sample, path):
+        read, valid, _ = _TYPED_SAMPLES[sample]
+        value = copy.deepcopy(valid)
+        owner = value
+        for key in path:
+            owner = owner[key]
+        owner["Notes"] = {"free": ["text"]}
+        assert read(value) == read(copy.deepcopy(valid))

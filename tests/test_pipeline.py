@@ -112,7 +112,7 @@ class TestRunPipeline:
         out = Path(config.output_dir)
         repair = json.loads((out / "description_repair.json").read_text())
         assert repair == {"attempts": 2, "final_status": "ok",
-                          "violations_per_attempt": [["Description: missing key"], []]}
+                          "violations_per_attempt": [["missing key 'Description'"], []]}
         description = json.loads((out / "description.json").read_text())
         assert description["Description"].startswith("Daily closing stock prices")
 
@@ -199,7 +199,8 @@ class TestInspect:
         segment = "Both series rise."
         directives = [{"animation": "Fade-in", "narration": segment, "target": t,
                        "index": [], "explanation": ""} for t in ("A", "B")]
-        payload = {"Annotated_Narration_for_Animation": directives,
+        payload = {"Annotated_Visualization": {},
+                   "Annotated_Narration_for_Animation": directives,
                    "Annotated_Narration_for_Annotation": []}
         bindings = {"resolved_targets": [dict(d, ids=[t.lower()]) for d, t in
                                          zip(directives, ("A", "B"))]}
@@ -218,16 +219,21 @@ class TestInspect:
     # names every artifact it read.
     @pytest.mark.parametrize("stage_name, name, content, reason", [
         ("analyst", "analyst.json", "not json", "analyst.json: JSONDecodeError("),
-        ("ingest", "table.json", "{}", "table.json: KeyError('columns')"),
+        ("ingest", "table.json", "{}", "table.json: missing key 'columns', 'row_count', 'title'"),
         ("video", "video_manifest.json", "[]", "video_manifest.json: TypeError("),
         ("designer", "designer.json", '{"Annotated_Narration_for_Animation": 1}',
-         "designer.json, bindings.json: TypeError("),
+         "designer.json, bindings.json: missing key 'Annotated_Narration_for_Annotation', "
+         "'Annotated_Visualization'"),
+        ("designer", "designer.json", '{"Annotated_Visualization": {}, '
+         '"Annotated_Narration_for_Animation": 1, "Annotated_Narration_for_Annotation": []}',
+         "designer.json, bindings.json: Annotated_Narration_for_Animation: 1 is not a list"),
         ("designer", "bindings.json", "not json", "bindings.json: JSONDecodeError("),
         ("designer", "bindings.json", "true", "designer.json, bindings.json: AttributeError("),
         ("timeline", "timeline.json", '{"initial_visibility": []}',
-         "timeline.json: AttributeError("),
+         "timeline.json: missing key 'duration', 'tracks'"),
     ], ids=["not-json", "empty-table", "video-manifest-list", "designer-int",
-            "bindings-not-json", "bindings-true", "visibility-list"])
+            "designer-animations-int", "bindings-not-json", "bindings-true",
+            "visibility-list"])
     def test_unreadable_artifact_is_reported(self, completed_project, tmp_path, capsys,
                                              stage_name, name, content, reason):
         import shutil
@@ -240,6 +246,37 @@ class TestInspect:
         assert report == [line for line in _inspect_golden()[stage_name].splitlines()
                           if line.startswith(("stage:", "status:", "artifact:"))]
         assert unreadable.startswith(f"unreadable: {reason}")
+
+    # Each summary reads its payload as validate reads it, so a value of the
+    # wrong type is named by its path.
+    @pytest.mark.parametrize("stage_name, name, edit, line", [
+        ("tts", "word_timings.json", lambda p: p.update(duration="3"),
+         "unreadable: word_timings.json: duration: '3' is not a number"),
+        ("timeline", "timeline.json", lambda p: p.update(tracks=5),
+         "unreadable: timeline.json: tracks: 5 is not a list"),
+        ("ingest", "table.json", lambda p: p.update(row_count="20"),
+         "unreadable: table.json: row_count: '20' is not an integer"),
+        ("description", "description.json", lambda p: p.update(Description=5),
+         "unreadable: description.json: Description: 5 is not a string"),
+        ("analyst", "analyst.json", lambda p: p.update(Narration=5),
+         "unreadable: analyst.json: Narration: 5 is not a string"),
+        ("designer", "designer.json",
+         lambda p: p["Annotated_Narration_for_Annotation"][1].update(index=["4"]),
+         "unreadable: designer.json, bindings.json: "
+         "Annotated_Narration_for_Annotation[1].index[0]: '4' is not an integer"),
+    ], ids=["timings-duration-text", "timeline-tracks-int", "table-row-count-text",
+            "description-int", "narration-int", "annotation-index-text"])
+    def test_summary_names_the_path_of_a_wrong_type(self, completed_project, tmp_path, capsys,
+                                                    stage_name, name, edit, line):
+        import shutil
+
+        project = Path(shutil.copytree(completed_project[0], tmp_path / "copy"))
+        payload = json.loads((project / name).read_text())
+        edit(payload)
+        (project / name).write_text(json.dumps(payload))
+        code, output = _cli(capsys, "inspect", "--project", str(project), "--stage", stage_name)
+        assert code == 0, output
+        assert output.splitlines()[-1] == line
 
     def test_unknown_stage(self, completed_project):
         out, _ = completed_project
@@ -456,7 +493,12 @@ class TestValidateRerunsRunChecks:
          lambda p: p["words"][0].pop("end"), "words[0]: missing key 'end'"),
         # a whole artifact replaced: a falsy payload is not an absent one
         ("table.json", "ingest-contract", {}, "missing key 'columns', 'row_count', 'title'"),
-        ("designer.json", "designer-contract", [], "reply is not a JSON object"),
+        ("designer.json", "designer-contract", [], "[] is not an object"),
+        ("description.json", "description-contract", lambda p: p.update(Description=5),
+         "Description: 5 is not a string"),
+        ("description.json", "description-contract", lambda p: p.update(Description="  "),
+         "description text must be non-empty"),
+        ("description.json", "description-contract", [], "[] is not an object"),
         ("word_timings.json", "tts-contract", [], "TypeError("),
         ("table.json", "ingest-contract", "not json", "JSONDecodeError("),
         ("analyst.json", "analyst-contract", "not json", "JSONDecodeError("),
@@ -510,7 +552,8 @@ class TestValidateRerunsRunChecks:
         ("word_timings.json", "tts-contract", lambda p: p["words"][0].update(char_start=1),
          "is not its token's [0,"),
     ], ids=["unknown-property", "no-easing", "text-time", "text-duration",
-            "word-without-end", "empty-table", "designer-list", "timings-list",
+            "word-without-end", "empty-table", "designer-list", "description-int",
+            "description-blank", "description-list", "timings-list",
             "table-not-json", "analyst-not-json", "timeline-not-json", "base-not-svg",
             "huge-duration", "deeply-nested", "column-name-int", "row-count-float",
             "title-list", "cell-list", "cell-object", "element-id-int", "visibility-int",
@@ -542,6 +585,16 @@ class TestValidateRerunsRunChecks:
         report = validate_project(project_copy)
         assert report.passing
         assert report.to_json() == before.to_json()
+
+    def test_analyst_checked_without_the_table(self, project_copy):
+        payload = json.loads((project_copy / "analyst.json").read_text())
+        payload["Narration"] = 5
+        _rewrite_artifact(project_copy, "analyst.json", payload)
+        (project_copy / "table.json").unlink()
+        report = validate_project(project_copy)
+        assert [(v.code, v.path) for v in report.violations] == [
+            ("artifact-hash", ""), ("analyst-contract", "analyst.json")]
+        assert "Narration: 5 is not a string" in report.violations[1].message
 
     def test_targets_resolve_against_the_base_rendering(self, project_copy):
         # run resolved targets on base.svg; an unreadable annotated.svg must not matter
