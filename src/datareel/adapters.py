@@ -12,7 +12,6 @@ import json
 import math
 import re
 import wave
-from dataclasses import dataclass
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -31,7 +30,6 @@ from .binding import (
 from .errors import AdapterError, PreconditionError
 from .model import (
     DataTable,
-    ValidationReport,
     Violation,
     VisualizationSpec,
     dump_artifact,
@@ -44,9 +42,9 @@ from .model import (
 )
 from .timeline import (
     KeyframeEvaluator,
-    Span,
     Timeline,
-    WordTiming,
+    TimedWord,
+    WordTimingsJson,
     validate_timings,
     value_at,  # noqa: F401  -- kept importable as datareel.adapters.value_at
     word_tokens,
@@ -491,16 +489,6 @@ def render_visualization(spec: VisualizationSpec, renderer, table: DataTable) ->
     return read_rendering(renderer.render(spec.spec), table)
 
 
-@dataclass(frozen=True)
-class TtsResult:
-    """The narration audio file, its word timings and its duration in seconds."""
-
-    audio_path: str
-    timings: tuple[WordTiming, ...]
-    duration: float
-    estimated_timings: bool = False
-
-
 MOCK_SECONDS_PER_WORD = 0.3
 MOCK_SAMPLE_RATE = 8000
 
@@ -514,32 +502,26 @@ def _write_silent_wav(path: str | Path, duration: float) -> None:
         w.writeframes(b"\x00\x00" * frames)
 
 
+def _timed_word(token: tuple[str, int, int], start: float, end: float) -> TimedWord:
+    word, char_start, char_end = token
+    return {"word": word, "start": start, "end": end,
+            "char_start": char_start, "char_end": char_end}
+
+
 class MockTts:
     """Fixed-rate speech: MOCK_SECONDS_PER_WORD per whitespace token,
     contiguous, with silent MOCK_SAMPLE_RATE audio."""
 
-    def synthesize(self, narration: str, out_path: str | Path) -> TtsResult:
+    def synthesize(self, narration: str, out_path: str | Path) -> WordTimingsJson:
         tokens = word_tokens(narration)
         if not tokens:
             raise EmptyNarration("narration has no words")
         spw = MOCK_SECONDS_PER_WORD
-        timings = tuple(
-            WordTiming(
-                word=word,
-                start=round(i * spw, 9),
-                end=round((i + 1) * spw, 9),
-                char_span=Span(start, end),
-            )
-            for i, (word, start, end) in enumerate(tokens)
-        )
+        words = [_timed_word(token, round(i * spw, 9), round((i + 1) * spw, 9))
+                 for i, token in enumerate(tokens)]
         duration = round(len(tokens) * spw, 9)
         _write_silent_wav(out_path, duration)
-        return TtsResult(audio_path=str(out_path), timings=timings, duration=duration)
-
-
-# How far past the last word's end a TTS tool's reported duration may reach,
-# and how long each narration word may take on average.
-MAX_TRAILING_SILENCE_S = 10.0
+        return {"duration": duration, "words": words, "advisories": []}
 
 
 class CommandTts:
@@ -548,10 +530,8 @@ class CommandTts:
     stdin: {"text": narration, "audio_path": requested output}
     stdout: {"audio_path": ..., "duration": seconds, "timings": [[word, start, end], ...]}
     When the tool returns no timings they are estimated by proportional
-    character weighting over the reported duration. The last word, reported
-    or estimated, may end at most MAX_TRAILING_SILENCE_S seconds per
-    narration word in, and the duration at most MAX_TRAILING_SILENCE_S after
-    it.
+    character weighting over the reported duration, with an advisory.
+    synthesize_speech holds the reply to timeline.validate_timings.
     """
 
     timeout = 120.0
@@ -559,7 +539,7 @@ class CommandTts:
     def __init__(self, command: list[str]):
         self.command = list(command)
 
-    def synthesize(self, narration: str, out_path: str | Path) -> TtsResult:
+    def synthesize(self, narration: str, out_path: str | Path) -> WordTimingsJson:
         import subprocess  # see CommandRenderer.render
 
         tokens = word_tokens(narration)
@@ -580,7 +560,7 @@ class CommandTts:
             raise TtsFailure(f"TTS command wrote no audio file at {out_path}")
         try:
             reply = json.loads(result.stdout.decode("utf-8"))
-            audio_path = reply["audio_path"]
+            reply["audio_path"]  # required, though the audio is read from out_path
             duration = float(reply["duration"])
             if not 0 < duration < math.inf:
                 raise TtsFailure(f"TTS reported a duration of {duration} s")
@@ -589,51 +569,39 @@ class CommandTts:
                 raise TtsFailure(
                     f"TTS returned {len(raw_timings)} timings for {len(tokens)} words"
                 )
-            # WordTiming rejects a time that is negative, not finite or out of order.
-            timings = tuple(
-                WordTiming(word=word, start=float(s), end=float(e), char_span=Span(cs, ce))
-                for (word, cs, ce), (_, s, e) in zip(tokens, raw_timings)
-            ) or tuple(_estimate_timings(tokens, duration))
-            if timings[-1].end > MAX_TRAILING_SILENCE_S * len(tokens):
-                raise TtsFailure(
-                    f"TTS words end at {timings[-1].end} s, more than "
-                    f"{MAX_TRAILING_SILENCE_S:g} s for each of {len(tokens)} words")
-            if duration > timings[-1].end + MAX_TRAILING_SILENCE_S:
-                raise TtsFailure(
-                    f"TTS reported a duration of {duration} s, more than "
-                    f"{MAX_TRAILING_SILENCE_S:g} s past the last word's end at {timings[-1].end} s")
+            words = [_timed_word(token, float(s), float(e))
+                     for token, (_, s, e) in zip(tokens, raw_timings)]
         except (ValueError, KeyError, TypeError) as e:
             raise TtsFailure(f"malformed TTS reply: {e}") from None
-        return TtsResult(audio_path=audio_path, timings=timings, duration=duration,
-                         estimated_timings=not raw_timings)
+        if raw_timings:
+            return {"duration": duration, "words": words, "advisories": []}
+        return {"duration": duration, "words": list(_estimate_timings(tokens, duration)),
+                "advisories": [vars(Violation(
+                    "tts-timings-estimated", "",
+                    "TTS returned no word timings; estimated by character weighting"))]}
 
 
 def _estimate_timings(tokens: list[tuple[str, int, int]], duration: float):
+    """Words spread over the duration by character weight; none ends past it."""
     weights = [len(word) + 1 for word, _, _ in tokens]
     total = sum(weights)
     elapsed = 0.0
-    for (word, cs, ce), weight in zip(tokens, weights):
+    for token, weight in zip(tokens, weights):
         start = round(elapsed, 9)
         elapsed += duration * weight / total
-        yield WordTiming(word=word, start=start, end=round(elapsed, 9), char_span=Span(cs, ce))
+        yield _timed_word(token, start, min(round(elapsed, 9), duration))
 
 
-def synthesize_speech(narration: str, tts, out_path: str | Path,
-                      ) -> tuple[TtsResult, ValidationReport]:
-    """Synthesize narration and verify the word-timing contract."""
+def synthesize_speech(narration: str, tts, out_path: str | Path) -> WordTimingsJson:
+    """Synthesize narration into out_path; the word_timings.json payload,
+    held to the word-timing contract (timeline.validate_timings)."""
     if not narration.strip():
         raise EmptyNarration("narration is empty")
-    result = tts.synthesize(narration, out_path)
-    problems = validate_timings(narration, list(result.timings))
+    timings = tts.synthesize(narration, out_path)
+    problems = validate_timings(narration, timings)
     if problems:
         raise TtsFailure("TTS output violates the timing contract: " + "; ".join(problems))
-    advisories = []
-    if result.estimated_timings:
-        advisories.append(Violation(
-            "tts-timings-estimated", "",
-            "TTS returned no word timings; estimated by character weighting",
-        ))
-    return result, ValidationReport(advisories=tuple(advisories))
+    return timings
 
 
 class MockSynth:

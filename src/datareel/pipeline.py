@@ -29,7 +29,6 @@ from .model import (
     ValidationReport,
     Violation,
     VisualizationSpec,
-    classify_animation,
     dump_artifact,
     read_typed,
     row_text,
@@ -460,24 +459,24 @@ def _check_designer(payload, outputs):
         output, outputs["analyst"].narration, _designer_resolver(outputs["base_render"]))
 
 
-def _summarize_designer(payload, bindings: dict | None) -> list[str]:
-    payload = read_typed(designer.DesignerJson, payload, ignore_extra_keys=True)
+def _summarize_designer(payload, bindings: dict | None, table) -> list[str]:
+    if table is None:
+        raise PreconditionError("missing artifact table.json")
+    output = designer.designer_output_from_json(payload, _check_ingest(table, None)[0])
     # bindings.json lists resolved targets in directive order
     resolved = [entry["ids"] for entry in (bindings or {}).get("resolved_targets", [])]
     lines = ["animation directives:"]
-    for position, item in enumerate(payload["Annotated_Narration_for_Animation"]):
-        category = classify_animation(item["animation"]).value
+    for position, d in enumerate(output.animation_directives):
         ids = resolved[position] if position < len(resolved) else None
         target_part = f" -> {ids}" if ids is not None else ""
         lines.append(
-            f"  {item['animation']} ({category}) on {item['target']!r} "
-            f"rows={item['index']} segment={item['narration']!r}{target_part}"
+            f"  {d.animation} ({d.category.value}) on {d.target!r} "
+            f"rows={list(d.index)} segment={d.narration!r}{target_part}"
         )
     lines.append("annotation directives:")
-    for item in payload["Annotated_Narration_for_Annotation"]:
+    for d in output.annotation_directives:
         lines.append(
-            f"  {'/'.join(item['type'])} rows={item['index']} "
-            f"segment={item['nar']!r}: {item['description']}"
+            f"  {'/'.join(d.types)} rows={list(d.index)} segment={d.nar!r}: {d.description}"
         )
     return lines
 
@@ -510,72 +509,43 @@ def _summarize_binding(payload: dict) -> list[str]:
     ]
 
 
-def _stage_tts(run: _Run, record: dict) -> adapters.TtsResult:
-    narration = run.outputs["analyst"].narration
-    result, report = adapters.synthesize_speech(narration, run.tts(), run.out / "narration.wav")
+def _stage_tts(run: _Run, record: dict) -> tl.WordTimingsJson:
+    timings = adapters.synthesize_speech(run.outputs["analyst"].narration, run.tts(),
+                                         run.out / "narration.wav")
     run.register(record, "narration.wav")
-    run.write_artifact(record, "word_timings.json", dump_artifact({
-        "duration": result.duration,
-        "words": [
-            {"word": t.word, "start": t.start, "end": t.end,
-             "char_start": t.char_span.start_char, "char_end": t.char_span.end_char}
-            for t in result.timings
-        ],
-        "advisories": [vars(a) for a in report.advisories],
-    }))
-    return result
-
-
-class _TimedWord(TypedDict):
-    word: str
-    start: float
-    end: float
-    char_start: int
-    char_end: int
-
-
-class _WordTimingsJson(TypedDict):
-    duration: float
-    words: list[_TimedWord]
-    advisories: list[Violation]
+    run.write_artifact(record, "word_timings.json", dump_artifact(timings))
+    return timings
 
 
 def _check_tts(payload, outputs):
-    payload = read_typed(_WordTimingsJson, payload)
-    timings = tuple([tl.WordTiming(w["word"], w["start"], w["end"],
-                                   tl.Span(w["char_start"], w["char_end"]))
-                     for w in payload["words"]])
+    timings = read_typed(tl.WordTimingsJson, payload)
     problems = tl.validate_timings(outputs["analyst"].narration, timings)
-    return adapters.TtsResult("narration.wav", timings, payload["duration"]), ValidationReport(
+    return timings, ValidationReport(
         violations=tuple(Violation("tts-contract", "word_timings.json", p) for p in problems))
 
 
 def _summarize_tts(payload) -> list[str]:
-    payload = read_typed(_WordTimingsJson, payload)
+    payload = read_typed(tl.WordTimingsJson, payload)
     return [f"duration: {payload['duration']} s, {len(payload['words'])} timed words"]
 
 
 def _stage_timeline(run: _Run, record: dict) -> tl.Timeline:
     narration, bindings = run.outputs["analyst"].narration, run.outputs["binding"]
-    timings = run.outputs["tts"].timings
-
-    def interval_of(segment: str) -> tuple[float, float]:
-        (interval,) = tl.align_segments([tl.locate_span(narration, segment, 0)], timings)
-        return interval
-
+    annotated = [(d, ids) for d, ids in bindings.assignments if ids]
+    segments = [d.narration for d, _ in bindings.resolved_targets] + [d.nar for d, _ in annotated]
+    intervals = tl.align_segments([tl.locate_span(narration, segment, 0) for segment in segments],
+                                  run.outputs["tts"]["words"])
     placed_directives = [
-        tl.PlacedDirective(animation=d.animation, target_ids=ids,
-                           interval=interval_of(d.narration),
+        tl.PlacedDirective(animation=d.animation, target_ids=ids, interval=interval,
                            label=f"{d.animation} on {d.target!r}")
-        for d, ids in bindings.resolved_targets
+        for (d, ids), interval in zip(bindings.resolved_targets, intervals)
     ]
     placed_annotations = [
-        tl.PlacedAnnotation(element_ids=tuple(sorted(ids)), interval=interval_of(d.nar),
-                            label=d.nar)
-        for d, ids in bindings.assignments if ids
+        tl.PlacedAnnotation(element_ids=tuple(sorted(ids)), interval=interval, label=d.nar)
+        for (d, ids), interval in zip(annotated, intervals[len(placed_directives):])
     ]
     timeline, report = tl.compile_timeline(
-        placed_directives, placed_annotations, bindings.index, run.outputs["tts"].duration,
+        placed_directives, placed_annotations, bindings.index, run.outputs["tts"]["duration"],
     )
     run.write_artifact(record, "timeline.json", dump_artifact(timeline.to_json()))
     run.write_artifact(record, "timeline_validation.json", dump_artifact(report.to_json()))
@@ -583,7 +553,7 @@ def _stage_timeline(run: _Run, record: dict) -> tl.Timeline:
 
 
 def _check_timeline(payload, outputs):
-    timeline, audio = tl.Timeline.from_json(payload), outputs["tts"].duration
+    timeline, audio = tl.Timeline.from_json(payload), outputs["tts"]["duration"]
     violations = [Violation("timeline-invariant", "timeline.json", problem)
                   for problem in tl.timeline_invariant_violations(timeline)]
     if timeline.duration != audio:
@@ -646,7 +616,7 @@ STAGE_TABLE = (
     Stage("analyst", _stage_analyst, _summarize_analyst, ("analyst.json",), _check_analyst),
     Stage("base_render", _stage_base_render, None, ("base.svg",), _check_base_render),
     Stage("designer", _stage_designer, _summarize_designer,
-          ("designer.json", "bindings.json"), _check_designer),
+          ("designer.json", "bindings.json", "table.json"), _check_designer),
     Stage("annotated_render", _stage_annotated_render),
     Stage("binding", _stage_binding, _summarize_binding, ("bindings.json",)),
     Stage("tts", _stage_tts, _summarize_tts, ("word_timings.json",), _check_tts),

@@ -68,18 +68,27 @@ class Span:
             raise ValueError(f"invalid span [{self.start_char},{self.end_char})")
 
 
-@dataclass(frozen=True)
-class WordTiming:
-    """One narration word, its audio start and end and its character span."""
+# How long each narration word may take on average, and how far past the
+# last word's end the narration's duration may reach.
+MAX_TRAILING_SILENCE_S = 10.0
+
+
+class TimedWord(TypedDict):
+    """One narration word: its audio start and end and its character span."""
 
     word: str
     start: float
     end: float
-    char_span: Span
+    char_start: int
+    char_end: int
 
-    def __post_init__(self):
-        if not 0 <= self.start < self.end < math.inf:
-            raise ValueError(f"invalid word timing [{self.start},{self.end})")
+
+class WordTimingsJson(TypedDict):
+    """The word_timings.json payload, which is also the tts stage's output."""
+
+    duration: float
+    words: list[TimedWord]
+    advisories: list[Violation]
 
 
 def word_tokens(narration: str) -> list[tuple[str, int, int]]:
@@ -87,22 +96,43 @@ def word_tokens(narration: str) -> list[tuple[str, int, int]]:
     return [(m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", narration)]
 
 
-def validate_timings(narration: str, timings: list[WordTiming]) -> list[str]:
-    """Check the word-timing contract: the timed words are the narration's
-    whitespace-split tokens, each spanning its token's characters, and no
-    word starts before the one before it ends. Returns violation messages."""
+def validate_timings(narration: str, timings: WordTimingsJson) -> list[str]:
+    """Check the word-timing contract; returns violation messages.
+
+    The timed words are the narration's whitespace-split tokens, each spanning
+    its token's characters. Each word has 0 <= start < end < inf, and no word
+    starts before the one before it ends. The last word ends within
+    MAX_TRAILING_SILENCE_S for each word, and the duration lies between the
+    last word's end and MAX_TRAILING_SILENCE_S past it.
+    """
     problems = []
+    words, duration = timings["words"], timings["duration"]
     tokens = word_tokens(narration)
-    if [t.word for t in timings] != [word for word, _, _ in tokens]:
+    if [w["word"] for w in words] != [word for word, _, _ in tokens]:
         problems.append("timed words do not equal the narration's whitespace-split tokens")
     else:
-        for t, (word, start, end) in zip(timings, tokens):
-            if t.char_span.start_char != start or t.char_span.end_char != end:
-                problems.append(f"char span [{t.char_span.start_char},{t.char_span.end_char}) "
+        for w, (word, start, end) in zip(words, tokens):
+            if w["char_start"] != start or w["char_end"] != end:
+                problems.append(f"char span [{w['char_start']},{w['char_end']}) "
                                 f"of {word!r} is not its token's [{start},{end})")
-    for prev, cur in zip(timings, timings[1:]):
-        if cur.start < prev.end:
-            problems.append(f"timings overlap at {cur.word!r}")
+    for w in words:
+        if not 0 <= w["start"] < w["end"] < math.inf:
+            problems.append(f"invalid word timing [{w['start']},{w['end']}) of {w['word']!r}")
+    for prev, cur in zip(words, words[1:]):
+        if cur["start"] < prev["end"]:
+            problems.append(f"timings overlap at {cur['word']!r}")
+    if words:
+        last = words[-1]["end"]
+        # A last end past the per-word limit may be too large to add to.
+        if last > MAX_TRAILING_SILENCE_S * len(words):
+            problems.append(f"words end at {last} s, more than "
+                            f"{MAX_TRAILING_SILENCE_S:g} s for each of {len(words)} words")
+        elif not last <= duration:
+            problems.append(f"duration {duration} s does not reach "
+                            f"the last word's end at {last} s")
+        elif duration > last + MAX_TRAILING_SILENCE_S:
+            problems.append(f"duration {duration} s is more than {MAX_TRAILING_SILENCE_S:g} s "
+                            f"past the last word's end at {last} s")
     return problems
 
 
@@ -228,17 +258,19 @@ def first_sentence_end(narration: str) -> int:
     return m.end() if m else len(narration)
 
 
-def align_segments(spans: list[Span], timings: list[WordTiming]) -> list[tuple[float, float]]:
-    """Map character spans to second intervals via overlapping word timings."""
+def align_segments(spans: list[Span], words: list[TimedWord]) -> list[tuple[float, float]]:
+    """Map character spans to second intervals: from the start of a span's
+    first overlapping word to the end of its last. The words are in narration
+    order (validate_timings), so both are found by bisecting their offsets."""
+    starts = [w["char_start"] for w in words]
+    ends = [w["char_end"] for w in words]
     intervals = []
     for span in spans:
-        overlapping = [
-            w for w in timings
-            if w.char_span.start_char < span.end_char and span.start_char < w.char_span.end_char
-        ]
-        if not overlapping:
+        first = bisect_right(ends, span.start_char)
+        last = bisect_left(starts, span.end_char) - 1
+        if first > last:
             raise NoWordOverlap(span)
-        intervals.append((overlapping[0].start, overlapping[-1].end))
+        intervals.append((words[first]["start"], words[last]["end"]))
     return intervals
 
 

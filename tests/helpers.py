@@ -94,6 +94,22 @@ def brute_force_occurrences(narration: str, segment: str) -> list[tuple[int, int
     return occurrences
 
 
+def reference_align_segments(spans, words) -> list[tuple[float, float]]:
+    """Each span's interval, from a scan of every word: from the start of the
+    first word that overlaps it to the end of the last. Raises NoWordOverlap
+    for a span that overlaps none."""
+    from datareel.timeline import NoWordOverlap
+
+    intervals = []
+    for span in spans:
+        overlapping = [w for w in words
+                       if w["char_start"] < span.end_char and span.start_char < w["char_end"]]
+        if not overlapping:
+            raise NoWordOverlap(span)
+        intervals.append((overlapping[0]["start"], overlapping[-1]["end"]))
+    return intervals
+
+
 def random_text(rng: random.Random, words: int, alphabet: str = "abcde") -> str:
     tokens = []
     for _ in range(words):

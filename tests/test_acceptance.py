@@ -33,7 +33,7 @@ from datareel.timeline import (
     PlacedDirective,
     SegmentNotFound,
     Span,
-    WordTiming,
+    TimedWord,
     compile_timeline,
     locate_span,
     timeline_invariant_violations,
@@ -344,11 +344,11 @@ def test_criterion_3_animation_legality():
 
 # --- 4. segment location and alignment --------------------------------------
 
-def _mock_timings(narration: str) -> list[WordTiming]:
+def _mock_timings(narration: str) -> list[TimedWord]:
     import re
     return [
-        WordTiming(m.group(), round(i * 0.3, 9), round((i + 1) * 0.3, 9),
-                   Span(m.start(), m.end()))
+        {"word": m.group(), "start": round(i * 0.3, 9), "end": round((i + 1) * 0.3, 9),
+         "char_start": m.start(), "char_end": m.end()}
         for i, m in enumerate(re.finditer(r"\S+", narration))
     ]
 
@@ -452,7 +452,7 @@ def _random_scenario(rng: random.Random):
     cuts = sorted(rng.sample(range(n_words + 1), n_segments * 2))
     word_ranges = [(cuts[2 * i], max(cuts[2 * i + 1], cuts[2 * i] + 1))
                    for i in range(n_segments)]
-    intervals = [(timings[a].start, timings[min(b, n_words) - 1].end)
+    intervals = [(timings[a]["start"], timings[min(b, n_words) - 1]["end"])
                  for a, b in word_ranges]
 
     mark_ids = [f"m{i}" for i in range(n_marks)]

@@ -12,7 +12,6 @@ from datareel.adapters import (
     CommandSynth,
     CommandTts,
     EmptyNarration,
-    MAX_TRAILING_SILENCE_S,
     MetadataMissing,
     MockRenderer,
     MockSynth,
@@ -34,6 +33,7 @@ from datareel.ingest import parse_csv
 from datareel.model import VisualizationSpec
 from helpers import reference_match_rows
 from datareel.timeline import (
+    MAX_TRAILING_SILENCE_S,
     Keyframe,
     PlacedDirective,
     Timeline,
@@ -406,30 +406,30 @@ class TestTtsContract:
 
     def test_words_match_whitespace_tokens(self, tts, tmp_path):
         narration = "Hello brave  new world"
-        result, _ = synthesize_speech(narration, tts, tmp_path / "a.wav")
-        assert [t.word for t in result.timings] == narration.split()
-        assert validate_timings(narration, list(result.timings)) == []
+        result = synthesize_speech(narration, tts, tmp_path / "a.wav")
+        assert [w["word"] for w in result["words"]] == narration.split()
+        assert validate_timings(narration, result) == []
 
     def test_audio_file_duration_matches(self, tts, tmp_path):
-        result, _ = synthesize_speech("one two three", tts, tmp_path / "a.wav")
-        with wave.open(result.audio_path, "rb") as w:
+        result = synthesize_speech("one two three", tts, tmp_path / "a.wav")
+        with wave.open(str(tmp_path / "a.wav"), "rb") as w:
             seconds = w.getnframes() / w.getframerate()
-        assert seconds == pytest.approx(result.duration, abs=1e-3)
+        assert seconds == pytest.approx(result["duration"], abs=1e-3)
 
 
 class TestMockTts:
     def test_hello_world(self, tmp_path):
-        result, _ = synthesize_speech("Hello world", MockTts(), tmp_path / "a.wav")
-        assert [(t.word, t.start, t.end) for t in result.timings] == [
+        result = synthesize_speech("Hello world", MockTts(), tmp_path / "a.wav")
+        assert [(w["word"], w["start"], w["end"]) for w in result["words"]] == [
             ("Hello", 0.0, 0.3), ("world", 0.3, 0.6),
         ]
-        assert result.duration == 0.6
+        assert result["duration"] == 0.6
 
     def test_ten_tokens_three_seconds(self, tmp_path):
         narration = " ".join(f"w{i}" for i in range(10))
-        result, _ = synthesize_speech(narration, MockTts(), tmp_path / "a.wav")
-        assert result.duration == 3.0
-        assert len(result.timings) == 10
+        result = synthesize_speech(narration, MockTts(), tmp_path / "a.wav")
+        assert result["duration"] == 3.0
+        assert len(result["words"]) == 10
 
     def test_empty_narration(self, tmp_path):
         with pytest.raises(EmptyNarration):
@@ -437,8 +437,8 @@ class TestMockTts:
 
     def test_char_spans_cover_tokens(self, tmp_path):
         narration = "ab  cd"
-        result, _ = synthesize_speech(narration, MockTts(), tmp_path / "a.wav")
-        spans = [(t.char_span.start_char, t.char_span.end_char) for t in result.timings]
+        result = synthesize_speech(narration, MockTts(), tmp_path / "a.wav")
+        spans = [(w["char_start"], w["char_end"]) for w in result["words"]]
         assert spans == [(0, 2), (4, 6)]
 
 
@@ -455,11 +455,16 @@ class TestCommandTtsFallback:
             encoding="utf-8",
         )
         tts = CommandTts([sys.executable, str(script)])
-        result, report = synthesize_speech("alpha beta gamma", tts, tmp_path / "a.wav")
-        assert result.estimated_timings
-        assert any(a.code == "tts-timings-estimated" for a in report.advisories)
-        assert result.timings[-1].end == pytest.approx(1.0)
-        assert validate_timings("alpha beta gamma", list(result.timings)) == []
+        result = synthesize_speech("alpha beta gamma", tts, tmp_path / "a.wav")
+        assert any(a["code"] == "tts-timings-estimated" for a in result["advisories"])
+        assert result["words"][-1]["end"] == pytest.approx(1.0)
+        assert validate_timings("alpha beta gamma", result) == []
+
+    def test_estimated_words_end_by_the_duration(self, tmp_path):
+        # Rounded to 9 decimals, the last word would end at 1.0 s, past the duration.
+        tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": 0.9999999996}')
+        result = synthesize_speech("alpha beta gamma", tts, tmp_path / "a.wav")
+        assert result["words"][-1]["end"] == result["duration"] == 0.9999999996
 
     def test_nonzero_exit_is_tts_failure(self, tmp_path):
         script = tmp_path / "tts_fail.py"
@@ -525,7 +530,7 @@ class TestCommandTtsReply:
         tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": %r, "timings": '
                                   '[["alpha", 0.0, 0.5], ["beta", 0.5, 1.0]]}' % (1.0 + past_end))
         if accepted:
-            assert synthesize_speech("alpha beta", tts, tmp_path / "a.wav")[0].duration == \
+            assert synthesize_speech("alpha beta", tts, tmp_path / "a.wav")["duration"] == \
                 1.0 + past_end
         else:
             with pytest.raises(TtsFailure, match="past the last word's end at 1.0 s"):
@@ -538,16 +543,17 @@ class TestCommandTtsReply:
         tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": %r, "timings": '
                                   '[["alpha", 0.0, 0.5], ["beta", 0.5, %r]]}' % (last_end, last_end))
         if accepted:
-            assert tts.synthesize("alpha beta", tmp_path / "a.wav").timings[-1].end == last_end
+            assert synthesize_speech("alpha beta", tts, tmp_path / "a.wav")["words"][-1][
+                "end"] == last_end
         else:
             with pytest.raises(TtsFailure, match="more than 10 s for each of 2 words"):
-                tts.synthesize("alpha beta", tmp_path / "a.wav")
+                synthesize_speech("alpha beta", tts, tmp_path / "a.wav")
 
     def test_estimated_words_end_within_the_limit_per_word(self, tmp_path):
         # Without timings the words are spread over the whole duration.
         tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": 1e307}')
         with pytest.raises(TtsFailure, match="words end at 1e[+]307 s, more than 10 s"):
-            tts.synthesize("alpha beta", tmp_path / "a.wav")
+            synthesize_speech("alpha beta", tts, tmp_path / "a.wav")
 
     def test_no_audio_file_is_tts_failure(self, tmp_path):
         tts = _stub_tts(tmp_path, '{"audio_path": $AUDIO, "duration": 1.0}', write_audio=False)

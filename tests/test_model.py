@@ -34,7 +34,7 @@ from datareel.model import (
     structure_violations,
     visualization_structure_violations,
 )
-from datareel.timeline import Timeline
+from datareel.timeline import Timeline, WordTimingsJson
 from helpers import reference_dump_artifact
 
 
@@ -362,7 +362,7 @@ _TYPED_SAMPLES = {
         "title": "t", "row_count": 3,
         "columns": [{"name": "a", "values": [1, 2.5, None]},
                     {"name": "b", "values": ["x", "y", "z"]}]}, set()),
-    "word timings": (lambda value: read_typed(pipeline._WordTimingsJson, value), {
+    "word timings": (lambda value: read_typed(WordTimingsJson, value), {
         "duration": 0.9,
         "words": [{"word": w, "start": 0.3 * i, "end": 0.3 * i + 0.3,
                    "char_start": 3 * i, "char_end": 3 * i + 2}

@@ -204,10 +204,11 @@ class TestInspect:
                    "Annotated_Narration_for_Annotation": []}
         bindings = {"resolved_targets": [dict(d, ids=[t.lower()]) for d, t in
                                          zip(directives, ("A", "B"))]}
-        lines = _summarize_designer(payload, bindings)
+        table = {"title": "t", "row_count": 0, "columns": []}
+        lines = _summarize_designer(payload, bindings, table)
         assert lines[1].endswith("-> ['a']")
         assert lines[2].endswith("-> ['b']")
-        assert _summarize_designer(payload, None)[1].endswith(f"segment={segment!r}")
+        assert _summarize_designer(payload, None, table)[1].endswith(f"segment={segment!r}")
 
     def test_timeline_report(self, completed_project):
         out, _ = completed_project
@@ -222,13 +223,16 @@ class TestInspect:
         ("ingest", "table.json", "{}", "table.json: missing key 'columns', 'row_count', 'title'"),
         ("video", "video_manifest.json", "[]", "video_manifest.json: TypeError("),
         ("designer", "designer.json", '{"Annotated_Narration_for_Animation": 1}',
-         "designer.json, bindings.json: missing key 'Annotated_Narration_for_Annotation', "
+         "designer.json, bindings.json, table.json: missing key "
+         "'Annotated_Narration_for_Annotation', "
          "'Annotated_Visualization'"),
         ("designer", "designer.json", '{"Annotated_Visualization": {}, '
          '"Annotated_Narration_for_Animation": 1, "Annotated_Narration_for_Annotation": []}',
-         "designer.json, bindings.json: Annotated_Narration_for_Animation: 1 is not a list"),
+         "designer.json, bindings.json, table.json: "
+         "Annotated_Narration_for_Animation: 1 is not a list"),
         ("designer", "bindings.json", "not json", "bindings.json: JSONDecodeError("),
-        ("designer", "bindings.json", "true", "designer.json, bindings.json: AttributeError("),
+        ("designer", "bindings.json", "true",
+         "designer.json, bindings.json, table.json: AttributeError("),
         ("timeline", "timeline.json", '{"initial_visibility": []}',
          "timeline.json: missing key 'duration', 'tracks'"),
     ], ids=["not-json", "empty-table", "video-manifest-list", "designer-int",
@@ -248,7 +252,7 @@ class TestInspect:
         assert unreadable.startswith(f"unreadable: {reason}")
 
     # Each summary reads its payload as validate reads it, so a value of the
-    # wrong type is named by its path.
+    # wrong type is named by its path, and a row outside the table is reported.
     @pytest.mark.parametrize("stage_name, name, edit, line", [
         ("tts", "word_timings.json", lambda p: p.update(duration="3"),
          "unreadable: word_timings.json: duration: '3' is not a number"),
@@ -262,10 +266,15 @@ class TestInspect:
          "unreadable: analyst.json: Narration: 5 is not a string"),
         ("designer", "designer.json",
          lambda p: p["Annotated_Narration_for_Annotation"][1].update(index=["4"]),
-         "unreadable: designer.json, bindings.json: "
+         "unreadable: designer.json, bindings.json, table.json: "
          "Annotated_Narration_for_Annotation[1].index[0]: '4' is not an integer"),
+        ("designer", "designer.json",
+         lambda p: p["Annotated_Narration_for_Annotation"][0].update(index=[999]),
+         "unreadable: designer.json, bindings.json, table.json: "
+         "row index 999 out of range for table with 20 rows"),
     ], ids=["timings-duration-text", "timeline-tracks-int", "table-row-count-text",
-            "description-int", "narration-int", "annotation-index-text"])
+            "description-int", "narration-int", "annotation-index-text",
+            "annotation-row-outside-table"])
     def test_summary_names_the_path_of_a_wrong_type(self, completed_project, tmp_path, capsys,
                                                     stage_name, name, edit, line):
         import shutil
@@ -277,6 +286,14 @@ class TestInspect:
         code, output = _cli(capsys, "inspect", "--project", str(project), "--stage", stage_name)
         assert code == 0, output
         assert output.splitlines()[-1] == line
+
+    def test_designer_rows_need_the_table(self, completed_project, tmp_path):
+        import shutil
+
+        project = Path(shutil.copytree(completed_project[0], tmp_path / "copy"))
+        (project / "table.json").unlink()
+        assert inspect_stage(project, "designer").splitlines()[-1] == (
+            "unreadable: designer.json, bindings.json: missing artifact table.json")
 
     def test_unknown_stage(self, completed_project):
         out, _ = completed_project
@@ -551,6 +568,16 @@ class TestValidateRerunsRunChecks:
         # a well-typed span that is not its word's token in the narration
         ("word_timings.json", "tts-contract", lambda p: p["words"][0].update(char_start=1),
          "is not its token's [0,"),
+        # well-typed times that break the timing rule
+        ("word_timings.json", "tts-contract", lambda p: p["words"][0].update(start=0.3),
+         "invalid word timing [0.3,0.3) of 'The'"),
+        ("word_timings.json", "tts-contract", lambda p: p["words"][-1].update(end=20.0),
+         "duration 14.7 s does not reach the last word's end at 20.0 s"),
+        # the timeline follows the duration, so the trailing silence is the only fault
+        ("word_timings.json", "tts-contract", (
+            ("word_timings.json", lambda p: p.update(duration=25.0)),
+            ("timeline.json", lambda p: p.update(duration=25.0))),
+         "duration 25.0 s is more than 10 s past the last word's end at 14.7 s"),
     ], ids=["unknown-property", "no-easing", "text-time", "text-duration",
             "word-without-end", "empty-table", "designer-list", "description-int",
             "description-blank", "description-list", "timings-list",
@@ -560,15 +587,19 @@ class TestValidateRerunsRunChecks:
             "values-text", "visibility-pairs", "char-start-float", "advisories-text",
             "advisories-not-objects", "start-false", "keyframe-time-true",
             "keyframe-value-false", "timings-duration-text", "char-end-text",
-            "char-start-off-token"])
+            "char-start-off-token", "word-start-at-end", "last-word-past-duration",
+            "trailing-silence"])
     def test_malformed_timeline_or_timings_is_a_violation(self, project_copy, name, code,
                                                           edit, message):
-        if callable(edit):
-            payload = json.loads((project_copy / name).read_text())
-            edit(payload)
-        else:
-            payload = edit  # the artifact's whole new content
-        _rewrite_artifact(project_copy, name, payload)
+        # edit is one artifact's edit or whole new content, or a tuple of
+        # (artifact, edit or content) pairs
+        for artifact, change in edit if isinstance(edit, tuple) else [(name, edit)]:
+            if callable(change):
+                payload = json.loads((project_copy / artifact).read_text())
+                change(payload)
+            else:
+                payload = change  # the artifact's whole new content
+            _rewrite_artifact(project_copy, artifact, payload)
         report = validate_project(project_copy)
         assert [(v.code, v.path) for v in report.violations] == [(code, name)]
         assert message in report.violations[0].message
@@ -651,6 +682,95 @@ class TestHostileArtifacts:
         finally:
             (project / name).write_bytes(original)
             (project / "manifest.json").write_text(manifest_text)
+
+
+class _Replying:
+    """A TTS that returns the given word_timings.json payload."""
+
+    def __init__(self, timings: dict):
+        self.timings = timings
+
+    def synthesize(self, narration: str, out_path) -> dict:
+        return self.timings
+
+
+# Each clause of the word-timing rule, with the words its message names.
+_CLAUSES = {
+    "words": "timed words do not equal the narration's whitespace-split tokens",
+    "span": "is not its token's",
+    "timing": "invalid word timing",
+    "overlap": "timings overlap at",
+    "per-word": "more than 10 s for each of 49 words",
+    "short": "does not reach the last word's end",
+    "trailing": "more than 10 s past the last word's end",
+}
+
+
+@st.composite
+def _broken_timings(draw, timings: dict):
+    """(clause, the stock demo's timings stretched and with that clause broken).
+
+    The stretch keeps every keyframe of the demo's timeline.json within the
+    duration, so the timeline stays valid at the payload's duration."""
+    stretch = draw(st.integers(100, 200)) / 100
+    words = [dict(w, start=round(w["start"] * stretch, 6), end=round(w["end"] * stretch, 6))
+             for w in timings["words"]]
+    last = words[-1]
+    duration = last["end"] + draw(st.integers(0, 999)) / 100
+    word = draw(st.sampled_from(words))
+    clause = draw(st.sampled_from(sorted(_CLAUSES)))
+    if clause == "words":
+        word["word"] += "x"
+    elif clause == "span":
+        word["char_end"] += 1
+    elif clause == "timing":
+        word["start"] = draw(st.sampled_from([word["end"], float("nan")]))
+    elif clause == "overlap":
+        position = draw(st.integers(1, len(words) - 1))
+        words[position]["start"] = (words[position - 1]["start"] + words[position - 1]["end"]) / 2
+    elif clause == "per-word":
+        last["end"] = 10.0 * len(words) + draw(st.integers(1, 10**6)) / 100
+    elif clause == "short":
+        last["end"] = duration + draw(st.integers(1, 100)) / 100
+    else:
+        duration = last["end"] + 10 + draw(st.integers(1, 10**6)) / 100
+    return clause, dict(timings, duration=duration, words=words)
+
+
+class TestTimingRule:
+    """One rule, timeline.validate_timings, holds for run and validate alike."""
+
+    @pytest.fixture(scope="class")
+    def project(self, completed_project, tmp_path_factory):
+        import shutil
+
+        return Path(shutil.copytree(completed_project[0],
+                                    tmp_path_factory.mktemp("timings") / "copy"))
+
+    @given(data=st.data())
+    def test_each_clause_is_named_by_run_and_validate(self, project, data):
+        from datareel import timeline
+        from datareel.adapters import TtsFailure, synthesize_speech
+
+        narration = json.loads((project / "analyst.json").read_text())["Narration"]
+        originals = {name: (project / name).read_bytes()
+                     for name in ("word_timings.json", "timeline.json", "manifest.json")}
+        clause, timings = data.draw(_broken_timings(json.loads(originals["word_timings.json"])))
+        problems = timeline.validate_timings(narration, timings)
+        assert len(problems) == 1 and _CLAUSES[clause] in problems[0], problems
+        with pytest.raises(TtsFailure, match=re.escape(_CLAUSES[clause])):
+            synthesize_speech(narration, _Replying(timings), project / "unused.wav")
+        timeline_payload = json.loads(originals["timeline.json"])
+        timeline_payload["duration"] = timings["duration"]
+        try:
+            _rewrite_artifact(project, "word_timings.json", timings)
+            _rewrite_artifact(project, "timeline.json", timeline_payload)
+            report = validate_project(project)
+            assert [(v.code, v.path, v.message) for v in report.violations] == [
+                ("tts-contract", "word_timings.json", problems[0])]
+        finally:
+            for name, content in originals.items():
+                (project / name).write_bytes(content)
 
 
 class TestArtifactDigests:
@@ -1184,12 +1304,15 @@ class TestCli:
         assert code == 2, output
         assert f"unreadable transcript {bad}" in output
 
-    @pytest.mark.parametrize("export, duration", [("video", 1e308), ("html", 1e9)],
-                             ids=["overflowing", "huge"])
-    def test_tts_duration_far_past_the_last_word_exit_code_4(
-            self, tmp_path, stock_csv_path, capsys, monkeypatch, export, duration):
+    @pytest.mark.parametrize("export, duration, message", [
+        ("video", 1e308, "past the last word's end"), ("html", 1e9, "past the last word's end"),
+        ("video", 1.0, "does not reach the last word's end at 14.7 s")],
+        ids=["overflowing", "huge", "short"])
+    def test_tts_duration_before_or_far_past_the_last_word_exit_code_4(
+            self, tmp_path, stock_csv_path, capsys, monkeypatch, export, duration, message):
         # At 1e308 s the mock synth's frame count overflowed; at 1e9 s the
         # synth would build 3e10 frame times, and HTML export accepted it.
+        # At 1.0 s the timeline stage found keyframes past the duration.
         tts = tmp_path / "tts.py"
         tts.write_text(
             "import json, sys\n"
@@ -1218,7 +1341,7 @@ class TestCli:
         code, output = _cli(
             capsys, "run", "--input", str(stock_csv_path), "--config", str(config_path))
         assert code == 4, output
-        assert "past the last word's end" in output
+        assert message in output
         assert ProjectManifest.load(tmp_path / "proj" / "manifest.json").stages[-1][
             "name"] == "tts"
 

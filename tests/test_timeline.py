@@ -23,8 +23,8 @@ from datareel.timeline import (
     PlacedDirective,
     SegmentNotFound,
     Span,
+    TimedWord,
     Timeline,
-    WordTiming,
     align_segments,
     compile_timeline,
     first_sentence_end,
@@ -32,6 +32,7 @@ from datareel.timeline import (
     locate_span,
     timeline_invariant_violations,
     value_at,
+    word_tokens,
 )
 from helpers import (
     WS_ALPHABET,
@@ -39,6 +40,7 @@ from helpers import (
     expand_changes,
     parse_html_rules,
     random_text,
+    reference_align_segments,
     reference_dump_artifact,
     reference_html_rules,
     reference_value_at,
@@ -46,11 +48,11 @@ from helpers import (
 )
 
 
-def mock_timings(narration: str, spw: float = 0.3) -> list[WordTiming]:
+def mock_timings(narration: str, spw: float = 0.3) -> list[TimedWord]:
     import re
     return [
-        WordTiming(m.group(), round(i * spw, 9), round((i + 1) * spw, 9),
-                   Span(m.start(), m.end()))
+        {"word": m.group(), "start": round(i * spw, 9), "end": round((i + 1) * spw, 9),
+         "char_start": m.start(), "char_end": m.end()}
         for i, m in enumerate(re.finditer(r"\S+", narration))
     ]
 
@@ -160,6 +162,40 @@ class TestAlignSegments:
         narration = "alpha beta"
         timings = mock_timings(narration)
         assert align_segments([Span(3, 7)], timings) == [(0.0, 0.6)]
+
+    @given(data=st.data())
+    def test_bisection_equals_the_scan(self, data):
+        whitespace = st.text(alphabet=WS_ALPHABET, min_size=1, max_size=3)
+        tokens = data.draw(st.lists(st.text(alphabet="ab", min_size=1, max_size=3),
+                                    min_size=1, max_size=10))
+        gaps = data.draw(st.lists(whitespace, min_size=len(tokens) + 1,
+                                  max_size=len(tokens) + 1))
+        narration = "".join(g + t for g, t in zip(gaps, tokens + [""]))
+        narration = narration[data.draw(st.integers(0, len(gaps[0]))):]
+        # monotone word times, in hundredths of a second: a pause, then the word
+        steps = data.draw(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 50)),
+                                   min_size=len(tokens), max_size=len(tokens)))
+        words, clock = [], 0
+        for (word, char_start, char_end), (pause, length) in zip(word_tokens(narration), steps):
+            words.append({"word": word, "start": (clock + pause) / 100,
+                          "end": (clock + pause + length) / 100,
+                          "char_start": char_start, "char_end": char_end})
+            clock += pause + length
+        spans = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            lo = data.draw(st.integers(0, len(narration) - 1))
+            hi = data.draw(st.integers(lo + 1, len(narration)))
+            # a substring is always found; one inside a whitespace run overlaps no word
+            spans.append(locate_span(narration, narration[lo:hi],
+                                     data.draw(st.integers(0, lo))))
+        try:
+            expected = reference_align_segments(spans, words)
+        except NoWordOverlap as e:
+            with pytest.raises(NoWordOverlap) as raised:
+                align_segments(spans, words)
+            assert raised.value.span == e.span
+        else:
+            assert align_segments(spans, words) == expected
 
 
 def _per_element(effect) -> dict[str, list[Keyframe]]:
