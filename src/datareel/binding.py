@@ -96,60 +96,46 @@ def _attribute_text(attrs: dict[str, str]) -> str:
 
 
 @dataclass
-class SvgElement:
-    """One SVG element. text and tail are as written in the source (the diff
-    key strips text); attrs holds local attribute names."""
-
-    id: str
-    tag: str
-    attrs: dict[str, str]
-    text: str
-    children: tuple["SvgElement", ...] = ()
-    tail: str = ""
-
-
-@dataclass
 class SvgDoc:
-    """Parsed SVG tree with unique element ids in stable document order.
+    """Parsed SVG tree: the elements ET.fromstring built, in stable document
+    order, normalized in place by parse_svg: tag and attribute names are
+    local, and each element's first attribute is its unique id. text and tail
+    are as written, or None where there is none. role_paths maps each element
+    id to the data-role values of its ancestors, root first."""
 
-    role_paths maps each element id to the data-role values of its
-    ancestors, root first."""
-
-    root: SvgElement
-    elements: list[SvgElement] = field(default_factory=list)
-    by_id: dict[str, SvgElement] = field(default_factory=dict)
+    root: ET.Element
+    elements: list[ET.Element] = field(default_factory=list)
+    by_id: dict[str, ET.Element] = field(default_factory=dict)
     role_paths: dict[str, tuple[str, ...]] = field(default_factory=dict)
     namespace: str = ""
 
     def to_text(self) -> str:
         """Serialize with every element id materialized, for export and styling.
 
-        Each element writes its id first, then its other attributes, then
-        (on the root) xmlns; text and tail text are kept as written."""
+        Each element writes its attributes in order (parse_svg puts the id
+        first), then (on the root) xmlns; text and tail are kept as written."""
         out: list[str] = []
         # Elements still to write, and the closing tags (with tail text) of
         # the open ones; the next item to write is last.
-        pending: list[SvgElement | str] = [self.root]
+        pending: list[ET.Element | str] = [self.root]
         while pending:
             el = pending.pop()
             if type(el) is str:
                 out.append(el)
                 continue
-            attrs = el.attrs
-            if "id" in attrs:
-                attrs = {k: v for k, v in attrs.items() if k != "id"}
+            attrs = el.attrib
             if el is self.root and self.namespace:
                 attrs = {**attrs, "xmlns": self.namespace}
-            head = f"<{el.tag} id={quoteattr(el.id)}{_attribute_text(attrs)}"
+            head = f"<{el.tag}{_attribute_text(attrs)}"
             tail = escape(el.tail) if el.tail else ""
-            if not el.children and not el.text:
+            if not el.text and not len(el):
                 out.append(head + "/>" + tail)
                 continue
             out.append(head + ">")
             if el.text:
                 out.append(escape(el.text))
             pending.append(f"</{el.tag}>{tail}")
-            pending.extend(reversed(el.children))
+            pending.extend(reversed(el))
         return "".join(out)
 
 
@@ -158,9 +144,10 @@ def _local_name(tag: str) -> str:
 
 
 def parse_svg(raw: str) -> SvgDoc:
-    """Parse SVG text, synthesizing ids "e0","e1",... for id-less elements.
-
-    The tree is walked without recursion, so it may nest to any depth."""
+    """Parse SVG text and normalize the tree ET.fromstring builds in place,
+    as SvgDoc describes. An element keeps its id attribute (an xml:id is not
+    one); id-less ones get "e0","e1",... in document order. The tree is
+    walked without recursion, so it may nest to any depth."""
     try:
         root = ET.fromstring(raw)
     except ET.ParseError as e:
@@ -182,46 +169,42 @@ def parse_svg(raw: str) -> SvgDoc:
                 raise PreconditionError(f"duplicate element id {explicit!r}")
             explicit_ids.add(explicit)
 
-    elements: list[SvgElement] = []
-    by_id: dict[str, SvgElement] = {}
+    elements: list[ET.Element] = []
+    by_id: dict[str, ET.Element] = {}
     role_paths: dict[str, tuple[str, ...]] = {}
     synthesized = filterfalse(explicit_ids.__contains__, map("e{}".format, count()))
     local_names: dict[str, str] = {}
-    top: list[SvgElement] = []
-    # Per open element: its remaining child nodes, its element (None above
-    # the root), its children's role path and the children built so far.
-    # Elements are built in document order, so synthesized ids count up in
-    # that order: the for loop runs through an element's children until one
-    # has children of its own, which is opened next.
-    stack = [(iter((root,)), None, (), top)]
+    # Per open element: its remaining child nodes and their role path. The
+    # for loop runs through an element's children until one has children of
+    # its own, which is opened next, so ids are synthesized in document order.
+    # An entry per element instead would leave a freed tuple per element on
+    # the interpreter's free list, which counts toward the next collection.
+    stack = [(iter((root,)), ())]
     while stack:
-        nodes, parent, path, built = stack[-1]
+        nodes, path = stack[-1]
         for node in nodes:
             eid = node.get("id")
             if eid is None:
                 eid = next(synthesized)
-            # The ElementTree is dropped after parsing, so an element without
-            # namespaced attribute names keeps its attrib dict.
             attrs = node.attrib
             if prefixed and "}" in "".join(attrs):
-                attrs = {_local_name(k): v for k, v in attrs.items()}
+                # A renamed xml:id must not replace the id read above.
+                attrs = {name: v for k, v in attrs.items() if (name := _local_name(k)) != "id"}
+            node.attrib = {"id": eid, **attrs}
             tag = local_names.get(node.tag)
             if tag is None:
                 tag = local_names[node.tag] = _local_name(node.tag)
-            element = SvgElement(eid, tag, attrs, node.text or "", (), node.tail or "")
-            elements.append(element)
-            by_id[eid] = element
+            node.tag = tag
+            elements.append(node)
+            by_id[eid] = node
             role_paths[eid] = path
-            built.append(element)
             if len(node):
                 role = attrs.get("data-role")
-                stack.append((iter(node), element, path if role is None else (*path, role), []))
+                stack.append((iter(node), path if role is None else (*path, role)))
                 break
         else:
-            if parent is not None:
-                parent.children = tuple(built)
             stack.pop()
-    return SvgDoc(root=top[0], elements=elements, by_id=by_id, role_paths=role_paths,
+    return SvgDoc(root=root, elements=elements, by_id=by_id, role_paths=role_paths,
                   namespace=namespace)
 
 
@@ -287,30 +270,34 @@ class MarkIndex:
         ]
 
 
-def _parse_data_rows(element: SvgElement, row_count: int | None) -> frozenset:
-    raw = element.attrs["data-row"]
+# ASCII digits only: int() alone also reads "_", "+", "-", spaces and other digits.
+_DATA_ROW = re.compile(r"[0-9]+(?:;[0-9]+)*")
+
+
+def _parse_data_rows(element: ET.Element, row_count: int | None) -> frozenset:
+    raw = element.get("data-row")
     if raw == "":
         return frozenset()
     try:
-        rows = frozenset(map(int, raw.split(";")))
+        if _DATA_ROW.fullmatch(raw) is None:
+            raise ValueError(raw)
+        rows = frozenset(map(int, raw.split(";")))  # past its digit limit, int() raises too
     except ValueError:
-        raise UnboundMark(element.id, f"carries malformed data-row {raw!r}") from None
-    if min(rows) < 0:
-        raise UnboundMark(element.id, f"carries negative data-row {raw!r}")
+        raise UnboundMark(element.get("id"), f"carries malformed data-row {raw!r}") from None
     if row_count is not None and max(rows) >= row_count:
         raise UnboundMark(
-            element.id, f"references rows outside the table ({raw!r}, {row_count} rows)"
+            element.get("id"), f"references rows outside the table ({raw!r}, {row_count} rows)"
         )
     return rows
 
 
-def _mark_elements(group: SvgElement):
+def _mark_elements(group: ET.Element):
     """The non-<g> descendants of group, in document order, through nested <g>s."""
-    pending = list(reversed(group.children))
+    pending = group[::-1]
     while pending:
         child = pending.pop()
         if child.tag == "g":
-            pending.extend(reversed(child.children))
+            pending.extend(reversed(child))
         else:
             yield child
 
@@ -321,15 +308,15 @@ def index_marks(svg: SvgDoc, table: DataTable | None = None) -> MarkIndex:
     row_count = table.row_count if table else None
     mark_roles = frozenset({"mark"})
     for element in svg.elements:
-        role = element.attrs.get("data-role")
+        role = element.get("data-role")
         if role in ("axis", "legend", "title"):
-            entries[element.id] = MarkEntry(frozenset({role}), frozenset())
+            entries[element.get("id")] = MarkEntry(frozenset({role}), frozenset())
         elif role == "marks":
             for mark in _mark_elements(element):
-                if "data-row" not in mark.attrs:
-                    raise UnboundMark(mark.id)
-                entries[mark.id] = MarkEntry(mark_roles, _parse_data_rows(mark, row_count),
-                                             mark.attrs.get("data-series"))
+                if "data-row" not in mark.attrib:
+                    raise UnboundMark(mark.get("id"))
+                entries[mark.get("id")] = MarkEntry(mark_roles, _parse_data_rows(mark, row_count),
+                                                    mark.get("data-series"))
     return MarkIndex(entries=entries)
 
 
@@ -350,9 +337,9 @@ def with_annotations(index: MarkIndex, svg: SvgDoc, annotation_ids) -> MarkIndex
         element = svg.by_id.get(eid)
         rows = frozenset()
         series = None
-        if element is not None and "data-row" in element.attrs:
+        if element is not None and "data-row" in element.attrib:
             rows = _parse_data_rows(element, None)
-            series = element.attrs.get("data-series")
+            series = element.get("data-series")
         previous = entries.get(eid)
         if previous is not None:
             entries[eid] = MarkEntry(
@@ -404,17 +391,17 @@ def resolve_targets(directive: AnimationDirective, index: MarkIndex) -> frozense
 _NOT_KEYED = GEOMETRY_ATTRS | {"id"}
 
 
-def _diff_key(doc: SvgDoc, element: SvgElement, keyed_names: dict):
+def _diff_key(doc: SvgDoc, element: ET.Element, keyed_names: dict):
     """keyed_names maps each attribute name tuple seen to its sorted keyed
     names and a getter of their values, so elements of one kind share them."""
-    attrs = element.attrs
+    attrs = element.attrib
     names = keyed_names.get(tuple(attrs))
     if names is None:
         keyed = tuple(sorted(attrs.keys() - _NOT_KEYED))
         names = keyed_names[tuple(attrs)] = (keyed, itemgetter(*keyed) if keyed else
                                                (lambda _: ()))
-    return (element.tag, doc.role_paths[element.id], names[0], names[1](attrs),
-            element.text.strip())
+    return (element.tag, doc.role_paths[attrs["id"]], names[0], names[1](attrs),
+            (element.text or "").strip())
 
 
 def diff_annotations(base: SvgDoc, annotated: SvgDoc) -> list[str]:
@@ -439,15 +426,15 @@ def diff_annotations(base: SvgDoc, annotated: SvgDoc) -> list[str]:
         if base_keys[key] > 0:
             base_keys[key] -= 1
         else:
-            extras.append(element.id)
+            extras.append(element.get("id"))
     return extras
 
 
-def _coords(element: SvgElement) -> tuple[float, float] | None:
+def _coords(element: ET.Element) -> tuple[float, float] | None:
     for xk, yk in (("x", "y"), ("cx", "cy"), ("x1", "y1")):
-        if xk in element.attrs and yk in element.attrs:
+        if xk in element.attrib and yk in element.attrib:
             try:
-                return float(element.attrs[xk]), float(element.attrs[yk])
+                return float(element.get(xk)), float(element.get(yk))
             except ValueError:
                 return None
     return None

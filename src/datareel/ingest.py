@@ -8,6 +8,7 @@ to their source outside the {{placeholder}} markers.
 
 import csv
 import io
+import math
 import re
 from importlib import resources
 from typing import TypedDict
@@ -52,17 +53,22 @@ def _type_cell(raw: str) -> Cell:
         return None
     stripped = raw.strip()
     if _INT_RE.fullmatch(stripped):
-        return int(stripped)
-    if _NUMBER_RE.fullmatch(stripped):
-        return float(stripped)
+        try:
+            return int(stripped)
+        except ValueError:
+            return raw
+    if _NUMBER_RE.fullmatch(stripped) and math.isfinite(value := float(stripped)):
+        return value
     return raw
 
 
 def parse_csv(raw: str, title: str) -> DataTable:
     """Parse RFC-4180-style CSV with a header row into a DataTable.
 
-    Numeric-looking cells become numbers; empty cells become null. Raises
-    EmptyInput, RaggedRows(row_number), or DuplicateColumn(name).
+    Numeric-looking cells become numbers, except an integer of more digits
+    than int() reads and a float that overflows (1e999), which stay text;
+    empty cells become null. Raises EmptyInput, RaggedRows(row_number), or
+    DuplicateColumn(name).
     """
     if not raw.strip():
         raise EmptyInput("CSV input is empty")

@@ -352,7 +352,7 @@ _UNREADABLE = (PipelineError, AttributeError, KeyError, RecursionError, TypeErro
 
 
 def _stage_ingest(run: _Run, record: dict) -> DataTable:
-    raw = Path(run.config.input_csv).read_text(encoding="utf-8")
+    raw = Path(run.config.input_csv).read_text(encoding="utf-8-sig")
     title = run.config.title or Path(run.config.input_csv).stem
     table = ingest.parse_csv(raw, title)
     run.write_artifact(record, "table.json", dump_artifact({

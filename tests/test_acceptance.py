@@ -415,15 +415,15 @@ def test_criterion_5_annotation_diff():
             base, annotated = parse_svg(text), parse_svg(injected_text)
             extras = diff_annotations(base, annotated)
             assert len(extras) == k
-            found_markers = {annotated.by_id[eid].attrs.get("data-marker") for eid in extras}
+            found_markers = {annotated.by_id[eid].get("data-marker") for eid in extras}
             assert found_markers == set(markers)
 
         for _ in range(40):
             text = random_svg(rng)
             doc = parse_svg(text)
-            top = list(doc.root.children)
+            top = list(doc.root)
             rng.shuffle(top)
-            doc.root.children = tuple(top)
+            doc.root[:] = top
             permuted = parse_svg(doc.to_text())
             assert diff_annotations(parse_svg(text), permuted) == []
 

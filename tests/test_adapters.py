@@ -78,7 +78,7 @@ class TestRendererContract:
         svg_text = renderer.render(_bar_spec(3))
         doc = parse_svg(svg_text)
         rects = [el for el in doc.elements if el.tag == "rect"]
-        assert [el.attrs["data-row"] for el in rects] == ["0", "1", "2"]
+        assert [el.get("data-row") for el in rects] == ["0", "1", "2"]
 
     def test_mark_count_bar_equals_row_count(self, renderer):
         doc = parse_svg(renderer.render(_bar_spec(5)))
@@ -149,8 +149,8 @@ class TestMockRendererDetails:
         }
         doc = parse_svg(MockRenderer().render(layered))
         overlays = [el for el in doc.elements
-                    if el.tag == "circle" and "data-row" in el.attrs]
-        assert [el.attrs["data-row"] for el in overlays] == ["2"]
+                    if el.tag == "circle" and "data-row" in el.attrib]
+        assert [el.get("data-row") for el in overlays] == ["2"]
 
     def test_legend_emitted_for_color_encoding(self):
         values = [{"d": 0, "v": 1, "s": "A"}, {"d": 1, "v": 2, "s": "B"}]
@@ -159,7 +159,7 @@ class TestMockRendererDetails:
                              "color": {"field": "s"}},
                 "data": {"values": values}}
         doc = parse_svg(MockRenderer().render(spec))
-        legend = [el for el in doc.elements if el.attrs.get("data-role") == "legend"]
+        legend = [el for el in doc.elements if el.get("data-role") == "legend"]
         assert len(legend) == 1
 
 
@@ -214,16 +214,16 @@ class TestMarkEmitter:
     def test_overlay_series_take_the_legend_colours(self):
         # the overlay data lists B before A; base bars and the legend put A first
         doc = parse_svg(MockRenderer().render(_corpus_spec("line", True, True)))
-        overlay = [el for el in doc.elements if doc.role_paths[el.id][-1:] == ("overlay",)]
-        assert {el.attrs["data-series"]: el.attrs["stroke"] for el in overlay} == {
+        overlay = [el for el in doc.elements if doc.role_paths[el.get("id")][-1:] == ("overlay",)]
+        assert {el.get("data-series"): el.get("stroke") for el in overlay} == {
             "A": PALETTE[0], "B": PALETTE[1]}
 
     def test_overlay_series_missing_from_the_legend_come_after_it(self):
         spec = _corpus_spec("point", True, True)
         spec["layer"][1]["data"]["values"] = [{"v": 1, "s": "C"}, {"v": 2, "s": "B"}]
         doc = parse_svg(MockRenderer().render(spec))
-        overlay = [el for el in doc.elements if doc.role_paths[el.id][-1:] == ("overlay",)]
-        assert [(el.attrs["data-series"], el.attrs["fill"]) for el in overlay] == [
+        overlay = [el for el in doc.elements if doc.role_paths[el.get("id")][-1:] == ("overlay",)]
+        assert [(el.get("data-series"), el.get("fill")) for el in overlay] == [
             ("C", PALETTE[2]), ("B", PALETTE[1])]
 
     @pytest.mark.parametrize("position", ["base", "overlay"])
@@ -240,8 +240,8 @@ class TestMarkEmitter:
                                "data": {"values": values}}]}
         doc = parse_svg(MockRenderer().render(spec))
         bars = [el for el in doc.elements if el.tag == "rect"][-4:]
-        assert [el.attrs["data-series"] for el in bars] == ["1", "1.0", "True", "1"]
-        assert [el.attrs["fill"] for el in bars] == [PALETTE[0]] * 3 + [PALETTE[1]]
+        assert [el.get("data-series") for el in bars] == ["1", "1.0", "True", "1"]
+        assert [el.get("fill") for el in bars] == [PALETTE[0]] * 3 + [PALETTE[1]]
 
     @pytest.mark.parametrize("mark", MockRenderer.SUPPORTED_MARKS)
     def test_list_and_object_series_cells_are_series(self, mark):
@@ -268,22 +268,22 @@ class TestMarkEmitter:
         svg_text = MockRenderer().render(spec)
         doc = parse_svg(svg_text)
         assert "None" not in svg_text
-        assert [el.attrs["data-series"] for el in doc.elements
-                if doc.role_paths[el.id] == ("legend",)] == ["A", "B"]
+        assert [el.get("data-series") for el in doc.elements
+                if doc.role_paths[el.get("id")] == ("legend",)] == ["A", "B"]
         index = index_marks(doc)
         marks = [doc.by_id[eid] for eid in sorted(index.mark_ids(), key=lambda e: int(e[1:]))]
-        series = {tuple(sorted(index.entries[el.id].data_rows)): el.attrs.get("data-series")
+        series = {tuple(sorted(index.entries[el.get("id")].data_rows)): el.get("data-series")
                   for el in marks}
         if mark in ("line", "arc", "pie"):
             assert series == {(0,): "A", (1, 2): None, (3,): "B"}
         else:
             assert series == {(0,): "A", (1,): None, (2,): None, (3,): "B"}
         for position, el in enumerate(marks):
-            colors = {el.attrs.get("fill"), el.attrs.get("stroke")} - {None, "none", "#333"}
+            colors = {el.get("fill"), el.get("stroke")} - {None, "none", "#333"}
             if mark in ("arc", "pie"):
                 assert colors == {PALETTE[position]}
             elif colors:
-                assert colors == {PALETTE[{"A": 0, None: 0, "B": 1}[el.attrs.get("data-series")]]}
+                assert colors == {PALETTE[{"A": 0, None: 0, "B": 1}[el.get("data-series")]]}
 
 
 # Cells that compare alike under `==` but not under identity (1, 1.0, True;
@@ -307,7 +307,7 @@ class TestOverlayJoin:
                 "layer": [{"mark": "point", "encoding": {}},
                           {"mark": "point", "encoding": {}, "data": {"values": overlay_rows}}]}
         overlay = parse_svg(MockRenderer().render(spec)).elements
-        rows = [el.attrs.get("data-row") for el in overlay if el.tag == "circle"][len(base_rows):]
+        rows = [el.get("data-row") for el in overlay if el.tag == "circle"][len(base_rows):]
         expected = [reference_match_rows(d, base_rows) for d in overlay_rows]
         assert rows == [";".join(map(str, m)) if m else None for m in expected]
 
@@ -319,7 +319,7 @@ class TestOverlayJoin:
                            "data": {"values": [{"k": nan}, {"k": True}]}}]}
         circles = [el for el in parse_svg(MockRenderer().render(spec)).elements
                    if el.tag == "circle"]
-        assert [el.attrs.get("data-row") for el in circles] == ["0", "1", None, "1"]
+        assert [el.get("data-row") for el in circles] == ["0", "1", None, "1"]
 
 
 BAR_TABLE = parse_csv("k,v\n" + "\n".join(f"k{i},{i + 1}" for i in range(3)), "bars")
@@ -332,7 +332,8 @@ class TestRenderVisualization:
         assert rendering.svg.startswith("<svg")
         reparsed = parse_svg(rendering.svg)
         assert rendering.doc.to_text() == reparsed.to_text()
-        assert [el.id for el in rendering.doc.elements] == [el.id for el in reparsed.elements]
+        assert [el.get("id") for el in rendering.doc.elements] == [
+            el.get("id") for el in reparsed.elements]
         assert rendering.index == index_marks(reparsed, BAR_TABLE)
 
     def test_deeply_nested_rendering_is_read(self):
@@ -342,8 +343,8 @@ class TestRenderVisualization:
             '<svg><g data-role="marks">' + "<g>" * depth + '<rect data-row="1"/>'
             + "</g>" * depth + "</g></svg>", BAR_TABLE)
         rect = rendering.doc.elements[-1]
-        assert rendering.index.ids_of_rows([1]) == {rect.id}
-        assert rendering.doc.role_paths[rect.id] == ("marks",)
+        assert rendering.index.ids_of_rows([1]) == {rect.get("id")}
+        assert rendering.doc.role_paths[rect.get("id")] == ("marks",)
 
     def test_structurally_invalid_spec_is_precondition_error(self):
         spec = VisualizationSpec(spec={"data": {}}, vis_type="bar")

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import xml.etree.ElementTree as ET
 from xml.sax import saxutils  # the reference for the local escaper only
 
 import pytest
@@ -15,7 +16,6 @@ from datareel.binding import (
     UnboundMark,
     UnresolvedTarget,
     SvgDoc,
-    SvgElement,
     XmlParseError,
     diff_annotations,
     escape,
@@ -55,11 +55,11 @@ class TestParseSvg:
 
     def test_synthesized_ids_in_document_order(self):
         doc = parse_svg("<svg><g><rect/></g><circle/></svg>")
-        assert [el.id for el in doc.elements] == ["e0", "e1", "e2", "e3"]
+        assert [el.get("id") for el in doc.elements] == ["e0", "e1", "e2", "e3"]
 
     def test_explicit_ids_kept_and_collisions_avoided(self):
         doc = parse_svg('<svg><g id="e1"/><rect/><circle/></svg>')
-        ids = [el.id for el in doc.elements]
+        ids = [el.get("id") for el in doc.elements]
         assert "e1" in ids
         assert len(set(ids)) == len(ids)
 
@@ -87,6 +87,12 @@ class TestParseSvg:
         base = parse_svg('<svg><g data-role="title"><text>Sales</text></g></svg>')
         padded = parse_svg('<svg><g data-role="title"><text> Sales\n</text></g></svg>')
         assert diff_annotations(base, padded) == []
+
+    def test_xml_id_is_not_an_id(self):
+        doc = parse_svg('<svg xmlns="http://www.w3.org/2000/svg"><rect xml:id="zzz"/></svg>')
+        assert list(doc.by_id) == ["e0", "e1"]
+        assert doc.to_text() == ('<svg id="e0" xmlns="http://www.w3.org/2000/svg">'
+                                 '<rect id="e1"/></svg>')
 
     def test_to_text_writes_id_first_and_xmlns_last(self):
         doc = parse_svg('<svg xmlns="http://www.w3.org/2000/svg" width="5">'
@@ -120,20 +126,21 @@ ATTR_NAMES = ("x", "fill", "class", "data-row", "data-series", "aria-label")
 @st.composite
 def svg_docs(draw):
     """An SvgDoc built from elements whose ids, attribute values, text and
-    tail text are hostile strings; the root has no tail."""
+    tail text are hostile strings; the root has no tail. Each element's id
+    is its first attribute, as parse_svg leaves it."""
     ids = iter(draw(st.lists(hostile_value, min_size=10, max_size=10, unique=True)))
     elements = []
 
     def element(depth, tail):
-        el = SvgElement(
-            id=next(ids), tag="svg" if not elements else draw(st.sampled_from(("g", "text"))),
-            attrs=draw(st.dictionaries(st.sampled_from(ATTR_NAMES), hostile_value, max_size=3)),
-            text=draw(hostile_text), tail=tail,
-        )
+        eid = next(ids)
+        tag = "svg" if not elements else draw(st.sampled_from(("g", "text")))
+        attrs = draw(st.dictionaries(st.sampled_from(ATTR_NAMES), hostile_value, max_size=3))
+        el = ET.Element(tag, {"id": eid, **attrs})
+        el.text, el.tail = draw(hostile_text), tail
         elements.append(el)
         if depth < 2:
-            el.children = tuple(element(depth + 1, draw(hostile_text))
-                                for _ in range(draw(st.integers(0, 3 - depth))))
+            el.extend([element(depth + 1, draw(hostile_text))
+                       for _ in range(draw(st.integers(0, 3 - depth)))])
         return el
 
     root = element(0, "")
@@ -146,10 +153,10 @@ class TestToTextRoundTrip:
     def test_parse_keeps_ids_attributes_text_and_tail(self, doc):
         again = parse_svg(doc.to_text())
         assert again.namespace == doc.namespace
-        assert [(el.id, el.tag, {k: v for k, v in el.attrs.items() if k != "id"},
-                 el.text, el.tail) for el in again.elements] == [
-            (el.id, el.tag, el.attrs, el.text, el.tail) for el in doc.elements]
-        assert all(el.attrs["id"] == el.id for el in again.elements)
+        # the parser gives None where the drawn text or tail is empty
+        assert [(el.tag, list(el.attrib.items()), el.text or "", el.tail or "")
+                for el in again.elements] == [
+            (el.tag, list(el.attrib.items()), el.text, el.tail) for el in doc.elements]
 
 
 def _bar_spec(rows=3):
@@ -211,6 +218,19 @@ class TestIndexMarks:
         doc = parse_svg('<svg><g data-role="marks"><rect data-row="5"/></g></svg>')
         with pytest.raises(UnboundMark):
             index_marks(doc, table)
+
+    @pytest.mark.parametrize("rows", ["1_0", "٣", " 2", "2 ", "+3", "-1", "1;;2", "1;",
+                                      "²", "9" * 5000],
+                             ids=["underscore", "arabic-indic", "leading-space",
+                                  "trailing-space", "plus", "minus", "empty-index",
+                                  "trailing-semicolon", "superscript", "past-int-limit"])
+    def test_data_row_takes_only_ascii_digits(self, rows):
+        doc = parse_svg(f'<svg><g data-role="marks"><rect data-row="{rows}"/></g></svg>')
+        with pytest.raises(UnboundMark, match="malformed data-row"):
+            index_marks(doc)
+        annotated = parse_svg(f'<svg><text data-row="{rows}"/></svg>')
+        with pytest.raises(UnboundMark, match="malformed data-row"):
+            with_annotations(MarkIndex(), annotated, ["e1"])
 
     def test_axis_legend_title_carry_no_rows(self):
         doc = parse_svg(MockRenderer().render({**_line_spec(), "title": "T"}))
@@ -307,12 +327,12 @@ class TestDeepNesting:
         doc = parse_svg(text)
         assert len(doc.elements) == DEEP + 3
         rect = doc.elements[-1]
-        assert (rect.tag, doc.role_paths[rect.id]) == ("rect", ("marks",))
+        assert (rect.tag, doc.role_paths[rect.get("id")]) == ("rect", ("marks",))
         assert index_marks(doc).entries == {
-            rect.id: MarkEntry(frozenset({"mark"}), frozenset({0}))}
+            rect.get("id"): MarkEntry(frozenset({"mark"}), frozenset({0}))}
         again = parse_svg(doc.to_text())
-        assert [(el.id, el.tag, el.attrs.get("data-row")) for el in again.elements] == [
-            (el.id, el.tag, el.attrs.get("data-row")) for el in doc.elements]
+        assert [(el.tag, el.attrib) for el in again.elements] == [
+            (el.tag, el.attrib) for el in doc.elements]
 
 
 class TestRolePath:
@@ -321,12 +341,13 @@ class TestRolePath:
         for _ in range(30):
             text = random_svg(rng)
             doc = parse_svg(text)
-            assert [doc.role_paths[el.id] for el in doc.elements] == reference_role_paths(text)
+            assert [doc.role_paths[el.get("id")] for el in doc.elements] == \
+                reference_role_paths(text)
 
     def test_namespaced_role_attribute(self):
         doc = parse_svg('<svg xmlns:d="urn:d"><g d:data-role="marks"><g data-role="axis">'
                         "<rect/></g></g></svg>")
-        assert [doc.role_paths[el.id] for el in doc.elements] == [
+        assert [doc.role_paths[el.get("id")] for el in doc.elements] == [
             (), (), ("marks",), ("marks", "axis")]
 
 
@@ -353,15 +374,15 @@ class TestParseSvgAgreesWithReferenceWalks:
     @given(svg_with_spliced_attrs())
     def test_ids_role_paths_and_local_attribute_names(self, text):
         doc = parse_svg(text)
-        assert [el.id for el in doc.elements] == reference_ids(text)
-        assert [doc.role_paths[el.id] for el in doc.elements] == reference_role_paths(text)
-        assert not [name for el in doc.elements for name in el.attrs if "}" in name]
+        assert [el.get("id") for el in doc.elements] == reference_ids(text)
+        assert [doc.role_paths[el.get("id")] for el in doc.elements] == reference_role_paths(text)
+        assert not [name for el in doc.elements for name in el.attrib if "}" in name]
 
     def test_entity_that_writes_a_prefixed_attribute(self):
         # the entity's text spells xml: with a character reference
         doc = parse_svg("<!DOCTYPE svg [<!ENTITY r \"<rect &#120;ml:space='preserve'/>\">]>"
                         "<svg>&r;</svg>")
-        assert doc.elements[1].attrs == {"space": "preserve"}
+        assert doc.elements[1].attrib == {"id": "e1", "space": "preserve"}
 
 
 class TestDiffAnnotations:
@@ -499,7 +520,7 @@ def match_inputs(draw):
     def element(eid, tag):
         xy = draw(match_coords)
         attrs = {"x": str(xy[0]), "y": str(xy[1])} if xy else {}
-        elements[eid] = SvgElement(eid, tag, attrs, "")
+        elements[eid] = ET.Element(tag, {"id": eid, **attrs})
 
     for i in range(draw(st.integers(0, 6))):
         entries[f"m{i}"] = MarkEntry(frozenset({"mark"}), draw(match_rows))
@@ -520,7 +541,7 @@ def match_inputs(draw):
                             nar="seg")
         for _ in range(draw(st.integers(0, 4)))
     ]
-    svg = SvgDoc(root=SvgElement("root", "svg", {}, ""), by_id=elements) \
+    svg = SvgDoc(root=ET.Element("svg", id="root"), by_id=elements) \
         if draw(st.booleans()) else None
     return annotation_ids, directives, MarkIndex(entries), svg
 

@@ -1,8 +1,13 @@
 import csv
 import io
+import json
+import math
 import random
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from datareel.errors import PreconditionError
 from datareel.ingest import (
@@ -16,7 +21,7 @@ from datareel.ingest import (
     parse_description_response,
     render_table_text,
 )
-from datareel.model import DataTable, JsonTypeError
+from datareel.model import DataTable, JsonTypeError, dump_artifact
 from helpers import reference_csv_parse
 
 
@@ -49,6 +54,19 @@ class TestParseCsv:
         table = parse_csv("n,s,empty\n42,007x,\n-3,txt,", "t")
         assert dict(table.columns) == {"n": (42, -3), "s": ("007x", "txt"),
                                        "empty": (None, None)}
+
+    @pytest.mark.parametrize("cell", ["1e999", "-1e999", " 1E+400 ", "9" * 400 + ".0"],
+                             ids=["exponent", "negative", "spaced", "400-digit-float"])
+    def test_float_that_overflows_stays_text(self, cell):
+        assert parse_csv(f"a,b\n{cell},1", "t").columns == (("a", (cell,)), ("b", (1,)))
+
+    def test_integer_past_the_int_limit_stays_text(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter reads integers of any length")
+        cell = "7" * (limit + 1)
+        assert parse_csv(f"a,b\n{cell},{cell[:limit]}", "t").columns == (
+            ("a", (cell,)), ("b", (int(cell[:limit]),)))
 
     # Quoting corpus checked against an independent RFC-4180 state machine.
     QUOTING_CORPUS = [
@@ -86,6 +104,52 @@ class TestParseCsv:
         # compare as text: re-render typed cells back to strings
         rendered = [["" if cell is None else str(cell) for cell in row] for row in got_rows]
         assert rendered == [row for row in expected[1:]]
+
+
+# Pieces of hostile cells: CSV delimiters and quotes, line breaks, spaces,
+# number syntax, exponents past a float's range, an integer longer than
+# int() reads by default (4,300 digits), non-ASCII digits and plain text.
+CSV_PIECES = (",", '"', "\n", "\r\n", " ", "\t", "0", "7", "12", ".", "-", "+", "e", "E",
+              "e999", "1e-999", "_", "٣", "inf", "nan", "x", "9" * 4301)
+hostile_cell = st.lists(st.sampled_from(CSV_PIECES), max_size=5).map("".join)
+
+
+@st.composite
+def hostile_csv(draw):
+    """A header and rows of hostile cells, with the text csv.writer makes of them."""
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(hostile_cell, min_size=width, max_size=width), max_size=5))
+    header = [f"c{i}" for i in range(width)]
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    return text.getvalue(), header, rows
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestHostileCells:
+    @given(hostile_csv())
+    def test_cells_are_null_text_or_finite_numbers(self, drawn):
+        text, header, rows = drawn
+        table = parse_csv(text, "t")
+        assert table.column_names == tuple(header)
+        assert table.row_count == len(rows)
+        for r, row in enumerate(rows):
+            for name, raw in zip(header, row):
+                cell = table.row(r)[name]
+                if cell is None:
+                    assert raw == ""
+                elif isinstance(cell, str):
+                    assert cell == raw
+                else:
+                    assert math.isfinite(cell)
+                    assert cell == type(cell)(raw.strip())
+        payload = {"title": table.title, "row_count": table.row_count,
+                   "columns": [{"name": name, "values": list(values)}
+                               for name, values in table.columns]}
+        assert json.loads(dump_artifact(payload), parse_constant=_reject_constant) == payload
 
 
 class TestRoundTrip:

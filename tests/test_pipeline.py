@@ -78,6 +78,22 @@ class TestRunPipeline:
             run_pipeline(config)
         assert not Path(config.output_dir).exists()
 
+    def test_csv_byte_order_mark_is_stripped(self, completed_project, mock_project_config,
+                                             stock_csv_path, tmp_path):
+        # as spreadsheet exports save it
+        bom_csv = tmp_path / "stocks.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + stock_csv_path.read_bytes())
+        config = mock_project_config(input_csv=str(bom_csv))
+        run_pipeline(config)
+        out = Path(config.output_dir)
+        table = json.loads((out / "table.json").read_text(encoding="utf-8"))
+        assert [column["name"] for column in table["columns"]] == ["date", "company", "price"]
+        expected, _ = completed_project
+        names = sorted(p.name for p in expected.iterdir() if p.name != "manifest.json")
+        assert sorted(p.name for p in out.iterdir() if p.name != "manifest.json") == names
+        for name in names:
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
     def test_designer_exhaustion_leaves_partial_manifest(self, mock_project_config, tmp_path):
         # a designer transcript whose replies never validate
         bad = tmp_path / "bad_designer.json"
