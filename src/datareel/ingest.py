@@ -42,8 +42,9 @@ class DuplicateColumn(PreconditionError):
         self.name = name
 
 
-_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
-_INT_RE = re.compile(r"[+-]?\d+")
+# ASCII digits only: int() and float() also read other scripts' digits.
+_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+_INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
 
 DEFAULT_PROMPT_ROWS = 100
 

@@ -570,6 +570,23 @@ def stream_artifact(payload, file) -> None:
     file.write("\n")
 
 
+_ROWS_END = "\n  ]\n}\n"
+
+
+def split_rows(text: str, key: str) -> tuple[str, list[str]] | None:
+    """The text of an object whose last key, key, holds a non-empty list of
+    rows, laid out as stream_artifact writes it, split in two: the text with
+    that list written `[]`, and the texts between the list's row separators.
+    None for text not laid out so around the list. Neither part is decoded
+    or checked: the caller decodes both, and a row text may be no row."""
+    opening = "\n  " + encode_basestring_ascii(key) + ": ["
+    start = text.find(opening + "\n    ")
+    if start < 0 or not text.endswith(_ROWS_END):
+        return None
+    rows = text[start + len(opening) + 5:-len(_ROWS_END)].split(",\n    ")
+    return text[:start] + opening + "]\n}\n", rows
+
+
 def row_text(row) -> str:
     """The compact JSON text the writer gives a row; the form in which an
     iterator in a payload yields its rows."""

@@ -340,11 +340,12 @@ def _load_artifact(project_dir: Path, name: str):
 def _parse_artifact(name: str, content: list):
     """An artifact's bytes, popped from content and released once decoded as
     read_text(encoding="utf-8") decodes them, with universal newlines; parsed
-    JSON for a .json file, else the text."""
+    JSON for a .json file other than timeline.json, which Timeline.from_text
+    reads, else the text."""
     text = content.pop().decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return json.loads(text) if name.endswith(".json") else text
+    return json.loads(text) if name.endswith(".json") and name != "timeline.json" else text
 
 
 # What loading a hostile artifact, or summarizing or checking its payload, raises.
@@ -492,8 +493,11 @@ def _stage_annotated_render(run: _Run, record: dict) -> binding.Rendering:
 
 
 def _stage_binding(run: _Run, record: dict) -> binding.Bindings:
-    bindings = binding.bind(run.outputs["base_render"], run.outputs["annotated_render"],
-                            run.outputs["designer"])
+    try:
+        bindings = binding.bind(run.outputs["base_render"], run.outputs["annotated_render"],
+                                run.outputs["designer"])
+    except binding.UnboundMark as e:  # an annotation element's data-row: renderer output
+        raise adapters.MetadataMissing(e.element_id, e.detail) from None
     run.write_artifact(record, "bindings.json", dump_artifact(bindings.to_json()))
     return bindings
 
@@ -552,8 +556,8 @@ def _stage_timeline(run: _Run, record: dict) -> tl.Timeline:
     return timeline
 
 
-def _check_timeline(payload, outputs):
-    timeline, audio = tl.Timeline.from_json(payload), outputs["tts"]["duration"]
+def _check_timeline(text: str, outputs):
+    timeline, audio = tl.Timeline.from_text(text), outputs["tts"]["duration"]
     violations = [Violation("timeline-invariant", "timeline.json", problem)
                   for problem in tl.timeline_invariant_violations(timeline)]
     if timeline.duration != audio:
@@ -562,8 +566,8 @@ def _check_timeline(payload, outputs):
     return timeline, ValidationReport(violations=tuple(violations))
 
 
-def _summarize_timeline(payload) -> list[str]:
-    timeline = tl.Timeline.from_json(payload)
+def _summarize_timeline(text: str) -> list[str]:
+    timeline = tl.Timeline.from_text(text)
     hidden = sum(1 for v in timeline.initial_visibility.values() if v == "hidden")
     keyframes = sum(map(len, timeline.tracks.values()))
     return [

@@ -6,6 +6,7 @@ mapped to seconds through word timings, and expanded into per-element keyframe
 tracks using a fixed recipe per animation name.
 """
 
+import json
 import marshal
 import math
 import re
@@ -19,11 +20,13 @@ from typing import Literal, TypedDict
 from .errors import ContractError, PreconditionError
 from .model import (
     AnimationCategory,
+    JsonTypeError,
     ValidationReport,
     Violation,
     classify_animation,
     read_typed,
     row_text,
+    split_rows,
 )
 
 PROPERTIES = ("opacity", "scale", "translate_x", "translate_y", "clip_fraction", "wheel_fraction")
@@ -165,9 +168,9 @@ class Keyframe:
 class Timeline:
     """Per-element keyframe tracks and initial visibilities over the audio clock.
 
-    Elements with equal tracks may hold one shared tuple (compile_timeline and
-    from_json share them), so work keyed on a track's identity is done once
-    per distinct track. Tracks are never mutated.
+    Elements with equal tracks may hold one shared tuple (compile_timeline,
+    from_text and from_json share them), so work keyed on a track's identity
+    is done once per distinct track. Tracks are never mutated.
     """
 
     duration: float
@@ -196,6 +199,51 @@ class Timeline:
             yield '{"element_id":' + encode_basestring_ascii(eid) + ',"keyframes":' + text + "}"
 
     @classmethod
+    def from_text(cls, text: str) -> "Timeline":
+        """Timeline.from_json(json.loads(text)), read without decoding a
+        track twice when text is laid out as to_json's payload is written:
+        the text around the track rows is decoded once, and each distinct
+        keyframes text once, for every element that holds it. Text in any
+        other layout, or that does not read so, is read by from_json, so it
+        returns or raises the same."""
+        split = split_rows(text, "tracks")
+        if split is not None:
+            try:
+                return cls._from_rows(*split)
+            except (JsonTypeError, RecursionError, ValueError):
+                pass  # read as any other text
+        return cls.from_json(json.loads(text))
+
+    @classmethod
+    def _from_rows(cls, rest: str, rows: list[str]) -> "Timeline":
+        """The timeline of rest, the text with its track list written [],
+        and rows, that list's row texts. Raises ValueError unless each row
+        starts and ends as _track_rows writes it; each row that reads is
+        then one JSON value, so the whole text reads as from_json reads it.
+        Tracks are shared as from_json shares them, on the marshal bytes of
+        their parsed rows."""
+        ids, texts = [], []
+        for row in rows:
+            match = _TRACK_ROW.match(row)
+            if match is None or row[-1] != "}":
+                raise ValueError("not a track row as written")
+            ids.append(match[1])
+            texts.append(row[match.end():-1])
+        by_text: dict[str, tuple[Keyframe, ...]] = {}
+        by_bytes: dict[bytes, tuple[Keyframe, ...]] = {}
+        tracks = {}
+        for eid, text in zip(json.loads("[" + ",".join(ids) + "]"), texts):
+            if (track := by_text.get(text)) is None:
+                value = json.loads(text)
+                key = marshal.dumps(value)
+                if (track := by_bytes.get(key)) is None:
+                    track = by_bytes[key] = tuple(read_typed(list[Keyframe], value))
+                by_text[text] = track
+            tracks[eid] = track
+        payload = read_typed(_TimelineJson, json.loads(rest))
+        return cls(payload["duration"], tracks, payload["initial_visibility"])
+
+    @classmethod
     def from_json(cls, value) -> "Timeline":
         """The inverse of to_json, read from the parsed text by
         model.read_typed. Equal tracks become one tuple, so a reloaded
@@ -220,6 +268,11 @@ class Timeline:
                                                "tracks", position, "keyframes"))
             tracks[row["element_id"]] = shared[key]
         return cls(payload["duration"], tracks, payload["initial_visibility"])
+
+
+# The start of a row as _track_rows writes it, up to its keyframes text: the
+# element id's JSON text is group 1.
+_TRACK_ROW = re.compile(r'\{"element_id":("(?:[^"\\]|\\.)*"),"keyframes":')
 
 
 class _TrackRow(TypedDict):

@@ -68,6 +68,10 @@ class TestParseCsv:
         assert parse_csv(f"a,b\n{cell},{cell[:limit]}", "t").columns == (
             ("a", (cell,)), ("b", (int(cell[:limit]),)))
 
+    def test_non_ascii_digits_stay_text(self):
+        assert parse_csv("a,b,c\n\u0663,\uff11\uff12,\u0663.5e1\n", "t").columns == (
+            ("a", ("\u0663",)), ("b", ("\uff11\uff12",)), ("c", ("\u0663.5e1",)))
+
     # Quoting corpus checked against an independent RFC-4180 state machine.
     QUOTING_CORPUS = [
         'a,b\n1,2',
@@ -144,7 +148,7 @@ class TestHostileCells:
                 elif isinstance(cell, str):
                     assert cell == raw
                 else:
-                    assert math.isfinite(cell)
+                    assert math.isfinite(cell) and raw.strip().isascii()
                     assert cell == type(cell)(raw.strip())
         payload = {"title": table.title, "row_count": table.row_count,
                    "columns": [{"name": name, "values": list(values)}

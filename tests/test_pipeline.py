@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from datareel import pipeline
-from datareel.adapters import MetadataMissing
+from datareel.adapters import MetadataMissing, MockRenderer
 from datareel.cli import _parser, main
 from datareel.errors import PreconditionError, StageError
 from datareel.model import dump_artifact
@@ -1204,6 +1204,30 @@ class TestCli:
             capsys, "run", "--input", str(stock_csv_path), "--config", str(config_path))
         assert code == 3, output
         assert '"layer" entry 0 must be a JSON object' in output
+
+    # The renderer's output, not the agent's: a malformed data-row exits 4
+    # on a mark (base render) and on an element only the annotated render has.
+    @pytest.mark.parametrize("call, edit, stage", [
+        (0, lambda svg: svg.replace('data-row="', 'data-row="1_', 1), "base_render"),
+        (1, lambda svg: svg.replace("</svg>", '<text data-row="1_0">note</text></svg>'),
+         "binding"),
+    ], ids=["mark", "annotation"])
+    def test_malformed_data_row_exit_code_4(self, tmp_path, stock_csv_path, capsys,
+                                            monkeypatch, call, edit, stage):
+        calls = []
+        render = MockRenderer.render
+
+        def edited(renderer, spec):
+            calls.append(spec)
+            svg = render(renderer, spec)
+            return edit(svg) if len(calls) - 1 == call else svg
+
+        monkeypatch.setattr(MockRenderer, "render", edited)
+        code, output = _cli(capsys, "run", "--input", str(stock_csv_path),
+                            "--config", str(self._config_file(tmp_path)))
+        assert code == 4, output
+        assert f"stage '{stage}' failed: rendered mark " in output
+        assert "carries malformed data-row '1_" in output
 
     @pytest.mark.parametrize("attempts, exit_code", [(3, 4), (1, 3)])
     def test_malformed_description_reply_exit_code(self, tmp_path, stock_csv_path, capsys,

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -747,6 +748,16 @@ class TestSharedTracks:
         assert tracks["a"] is tracks["b"]
         assert tracks["c"] is not tracks["a"]
 
+    def test_from_text_decodes_each_distinct_track_once(self, monkeypatch):
+        text = dump_artifact(_dimming_timeline().to_json())
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
+        tracks = Timeline.from_text(text).tracks
+        assert tracks["m1"] is tracks["m2"] is tracks["m3"]
+        assert not [s for s in decoded if "element_id" in s]  # no row is decoded whole
+        assert len([s for s in decoded if s.startswith('[{"easing"')]) == 2
+
     def test_from_json_keeps_values_that_only_compare_equal_apart(self):
         text = dump_artifact({"duration": 5.0, "initial_visibility": {}, "tracks": [
             {"element_id": eid, "keyframes": [
@@ -849,12 +860,84 @@ class TestTimelineText:
                 {"time": k.time, "property": k.property, "value": k.value, "easing": k.easing}
                 for k in timeline.tracks[eid]]} for eid in sorted(timeline.tracks)],
         })
-        again = Timeline.from_json(json.loads(text))
-        assert again.tracks.keys() == timeline.tracks.keys()
-        for a in timeline.tracks:
-            assert _exact(again.tracks[a]) == _exact(timeline.tracks[a])
-            for b in timeline.tracks:
-                assert (again.tracks[a] is again.tracks[b]) == (
-                    _exact(timeline.tracks[a]) == _exact(timeline.tracks[b]))
-        assert dump_artifact(again.to_json()) == text
+        for again in (Timeline.from_json(json.loads(text)), Timeline.from_text(text)):
+            assert again.tracks.keys() == timeline.tracks.keys()
+            for a in timeline.tracks:
+                assert _exact(again.tracks[a]) == _exact(timeline.tracks[a])
+                for b in timeline.tracks:
+                    assert (again.tracks[a] is again.tracks[b]) == (
+                        _exact(timeline.tracks[a]) == _exact(timeline.tracks[b]))
+            assert dump_artifact(again.to_json()) == text
+
+    @given(shared_timelines(), st.data())
+    def test_from_text_reads_edited_text_as_from_json(self, timeline, data):
+        text = dump_artifact(timeline.to_json())
+        edited = data.draw(edited_texts(text))
+        assert _outcome(Timeline.from_text, edited) == _outcome(
+            lambda x: Timeline.from_json(json.loads(x)), edited)
+
+
+@st.composite
+def edited_texts(draw, text):
+    """text, a written timeline, edited in place: a slice replaced, a
+    character changed at either end of a track row or of the text, a row
+    duplicated or dropped, a number written another way, a trailing comma,
+    whitespace inserted, or a second "tracks" key."""
+    lines = text.split("\n")
+    rows = [i for i, line in enumerate(lines) if line.startswith('    {"element_id"')]
+    kind = draw(st.sampled_from(["slice", "end", "end", "row", "number", "comma", "space",
+                                 "tracks"]))
+    if kind == "slice":
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 4)))
+        return text[:start] + draw(st.text('{}[]",:.\n -0e1\\a', max_size=3)) + text[end:]
+    if kind == "end":  # a character replaced, deleted, or inserted before or after it
+        ends = [i for m in re.finditer("{.*}", text) for i in (m.start(), m.end() - 1)]
+        at = draw(st.sampled_from(ends + list(range(len(text) - 7, len(text)))))
+        char = draw(st.sampled_from('{}[]",: \na0'))
+        start, end, new = draw(st.sampled_from([(at, at + 1, char), (at, at + 1, ""),
+                                                (at, at, char), (at + 1, at + 1, char)]))
+        return text[:start] + new + text[end:]
+    if kind == "row" and rows:
+        i = draw(st.sampled_from(rows))
+        if draw(st.booleans()):  # dropped, with the comma before it when it is the last
+            if not lines[i].endswith(",") and i - 1 in rows:
+                lines[i - 1] = lines[i - 1][:-1]
+            del lines[i]
+        else:
+            lines.insert(i, lines[i].removesuffix(",") + ",")
+        return "\n".join(lines)
+    if kind == "number":
+        match = draw(st.sampled_from(list(re.finditer(r"-?\d+(\.\d+)?", text))))
+        number = match[0]
+        forms = [number + "e0", number + "E+0", number + (".00" if "." not in number else "00")]
+        return text[:match.start()] + draw(st.sampled_from(forms)) + text[match.end():]
+    if kind == "comma":
+        i = draw(st.sampled_from([i for i, c in enumerate(text) if c in "]}"]))
+        return text[:i] + "," + text[i:]
+    if kind == "space" and rows:
+        line = lines[draw(st.sampled_from(rows))]
+        i = draw(st.integers(0, len(line)))
+        spaced = line[:i] + draw(st.sampled_from([" ", "\n", "\t", "\n    "])) + line[i:]
+        return text.replace(line, spaced, 1)
+    if kind == "tracks":
+        second = '  "tracks": [' + (lines[rows[0]].strip().removesuffix(",") if rows else "") + "]"
+        if draw(st.booleans()):
+            return text.replace("{\n", "{\n" + second + ",\n", 1)
+        return text[:-len("\n}\n")] + ",\n" + second + "\n}\n"
+    return text
+
+
+def _outcome(read, text):
+    """What read(text) returns, as the values and types of its fields and which
+    elements share a track, or the type and message of what it raises."""
+    try:
+        timeline = read(text)
+    except Exception as e:
+        return type(e), str(e)
+    tracks = timeline.tracks
+    return (type(timeline.duration), repr(timeline.duration),
+            list(timeline.initial_visibility.items()),
+            [(eid, _exact(track), next(e for e in tracks if tracks[e] is track))
+             for eid, track in tracks.items()])
 
