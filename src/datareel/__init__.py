@@ -17,7 +17,6 @@ from .errors import (
 )
 from .model import (
     AnalystOutput,
-    AnimationCategory,
     AnimationDirective,
     AnnotationDirective,
     DataDescription,
@@ -34,7 +33,6 @@ from .pipeline import ProjectConfig, ProjectManifest, run_pipeline
 __all__ = [
     "AdapterError",
     "AnalystOutput",
-    "AnimationCategory",
     "AnimationDirective",
     "AnnotationDirective",
     "ContractError",

@@ -64,8 +64,8 @@ class RendererCrashed(AdapterError):
 
 
 class MetadataMissing(AdapterError):
-    def __init__(self, element_id: str, detail: str):
-        super().__init__(f"rendered mark {element_id!r} {detail}")
+    def __init__(self, element_id: str, detail: str, role: str = "mark"):
+        super().__init__(f"rendered {role} {element_id!r} {detail}")
         self.element_id = element_id
 
 
@@ -477,7 +477,7 @@ def read_rendering(svg_text: str, table: DataTable) -> Rendering:
     try:
         index = index_marks(doc, table)
     except UnboundMark as e:
-        raise MetadataMissing(e.element_id, e.detail) from None
+        raise MetadataMissing(e.element_id, e.detail, e.role) from None
     return Rendering(svg=svg_text, doc=doc, index=index)
 
 

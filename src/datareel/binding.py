@@ -39,10 +39,14 @@ class NotSvg(PreconditionError):
 
 
 class UnboundMark(ContractError):
-    def __init__(self, element_id: str, detail: str = "carries no data-row metadata"):
-        super().__init__(f"mark element {element_id!r} {detail}")
+    """A mark or an annotation (the role) whose data-row is missing or does not read."""
+
+    def __init__(self, element_id: str, detail: str = "carries no data-row metadata",
+                 role: str = "mark"):
+        super().__init__(f"{role} element {element_id!r} {detail}")
         self.element_id = element_id
         self.detail = detail
+        self.role = role
 
 
 class UnresolvedTarget(ContractError):
@@ -274,7 +278,7 @@ class MarkIndex:
 _DATA_ROW = re.compile(r"[0-9]+(?:;[0-9]+)*")
 
 
-def _parse_data_rows(element: ET.Element, row_count: int | None) -> frozenset:
+def _parse_data_rows(element: ET.Element, row_count: int | None, role: str) -> frozenset:
     raw = element.get("data-row")
     if raw == "":
         return frozenset()
@@ -283,10 +287,12 @@ def _parse_data_rows(element: ET.Element, row_count: int | None) -> frozenset:
             raise ValueError(raw)
         rows = frozenset(map(int, raw.split(";")))  # past its digit limit, int() raises too
     except ValueError:
-        raise UnboundMark(element.get("id"), f"carries malformed data-row {raw!r}") from None
+        raise UnboundMark(element.get("id"), f"carries malformed data-row {raw!r}",
+                          role) from None
     if row_count is not None and max(rows) >= row_count:
         raise UnboundMark(
-            element.get("id"), f"references rows outside the table ({raw!r}, {row_count} rows)"
+            element.get("id"), f"references rows outside the table ({raw!r}, {row_count} rows)",
+            role,
         )
     return rows
 
@@ -315,7 +321,8 @@ def index_marks(svg: SvgDoc, table: DataTable | None = None) -> MarkIndex:
             for mark in _mark_elements(element):
                 if "data-row" not in mark.attrib:
                     raise UnboundMark(mark.get("id"))
-                entries[mark.get("id")] = MarkEntry(mark_roles, _parse_data_rows(mark, row_count),
+                entries[mark.get("id")] = MarkEntry(mark_roles,
+                                                    _parse_data_rows(mark, row_count, "mark"),
                                                     mark.get("data-series"))
     return MarkIndex(entries=entries)
 
@@ -338,7 +345,7 @@ def with_annotations(index: MarkIndex, svg: SvgDoc, annotation_ids) -> MarkIndex
         rows = frozenset()
         series = None
         if element is not None and "data-row" in element.attrib:
-            rows = _parse_data_rows(element, None)
+            rows = _parse_data_rows(element, None, "annotation")
             series = element.get("data-series")
         previous = entries.get(eid)
         if previous is not None:

@@ -1,9 +1,9 @@
 """The designer role: prompt construction, reply parsing, and animation legality checks.
 
-The legality rules follow the designer prompt: Axes-fade-in only inside the
-first sentence, elements can only be emphasized or exit after they have
-appeared, nothing is emphasized after it disappears, and every directive's
-narration segment must be a verbatim excerpt of the narration.
+The legality rules follow the designer prompt: model.FIRST_SENTENCE_ONLY
+animations only inside the first sentence, elements can only be emphasized or
+exit after they have appeared, nothing is emphasized after it disappears, and
+every directive's narration segment must be a verbatim excerpt of the narration.
 """
 
 import json
@@ -12,7 +12,7 @@ from typing import TypedDict
 from .errors import ContractError
 from .ingest import DEFAULT_PROMPT_ROWS, fill_template, render_table_text
 from .model import (
-    AnimationCategory,
+    FIRST_SENTENCE_ONLY,
     AnimationDirective,
     AnnotationDirective,
     DataTable,
@@ -23,7 +23,6 @@ from .model import (
     Violation,
     VisualizationSpec,
     build_read,
-    classify_animation,
     parse_annotation_type,
     read_typed,
     structure_violations,
@@ -89,27 +88,27 @@ def validate_animation_sequence(directives, narration: str,
     ))
 
     sentence_end = first_sentence_end(narration)
-    entrances = [(s, t) for s, d, t in located
-                 if classify_animation(d.animation) is AnimationCategory.ENTRANCE]
-    exits = [(s, t) for s, d, t in located
-             if classify_animation(d.animation) is AnimationCategory.EXIT]
+    first_entrance: dict = {}  # target identity -> its first entrance's start; located is sorted
+    for span, d, targets in located:
+        if d.category == "entrance":
+            for x in targets:
+                first_entrance.setdefault(x, span.start_char)
+    exits = [(s, t) for s, d, t in located if d.category == "exit"]
 
     for span, d, targets in located:
-        category = classify_animation(d.animation)
-        if d.animation == "Axes-fade-in" and span.end_char > sentence_end:
+        if d.animation in FIRST_SENTENCE_ONLY and span.end_char > sentence_end:
             violations.append(Violation(
                 "axes-first-sentence", d.animation,
-                "Axes-fade-in may only be used within the first sentence of the narration",
+                f"{d.animation} may only be used within the first sentence of the narration",
             ))
-        if category in (AnimationCategory.EMPHASIS, AnimationCategory.EXIT):
-            related = [s for s, t in entrances if t & targets]
-            if related and all(s.start_char > span.start_char for s in related):
-                kind = "emphasized" if category is AnimationCategory.EMPHASIS else "removed"
+        if d.category != "entrance":
+            if any(first_entrance.get(x, -1) > span.start_char for x in targets):
+                kind = "emphasized" if d.category == "emphasis" else "removed"
                 violations.append(Violation(
                     "appear-before-emphasis", d.animation,
                     f"target {d.target!r} is {kind} before its entrance animation",
                 ))
-        if category is AnimationCategory.EMPHASIS:
+        if d.category == "emphasis":
             if any(t & targets and span.start_char >= s.end_char for s, t in exits):
                 violations.append(Violation(
                     "emphasis-after-exit", d.animation,

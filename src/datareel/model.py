@@ -10,7 +10,6 @@ import io
 import json
 from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from enum import Enum
 from functools import cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from types import UnionType
@@ -70,62 +69,79 @@ INSIGHT_TYPES = (
 
 VISUALIZATION_TYPES = ("bar", "scatter", "pie", "line")
 
-ENTRANCE_ANIMATIONS = (
-    "Axes-fade-in",
-    "Bar-grow-in",
-    "Line-wipe-in",
-    "Pie-wheel-in",
-    "Pie-wheel-in-and-legend-fly-in",
-    "Scatter-fade-in",
-    "Bar-grow-and-legend-fade-in",
-    "Line-wipe-and-legend-fade-in",
-    "Fade-in",
-    "Float-in",
-    "Fly-in",
-    "Zoom-in",
-)
+# How far the Highlight dim ramps in and out, as a share of its interval.
+EMPHASIS_RAMP_FRACTION = 0.15
 
-EMPHASIS_ANIMATIONS = (
-    "Bar-bounce",
-    "Zoom-in-then-zoom-out",
-    "Shine-in-a-short-duration",
-    "Highlight-one-and-fade-others",
-)
+# Each animation's meaning, stated once: its category ("entrance", "emphasis"
+# or "exit") and its ramps. A ramp is (subject, property, stops, easing); its
+# subject is the directive's "targets", the chart's "legend" or the "others":
+# the marks on screen over the whole interval, targets excepted. Over an
+# interval [t0, t1] of length t1 - t0, a stop (k, n, value) is at
+# t0 + k * length / n, and with n negative at t1 - k * length / -n; k == 0 is
+# t0 or t1 itself. An entrance leaves its subjects hidden until it starts.
+_IN = ((0, 1, 0.0), (0, -1, 1.0))
+_FLY = ((0, 1, -40.0), (0, -1, 0.0))
+EFFECTS = {
+    "Axes-fade-in": ("entrance", (("targets", "opacity", _IN, "linear"),)),
+    "Bar-grow-in": ("entrance", (("targets", "scale", _IN, "ease-out"),)),
+    "Line-wipe-in": ("entrance", (("targets", "clip_fraction", _IN, "linear"),)),
+    "Pie-wheel-in": ("entrance", (("targets", "wheel_fraction", _IN, "linear"),)),
+    "Pie-wheel-in-and-legend-fly-in": ("entrance", (
+        ("targets", "wheel_fraction", _IN, "linear"),
+        ("legend", "translate_x", _FLY, "linear"),
+        ("legend", "opacity", _IN, "linear"))),
+    "Scatter-fade-in": ("entrance", (("targets", "opacity", _IN, "linear"),)),
+    "Bar-grow-and-legend-fade-in": ("entrance", (
+        ("targets", "scale", _IN, "ease-out"),
+        ("legend", "opacity", _IN, "linear"))),
+    "Line-wipe-and-legend-fade-in": ("entrance", (
+        ("targets", "clip_fraction", _IN, "linear"),
+        ("legend", "opacity", _IN, "linear"))),
+    "Fade-in": ("entrance", (("targets", "opacity", _IN, "linear"),)),
+    "Float-in": ("entrance", (
+        ("targets", "translate_y", ((0, 1, 20.0), (0, -1, 0.0)), "linear"),
+        ("targets", "opacity", _IN, "linear"))),
+    "Fly-in": ("entrance", (
+        ("targets", "translate_x", _FLY, "linear"),
+        ("targets", "opacity", _IN, "linear"))),
+    "Zoom-in": ("entrance", (
+        ("targets", "scale", ((0, 1, 0.5), (0, -1, 1.0)), "linear"),
+        ("targets", "opacity", _IN, "linear"))),
+    "Bar-bounce": ("emphasis", (("targets", "scale", (
+        (0, 1, 1.0), (1, 4, 1.15), (1, 2, 1.0), (3, 4, 1.15), (0, -1, 1.0)), "ease-in-out"),)),
+    "Zoom-in-then-zoom-out": ("emphasis", (("targets", "scale", (
+        (0, 1, 1.0), (1, 2, 1.25), (0, -1, 1.0)), "ease-in-out"),)),
+    "Shine-in-a-short-duration": ("emphasis", (("targets", "opacity", tuple(
+        (k, 6, 0.4 if k % 2 else 1.0) for k in range(7)), "linear"),)),
+    "Highlight-one-and-fade-others": ("emphasis", (("others", "opacity", (
+        (0, 1, 1.0), (EMPHASIS_RAMP_FRACTION, 1, 0.2), (EMPHASIS_RAMP_FRACTION, -1, 0.2),
+        (0, -1, 1.0)), "linear"),)),
+    "Fade-out": ("exit", (("targets", "opacity", ((0, 1, 1.0), (0, -1, 0.0)), "linear"),)),
+}
 
-EXIT_ANIMATIONS = ("Fade-out",)
+ANIMATIONS = tuple(EFFECTS)
 
-ANIMATIONS = ENTRANCE_ANIMATIONS + EMPHASIS_ANIMATIONS + EXIT_ANIMATIONS
+# The animations the designer may use only within the narration's first sentence.
+FIRST_SENTENCE_ONLY = ("Axes-fade-in",)
 
 ANNOTATION_TYPES = ("mark label", "circle", "text", "rule", "trend line", "arrow")
 
 
-class AnimationCategory(Enum):
-    ENTRANCE = "entrance"
-    EMPHASIS = "emphasis"
-    EXIT = "exit"
-
-
-_ANIMATION_CATEGORY = {name: AnimationCategory.ENTRANCE for name in ENTRANCE_ANIMATIONS}
-_ANIMATION_CATEGORY.update({name: AnimationCategory.EMPHASIS for name in EMPHASIS_ANIMATIONS})
-_ANIMATION_CATEGORY.update({name: AnimationCategory.EXIT for name in EXIT_ANIMATIONS})
-
-
-def classify_animation(name: str) -> AnimationCategory:
-    """Return the category of a known animation name; raise UnknownAnimation otherwise."""
-    key = name.strip()
-    try:
-        return _ANIMATION_CATEGORY[key]
-    except KeyError:
-        raise UnknownAnimation(name) from None
-
-
-def _vocabulary(names: tuple[str, ...], unknown: type[ContractError]):
+def _vocabulary(names, unknown: type[ContractError]):
     """Exact-match lookup of a name, trimmed, into names; else raises unknown(name)."""
     def lookup(name: str) -> str:
         if name.strip() not in names:
             raise unknown(name)
         return name.strip()
     return lookup
+
+
+parse_animation = _vocabulary(EFFECTS, UnknownAnimation)
+
+
+def classify_animation(name: str) -> str:
+    """Return the category of a known animation name; raise UnknownAnimation otherwise."""
+    return EFFECTS[parse_animation(name)][0]
 
 
 parse_insight_type = _vocabulary(INSIGHT_TYPES, UnknownInsightType)
@@ -302,7 +318,7 @@ class AnimationDirective:
             raise ValueError("narration segment must be non-empty")
 
     @property
-    def category(self) -> AnimationCategory:
+    def category(self) -> str:
         return classify_animation(self.animation)
 
 

@@ -471,7 +471,7 @@ def _summarize_designer(payload, bindings: dict | None, table) -> list[str]:
         ids = resolved[position] if position < len(resolved) else None
         target_part = f" -> {ids}" if ids is not None else ""
         lines.append(
-            f"  {d.animation} ({d.category.value}) on {d.target!r} "
+            f"  {d.animation} ({d.category}) on {d.target!r} "
             f"rows={list(d.index)} segment={d.narration!r}{target_part}"
         )
     lines.append("annotation directives:")
@@ -497,7 +497,7 @@ def _stage_binding(run: _Run, record: dict) -> binding.Bindings:
         bindings = binding.bind(run.outputs["base_render"], run.outputs["annotated_render"],
                                 run.outputs["designer"])
     except binding.UnboundMark as e:  # an annotation element's data-row: renderer output
-        raise adapters.MetadataMissing(e.element_id, e.detail) from None
+        raise adapters.MetadataMissing(e.element_id, e.detail, e.role) from None
     run.write_artifact(record, "bindings.json", dump_artifact(bindings.to_json()))
     return bindings
 

@@ -3,7 +3,7 @@
 The narration text is the master timeline. Directive segments are located as
 verbatim substrings (whitespace runs collapse to single spaces on both sides),
 mapped to seconds through word timings, and expanded into per-element keyframe
-tracks using a fixed recipe per animation name.
+tracks by each animation's row of model.EFFECTS.
 """
 
 import json
@@ -14,16 +14,17 @@ from bisect import bisect_left, bisect_right
 from itertools import repeat
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Literal, TypedDict
 
 from .errors import ContractError, PreconditionError
 from .model import (
-    AnimationCategory,
+    EFFECTS,
     JsonTypeError,
     ValidationReport,
     Violation,
     classify_animation,
+    parse_animation,
     read_typed,
     row_text,
     split_rows,
@@ -42,7 +43,6 @@ REST_VALUES = {
 }
 
 ANNOTATION_FADE_IN = 0.5
-EMPHASIS_RAMP_FRACTION = 0.15
 
 
 class SegmentNotFound(ContractError):
@@ -327,93 +327,35 @@ def align_segments(spans: list[Span], words: list[TimedWord]) -> list[tuple[floa
     return intervals
 
 
-@dataclass(frozen=True)
-class AnimationEffect:
-    """Ramps produced for one directive plus its initial-visibility effect.
-
-    A ramp is (element ids, keyframes of one property): each of the ids gets
-    that same tuple of keyframes.
-    """
-
-    ramps: tuple[tuple[frozenset[str], tuple[Keyframe, ...]], ...]
-    initially_hidden: frozenset[str]
-
-
-def _ramp(ids, prop, stops, easing="linear"):
-    return frozenset(ids), tuple(Keyframe(t, prop, v, easing) for t, v in stops)
-
-
-_LEGEND_FLY = {"Pie-wheel-in-and-legend-fly-in"}
-_LEGEND_FADE = {"Line-wipe-and-legend-fade-in", "Bar-grow-and-legend-fade-in"}
-LEGEND_VARIANTS = _LEGEND_FLY | _LEGEND_FADE
+def _stop_time(k, n, t0: float, t1: float) -> float:
+    """The time of a stop (k, n, value) over [t0, t1] (see model.EFFECTS)."""
+    if n < 0:
+        return t1 - k * (t1 - t0) / -n if k else t1
+    return t0 + k * (t1 - t0) / n if k else t0
 
 
 def keyframes_for(animation: str, element_ids, interval: tuple[float, float], *,
-                  legend_ids=frozenset(), other_ids=frozenset()) -> AnimationEffect:
-    """Expand one animation over an interval into ramps: one keyframe per stop,
-    shared by every element the ramp moves.
+                  legend_ids=frozenset(), other_ids=frozenset()):
+    """Expand one animation over an interval into (ramps, initially hidden ids).
 
-    Entrance animations leave their elements initially hidden and animate to
-    the visible state; emphasis animations perturb and restore within the
-    interval; Fade-out ends at opacity 0, which holds afterward. The combined
-    "-and-legend-" entrances also animate legend_ids;
-    Highlight-one-and-fade-others dims other_ids and leaves targets untouched.
+    Each ramp of the animation's model.EFFECTS row becomes (ids, keyframes):
+    one keyframe per stop, shared by every element of its subject. The
+    targets are element_ids, the legend legend_ids, and the others other_ids
+    less the targets. An entrance leaves all its subjects initially hidden.
     """
-    category = classify_animation(animation)
+    category, row = EFFECTS[parse_animation(animation)]
     t0, t1 = interval
     if t1 <= t0:
         raise PreconditionError(f"interval [{t0},{t1}) is empty")
-    length = t1 - t0
-    ids = frozenset(element_ids)
-    ramps = []
-    hidden: frozenset[str] = frozenset()
-
-    if category is AnimationCategory.ENTRANCE:
-        hidden = ids | frozenset(legend_ids)
-        fade = [(t0, 0.0), (t1, 1.0)]
-        if animation in ("Fade-in", "Axes-fade-in", "Scatter-fade-in"):
-            ramps.append(_ramp(ids, "opacity", fade))
-        elif animation in ("Bar-grow-in", "Bar-grow-and-legend-fade-in"):
-            ramps.append(_ramp(ids, "scale", fade, "ease-out"))
-        elif animation in ("Line-wipe-in", "Line-wipe-and-legend-fade-in"):
-            ramps.append(_ramp(ids, "clip_fraction", fade))
-        elif animation in ("Pie-wheel-in", "Pie-wheel-in-and-legend-fly-in"):
-            ramps.append(_ramp(ids, "wheel_fraction", fade))
-        elif animation == "Float-in":
-            ramps.append(_ramp(ids, "translate_y", [(t0, 20.0), (t1, 0.0)]))
-            ramps.append(_ramp(ids, "opacity", fade))
-        elif animation == "Fly-in":
-            ramps.append(_ramp(ids, "translate_x", [(t0, -40.0), (t1, 0.0)]))
-            ramps.append(_ramp(ids, "opacity", fade))
-        elif animation == "Zoom-in":
-            ramps.append(_ramp(ids, "scale", [(t0, 0.5), (t1, 1.0)]))
-            ramps.append(_ramp(ids, "opacity", fade))
-        if animation in _LEGEND_FADE:
-            ramps.append(_ramp(legend_ids, "opacity", fade))
-        elif animation in _LEGEND_FLY:
-            ramps.append(_ramp(legend_ids, "translate_x", [(t0, -40.0), (t1, 0.0)]))
-            ramps.append(_ramp(legend_ids, "opacity", fade))
-
-    elif category is AnimationCategory.EMPHASIS:
-        if animation == "Bar-bounce":
-            stops = [(t0, 1.0), (t0 + length / 4, 1.15), (t0 + length / 2, 1.0),
-                     (t0 + 3 * length / 4, 1.15), (t1, 1.0)]
-            ramps.append(_ramp(ids, "scale", stops, "ease-in-out"))
-        elif animation == "Zoom-in-then-zoom-out":
-            stops = [(t0, 1.0), (t0 + length / 2, 1.25), (t1, 1.0)]
-            ramps.append(_ramp(ids, "scale", stops, "ease-in-out"))
-        elif animation == "Shine-in-a-short-duration":
-            stops = [(t0 + i * length / 6, 1.0 if i % 2 == 0 else 0.4) for i in range(7)]
-            ramps.append(_ramp(ids, "opacity", stops))
-        elif animation == "Highlight-one-and-fade-others":
-            delta = EMPHASIS_RAMP_FRACTION * length
-            stops = [(t0, 1.0), (t0 + delta, 0.2), (t1 - delta, 0.2), (t1, 1.0)]
-            ramps.append(_ramp(frozenset(other_ids) - ids, "opacity", stops))
-
-    else:  # exit: Fade-out
-        ramps.append(_ramp(ids, "opacity", [(t0, 1.0), (t1, 0.0)]))
-
-    return AnimationEffect(ramps=tuple(ramps), initially_hidden=hidden)
+    targets = frozenset(element_ids)
+    subjects = {"targets": targets, "legend": frozenset(legend_ids),
+                "others": frozenset(other_ids) - targets}
+    ramps = tuple((subjects[subject], tuple([Keyframe(_stop_time(k, n, t0, t1), prop, value,
+                                                     easing) for k, n, value in stops]))
+                  for subject, prop, stops, easing in row)
+    if category != "entrance":
+        return ramps, frozenset()
+    return ramps, frozenset().union(*(ids for ids, _ in ramps))
 
 
 @dataclass(frozen=True)
@@ -435,15 +377,44 @@ class PlacedAnnotation:
     label: str = ""
 
 
+def _lifetime_changes(placed_directives) -> list[tuple[float, bool, frozenset]]:
+    """The (time, born, ids) changes of the directive targets' lifetimes in
+    time order, deaths first at a tie: ids are born where an entrance of them
+    starts and die where an exit of them ends."""
+    changes = []
+    for placed in placed_directives:
+        category = classify_animation(placed.animation)
+        if category == "entrance":
+            changes.append((placed.interval[0], True, placed.target_ids))
+        elif category == "exit":
+            changes.append((placed.interval[1], False, placed.target_ids))
+    return sorted(changes, key=itemgetter(0, 1))
+
+
+def _alive_over(changes, marks: frozenset, t0: float, t1: float) -> frozenset:
+    """The marks alive over all of [t0, t1] by the lifetime changes; a mark
+    with no entrance is alive from 0."""
+    alive = marks.difference(*[ids for _, born, ids in changes if born])
+    for time, born, ids in changes:
+        if time <= t0:
+            alive = alive | ids if born else alive - ids
+        elif time <= t1 and not born:
+            alive = alive - ids
+    return alive & marks
+
+
 def compile_timeline(placed_directives, placed_annotations, mark_index, duration: float,
                      ) -> tuple[Timeline, ValidationReport]:
     """Compile directives and annotation fades into a validated Timeline.
 
-    Directives are processed in narration order. Elements with an entrance
-    start hidden; everything else starts visible. Annotation elements start
-    hidden and fade in over [segment_start, segment_start + ANNOTATION_FADE_IN]
-    clamped to the segment. Overlapping keyframe groups on the same element
-    and property resolve last-writer-wins with an advisory.
+    Directives are processed in narration order, each by its model.EFFECTS
+    row. Elements with an entrance start hidden; everything else starts
+    visible. An "others" ramp dims only the marks alive over its whole
+    interval: from an entrance's start (or from 0 with no entrance) to an
+    exit's end. Annotation elements start hidden and fade in over
+    [segment_start, segment_start + ANNOTATION_FADE_IN] clamped to the
+    segment. Overlapping keyframe groups on the same element and property
+    resolve last-writer-wins with an advisory.
 
     Keyframes carry no element id. Every element of one ramp shares one group
     record, and elements that keep the same groups on every property share
@@ -492,29 +463,25 @@ def compile_timeline(placed_directives, placed_annotations, mark_index, duration
     events.sort(key=lambda e: e[:4])
 
     legend_ids = mark_index.ids_with_role("legend")
-    all_mark_ids = mark_index.mark_ids()
+    lifetime_changes = _lifetime_changes(placed_directives)
 
     for *_, kind, placed in events:
         if kind == "directive":
-            category = classify_animation(placed.animation)
-            targets = placed.target_ids
-            extra_legend = frozenset()
-            if placed.animation in LEGEND_VARIANTS:
-                extra_legend = frozenset(legend_ids)
-                targets = targets - extra_legend
-            effect = keyframes_for(
-                placed.animation, targets, placed.interval,
-                legend_ids=extra_legend,
-                other_ids=frozenset(all_mark_ids) if category is AnimationCategory.EMPHASIS
-                else frozenset(),
-            )
-            add_group(effect.ramps, placed.label or placed.animation)
-            for eid in effect.initially_hidden:
+            subjects = {ramp[0] for ramp in EFFECTS[parse_animation(placed.animation)][1]}
+            legend = legend_ids if "legend" in subjects else frozenset()
+            others = frozenset()
+            if "others" in subjects:
+                others = _alive_over(lifetime_changes, mark_index.mark_ids(), *placed.interval)
+            ramps, hidden = keyframes_for(placed.animation, placed.target_ids - legend,
+                                          placed.interval, legend_ids=legend, other_ids=others)
+            add_group(ramps, placed.label or placed.animation)
+            for eid in hidden:
                 initial[eid] = "hidden"
         else:
             start, end = placed.interval
             fade_end = start + min(ANNOTATION_FADE_IN, end - start)
-            ramp = _ramp(placed.element_ids, "opacity", [(start, 0.0), (fade_end, 1.0)])
+            ramp = (frozenset(placed.element_ids), (Keyframe(start, "opacity", 0.0, "linear"),
+                                                    Keyframe(fade_end, "opacity", 1.0, "linear")))
             add_group([ramp], placed.label or "annotation fade-in")
 
     tracks: dict[str, tuple[Keyframe, ...]] = {}

@@ -17,7 +17,7 @@ from datareel.designer import parse_designer_response, validate_animation_sequen
 from datareel.errors import ContractError, PipelineError, StageError
 from datareel.ingest import load_template, parse_csv, parse_description_response
 from datareel.model import (
-    EMPHASIS_ANIMATIONS,
+    EFFECTS,
     AnimationDirective,
     IndexOutOfRange,
     JsonTypeError,
@@ -47,6 +47,9 @@ from helpers import (
     reference_value_at,
     reference_visible_at,
 )
+
+EMPHASIS_ANIMATIONS = tuple(name for name, (category, _) in EFFECTS.items()
+                            if category == "emphasis")
 
 
 @contextmanager

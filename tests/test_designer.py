@@ -248,6 +248,16 @@ class TestLegalityRules:
         report = validate_animation_sequence(directives, NARRATION)
         assert [v.code for v in report.violations] == ["appear-before-emphasis"]
 
+    def test_emphasis_before_one_targets_entrance(self):
+        # row 0 has entered, row 1 enters only later: row 1 may not be emphasized yet
+        directives = [
+            _ad("Fade-in", FIRST, target="A", index=(0,)),
+            _ad("Bar-bounce", SECOND, target="A and B", index=(0, 1)),
+            _ad("Fade-in", THIRD, target="A and B", index=(0, 1)),
+        ]
+        report = validate_animation_sequence(directives, NARRATION)
+        assert [v.code for v in report.violations] == ["appear-before-emphasis"]
+
 
 class TestRunDesigner:
     def test_modified_segment_then_valid(self, table):

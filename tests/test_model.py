@@ -2,6 +2,7 @@ import ast
 import copy
 import json
 import random
+import re
 import string
 from pathlib import Path
 
@@ -13,11 +14,8 @@ from datareel import analyst, designer, ingest, model, pipeline
 from datareel.model import (
     ANIMATIONS,
     ANNOTATION_TYPES,
-    EMPHASIS_ANIMATIONS,
-    ENTRANCE_ANIMATIONS,
-    EXIT_ANIMATIONS,
+    EFFECTS,
     INSIGHT_TYPES,
-    AnimationCategory,
     AnimationDirective,
     AnnotationDirective,
     DataTable,
@@ -34,29 +32,43 @@ from datareel.model import (
     structure_violations,
     visualization_structure_violations,
 )
-from datareel.timeline import Timeline, WordTimingsJson
+from datareel.timeline import EASINGS, PROPERTIES, Timeline, WordTimingsJson
 from helpers import reference_dump_artifact
 
 
+CATEGORIES = ("entrance", "emphasis", "exit")
+
+
 class TestVocabularies:
-    def test_category_sets_are_disjoint_and_total(self):
-        entrance, emphasis, exits = (
-            set(ENTRANCE_ANIMATIONS), set(EMPHASIS_ANIMATIONS), set(EXIT_ANIMATIONS)
-        )
-        assert not entrance & emphasis
-        assert not entrance & exits
-        assert not emphasis & exits
-        assert len(entrance | emphasis | exits) == 17
-        assert len(ANIMATIONS) == 17
+    def test_effect_table_has_17_rows(self):
+        assert len(EFFECTS) == 17
+
+    def test_effect_ramps_use_the_timelines_properties_and_easings(self):
+        for name, (category, ramps) in EFFECTS.items():
+            assert category in CATEGORIES, name
+            assert ramps, name
+            for subject, prop, stops, easing in ramps:
+                assert subject in ("targets", "legend", "others"), name
+                assert prop in PROPERTIES, name
+                assert easing in EASINGS, name
+                assert all(n != 0 for _, n, _ in stops), name
+
+    def test_designer_prompt_lists_the_table_by_category_in_table_order(self):
+        template = ingest.load_template("designer")
+        for category in CATEGORIES:
+            [listed] = re.findall(rf"- {category.capitalize()} animations include \[(.*?)\]\.",
+                                  template)
+            assert listed.split(", ") == [
+                name for name, (c, _) in EFFECTS.items() if c == category]
 
     def test_insight_vocabulary_has_13_names(self):
         assert len(INSIGHT_TYPES) == 13
         assert len(set(INSIGHT_TYPES)) == 13
 
     def test_classify_known_animations(self):
-        assert classify_animation("Bar-grow-in") is AnimationCategory.ENTRANCE
-        assert classify_animation("Fade-out") is AnimationCategory.EXIT
-        assert classify_animation("Bar-bounce") is AnimationCategory.EMPHASIS
+        assert classify_animation("Bar-grow-in") == "entrance"
+        assert classify_animation("Fade-out") == "exit"
+        assert classify_animation("Bar-bounce") == "emphasis"
 
     def test_classify_unknown_animation(self):
         with pytest.raises(UnknownAnimation):
@@ -64,7 +76,7 @@ class TestVocabularies:
 
     def test_classify_total_over_vocabulary_and_errors_elsewhere(self):
         for name in ANIMATIONS:
-            assert classify_animation(name) in AnimationCategory
+            assert classify_animation(name) in CATEGORIES
         rng = random.Random(20260808)
         alphabet = string.ascii_letters + "- "
         for _ in range(500):
@@ -75,7 +87,7 @@ class TestVocabularies:
                 classify_animation(name)
 
     def test_classify_trims_surrounding_whitespace_only(self):
-        assert classify_animation(" Fade-in ") is AnimationCategory.ENTRANCE
+        assert classify_animation(" Fade-in ") == "entrance"
         with pytest.raises(UnknownAnimation):
             classify_animation("fade-in")  # case-sensitive
 

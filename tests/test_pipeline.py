@@ -1207,13 +1207,13 @@ class TestCli:
 
     # The renderer's output, not the agent's: a malformed data-row exits 4
     # on a mark (base render) and on an element only the annotated render has.
-    @pytest.mark.parametrize("call, edit, stage", [
-        (0, lambda svg: svg.replace('data-row="', 'data-row="1_', 1), "base_render"),
+    @pytest.mark.parametrize("call, edit, stage, role", [
+        (0, lambda svg: svg.replace('data-row="', 'data-row="1_', 1), "base_render", "mark"),
         (1, lambda svg: svg.replace("</svg>", '<text data-row="1_0">note</text></svg>'),
-         "binding"),
+         "binding", "annotation"),
     ], ids=["mark", "annotation"])
     def test_malformed_data_row_exit_code_4(self, tmp_path, stock_csv_path, capsys,
-                                            monkeypatch, call, edit, stage):
+                                            monkeypatch, call, edit, stage, role):
         calls = []
         render = MockRenderer.render
 
@@ -1226,7 +1226,7 @@ class TestCli:
         code, output = _cli(capsys, "run", "--input", str(stock_csv_path),
                             "--config", str(self._config_file(tmp_path)))
         assert code == 4, output
-        assert f"stage '{stage}' failed: rendered mark " in output
+        assert f"stage '{stage}' failed: rendered {role} '" in output
         assert "carries malformed data-row '1_" in output
 
     @pytest.mark.parametrize("attempts, exit_code", [(3, 4), (1, 3)])
