@@ -37,8 +37,8 @@ from .model import (
     mark_type,
     spec_layers,
     stream_artifact,
+    structure_violations,
     title_text,
-    visualization_structure_violations,
 )
 from .timeline import (
     KeyframeEvaluator,
@@ -210,9 +210,9 @@ class MockRenderer:
                        "arc", "pie", "text", "rule", "tick")
 
     def render(self, spec: dict) -> str:
-        problems = visualization_structure_violations(spec)
+        problems = structure_violations(spec, "")
         if problems:
-            raise RendererRejectedSpec("; ".join(problems))
+            raise RendererRejectedSpec("; ".join(v.message for v in problems))
         layers = spec_layers(spec)
         top_data = self._data_values(spec)
         base = layers[0]
@@ -483,9 +483,10 @@ def read_rendering(svg_text: str, table: DataTable) -> Rendering:
 
 def render_visualization(spec: VisualizationSpec, renderer, table: DataTable) -> Rendering:
     """Render a spec and read the result against the table (see read_rendering)."""
-    problems = visualization_structure_violations(spec.spec)
+    problems = structure_violations(spec.spec, "")
     if problems:
-        raise PreconditionError("spec is structurally invalid: " + "; ".join(problems))
+        raise PreconditionError("spec is structurally invalid: "
+                                + "; ".join(v.message for v in problems))
     return read_rendering(renderer.render(spec.spec), table)
 
 

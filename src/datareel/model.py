@@ -78,7 +78,9 @@ EMPHASIS_RAMP_FRACTION = 0.15
 # the marks on screen over the whole interval, targets excepted. Over an
 # interval [t0, t1] of length t1 - t0, a stop (k, n, value) is at
 # t0 + k * length / n, and with n negative at t1 - k * length / -n; k == 0 is
-# t0 or t1 itself. An entrance leaves its subjects hidden until it starts.
+# t0 or t1 itself, so an interval's end is written (0, -1, value): at (n, n,
+# value) it could round past t1. An entrance leaves its subjects hidden until
+# it starts.
 _IN = ((0, 1, 0.0), (0, -1, 1.0))
 _FLY = ((0, 1, -40.0), (0, -1, 0.0))
 EFFECTS = {
@@ -112,7 +114,7 @@ EFFECTS = {
     "Zoom-in-then-zoom-out": ("emphasis", (("targets", "scale", (
         (0, 1, 1.0), (1, 2, 1.25), (0, -1, 1.0)), "ease-in-out"),)),
     "Shine-in-a-short-duration": ("emphasis", (("targets", "opacity", tuple(
-        (k, 6, 0.4 if k % 2 else 1.0) for k in range(7)), "linear"),)),
+        (k, 6, 0.4 if k % 2 else 1.0) for k in range(6)) + ((0, -1, 1.0),), "linear"),)),
     "Highlight-one-and-fade-others": ("emphasis", (("others", "opacity", (
         (0, 1, 1.0), (EMPHASIS_RAMP_FRACTION, 1, 0.2), (EMPHASIS_RAMP_FRACTION, -1, 0.2),
         (0, -1, 1.0)), "linear"),)),
@@ -226,10 +228,17 @@ class VisualizationSpec:
         parse_visualization_type(self.vis_type)
 
 
-def _structure_problems(spec) -> list[tuple[str, str]]:
-    """(code, message) for each structural rule a Vega-Lite spec breaks."""
+def structure_violations(spec, path: str) -> tuple["Violation", ...]:
+    """The structural rules a Vega-Lite spec breaks, as Violations at path;
+    empty means structurally valid.
+
+    The spec must be a JSON object with either top-level "mark"+"encoding" or
+    a non-empty "layer" list of objects, and when "layer" is present no
+    "mark"/"encoding" may sit beside it at the top level. The code is
+    "layer-rule" for the rules on where "layer", "mark" and "encoding" sit,
+    and "structure" for a spec or "layer" entry that is not an object."""
     if not isinstance(spec, dict):
-        return [("structure", "visualization spec must be a JSON object")]
+        return (Violation("structure", path, "visualization spec must be a JSON object"),)
     problems = []
     if "layer" in spec:
         layers = spec["layer"]
@@ -253,25 +262,7 @@ def _structure_problems(spec) -> list[tuple[str, str]]:
                 "spec without a \"layer\" list must carry top-level "
                 + " and ".join(f'"{k}"' for k in missing),
             ))
-    return problems
-
-
-def visualization_structure_violations(spec) -> list[str]:
-    """Check the structural rules a Vega-Lite spec must obey in this pipeline.
-
-    Returns human-readable violation messages; empty means structurally valid.
-    The spec must be a JSON object with either top-level "mark"+"encoding" or
-    a non-empty "layer" list of objects, and when "layer" is present no
-    "mark"/"encoding" may sit beside it at the top level.
-    """
-    return [message for _, message in _structure_problems(spec)]
-
-
-def structure_violations(spec, path: str) -> tuple["Violation", ...]:
-    """visualization_structure_violations as Violations at path, coded
-    "layer-rule" for the rules on where "layer", "mark" and "encoding" sit,
-    and "structure" for a spec or "layer" entry that is not an object."""
-    return tuple(Violation(code, path, message) for code, message in _structure_problems(spec))
+    return tuple(Violation(code, path, message) for code, message in problems)
 
 
 def spec_layers(spec: dict) -> list[dict]:

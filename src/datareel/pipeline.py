@@ -534,23 +534,10 @@ def _summarize_tts(payload) -> list[str]:
 
 
 def _stage_timeline(run: _Run, record: dict) -> tl.Timeline:
-    narration, bindings = run.outputs["analyst"].narration, run.outputs["binding"]
-    annotated = [(d, ids) for d, ids in bindings.assignments if ids]
-    segments = [d.narration for d, _ in bindings.resolved_targets] + [d.nar for d, _ in annotated]
-    intervals = tl.align_segments([tl.locate_span(narration, segment, 0) for segment in segments],
-                                  run.outputs["tts"]["words"])
-    placed_directives = [
-        tl.PlacedDirective(animation=d.animation, target_ids=ids, interval=interval,
-                           label=f"{d.animation} on {d.target!r}")
-        for (d, ids), interval in zip(bindings.resolved_targets, intervals)
-    ]
-    placed_annotations = [
-        tl.PlacedAnnotation(element_ids=tuple(sorted(ids)), interval=interval, label=d.nar)
-        for (d, ids), interval in zip(annotated, intervals[len(placed_directives):])
-    ]
-    timeline, report = tl.compile_timeline(
-        placed_directives, placed_annotations, bindings.index, run.outputs["tts"]["duration"],
-    )
+    bindings, tts = run.outputs["binding"], run.outputs["tts"]
+    placed = tl.place(run.outputs["analyst"].narration, tts["words"],
+                      bindings.resolved_targets, bindings.assignments)
+    timeline, report = tl.compile_timeline(placed, bindings.index, tts["duration"])
     run.write_artifact(record, "timeline.json", dump_artifact(timeline.to_json()))
     run.write_artifact(record, "timeline_validation.json", dump_artifact(report.to_json()))
     return timeline

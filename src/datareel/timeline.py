@@ -1,9 +1,11 @@
 """Narration-clock timeline: span location, audio alignment, and keyframe compilation.
 
 The narration text is the master timeline. Directive segments are located as
-verbatim substrings (whitespace runs collapse to single spaces on both sides),
-mapped to seconds through word timings, and expanded into per-element keyframe
-tracks by each animation's row of model.EFFECTS.
+verbatim substrings (whitespace runs collapse to single spaces on both sides)
+and mapped to seconds through word timings. place turns the directives into one
+list of cues, an annotation being a Fade-in of its elements, and
+compile_timeline expands each cue into per-element keyframe tracks by its
+animation's row of model.EFFECTS: every ramp comes from that table.
 """
 
 import json
@@ -360,7 +362,8 @@ def keyframes_for(animation: str, element_ids, interval: tuple[float, float], *,
 
 @dataclass(frozen=True)
 class PlacedDirective:
-    """An animation directive with resolved targets and an audio interval."""
+    """A cue for the compiler: an animation of target ids over an audio
+    interval. An annotation is a Fade-in cue (see place)."""
 
     animation: str
     target_ids: frozenset
@@ -368,53 +371,63 @@ class PlacedDirective:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class PlacedAnnotation:
-    """Annotation elements that fade in when their narration segment starts."""
+def place(narration: str, words: list[TimedWord], resolved_targets,
+          assignments) -> list[PlacedDirective]:
+    """The cues of the resolved animation directives and of the annotation
+    directives with elements, each timed by its narration segment: animation
+    cues first, then one Fade-in of each annotation's elements over the first
+    ANNOTATION_FADE_IN seconds of its segment, clamped to the segment."""
+    annotated = [(d, ids) for d, ids in assignments if ids]
+    segments = [d.narration for d, _ in resolved_targets] + [d.nar for d, _ in annotated]
+    intervals = align_segments([locate_span(narration, segment, 0) for segment in segments],
+                               words)
+    cues = [PlacedDirective(d.animation, ids, interval, f"{d.animation} on {d.target!r}")
+            for (d, ids), interval in zip(resolved_targets, intervals)]
+    for (d, ids), (start, end) in zip(annotated, intervals[len(cues):]):
+        fade = (start, start + min(ANNOTATION_FADE_IN, end - start))
+        cues.append(PlacedDirective("Fade-in", frozenset(ids), fade, d.nar))
+    return cues
 
-    element_ids: tuple
-    interval: tuple[float, float]
-    label: str = ""
 
-
-def _lifetime_changes(placed_directives) -> list[tuple[float, bool, frozenset]]:
-    """The (time, born, ids) changes of the directive targets' lifetimes in
-    time order, deaths first at a tie: ids are born where an entrance of them
+def _lifetime_changes(placed) -> list[tuple[float, bool, frozenset]]:
+    """The (time, born, ids) changes of the cue targets' lifetimes in time
+    order, deaths first at a tie: ids are born where an entrance of them
     starts and die where an exit of them ends."""
     changes = []
-    for placed in placed_directives:
-        category = classify_animation(placed.animation)
+    for cue in placed:
+        category = classify_animation(cue.animation)
         if category == "entrance":
-            changes.append((placed.interval[0], True, placed.target_ids))
+            changes.append((cue.interval[0], True, cue.target_ids))
         elif category == "exit":
-            changes.append((placed.interval[1], False, placed.target_ids))
+            changes.append((cue.interval[1], False, cue.target_ids))
     return sorted(changes, key=itemgetter(0, 1))
 
 
-def _alive_over(changes, marks: frozenset, t0: float, t1: float) -> frozenset:
+def _alive_over(changes, marks: frozenset, t0: float, t1: float) -> set:
     """The marks alive over all of [t0, t1] by the lifetime changes; a mark
-    with no entrance is alive from 0."""
-    alive = marks.difference(*[ids for _, born, ids in changes if born])
+    with no entrance is alive from 0. One set is updated in place, so each
+    change costs only its own ids."""
+    alive = set(marks)
+    alive.difference_update(*[ids for _, born, ids in changes if born])
     for time, born, ids in changes:
-        if time <= t0:
-            alive = alive | ids if born else alive - ids
-        elif time <= t1 and not born:
-            alive = alive - ids
-    return alive & marks
+        if born and time <= t0:
+            alive |= ids
+        elif not born and time <= t1:
+            alive -= ids
+    alive &= marks
+    return alive
 
 
-def compile_timeline(placed_directives, placed_annotations, mark_index, duration: float,
-                     ) -> tuple[Timeline, ValidationReport]:
-    """Compile directives and annotation fades into a validated Timeline.
+def compile_timeline(placed, mark_index, duration: float) -> tuple[Timeline, ValidationReport]:
+    """Compile one list of cues into a validated Timeline.
 
-    Directives are processed in narration order, each by its model.EFFECTS
-    row. Elements with an entrance start hidden; everything else starts
-    visible. An "others" ramp dims only the marks alive over its whole
-    interval: from an entrance's start (or from 0 with no entrance) to an
-    exit's end. Annotation elements start hidden and fade in over
-    [segment_start, segment_start + ANNOTATION_FADE_IN] clamped to the
-    segment. Overlapping keyframe groups on the same element and property
-    resolve last-writer-wins with an advisory.
+    Cues are processed in interval order (ties keep list order), each by its
+    model.EFFECTS row, so every ramp comes from that table. Elements with an
+    entrance start hidden; everything else starts visible. An "others" ramp
+    dims only the marks alive over its whole interval: from an entrance's
+    start (or from 0 with no entrance) to an exit's end. Overlapping keyframe
+    groups on the same element and property resolve last-writer-wins with an
+    advisory.
 
     Keyframes carry no element id. Every element of one ramp shares one group
     record, and elements that keep the same groups on every property share
@@ -451,38 +464,19 @@ def compile_timeline(placed_directives, placed_annotations, mark_index, duration
                 groups[(eid, prop)] = kept
 
     initial = {eid: "visible" for eid in mark_index.entries}
-    for placed in placed_annotations:
-        for eid in placed.element_ids:
-            initial[eid] = "hidden"
-
-    events = []
-    for seq, placed in enumerate(placed_directives):
-        events.append((placed.interval[0], placed.interval[1], 0, seq, "directive", placed))
-    for seq, placed in enumerate(placed_annotations):
-        events.append((placed.interval[0], placed.interval[1], 1, seq, "annotation", placed))
-    events.sort(key=lambda e: e[:4])
-
     legend_ids = mark_index.ids_with_role("legend")
-    lifetime_changes = _lifetime_changes(placed_directives)
-
-    for *_, kind, placed in events:
-        if kind == "directive":
-            subjects = {ramp[0] for ramp in EFFECTS[parse_animation(placed.animation)][1]}
-            legend = legend_ids if "legend" in subjects else frozenset()
-            others = frozenset()
-            if "others" in subjects:
-                others = _alive_over(lifetime_changes, mark_index.mark_ids(), *placed.interval)
-            ramps, hidden = keyframes_for(placed.animation, placed.target_ids - legend,
-                                          placed.interval, legend_ids=legend, other_ids=others)
-            add_group(ramps, placed.label or placed.animation)
-            for eid in hidden:
-                initial[eid] = "hidden"
-        else:
-            start, end = placed.interval
-            fade_end = start + min(ANNOTATION_FADE_IN, end - start)
-            ramp = (frozenset(placed.element_ids), (Keyframe(start, "opacity", 0.0, "linear"),
-                                                    Keyframe(fade_end, "opacity", 1.0, "linear")))
-            add_group([ramp], placed.label or "annotation fade-in")
+    lifetime_changes = _lifetime_changes(placed)
+    for cue in sorted(placed, key=attrgetter("interval")):
+        subjects = {ramp[0] for ramp in EFFECTS[parse_animation(cue.animation)][1]}
+        legend = legend_ids if "legend" in subjects else frozenset()
+        others = frozenset()
+        if "others" in subjects:
+            others = _alive_over(lifetime_changes, mark_index.mark_ids(), *cue.interval)
+        ramps, hidden = keyframes_for(cue.animation, cue.target_ids - legend, cue.interval,
+                                      legend_ids=legend, other_ids=others)
+        add_group(ramps, cue.label or cue.animation)
+        for eid in hidden:
+            initial[eid] = "hidden"
 
     tracks: dict[str, tuple[Keyframe, ...]] = {}
     by_element: dict[str, list[tuple[str, list[dict]]]] = {}
@@ -511,13 +505,6 @@ def compile_timeline(placed_directives, placed_annotations, mark_index, duration
             merged_all.sort(key=lambda k: (k.time, k.property))
             merged_by_history[history] = tuple(merged_all)
         tracks[eid] = merged_by_history[history]
-
-    for eid, vis in initial.items():
-        if vis == "hidden" and not tracks.get(eid):
-            advisories.append(Violation(
-                "hidden-forever", eid,
-                "element starts hidden and has no entrance track",
-            ))
 
     timeline = Timeline(
         duration=duration,

@@ -29,7 +29,6 @@ from datareel.model import (
 from datareel.pipeline import ProjectConfig, run_pipeline, validate_project
 from datareel.runtime import extract_json
 from datareel.timeline import (
-    PlacedAnnotation,
     PlacedDirective,
     SegmentNotFound,
     Span,
@@ -486,11 +485,13 @@ def _random_scenario(rng: random.Random):
             placed.append(PlacedDirective(name, take, interval))
             emphasis_specs.append((name, take, interval))
 
-    placed_annotations = []
+    annotation_cues = []
     if ann_ids and len(intervals) > 1:
-        placed_annotations.append(PlacedAnnotation(tuple(ann_ids), intervals[-1]))
+        start, end = intervals[-1]
+        annotation_cues.append(PlacedDirective("Fade-in", frozenset(ann_ids),
+                                               (start, start + min(0.5, end - start))))
 
-    return (narration, duration, index, placed, placed_annotations,
+    return (narration, duration, index, placed, annotation_cues,
             entrance_targets, emphasis_specs, exit_targets)
 
 
@@ -498,9 +499,9 @@ def test_criterion_6_timeline_invariants():
     with criterion(6, "timeline invariants", 10.0):
         rng = random.Random(606)
         for _ in range(200):
-            (narration, duration, index, placed, placed_annotations,
+            (narration, duration, index, placed, annotation_cues,
              entrance_targets, emphasis_specs, exit_targets) = _random_scenario(rng)
-            timeline, _ = compile_timeline(placed, placed_annotations, index, duration)
+            timeline, _ = compile_timeline(placed + annotation_cues, index, duration)
 
             assert timeline.duration == duration  # equals mock audio duration exactly
             assert timeline_invariant_violations(timeline) == []

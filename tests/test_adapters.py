@@ -568,7 +568,7 @@ def _six_second_timeline():
         PlacedDirective("Fade-in", frozenset({"m0"}), (2.0, 3.0)),
         PlacedDirective("Fade-out", frozenset({"m1"}), (4.0, 5.0)),
     ]
-    timeline, _ = compile_timeline(placed, [], _index(), 6.0)
+    timeline, _ = compile_timeline(placed, _index(), 6.0)
     return timeline
 
 

@@ -30,7 +30,6 @@ from datareel.model import (
     parse_visualization_type,
     read_typed,
     structure_violations,
-    visualization_structure_violations,
 )
 from datareel.timeline import EASINGS, PROPERTIES, Timeline, WordTimingsJson
 from helpers import reference_dump_artifact
@@ -52,6 +51,12 @@ class TestVocabularies:
                 assert prop in PROPERTIES, name
                 assert easing in EASINGS, name
                 assert all(n != 0 for _, n, _ in stops), name
+
+    def test_no_stop_is_written_at_k_equals_n(self):
+        # t0 + n * length / n can round past t1; an interval's end is (0, -1, v).
+        for name, (_, ramps) in EFFECTS.items():
+            for _, _, stops, _ in ramps:
+                assert not any(k == n > 0 for k, n, _ in stops), name
 
     def test_designer_prompt_lists_the_table_by_category_in_table_order(self):
         template = ingest.load_template("designer")
@@ -142,14 +147,14 @@ class TestDirectives:
 
 class TestVisualizationStructure:
     def test_mark_encoding_spec_passes(self):
-        assert visualization_structure_violations({"mark": "bar", "encoding": {}}) == []
+        assert structure_violations({"mark": "bar", "encoding": {}}, "") == ()
 
     def test_layered_spec_passes(self):
-        assert visualization_structure_violations({"layer": [{"mark": "bar"}]}) == []
+        assert structure_violations({"layer": [{"mark": "bar"}]}, "") == ()
 
     def test_top_level_mark_beside_layer_fails(self):
-        problems = visualization_structure_violations({"layer": [{}], "mark": "bar"})
-        assert any("layer" in p for p in problems)
+        problems = structure_violations({"layer": [{}], "mark": "bar"}, "")
+        assert any("layer" in v.message for v in problems)
 
     def test_non_object_layer_entry_is_a_structure_violation(self):
         spec = {"layer": [{"mark": "bar"}, 1, None], "data": {}}
@@ -159,8 +164,8 @@ class TestVisualizationStructure:
         ]
 
     def test_missing_structure_fails(self):
-        assert visualization_structure_violations({"data": {}})
-        assert visualization_structure_violations([1, 2])
+        assert structure_violations({"data": {}}, "")
+        assert structure_violations([1, 2], "")
 
 
 json_values = st.recursive(

@@ -1161,6 +1161,41 @@ class TestCli:
         table = json.loads((tmp_path / "proj" / "table.json").read_text())
         assert table["title"] == "{{table}}"
 
+    def test_shine_on_the_last_words_exits_0(self, tmp_path, capsys):
+        # Shine's last stop was at t0 + 6 * length / 6, here 0.9000000000000001
+        # past the 0.9 s narration, and the timeline stage failed.
+        csv_path = tmp_path / "table.csv"
+        csv_path.write_text("k,v\na,1\nb,2\n", encoding="utf-8")
+        spec = {"data": {"values": [{"k": "a", "v": 1}, {"k": "b", "v": 2}]}, "mark": "bar",
+                "encoding": {"x": {"field": "k", "type": "nominal"},
+                             "y": {"field": "v", "type": "quantitative"}}}
+        replies = {
+            "description": ("Give a short and consistent description", {"Description": "d"}),
+            "analyst": ("You are a data analyst.", {
+                "Insights": [{"insight": "b is larger.", "type": ["Comparison"]}],
+                "Visualization": spec, "Visualization_Type": "bar",
+                "Narration": "Prices rise today."}),
+            "designer": ("You are a data video designer.", {
+                "Annotated_Visualization": spec,
+                "Annotated_Narration_for_Animation": [{
+                    "animation": "Shine-in-a-short-duration", "narration": "rise today.",
+                    "target": "bar b", "index": [1], "explanation": "Point at b."}],
+                "Annotated_Narration_for_Annotation": []}),
+        }
+        transcripts = {}
+        for role, (match, reply) in replies.items():
+            transcripts[role] = str(tmp_path / f"{role}.json")
+            Path(transcripts[role]).write_text(
+                json.dumps([{"match": match, "reply": json.dumps(reply)}]), encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"output_dir": str(tmp_path / "proj"), "mock_mode": True,
+                                      "transcripts": transcripts}))
+        code, output = _cli(capsys, "run", "--input", str(csv_path), "--config", str(config))
+        assert code == 0, output
+        timeline = json.loads((tmp_path / "proj" / "timeline.json").read_text())
+        [track] = timeline["tracks"]
+        assert track["keyframes"][-1]["time"] == timeline["duration"] == 0.9
+
     def test_missing_input_exit_code_2(self, tmp_path, capsys):
         config = self._config_file(tmp_path)
         code, _ = _cli(
