@@ -374,9 +374,11 @@ class PlacedDirective:
 def place(narration: str, words: list[TimedWord], resolved_targets,
           assignments) -> list[PlacedDirective]:
     """The cues of the resolved animation directives and of the annotation
-    directives with elements, each timed by its narration segment: animation
-    cues first, then one Fade-in of each annotation's elements over the first
-    ANNOTATION_FADE_IN seconds of its segment, clamped to the segment."""
+    directives with elements, each timed by its narration segment. An
+    annotation is a Fade-in of its elements over the first ANNOTATION_FADE_IN
+    seconds of its segment, clamped to the segment. The cues are in segment
+    order, an animation cue before an annotation cue at a tie, which is the
+    order compile_timeline keeps for cues that start together."""
     annotated = [(d, ids) for d, ids in assignments if ids]
     segments = [d.narration for d, _ in resolved_targets] + [d.nar for d, _ in annotated]
     intervals = align_segments([locate_span(narration, segment, 0) for segment in segments],
@@ -386,7 +388,7 @@ def place(narration: str, words: list[TimedWord], resolved_targets,
     for (d, ids), (start, end) in zip(annotated, intervals[len(cues):]):
         fade = (start, start + min(ANNOTATION_FADE_IN, end - start))
         cues.append(PlacedDirective("Fade-in", frozenset(ids), fade, d.nar))
-    return cues
+    return [cue for _, cue in sorted(zip(intervals, cues), key=itemgetter(0))]
 
 
 def _lifetime_changes(placed) -> list[tuple[float, bool, frozenset]]:
@@ -421,8 +423,8 @@ def _alive_over(changes, marks: frozenset, t0: float, t1: float) -> set:
 def compile_timeline(placed, mark_index, duration: float) -> tuple[Timeline, ValidationReport]:
     """Compile one list of cues into a validated Timeline.
 
-    Cues are processed in interval order (ties keep list order), each by its
-    model.EFFECTS row, so every ramp comes from that table. Elements with an
+    Cues are processed in start order (cues that start together keep list
+    order; place lists them by segment), each by its model.EFFECTS row, so every ramp comes from that table. Elements with an
     entrance start hidden; everything else starts visible. An "others" ramp
     dims only the marks alive over its whole interval: from an entrance's
     start (or from 0 with no entrance) to an exit's end. Overlapping keyframe
@@ -466,7 +468,7 @@ def compile_timeline(placed, mark_index, duration: float) -> tuple[Timeline, Val
     initial = {eid: "visible" for eid in mark_index.entries}
     legend_ids = mark_index.ids_with_role("legend")
     lifetime_changes = _lifetime_changes(placed)
-    for cue in sorted(placed, key=attrgetter("interval")):
+    for cue in sorted(placed, key=lambda cue: cue.interval[0]):
         subjects = {ramp[0] for ramp in EFFECTS[parse_animation(cue.animation)][1]}
         legend = legend_ids if "legend" in subjects else frozenset()
         others = frozenset()

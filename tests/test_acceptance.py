@@ -19,6 +19,7 @@ from datareel.ingest import load_template, parse_csv, parse_description_response
 from datareel.model import (
     EFFECTS,
     AnimationDirective,
+    AnnotationDirective,
     IndexOutOfRange,
     JsonTypeError,
     UnknownAnimation,
@@ -35,6 +36,7 @@ from datareel.timeline import (
     TimedWord,
     compile_timeline,
     locate_span,
+    place,
     timeline_invariant_violations,
 )
 from conftest import GOLDEN_DIR, STOCK_COMPANIES, TRANSCRIPTS
@@ -487,9 +489,10 @@ def _random_scenario(rng: random.Random):
 
     annotation_cues = []
     if ann_ids and len(intervals) > 1:
-        start, end = intervals[-1]
-        annotation_cues.append(PlacedDirective("Fade-in", frozenset(ann_ids),
-                                               (start, start + min(0.5, end - start))))
+        a, b = word_ranges[-1]
+        segment = narration[timings[a]["char_start"]:timings[min(b, n_words) - 1]["char_end"]]
+        annotation = AnnotationDirective(("text",), "a label", (0,), segment)
+        annotation_cues = place(narration, timings, [], [(annotation, ann_ids)])
 
     return (narration, duration, index, placed, annotation_cues,
             entrance_targets, emphasis_specs, exit_targets)

@@ -315,6 +315,16 @@ class TestCompileTimeline:
     def test_annotation_fade_clamped_to_segment(self):
         assert _annotation_cues((1.0, 1.2))[0].interval == (1.0, 1.2)
 
+    def test_place_lists_cues_by_segment_animations_first_at_a_tie(self):
+        narration = "One here. Two now."
+        first = AnnotationDirective(("text",), "", (0,), "One here.")
+        second = AnnotationDirective(("text",), "", (0,), "Two now.")
+        fade = AnimationDirective("Fade-in", "Two now.", "m0", (0,))
+        cues = place(narration, mock_timings(narration), [(fade, frozenset({"m0"}))],
+                     [(second, ["a1"]), (first, ["a0"])])
+        assert [(c.target_ids, c.interval[0]) for c in cues] == [
+            (frozenset({"a0"}), 0.0), (frozenset({"m0"}), 0.6), (frozenset({"a1"}), 0.6)]
+
     def test_last_writer_wins_with_advisory(self):
         placed = [
             PlacedDirective("Fade-in", frozenset({"m0"}), (1.0, 3.0), label="first"),
@@ -379,19 +389,24 @@ class TestCompileTimeline:
         assert report.passing
 
 
-def _annotation_cues(segment):
-    """place's cues for one annotation of a0, cued by a narration segment
-    spoken over the given interval, after a sentence spoken from 0 s."""
+def _placed_on(segment, resolved=(), annotated=()):
+    """place's cues for directives that all cue the sentence "Label now.",
+    spoken over the given interval after a sentence spoken from 0 s."""
     narration = "Intro here. Label now."
     start, end = segment
     times = [(0.0, start / 2), (start / 2, start), (start, (start + end) / 2),
              ((start + end) / 2, end)]
     words = [{**word, "start": t0, "end": t1}
              for word, (t0, t1) in zip(mock_timings(narration), times)]
+    return place(narration, words, list(resolved), list(annotated))
+
+
+def _annotation_cues(segment, ids=("a0",)):
+    """place's cues for one annotation of ids cued by "Label now." (see _placed_on)."""
     annotation = AnnotationDirective(("text",), "a label", (0,), "Label now.")
-    cues = place(narration, words, [], [(annotation, ["a0"])])
+    cues = _placed_on(segment, annotated=[(annotation, list(ids))])
     assert [(c.animation, c.target_ids, c.interval[0], c.label) for c in cues] == [
-        ("Fade-in", frozenset({"a0"}), start, "Label now.")]
+        ("Fade-in", frozenset(ids), segment[0], "Label now.")]
     return cues
 
 
@@ -479,6 +494,23 @@ class TestMarkLifetime:
         for t in (2.0, 3.5):
             assert not reference_visible_at(timeline, "m1", t), t
         assert reference_visible_at(timeline, "m1", 5.0)
+
+    def test_annotation_fade_wins_over_a_highlight_of_its_own_sentence(self):
+        """A mark annotated on the sentence of a highlight of others is born
+        with that sentence, so the highlight dims it; the annotation's fade,
+        placed after the highlight, replaces that dimming."""
+        index = MarkIndex(entries={
+            "m0": MarkEntry(roles=frozenset({"mark"}), data_rows=frozenset({0})),
+            "m1": MarkEntry(roles=frozenset({"mark", "annotation"}), data_rows=frozenset({1})),
+        })
+        highlight = AnimationDirective("Highlight-one-and-fade-others", "Label now.", "m0", (0,))
+        annotation = AnnotationDirective(("text",), "m1's label", (1,), "Label now.")
+        placed = _placed_on((4.0, 5.0), [(highlight, frozenset({"m0"}))],
+                            [(annotation, ["m1"])])
+        timeline, _ = compile_timeline(placed, index, 6.0)
+        assert not reference_visible_at(timeline, "m1", 3.9)
+        assert [reference_value_at(timeline, "m1", "opacity", t)
+                for t in (4.0, 4.5, 5.0)] == [0.0, 1.0, 1.0]
 
     @given(accepted_sequences())
     def test_marks_are_hidden_outside_their_lifetime(self, sequence):
@@ -586,8 +618,8 @@ def intervals(draw):
 
 @st.composite
 def compiled_timelines(draw):
-    """compile_timeline outputs over random directives and annotation fades:
-    Fade-in cues over the first half second (at most) of an interval."""
+    """compile_timeline outputs over random directives and annotation cues
+    placed on random intervals."""
     directives = [
         PlacedDirective(draw(st.sampled_from(ANIMATIONS)),
                         frozenset(draw(st.lists(st.sampled_from(MARKS + LEGEND), min_size=1))),
@@ -595,10 +627,8 @@ def compiled_timelines(draw):
         for _ in range(draw(st.integers(0, 5)))
     ]
     for _ in range(draw(st.integers(0, 2))):
-        start, end = draw(intervals())
-        directives.append(PlacedDirective(
-            "Fade-in", frozenset(draw(st.lists(st.sampled_from(ANNOTATIONS), min_size=1))),
-            (start, start + min(0.5, end - start))))
+        directives += _annotation_cues(
+            draw(intervals()), draw(st.lists(st.sampled_from(ANNOTATIONS), min_size=1)))
     index = _index(marks=MARKS, legend=LEGEND, axes=("ax",), annotations=ANNOTATIONS)
     timeline, _ = compile_timeline(directives, index, DURATION)
     return timeline
