@@ -2,11 +2,13 @@
 
 The legality rules follow the designer prompt: model.FIRST_SENTENCE_ONLY
 animations only inside the first sentence, elements can only be emphasized or
-exit after they have appeared, nothing is emphasized after it disappears, and
-every directive's narration segment must be a verbatim excerpt of the narration.
+exit after they have appeared, nothing is emphasized after it disappears
+(until it enters again), and every directive's narration segment must be a
+verbatim excerpt, located as the timeline stage places it.
 """
 
 import json
+from collections import Counter
 from typing import TypedDict
 
 from .errors import ContractError
@@ -28,7 +30,9 @@ from .model import (
     structure_violations,
 )
 from .runtime import ChatSession, extract_json, repair_loop
-from .timeline import SegmentNotFound, first_sentence_end, locate_span
+from .timeline import (PlacedDirective, alive_over, first_sentence_end, lifetime_changes,
+                       locate_segments)
+from .timeline import locate_span  # noqa: F401 -- read only by perfbench's hook table
 
 
 def build_designer_prompt(vis: VisualizationSpec, narration: str, table: DataTable,
@@ -52,6 +56,19 @@ def default_target_resolver(directive: AnimationDirective) -> frozenset:
     return frozenset({" ".join(directive.target.lower().split())})
 
 
+def _locate(narration: str, segments: list[str], paths: list[str]):
+    """locate_segments' spans, and a report of the segments it cannot locate or finds twice."""
+    spans, repeated = locate_segments(narration, segments)
+    return spans, ValidationReport(
+        violations=tuple(Violation("segment-unlocatable", path,
+                                   f"narration segment is not a verbatim excerpt: {segment!r}")
+                         for path, segment, span in zip(paths, segments, spans) if span is None),
+        advisories=tuple(Violation("ambiguous-segment", paths[i],
+                                   f"narration segment occurs more than once: {segments[i]!r}; "
+                                   "placed at its first occurrence from the previous "
+                                   "segment's start") for i in repeated))
+
+
 def validate_animation_sequence(directives, narration: str,
                                 resolver=None) -> ValidationReport:
     """Check the four legality rules over a directive list.
@@ -59,93 +76,73 @@ def validate_animation_sequence(directives, narration: str,
     resolver maps a directive to a set of opaque target identities, or raises
     a ContractError when it cannot; two directives act on the same elements
     when their sets intersect. Directives whose segments cannot be located
-    are reported and excluded from the ordering rules. Targets with no
-    entrance are visible from time zero, so emphasizing them is always legal.
+    (see _locate) are reported and excluded from the ordering rules. Targets
+    with no entrance are visible from time zero, so emphasizing them is
+    always legal; a target that exits is gone until an entrance of it starts.
     """
     if resolver is None:
         resolver = default_target_resolver
+    spans, report = _locate(narration, [d.narration for d in directives],
+                            [d.animation for d in directives])
     violations: list[Violation] = []
-    advisories: list[Violation] = []
-
     located = []
-    for d in directives:
-        try:
-            span = locate_span(narration, d.narration, 0)
-        except SegmentNotFound:
-            violations.append(Violation(
-                "segment-unlocatable", d.animation,
-                f"narration segment is not a verbatim excerpt: {d.narration!r}",
-            ))
+    for d, span in zip(directives, spans):
+        if span is None:
             continue
         try:
-            targets = resolver(d)
+            located.append((span, d, resolver(d)))
         except ContractError as e:
             violations.append(Violation("unresolved-target", d.animation, str(e)))
-            continue
-        located.append((span, d, targets))
-    located.sort(key=lambda item: (
-        item[0].start_char, item[0].end_char, item[1].animation, item[1].target,
-    ))
+    located.sort(key=lambda item: (item[0], item[1].animation, item[1].target))
 
     sentence_end = first_sentence_end(narration)
-    first_entrance: dict = {}  # target identity -> its first entrance's start; located is sorted
-    for span, d, targets in located:
-        if d.category == "entrance":
-            for x in targets:
-                first_entrance.setdefault(x, span.start_char)
-    exits = [(s, t) for s, d, t in located if d.category == "exit"]
+    # The compiler's lifetime rule, on the narration's character offsets.
+    changes = lifetime_changes([PlacedDirective(d.animation, t, s) for s, d, t in located])
+    first_entrance: dict = {}  # target identity -> its first entrance's start
+    for time, born, ids in changes:
+        for x in ids if born else ():
+            first_entrance.setdefault(x, time)
 
-    for span, d, targets in located:
-        if d.animation in FIRST_SENTENCE_ONLY and span.end_char > sentence_end:
+    for (start, end), d, targets in located:
+        if d.animation in FIRST_SENTENCE_ONLY and end > sentence_end:
             violations.append(Violation(
                 "axes-first-sentence", d.animation,
                 f"{d.animation} may only be used within the first sentence of the narration",
             ))
         if d.category != "entrance":
-            if any(first_entrance.get(x, -1) > span.start_char for x in targets):
+            if any(first_entrance.get(x, -1) > start for x in targets):
                 kind = "emphasized" if d.category == "emphasis" else "removed"
                 violations.append(Violation(
                     "appear-before-emphasis", d.animation,
                     f"target {d.target!r} is {kind} before its entrance animation",
                 ))
         if d.category == "emphasis":
-            if any(t & targets and span.start_char >= s.end_char for s, t in exits):
+            gone = targets - alive_over(changes, targets, start, start)
+            if any(time <= start and ids & gone for time, _, ids in changes):
                 violations.append(Violation(
                     "emphasis-after-exit", d.animation,
                     f"target {d.target!r} is emphasized after it has disappeared",
                 ))
 
-    seen: dict[tuple, int] = {}
-    for d in directives:
-        key = (d.animation, d.narration, d.target)
-        seen[key] = seen.get(key, 0) + 1
-    for (animation, narration_seg, target), count in seen.items():
-        if count > 1:
-            advisories.append(Violation(
-                "duplicate-directive", animation,
-                f"{count} identical directives on {target!r} for {narration_seg!r}; collapsed",
-            ))
-    return ValidationReport(violations=tuple(violations), advisories=tuple(advisories))
+    seen = Counter((d.animation, d.narration, d.target) for d in directives)
+    advisories = [Violation("duplicate-directive", animation,
+                            f"{count} identical directives on {target!r} for {segment!r}; "
+                            "collapsed")
+                  for (animation, segment, target), count in seen.items() if count > 1]
+    return report.merged(ValidationReport(tuple(violations), tuple(advisories)))
 
 
 def validate_designer_output(output: DesignerOutput, narration: str,
                              resolver=None) -> ValidationReport:
     """The designer's acceptance rule: annotated-spec structure, animation legality,
-    and verbatim annotation segments."""
+    and verbatim annotation segments, located as the animation segments are."""
     structural = structure_violations(output.annotated_visualization,
                                       "Annotated_Visualization")
-    unlocatable = []
-    for i, d in enumerate(output.annotation_directives):
-        try:
-            locate_span(narration, d.nar, 0)
-        except SegmentNotFound:
-            unlocatable.append(Violation(
-                "segment-unlocatable", f"annotation[{i}]",
-                f"narration segment is not a verbatim excerpt: {d.nar!r}",
-            ))
+    _, located = _locate(narration, [d.nar for d in output.annotation_directives],
+                         [f"annotation[{i}]" for i in range(len(output.annotation_directives))])
     return ValidationReport(violations=structural).merged(
         validate_animation_sequence(output.animation_directives, narration, resolver)
-    ).merged(ValidationReport(violations=tuple(unlocatable)))
+    ).merged(located)
 
 
 def run_designer(session: ChatSession, vis: VisualizationSpec, narration: str,

@@ -662,9 +662,9 @@ def validate_project(project_dir: str | Path) -> ValidationReport:
 
     Each listed artifact is read once: a checked one is hashed from the bytes
     its check decodes, the others before the checks run. Hash violations come
-    first, in manifest order. A stage is skipped when its artifact is absent or its check needs an earlier
-    output that did not load; an artifact that does not load is one
-    `<stage>-contract` violation. Cyclic garbage collection is paused meanwhile."""
+    first, in manifest order. A stage is skipped when its artifact is absent
+    or its check needs an earlier output that did not load; an artifact that
+    does not load is one `<stage>-contract` violation. Cyclic GC is paused meanwhile."""
     with _cyclic_gc_paused():  # what the checks build is freed in the helper, while paused
         return _validate_project(Path(project_dir))
 

@@ -2,7 +2,8 @@
 
 The narration text is the master timeline. Directive segments are located as
 verbatim substrings (whitespace runs collapse to single spaces on both sides)
-and mapped to seconds through word timings. place turns the directives into one
+by locate_segments, each from the previous located segment's start, and
+mapped to seconds through word timings. place turns the directives into one
 list of cues, an annotation being a Fade-in of its elements, and
 compile_timeline expands each cue into per-element keyframe tracks by its
 animation's row of model.EFFECTS: every ramp comes from that table.
@@ -15,6 +16,7 @@ import re
 from bisect import bisect_left, bisect_right
 from itertools import repeat
 from dataclasses import dataclass, field
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Literal, TypedDict
@@ -54,23 +56,9 @@ class SegmentNotFound(ContractError):
 
 
 class NoWordOverlap(ContractError):
-    def __init__(self, span: "Span"):
-        super().__init__(
-            f"span [{span.start_char},{span.end_char}) covers no spoken words"
-        )
+    def __init__(self, span: tuple[int, int]):
+        super().__init__(f"span [{span[0]},{span[1]}) covers no spoken words")
         self.span = span
-
-
-@dataclass(frozen=True)
-class Span:
-    """Half-open character offsets into the narration."""
-
-    start_char: int
-    end_char: int
-
-    def __post_init__(self):
-        if self.start_char < 0 or self.end_char <= self.start_char:
-            raise ValueError(f"invalid span [{self.start_char},{self.end_char})")
 
 
 # How long each narration word may take on average, and how far past the
@@ -288,8 +276,8 @@ class _TimelineJson(TypedDict):
     tracks: list[_TrackRow]
 
 
-def locate_span(narration: str, segment: str, cursor: int = 0) -> Span:
-    """Find the first verbatim occurrence of segment at or after cursor.
+def locate_span(narration: str, segment: str, cursor: int = 0) -> tuple[int, int] | None:
+    """The (start, end) span of segment's first match at or after cursor, or None.
 
     Matching is exact except that whitespace runs on both sides collapse to a
     single equivalence class: any run of whitespace in the segment matches any
@@ -299,12 +287,32 @@ def locate_span(narration: str, segment: str, cursor: int = 0) -> Span:
         raise PreconditionError("segment must be non-empty")
     if cursor < 0:
         raise PreconditionError("cursor must be non-negative")
-    parts = re.split(r"\s+", segment)
-    pattern = re.compile(r"\s+".join(re.escape(p) for p in parts))
-    m = pattern.search(narration, cursor)
-    if m is None or m.end() == m.start():
-        raise SegmentNotFound(segment)
-    return Span(m.start(), m.end())
+    m = _segment_pattern(segment).search(narration, cursor)  # not empty, as segment is not
+    return (m.start(), m.end()) if m else None
+
+
+@lru_cache(maxsize=1024)
+def _segment_pattern(segment: str) -> re.Pattern:
+    """segment's pattern, built once: locate_segments searches each segment
+    two or three times, and the designer, place and validate locate alike."""
+    return re.compile(r"\s+".join(re.escape(p) for p in re.split(r"\s+", segment)))
+
+
+def locate_segments(narration: str, segments) -> tuple[list, list[int]]:
+    """Locate segments in list order: each from the previous located
+    segment's start, or at its first match if none follows there. Returns
+    each segment's span (None if it is not a verbatim excerpt) and the
+    positions of the segments that occur again after their first match."""
+    spans, repeated, cursor = [], [], 0
+    for i, segment in enumerate(segments):
+        span = first = locate_span(narration, segment, 0)
+        if first and locate_span(narration, segment, first[1]):
+            repeated.append(i)
+        if first and first[0] < cursor:
+            span = locate_span(narration, segment, cursor) or first
+        cursor = span[0] if span else cursor
+        spans.append(span)
+    return spans, repeated
 
 
 def first_sentence_end(narration: str) -> int:
@@ -313,16 +321,16 @@ def first_sentence_end(narration: str) -> int:
     return m.end() if m else len(narration)
 
 
-def align_segments(spans: list[Span], words: list[TimedWord]) -> list[tuple[float, float]]:
-    """Map character spans to second intervals: from the start of a span's
-    first overlapping word to the end of its last. The words are in narration
-    order (validate_timings), so both are found by bisecting their offsets."""
+def align_segments(spans, words: list[TimedWord]) -> list[tuple[float, float]]:
+    """Map (start, end) character spans to second intervals: from the start
+    of a span's first overlapping word to the end of its last. The words are
+    in narration order (validate_timings), so both are found by bisection."""
     starts = [w["char_start"] for w in words]
     ends = [w["char_end"] for w in words]
     intervals = []
     for span in spans:
-        first = bisect_right(ends, span.start_char)
-        last = bisect_left(starts, span.end_char) - 1
+        first = bisect_right(ends, span[0])
+        last = bisect_left(starts, span[1]) - 1
         if first > last:
             raise NoWordOverlap(span)
         intervals.append((words[first]["start"], words[last]["end"]))
@@ -374,24 +382,30 @@ class PlacedDirective:
 def place(narration: str, words: list[TimedWord], resolved_targets,
           assignments) -> list[PlacedDirective]:
     """The cues of the resolved animation directives and of the annotation
-    directives with elements, each timed by its narration segment. An
+    directives with elements, each timed by its narration segment, which
+    locate_segments locates from the previous segment of its list. An
     annotation is a Fade-in of its elements over the first ANNOTATION_FADE_IN
     seconds of its segment, clamped to the segment. The cues are in segment
     order, an animation cue before an annotation cue at a tie, which is the
     order compile_timeline keeps for cues that start together."""
-    annotated = [(d, ids) for d, ids in assignments if ids]
-    segments = [d.narration for d, _ in resolved_targets] + [d.nar for d, _ in annotated]
-    intervals = align_segments([locate_span(narration, segment, 0) for segment in segments],
-                               words)
-    cues = [PlacedDirective(d.animation, ids, interval, f"{d.animation} on {d.target!r}")
-            for (d, ids), interval in zip(resolved_targets, intervals)]
-    for (d, ids), (start, end) in zip(annotated, intervals[len(cues):]):
-        fade = (start, start + min(ANNOTATION_FADE_IN, end - start))
-        cues.append(PlacedDirective("Fade-in", frozenset(ids), fade, d.nar))
-    return [cue for _, cue in sorted(zip(intervals, cues), key=itemgetter(0))]
+    def intervals(segments):
+        spans, _ = locate_segments(narration, segments)
+        if None in spans:
+            raise SegmentNotFound(segments[spans.index(None)])
+        return align_segments(spans, words)
+
+    animations = intervals([d.narration for d, _ in resolved_targets])
+    cues = [(interval, PlacedDirective(d.animation, ids, interval,
+                                       f"{d.animation} on {d.target!r}"))
+            for (d, ids), interval in zip(resolved_targets, animations)]
+    for (d, ids), (start, end) in zip(assignments, intervals([d.nar for d, _ in assignments])):
+        if ids:
+            fade = (start, start + min(ANNOTATION_FADE_IN, end - start))
+            cues.append(((start, end), PlacedDirective("Fade-in", frozenset(ids), fade, d.nar)))
+    return [cue for _, cue in sorted(cues, key=itemgetter(0))]
 
 
-def _lifetime_changes(placed) -> list[tuple[float, bool, frozenset]]:
+def lifetime_changes(placed) -> list[tuple[float, bool, frozenset]]:
     """The (time, born, ids) changes of the cue targets' lifetimes in time
     order, deaths first at a tie: ids are born where an entrance of them
     starts and die where an exit of them ends."""
@@ -405,7 +419,7 @@ def _lifetime_changes(placed) -> list[tuple[float, bool, frozenset]]:
     return sorted(changes, key=itemgetter(0, 1))
 
 
-def _alive_over(changes, marks: frozenset, t0: float, t1: float) -> set:
+def alive_over(changes, marks: frozenset, t0: float, t1: float) -> set:
     """The marks alive over all of [t0, t1] by the lifetime changes; a mark
     with no entrance is alive from 0. One set is updated in place, so each
     change costs only its own ids."""
@@ -424,12 +438,12 @@ def compile_timeline(placed, mark_index, duration: float) -> tuple[Timeline, Val
     """Compile one list of cues into a validated Timeline.
 
     Cues are processed in start order (cues that start together keep list
-    order; place lists them by segment), each by its model.EFFECTS row, so every ramp comes from that table. Elements with an
-    entrance start hidden; everything else starts visible. An "others" ramp
-    dims only the marks alive over its whole interval: from an entrance's
-    start (or from 0 with no entrance) to an exit's end. Overlapping keyframe
-    groups on the same element and property resolve last-writer-wins with an
-    advisory.
+    order; place lists them by segment), each by its model.EFFECTS row.
+    Elements with an entrance start hidden; everything else starts visible.
+    An "others" ramp dims only the marks alive over its whole interval (see
+    alive_over): from an entrance's start (or 0) to an exit's end.
+    Overlapping keyframe groups on the same element and property resolve
+    last-writer-wins with an advisory.
 
     Keyframes carry no element id. Every element of one ramp shares one group
     record, and elements that keep the same groups on every property share
@@ -467,13 +481,13 @@ def compile_timeline(placed, mark_index, duration: float) -> tuple[Timeline, Val
 
     initial = {eid: "visible" for eid in mark_index.entries}
     legend_ids = mark_index.ids_with_role("legend")
-    lifetime_changes = _lifetime_changes(placed)
+    changes = lifetime_changes(placed)
     for cue in sorted(placed, key=lambda cue: cue.interval[0]):
         subjects = {ramp[0] for ramp in EFFECTS[parse_animation(cue.animation)][1]}
         legend = legend_ids if "legend" in subjects else frozenset()
         others = frozenset()
         if "others" in subjects:
-            others = _alive_over(lifetime_changes, mark_index.mark_ids(), *cue.interval)
+            others = alive_over(changes, mark_index.mark_ids(), *cue.interval)
         ramps, hidden = keyframes_for(cue.animation, cue.target_ids - legend, cue.interval,
                                       legend_ids=legend, other_ids=others)
         add_group(ramps, cue.label or cue.animation)

@@ -103,7 +103,7 @@ def reference_align_segments(spans, words) -> list[tuple[float, float]]:
     intervals = []
     for span in spans:
         overlapping = [w for w in words
-                       if w["char_start"] < span.end_char and span.start_char < w["char_end"]]
+                       if w["char_start"] < span[1] and span[0] < w["char_end"]]
         if not overlapping:
             raise NoWordOverlap(span)
         intervals.append((overlapping[0]["start"], overlapping[-1]["end"]))

@@ -31,8 +31,6 @@ from datareel.pipeline import ProjectConfig, run_pipeline, validate_project
 from datareel.runtime import extract_json
 from datareel.timeline import (
     PlacedDirective,
-    SegmentNotFound,
-    Span,
     TimedWord,
     compile_timeline,
     locate_span,
@@ -375,28 +373,23 @@ def test_criterion_4_segment_location_and_alignment():
             cursor = rng.randrange(0, len(narration) + 1)
             expected = [occ for occ in brute_force_occurrences(narration, segment)
                         if occ[0] >= cursor]
-            try:
-                got = locate_span(narration, segment, cursor)
-            except SegmentNotFound:
-                assert expected == [], (narration, segment, cursor)
-            else:
-                assert (got.start_char, got.end_char) == expected[0], (
-                    narration, segment, cursor)
+            got = locate_span(narration, segment, cursor)
+            assert got == (expected[0] if expected else None), (narration, segment, cursor)
 
         # ten hand-computed alignment fixtures at 0.3 s/word, exact comparison
         narration = "w0 w1 w2 w3 w4 w5 w6 w7 w8 w9"
         timings = _mock_timings(narration)
         fixtures = [
-            (Span(0, 2), (0.0, 0.3)),        # exactly w0
-            (Span(0, 29), (0.0, 3.0)),       # whole narration
-            (Span(9, 17), (0.9, 1.8)),       # words 3..5
-            (Span(3, 5), (0.3, 0.6)),        # exactly w1
-            (Span(4, 10), (0.3, 1.2)),       # partial w1 through partial w3
-            (Span(27, 29), (2.7, 3.0)),      # last word
-            (Span(12, 14), (1.2, 1.5)),      # w4 only
-            (Span(0, 5), (0.0, 0.6)),        # w0..w1
-            (Span(15, 26), (1.5, 2.7)),      # w5..w8
-            (Span(21, 23), (2.1, 2.4)),      # w7 only
+            ((0, 2), (0.0, 0.3)),        # exactly w0
+            ((0, 29), (0.0, 3.0)),       # whole narration
+            ((9, 17), (0.9, 1.8)),       # words 3..5
+            ((3, 5), (0.3, 0.6)),        # exactly w1
+            ((4, 10), (0.3, 1.2)),       # partial w1 through partial w3
+            ((27, 29), (2.7, 3.0)),      # last word
+            ((12, 14), (1.2, 1.5)),      # w4 only
+            ((0, 5), (0.0, 0.6)),        # w0..w1
+            ((15, 26), (1.5, 2.7)),      # w5..w8
+            ((21, 23), (2.1, 2.4)),      # w7 only
         ]
         from datareel.timeline import align_segments
         for span, expected_interval in fixtures:

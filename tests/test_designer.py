@@ -8,6 +8,7 @@ from datareel.designer import (
     parse_designer_response,
     run_designer,
     validate_animation_sequence,
+    validate_designer_output,
 )
 from datareel.ingest import load_template, parse_csv, render_table_text
 from datareel.model import (
@@ -257,6 +258,87 @@ class TestLegalityRules:
         ]
         report = validate_animation_sequence(directives, NARRATION)
         assert [v.code for v in report.violations] == ["appear-before-emphasis"]
+
+
+class TestRepeatedSentences:
+    """A segment is located from the previous segment's start, so a repeated
+    sentence is taken where it is spoken next, and it gets an advisory."""
+
+    NARRATION = "Prices rise. Costs fall. Prices rise."
+
+    def test_emphasis_on_the_repeated_sentence_follows_the_entrance(self):
+        directives = [
+            _ad("Fade-in", "Prices rise.", target="A", index=(0,)),
+            _ad("Fade-in", "Costs fall.", target="B", index=(1,)),
+            _ad("Bar-bounce", "Prices rise.", target="B", index=(1,)),
+        ]
+        report = validate_animation_sequence(directives, self.NARRATION)
+        assert report.violations == ()
+        assert [(a.code, a.path) for a in report.advisories] == [
+            ("ambiguous-segment", "Fade-in"), ("ambiguous-segment", "Bar-bounce")]
+
+    def test_repeated_annotation_segment_gets_an_advisory(self, table):
+        output = parse_designer_response(_reply(
+            animations=[_directive("Fade-in", "Costs fall.")],
+            annotations=[{"type": ["text"], "description": "note", "index": [0],
+                          "nar": "Prices rise."}]), table)
+        report = validate_designer_output(output, self.NARRATION)
+        assert report.passing
+        assert [(a.code, a.path) for a in report.advisories] == [
+            ("ambiguous-segment", "annotation[0]")]
+
+    def test_a_segment_behind_the_cursor_falls_back_to_its_first_match(self):
+        directives = [
+            _ad("Fade-in", "Costs fall.", target="B", index=(1,)),
+            _ad("Bar-bounce", "Prices rise.", target="B", index=(1,)),
+            _ad("Fade-out", "Costs fall.", target="B", index=(1,)),
+        ]
+        report = validate_animation_sequence(directives, self.NARRATION)
+        assert [v.code for v in report.violations] == ["emphasis-after-exit"]
+
+
+class TestReentrance:
+    NARRATION = "One. Two. Three. Four."
+
+    def test_emphasis_after_a_reentrance_is_legal(self):
+        directives = [
+            _ad("Fade-in", "One.", index=(0,)),
+            _ad("Fade-out", "Two.", index=(0,)),
+            _ad("Fade-in", "Three.", index=(0,)),
+            _ad("Bar-bounce", "Four.", index=(0,)),
+        ]
+        assert validate_animation_sequence(directives, self.NARRATION).passing
+
+    def test_emphasis_between_the_exit_and_the_reentrance_is_not(self):
+        directives = [
+            _ad("Fade-in", "One.", index=(0,)),
+            _ad("Fade-out", "Two.", index=(0,)),
+            _ad("Bar-bounce", "Three.", index=(0,)),
+            _ad("Fade-in", "Four.", index=(0,)),
+        ]
+        report = validate_animation_sequence(directives, self.NARRATION)
+        assert [v.code for v in report.violations] == ["emphasis-after-exit"]
+
+    def test_a_reentrance_inside_the_exit_sentence_does_not_count(self):
+        # the entrance starts before the exit ends: the target is gone after both
+        directives = [
+            _ad("Fade-in", "One.", index=(0,)),
+            _ad("Fade-out", "Two.", index=(0,)),
+            _ad("Fade-in", "Two.", index=(0,)),
+            _ad("Bar-bounce", "Four.", index=(0,)),
+        ]
+        report = validate_animation_sequence(directives, self.NARRATION)
+        assert [v.code for v in report.violations] == ["emphasis-after-exit"]
+
+    def test_only_the_reentered_target_is_back(self):
+        directives = [
+            _ad("Fade-in", "One.", index=(0, 1)),
+            _ad("Fade-out", "Two.", index=(0, 1)),
+            _ad("Fade-in", "Three.", index=(0,)),
+            _ad("Bar-bounce", "Four.", index=(0, 1)),
+        ]
+        report = validate_animation_sequence(directives, self.NARRATION)
+        assert [v.code for v in report.violations] == ["emphasis-after-exit"]
 
 
 class TestRunDesigner:

@@ -5,6 +5,7 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given
@@ -14,11 +15,12 @@ from datareel import timeline as timeline_module
 from datareel.adapters import MockSynth, export_html
 from datareel.binding import MarkEntry, MarkIndex
 from datareel.errors import PreconditionError
-from datareel.designer import validate_animation_sequence
+from datareel.designer import validate_animation_sequence, validate_designer_output
 from datareel.model import (
     ANIMATIONS,
     AnimationDirective,
     AnnotationDirective,
+    DesignerOutput,
     classify_animation,
     dump_artifact,
 )
@@ -30,13 +32,13 @@ from datareel.timeline import (
     NoWordOverlap,
     PlacedDirective,
     SegmentNotFound,
-    Span,
     TimedWord,
     Timeline,
     align_segments,
     compile_timeline,
     first_sentence_end,
     keyframes_for,
+    locate_segments,
     locate_span,
     place,
     timeline_invariant_violations,
@@ -68,19 +70,18 @@ def mock_timings(narration: str, spw: float = 0.3) -> list[TimedWord]:
 
 class TestLocateSpan:
     def test_first_occurrence(self):
-        assert locate_span("A B A", "A", 0) == Span(0, 1)
+        assert locate_span("A B A", "A", 0) == (0, 1)
 
     def test_cursor_advances(self):
-        assert locate_span("A B A", "A", 1) == Span(4, 5)
+        assert locate_span("A B A", "A", 1) == (4, 5)
 
     def test_not_found(self):
-        with pytest.raises(SegmentNotFound):
-            locate_span("A B A", "Z", 0)
+        assert locate_span("A B A", "Z", 0) is None
 
     def test_whitespace_runs_collapse(self):
         narration = "alpha   beta\tgamma"
-        assert locate_span(narration, "alpha beta", 0) == Span(0, 12)
-        assert locate_span(narration, "beta \t gamma", 0) == Span(8, 18)
+        assert locate_span(narration, "alpha beta", 0) == (0, 12)
+        assert locate_span(narration, "beta \t gamma", 0) == (8, 18)
 
     def test_empty_segment_rejected(self):
         with pytest.raises(PreconditionError):
@@ -102,13 +103,8 @@ class TestLocateSpan:
             cursor = rng.randrange(0, len(narration) + 1)
             expected = [occ for occ in brute_force_occurrences(narration, segment)
                         if occ[0] >= cursor]
-            try:
-                got = locate_span(narration, segment, cursor)
-            except SegmentNotFound:
-                assert expected == [], (narration, segment, cursor, expected)
-            else:
-                assert expected, (narration, segment, cursor)
-                assert (got.start_char, got.end_char) == expected[0]
+            got = locate_span(narration, segment, cursor)
+            assert got == (expected[0] if expected else None), (narration, segment, cursor)
             checked += 1
         assert checked >= 300
 
@@ -121,20 +117,131 @@ class TestAdvancingCursor:
             timings = mock_timings(narration)
             tokens = narration.split()
             segments = [rng.choice(tokens) for _ in range(rng.randint(2, 6))]
-            cursor = 0
-            spans = []
-            try:
-                for segment in segments:
-                    span = locate_span(narration, segment, cursor)
-                    spans.append(span)
-                    cursor = span.start_char
-            except SegmentNotFound:
+            spans, cursor = [], 0
+            for segment in segments:
+                spans.append(locate_span(narration, segment, cursor))
+                if spans[-1] is None:
+                    break
+                cursor = spans[-1][0]
+            if spans[-1] is None:
                 continue
-            starts = [s.start_char for s in spans]
+            starts = [s[0] for s in spans]
             assert starts == sorted(starts)
             intervals = align_segments(spans, timings)
             interval_starts = [a for a, _ in intervals]
             assert interval_starts == sorted(interval_starts)
+
+
+# Sentences of two words each; a narration of four or more repeats one.
+SENTENCES = ("Prices rise.", "Costs fall.", "Sales hold.")
+
+
+@st.composite
+def spoken_cues(draw):
+    """(narration, sentence texts, cue lists): a narration of 1-6 sentences
+    from SENTENCES, an animation cue list and an annotation cue list, each
+    cue (animation, row, sentence). Each list is in narration order, and each
+    cue is on the first occurrence of its text from the previous cue's
+    sentence on (from the first sentence for a list's first cue): a cue on a
+    later occurrence has a cue on another sentence between them."""
+    texts = draw(st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=6))
+
+    def cues(min_size):
+        drawn, previous = [], 0
+        for _ in range(draw(st.integers(min_size, 5))):
+            reachable = [s for s in range(previous, len(texts))
+                         if texts[s] not in texts[previous:s]]
+            previous = draw(st.sampled_from(reachable))
+            drawn.append((draw(st.sampled_from(("Fade-in", "Fade-out", "Bar-bounce"))),
+                          draw(st.integers(0, 1)), previous))
+        return drawn
+
+    return " ".join(texts), texts, cues(1), cues(0)
+
+
+class TestSegmentPlacement:
+    """locate_segments is the one placement rule, shared by the designer and
+    place: each segment is searched from the previous located segment's
+    start, and with no match there it takes its first match."""
+
+    NARRATION = "Prices rise. Costs fall. Prices rise."
+
+    def test_repeated_sentence_animates_where_it_is_spoken(self):
+        directives = [AnimationDirective("Fade-in", "Prices rise.", "A", (0,)),
+                      AnimationDirective("Fade-in", "Costs fall.", "B", (1,)),
+                      AnimationDirective("Bar-bounce", "Prices rise.", "B", (1,))]
+        cues = place(self.NARRATION, mock_timings(self.NARRATION),
+                     [(d, frozenset(d.target)) for d in directives], [])
+        assert [(c.animation, c.target_ids, c.interval) for c in cues] == [
+            ("Fade-in", frozenset("A"), (0.0, 0.6)), ("Fade-in", frozenset("B"), (0.6, 1.2)),
+            ("Bar-bounce", frozenset("B"), (1.2, 1.8))]
+
+    def test_segments_of_one_sentence_share_it(self):
+        spans, repeated = locate_segments(self.NARRATION,
+                                          ["Costs fall.", "Costs fall.", "Prices rise."])
+        assert spans == [(13, 24), (13, 24), (25, 37)]
+        assert repeated == [2]
+
+    def test_no_match_from_the_cursor_falls_back_to_the_first(self):
+        spans, repeated = locate_segments(
+            self.NARRATION, ["Prices rise.", "Costs fall.", "Prices rise.", "Costs fall.",
+                             "Gone.", "Prices  rise."])
+        assert spans == [(0, 12), (13, 24), (25, 37), (13, 24), None, (25, 37)]
+        assert repeated == [0, 2, 5]
+
+    def test_a_whitespace_run_is_one_occurrence(self):
+        # " rise." also matches from inside the run before "rise."
+        assert locate_segments("Prices   rise. Costs fall.", [" rise."]) == ([(6, 14)], [])
+
+    def test_place_rejects_an_unlocatable_segment(self):
+        fade = AnimationDirective("Fade-in", "Gone.", "A", (0,))
+        with pytest.raises(SegmentNotFound):
+            place(self.NARRATION, mock_timings(self.NARRATION), [(fade, frozenset("A"))], [])
+
+    @given(spoken_cues(), st.lists(st.booleans(), min_size=5, max_size=5))
+    def test_every_cue_lands_where_it_is_spoken(self, drawn, labelled):
+        """Every cue is timed by its drawn sentence; the designer locates each
+        list as place does, and flags each segment whose text repeats."""
+        narration, texts, animation_cues, annotation_cues = drawn
+        words = mock_timings(narration)
+        directives = [AnimationDirective(name, texts[s], f"row {row}", (row,))
+                      for name, row, s in animation_cues]
+        annotations = [AnnotationDirective(("text",), "", (0,), texts[s])
+                       for _, _, s in annotation_cues]
+        spoken = {f"m{k}": s for k, (_, _, s) in enumerate(animation_cues)}
+        spoken.update((f"a{k}", s) for k, (_, _, s) in enumerate(annotation_cues)
+                      if labelled[k])
+        calls = {"place": [], "designer": []}
+
+        def recording(caller):
+            def locate(narration, segments):
+                result = locate_segments(narration, segments)
+                calls[caller].append((tuple(segments), result[0]))
+                return result
+            return locate
+
+        with patch.object(timeline_module, "locate_segments", recording("place")):
+            cues = place(narration, words,
+                         [(d, frozenset({f"m{k}"})) for k, d in enumerate(directives)],
+                         [(a, [f"a{k}"] if labelled[k] else [])
+                          for k, a in enumerate(annotations)])
+        for cue in cues:
+            (cue_id,) = cue.target_ids
+            s = spoken.pop(cue_id)
+            assert cue.interval[0] == words[2 * s]["start"], (cue_id, s)
+            if cue_id[0] == "m":
+                assert cue.interval[1] == words[2 * s + 1]["end"], (cue_id, s)
+        assert spoken == {}
+
+        output = DesignerOutput({"layer": [{"mark": "bar", "encoding": {}}]},
+                                tuple(directives), tuple(annotations))
+        with patch("datareel.designer.locate_segments", recording("designer")):
+            report = validate_designer_output(output, narration, lambda d: frozenset(d.index))
+        if report.passing:
+            assert sorted(calls["designer"]) == sorted(calls["place"])
+        ambiguous = [a for a in report.advisories if a.code == "ambiguous-segment"]
+        assert len(ambiguous) == sum(texts.count(texts[s]) > 1
+                                     for _, _, s in animation_cues + annotation_cues)
 
 
 class TestFirstSentence:
@@ -153,24 +260,24 @@ class TestAlignSegments:
     def test_word_3_to_5(self):
         narration = "w0 w1 w2 w3 w4 w5 w6"
         timings = mock_timings(narration)
-        span = Span(narration.index("w3"), narration.index("w5") + 2)
+        span = (narration.index("w3"), narration.index("w5") + 2)
         assert align_segments([span], timings) == [(0.9, 1.8)]
 
     def test_whole_narration(self):
         narration = "a b c"
         timings = mock_timings(narration)
-        assert align_segments([Span(0, len(narration))], timings) == [(0.0, 0.9)]
+        assert align_segments([(0, len(narration))], timings) == [(0.0, 0.9)]
 
     def test_span_in_whitespace_gap(self):
         narration = "aa  bb"
         timings = mock_timings(narration)
         with pytest.raises(NoWordOverlap):
-            align_segments([Span(2, 3)], timings)
+            align_segments([(2, 3)], timings)
 
     def test_partial_word_overlap_counts(self):
         narration = "alpha beta"
         timings = mock_timings(narration)
-        assert align_segments([Span(3, 7)], timings) == [(0.0, 0.6)]
+        assert align_segments([(3, 7)], timings) == [(0.0, 0.6)]
 
     @given(data=st.data())
     def test_bisection_equals_the_scan(self, data):

@@ -71,7 +71,11 @@ def test_validate_spans(mock_project_config):
     tracer = _tracing_module().Tracer()
     with tracer.installed():
         assert pipeline.validate_project(config.output_dir).passing
+    # The designer locates its 6 animation and 4 annotation segments through
+    # timeline.locate_segments: two traced locate_span calls each, its first
+    # match and the search for a second (none lies behind the cursor).
     assert Counter(span["name"] for span in tracer.spans) == {
         "pipeline.validate": 1, "analyst.run": 2, "designer.run": 2,
         "binding.resolve": 6, "binding.parse_svg": 1, "binding.index_marks": 1,
+        "timeline.compile": 20,
     }
