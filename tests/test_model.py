@@ -16,14 +16,18 @@ from datareel.model import (
     ANNOTATION_TYPES,
     EFFECTS,
     INSIGHT_TYPES,
+    AnalystOutput,
     AnimationDirective,
     AnnotationDirective,
+    DataDescription,
     DataTable,
     Insight,
     JsonTypeError,
     UnknownAnimation,
+    UnknownAnnotationType,
     UnknownInsightType,
     UnknownVisualizationType,
+    VisualizationSpec,
     classify_animation,
     dump_artifact,
     parse_insight_type,
@@ -31,7 +35,9 @@ from datareel.model import (
     read_typed,
     structure_violations,
 )
-from datareel.timeline import EASINGS, PROPERTIES, Timeline, WordTimingsJson
+from datareel.errors import PreconditionError
+from datareel.runtime import BackendConfig
+from datareel.timeline import EASINGS, PROPERTIES, Keyframe, Timeline, WordTimingsJson
 from helpers import reference_dump_artifact
 
 
@@ -479,3 +485,117 @@ class TestReadTyped:
             owner = owner[key]
         owner["Notes"] = {"free": ["text"]}
         assert read(value) == read(copy.deepcopy(valid))
+
+
+_KEYFRAME_ROW = {"time": 0.0, "property": "opacity", "value": 1.0, "easing": "linear"}
+
+
+def _read_config(**keys):
+    return read_typed(pipeline.ProjectConfig, {"input_csv": "i", "output_dir": "o", **keys})
+
+
+class TestReadTypedMessages:
+    """The reader's exact messages for the config and for keyframe rows."""
+
+    @pytest.mark.parametrize("read, exception, message", [
+        (lambda: read_typed(pipeline.ProjectConfig, {"output_dir": "o"}),
+         JsonTypeError, "missing key 'input_csv'"),
+        (lambda: read_typed(pipeline.ProjectConfig, {}),
+         JsonTypeError, "missing key 'input_csv', 'output_dir'"),
+        (lambda: _read_config(colour=1, shade=2), JsonTypeError, "unknown key 'colour', 'shade'"),
+        (lambda: _read_config(backend={"endpoint": "e", "api_key_env": "K", "timeout": "x"}),
+         JsonTypeError, "backend.timeout: 'x' is not a number"),
+        (lambda: _read_config(backend={"endpoint": "e", "api_key_env": "K", "retries": 1}),
+         JsonTypeError, "backend: unknown key 'retries'"),
+        (lambda: _read_config(backend={"endpoint": "", "api_key_env": "K"}),
+         PreconditionError, "live backend requires endpoint and api_key_env"),
+        (lambda: _read_config(export="gif"),
+         JsonTypeError, "export: 'gif' is not one of 'video', 'html', 'both'"),
+        (lambda: read_typed(pipeline.ProjectConfig, 3), JsonTypeError, "3 is not an object"),
+        (lambda: read_typed(list[Keyframe], [_KEYFRAME_ROW, {
+            k: v for k, v in _KEYFRAME_ROW.items() if k != "easing"}]),
+         JsonTypeError, "[1]: missing key 'easing'"),
+        (lambda: read_typed(list[Keyframe], [_KEYFRAME_ROW, dict(_KEYFRAME_ROW, element_id="e")]),
+         JsonTypeError, "[1]: unknown key 'element_id'"),
+        (lambda: read_typed(list[Keyframe], [dict(_KEYFRAME_ROW, time="soon")]),
+         JsonTypeError, "[0].time: 'soon' is not a number"),
+        (lambda: read_typed(list[Keyframe], [dict(_KEYFRAME_ROW, value=True)]),
+         JsonTypeError, "[0].value: True is not a number"),
+        (lambda: read_typed(list[Keyframe], [7]), JsonTypeError, "[0]: 7 is not an object"),
+        (lambda: read_typed(list[Keyframe], {}), JsonTypeError, "{} is not a list"),
+        (lambda: read_typed(list[Keyframe], [dict(_KEYFRAME_ROW, property="bogus")]),
+         ValueError, "unknown property 'bogus'"),
+        (lambda: read_typed(list[Keyframe], [dict(_KEYFRAME_ROW, value=1.5)]),
+         ValueError, "opacity 1.5 outside [0,1]"),
+    ])
+    def test_message(self, read, exception, message):
+        with pytest.raises(exception) as caught:
+            read()
+        assert type(caught.value) is exception
+        assert str(caught.value) == message
+
+    def test_a_defaulted_key_left_out_takes_its_default(self):
+        config = _read_config()
+        assert config == pipeline.ProjectConfig(input_csv="i", output_dir="o")
+        assert repr(config) == (
+            "ProjectConfig(input_csv='i', output_dir='o', title=None, mock_mode=True, "
+            "transcripts={}, backend=None, renderer_cmd=None, tts_cmd=None, synth_cmd=None, "
+            "max_repair_attempts=3, fps=30, export='video', prompt_max_rows=100, "
+            "cache_dir=None, no_cache=False)")
+        backend = _read_config(backend={"endpoint": "e", "api_key_env": "K"}).backend
+        assert backend == BackendConfig(endpoint="e", api_key_env="K")
+
+    def test_keyframe_rows_read_in_order(self):
+        rows = [dict(_KEYFRAME_ROW, time=1), dict(_KEYFRAME_ROW, property="scale", value=2.5)]
+        assert read_typed(list[Keyframe], rows) == [
+            Keyframe(1, "opacity", 1.0, "linear"), Keyframe(0.0, "scale", 2.5, "linear")]
+        assert repr(read_typed(list[Keyframe], rows[:1])) == (
+            "[Keyframe(time=1, property='opacity', value=1.0, easing='linear')]")
+
+    @given(config=st.builds(
+        pipeline.ProjectConfig, input_csv=st.text(), output_dir=st.text(),
+        title=st.none() | st.text(), mock_mode=st.booleans(),
+        transcripts=st.dictionaries(st.text(), st.text(), max_size=3),
+        backend=st.none() | st.builds(
+            BackendConfig, endpoint=st.text(min_size=1), model_name=st.text(),
+            temperature=st.floats(allow_nan=False), timeout=st.floats(allow_nan=False),
+            api_key_env=st.text(min_size=1), max_retries=st.integers(),
+            retry_delay=st.floats(allow_nan=False)),
+        renderer_cmd=st.none() | st.lists(st.text(), max_size=3),
+        tts_cmd=st.none() | st.lists(st.text(), max_size=3),
+        synth_cmd=st.none() | st.lists(st.text(), max_size=3),
+        max_repair_attempts=st.integers(), fps=st.integers(),
+        export=st.sampled_from(["video", "html", "both"]), prompt_max_rows=st.integers(),
+        cache_dir=st.none() | st.text(), no_cache=st.booleans()))
+    def test_config_round_trip(self, config):
+        assert read_typed(pipeline.ProjectConfig, config.to_json()) == config
+
+
+class TestConstructionChecks:
+    """Each checked type raises at construction what it always raised."""
+
+    @pytest.mark.parametrize("build, exception", [
+        (lambda: DataTable("t", (("", (1,)),), 1), ValueError),
+        (lambda: DataTable("t", (("a", (1,)), ("b", ())), 1), ValueError),
+        (lambda: DataDescription("  "), ValueError),
+        (lambda: Insight(insight=" ", types=("Trend",)), ValueError),
+        (lambda: Insight(insight="i", types=("Trend", "Correlation")), UnknownInsightType),
+        (lambda: VisualizationSpec(spec={}, vis_type="heatmap"), UnknownVisualizationType),
+        (lambda: AnimationDirective(animation="Fade-in", narration=" ", target="y", index=()),
+         ValueError),
+        (lambda: AnnotationDirective(types=("blob",), description="", index=(), nar="x"),
+         UnknownAnnotationType),
+        (lambda: AnnotationDirective(types=("circle",), description="", index=(), nar="\n"),
+         ValueError),
+        (lambda: AnalystOutput(insights=(), visualization=VisualizationSpec({}, "bar"),
+                               narration="n"), ValueError),
+        (lambda: AnalystOutput(insights=(Insight("i", ("Trend",)),),
+                               visualization=VisualizationSpec({}, "bar"), narration=" "),
+         ValueError),
+        (lambda: Keyframe(0.0, "opacity", 1.0, "bounce"), ValueError),
+        (lambda: Keyframe(0.0, "wheel_fraction", -0.5, "linear"), ValueError),
+    ])
+    def test_raises(self, build, exception):
+        with pytest.raises(exception) as caught:
+            build()
+        assert type(caught.value) is exception
