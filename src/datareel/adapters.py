@@ -577,9 +577,9 @@ class CommandTts:
         if raw_timings:
             return {"duration": duration, "words": words, "advisories": []}
         return {"duration": duration, "words": list(_estimate_timings(tokens, duration)),
-                "advisories": [vars(Violation(
+                "advisories": [Violation(
                     "tts-timings-estimated", "",
-                    "TTS returned no word timings; estimated by character weighting"))]}
+                    "TTS returned no word timings; estimated by character weighting")._asdict()]}
 
 
 def _estimate_timings(tokens: list[tuple[str, int, int]], duration: float):

@@ -15,7 +15,6 @@ from .model import (
     DataDescription,
     DataTable,
     Insight,
-    RepairReport,
     ValidationReport,
     VisualizationSpec,
     Violation,
@@ -28,7 +27,7 @@ from .model import (
     structure_violations,
     title_text,
 )
-from .runtime import ChatSession, extract_json, repair_loop
+from .runtime import ChatSession, RepairReport, extract_json, repair_loop
 
 MAX_TITLE_WORDS = 10
 INSIGHT_COUNT_BAND = (1, 10)

@@ -12,10 +12,10 @@ import re
 import xml.etree.ElementTree as ET
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, filterfalse
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ContractError, PreconditionError
 from .model import (
@@ -99,7 +99,6 @@ def _attribute_text(attrs: dict[str, str]) -> str:
     return "".join(f" {k}={quoteattr(v)}" for k, v in attrs.items())
 
 
-@dataclass
 class SvgDoc:
     """Parsed SVG tree: the elements ET.fromstring built, in stable document
     order, normalized in place by parse_svg: tag and attribute names are
@@ -107,11 +106,16 @@ class SvgDoc:
     are as written, or None where there is none. role_paths maps each element
     id to the data-role values of its ancestors, root first."""
 
-    root: ET.Element
-    elements: list[ET.Element] = field(default_factory=list)
-    by_id: dict[str, ET.Element] = field(default_factory=dict)
-    role_paths: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    namespace: str = ""
+    __slots__ = ("root", "elements", "by_id", "role_paths", "namespace")
+
+    def __init__(self, root: ET.Element, elements: list[ET.Element] | None = None,
+                 by_id: dict[str, ET.Element] | None = None,
+                 role_paths: dict[str, tuple[str, ...]] | None = None, namespace: str = ""):
+        self.root = root
+        self.elements = [] if elements is None else elements
+        self.by_id = {} if by_id is None else by_id
+        self.role_paths = {} if role_paths is None else role_paths
+        self.namespace = namespace
 
     def to_text(self) -> str:
         """Serialize with every element id materialized, for export and styling.
@@ -212,8 +216,7 @@ def parse_svg(raw: str) -> SvgDoc:
                   namespace=namespace)
 
 
-@dataclass(frozen=True)
-class MarkEntry:
+class MarkEntry(NamedTuple):
     """One SVG element's roles, bound data rows and series key."""
 
     roles: frozenset
@@ -221,7 +224,6 @@ class MarkEntry:
     series_key: str | None = None
 
 
-@dataclass
 class MarkIndex:
     """Mapping from element ids to roles, bound data rows, and series keys.
 
@@ -229,7 +231,11 @@ class MarkIndex:
     new index), so the lookups by role, row and series are built once, on
     first use."""
 
-    entries: dict[str, MarkEntry] = field(default_factory=dict)
+    def __init__(self, entries: dict[str, MarkEntry] | None = None):
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other):
+        return self.entries == other.entries if isinstance(other, MarkIndex) else NotImplemented
 
     @cached_property
     def _lookup(self) -> tuple[dict, dict, dict]:
@@ -327,8 +333,7 @@ def index_marks(svg: SvgDoc, table: DataTable | None = None) -> MarkIndex:
     return MarkIndex(entries=entries)
 
 
-@dataclass(frozen=True)
-class Rendering:
+class Rendering(NamedTuple):
     """One rendered chart: its SVG text, the parsed document, and the mark index
     bound to the table."""
 
@@ -537,8 +542,7 @@ def match_annotation_directives(annotation_ids, directives, index: MarkIndex,
     return assignments, ValidationReport(advisories=tuple(advisories))
 
 
-@dataclass
-class Bindings:
+class Bindings(NamedTuple):
     """Annotated-rendering elements bound to the designer's directives."""
 
     index: MarkIndex

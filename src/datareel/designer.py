@@ -20,7 +20,6 @@ from .model import (
     DataTable,
     DesignerOutput,
     IndexOutOfRange,
-    RepairReport,
     ValidationReport,
     Violation,
     VisualizationSpec,
@@ -29,7 +28,7 @@ from .model import (
     read_typed,
     structure_violations,
 )
-from .runtime import ChatSession, extract_json, repair_loop
+from .runtime import ChatSession, RepairReport, extract_json, repair_loop
 from .timeline import (PlacedDirective, alive_over, first_sentence_end, lifetime_changes,
                        locate_segments)
 from .timeline import locate_span  # noqa: F401 -- read only by perfbench's hook table

@@ -18,12 +18,11 @@ from .model import (
     Cell,
     DataDescription,
     DataTable,
-    RepairReport,
     ValidationReport,
     build_read,
     read_typed,
 )
-from .runtime import ChatSession, extract_json, repair_loop
+from .runtime import ChatSession, RepairReport, extract_json, repair_loop
 
 
 class EmptyInput(PreconditionError):

@@ -2,18 +2,19 @@
 
 The four vocabularies (insight types, visualization types, animation names,
 annotation types) are fixed lists; matching is exact and case-sensitive after
-trimming surrounding whitespace. All types here are immutable after
-construction and safe to share across threads.
+trimming surrounding whitespace. The value types here are NamedTuples, or
+slotted classes whose constructor runs their checks; none is changed after
+construction, so all are safe to share across threads.
 """
 
 import io
 import json
 from collections.abc import Iterator
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from types import UnionType
-from typing import Literal, Union, get_args, get_origin, get_type_hints, is_typeddict
+from typing import (Literal, NamedTuple, Union, get_args, get_origin, get_type_hints,
+                    is_typeddict)
 
 from .errors import ContractError
 
@@ -151,29 +152,45 @@ parse_visualization_type = _vocabulary(VISUALIZATION_TYPES, UnknownVisualization
 parse_annotation_type = _vocabulary(ANNOTATION_TYPES, UnknownAnnotationType)
 
 
-@dataclass(frozen=True)
-class DataTable:
+class Record:
+    """Equality and hash by the values of a class's __slots__, in their
+    order, for the value types that are classes; each one's __init__ sets
+    its slots and runs its checks."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class DataTable(Record):
     """Parsed tabular input with ordered columns.
 
     The implicit row index 0..row_count-1 is the identity that directive
     "index" fields refer to.
     """
 
-    title: str
-    columns: tuple[tuple[str, tuple[Cell, ...]], ...]
-    row_count: int
+    __slots__ = ("title", "columns", "row_count")
 
-    def __post_init__(self):
-        names = [name for name, _ in self.columns]
+    def __init__(self, title: str, columns: tuple[tuple[str, tuple[Cell, ...]], ...],
+                 row_count: int):
+        names = [name for name, _ in columns]
         if len(set(names)) != len(names):
             raise ValueError("column names must be unique")
         if any(not name for name in names):
             raise ValueError("column names must be non-empty")
-        for name, values in self.columns:
-            if len(values) != self.row_count:
-                raise ValueError(
-                    f"column {name!r} has {len(values)} values, expected {self.row_count}"
-                )
+        for name, values in columns:
+            if len(values) != row_count:
+                raise ValueError(f"column {name!r} has {len(values)} values, expected {row_count}")
+        self.title, self.columns, self.row_count = title, columns, row_count
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -185,35 +202,33 @@ class DataTable:
         return {name: values[index] for name, values in self.columns}
 
 
-@dataclass(frozen=True)
-class DataDescription:
+class DataDescription(Record):
     """Natural-language description of a table produced by the perception step."""
 
-    text: str
+    __slots__ = ("text",)
 
-    def __post_init__(self):
-        if not self.text.strip():
+    def __init__(self, text: str):
+        if not text.strip():
             raise ValueError("description text must be non-empty")
+        self.text = text
 
 
-@dataclass(frozen=True)
-class Insight:
+class Insight(Record):
     """One analyst insight and its insight types."""
 
-    insight: str
-    types: tuple[str, ...]
+    __slots__ = ("insight", "types")
 
-    def __post_init__(self):
-        if not self.insight.strip():
+    def __init__(self, insight: str, types: tuple[str, ...]):
+        if not insight.strip():
             raise ValueError("insight text must be non-empty")
-        if not self.types:
+        if not types:
             raise ValueError("insight must carry at least one type")
-        for t in self.types:
+        for t in types:
             parse_insight_type(t)
+        self.insight, self.types = insight, types
 
 
-@dataclass(frozen=True)
-class VisualizationSpec:
+class VisualizationSpec(Record):
     """A Vega-Lite spec plus its declared chart type.
 
     Structural validity (mark/encoding presence, layer placement rule) is
@@ -221,11 +236,11 @@ class VisualizationSpec:
     so that malformed specs can flow into the repair loop.
     """
 
-    spec: dict
-    vis_type: str
+    __slots__ = ("spec", "vis_type")
 
-    def __post_init__(self):
-        parse_visualization_type(self.vis_type)
+    def __init__(self, spec: dict, vis_type: str):
+        parse_visualization_type(vis_type)
+        self.spec, self.vis_type = spec, vis_type
 
 
 def structure_violations(spec, path: str) -> tuple["Violation", ...]:
@@ -293,61 +308,55 @@ def title_text(spec: dict) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class AnimationDirective:
+class AnimationDirective(Record):
     """A designer animation on a target, cued by a narration segment."""
 
-    animation: str
-    narration: str
-    target: str
-    index: tuple[int, ...]
-    explanation: str = ""
+    __slots__ = ("animation", "narration", "target", "index", "explanation")
 
-    def __post_init__(self):
-        classify_animation(self.animation)
-        if not self.narration.strip():
+    def __init__(self, animation: str, narration: str, target: str, index: tuple[int, ...],
+                 explanation: str = ""):
+        classify_animation(animation)
+        if not narration.strip():
             raise ValueError("narration segment must be non-empty")
+        self.animation, self.narration, self.target = animation, narration, target
+        self.index, self.explanation = index, explanation
 
     @property
     def category(self) -> str:
         return classify_animation(self.animation)
 
 
-@dataclass(frozen=True)
-class AnnotationDirective:
+class AnnotationDirective(Record):
     """A designer annotation on data rows, cued by a narration segment."""
 
-    types: tuple[str, ...]
-    description: str
-    index: tuple[int, ...]
-    nar: str
+    __slots__ = ("types", "description", "index", "nar")
 
-    def __post_init__(self):
-        if not self.types:
+    def __init__(self, types: tuple[str, ...], description: str, index: tuple[int, ...],
+                 nar: str):
+        if not types:
             raise ValueError("annotation directive must carry at least one type")
-        for t in self.types:
+        for t in types:
             parse_annotation_type(t)
-        if not self.nar.strip():
+        if not nar.strip():
             raise ValueError("annotation narration segment must be non-empty")
+        self.types, self.description, self.index, self.nar = types, description, index, nar
 
 
-@dataclass(frozen=True)
-class AnalystOutput:
+class AnalystOutput(Record):
     """The analyst's insights, visualization spec and narration."""
 
-    insights: tuple[Insight, ...]
-    visualization: VisualizationSpec
-    narration: str
+    __slots__ = ("insights", "visualization", "narration")
 
-    def __post_init__(self):
-        if not self.insights:
+    def __init__(self, insights: tuple[Insight, ...], visualization: VisualizationSpec,
+                 narration: str):
+        if not insights:
             raise ValueError("analyst output must carry at least one insight")
-        if not self.narration.strip():
+        if not narration.strip():
             raise ValueError("narration must be non-empty")
+        self.insights, self.visualization, self.narration = insights, visualization, narration
 
 
-@dataclass(frozen=True)
-class DesignerOutput:
+class DesignerOutput(NamedTuple):
     """The designer's annotated spec and its animation and annotation directives."""
 
     annotated_visualization: dict
@@ -355,8 +364,7 @@ class DesignerOutput:
     annotation_directives: tuple[AnnotationDirective, ...]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One validator finding: a code, the artifact path and a message."""
 
     code: str
@@ -368,8 +376,7 @@ class Violation:
         return f"[{self.code}]{where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Fatal violations plus non-blocking advisories from a validator pass."""
 
     violations: tuple[Violation, ...] = ()
@@ -387,24 +394,8 @@ class ValidationReport:
 
     def to_json(self) -> dict:
         return {
-            "violations": [vars(v) for v in self.violations],
-            "advisories": [vars(a) for a in self.advisories],
-        }
-
-
-@dataclass
-class RepairReport:
-    """Outcome of a validate-and-retry loop around one agent prompt."""
-
-    attempts: int = 0
-    violations_per_attempt: list[list[str]] = field(default_factory=list)
-    final_status: str = "ok"
-
-    def to_json(self) -> dict:
-        return {
-            "attempts": self.attempts,
-            "violations_per_attempt": self.violations_per_attempt,
-            "final_status": self.final_status,
+            "violations": [v._asdict() for v in self.violations],
+            "advisories": [a._asdict() for a in self.advisories],
         }
 
 
@@ -431,10 +422,10 @@ def _at(path, problem: str) -> str:
 
 
 def read_typed(cls, value, *path, ignore_extra_keys: bool = False):
-    """cls, a dataclass, a TypedDict or another annotation, read from a parsed
+    """cls, a NamedTuple, a TypedDict or another annotation, read from a parsed
     JSON value. An annotation takes: str; int, not a bool; float, an int too;
     bool; list or dict, holding anything; T | None; list[T]; dict[str, T];
-    Literal[...] of strings; a dataclass or TypedDict, as an object with
+    Literal[...] of strings; a NamedTuple or TypedDict, as an object with
     every field that has no default and no other key, or, with
     ignore_extra_keys, other keys left unread at every level. Raises
     JsonTypeError naming the path of the value at fault, after path's keys."""
@@ -472,7 +463,7 @@ def _plan(tp, extra: bool):
         return (lambda value: None if value is None else read(value)), frozenset({type(None)}), None
     if origin is list or origin is dict:
         return _container(origin, *_plan(args[-1], extra)), frozenset(), None
-    if is_dataclass(tp) or is_typeddict(tp):
+    if hasattr(tp, "_fields") or is_typeddict(tp):
         return _object(tp, extra), frozenset(), None
     raise TypeError(f"read_typed cannot read {tp!r}")
 
@@ -507,10 +498,9 @@ def _object(cls, extra: bool):
     hints = get_type_hints(cls)
     if is_typeddict(cls):
         order, required, build = list(hints), cls.__required_keys__, None
-    else:
-        order, build = [f.name for f in fields(cls) if f.init], cls
-        required = {f.name for f in fields(cls)
-                    if f.init and f.default is MISSING and f.default_factory is MISSING}
+    else:  # a NamedTuple
+        order, build = cls._fields, cls
+        required = set(order) - cls._field_defaults.keys()
     names, plans = frozenset(order), {name: _plan(hints[name], extra) for name in order}
     # The types whose values read as themselves in each field, a Literal's none.
     kinds = {name: plan[1] if plan[2] is None else frozenset() for name, plan in plans.items()}

@@ -15,10 +15,9 @@ import os
 import time
 from collections.abc import Callable
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Literal, TypedDict
+from typing import Literal, NamedTuple, TypedDict
 
 from . import adapters, analyst, binding, designer, ingest, timeline as tl
 from .errors import PipelineError, PreconditionError, StageError
@@ -47,19 +46,19 @@ class ManifestNotFound(PreconditionError):
     pass
 
 
-@dataclass
-class ProjectConfig:
+class ProjectConfig(NamedTuple):
     """Everything one pipeline run needs: inputs, backends, tools, and knobs.
 
     The fields are the config file's keys, annotated with the types README's
     schema gives them; from_file and validate read the values by them
-    (model.read_typed)."""
+    (model.read_typed). Nothing changes a config or its values: every config
+    built without transcripts holds one empty dict."""
 
     input_csv: str
     output_dir: str
     title: str | None = None
     mock_mode: bool = True
-    transcripts: dict[str, str] = field(default_factory=dict)
+    transcripts: dict[str, str] = {}
     backend: BackendConfig | None = None
     renderer_cmd: list[str] | None = None
     tts_cmd: list[str] | None = None
@@ -112,20 +111,23 @@ class ProjectConfig:
             raise PreconditionError("live mode requires a backend configuration")
 
     def to_json(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload = self._asdict()
         payload["transcripts"] = {k: str(v) for k, v in self.transcripts.items()}
         if payload.pop("backend") is not None:
-            payload["backend"] = vars(self.backend)
+            payload["backend"] = self.backend._asdict()
         return payload
 
 
-@dataclass
 class ProjectManifest:
     """Execution record: ordered stages with artifact paths, hashes, and sizes."""
 
-    config: dict = field(default_factory=dict)
-    created_at: str = ""
-    stages: list = field(default_factory=list)
+    __slots__ = ("config", "created_at", "stages")
+
+    def __init__(self, config: dict | None = None, created_at: str = "",
+                 stages: list | None = None):
+        self.config = {} if config is None else config
+        self.created_at = created_at
+        self.stages = [] if stages is None else stages
 
     def stage(self, name: str) -> dict | None:
         for record in self.stages:
@@ -586,8 +588,7 @@ def _summarize_video(payload: dict) -> list[str]:
             f"{payload['fps']} fps, {payload['duration']} s"]
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One pipeline step: run returns its output. When the first artifact named
     in reads exists, `inspect` prints summary's lines for the loaded artifacts,
     and `validate` calls check with the first one and the earlier outputs;

@@ -12,12 +12,12 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import AdapterError, ContractError, PreconditionError
-from .model import RepairReport, ValidationReport
+from .model import ValidationReport
 
 
 class NoJsonFound(ContractError):
@@ -28,6 +28,21 @@ class MalformedJson(ContractError):
     def __init__(self, position: int):
         super().__init__(f"unparseable JSON starting at offset {position}")
         self.position = position
+
+
+class RepairReport:
+    """Outcome of a validate-and-retry loop around one agent prompt, which
+    repair_loop updates as its attempts go."""
+
+    __slots__ = ("attempts", "violations_per_attempt", "final_status")
+
+    def __init__(self):
+        self.attempts = 0
+        self.violations_per_attempt: list[list[str]] = []
+        self.final_status = "ok"
+
+    def to_json(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class RepairExhausted(ContractError):
@@ -61,13 +76,7 @@ class TranscriptMismatch(AdapterError):
         )
 
 
-@dataclass(frozen=True)
-class BackendConfig:
-    """Configuration for the live chat-completion backend.
-
-    Mock runs need none: they replay the transcripts named in the project config.
-    """
-
+class _BackendFields(NamedTuple):
     endpoint: str = ""
     model_name: str = "mock-model"
     temperature: float = 0.0
@@ -76,9 +85,21 @@ class BackendConfig:
     max_retries: int = 2
     retry_delay: float = 0.5
 
-    def __post_init__(self):
+
+class BackendConfig(_BackendFields):
+    """Configuration for the live chat-completion backend; it must name an
+    endpoint and an api_key_env.
+
+    Mock runs need none: they replay the transcripts named in the project config.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **fields):
+        self = super().__new__(cls, *args, **fields)
         if not self.endpoint or not self.api_key_env:
             raise PreconditionError("live backend requires endpoint and api_key_env")
+        return self
 
 
 def load_transcript(path: str | Path) -> list[dict]:
@@ -220,15 +241,17 @@ class HttpChatBackend:
         raise last_error
 
 
-@dataclass
 class ChatSession:
     """Append-only message history bound to a single backend.
 
     Sessions are single-owner: one session per agent role per run.
     """
 
-    backend: object
-    messages: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = ("backend", "messages")
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.messages: list[tuple[str, str]] = []
 
     def append(self, role: str, content: str) -> None:
         if role not in ("system", "user", "assistant"):

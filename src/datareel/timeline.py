@@ -15,16 +15,16 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from itertools import repeat
-from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
-from typing import Literal, TypedDict
+from typing import Literal, NamedTuple, TypedDict
 
 from .errors import ContractError, PreconditionError
 from .model import (
     EFFECTS,
     JsonTypeError,
+    Record,
     ValidationReport,
     Violation,
     classify_animation,
@@ -129,8 +129,18 @@ def validate_timings(narration: str, timings: WordTimingsJson) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class Keyframe:
+class _KeyframeFields(NamedTuple):
+    time: float
+    property: str
+    value: float
+    easing: str
+
+
+# The properties whose values lie in [0, 1].
+_FRACTIONS = ("opacity", "clip_fraction", "wheel_fraction")
+
+
+class Keyframe(_KeyframeFields):
     """One stop of a property track: the value at time, eased into from the
     stop before.
 
@@ -138,24 +148,19 @@ class Keyframe:
     element that holds it, and one keyframe, like one track, may serve many.
     """
 
-    time: float
-    property: str
-    value: float
-    easing: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.property not in PROPERTIES:
-            raise ValueError(f"unknown property {self.property!r}")
-        if self.easing not in EASINGS:
-            raise ValueError(f"unknown easing {self.easing!r}")
-        if self.property == "opacity" and not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"opacity {self.value} outside [0,1]")
-        if self.property in ("clip_fraction", "wheel_fraction") and not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"{self.property} {self.value} outside [0,1]")
+    def __new__(cls, time: float, property: str, value: float, easing: str):
+        if property not in PROPERTIES:
+            raise ValueError(f"unknown property {property!r}")
+        if easing not in EASINGS:
+            raise ValueError(f"unknown easing {easing!r}")
+        if property in _FRACTIONS and not 0.0 <= value <= 1.0:
+            raise ValueError(f"{property} {value} outside [0,1]")
+        return tuple.__new__(cls, (time, property, value, easing))
 
 
-@dataclass
-class Timeline:
+class Timeline(Record):
     """Per-element keyframe tracks and initial visibilities over the audio clock.
 
     Elements with equal tracks may hold one shared tuple (compile_timeline,
@@ -163,9 +168,13 @@ class Timeline:
     is done once per distinct track. Tracks are never mutated.
     """
 
-    duration: float
-    tracks: dict[str, tuple[Keyframe, ...]] = field(default_factory=dict)
-    initial_visibility: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("duration", "tracks", "initial_visibility")
+
+    def __init__(self, duration: float, tracks: dict[str, tuple[Keyframe, ...]] | None = None,
+                 initial_visibility: dict[str, str] | None = None):
+        self.duration = duration
+        self.tracks = {} if tracks is None else tracks
+        self.initial_visibility = {} if initial_visibility is None else initial_visibility
 
     def to_json(self) -> dict:
         """The timeline.json payload. Its tracks are an iterator of row texts
@@ -368,8 +377,7 @@ def keyframes_for(animation: str, element_ids, interval: tuple[float, float], *,
     return ramps, frozenset().union(*(ids for ids, _ in ramps))
 
 
-@dataclass(frozen=True)
-class PlacedDirective:
+class PlacedDirective(NamedTuple):
     """A cue for the compiler: an animation of target ids over an audio
     interval. An annotation is a Fade-in cue (see place)."""
 

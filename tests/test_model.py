@@ -576,7 +576,6 @@ class TestConstructionChecks:
 
     @pytest.mark.parametrize("build, exception", [
         (lambda: DataTable("t", (("", (1,)),), 1), ValueError),
-        (lambda: DataTable("t", (("a", (1,)), ("b", ())), 1), ValueError),
         (lambda: DataDescription("  "), ValueError),
         (lambda: Insight(insight=" ", types=("Trend",)), ValueError),
         (lambda: Insight(insight="i", types=("Trend", "Correlation")), UnknownInsightType),

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import importlib.util
@@ -346,7 +345,7 @@ class TestValidateProject:
 def _with_stage_run(stage_name: str | None, wrap):
     """STAGE_TABLE with the named stage's run function (every stage's, for
     None) replaced by wrap(stage)."""
-    return tuple(dataclasses.replace(stage, run=wrap(stage))
+    return tuple(stage._replace(run=wrap(stage))
                  if stage_name in (None, stage.name) else stage for stage in STAGE_TABLE)
 
 

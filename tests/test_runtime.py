@@ -450,3 +450,10 @@ def test_importing_the_cli_loads_no_http_stack_or_sax():
     assert not added & set(HTTP_AND_SAX_MODULES)
     # argparse, not click; subprocess only once a command adapter runs
     assert not added & {"click", "subprocess"}
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # Each dataclass compiles and runs generated source at import, and the
+    # dataclasses module loads inspect, ast, dis and tokenize.
+    added = _loaded_modules("datareel.cli") - _loaded_modules()
+    assert not added & {"dataclasses", "inspect"}
