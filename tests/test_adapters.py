@@ -634,6 +634,46 @@ class TestCommandSynth:
             synth.synthesize(_six_second_timeline(), "x.svg", "a.wav", tmp_path / "v.mp4")
 
 
+_TOOL_FAILURES = {  # how the command fails -> its argv, and what the message names
+    "missing executable": (["/nonexistent/datareel-tool"], "No such file or directory"),
+    "timeout": ([sys.executable, "-c", "import time; time.sleep(30)"], "timed out"),
+    "nonzero exit": ([sys.executable, "-c",
+                      "import sys; sys.stderr.write('tool broke'); sys.exit(3)"], "tool broke"),
+    "signal": ([sys.executable, "-c", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)"],
+               "-9"),
+}
+
+
+class TestCommandFailures:
+    """Each way a tool command can fail is the tool's adapter error, exit 4."""
+
+    @pytest.mark.parametrize("how", list(_TOOL_FAILURES))
+    @pytest.mark.parametrize("adapter, stage, call, expected", [
+        (CommandRenderer, "base_render", lambda tool, tmp: tool.render(_bar_spec()),
+         {"nonzero exit": RendererRejectedSpec}),
+        (CommandTts, "tts", lambda tool, tmp: tool.synthesize("alpha beta", tmp / "a.wav"),
+         {}),
+        (CommandSynth, "video", lambda tool, tmp: tool.synthesize(
+            _six_second_timeline(), tmp / "x.svg", tmp / "a.wav", tmp / "v.mp4"), {}),
+    ], ids=["renderer", "tts", "synth"])
+    def test_failure_is_the_tools_adapter_error(self, tmp_path, how, adapter, stage, call,
+                                                 expected):
+        from datareel.cli import _exit_code
+        from datareel.errors import StageError
+
+        command, cause = _TOOL_FAILURES[how]
+        tool = adapter(command)
+        if how == "timeout":
+            tool.timeout = 0.2  # subprocess.run kills the sleeping child
+        error_class = expected.get(how, {CommandRenderer: RendererCrashed, CommandTts: TtsFailure,
+                                         CommandSynth: SynthFailure}[adapter])
+        with pytest.raises(error_class) as err:
+            call(tool, tmp_path)
+        assert type(err.value) is error_class
+        assert _exit_code(StageError(stage, err.value)) == 4
+        assert cause in str(err.value)
+
+
 class TestExportHtml:
     def test_empty_timeline_is_static_document(self):
         timeline = Timeline(duration=3.0, initial_visibility={"e1": "visible"})
