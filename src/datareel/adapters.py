@@ -20,7 +20,6 @@ from pathlib import Path
 from .binding import (
     NotSvg,
     Rendering,
-    UnboundMark,
     XmlParseError,
     escape,
     index_marks,
@@ -54,19 +53,11 @@ from .timeline import (
 class RendererRejectedSpec(AdapterError):
     def __init__(self, diagnostics: str):
         super().__init__(f"renderer rejected the spec: {diagnostics}")
-        self.diagnostics = diagnostics
 
 
 class RendererCrashed(AdapterError):
-    def __init__(self, exit_code: int, detail: str = ""):
+    def __init__(self, exit_code: int, detail: str):
         super().__init__(f"renderer crashed (exit {exit_code})" + (f": {detail}" if detail else ""))
-        self.exit_code = exit_code
-
-
-class MetadataMissing(AdapterError):
-    def __init__(self, element_id: str, detail: str, role: str = "mark"):
-        super().__init__(f"rendered {role} {element_id!r} {detail}")
-        self.element_id = element_id
 
 
 class EmptyNarration(PreconditionError):
@@ -432,6 +423,31 @@ class MockRenderer:
         return out
 
 
+def _run_tool(command: list[str], timeout: float, failure, stdin: bytes | None = None) -> bytes:
+    """Run a tool command and return its stdout. A timeout or a failure to
+    start (exit -1) and a nonzero exit (negative for a signal) raise
+    failure(exit_code, detail), detail being the cause or the stderr text."""
+    # subprocess is imported here only: no mock run, validate or inspect starts a process.
+    import subprocess
+
+    try:
+        result = subprocess.run(command, input=stdin, capture_output=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise failure(-1, f"timed out after {timeout}s") from None
+    except OSError as e:
+        raise failure(-1, str(e)) from None
+    if result.returncode != 0:
+        raise failure(result.returncode, result.stderr.decode("utf-8", errors="replace").strip())
+    return result.stdout
+
+
+def _renderer_failure(exit_code: int, detail: str) -> AdapterError:
+    """A positive exit rejects the spec; a signal, a timeout or a failure to start is a crash."""
+    if exit_code > 0:
+        return RendererRejectedSpec(detail or f"exit code {exit_code}")
+    return RendererCrashed(exit_code, detail)
+
+
 class CommandRenderer:
     """Runs an external renderer command: spec JSON on stdin, SVG on stdout."""
 
@@ -441,44 +457,25 @@ class CommandRenderer:
         self.command = list(command)
 
     def render(self, spec: dict) -> str:
-        # subprocess is imported by the three command adapters only: no mock
-        # run, validate or inspect starts a process.
-        import subprocess
-
+        svg = _run_tool(self.command, self.timeout, _renderer_failure,
+                        json.dumps(spec).encode("utf-8"))
         try:
-            result = subprocess.run(
-                self.command,
-                input=json.dumps(spec).encode("utf-8"),
-                capture_output=True,
-                timeout=self.timeout,
-            )
-        except subprocess.TimeoutExpired:
-            raise RendererCrashed(-1, f"timed out after {self.timeout}s") from None
-        except OSError as e:
-            raise RendererCrashed(-1, str(e)) from None
-        if result.returncode != 0:
-            diagnostics = result.stderr.decode("utf-8", errors="replace").strip()
-            if result.returncode < 0:
-                raise RendererCrashed(result.returncode, diagnostics)
-            raise RendererRejectedSpec(diagnostics or f"exit code {result.returncode}")
-        return result.stdout.decode("utf-8")
+            return svg.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise RendererCrashed(0, f"renderer emitted invalid SVG: {e}") from None
 
 
 def read_rendering(svg_text: str, table: DataTable) -> Rendering:
     """Parse a renderer's SVG and index its marks against the table.
 
     Invalid SVG raises RendererCrashed; a mark with missing, malformed, or
-    out-of-table data-row metadata raises MetadataMissing.
+    out-of-table data-row metadata raises binding.UnboundMark.
     """
     try:
         doc = parse_svg(svg_text)
     except (XmlParseError, NotSvg) as e:
         raise RendererCrashed(0, f"renderer emitted invalid SVG: {e}") from None
-    try:
-        index = index_marks(doc, table)
-    except UnboundMark as e:
-        raise MetadataMissing(e.element_id, e.detail, e.role) from None
-    return Rendering(svg=svg_text, doc=doc, index=index)
+    return Rendering(svg=svg_text, doc=doc, index=index_marks(doc, table))
 
 
 def render_visualization(spec: VisualizationSpec, renderer, table: DataTable) -> Rendering:
@@ -515,8 +512,6 @@ class MockTts:
 
     def synthesize(self, narration: str, out_path: str | Path) -> WordTimingsJson:
         tokens = word_tokens(narration)
-        if not tokens:
-            raise EmptyNarration("narration has no words")
         spw = MOCK_SECONDS_PER_WORD
         words = [_timed_word(token, round(i * spw, 9), round((i + 1) * spw, 9))
                  for i, token in enumerate(tokens)]
@@ -541,26 +536,14 @@ class CommandTts:
         self.command = list(command)
 
     def synthesize(self, narration: str, out_path: str | Path) -> WordTimingsJson:
-        import subprocess  # see CommandRenderer.render
-
         tokens = word_tokens(narration)
-        if not tokens:
-            raise EmptyNarration("narration has no words")
-        payload = json.dumps({"text": narration, "audio_path": str(out_path)})
-        try:
-            result = subprocess.run(
-                self.command, input=payload.encode("utf-8"),
-                capture_output=True, timeout=self.timeout,
-            )
-        except (subprocess.TimeoutExpired, OSError) as e:
-            raise TtsFailure(f"TTS command failed: {e}") from None
-        if result.returncode != 0:
-            raise TtsFailure(result.stderr.decode("utf-8", errors="replace").strip()
-                             or f"exit code {result.returncode}")
+        payload = json.dumps({"text": narration, "audio_path": str(out_path)}).encode("utf-8")
+        stdout = _run_tool(self.command, self.timeout, lambda exit_code, detail: TtsFailure(
+            f"TTS command failed: {detail or f'exit code {exit_code}'}"), payload)
         if not Path(out_path).is_file():
             raise TtsFailure(f"TTS command wrote no audio file at {out_path}")
         try:
-            reply = json.loads(result.stdout.decode("utf-8"))
+            reply = json.loads(stdout.decode("utf-8"))
             reply["audio_path"]  # required, though the audio is read from out_path
             duration = float(reply["duration"])
             if not 0 < duration < math.inf:
@@ -627,8 +610,6 @@ class MockSynth:
 
     def synthesize(self, timeline: Timeline, svg_path: str | Path,
                    audio_path: str | Path, out_path: str | Path) -> str:
-        if timeline.duration <= 0:
-            raise SynthFailure("timeline has zero duration")
         frame_count = int(round(timeline.duration * self.fps))
         times = [f / self.fps for f in range(frame_count)]
         manifest = {
@@ -692,20 +673,11 @@ class CommandSynth:
 
     def synthesize(self, timeline: Timeline, svg_path: str | Path,
                    audio_path: str | Path, out_path: str | Path) -> str:
-        import subprocess  # see CommandRenderer.render
-
-        if timeline.duration <= 0:
-            raise SynthFailure("timeline has zero duration")
         timeline_path = Path(out_path).with_suffix(".timeline.json")
         timeline_path.write_text(dump_artifact(timeline.to_json()), encoding="utf-8")
         cmd = self.command + [str(timeline_path), str(svg_path), str(audio_path), str(out_path)]
-        try:
-            result = subprocess.run(cmd, capture_output=True, timeout=self.timeout)
-        except (subprocess.TimeoutExpired, OSError) as e:
-            raise SynthFailure(f"synthesizer failed: {e}") from None
-        if result.returncode != 0:
-            raise SynthFailure(result.stderr.decode("utf-8", errors="replace").strip()
-                               or f"exit code {result.returncode}")
+        _run_tool(cmd, self.timeout, lambda exit_code, detail: SynthFailure(
+            f"synthesizer failed: {detail or f'exit code {exit_code}'}"))
         if not Path(out_path).is_file():
             raise SynthFailure(f"synthesizer wrote no file at {out_path}")
         return str(out_path)
@@ -714,6 +686,8 @@ class CommandSynth:
 def synthesize_video(timeline: Timeline, svg_path: str | Path, audio_path: str | Path,
                      synth, out_path: str | Path) -> str:
     """Produce the final video (or mock manifest) from the compiled timeline."""
+    if timeline.duration <= 0:
+        raise SynthFailure("timeline has zero duration")
     return synth.synthesize(timeline, svg_path, audio_path, out_path)
 
 

@@ -17,7 +17,7 @@ from itertools import count, filterfalse
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import ContractError, PreconditionError
+from .errors import AdapterError, ContractError, PreconditionError
 from .model import (
     AnimationDirective,
     AnnotationDirective,
@@ -38,15 +38,13 @@ class NotSvg(PreconditionError):
     pass
 
 
-class UnboundMark(ContractError):
-    """A mark or an annotation (the role) whose data-row is missing or does not read."""
+class UnboundMark(AdapterError):
+    """A rendered mark or annotation (the role) whose data-row is missing or
+    does not read: the renderer's output breaks its contract."""
 
     def __init__(self, element_id: str, detail: str = "carries no data-row metadata",
                  role: str = "mark"):
-        super().__init__(f"{role} element {element_id!r} {detail}")
-        self.element_id = element_id
-        self.detail = detail
-        self.role = role
+        super().__init__(f"rendered {role} {element_id!r} {detail}")
 
 
 class UnresolvedTarget(ContractError):

@@ -8,6 +8,7 @@ its artifacts and the manifest as it ends, so a failed run leaves a partial
 manifest plus the failure record behind for debugging.
 """
 
+import csv
 import gc
 import hashlib
 import json
@@ -250,20 +251,9 @@ class _Run:
             backend = self.live_backend
         return ChatSession(backend=backend)
 
-    def renderer(self):
-        if not self.config.mock_mode and self.config.renderer_cmd:
-            return adapters.CommandRenderer(self.config.renderer_cmd)
-        return adapters.MockRenderer()
-
-    def tts(self):
-        if not self.config.mock_mode and self.config.tts_cmd:
-            return adapters.CommandTts(self.config.tts_cmd)
-        return adapters.MockTts()
-
-    def synth(self):
-        if not self.config.mock_mode and self.config.synth_cmd:
-            return adapters.CommandSynth(self.config.synth_cmd)
-        return adapters.MockSynth(fps=self.config.fps)
+    def tool(self, command: list[str] | None, adapter, mock):
+        """adapter(command) when live mode has the tool's command, else mock."""
+        return adapter(command) if not self.config.mock_mode and command else mock
 
     def write_artifact(self, record: dict, filename: str, content: str) -> None:
         """Write content as UTF-8 and record the hash and size of those bytes."""
@@ -355,9 +345,12 @@ _UNREADABLE = (PipelineError, AttributeError, KeyError, RecursionError, TypeErro
 
 
 def _stage_ingest(run: _Run, record: dict) -> DataTable:
-    raw = Path(run.config.input_csv).read_text(encoding="utf-8-sig")
-    title = run.config.title or Path(run.config.input_csv).stem
-    table = ingest.parse_csv(raw, title)
+    path = Path(run.config.input_csv)
+    try:  # a csv.Error: a field longer than csv.field_size_limit()
+        table = ingest.parse_csv(path.read_text(encoding="utf-8-sig"),
+                                 run.config.title or path.stem)
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise PreconditionError(f"unreadable input CSV {path}: {e}") from None
     run.write_artifact(record, "table.json", dump_artifact({
         "title": table.title,
         "row_count": table.row_count,
@@ -433,8 +426,9 @@ def _summarize_analyst(payload) -> list[str]:
 
 
 def _stage_base_render(run: _Run, record: dict) -> binding.Rendering:
+    renderer = run.tool(run.config.renderer_cmd, adapters.CommandRenderer, adapters.MockRenderer())
     base = adapters.render_visualization(
-        run.outputs["analyst"].visualization, run.renderer(), run.outputs["ingest"])
+        run.outputs["analyst"].visualization, renderer, run.outputs["ingest"])
     run.write_artifact(record, "base.svg", base.svg)
     return base
 
@@ -489,17 +483,15 @@ def _stage_annotated_render(run: _Run, record: dict) -> binding.Rendering:
         spec=run.outputs["designer"].annotated_visualization,
         vis_type=run.outputs["analyst"].visualization.vis_type,
     )
-    annotated = adapters.render_visualization(spec, run.renderer(), run.outputs["ingest"])
+    renderer = run.tool(run.config.renderer_cmd, adapters.CommandRenderer, adapters.MockRenderer())
+    annotated = adapters.render_visualization(spec, renderer, run.outputs["ingest"])
     run.write_artifact(record, "annotated.svg", annotated.svg)
     return annotated
 
 
 def _stage_binding(run: _Run, record: dict) -> binding.Bindings:
-    try:
-        bindings = binding.bind(run.outputs["base_render"], run.outputs["annotated_render"],
-                                run.outputs["designer"])
-    except binding.UnboundMark as e:  # an annotation element's data-row: renderer output
-        raise adapters.MetadataMissing(e.element_id, e.detail, e.role) from None
+    bindings = binding.bind(run.outputs["base_render"], run.outputs["annotated_render"],
+                            run.outputs["designer"])
     run.write_artifact(record, "bindings.json", dump_artifact(bindings.to_json()))
     return bindings
 
@@ -516,7 +508,8 @@ def _summarize_binding(payload: dict) -> list[str]:
 
 
 def _stage_tts(run: _Run, record: dict) -> tl.WordTimingsJson:
-    timings = adapters.synthesize_speech(run.outputs["analyst"].narration, run.tts(),
+    tts = run.tool(run.config.tts_cmd, adapters.CommandTts, adapters.MockTts())
+    timings = adapters.synthesize_speech(run.outputs["analyst"].narration, tts,
                                          run.out / "narration.wav")
     run.register(record, "narration.wav")
     run.write_artifact(record, "word_timings.json", dump_artifact(timings))
@@ -568,7 +561,8 @@ def _summarize_timeline(text: str) -> list[str]:
 def _stage_video(run: _Run, record: dict) -> None:
     timeline = run.outputs["timeline"]
     if run.config.export in ("video", "both"):
-        synth = run.synth()
+        synth = run.tool(run.config.synth_cmd, adapters.CommandSynth,
+                         adapters.MockSynth(fps=run.config.fps))
         out_name = ("video_manifest.json" if isinstance(synth, adapters.MockSynth)
                     else "video.mp4")
         adapters.synthesize_video(

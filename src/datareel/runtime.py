@@ -14,10 +14,10 @@ import re
 import time
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TypedDict
 
 from .errors import AdapterError, ContractError, PreconditionError
-from .model import ValidationReport
+from .model import JsonTypeError, ValidationReport, read_typed
 
 
 class NoJsonFound(ContractError):
@@ -102,25 +102,29 @@ class BackendConfig(_BackendFields):
         return self
 
 
-def load_transcript(path: str | Path) -> list[dict]:
+class _ScriptedReply(TypedDict):
+    reply: str
+
+
+class TranscriptEntry(_ScriptedReply, total=False):
+    """A scripted reply, and a text its prompt must contain; other keys are ignored."""
+
+    match: str | None
+
+
+def load_transcript(path: str | Path) -> list[TranscriptEntry]:
     """Load a scripted transcript: an ordered list of {match?, reply} objects."""
     try:
         with open(path, encoding="utf-8") as f:
-            entries = json.load(f)
-    except (OSError, ValueError) as e:
+            return read_typed(list[TranscriptEntry], json.load(f), ignore_extra_keys=True)
+    except (OSError, ValueError, JsonTypeError) as e:
         raise PreconditionError(f"unreadable transcript {path}: {e}") from None
-    if not isinstance(entries, list):
-        raise PreconditionError(f"transcript {path} must be a JSON list")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "reply" not in entry:
-            raise PreconditionError(f"transcript {path} entry {i} must carry a 'reply'")
-    return entries
 
 
 class MockChatBackend:
     """Replays scripted replies in order, optionally asserting prompt content."""
 
-    def __init__(self, script: list[dict]):
+    def __init__(self, script: list[TranscriptEntry]):
         self.script = list(script)
         self.calls = 0
 

@@ -12,7 +12,6 @@ from datareel.adapters import (
     CommandSynth,
     CommandTts,
     EmptyNarration,
-    MetadataMissing,
     MockRenderer,
     MockSynth,
     MockTts,
@@ -27,8 +26,9 @@ from datareel.adapters import (
     synthesize_speech,
     synthesize_video,
 )
-from datareel.binding import index_marks, parse_svg
-from datareel.errors import PreconditionError
+from datareel.binding import UnboundMark, index_marks, parse_svg
+from datareel.cli import _exit_code
+from datareel.errors import PreconditionError, StageError
 from datareel.ingest import parse_csv
 from datareel.model import VisualizationSpec
 from helpers import reference_match_rows
@@ -357,7 +357,7 @@ class TestRenderVisualization:
                 return '<svg><g data-role="marks"><rect/></g></svg>'
 
         spec = VisualizationSpec(spec=_bar_spec(), vis_type="bar")
-        with pytest.raises(MetadataMissing) as err:
+        with pytest.raises(UnboundMark) as err:
             render_visualization(spec, BadRenderer(), BAR_TABLE)
         assert "data-row" in str(err.value)
 
@@ -584,7 +584,7 @@ class TestMockSynth:
     def test_zero_duration_fails(self, tmp_path):
         timeline = Timeline(duration=0.0)
         with pytest.raises(SynthFailure):
-            MockSynth().synthesize(timeline, "x.svg", "a.wav", tmp_path / "v.json")
+            synthesize_video(timeline, "x.svg", "a.wav", MockSynth(), tmp_path / "v.json")
 
     def test_hidden_element_excluded_before_entrance(self, tmp_path):
         timeline = _six_second_timeline()
@@ -635,9 +635,9 @@ class TestCommandSynth:
 
 
 _TOOL_FAILURES = {  # how the command fails -> its argv, and what the message names
-    "missing executable": (["/nonexistent/datareel-tool"], "No such file or directory"),
+    "missing-executable": (["/nonexistent/datareel-tool"], "No such file or directory"),
     "timeout": ([sys.executable, "-c", "import time; time.sleep(30)"], "timed out"),
-    "nonzero exit": ([sys.executable, "-c",
+    "nonzero-exit": ([sys.executable, "-c",
                       "import sys; sys.stderr.write('tool broke'); sys.exit(3)"], "tool broke"),
     "signal": ([sys.executable, "-c", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)"],
                "-9"),
@@ -648,30 +648,36 @@ class TestCommandFailures:
     """Each way a tool command can fail is the tool's adapter error, exit 4."""
 
     @pytest.mark.parametrize("how", list(_TOOL_FAILURES))
-    @pytest.mark.parametrize("adapter, stage, call, expected", [
+    @pytest.mark.parametrize("adapter, stage, call, error, exit_error", [
         (CommandRenderer, "base_render", lambda tool, tmp: tool.render(_bar_spec()),
-         {"nonzero exit": RendererRejectedSpec}),
+         RendererCrashed, RendererRejectedSpec),
         (CommandTts, "tts", lambda tool, tmp: tool.synthesize("alpha beta", tmp / "a.wav"),
-         {}),
+         TtsFailure, TtsFailure),
         (CommandSynth, "video", lambda tool, tmp: tool.synthesize(
-            _six_second_timeline(), tmp / "x.svg", tmp / "a.wav", tmp / "v.mp4"), {}),
+            _six_second_timeline(), tmp / "x.svg", tmp / "a.wav", tmp / "v.mp4"),
+         SynthFailure, SynthFailure),
     ], ids=["renderer", "tts", "synth"])
     def test_failure_is_the_tools_adapter_error(self, tmp_path, how, adapter, stage, call,
-                                                 expected):
-        from datareel.cli import _exit_code
-        from datareel.errors import StageError
-
+                                                 error, exit_error):
+        """exit_error is the error of a nonzero exit, error that of the others."""
         command, cause = _TOOL_FAILURES[how]
         tool = adapter(command)
         if how == "timeout":
             tool.timeout = 0.2  # subprocess.run kills the sleeping child
-        error_class = expected.get(how, {CommandRenderer: RendererCrashed, CommandTts: TtsFailure,
-                                         CommandSynth: SynthFailure}[adapter])
-        with pytest.raises(error_class) as err:
+        expected = exit_error if how == "nonzero-exit" else error
+        with pytest.raises(expected) as err:
             call(tool, tmp_path)
-        assert type(err.value) is error_class
+        assert type(err.value) is expected
         assert _exit_code(StageError(stage, err.value)) == 4
         assert cause in str(err.value)
+
+    def test_renderer_output_that_is_not_utf8_is_a_crash(self):
+        # A UnicodeDecodeError escaped here, which exits 1.
+        renderer = CommandRenderer([sys.executable, "-c",
+                                    "import sys; sys.stdout.buffer.write(b'<svg>\\xff</svg>')"])
+        with pytest.raises(RendererCrashed, match="renderer emitted invalid SVG: 'utf-8'") as err:
+            renderer.render(_bar_spec())
+        assert _exit_code(StageError("base_render", err.value)) == 4
 
 
 class TestExportHtml:

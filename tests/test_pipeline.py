@@ -1,3 +1,4 @@
+import csv
 import gc
 import hashlib
 import importlib.util
@@ -13,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from datareel import pipeline
-from datareel.adapters import MetadataMissing, MockRenderer
+from datareel.adapters import MockRenderer
+from datareel.binding import UnboundMark
 from datareel.cli import _parser, main
 from datareel.errors import PreconditionError, StageError
 from datareel.model import dump_artifact
@@ -143,7 +145,7 @@ class TestRunPipeline:
         with pytest.raises(StageError) as err:
             run_pipeline(config)
         assert err.value.stage == "base_render"
-        assert isinstance(err.value.cause, MetadataMissing)
+        assert isinstance(err.value.cause, UnboundMark)
         assert "references rows outside the table ('0;1;2;3;4;20', 20 rows)" in str(err.value)
 
     def test_case_study_shape(self, completed_project):
@@ -1377,6 +1379,60 @@ class TestCli:
             capsys, "run", "--input", str(stock_csv_path), "--config", str(config))
         assert code == 2, output
         assert f"unreadable transcript {bad}" in output
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"reply": 7}, "[0].reply: 7 is not a string"),
+        ({"match": 5, "reply": "{}"}, "[0].match: 5 is not a string or null"),
+    ], ids=["reply-not-text", "match-not-text"])
+    def test_transcript_entry_of_wrong_type_exit_code_2(self, tmp_path, stock_csv_path, capsys,
+                                                        entry, message):
+        # A reply of 7 exited 4 as an exhausted transcript; a match of 5 exited 1.
+        bad = tmp_path / "description.json"
+        bad.write_text(json.dumps([entry]))
+        config = self._config_file(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["transcripts"] = {**TRANSCRIPTS, "description": str(bad)}
+        config.write_text(json.dumps(raw))
+        code, output = _cli(
+            capsys, "run", "--input", str(stock_csv_path), "--config", str(config))
+        assert code == 2, output
+        assert f"unreadable transcript {bad}: {message}" in output
+
+    def test_transcript_entry_keys_beyond_match_and_reply_are_ignored(self, tmp_path):
+        from datareel.runtime import load_transcript
+
+        path = tmp_path / "calls.json"
+        path.write_text(json.dumps([{"reply": "hi", "attempt": 1, "prompt": "p"}]))
+        assert [entry["reply"] for entry in load_transcript(path)] == ["hi"]
+
+    @pytest.mark.parametrize("content, cause", [
+        (b"dat\xe9,v\n1,2\n", "can't decode byte 0xe9"),
+        (b"a,b\n" + b"x" * (csv.field_size_limit() + 1) + b",1\n",
+         "field larger than field limit"),
+    ], ids=["latin-1", "field-over-the-csv-limit"])
+    def test_unreadable_input_csv_exit_code_2(self, tmp_path, capsys, content, cause):
+        # Each exited 1: a UnicodeDecodeError, and a csv.Error, which is no ValueError.
+        path = tmp_path / "input.csv"
+        path.write_bytes(content)
+        code, output = _cli(
+            capsys, "run", "--input", str(path), "--config", str(self._config_file(tmp_path)))
+        assert code == 2, output
+        assert f"unreadable input CSV {path}: " in output and cause in output
+
+    def test_input_csv_read_error_exit_code_2(self, tmp_path, stock_csv_path, capsys,
+                                             monkeypatch):
+        read_text = Path.read_text
+
+        def failing_read(path, *args, **kwargs):
+            if path == stock_csv_path:
+                raise OSError(5, "Input/output error")
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", failing_read)
+        code, output = _cli(capsys, "run", "--input", str(stock_csv_path),
+                            "--config", str(self._config_file(tmp_path)))
+        assert code == 2, output
+        assert f"unreadable input CSV {stock_csv_path}: [Errno 5] Input/output error" in output
 
     @pytest.mark.parametrize("export, duration, message", [
         ("video", 1e308, "past the last word's end"), ("html", 1e9, "past the last word's end"),
