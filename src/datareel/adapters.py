@@ -10,7 +10,9 @@ pixels.
 
 import json
 import math
+import os
 import re
+import tempfile
 import wave
 from itertools import compress
 from json.encoder import encode_basestring_ascii
@@ -424,21 +426,30 @@ class MockRenderer:
 
 
 def _run_tool(command: list[str], timeout: float, failure, stdin: bytes | None = None) -> bytes:
-    """Run a tool command and return its stdout. A timeout or a failure to
-    start (exit -1) and a nonzero exit (negative for a signal) raise
-    failure(exit_code, detail), detail being the cause or the stderr text."""
+    """Run a tool command in a session of its own and return its stdout. A
+    timeout or a failure to start (exit -1) and a nonzero exit (negative for
+    a signal) raise failure(exit_code, detail), detail the cause or stderr."""
     # subprocess is imported here only: no mock run, validate or inspect starts a process.
+    import signal
     import subprocess
 
     try:
-        result = subprocess.run(command, input=stdin, capture_output=True, timeout=timeout)
+        with subprocess.Popen(command, stdin=None if stdin is None else subprocess.PIPE,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              start_new_session=True) as process:
+            try:
+                stdout, stderr = process.communicate(stdin, timeout)
+            except BaseException:  # a timeout or an interrupt kills the whole session
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait()
+                raise
     except subprocess.TimeoutExpired:
         raise failure(-1, f"timed out after {timeout}s") from None
     except OSError as e:
         raise failure(-1, str(e)) from None
-    if result.returncode != 0:
-        raise failure(result.returncode, result.stderr.decode("utf-8", errors="replace").strip())
-    return result.stdout
+    if process.returncode != 0:
+        raise failure(process.returncode, stderr.decode("utf-8", errors="replace").strip())
+    return stdout
 
 
 def _renderer_failure(exit_code: int, detail: str) -> AdapterError:
@@ -664,7 +675,7 @@ def _frames(times, evaluator: KeyframeEvaluator):
 
 
 class CommandSynth:
-    """Runs an external synthesizer: timeline.json, SVG, and audio paths as arguments."""
+    """Runs an external synthesizer: a temporary timeline.json, SVG and audio as arguments."""
 
     timeout = 600.0
 
@@ -673,11 +684,12 @@ class CommandSynth:
 
     def synthesize(self, timeline: Timeline, svg_path: str | Path,
                    audio_path: str | Path, out_path: str | Path) -> str:
-        timeline_path = Path(out_path).with_suffix(".timeline.json")
-        timeline_path.write_text(dump_artifact(timeline.to_json()), encoding="utf-8")
-        cmd = self.command + [str(timeline_path), str(svg_path), str(audio_path), str(out_path)]
-        _run_tool(cmd, self.timeout, lambda exit_code, detail: SynthFailure(
-            f"synthesizer failed: {detail or f'exit code {exit_code}'}"))
+        with tempfile.TemporaryDirectory() as scratch:  # removed however the call ends
+            timeline_path = Path(scratch, Path(out_path).with_suffix(".timeline.json").name)
+            timeline_path.write_text(dump_artifact(timeline.to_json()), encoding="utf-8")
+            cmd = self.command + [str(timeline_path), str(svg_path), str(audio_path), str(out_path)]
+            _run_tool(cmd, self.timeout, lambda exit_code, detail: SynthFailure(
+                f"synthesizer failed: {detail or f'exit code {exit_code}'}"))
         if not Path(out_path).is_file():
             raise SynthFailure(f"synthesizer wrote no file at {out_path}")
         return str(out_path)

@@ -153,7 +153,11 @@ def parse_svg(raw: str) -> SvgDoc:
     """Parse SVG text and normalize the tree ET.fromstring builds in place,
     as SvgDoc describes. An element keeps its id attribute (an xml:id is not
     one); id-less ones get "e0","e1",... in document order. The tree is
-    walked without recursion, so it may nest to any depth."""
+    walked without recursion, so it may nest to any depth. A DTD internal
+    subset, where entities expat would expand are declared, is NotSvg."""
+    if re.match(r"\ufeff?(?:\s|<\?(?:[^?]|\?(?!>))*\?>|<!--(?:[^-]|-(?!->))*-->)*"
+                r"<!DOCTYPE(?:[^>\[\"']|\"[^\"]*\"|'[^']*')*\[", raw, re.S):
+        raise NotSvg("a DTD internal subset is not allowed")
     try:
         root = ET.fromstring(raw)
     except ET.ParseError as e:
@@ -165,8 +169,8 @@ def parse_svg(raw: str) -> SvgDoc:
         namespace = root.tag[1:].rsplit("}", 1)[0]
 
     # Only a prefixed attribute name (xml: or a prefix xmlns: declares) has a
-    # namespace; an entity reference may write either prefix.
-    prefixed = "xml:" in raw or "xmlns:" in raw or "&" in raw
+    # namespace; with no entity declared, only the raw text can write one.
+    prefixed = "xml:" in raw or "xmlns:" in raw
     explicit_ids = set()
     for node in root.iter():
         explicit = node.get("id")

@@ -13,8 +13,9 @@ import json
 import marshal
 import math
 import re
-from bisect import bisect_left, bisect_right
-from itertools import repeat
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter
+from itertools import count, repeat
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
@@ -442,6 +443,15 @@ def alive_over(changes, marks: frozenset, t0: float, t1: float) -> set:
     return alive
 
 
+class _Class:
+    """Elements that keep the same groups: property -> records in (start, end) order."""
+
+    __slots__ = ("members", "groups")
+
+    def __init__(self, members: set, groups: dict[str, list[tuple]]):
+        self.members, self.groups = members, groups
+
+
 def compile_timeline(placed, mark_index, duration: float) -> tuple[Timeline, ValidationReport]:
     """Compile one list of cues into a validated Timeline.
 
@@ -451,17 +461,19 @@ def compile_timeline(placed, mark_index, duration: float) -> tuple[Timeline, Val
     An "others" ramp dims only the marks alive over its whole interval (see
     alive_over): from an entrance's start (or 0) to an exit's end.
     Overlapping keyframe groups on the same element and property resolve
-    last-writer-wins with an advisory.
+    last-writer-wins with an advisory, in element id, then arrival, order.
 
-    Keyframes carry no element id. Every element of one ramp shares one group
-    record, and elements that keep the same groups on every property share
-    one merged track tuple, which is merged once.
+    The work is per class of elements that keep the same groups (partition
+    refinement): a ramp updates each class inside its ids once, splits one
+    partly inside, and makes its new ids a class. Each distinct history is
+    merged once, into one track tuple that all its elements share.
     """
     if duration <= 0:
         raise PreconditionError("duration must be positive")
     advisories: list[Violation] = []
-    # (element, property) -> the groups kept on that track, in arrival order.
-    groups: dict[tuple[str, str], list[dict]] = {}
+    class_of: dict[str, _Class] = {}
+    classes: list[_Class] = []
+    arrival = count()
 
     def add_group(ramps, label: str):
         for ids, kfs in ramps:
@@ -472,22 +484,37 @@ def compile_timeline(placed, mark_index, duration: float) -> tuple[Timeline, Val
                     raise ValueError(f"keyframe time {kf.time} outside [0,{duration}]")
             kfs = sorted(kfs, key=attrgetter("time"))
             start, end, prop = kfs[0].time, kfs[-1].time, kfs[0].property
-            record = {"start": start, "end": end, "keyframes": kfs, "label": label}
-            for eid in sorted(ids):
-                kept = []
-                for g in groups.get((eid, prop), []):
-                    if g["start"] < end and start < g["end"]:
-                        advisories.append(Violation(
-                            "track-overlap", eid,
-                            f"{prop} keyframes from {g['label']!r} overlap {label!r}; "
-                            "later directive wins",
-                        ))
-                    else:
-                        kept.append(g)
-                kept.append(record)
-                groups[(eid, prop)] = kept
+            record, overlaps = (start, end, next(arrival), kfs, label), []
+            counts = Counter(map(class_of.get, ids))
+            if counts.pop(None, 0):
+                new = _Class(set(ids.difference(class_of)), {})
+                classes.append(new)
+                class_of.update(dict.fromkeys(new.members, new))
+                counts[new] = len(new.members)
+            for cls, inside in counts.items():
+                if inside < len(cls.members):  # split off the smaller part, copying its groups
+                    small = 2 * inside <= len(cls.members)
+                    part = cls.members & ids if small else cls.members - ids
+                    cls.members -= part
+                    classes.append(_Class(part, {p: list(kept) for p, kept in cls.groups.items()}))
+                    class_of.update(dict.fromkeys(part, classes[-1]))
+                    cls = classes[-1] if small else cls
+                kept = cls.groups.setdefault(prop, [])
+                # Disjoint groups in start order end in order: [lo, hi) overlap this one.
+                lo = bisect_right(kept, start, key=itemgetter(1))
+                hi = bisect_left(kept, end, key=itemgetter(0))
+                if lo < hi:
+                    overlapped = sorted(kept[lo:hi], key=itemgetter(2))  # in arrival order
+                    overlaps.extend(zip(cls.members, repeat(overlapped)))
+                    del kept[lo:hi]
+                insort(kept, record)
+            for eid, overlapped in sorted(overlaps, key=itemgetter(0)):
+                advisories.extend(Violation(
+                    "track-overlap", eid,
+                    f"{prop} keyframes from {g[4]!r} overlap {label!r}; later directive wins",
+                ) for g in overlapped)
 
-    initial = {eid: "visible" for eid in mark_index.entries}
+    initial = dict.fromkeys(mark_index.entries, "visible")
     legend_ids = mark_index.ids_with_role("legend")
     changes = lifetime_changes(placed)
     for cue in sorted(placed, key=lambda cue: cue.interval[0]):
@@ -499,43 +526,30 @@ def compile_timeline(placed, mark_index, duration: float) -> tuple[Timeline, Val
         ramps, hidden = keyframes_for(cue.animation, cue.target_ids - legend, cue.interval,
                                       legend_ids=legend, other_ids=others)
         add_group(ramps, cue.label or cue.animation)
-        for eid in hidden:
-            initial[eid] = "hidden"
+        initial.update(dict.fromkeys(hidden, "hidden"))
 
     tracks: dict[str, tuple[Keyframe, ...]] = {}
-    by_element: dict[str, list[tuple[str, list[dict]]]] = {}
-    for (eid, prop), bucket in groups.items():
-        by_element.setdefault(eid, []).append((prop, bucket))
-    # An element's track follows from the groups it keeps on each property;
-    # a group record belongs to one property, so their ids in property order
-    # name that history.
+    # A record has one property, so a class's arrivals in property order name its history.
     merged_by_history: dict[tuple[int, ...], tuple[Keyframe, ...]] = {}
-    for eid, prop_buckets in by_element.items():
-        prop_buckets.sort(key=lambda pb: pb[0])
-        history = tuple([id(g) for _, bucket in prop_buckets for g in bucket])
+    for cls in classes:
+        props = sorted(cls.groups)
+        history = tuple([g[2] for prop in props for g in cls.groups[prop]])
         if history not in merged_by_history:
             merged_all: list[Keyframe] = []
-            for _, bucket in prop_buckets:
+            for prop in props:
                 merged: list[Keyframe] = []
-                for g in sorted(bucket, key=lambda g: (g["start"], g["end"])):
-                    for kf in g["keyframes"]:
-                        if merged and kf.time == merged[-1].time:
-                            merged[-1] = kf
-                        elif merged and kf.time < merged[-1].time:
-                            continue
-                        else:
+                for g in cls.groups[prop]:
+                    for kf in g[3]:
+                        if not merged or kf.time > merged[-1].time:
                             merged.append(kf)
+                        elif kf.time == merged[-1].time:
+                            merged[-1] = kf
                 merged_all.extend(merged)
             merged_all.sort(key=lambda k: (k.time, k.property))
             merged_by_history[history] = tuple(merged_all)
-        tracks[eid] = merged_by_history[history]
+        tracks.update(dict.fromkeys(cls.members, merged_by_history[history]))
 
-    timeline = Timeline(
-        duration=duration,
-        tracks=tracks,
-        initial_visibility=initial,
-    )
-    return timeline, ValidationReport(advisories=tuple(advisories))
+    return Timeline(duration, tracks, initial), ValidationReport(advisories=tuple(advisories))
 
 
 def _ease(name: str, p: float) -> float:

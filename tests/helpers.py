@@ -9,8 +9,19 @@ primitives.
 import json
 import random
 import xml.etree.ElementTree as ET
+from operator import attrgetter
+
+from datareel.errors import PreconditionError
+from datareel.model import EFFECTS, ValidationReport, Violation, parse_animation
+from datareel.timeline import Keyframe, Timeline, alive_over, keyframes_for, lifetime_changes
 
 WS_ALPHABET = " \t\n"
+
+# 200 bytes of SVG whose entity d expands to a 10,000-character text.
+ENTITY_EXPANSION_SVG = (
+    '<!DOCTYPE svg [<!ENTITY a "xxxxxxxxxx"><!ENTITY b "&a;&a;&a;&a;&a;&a;&a;&a;&a;&a;">'
+    '<!ENTITY c "&b;&b;&b;&b;&b;&b;&b;&b;&b;&b;"><!ENTITY d "&c;&c;&c;&c;&c;&c;&c;&c;&c;&c;">]>'
+    "<svg><text>&d;</text></svg>")
 
 
 def reference_csv_parse(raw: str) -> list[list[str]]:
@@ -533,3 +544,100 @@ def reference_dump_artifact(payload) -> str:
         return encode(value)
 
     return layout(payload, "") + "\n"
+
+
+def reference_compile_timeline(placed, mark_index, duration: float):
+    """compile_timeline done per element: each ramp rescans and rebuilds the
+    kept groups of every element it names, in sorted id order.
+
+    Cues are processed in start order (cues that start together keep list
+    order; place lists them by segment), each by its model.EFFECTS row.
+    Elements with an entrance start hidden; everything else starts visible.
+    An "others" ramp dims only the marks alive over its whole interval (see
+    alive_over): from an entrance's start (or 0) to an exit's end.
+    Overlapping keyframe groups on the same element and property resolve
+    last-writer-wins with an advisory.
+
+    Keyframes carry no element id. Every element of one ramp shares one group
+    record, and elements that keep the same groups on every property share
+    one merged track tuple, which is merged once.
+    """
+    if duration <= 0:
+        raise PreconditionError("duration must be positive")
+    advisories: list[Violation] = []
+    # (element, property) -> the groups kept on that track, in arrival order.
+    groups: dict[tuple[str, str], list[dict]] = {}
+
+    def add_group(ramps, label: str):
+        for ids, kfs in ramps:
+            if not ids:
+                continue
+            for kf in kfs:
+                if not 0.0 <= kf.time <= duration:
+                    raise ValueError(f"keyframe time {kf.time} outside [0,{duration}]")
+            kfs = sorted(kfs, key=attrgetter("time"))
+            start, end, prop = kfs[0].time, kfs[-1].time, kfs[0].property
+            record = {"start": start, "end": end, "keyframes": kfs, "label": label}
+            for eid in sorted(ids):
+                kept = []
+                for g in groups.get((eid, prop), []):
+                    if g["start"] < end and start < g["end"]:
+                        advisories.append(Violation(
+                            "track-overlap", eid,
+                            f"{prop} keyframes from {g['label']!r} overlap {label!r}; "
+                            "later directive wins",
+                        ))
+                    else:
+                        kept.append(g)
+                kept.append(record)
+                groups[(eid, prop)] = kept
+
+    initial = {eid: "visible" for eid in mark_index.entries}
+    legend_ids = mark_index.ids_with_role("legend")
+    changes = lifetime_changes(placed)
+    for cue in sorted(placed, key=lambda cue: cue.interval[0]):
+        subjects = {ramp[0] for ramp in EFFECTS[parse_animation(cue.animation)][1]}
+        legend = legend_ids if "legend" in subjects else frozenset()
+        others = frozenset()
+        if "others" in subjects:
+            others = alive_over(changes, mark_index.mark_ids(), *cue.interval)
+        ramps, hidden = keyframes_for(cue.animation, cue.target_ids - legend, cue.interval,
+                                      legend_ids=legend, other_ids=others)
+        add_group(ramps, cue.label or cue.animation)
+        for eid in hidden:
+            initial[eid] = "hidden"
+
+    tracks: dict[str, tuple[Keyframe, ...]] = {}
+    by_element: dict[str, list[tuple[str, list[dict]]]] = {}
+    for (eid, prop), bucket in groups.items():
+        by_element.setdefault(eid, []).append((prop, bucket))
+    # An element's track follows from the groups it keeps on each property;
+    # a group record belongs to one property, so their ids in property order
+    # name that history.
+    merged_by_history: dict[tuple[int, ...], tuple[Keyframe, ...]] = {}
+    for eid, prop_buckets in by_element.items():
+        prop_buckets.sort(key=lambda pb: pb[0])
+        history = tuple([id(g) for _, bucket in prop_buckets for g in bucket])
+        if history not in merged_by_history:
+            merged_all: list[Keyframe] = []
+            for _, bucket in prop_buckets:
+                merged: list[Keyframe] = []
+                for g in sorted(bucket, key=lambda g: (g["start"], g["end"])):
+                    for kf in g["keyframes"]:
+                        if merged and kf.time == merged[-1].time:
+                            merged[-1] = kf
+                        elif merged and kf.time < merged[-1].time:
+                            continue
+                        else:
+                            merged.append(kf)
+                merged_all.extend(merged)
+            merged_all.sort(key=lambda k: (k.time, k.property))
+            merged_by_history[history] = tuple(merged_all)
+        tracks[eid] = merged_by_history[history]
+
+    timeline = Timeline(
+        duration=duration,
+        tracks=tracks,
+        initial_visibility=initial,
+    )
+    return timeline, ValidationReport(advisories=tuple(advisories))

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import signal
 import sys
+import time
 import wave
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -633,6 +637,43 @@ class TestCommandSynth:
         with pytest.raises(SynthFailure, match="no file"):
             synth.synthesize(_six_second_timeline(), "x.svg", "a.wav", tmp_path / "v.mp4")
 
+    @pytest.mark.parametrize("ending", ["success", "failure", "timeout"])
+    def test_its_timeline_input_is_removed_however_the_call_ends(self, tmp_path, ending):
+        # The timeline.json input was written beside the output and left there.
+        seen = tmp_path / "seen"
+        does = {"success": 'cat "$1" > "$(dirname "$0")/copy"; echo video > "$4"',
+                "failure": "exit 3", "timeout": "sleep 30"}[ending]
+        synth = CommandSynth(["sh", "-c", f'echo "$1" > "$0"; {does}', str(seen)])
+        synth.timeout = 0.5
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        if ending == "success":
+            synth.synthesize(_six_second_timeline(), tmp_path / "x.svg", tmp_path / "a.wav",
+                             out_dir / "video.mp4")
+            assert Timeline.from_text((tmp_path / "copy").read_text()) == _six_second_timeline()
+        else:
+            with pytest.raises(SynthFailure):
+                synth.synthesize(_six_second_timeline(), tmp_path / "x.svg",
+                                 tmp_path / "a.wav", out_dir / "video.mp4")
+        assert sorted(p.name for p in out_dir.iterdir()) == (
+            ["video.mp4"] if ending == "success" else [])
+        timeline_path = Path(seen.read_text().strip())
+        assert timeline_path.name == "video.timeline.json"
+        assert not timeline_path.parent.exists()
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a live process. A zombie, killed but not yet reaped by
+    the process that adopted it, is not; without /proc it counts as live."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return not Path("/proc/self").exists()
+
 
 _TOOL_FAILURES = {  # how the command fails -> its argv, and what the message names
     "missing-executable": (["/nonexistent/datareel-tool"], "No such file or directory"),
@@ -663,13 +704,30 @@ class TestCommandFailures:
         command, cause = _TOOL_FAILURES[how]
         tool = adapter(command)
         if how == "timeout":
-            tool.timeout = 0.2  # subprocess.run kills the sleeping child
+            tool.timeout = 0.2  # the runner kills the sleeping child's process group
         expected = exit_error if how == "nonzero-exit" else error
         with pytest.raises(expected) as err:
             call(tool, tmp_path)
         assert type(err.value) is expected
         assert _exit_code(StageError(stage, err.value)) == 4
         assert cause in str(err.value)
+
+    def test_a_timed_out_tool_takes_its_children_with_it(self, tmp_path):
+        # Only the tool's own process was killed: its children ran on.
+        pid_file = tmp_path / "pid"
+        renderer = CommandRenderer(["sh", "-c", 'sleep 30 & echo $! > "$0"; wait', str(pid_file)])
+        renderer.timeout = 0.2
+        with pytest.raises(RendererCrashed, match="timed out"):
+            renderer.render(_bar_spec())
+        pid = int(pid_file.read_text())
+        try:
+            deadline = time.monotonic() + 5.0
+            while _running(pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not _running(pid)
+        finally:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
     def test_renderer_output_that_is_not_utf8_is_a_crash(self):
         # A UnicodeDecodeError escaped here, which exits 1.

@@ -29,6 +29,7 @@ from datareel.binding import (
 from datareel.ingest import parse_csv
 from datareel.model import AnimationDirective, AnnotationDirective, dump_artifact
 from helpers import (
+    ENTITY_EXPANSION_SVG,
     random_svg,
     reference_ids,
     reference_role_paths,
@@ -378,11 +379,35 @@ class TestParseSvgAgreesWithReferenceWalks:
         assert [doc.role_paths[el.get("id")] for el in doc.elements] == reference_role_paths(text)
         assert not [name for el in doc.elements for name in el.attrib if "}" in name]
 
-    def test_entity_that_writes_a_prefixed_attribute(self):
-        # the entity's text spells xml: with a character reference
-        doc = parse_svg("<!DOCTYPE svg [<!ENTITY r \"<rect &#120;ml:space='preserve'/>\">]>"
-                        "<svg>&r;</svg>")
-        assert doc.elements[1].attrib == {"id": "e1", "space": "preserve"}
+
+
+
+class TestNoEntityExpansion:
+    """A renderer's SVG may have no DTD internal subset, the one place its
+    entities can be declared: expat expands them, exponentially in the
+    declaring text's length."""
+
+    @pytest.mark.parametrize("text", [
+        ENTITY_EXPANSION_SVG,
+        # an entity whose text spells xml: with a character reference
+        "<!DOCTYPE svg [<!ENTITY r \"<rect &#120;ml:space='preserve'/>\">]><svg>&r;</svg>",
+        '<!DOCTYPE svg [<!ELEMENT svg ANY>]><svg><rect/></svg>',
+        '\ufeff<?xml version="1.0"?>\n<!-- <svg> -->\n<?pi a?b?>\n<!DOCTYPE svg [\n]><svg/>',
+        '<!DOCTYPE svg SYSTEM "a>b" [<!ENTITY a "x">]><svg>&a;</svg>',
+    ], ids=["expansion", "prefixed-attribute", "element-declaration", "after-the-prolog",
+            "quoted-bracket"])
+    def test_an_internal_subset_is_not_svg(self, text):
+        with pytest.raises(NotSvg, match="a DTD internal subset is not allowed"):
+            parse_svg(text)
+
+    @pytest.mark.parametrize("text, tags", [
+        ('<!DOCTYPE svg PUBLIC "-//W3C//DTD SVG 1.1//EN" '
+         '"http://www.w3.org/Graphics/SVG/1.1/DTD/svg11.dtd"><svg><rect/></svg>', ["svg", "rect"]),
+        ("<!DOCTYPE svg SYSTEM 'a[b'><svg><text>&lt;&#120;&amp;</text></svg>", ["svg", "text"]),
+        ('<svg><!-- <!DOCTYPE svg [<!ENTITY a "x">]> --><rect/></svg>', ["svg", "rect"]),
+    ], ids=["external-id", "quoted-bracket-and-references", "declaration-in-a-comment"])
+    def test_a_doctype_without_internal_subset_parses(self, text, tags):
+        assert [el.tag for el in parse_svg(text).elements] == tags
 
 
 class TestDiffAnnotations:

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from datareel import pipeline
-from datareel.adapters import MockRenderer
+from datareel.adapters import CommandRenderer, MockRenderer
 from datareel.binding import UnboundMark
 from datareel.cli import _parser, main
 from datareel.errors import PreconditionError, StageError
@@ -32,6 +32,7 @@ from datareel.pipeline import (
 )
 from datareel.runtime import HttpChatBackend, RepairExhausted
 from conftest import GOLDEN_DIR, STOCK_COMPANIES, TRANSCRIPTS
+from helpers import ENTITY_EXPANSION_SVG
 
 
 @pytest.fixture(scope="module")
@@ -1264,6 +1265,21 @@ class TestCli:
         assert code == 4, output
         assert f"stage '{stage}' failed: rendered {role} '" in output
         assert "carries malformed data-row '1_" in output
+
+    def test_renderer_svg_with_a_dtd_internal_subset_exit_code_4(self, tmp_path, stock_csv_path,
+                                                                capsys, monkeypatch):
+        # The mock renderer hands the spec to a stub renderer command whose
+        # SVG would expand to a 10,000-character text.
+        stub = tmp_path / "render.py"
+        stub.write_text("import sys\nsys.stdin.read()\n"
+                        f"sys.stdout.write({ENTITY_EXPANSION_SVG!r})\n", encoding="utf-8")
+        command = CommandRenderer([sys.executable, str(stub)])
+        monkeypatch.setattr(MockRenderer, "render", lambda renderer, spec: command.render(spec))
+        code, output = _cli(capsys, "run", "--input", str(stock_csv_path),
+                            "--config", str(self._config_file(tmp_path)))
+        assert code == 4, output
+        assert "stage 'base_render' failed: " in output
+        assert "renderer emitted invalid SVG: a DTD internal subset is not allowed" in output
 
     @pytest.mark.parametrize("attempts, exit_code", [(3, 4), (1, 3)])
     def test_malformed_description_reply_exit_code(self, tmp_path, stock_csv_path, capsys,

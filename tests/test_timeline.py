@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from datareel import timeline as timeline_module
@@ -18,6 +18,7 @@ from datareel.errors import PreconditionError
 from datareel.designer import validate_animation_sequence, validate_designer_output
 from datareel.model import (
     ANIMATIONS,
+    EFFECTS,
     AnimationDirective,
     AnnotationDirective,
     DesignerOutput,
@@ -52,6 +53,7 @@ from helpers import (
     parse_html_rules,
     random_text,
     reference_align_segments,
+    reference_compile_timeline,
     reference_dump_artifact,
     reference_html_rules,
     reference_value_at,
@@ -764,6 +766,89 @@ grid_frame_times = st.one_of(
     st.sampled_from([2, 4, 8]).map(lambda fps: [f / fps for f in range(int(DURATION * fps))]),
     st.lists(st.sampled_from(GRID), max_size=30).map(sorted),
 )
+
+
+# Effects whose ramps start after their cue does or end before it does, so
+# that groups arrive out of start order and a ramp may overlap several kept
+# groups; model.EFFECTS has none of these yet.
+STAGGERED_EFFECTS = {
+    "Late-bounce": ("emphasis", (("targets", "scale", ((1, 2, 1.0), (3, 4, 1.2), (0, -1, 1.0)),
+                                  "linear"),)),
+    "Brief-dim": ("emphasis", (("others", "opacity", ((0, 1, 1.0), (1, 4, 0.5)), "linear"),
+                               ("targets", "scale", ((1, 4, 1.0), (1, 2, 1.1)), "ease-in"))),
+    "Late-fade-in": ("entrance", (("targets", "opacity", ((1, 2, 0.0), (0, -1, 1.0)), "linear"),
+                                  ("legend", "opacity", ((2, 3, 0.0), (0, -1, 1.0)), "linear"))),
+}
+
+
+@st.composite
+def cue_lists(draw):
+    """(cues, mark index, duration) for compile_timeline: random animations
+    (entrances, emphases, exits, so re-entrances too, and STAGGERED_EFFECTS)
+    and annotation cues on coarse intervals, so groups overlap often, on
+    marks, a legend and annotations. Now and then a duration the cues run
+    past, or an unknown animation."""
+    coarse = st.lists(st.sampled_from(GRID[::4]), min_size=2, max_size=2, unique=True).map(
+        lambda pair: tuple(sorted(pair)))
+    ids = st.frozensets(st.sampled_from(MARKS + LEGEND + ANNOTATIONS + ("ghost",)), min_size=1)
+    cues = []
+    for _ in range(draw(st.integers(0, 8))):
+        animation = draw(st.sampled_from(
+            (ANIMATIONS + tuple(STAGGERED_EFFECTS)) * 4 + (" Fade-in ", "Spin")))
+        cues.append(PlacedDirective(animation, draw(ids), draw(coarse | intervals()),
+                                    draw(st.sampled_from(["", "first", "second"]))))
+    for _ in range(draw(st.integers(0, 2))):
+        cues += _annotation_cues(
+            draw(coarse), draw(st.lists(st.sampled_from(ANNOTATIONS), min_size=1)))
+    index = _index(marks=MARKS, legend=LEGEND, axes=("ax",), annotations=ANNOTATIONS)
+    duration = draw(st.sampled_from([DURATION] * 3 + [DURATION / 2]))
+    return draw(st.permutations(cues)), index, duration
+
+
+def _compiled(compile_, cues, index, duration):
+    """compile_'s timeline, its track-sharing partition and its advisories, or
+    the type and message of what it raises."""
+    try:
+        timeline, report = compile_(cues, index, duration)
+    except Exception as e:
+        return type(e), str(e)
+    sharing: dict[int, list[str]] = {}
+    for eid, track in timeline.tracks.items():
+        sharing.setdefault(id(track), []).append(eid)
+    return (timeline, sorted(sorted(ids) for ids in sharing.values()),
+            timeline.initial_visibility, report.advisories)
+
+
+class TestCompileDifferential:
+    """compile_timeline's work per class of elements with one history equals
+    the per-element compile it replaced."""
+
+    @given(cue_lists())
+    # Groups that arrive after a later-starting one; a ramp over two kept
+    # groups that arrived in the other order than they start.
+    @example(([PlacedDirective("Late-fade-in", frozenset({"m0"}), (0.0, 2.0)),
+               PlacedDirective("Axes-fade-in", frozenset({"m0"}), (0.0, 1.0))], _index(), 10.0))
+    @example(([PlacedDirective("Brief-dim", frozenset({"m0"}), (4.0, 8.0), "first"),
+               PlacedDirective("Bar-bounce", frozenset({"m0"}), (4.5, 5.0), "second"),
+               PlacedDirective("Bar-grow-in", frozenset({"m0"}), (4.75, 9.0))], _index(), 10.0))
+    def test_equals_the_per_element_compile(self, case):
+        with patch.dict(EFFECTS, STAGGERED_EFFECTS):
+            assert _compiled(compile_timeline, *case) == _compiled(
+                reference_compile_timeline, *case)
+
+    def test_overlaps_advise_in_element_order_and_equal_histories_share(self):
+        # m1 and m0 keep a bounce each, so they fall in two classes; the
+        # wide bounce overlaps both, and leaves them one history again.
+        cues = [PlacedDirective("Bar-bounce", frozenset({"m1"}), (1.0, 3.0), "m1 alone"),
+                PlacedDirective("Bar-bounce", frozenset({"m0"}), (1.5, 4.0), "m0 alone"),
+                PlacedDirective("Bar-bounce", frozenset({"m0", "m1"}), (2.0, 9.0), "wide")]
+        timeline, report = compile_timeline(cues, _index(), 10.0)
+        assert [(v.path, v.message) for v in report.advisories] == [
+            ("m0", "scale keyframes from 'm0 alone' overlap 'wide'; later directive wins"),
+            ("m1", "scale keyframes from 'm1 alone' overlap 'wide'; later directive wins")]
+        assert timeline.tracks["m0"] is timeline.tracks["m1"]
+        assert _compiled(compile_timeline, cues, _index(), 10.0) == _compiled(
+            reference_compile_timeline, cues, _index(), 10.0)
 
 
 def _hold_between_ramps():
