@@ -425,10 +425,17 @@ class MockRenderer:
         return out
 
 
+# The most stdout a tool command may write, and the tail of its stderr kept
+# for its failure's message (see README, "Tool contracts").
+MAX_TOOL_OUTPUT = 64 << 20
+_STDERR_TAIL = 4096
+
+
 def _run_tool(command: list[str], timeout: float, failure, stdin: bytes | None = None) -> bytes:
     """Run a tool command in a session of its own and return its stdout. A
-    timeout or a failure to start (exit -1) and a nonzero exit (negative for
-    a signal) raise failure(exit_code, detail), detail the cause or stderr."""
+    timeout, more than MAX_TOOL_OUTPUT bytes of stdout or a failure to start
+    (exit -1) and a nonzero exit (negative for a signal) raise
+    failure(exit_code, detail), detail the cause or stderr's tail."""
     # subprocess is imported here only: no mock run, validate or inspect starts a process.
     import signal
     import subprocess
@@ -438,8 +445,8 @@ def _run_tool(command: list[str], timeout: float, failure, stdin: bytes | None =
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               start_new_session=True) as process:
             try:
-                stdout, stderr = process.communicate(stdin, timeout)
-            except BaseException:  # a timeout or an interrupt kills the whole session
+                stdout, stderr = _communicate(process, stdin, timeout, failure)
+            except BaseException:  # a timeout, a flood or an interrupt kills the whole session
                 os.killpg(process.pid, signal.SIGKILL)
                 process.wait()
                 raise
@@ -450,6 +457,48 @@ def _run_tool(command: list[str], timeout: float, failure, stdin: bytes | None =
     if process.returncode != 0:
         raise failure(process.returncode, stderr.decode("utf-8", errors="replace").strip())
     return stdout
+
+
+def _communicate(process, stdin: bytes | None, timeout: float, failure) -> tuple[bytes, bytes]:
+    """process's stdout and its stderr's last _STDERR_TAIL bytes once it
+    exits, stdin written to it. Raises subprocess.TimeoutExpired after
+    timeout seconds, and failure(-1, ...) past MAX_TOOL_OUTPUT bytes of
+    stdout; the caller kills the process."""
+    import select
+    import selectors
+    import subprocess
+    import time
+
+    deadline = time.monotonic() + timeout
+    stdout, stderr, pending = bytearray(), bytearray(), memoryview(stdin or b"")
+    with selectors.DefaultSelector() as selector:
+        selector.register(process.stdout, selectors.EVENT_READ, stdout)
+        selector.register(process.stderr, selectors.EVENT_READ, stderr)
+        if process.stdin:
+            selector.register(process.stdin, selectors.EVENT_WRITE)
+        while selector.get_map():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise subprocess.TimeoutExpired(process.args, timeout)
+            for key, _ in selector.select(remaining):
+                if key.data is None:  # stdin takes PIPE_BUF bytes without blocking
+                    try:
+                        pending = pending[os.write(key.fd, pending[:select.PIPE_BUF]):]
+                    except BrokenPipeError:  # the tool stopped reading
+                        pending = pending[:0]
+                    done = not pending
+                else:
+                    chunk = os.read(key.fd, 1 << 16)
+                    key.data.extend(chunk)
+                    done = not chunk
+                if done:
+                    selector.unregister(key.fileobj)
+                    key.fileobj.close()
+            if len(stdout) > MAX_TOOL_OUTPUT:
+                raise failure(-1, f"wrote more than {MAX_TOOL_OUTPUT} bytes to stdout")
+            del stderr[:-_STDERR_TAIL]
+    process.wait(max(deadline - time.monotonic(), 0))
+    return bytes(stdout), bytes(stderr)
 
 
 def _renderer_failure(exit_code: int, detail: str) -> AdapterError:

@@ -20,8 +20,6 @@ from .model import (
     Violation,
     build_read,
     mark_type,
-    parse_insight_type,
-    parse_visualization_type,
     read_typed,
     spec_layers,
     structure_violations,
@@ -48,12 +46,12 @@ def parse_analyst_response(raw: str) -> AnalystOutput:
 def _iter_encodings(spec: dict):
     """Yield (path, encoding dict) for the top level and every layer."""
     if isinstance(spec.get("encoding"), dict):
-        yield "encoding", spec["encoding"]
+        yield "Visualization.encoding", spec["encoding"]
     layers = spec.get("layer")
     if isinstance(layers, list):
         for i, layer in enumerate(layers):
             if isinstance(layer, dict) and isinstance(layer.get("encoding"), dict):
-                yield f"layer[{i}].encoding", layer["encoding"]
+                yield f"Visualization.layer[{i}].encoding", layer["encoding"]
 
 
 def validate_visualization(spec: VisualizationSpec) -> ValidationReport:
@@ -61,7 +59,7 @@ def validate_visualization(spec: VisualizationSpec) -> ValidationReport:
 
     Never raises: violations are fatal to the repair loop, advisories are not.
     """
-    violations = list(structure_violations(spec.spec, ""))
+    violations = list(structure_violations(spec.spec, "Visualization"))
     advisories = []
     if isinstance(spec.spec, dict):
         for path, encoding in _iter_encodings(spec.spec):
@@ -81,14 +79,13 @@ def validate_visualization(spec: VisualizationSpec) -> ValidationReport:
                 for l in layers
             ) or any(mark_type(l) in ("point", "circle") for l in layers)
             if not has_points:
-                advisories.append(
-                    Violation("line-points", "", "line chart should include data points")
-                )
+                advisories.append(Violation("line-points", "Visualization",
+                                            "line chart should include data points"))
         if spec.vis_type == "pie":
             if not any(mark_type(l) == "text" for l in layers):
                 advisories.append(
                     Violation(
-                        "pie-label", "",
+                        "pie-label", "Visualization",
                         "pie chart should display percentages via a text layer",
                     )
                 )
@@ -96,7 +93,7 @@ def validate_visualization(spec: VisualizationSpec) -> ValidationReport:
         if title is not None and len(title.split()) > MAX_TITLE_WORDS:
             advisories.append(
                 Violation(
-                    "title-length", "title",
+                    "title-length", "Visualization.title",
                     f"title has {len(title.split())} words; keep it under {MAX_TITLE_WORDS}",
                 )
             )
@@ -160,9 +157,9 @@ def analyst_output_from_json(value) -> AnalystOutput:
     reply = read_typed(AnalystJson, value, ignore_extra_keys=True)
     insights = tuple([
         build_read(Insight, "Insights", position, insight=item["insight"],
-                   types=tuple(map(parse_insight_type, item["type"])))
+                   types=tuple(item["type"]))
         for position, item in enumerate(reply["Insights"])])
-    visualization = VisualizationSpec(reply["Visualization"],
-                                      parse_visualization_type(reply["Visualization_Type"]))
+    visualization = build_read(VisualizationSpec, "Visualization_Type",
+                               spec=reply["Visualization"], vis_type=reply["Visualization_Type"])
     return build_read(AnalystOutput, insights=insights, visualization=visualization,
                       narration=reply["Narration"])

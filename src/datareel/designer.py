@@ -19,12 +19,11 @@ from .model import (
     AnnotationDirective,
     DataTable,
     DesignerOutput,
-    IndexOutOfRange,
+    JsonTypeError,
     ValidationReport,
     Violation,
     VisualizationSpec,
     build_read,
-    parse_annotation_type,
     read_typed,
     structure_violations,
 )
@@ -78,56 +77,57 @@ def validate_animation_sequence(directives, narration: str,
     (see _locate) are reported and excluded from the ordering rules. Targets
     with no entrance are visible from time zero, so emphasizing them is
     always legal; a target that exits is gone until an entrance of it starts.
+    Each finding's path is its directive's place in the reply.
     """
     if resolver is None:
         resolver = default_target_resolver
-    spans, report = _locate(narration, [d.narration for d in directives],
-                            [d.animation for d in directives])
+    paths = [f"Annotated_Narration_for_Animation[{i}]" for i in range(len(directives))]
+    spans, report = _locate(narration, [d.narration for d in directives], paths)
     violations: list[Violation] = []
     located = []
-    for d, span in zip(directives, spans):
+    for path, d, span in zip(paths, directives, spans):
         if span is None:
             continue
         try:
-            located.append((span, d, resolver(d)))
+            located.append((span, d, resolver(d), path))
         except ContractError as e:
-            violations.append(Violation("unresolved-target", d.animation, str(e)))
+            violations.append(Violation("unresolved-target", path, str(e)))
     located.sort(key=lambda item: (item[0], item[1].animation, item[1].target))
 
     sentence_end = first_sentence_end(narration)
     # The compiler's lifetime rule, on the narration's character offsets.
-    changes = lifetime_changes([PlacedDirective(d.animation, t, s) for s, d, t in located])
+    changes = lifetime_changes([PlacedDirective(d.animation, t, s) for s, d, t, _ in located])
     first_entrance: dict = {}  # target identity -> its first entrance's start
     for time, born, ids in changes:
         for x in ids if born else ():
             first_entrance.setdefault(x, time)
 
-    for (start, end), d, targets in located:
+    for (start, end), d, targets, path in located:
         if d.animation in FIRST_SENTENCE_ONLY and end > sentence_end:
             violations.append(Violation(
-                "axes-first-sentence", d.animation,
+                "axes-first-sentence", path,
                 f"{d.animation} may only be used within the first sentence of the narration",
             ))
         if d.category != "entrance":
             if any(first_entrance.get(x, -1) > start for x in targets):
                 kind = "emphasized" if d.category == "emphasis" else "removed"
                 violations.append(Violation(
-                    "appear-before-emphasis", d.animation,
+                    "appear-before-emphasis", path,
                     f"target {d.target!r} is {kind} before its entrance animation",
                 ))
         if d.category == "emphasis":
             gone = targets - alive_over(changes, targets, start, start)
             if any(time <= start and ids & gone for time, _, ids in changes):
                 violations.append(Violation(
-                    "emphasis-after-exit", d.animation,
+                    "emphasis-after-exit", path,
                     f"target {d.target!r} is emphasized after it has disappeared",
                 ))
 
-    seen = Counter((d.animation, d.narration, d.target) for d in directives)
-    advisories = [Violation("duplicate-directive", animation,
-                            f"{count} identical directives on {target!r} for {segment!r}; "
+    keys = [(d.animation, d.narration, d.target) for d in directives]
+    advisories = [Violation("duplicate-directive", paths[keys.index(key)],
+                            f"{count} identical directives on {key[2]!r} for {key[1]!r}; "
                             "collapsed")
-                  for (animation, segment, target), count in seen.items() if count > 1]
+                  for key, count in Counter(keys).items() if count > 1]
     return report.merged(ValidationReport(tuple(violations), tuple(advisories)))
 
 
@@ -138,7 +138,8 @@ def validate_designer_output(output: DesignerOutput, narration: str,
     structural = structure_violations(output.annotated_visualization,
                                       "Annotated_Visualization")
     _, located = _locate(narration, [d.nar for d in output.annotation_directives],
-                         [f"annotation[{i}]" for i in range(len(output.annotation_directives))])
+                         [f"Annotated_Narration_for_Annotation[{i}]"
+                          for i in range(len(output.annotation_directives))])
     return ValidationReport(violations=structural).merged(
         validate_animation_sequence(output.animation_directives, narration, resolver)
     ).merged(located)
@@ -208,35 +209,37 @@ def designer_output_to_json(output: DesignerOutput) -> dict:
     }
 
 
-def _rows(index: list[int], table: DataTable) -> tuple[int, ...]:
-    for row in index:
+def _rows(index: list[int], table: DataTable, key: str, position: int) -> tuple[int, ...]:
+    for k, row in enumerate(index):
         if not 0 <= row < table.row_count:
-            raise IndexOutOfRange(row, table.row_count)
+            raise JsonTypeError(f"{key}[{position}].index[{k}]: row {row} out of range "
+                                f"(table has {table.row_count} rows)")
     return tuple(index)
 
 
 def designer_output_from_json(value, table: DataTable) -> DesignerOutput:
     """Build a DesignerOutput from a parsed reply or a persisted designer.json
-    payload; raises JsonTypeError where the value breaks the reply format and
-    IndexOutOfRange for a row outside table. An annotation item whose type
-    list is empty is dropped, whatever else it holds."""
+    payload; raises JsonTypeError where the value breaks the reply format,
+    a row outside table included. An annotation item whose type list is
+    empty is dropped, whatever else it holds, but it still counts in the
+    positions that error paths name."""
     key = "Annotated_Narration_for_Annotation"
     if isinstance(value, dict) and isinstance(value.get(key), list):
         value = {**value, key: [_DROPPED if isinstance(item, dict) and item.get("type") == []
                                 else item for item in value[key]]}
     reply = read_typed(DesignerJson, value, ignore_extra_keys=True)
+    animations = "Annotated_Narration_for_Animation"
     return DesignerOutput(
         annotated_visualization=reply["Annotated_Visualization"],
         animation_directives=tuple([
-            build_read(AnimationDirective, "Annotated_Narration_for_Animation", position,
-                       animation=item["animation"].strip(), narration=item["narration"],
-                       target=item["target"], index=_rows(item["index"], table),
-                       explanation=item["explanation"])
-            for position, item in enumerate(reply["Annotated_Narration_for_Animation"])]),
+            build_read(AnimationDirective, animations, position,
+                       animation=item["animation"], narration=item["narration"],
+                       target=item["target"], explanation=item["explanation"],
+                       index=_rows(item["index"], table, animations, position))
+            for position, item in enumerate(reply[animations])]),
         annotation_directives=tuple([
-            build_read(AnnotationDirective, "Annotated_Narration_for_Annotation", position,
-                       types=tuple(map(parse_annotation_type, item["type"])),
-                       description=item["description"], index=_rows(item["index"], table),
-                       nar=item["nar"])
+            build_read(AnnotationDirective, key, position, types=tuple(item["type"]),
+                       description=item["description"],
+                       index=_rows(item["index"], table, key, position), nar=item["nar"])
             for position, item in enumerate(reply[key]) if item["type"]]),
     )

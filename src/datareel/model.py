@@ -21,35 +21,11 @@ from .errors import ContractError
 Cell = str | int | float | None
 
 
-class UnknownInsightType(ContractError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown insight type: {name!r}")
-        self.name = name
+class UnknownName(ContractError, ValueError):
+    """A name outside its closed vocabulary; the message lists the allowed names."""
 
-
-class UnknownVisualizationType(ContractError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown visualization type: {name!r}")
-        self.name = name
-
-
-class UnknownAnimation(ContractError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown animation: {name!r}")
-        self.name = name
-
-
-class UnknownAnnotationType(ContractError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown annotation type: {name!r}")
-        self.name = name
-
-
-class IndexOutOfRange(ContractError):
-    def __init__(self, row: int, row_count: int):
-        super().__init__(f"row index {row} out of range for table with {row_count} rows")
-        self.row = row
-        self.row_count = row_count
+    def __init__(self, kind: str, name: str, names):
+        super().__init__(f"unknown {kind} {name!r}; one of {', '.join(map(repr, names))}")
 
 
 INSIGHT_TYPES = (
@@ -130,26 +106,26 @@ FIRST_SENTENCE_ONLY = ("Axes-fade-in",)
 ANNOTATION_TYPES = ("mark label", "circle", "text", "rule", "trend line", "arrow")
 
 
-def _vocabulary(names, unknown: type[ContractError]):
-    """Exact-match lookup of a name, trimmed, into names; else raises unknown(name)."""
+def _vocabulary(kind: str, names):
+    """Exact-match lookup of a name, trimmed, into names; else raises UnknownName."""
     def lookup(name: str) -> str:
         if name.strip() not in names:
-            raise unknown(name)
+            raise UnknownName(kind, name, names)
         return name.strip()
     return lookup
 
 
-parse_animation = _vocabulary(EFFECTS, UnknownAnimation)
+parse_animation = _vocabulary("animation", EFFECTS)
 
 
 def classify_animation(name: str) -> str:
-    """Return the category of a known animation name; raise UnknownAnimation otherwise."""
+    """Return the category of a known animation name; raise UnknownName otherwise."""
     return EFFECTS[parse_animation(name)][0]
 
 
-parse_insight_type = _vocabulary(INSIGHT_TYPES, UnknownInsightType)
-parse_visualization_type = _vocabulary(VISUALIZATION_TYPES, UnknownVisualizationType)
-parse_annotation_type = _vocabulary(ANNOTATION_TYPES, UnknownAnnotationType)
+parse_insight_type = _vocabulary("insight type", INSIGHT_TYPES)
+parse_visualization_type = _vocabulary("visualization type", VISUALIZATION_TYPES)
+parse_annotation_type = _vocabulary("annotation type", ANNOTATION_TYPES)
 
 
 class Record:
@@ -198,7 +174,7 @@ class DataTable(Record):
 
     def row(self, index: int) -> dict[str, Cell]:
         if not 0 <= index < self.row_count:
-            raise IndexOutOfRange(index, self.row_count)
+            raise IndexError(f"row {index} out of range (table has {self.row_count} rows)")
         return {name: values[index] for name, values in self.columns}
 
 
@@ -223,9 +199,7 @@ class Insight(Record):
             raise ValueError("insight text must be non-empty")
         if not types:
             raise ValueError("insight must carry at least one type")
-        for t in types:
-            parse_insight_type(t)
-        self.insight, self.types = insight, types
+        self.insight, self.types = insight, tuple([parse_insight_type(t) for t in types])
 
 
 class VisualizationSpec(Record):
@@ -239,8 +213,7 @@ class VisualizationSpec(Record):
     __slots__ = ("spec", "vis_type")
 
     def __init__(self, spec: dict, vis_type: str):
-        parse_visualization_type(vis_type)
-        self.spec, self.vis_type = spec, vis_type
+        self.spec, self.vis_type = spec, parse_visualization_type(vis_type)
 
 
 def structure_violations(spec, path: str) -> tuple["Violation", ...]:
@@ -315,15 +288,15 @@ class AnimationDirective(Record):
 
     def __init__(self, animation: str, narration: str, target: str, index: tuple[int, ...],
                  explanation: str = ""):
-        classify_animation(animation)
+        self.animation = parse_animation(animation)
         if not narration.strip():
             raise ValueError("narration segment must be non-empty")
-        self.animation, self.narration, self.target = animation, narration, target
-        self.index, self.explanation = index, explanation
+        self.narration, self.target, self.index = narration, target, index
+        self.explanation = explanation
 
     @property
     def category(self) -> str:
-        return classify_animation(self.animation)
+        return EFFECTS[self.animation][0]
 
 
 class AnnotationDirective(Record):
@@ -335,11 +308,10 @@ class AnnotationDirective(Record):
                  nar: str):
         if not types:
             raise ValueError("annotation directive must carry at least one type")
-        for t in types:
-            parse_annotation_type(t)
+        self.types = tuple([parse_annotation_type(t) for t in types])
         if not nar.strip():
             raise ValueError("annotation narration segment must be non-empty")
-        self.types, self.description, self.index, self.nar = types, description, index, nar
+        self.description, self.index, self.nar = description, index, nar
 
 
 class AnalystOutput(Record):

@@ -20,12 +20,7 @@ from datareel.model import (
     EFFECTS,
     AnimationDirective,
     AnnotationDirective,
-    IndexOutOfRange,
     JsonTypeError,
-    UnknownAnimation,
-    UnknownAnnotationType,
-    UnknownInsightType,
-    UnknownVisualizationType,
 )
 from datareel.pipeline import ProjectConfig, run_pipeline, validate_project
 from datareel.runtime import extract_json
@@ -155,9 +150,9 @@ def test_criterion_2_contract_parsing():
             (analyze, _analyst_reply(Visualization=_DROP), JsonTypeError),
             (analyze, _analyst_reply(Visualization_Type=_DROP), JsonTypeError),
             (analyze, _analyst_reply(Narration=_DROP), JsonTypeError),
-            (analyze, _analyst_reply(Visualization_Type="heatmap"), UnknownVisualizationType),
+            (analyze, _analyst_reply(Visualization_Type="heatmap"), JsonTypeError),
             (analyze, _analyst_reply(
-                Insights=[{"insight": "x", "type": ["Correlation"]}]), UnknownInsightType),
+                Insights=[{"insight": "x", "type": ["Correlation"]}]), JsonTypeError),
             (analyze, _analyst_reply(Insights=[]), JsonTypeError),
             (analyze, _analyst_reply(Insights=[{"insight": "x", "type": []}]), JsonTypeError),
             (analyze, _analyst_reply(Insights={"not": "a list"}), JsonTypeError),
@@ -172,17 +167,17 @@ def test_criterion_2_contract_parsing():
             (design, _designer_reply(Annotated_Narration_for_Annotation=_DROP), JsonTypeError),
             (design, _designer_reply(Annotated_Narration_for_Animation=[{
                 "animation": "Slide-in", "narration": "x", "target": "t",
-                "index": [], "explanation": "e"}]), UnknownAnimation),
+                "index": [], "explanation": "e"}]), JsonTypeError),
             (design, _designer_reply(Annotated_Narration_for_Annotation=[{
                 "type": ["banner"], "description": "d", "index": [], "nar": "n",
-            }]), UnknownAnnotationType),
+            }]), JsonTypeError),
             (design, _designer_reply(Annotated_Narration_for_Annotation=[
                 {"type": []},
                 {"type": ["text"], "description": "d", "index": [1], "nar": "Prices"},
             ]), None),
             (design, _designer_reply(Annotated_Narration_for_Animation=[{
                 "animation": "Fade-in", "narration": "x", "target": "t",
-                "index": [99], "explanation": "e"}]), IndexOutOfRange),
+                "index": [99], "explanation": "e"}]), JsonTypeError),
             (design, _designer_reply(Annotated_Narration_for_Animation=[{
                 "animation": "Fade-in", "narration": "x", "target": "t",
                 "index": [0]}]), JsonTypeError),

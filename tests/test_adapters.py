@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from datareel import adapters
 from datareel.adapters import (
     CommandRenderer,
     CommandSynth,
@@ -728,6 +729,23 @@ class TestCommandFailures:
         finally:
             if _running(pid):
                 os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize("size", [100_000, 4096])
+    def test_stdout_past_the_limit_is_a_crash(self, monkeypatch, size):
+        # The whole of a tool's stdout was held in memory, however large.
+        monkeypatch.setattr(adapters, "MAX_TOOL_OUTPUT", 4096)
+        renderer = CommandRenderer([sys.executable, "-c",
+                                    f"import sys; sys.stdout.buffer.write(b'x' * {size})"])
+        if size == 4096:
+            assert renderer.render(_bar_spec()) == "x" * 4096
+            return
+        with pytest.raises(RendererCrashed, match="wrote more than 4096 bytes to stdout") as err:
+            renderer.render(_bar_spec())
+        assert _exit_code(StageError("base_render", err.value)) == 4
+
+    def test_stdin_larger_than_a_pipe_reaches_the_tool(self):
+        spec = _bar_spec(rows=5000)  # about 130 KB of JSON, past a pipe's 64 KiB buffer
+        assert CommandRenderer(["cat"]).render(spec) == json.dumps(spec)
 
     def test_renderer_output_that_is_not_utf8_is_a_crash(self):
         # A UnicodeDecodeError escaped here, which exits 1.

@@ -15,8 +15,6 @@ from datareel.model import (
     DataDescription,
     DataTable,
     JsonTypeError,
-    UnknownInsightType,
-    UnknownVisualizationType,
     VisualizationSpec,
 )
 from datareel.runtime import ChatSession, MockChatBackend, RepairExhausted
@@ -79,15 +77,20 @@ class TestParse:
         assert "Narration" in str(err.value)
 
     def test_unknown_visualization_type(self):
-        with pytest.raises(UnknownVisualizationType):
+        with pytest.raises(JsonTypeError) as err:
             parse_analyst_response(_minimal_reply(Visualization_Type="heatmap"))
+        assert str(err.value) == ("Visualization_Type: unknown visualization type 'heatmap'; "
+                                  "one of 'bar', 'scatter', 'pie', 'line'")
 
     def test_unknown_insight_type(self):
         reply = _minimal_reply(
-            Insights=[{"insight": "x", "type": ["Correlation"]}]
+            Insights=[{"insight": "x", "type": ["Trend"]},
+                      {"insight": "y", "type": ["Trend", "Correlation"]}]
         )
-        with pytest.raises(UnknownInsightType):
+        with pytest.raises(JsonTypeError) as err:
             parse_analyst_response(reply)
+        assert str(err.value).startswith(
+            "Insights[1]: unknown insight type 'Correlation'; one of 'Change Over Time', ")
 
     def test_empty_insights(self):
         with pytest.raises(JsonTypeError):

@@ -13,10 +13,7 @@ from datareel.designer import (
 from datareel.ingest import load_template, parse_csv, render_table_text
 from datareel.model import (
     AnimationDirective,
-    IndexOutOfRange,
     JsonTypeError,
-    UnknownAnimation,
-    UnknownAnnotationType,
     VisualizationSpec,
 )
 from datareel.runtime import ChatSession, MockChatBackend, RepairExhausted
@@ -89,16 +86,24 @@ class TestParse:
         assert output.animation_directives[0].animation == "Line-wipe-in"
 
     def test_unknown_animation(self, table):
-        reply = _reply(animations=[_directive("Slide-in", "The chart")])
-        with pytest.raises(UnknownAnimation):
+        reply = _reply(animations=[_directive("Fade-in", "The chart"),
+                                   _directive("Slide-in", "The chart")])
+        with pytest.raises(JsonTypeError) as err:
             parse_designer_response(reply, table)
+        assert str(err.value).startswith(
+            "Annotated_Narration_for_Animation[1]: unknown animation 'Slide-in'; "
+            "one of 'Axes-fade-in', 'Bar-grow-in', ")
+        assert str(err.value).endswith(", 'Fade-out'")
 
     def test_unknown_annotation_type(self, table):
         reply = _reply(annotations=[{
             "type": ["banner"], "description": "x", "index": [], "nar": "The chart",
         }])
-        with pytest.raises(UnknownAnnotationType):
+        with pytest.raises(JsonTypeError) as err:
             parse_designer_response(reply, table)
+        assert str(err.value) == (
+            "Annotated_Narration_for_Annotation[0]: unknown annotation type 'banner'; "
+            "one of 'mark label', 'circle', 'text', 'rule', 'trend line', 'arrow'")
 
     def test_empty_type_items_dropped(self, table):
         reply = _reply(annotations=[
@@ -110,14 +115,21 @@ class TestParse:
         assert output.annotation_directives[0].description == "keep"
 
     def test_index_out_of_range(self, table):
-        reply = _reply(animations=[_directive("Fade-in", "Series A", index=(6,))])
-        with pytest.raises(IndexOutOfRange):
+        reply = _reply(animations=[_directive("Fade-in", "Series A", index=(0, 6))])
+        with pytest.raises(JsonTypeError) as err:
             parse_designer_response(reply, table)
+        assert str(err.value) == ("Annotated_Narration_for_Animation[0].index[1]: "
+                                  "row 6 out of range (table has 6 rows)")
 
     def test_negative_index(self, table):
-        reply = _reply(animations=[_directive("Fade-in", "Series A", index=(-1,))])
-        with pytest.raises(IndexOutOfRange):
+        reply = _reply(annotations=[
+            {"type": []},
+            {"type": ["text"], "description": "x", "index": [-1], "nar": "Series A"}])
+        with pytest.raises(JsonTypeError) as err:
             parse_designer_response(reply, table)
+        # The dropped item still counts in the position.
+        assert str(err.value) == ("Annotated_Narration_for_Annotation[1].index[0]: "
+                                  "row -1 out of range (table has 6 rows)")
 
     def test_missing_key(self, table):
         payload = json.loads(_reply())
@@ -234,11 +246,16 @@ class TestLegalityRules:
             _ad("Fade-in", THIRD, target="A", index=(0,)),
             _ad("Bar-bounce", FOURTH, target="A", index=(0,)),
         ]
-        baseline = validate_animation_sequence(directives, NARRATION)
-        flipped = validate_animation_sequence(list(reversed(directives)), NARRATION)
-        assert sorted(str(v) for v in baseline.violations) == sorted(
-            str(v) for v in flipped.violations
-        )
+        def findings(order):
+            # Each violation with the place in directives of the item its path names.
+            report = validate_animation_sequence([directives[i] for i in order], NARRATION)
+            return sorted((v.code, order[int(v.path.removeprefix(
+                "Annotated_Narration_for_Animation[").removesuffix("]"))], v.message)
+                for v in report.violations)
+
+        baseline = findings(range(len(directives)))
+        assert baseline
+        assert baseline == findings(range(len(directives))[::-1])
 
     def test_resolver_intersection_semantics(self):
         # resolved sets intersect -> the emphasis is "on" the entrance's target
@@ -275,7 +292,8 @@ class TestRepeatedSentences:
         report = validate_animation_sequence(directives, self.NARRATION)
         assert report.violations == ()
         assert [(a.code, a.path) for a in report.advisories] == [
-            ("ambiguous-segment", "Fade-in"), ("ambiguous-segment", "Bar-bounce")]
+            ("ambiguous-segment", "Annotated_Narration_for_Animation[0]"),
+            ("ambiguous-segment", "Annotated_Narration_for_Animation[2]")]
 
     def test_repeated_annotation_segment_gets_an_advisory(self, table):
         output = parse_designer_response(_reply(
@@ -285,7 +303,7 @@ class TestRepeatedSentences:
         report = validate_designer_output(output, self.NARRATION)
         assert report.passing
         assert [(a.code, a.path) for a in report.advisories] == [
-            ("ambiguous-segment", "annotation[0]")]
+            ("ambiguous-segment", "Annotated_Narration_for_Annotation[0]")]
 
     def test_a_segment_behind_the_cursor_falls_back_to_its_first_match(self):
         directives = [
@@ -368,7 +386,8 @@ class TestRunDesigner:
         )
         assert repair.attempts == 2
         assert repair.violations_per_attempt[0] == [
-            "[segment-unlocatable] at annotation[0]: narration segment is not a verbatim "
+            "[segment-unlocatable] at Annotated_Narration_for_Annotation[0]: narration "
+            "segment is not a verbatim "
             "excerpt: 'This text was changed.'"
         ]
         assert output.annotation_directives[0].nar == "Series A rises"

@@ -16,6 +16,7 @@ from datareel.model import (
     ANNOTATION_TYPES,
     EFFECTS,
     INSIGHT_TYPES,
+    VISUALIZATION_TYPES,
     AnalystOutput,
     AnimationDirective,
     AnnotationDirective,
@@ -23,10 +24,7 @@ from datareel.model import (
     DataTable,
     Insight,
     JsonTypeError,
-    UnknownAnimation,
-    UnknownAnnotationType,
-    UnknownInsightType,
-    UnknownVisualizationType,
+    UnknownName,
     VisualizationSpec,
     classify_animation,
     dump_artifact,
@@ -38,6 +36,7 @@ from datareel.model import (
 from datareel.errors import PreconditionError
 from datareel.runtime import BackendConfig
 from datareel.timeline import EASINGS, PROPERTIES, Keyframe, Timeline, WordTimingsJson
+from conftest import GOLDEN_DIR
 from helpers import reference_dump_artifact
 
 
@@ -64,13 +63,23 @@ class TestVocabularies:
             for _, _, stops, _ in ramps:
                 assert not any(k == n > 0 for k, n, _ in stops), name
 
-    def test_designer_prompt_lists_the_table_by_category_in_table_order(self):
-        template = ingest.load_template("designer")
-        for category in CATEGORIES:
-            [listed] = re.findall(rf"- {category.capitalize()} animations include \[(.*?)\]\.",
-                                  template)
-            assert listed.split(", ") == [
-                name for name, (c, _) in EFFECTS.items() if c == category]
+    def test_golden_prompts_list_the_vocabularies_in_order(self):
+        # Each vocabulary, by the words that lead into its list in a prompt.
+        vocabularies = {
+            "The insight type belongs to the following list: ": INSIGHT_TYPES,
+            "which is one of the values of ": VISUALIZATION_TYPES,
+            "which is one or a set from ": ANNOTATION_TYPES,
+            **{f"- {category.capitalize()} animations include ": tuple(
+                name for name, (c, _) in EFFECTS.items() if c == category)
+               for category in CATEGORIES},
+        }
+        text = "\n".join(path.read_text() for path in sorted(GOLDEN_DIR.glob("*_prompt.txt")))
+        for lead, names in vocabularies.items():
+            [listed] = re.findall(re.escape(lead) + r"\[(.*?)\]", text)
+            assert tuple(listed.split(", ")) == names, lead
+        # No other list of names in the prompts goes unchecked.
+        assert sorted(re.findall(r"\[([^\[\]\n]*, [^\[\]\n]*)\]", text)) == sorted(
+            ", ".join(names) for names in vocabularies.values() if len(names) > 1)
 
     def test_insight_vocabulary_has_13_names(self):
         assert len(INSIGHT_TYPES) == 13
@@ -82,7 +91,7 @@ class TestVocabularies:
         assert classify_animation("Bar-bounce") == "emphasis"
 
     def test_classify_unknown_animation(self):
-        with pytest.raises(UnknownAnimation):
+        with pytest.raises(UnknownName):
             classify_animation("Sparkle")
 
     def test_classify_total_over_vocabulary_and_errors_elsewhere(self):
@@ -94,26 +103,26 @@ class TestVocabularies:
             name = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
             if name.strip() in ANIMATIONS:
                 continue
-            with pytest.raises(UnknownAnimation):
+            with pytest.raises(UnknownName):
                 classify_animation(name)
 
     def test_classify_trims_surrounding_whitespace_only(self):
         assert classify_animation(" Fade-in ") == "entrance"
-        with pytest.raises(UnknownAnimation):
+        with pytest.raises(UnknownName):
             classify_animation("fade-in")  # case-sensitive
 
     def test_parse_insight_type(self):
         assert parse_insight_type("Trend") == "Trend"
-        with pytest.raises(UnknownInsightType):
+        with pytest.raises(UnknownName):
             parse_insight_type("Correlation")  # the list has "Correlate"
-        with pytest.raises(UnknownInsightType):
+        with pytest.raises(UnknownName):
             parse_insight_type("")
 
     def test_parse_visualization_type(self):
         assert parse_visualization_type("line") == "line"
-        with pytest.raises(UnknownVisualizationType):
+        with pytest.raises(UnknownName):
             parse_visualization_type("heatmap")
-        with pytest.raises(UnknownVisualizationType):
+        with pytest.raises(UnknownName):
             parse_visualization_type("Line")
 
     def test_annotation_vocabulary(self):
@@ -141,7 +150,7 @@ class TestDirectives:
             Insight(insight="something", types=())
 
     def test_animation_directive_validates_name(self):
-        with pytest.raises(UnknownAnimation):
+        with pytest.raises(UnknownName):
             AnimationDirective(animation="Slide-in", narration="x", target="y", index=())
 
     def test_annotation_directive_validates_types(self):
@@ -578,12 +587,12 @@ class TestConstructionChecks:
         (lambda: DataTable("t", (("", (1,)),), 1), ValueError),
         (lambda: DataDescription("  "), ValueError),
         (lambda: Insight(insight=" ", types=("Trend",)), ValueError),
-        (lambda: Insight(insight="i", types=("Trend", "Correlation")), UnknownInsightType),
-        (lambda: VisualizationSpec(spec={}, vis_type="heatmap"), UnknownVisualizationType),
+        (lambda: Insight(insight="i", types=("Trend", "Correlation")), UnknownName),
+        (lambda: VisualizationSpec(spec={}, vis_type="heatmap"), UnknownName),
         (lambda: AnimationDirective(animation="Fade-in", narration=" ", target="y", index=()),
          ValueError),
         (lambda: AnnotationDirective(types=("blob",), description="", index=(), nar="x"),
-         UnknownAnnotationType),
+         UnknownName),
         (lambda: AnnotationDirective(types=("circle",), description="", index=(), nar="\n"),
          ValueError),
         (lambda: AnalystOutput(insights=(), visualization=VisualizationSpec({}, "bar"),

@@ -289,7 +289,8 @@ class TestInspect:
         ("designer", "designer.json",
          lambda p: p["Annotated_Narration_for_Annotation"][0].update(index=[999]),
          "unreadable: designer.json, bindings.json, table.json: "
-         "row index 999 out of range for table with 20 rows"),
+         "Annotated_Narration_for_Annotation[0].index[0]: "
+         "row 999 out of range (table has 20 rows)"),
     ], ids=["timings-duration-text", "timeline-tracks-int", "table-row-count-text",
             "description-int", "narration-int", "annotation-index-text",
             "annotation-row-outside-table"])
@@ -511,7 +512,7 @@ class TestValidateRerunsRunChecks:
         _rewrite_artifact(project_copy, "designer.json", payload)
         report = validate_project(project_copy)
         assert [(v.code, v.path) for v in report.violations] == [
-            ("segment-unlocatable", "annotation[0]")]
+            ("segment-unlocatable", "Annotated_Narration_for_Annotation[0]")]
 
     @pytest.mark.parametrize("name, code, edit, message", [
         ("timeline.json", "timeline-contract",
