@@ -648,6 +648,11 @@ def synthesize_speech(narration: str, tts, out_path: str | Path) -> WordTimingsJ
     return timings
 
 
+# Manifest bytes held before each write call: a 2 MB manifest takes a few
+# dozen calls, not one per 8 KiB. The buffer adds its size to peak memory.
+MANIFEST_WRITE_BUFFER = 128 * 1024
+
+
 class MockSynth:
     """Writes a frame-by-frame visibility manifest instead of rasterizing.
 
@@ -662,7 +667,8 @@ class MockSynth:
     "visible" and "opacity" texts are joined again only when a shown flag or
     an opacity entry changes. No list of frames or whole text is built. The
     text goes to a temporary file beside out_path, which replaces out_path
-    only when the whole manifest is written.
+    only when the whole manifest is written, through a MANIFEST_WRITE_BUFFER
+    buffer.
     """
 
     def __init__(self, fps: int = 30):
@@ -684,7 +690,7 @@ class MockSynth:
         out_path = Path(out_path)
         partial = out_path.with_name(out_path.name + ".partial")
         try:
-            with partial.open("w", encoding="utf-8") as file:
+            with partial.open("w", encoding="utf-8", buffering=MANIFEST_WRITE_BUFFER) as file:
                 stream_artifact(manifest, file)
             partial.replace(out_path)
         except BaseException:

@@ -137,9 +137,9 @@ def validate_designer_output(output: DesignerOutput, narration: str,
     and verbatim annotation segments, located as the animation segments are."""
     structural = structure_violations(output.annotated_visualization,
                                       "Annotated_Visualization")
+    positions = output.annotation_positions or range(len(output.annotation_directives))
     _, located = _locate(narration, [d.nar for d in output.annotation_directives],
-                         [f"Annotated_Narration_for_Annotation[{i}]"
-                          for i in range(len(output.annotation_directives))])
+                         [f"Annotated_Narration_for_Annotation[{i}]" for i in positions])
     return ValidationReport(violations=structural).merged(
         validate_animation_sequence(output.animation_directives, narration, resolver)
     ).merged(located)
@@ -229,6 +229,7 @@ def designer_output_from_json(value, table: DataTable) -> DesignerOutput:
                                 else item for item in value[key]]}
     reply = read_typed(DesignerJson, value, ignore_extra_keys=True)
     animations = "Annotated_Narration_for_Animation"
+    kept = [(position, item) for position, item in enumerate(reply[key]) if item["type"]]
     return DesignerOutput(
         annotated_visualization=reply["Annotated_Visualization"],
         animation_directives=tuple([
@@ -241,5 +242,6 @@ def designer_output_from_json(value, table: DataTable) -> DesignerOutput:
             build_read(AnnotationDirective, key, position, types=tuple(item["type"]),
                        description=item["description"],
                        index=_rows(item["index"], table, key, position), nar=item["nar"])
-            for position, item in enumerate(reply[key]) if item["type"]]),
+            for position, item in kept]),
+        annotation_positions=tuple([position for position, _ in kept]),
     )

@@ -259,20 +259,32 @@ class _Run:
         """Write content as UTF-8 and record the hash and size of those bytes."""
         data = content.encode("utf-8")
         (self.out / filename).write_bytes(data)
-        self._record(record, filename, data)
+        self._record(record, filename, hashlib.sha256(data).hexdigest(), len(data))
 
     def register(self, record: dict, filename: str) -> None:
         """Record a file an adapter wrote (video_manifest.json, narration.wav,
-        video.mp4)."""
-        self._record(record, filename, (self.out / filename).read_bytes())
+        video.mp4), read and hashed a chunk at a time."""
+        with (self.out / filename).open("rb") as file:
+            self._record(record, filename, _sha256_of(file), file.tell())
 
     @staticmethod
-    def _record(record: dict, filename: str, data: bytes) -> None:
-        record["artifacts"].append({
-            "path": filename,
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
-        })
+    def _record(record: dict, filename: str, sha256: str, size: int) -> None:
+        record["artifacts"].append({"path": filename, "sha256": sha256, "bytes": size})
+
+
+_HASH_CHUNK = 1 << 16
+
+
+def _sha256_of(file) -> str:
+    """The sha256 hex digest of a binary file read to its end a chunk at a
+    time: by hashlib.file_digest from Python 3.11, else _HASH_CHUNK bytes at
+    a time."""
+    if hasattr(hashlib, "file_digest"):
+        return hashlib.file_digest(file, "sha256").hexdigest()
+    digest = hashlib.sha256()
+    while chunk := file.read(_HASH_CHUNK):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 @contextmanager

@@ -604,9 +604,17 @@ class ElementTracks:
         Before its first keyframe the element has its initial visibility;
         opacity is 1.0 while hidden. The frames are cut wherever one of its
         visibility tracks reaches a keyframe, and at its first keyframe.
-        Inside a cut a property at rest, held between equal keyframe values
-        or past its last keyframe is read once; a ramping one is evaluated
-        at each frame by _segment, a chunk of frames at a time (_ramp_frames).
+        Inside a cut a property at rest, held between equal finite keyframe
+        values or past its last keyframe is read once; a ramping one is
+        evaluated at each frame by _segment, _RAMP_CHUNK frames at a time.
+
+        The hold rule: a scale, clip or wheel ramp from v0 to v1 is not
+        evaluated when v0 > 0.0 and v0 + (v1 - v0) > 0.0, for it cannot hide
+        the element. Its value at a frame is v0 + (v1 - v0) * e, in the
+        test's float operations, with the easing's e in [0, 1]. Rounding is
+        monotone, so that value is at least the test's sum, or NaN when v1
+        is inf (inf * 0), and NaN does not hide. A NaN end, a -inf end or an
+        inf v0 fails the test.
         """
         begin = len(times) if self.first is None else bisect_left(times, self.first)
         state = None
@@ -620,8 +628,11 @@ class ElementTracks:
             hidden, alpha, ramps = False, 1.0, []
             for prop, kfs, starts in tracks:
                 i = bisect_right(starts, start)
-                if 0 < i < len(kfs) and kfs[i - 1].value != kfs[i].value:
-                    ramps.append((prop, kfs[i - 1], kfs[i]))
+                # Equal infinite ends ramp too: between them value_at reads NaN.
+                if 0 < i < len(kfs) and ((v0 := kfs[i - 1].value) != (v1 := kfs[i].value)
+                                         or v0 - v1):
+                    if prop == "opacity" or not (v0 > 0.0 and v0 + (v1 - v0) > 0.0):
+                        ramps.append((prop, kfs[i - 1], kfs[i]))
                     continue
                 value = kfs[i - 1].value if i else REST_VALUES[prop]
                 if value <= 0.0:
@@ -629,26 +640,22 @@ class ElementTracks:
                 elif prop == "opacity":
                     alpha = value
             if hidden or not ramps:
-                states = ((start, _HIDDEN if hidden else (True, alpha)),)
-            else:
-                states = _ramp_frames(ramps, alpha, times, start, end)
-            for frame, new in states:
+                new = _HIDDEN if hidden else (True, alpha)
                 if new != state:
                     state = new
-                    yield frame, new
+                    yield start, new
+                continue
+            for lo in range(start, end, _RAMP_CHUNK):
+                hi = min(lo + _RAMP_CHUNK, end)
+                for frame, new in zip(range(lo, hi), _ramp_states(ramps, alpha, times[lo:hi])):
+                    if new != state:
+                        state = new
+                        yield frame, new
 
 
 # Ramp frames evaluated at once: enough to share the evaluation's set-up,
 # few enough that a sweep over many concurrent ramps holds little of them.
 _RAMP_CHUNK = 32
-
-
-def _ramp_frames(ramps, alpha: float, times, start: int, end: int):
-    """(frame, (shown, opacity)) for frames start to end - 1 of a ramp,
-    evaluated _RAMP_CHUNK frames at a time."""
-    for lo in range(start, end, _RAMP_CHUNK):
-        hi = min(lo + _RAMP_CHUNK, end)
-        yield from zip(range(lo, hi), _ramp_states(ramps, alpha, times[lo:hi]))
 
 
 def _ramp_states(ramps, alpha: float, times) -> list[tuple[bool, float]]:
@@ -709,18 +716,16 @@ class KeyframeEvaluator:
         # frame -> [(positions in ids, their ids, change stream, (shown,
         # opacity))]: the next change of each group whose state still changes.
         due: dict[int, list] = {}
-
-        def schedule(positions, members, stream):
-            change = next(stream, None)
-            if change is not None:
-                due.setdefault(change[0], []).append((positions, members, stream, change[1]))
-
-        for element, members in self.groups:
-            schedule([position[eid] for eid in members], members, element.changes(times))
+        # The groups that changed at the frame before, each to schedule its
+        # next change: at first every group, none changed yet.
+        changes = [([position[eid] for eid in members], members, element.changes(times), None)
+                   for element, members in self.groups]
         for frame in range(len(times)):
-            changes = due.pop(frame, ())
             for positions, members, stream, _ in changes:
-                schedule(positions, members, stream)
+                change = next(stream, None)
+                if change is not None:
+                    due.setdefault(change[0], []).append((positions, members, stream, change[1]))
+            changes = due.pop(frame, ())
             yield [(positions, members, state) for positions, members, _, state in changes]
 
 

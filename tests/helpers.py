@@ -238,8 +238,8 @@ def reference_visible_at(timeline, element_id: str, t: float) -> bool:
     kfs = timeline.tracks.get(element_id, ())
     if not kfs or t < min(k.time for k in kfs):
         return timeline.initial_visibility.get(element_id, "visible") == "visible"
-    return all(reference_value_at(timeline, element_id, prop, t) > 0.0
-               for prop in ("opacity", "scale", "clip_fraction", "wheel_fraction"))
+    return not any(reference_value_at(timeline, element_id, prop, t) <= 0.0
+                   for prop in ("opacity", "scale", "clip_fraction", "wheel_fraction"))
 
 
 def expand_changes(evaluator, times) -> list[tuple[list, dict]]:

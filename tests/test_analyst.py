@@ -93,8 +93,15 @@ class TestParse:
             "Insights[1]: unknown insight type 'Correlation'; one of 'Change Over Time', ")
 
     def test_empty_insights(self):
-        with pytest.raises(JsonTypeError):
+        with pytest.raises(JsonTypeError) as err:
             parse_analyst_response(_minimal_reply(Insights=[]))
+        assert str(err.value) == "Insights: analyst output must carry at least one insight"
+
+    @pytest.mark.parametrize("narration", ["", " \n"])
+    def test_empty_narration(self, narration):
+        with pytest.raises(JsonTypeError) as err:
+            parse_analyst_response(_minimal_reply(Narration=narration))
+        assert str(err.value) == "Narration: narration must be non-empty"
 
     def test_empty_type_list(self):
         reply = _minimal_reply(Insights=[{"insight": "x", "type": []}])

@@ -295,6 +295,19 @@ class TestRepeatedSentences:
             ("ambiguous-segment", "Annotated_Narration_for_Animation[0]"),
             ("ambiguous-segment", "Annotated_Narration_for_Animation[2]")]
 
+    def test_annotation_paths_count_dropped_items(self, table):
+        output = parse_designer_response(_reply(
+            animations=[_directive("Fade-in", "Costs fall.")],
+            annotations=[{"type": []},
+                         {"type": ["text"], "description": "d", "index": [0], "nar": "Not there."},
+                         {"type": ["text"], "description": "d", "index": [0],
+                          "nar": "Prices rise."}]), table)
+        report = validate_designer_output(output, self.NARRATION)
+        assert [(v.code, v.path) for v in report.violations] == [
+            ("segment-unlocatable", "Annotated_Narration_for_Annotation[1]")]
+        assert [(a.code, a.path) for a in report.advisories] == [
+            ("ambiguous-segment", "Annotated_Narration_for_Annotation[2]")]
+
     def test_repeated_annotation_segment_gets_an_advisory(self, table):
         output = parse_designer_response(_reply(
             animations=[_directive("Fade-in", "Costs fall.")],

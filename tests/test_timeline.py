@@ -1042,6 +1042,80 @@ class TestMockSynthManifest:
         assert list(tmp_path.iterdir()) == []
 
 
+@st.composite
+def hold_edge_ends(draw, prop):
+    """Two ends of a prop ramp at the edge of ElementTracks.changes' hold
+    rule: both positive with v0 + (v1 - v0) rounding to zero or below,
+    exactly one at or below zero, or (scale only, as Keyframe allows) NaN or
+    an infinity."""
+    kinds = ["rounds-to-zero", "one-end-at-or-below-zero"] + ["non-finite"] * (prop == "scale")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "rounds-to-zero":
+        v0, v1 = draw(st.floats(0.25, 1.0)), draw(st.floats(5e-324, 1e-17))
+        assert v0 > 0.0 and v1 > 0.0 and not v0 + (v1 - v0) > 0.0
+        return v0, v1
+    if kind == "one-end-at-or-below-zero":
+        low = draw(st.sampled_from([0.0, -0.0]) | (st.floats(-2.0, 0.0) if prop == "scale"
+                                                   else st.nothing()))
+        ends = low, draw(st.floats(0.0, 1.0, exclude_min=True))
+    else:
+        odd = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        ends = odd, draw(st.sampled_from([1.0, 1e-17, 0.0, -1.0, math.nan, math.inf, -math.inf]))
+    return ends if draw(st.booleans()) else ends[::-1]
+
+
+@st.composite
+def hold_edge_timelines(draw):
+    """Timelines whose scale, clip and wheel tracks ramp between hold_edge_ends,
+    a drawn value at rest after, beside an optional opacity track."""
+    tracks = {}
+    for eid in draw(st.lists(st.sampled_from(["e0", "e1", "e2"]), unique=True, min_size=1)):
+        keyframes = []
+        props = draw(st.lists(st.sampled_from(["scale", "clip_fraction", "wheel_fraction"]),
+                              unique=True, min_size=1))
+        for prop in props + ["opacity"] * draw(st.booleans()):
+            if prop == "opacity":
+                values = draw(st.lists(unit_values, min_size=1, max_size=3))
+            else:
+                values = [*draw(hold_edge_ends(prop)), draw(held_values)][:draw(st.integers(2, 3))]
+            times = sorted(draw(st.lists(st.sampled_from(GRID), min_size=len(values),
+                                         max_size=len(values), unique=True)))
+            keyframes += [Keyframe(t, prop, v, draw(st.sampled_from(EASINGS)))
+                          for t, v in zip(times, values)]
+        keyframes.sort(key=lambda k: (k.time, k.property))
+        tracks[eid] = tuple(keyframes)
+    initial = {eid: draw(st.sampled_from(["visible", "hidden"])) for eid in tracks}
+    return Timeline(duration=DURATION, tracks=tracks, initial_visibility=initial)
+
+
+class TestHoldRule:
+    """A scale, clip or wheel ramp is read once per cut only while it cannot
+    hide its element; the manifest stays the per-frame reference's."""
+
+    @given(hold_edge_timelines(), st.sampled_from([1, 3, 8]))
+    def test_ramps_at_the_rule_edge_equal_the_reference(self, timeline, fps):
+        with tempfile.TemporaryDirectory() as tmp:
+            text = synthesized_text(timeline, fps, tmp)
+        assert text == reference_dump_artifact(reference_manifest(timeline, fps))
+
+    @pytest.mark.parametrize("ends, evaluated", [
+        ((1.0, 1.2), False),  # a bounce: both ends and their sum above zero
+        ((1.0, 1e-17), True),  # both ends above zero, but their sum rounds to zero
+        ((0.0, 1.0), True),
+        ((math.nan, 1.0), True),
+    ])
+    def test_only_a_ramp_that_may_hide_is_evaluated(self, ends, evaluated, monkeypatch):
+        segments = []
+        segment = timeline_module._segment
+        monkeypatch.setattr(timeline_module, "_segment",
+                            lambda *args: segments.append(args) or segment(*args))
+        timeline = Timeline(duration=4.0, tracks={"a": (
+            Keyframe(1.0, "scale", ends[0], "ease-out"),
+            Keyframe(3.0, "scale", ends[1], "ease-out"))})
+        assert len(list(KeyframeEvaluator(timeline).changes([i / 4 for i in range(16)]))) == 16
+        assert bool(segments) == evaluated
+
+
 class TestHtmlExport:
     @given(compiled_timelines() | raw_timelines(), hostile_names)
     def test_every_element_keeps_its_animations(self, timeline, names):
