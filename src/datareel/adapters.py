@@ -648,8 +648,6 @@ def synthesize_speech(narration: str, tts, out_path: str | Path) -> WordTimingsJ
     return timings
 
 
-# Manifest bytes held before each write call: a 2 MB manifest takes a few
-# dozen calls, not one per 8 KiB. The buffer adds its size to peak memory.
 MANIFEST_WRITE_BUFFER = 128 * 1024
 
 

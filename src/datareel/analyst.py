@@ -161,6 +161,5 @@ def analyst_output_from_json(value) -> AnalystOutput:
         for position, item in enumerate(reply["Insights"])])
     visualization = build_read(VisualizationSpec, "Visualization_Type",
                                spec=reply["Visualization"], vis_type=reply["Visualization_Type"])
-    return AnalystOutput(
-        build_read(AnalystOutput.checked_insights, "Insights", insights=insights), visualization,
-        build_read(AnalystOutput.checked_narration, "Narration", narration=reply["Narration"]))
+    return build_read(AnalystOutput, insights=insights, visualization=visualization,
+                      narration=reply["Narration"])

@@ -137,9 +137,9 @@ def validate_designer_output(output: DesignerOutput, narration: str,
     and verbatim annotation segments, located as the animation segments are."""
     structural = structure_violations(output.annotated_visualization,
                                       "Annotated_Visualization")
-    positions = output.annotation_positions or range(len(output.annotation_directives))
     _, located = _locate(narration, [d.nar for d in output.annotation_directives],
-                         [f"Annotated_Narration_for_Annotation[{i}]" for i in positions])
+                         [f"Annotated_Narration_for_Annotation[{i}]"
+                          for i in output.annotation_positions])
     return ValidationReport(violations=structural).merged(
         validate_animation_sequence(output.animation_directives, narration, resolver)
     ).merged(located)

@@ -321,35 +321,25 @@ class AnalystOutput(Record):
 
     def __init__(self, insights: tuple[Insight, ...], visualization: VisualizationSpec,
                  narration: str):
-        self.insights = self.checked_insights(insights)
-        self.visualization = visualization
-        self.narration = self.checked_narration(narration)
-
-    # Each field's check on its own, so that a reader can name the field's key.
-    @staticmethod
-    def checked_insights(insights: tuple[Insight, ...]) -> tuple[Insight, ...]:
+        # Each message starts with the reply key of the field at fault.
         if not insights:
-            raise ValueError("analyst output must carry at least one insight")
-        return insights
-
-    @staticmethod
-    def checked_narration(narration: str) -> str:
+            raise ValueError("Insights: analyst output must carry at least one insight")
         if not narration.strip():
-            raise ValueError("narration must be non-empty")
-        return narration
+            raise ValueError("Narration: narration must be non-empty")
+        self.insights, self.visualization, self.narration = insights, visualization, narration
 
 
 class DesignerOutput(NamedTuple):
     """The designer's annotated spec and its animation and annotation directives.
 
     annotation_positions is each annotation directive's place in the reply,
-    which counts the items the reader dropped; None when they are 0, 1, ...
+    which counts the items the reader dropped.
     """
 
     annotated_visualization: dict
     animation_directives: tuple[AnimationDirective, ...]
     annotation_directives: tuple[AnnotationDirective, ...]
-    annotation_positions: tuple[int, ...] | None = None
+    annotation_positions: tuple[int, ...]
 
 
 class Violation(NamedTuple):

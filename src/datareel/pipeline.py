@@ -276,11 +276,8 @@ _HASH_CHUNK = 1 << 16
 
 
 def _sha256_of(file) -> str:
-    """The sha256 hex digest of a binary file read to its end a chunk at a
-    time: by hashlib.file_digest from Python 3.11, else _HASH_CHUNK bytes at
-    a time."""
-    if hasattr(hashlib, "file_digest"):
-        return hashlib.file_digest(file, "sha256").hexdigest()
+    """The sha256 hex digest of a binary file read to its end _HASH_CHUNK
+    bytes at a time."""
     digest = hashlib.sha256()
     while chunk := file.read(_HASH_CHUNK):
         digest.update(chunk)

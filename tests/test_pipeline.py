@@ -812,12 +812,7 @@ class TestArtifactDigests:
 class TestRegister:
     """A file an adapter wrote is hashed a chunk at a time, not read whole."""
 
-    @pytest.mark.parametrize("file_digest", [True, False], ids=["file_digest", "loop"])
-    def test_hashes_in_chunks(self, mock_project_config, tmp_path, monkeypatch, file_digest):
-        if not file_digest:  # the loop that Python 3.10 takes
-            monkeypatch.delattr(hashlib, "file_digest", raising=False)
-        elif not hasattr(hashlib, "file_digest"):
-            pytest.skip("hashlib.file_digest is new in Python 3.11")
+    def test_hashes_in_chunks(self, mock_project_config, tmp_path):
         run = pipeline._Run(mock_project_config(output_dir=str(tmp_path)))
         data = bytes(range(256)) * (4 << 12)  # 4 MiB
         (tmp_path / "video.mp4").write_bytes(data)

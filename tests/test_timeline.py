@@ -236,7 +236,8 @@ class TestSegmentPlacement:
         assert spoken == {}
 
         output = DesignerOutput({"layer": [{"mark": "bar", "encoding": {}}]},
-                                tuple(directives), tuple(annotations))
+                                tuple(directives), tuple(annotations),
+                                tuple(range(len(annotations))))
         with patch("datareel.designer.locate_segments", recording("designer")):
             report = validate_designer_output(output, narration, lambda d: frozenset(d.index))
         if report.passing:
