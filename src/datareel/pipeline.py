@@ -16,7 +16,6 @@ import os
 import time
 from collections.abc import Callable
 from contextlib import closing, contextmanager
-from functools import partial
 from pathlib import Path
 from typing import Literal, NamedTuple, TypedDict
 
@@ -93,7 +92,7 @@ class ProjectConfig(NamedTuple):
             read_typed(ProjectConfig, self.to_json())
         except JsonTypeError as e:
             raise PreconditionError(f"invalid config: {e}") from None
-        if not Path(self.input_csv).is_file():
+        if not _found(self.input_csv):
             raise PreconditionError(f"input file not found: {self.input_csv}")
         if self.fps < 1:
             raise PreconditionError("fps must be at least 1")
@@ -104,7 +103,7 @@ class ProjectConfig(NamedTuple):
                     f"mock mode requires transcript paths for: {', '.join(missing)}"
                 )
             for stage_name, path in self.transcripts.items():
-                if not Path(path).is_file():
+                if not _found(path):
                     raise PreconditionError(
                         f"transcript for {stage_name!r} not found: {path}"
                     )
@@ -117,6 +116,14 @@ class ProjectConfig(NamedTuple):
         if payload.pop("backend") is not None:
             payload["backend"] = self.backend._asdict()
         return payload
+
+
+def _found(path: str | Path) -> bool:
+    """Whether path names a file; PreconditionError if the OS refuses to look."""
+    try:
+        return Path(path).is_file()
+    except OSError as e:  # ENAMETOOLONG or EACCES, which is_file re-raises
+        raise PreconditionError(f"unusable path {path}: {e.strerror}") from None
 
 
 class ProjectManifest:
@@ -145,7 +152,7 @@ class ProjectManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "ProjectManifest":
-        if not Path(path).is_file():
+        if not _found(path):
             raise ManifestNotFound(f"manifest not found: {path}")
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -154,16 +161,6 @@ class ProjectManifest:
         except (KeyError, TypeError, ValueError) as e:
             raise PreconditionError(f"unreadable manifest {path}: {e!r}") from None
         return manifest
-
-    def listed_artifacts(self, project_dir: str | Path):
-        """Each listed artifact in manifest order: its path, and a function
-        that reads the file once and returns its bytes in a one-item list
-        (None for a missing file) and the hash problem found (None if none)."""
-        project_dir = Path(project_dir)
-        for record in self.stages:
-            for artifact in record.get("artifacts", []):
-                yield artifact["path"], partial(
-                    _read_listed, project_dir / artifact["path"], record, artifact)
 
 
 class ArtifactEntry(TypedDict):
@@ -184,15 +181,6 @@ class StageRecord(TypedDict):
     finished_at: str | None
     artifacts: list[ArtifactEntry]
     error: str | None
-
-
-def _read_listed(path: Path, record: dict, artifact: dict) -> tuple[list | None, str | None]:
-    if not path.is_file():
-        return None, f"{record['name']}: missing artifact {artifact['path']}"
-    content = [path.read_bytes()]
-    if hashlib.sha256(content[0]).hexdigest() != artifact["sha256"]:
-        return content, f"{record['name']}: hash mismatch for {artifact['path']}"
-    return content, None
 
 
 class _ManifestFile:
@@ -313,7 +301,10 @@ def run_pipeline(config: ProjectConfig) -> ProjectManifest:
 
 def _run_pipeline(config: ProjectConfig) -> ProjectManifest:
     run = _Run(config)
-    run.out.mkdir(parents=True, exist_ok=True)
+    try:
+        run.out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise PreconditionError(f"cannot create output directory {run.out}: {e.strerror}") from None
     with closing(_ManifestFile(run.out / "manifest.json")) as manifest_file:
         for stage in STAGE_TABLE:
             record = {"name": stage.name, "status": "running", "started_at": _now(),
@@ -332,18 +323,20 @@ def _run_pipeline(config: ProjectConfig) -> ProjectManifest:
     return run.manifest
 
 
-def _load_artifact(project_dir: Path, name: str):
-    """A persisted artifact as _parse_artifact reads it; None if absent."""
-    path = project_dir / name
-    return _parse_artifact(name, [path.read_bytes()]) if path.is_file() else None
-
-
-def _parse_artifact(name: str, content: list):
-    """An artifact's bytes, popped from content and released once decoded as
-    read_text(encoding="utf-8") decodes them, with universal newlines; parsed
+def _load_artifact(project_dir: Path, name: str, hashes: dict | None = None):
+    """A persisted artifact, None if absent, else its bytes decoded as
+    read_text(encoding="utf-8") decodes them, with universal newlines: parsed
     JSON for a .json file other than timeline.json, which Timeline.from_text
-    reads, else the text."""
-    text = content.pop().decode("utf-8")
+    reads, else the text. hashes, when given, gets name's sha256 from the
+    bytes read, which are released once decoded."""
+    path = project_dir / name
+    if not path.is_file():
+        return None
+    data = path.read_bytes()
+    if hashes is not None:
+        hashes[name] = hashlib.sha256(data).hexdigest()
+    text = data.decode("utf-8")
+    del data
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return json.loads(text) if name.endswith(".json") and name != "timeline.json" else text
@@ -662,10 +655,10 @@ class _Outputs(dict):
 
 
 def validate_project(project_dir: str | Path) -> ValidationReport:
-    """Check the manifest hashes and run each stage's check in stage order.
+    """Run each stage's check in stage order, then check the manifest hashes.
 
     Each listed artifact is read once: a checked one is hashed from the bytes
-    its check decodes, the others before the checks run. Hash violations come
+    its check decodes, the others a chunk at a time. Hash violations come
     first, in manifest order. A stage is skipped when its artifact is absent
     or its check needs an earlier output that did not load; an artifact that
     does not load is one `<stage>-contract` violation. Cyclic GC is paused meanwhile."""
@@ -675,41 +668,41 @@ def validate_project(project_dir: str | Path) -> ValidationReport:
 
 def _validate_project(project_dir: Path) -> ValidationReport:
     manifest = ProjectManifest.load(project_dir / "manifest.json")
-    checked = {stage.reads[0] for stage in STAGE_TABLE if stage.check is not None}
-    problems = []  # (manifest position, hash problem or None)
-    # A checked artifact is hashed when its check reads it; the others now,
-    # while no check output is held, so one artifact's bytes at most are.
-    deferred = {}
-    for position, (path, read) in enumerate(manifest.listed_artifacts(project_dir)):
-        if path in checked and path not in deferred:
-            deferred[path] = position, read
-        else:
-            problems.append((position, read()[1]))
+    hashes = {}  # artifact -> the sha256 of its bytes, read once
     outputs = _Outputs()
     found = []
     for stage in STAGE_TABLE:
         if stage.check is None:
             continue
         name = stage.reads[0]
-        if name in deferred:
-            position, read = deferred.pop(name)
-            content, problem = read()
-            problems.append((position, problem))
-        else:  # not listed: read from its path
-            path = project_dir / name
-            content = [path.read_bytes()] if path.is_file() else None
-        if content is None:
-            continue
         try:
-            outputs[stage.name], report = stage.check(_parse_artifact(name, content), outputs)
+            payload = _load_artifact(project_dir, name, hashes)
+            if name not in hashes:  # absent
+                continue
+            outputs[stage.name], report = stage.check(payload, outputs)
         except _MissingInput:
             continue
         except _UNREADABLE as e:
             report = ValidationReport(violations=(
                 Violation(f"{stage.name}-contract", name, repr(e)),))
         found.append(report)
+    problems = []
+    for record in manifest.stages:
+        for artifact in record.get("artifacts", []):
+            name, path = artifact["path"], project_dir / artifact["path"]
+            try:
+                if name not in hashes and path.is_file():  # no check read it
+                    with path.open("rb") as file:
+                        hashes[name] = _sha256_of(file)
+            except OSError as e:  # a path the OS refuses, such as one too long
+                problems.append(f"{record['name']}: unreadable artifact {name}: {e.strerror}")
+                continue
+            if name not in hashes:
+                problems.append(f"{record['name']}: missing artifact {name}")
+            elif hashes[name] != artifact["sha256"]:
+                problems.append(f"{record['name']}: hash mismatch for {name}")
     report = ValidationReport(violations=tuple(
-        Violation("artifact-hash", "", problem) for _, problem in sorted(problems) if problem))
+        Violation("artifact-hash", "", problem) for problem in problems))
     for stage_report in found:
         report = report.merged(stage_report)
     return report

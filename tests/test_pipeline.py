@@ -464,6 +464,33 @@ class TestValidateReadsOnce:
         report = validate_project(project_copy)
         assert [(v.code, v.path, v.message) for v in report.violations] == expected
 
+    def test_unchecked_artifact_is_hashed_in_chunks(self, project_copy):
+        # No check reads video_manifest.json: its 4 MiB are never held whole.
+        _rewrite_artifact(project_copy, "video_manifest.json", bytes(range(256)) * (4 << 12))
+        tracemalloc.start()
+        try:
+            report = validate_project(project_copy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passing
+        assert peak < 1 << 20
+
+    def test_hash_problems_keep_manifest_order(self, project_copy):
+        # Checked (table.json, timeline.json) and unchecked artifacts interleave.
+        for name in ("table.json", "narration.wav", "timeline.json", "video.html"):
+            with (project_copy / name).open("ab") as file:
+                file.write(b" ")
+        (project_copy / "bindings.json").unlink()
+        report = validate_project(project_copy)
+        assert [(v.code, v.message) for v in report.violations] == [
+            ("artifact-hash", "ingest: hash mismatch for table.json"),
+            ("artifact-hash", "binding: missing artifact bindings.json"),
+            ("artifact-hash", "tts: hash mismatch for narration.wav"),
+            ("artifact-hash", "timeline: hash mismatch for timeline.json"),
+            ("artifact-hash", "video: hash mismatch for video.html"),
+        ]
+
 
 def _rewrite_artifact(project: Path, name: str, payload: dict | str | bytes) -> None:
     """Replace an artifact, given as a JSON payload, as text or as bytes, and
@@ -1143,6 +1170,34 @@ class TestCli:
             "input_csv": "placeholder",
         }))
         return path
+
+    # Each exited 1 with a traceback: Path.is_file() re-raises ENAMETOOLONG.
+    # A listed artifact is a hash violation, every other path a precondition.
+    @pytest.mark.parametrize("args, exit_code", [
+        (["validate", "--project", "{project}"], 3),
+        (["validate", "--project", "{long}"], 2),
+        (["inspect", "--project", "{long}", "--stage", "video"], 2),
+        (["run", "--input", "{csv}", "--config", "{config}", "--output", "{long}"], 2),
+        (["run", "--input", "{long}", "--config", "{config}"], 2),
+    ], ids=["listed-artifact", "validate-project", "inspect-project", "run-output",
+            "run-input"])
+    def test_path_too_long(self, completed_project, tmp_path, stock_csv_path, capsys,
+                           args, exit_code):
+        import shutil
+
+        long_name = "x" * 300
+        project = Path(shutil.copytree(completed_project[0], tmp_path / "copy"))
+        manifest = ProjectManifest.load(project / "manifest.json")
+        manifest.stages[-1]["artifacts"].append(
+            {"path": long_name, "sha256": "0" * 64, "bytes": 0})
+        manifest.save(project / "manifest.json")
+        paths = {"project": project, "long": tmp_path / long_name, "csv": stock_csv_path,
+                 "config": self._config_file(tmp_path)}
+        code, output = _cli(capsys, *(arg.format(**paths) for arg in args))
+        assert code == exit_code, output
+        assert long_name in output
+        if exit_code == 3:
+            assert "violation [artifact-hash]: video: " in output
 
     def test_run_inspect_validate(self, tmp_path, stock_csv_path, capsys):
         config = self._config_file(tmp_path)
